@@ -63,6 +63,7 @@ from .convex import (
 from .operators import (
     BasicFunctional,
     BasicOperator,
+    TridiagonalOperator,
     adjoint,
     apply,
     classify_operator,

@@ -85,13 +85,10 @@ def _build_policy(cfg: dict) -> NumericPolicy:
         raise ConfigInvalid(f"/policy: {exc}") from exc
 
 
-def _workers(parallel: bool) -> int:
-    if not parallel:
-        return 1
-    try:
-        return max(1, int(os.environ.get("GENNET_THREADS", "4")))
-    except ValueError:
-        return 4
+def _load_setup(config_path: str, grid_k: int | None):
+    """A command's config with the grid and numeric policy it declares."""
+    cfg = _load_config(config_path)
+    return cfg, _build_grid(cfg, grid_k), _build_policy(cfg)
 
 
 def _scalar_net(spec, grid: EpsGrid, ptr: str = "/nets") -> GenScalar:
@@ -223,6 +220,18 @@ def _csv_open(out: str, name: str):
     return open(os.path.join(out, name), "w", newline="")
 
 
+def _write_iterations_csv(out: str, sol) -> None:
+    """One row per grid point of a VI solve: step data and iteration count."""
+    with _csv_open(out, "iterations.csv") as fh:
+        fh.write("k,eps,alpha,M,rho,contraction_k,iterations,residual\n")
+        for row in sol.report_rows():
+            fh.write(",".join([
+                str(row["k"]), repr(row["eps"]), repr(row["alpha"]), repr(row["M"]),
+                repr(row["rho"]), repr(row["contraction_k"]), str(row["iterations"]),
+                repr(row["residual"]),
+            ]) + "\n")
+
+
 _CONFIG_OPTS = [
     click.option("--config", "config_path", required=True,
                  type=click.Path(exists=True, dir_okay=False), help="JSON config file."),
@@ -233,8 +242,8 @@ _CONFIG_OPTS = [
     click.option("--seed", default=0, type=int, show_default=True,
                  help="Seed for randomized fixtures in configs."),
     click.option("--parallel", default=False, type=bool, show_default=True,
-                 help="Run per-eps work in GENNET_THREADS threads where the "
-                      "command supports it (the assembly-heavy solvers)."),
+                 help="Accepted for compatibility; has no effect, since every "
+                      "command already works vectorised across the grid."),
 ]
 
 
@@ -254,9 +263,7 @@ def cli():
 def gennum_check(config_path, out, grid_k, seed, parallel):
     """Valuations, sharp norms, and negligibility/moderateness verdicts."""
     t0 = time.perf_counter()
-    cfg = _load_config(config_path)
-    grid = _build_grid(cfg, grid_k)
-    policy = _build_policy(cfg)
+    cfg, grid, policy = _load_setup(config_path, grid_k)
     specs = cfg.get("nets")
     if not isinstance(specs, list) or not specs:
         raise ConfigInvalid("/nets: must be a nonempty list")
@@ -292,9 +299,7 @@ def gennum_check(config_path, out, grid_k, seed, parallel):
 def classify_op(config_path, out, grid_k, seed, parallel):
     """Isometric / unitary / self-adjoint / projection flags for an operator net."""
     t0 = time.perf_counter()
-    cfg = _load_config(config_path)
-    grid = _build_grid(cfg, grid_k)
-    policy = _build_policy(cfg)
+    cfg, grid, policy = _load_setup(config_path, grid_k)
     T = _operator_net(cfg.get("operator"), grid)
     flags = classify_operator(T, policy)
     norms = op_norm_net(T)
@@ -318,9 +323,7 @@ def classify_op(config_path, out, grid_k, seed, parallel):
 def gram_schmidt(config_path, out, grid_k, seed, parallel):
     """Orthogonalize a generator set; exit 2 if no uniform scale exists."""
     t0 = time.perf_counter()
-    cfg = _load_config(config_path)
-    grid = _build_grid(cfg, grid_k)
-    policy = _build_policy(cfg)
+    cfg, grid, policy = _load_setup(config_path, grid_k)
     gens = _generators(cfg, grid, seed)
     result = classify_submodule(GeneratorSet(gens), policy)
     os.makedirs(out, exist_ok=True)
@@ -406,9 +409,7 @@ def _generators(cfg: dict, grid: EpsGrid, seed: int) -> list:
 def vi_solve(config_path, out, grid_k, seed, parallel):
     """Projected contraction iteration for a small variational inequality."""
     t0 = time.perf_counter()
-    cfg = _load_config(config_path)
-    grid = _build_grid(cfg, grid_k)
-    policy = _build_policy(cfg)
+    cfg, grid, policy = _load_setup(config_path, grid_k)
     T = _operator_net(cfg.get("operator"), grid)
     rhs = cfg.get("rhs")
     if not isinstance(rhs, list):
@@ -419,14 +420,7 @@ def vi_solve(config_path, out, grid_k, seed, parallel):
     sol = vi_solve_contraction(T, c, C, cert, policy)
     solve_s = time.perf_counter() - t0
     os.makedirs(out, exist_ok=True)
-    with _csv_open(out, "iterations.csv") as fh:
-        fh.write("k,eps,alpha,M,rho,contraction_k,iterations,residual\n")
-        for row in sol.report_rows():
-            fh.write(",".join([
-                str(row["k"]), repr(row["eps"]), repr(row["alpha"]), repr(row["M"]),
-                repr(row["rho"]), repr(row["contraction_k"]), str(row["iterations"]),
-                repr(row["residual"]),
-            ]) + "\n")
+    _write_iterations_csv(out, sol)
     with _csv_open(out, "solution.csv") as fh:
         fh.write("k,eps," + ",".join(f"u{i}" for i in range(sol.u.dim)) + "\n")
         for k in range(grid.K):
@@ -463,11 +457,9 @@ def _convex_set(spec, grid: EpsGrid) -> ConvexSetNet:
 def solve_dirichlet_cmd(config_path, out, grid_k, seed, parallel):
     """P1 solve of -(a u')' + c u = f with Dirichlet data, per grid point."""
     t0 = time.perf_counter()
-    cfg = _load_config(config_path)
-    grid = _build_grid(cfg, grid_k)
-    policy = _build_policy(cfg)
+    cfg, grid, policy = _load_setup(config_path, grid_k)
     spec = _problem(cfg, grid)
-    result = solve_dirichlet(spec, policy, workers=_workers(parallel))
+    result = solve_dirichlet(spec, policy)
     solve_s = time.perf_counter() - t0
     os.makedirs(out, exist_ok=True)
     result.write_solution_csv(os.path.join(out, "solution.csv"))
@@ -490,22 +482,13 @@ def solve_dirichlet_cmd(config_path, out, grid_k, seed, parallel):
 def solve_obstacle_cmd(config_path, out, grid_k, seed, parallel):
     """Obstacle-constrained P1 solve via the projected contraction iteration."""
     t0 = time.perf_counter()
-    cfg = _load_config(config_path)
-    grid = _build_grid(cfg, grid_k)
-    policy = _build_policy(cfg)
+    cfg, grid, policy = _load_setup(config_path, grid_k)
     spec = _problem(cfg, grid)
-    result = solve_obstacle(spec, policy, workers=_workers(parallel))
+    result = solve_obstacle(spec, policy)
     solve_s = time.perf_counter() - t0
     os.makedirs(out, exist_ok=True)
     result.write_solution_csv(os.path.join(out, "solution.csv"))
-    with _csv_open(out, "iterations.csv") as fh:
-        fh.write("k,eps,alpha,M,rho,contraction_k,iterations,residual\n")
-        for row in result.vi.report_rows():
-            fh.write(",".join([
-                str(row["k"]), repr(row["eps"]), repr(row["alpha"]), repr(row["M"]),
-                repr(row["rho"]), repr(row["contraction_k"]), str(row["iterations"]),
-                repr(row["residual"]),
-            ]) + "\n")
+    _write_iterations_csv(out, result.vi)
     hn = h1_norm_net(spec.mesh, grid, result.u.samples)
     summary = {
         "command": "solve-obstacle",

@@ -9,6 +9,11 @@ norms equal to the per-sample functional norms.  Structural flags
 the defining matrix identity's defect net for negligibility — with a
 floating-point floor, since the defects of computed nets carry rounding
 noise far above eps_k**q_neg at the small end of the grid.
+
+Two representations, one per operator kind: dense (K, d_out, d_in)
+nets for the small-matrix layer, and symmetric tridiagonal band nets
+(K, 3, m) for the 1D finite-element systems, which store O(K m) numbers
+and solve, multiply and bound their spectrum in O(K m).
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal, solve_banded
 
 from .errors import DimMismatch, GridMismatch
 from .gennum import EpsGrid, GenScalar, NumericPolicy, _tail_positions
@@ -66,6 +72,14 @@ class BasicOperator:
     def identity(cls, grid: EpsGrid, dim: int) -> "BasicOperator":
         return cls.constant(np.eye(dim), grid)
 
+    def matvec(self, u: np.ndarray) -> np.ndarray:
+        """Batched product T_k u_k of a (K, d_in) array."""
+        return np.einsum("kij,kj->ki", self.samples, u)
+
+    def solve(self, k: int, b: np.ndarray) -> np.ndarray:
+        """Solve T_k x = b for grid index k (0-based); LinAlgError if singular."""
+        return np.linalg.solve(self.samples[k], b)
+
     def compose(self, other: "BasicOperator") -> "BasicOperator":
         """Net of matrix products self_k @ other_k."""
         if not self.grid.same_as(other.grid):
@@ -92,6 +106,64 @@ class BasicOperator:
             samples = self.samples.tolist()
         return {"K": self.grid.K, "d_out": d_out, "d_in": d_in,
                 "field": self.field_tag, "samples": samples}
+
+
+@dataclass(frozen=True)
+class TridiagonalOperator:
+    """A net of real symmetric tridiagonal m x m matrices, stored as bands.
+
+    ``samples[k]`` is the (3, m) banded form that scipy.linalg.solve_banded
+    takes for one sub- and one superdiagonal: row 0 holds the
+    superdiagonal shifted right, row 1 the diagonal, row 2 the
+    subdiagonal; the two corners are unused.  Self-adjoint by
+    construction.
+    """
+
+    grid: EpsGrid
+    samples: np.ndarray  # (K, 3, m)
+
+    def __post_init__(self):
+        arr = np.array(self.samples, dtype=float)
+        if arr.ndim != 3 or arr.shape[0] != self.grid.K or arr.shape[1] != 3:
+            raise ValueError("samples must have shape (K, 3, m)")
+        if not np.array_equal(arr[:, 0, 1:], arr[:, 2, :-1]):
+            raise ValueError("super- and subdiagonal bands differ: not symmetric")
+        arr.setflags(write=False)
+        object.__setattr__(self, "samples", arr)
+
+    @classmethod
+    def symmetric(cls, grid: EpsGrid, diag, off) -> "TridiagonalOperator":
+        """From the (K, m) diagonal and the (K, m - 1) off-diagonal."""
+        diag = np.asarray(diag, dtype=float)
+        bands = np.zeros((diag.shape[0], 3, diag.shape[1]))
+        bands[:, 1] = diag
+        bands[:, 0, 1:] = off
+        bands[:, 2, :-1] = off
+        return cls(grid, bands)
+
+    @property
+    def dims(self):
+        m = int(self.samples.shape[2])
+        return (m, m)
+
+    def matvec(self, u: np.ndarray) -> np.ndarray:
+        """Batched product T_k u_k of a (K, m) array."""
+        out = self.samples[:, 1] * u
+        out[:, 1:] += self.samples[:, 2, :-1] * u[:, :-1]
+        out[:, :-1] += self.samples[:, 0, 1:] * u[:, 1:]
+        return out
+
+    def solve(self, k: int, b: np.ndarray) -> np.ndarray:
+        """Solve T_k x = b for grid index k (0-based); LinAlgError if singular."""
+        return solve_banded((1, 1), self.samples[k], b, check_finite=False)
+
+    def eig_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lowest and highest eigenvalue of every sample, each of shape (K,)."""
+        ends = (0, self.dims[0] - 1)
+        bounds = np.array([[eigvalsh_tridiagonal(diag, sub[:-1], select="i",
+                                                 select_range=(i, i))[0] for i in ends]
+                           for _, diag, sub in self.samples])
+        return bounds[:, 0], bounds[:, 1]
 
 
 @dataclass(frozen=True)
@@ -135,7 +207,7 @@ def apply(T: BasicOperator, u: GenVector) -> GenVector:
         raise GridMismatch("operator and vector on different grids")
     if T.dims[1] != u.dim:
         raise DimMismatch(f"operator expects dim {T.dims[1]}, got {u.dim}")
-    out = np.einsum("kij,kj->ki", T.samples, u.samples)
+    out = T.matvec(u.samples)
     tag = _COMPLEX if _COMPLEX in (T.field_tag, u.field_tag) else _REAL
     if tag == _REAL:
         out = out.real
@@ -148,8 +220,11 @@ def adjoint(T: BasicOperator) -> BasicOperator:
                          T.field_tag)
 
 
-def op_norm_net(T: BasicOperator) -> GenScalar:
+def op_norm_net(T: BasicOperator | TridiagonalOperator) -> GenScalar:
     """Per-sample spectral norm (largest singular value)."""
+    if isinstance(T, TridiagonalOperator):
+        lo, hi = T.eig_bounds()
+        return GenScalar(T.grid, np.maximum(-lo, hi), _REAL)
     svals = np.linalg.svd(T.samples, compute_uv=False)
     return GenScalar(T.grid, svals[:, 0] if svals.ndim == 2 else svals, _REAL)
 

@@ -37,9 +37,10 @@ from .gennum import (
     invertible_wrt,
 )
 from .hilbert import GenVector
-from .operators import BasicOperator, apply, classify_operator, op_norm_net
+from .operators import BasicOperator, TridiagonalOperator, classify_operator, op_norm_net
 
 _EPS_MACH = np.finfo(float).eps
+_REFINEMENTS = 3  # iterative-refinement steps after the direct solve
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ def certify_coercivity(T: BasicOperator, policy: NumericPolicy) -> CoercivityCer
 
 
 def lax_milgram_solve(
-    T: BasicOperator,
+    T: BasicOperator | TridiagonalOperator,
     c: GenVector,
     cert: CoercivityCertificate,
     policy: NumericPolicy,
@@ -89,9 +90,10 @@ def lax_milgram_solve(
 ) -> GenVector:
     """Solve T_k u_k = c_k per grid point under a valid coercivity certificate.
 
-    Each sample system is solved directly and polished with iterative
-    refinement until the relative residual |T_k u_k - c_k| /
-    (1 + |c_k|) drops below ``rel_residual``.  A sample that is
+    Each sample system is solved directly and polished with up to
+    _REFINEMENTS steps of iterative refinement until the relative
+    residual |T_k u_k - c_k| / (1 + |c_k|) drops below ``rel_residual``;
+    the residual is checked after every step.  A sample that is
     numerically singular, or that refuses to reach the residual target,
     raises SingularSample.
     """
@@ -101,24 +103,23 @@ def lax_milgram_solve(
         raise GridMismatch("operator and right-hand side on different grids")
     if T.dims[1] != c.dim:
         raise DimMismatch(f"operator takes dim {T.dims[1]}, rhs has dim {c.dim}")
-    K = T.grid.K
-    out = np.zeros_like(c.samples)
-    for k in range(K):
-        A = T.samples[k]
-        b = c.samples[k]
+    b = c.samples
+    out = np.zeros_like(b)
+    for k in range(T.grid.K):
         try:
-            u = np.linalg.solve(A, b)
+            out[k] = T.solve(k, b[k])
         except np.linalg.LinAlgError as exc:
             raise SingularSample(k + 1) from exc
-        scale = 1.0 + np.linalg.norm(b)
-        for _ in range(3):
-            r = A @ u - b
-            if np.linalg.norm(r) <= rel_residual * scale:
-                break
-            u = u - np.linalg.solve(A, r)
-        else:
-            raise SingularSample(k + 1)
-        out[k] = u
+    limit = rel_residual * (1.0 + np.linalg.norm(b, axis=1))
+    for step in range(_REFINEMENTS + 1):
+        r = T.matvec(out) - b
+        short = np.nonzero(~(np.linalg.norm(r, axis=1) <= limit))[0]
+        if short.size == 0:
+            break
+        if step == _REFINEMENTS:
+            raise SingularSample(int(short[0]) + 1)
+        for k in short:
+            out[k] -= T.solve(k, r[k])
     return GenVector(c.grid, out, c.field_tag)
 
 
@@ -154,40 +155,8 @@ class VISolution:
         return rows
 
 
-def _tridiagonal_bands(samples):
-    """Extract (lower, diag, upper) bands if every sample is tridiagonal."""
-    K, n, _ = samples.shape
-    if n < 3:
-        return None
-    mask = ~(np.tri(n, n, 1, dtype=bool) & ~np.tri(n, n, -2, dtype=bool))
-    if np.any(samples[:, mask]):
-        return None
-    diag = np.einsum("kii->ki", samples).copy()
-    lower = samples[:, np.arange(1, n), np.arange(n - 1)].copy()
-    upper = samples[:, np.arange(n - 1), np.arange(1, n)].copy()
-    return lower, diag, upper
-
-
-def _make_matvec(samples):
-    """Batched u -> T_k u_k, using the band structure when present."""
-    bands = _tridiagonal_bands(samples)
-    if bands is None:
-        def matvec(u):
-            return np.einsum("kij,kj->ki", samples, u)
-        return matvec
-    lower, diag, upper = bands
-
-    def matvec(u):
-        out = diag * u
-        out[:, 1:] += lower * u[:, :-1]
-        out[:, :-1] += upper * u[:, 1:]
-        return out
-
-    return matvec
-
-
 def vi_solve_contraction(
-    T: BasicOperator,
+    T: BasicOperator | TridiagonalOperator,
     c: GenVector,
     C: ConvexSetNet,
     cert: CoercivityCertificate,
@@ -216,7 +185,7 @@ def vi_solve_contraction(
     if np.any(alpha <= 0.0):
         raise InvalidCertificate("contraction step needs strictly positive alpha samples")
     M = op_norm_net(T).samples
-    if classify_operator(T, policy)["self_adjoint"]:
+    if isinstance(T, TridiagonalOperator) or classify_operator(T, policy)["self_adjoint"]:
         rho = 2.0 / (alpha + M)
         kfac = (M - alpha) / (M + alpha)
     else:
@@ -234,7 +203,6 @@ def vi_solve_contraction(
             base = math.ceil(math.log(tol) / math.log(kfac[k]))
             budgets[k] = base + max(1024, base // 2)
 
-    matvec = _make_matvec(T.samples)
     batched = C.batched_projector()
 
     start_pts = np.zeros_like(c.samples, dtype=float) if start is None \
@@ -259,7 +227,7 @@ def vi_solve_contraction(
             k_bad = int(np.nonzero(active)[0][0])
             raise IterationBudgetExceeded(k_bad + 1, int(budgets[k_bad]),
                                           float(last_step[k_bad]))
-        z = rho[:, None] * (c.samples - matvec(u)) + u
+        z = rho[:, None] * (c.samples - T.matvec(u)) + u
         if batched is not None:
             u_next = np.where(active[:, None], batched(z), u)
         else:
@@ -326,7 +294,6 @@ def vi_solve_minimization(
     alpha = cert.alpha.samples.astype(float)
     M = op_norm_net(T).samples
     step = 1.0 / M
-    matvec = _make_matvec(T.samples)
     tol = policy.tol_abs
 
     K, d = c.samples.shape
@@ -345,7 +312,7 @@ def vi_solve_minimization(
     it = 0
     while np.any(active) and it < max_iter:
         it += 1
-        g = matvec(u) - c.samples
+        g = T.matvec(u) - c.samples
         trial = u - step[:, None] * g
         if batched is not None:
             proj = np.where(active[:, None], batched(trial), u)
@@ -360,7 +327,7 @@ def vi_solve_minimization(
         resid[active] = pg[active]
         newly_active = active & ~done_now
         if np.any(newly_active):
-            Td = matvec(d_dir)
+            Td = T.matvec(d_dir)
             curv = np.einsum("ki,ki->k", Td, d_dir)
             slope = np.einsum("ki,ki->k", g, d_dir)
             with np.errstate(divide="ignore", invalid="ignore"):

@@ -99,3 +99,63 @@ def point_load_exact(x, x0):
     """-u'' = delta_{x0} on (0,1), zero boundary: the Green's function."""
     x = np.asarray(x, dtype=float)
     return np.where(x <= x0, (1.0 - x0) * x, x0 * (1.0 - x))
+
+
+def assemble_p1_dense(spec, k):
+    """Dense P1 system of grid point k (0-based) for a 1D ProblemSpec.
+
+    Element by element with np.add.at and a three-point Gauss rule on
+    every element, boundary data lifted linearly.  Reads only the spec's
+    fields and the coefficients' per-sample ``eval``.  Returns (A, b,
+    gtilde): the interior stiffness matrix, the interior load after
+    lifting, and the full nodal lifting function.
+    """
+    def per_k(v):
+        samples = getattr(v, "samples", None)
+        return float(v) if samples is None else float(np.real(samples[k]))
+
+    mesh = spec.mesh
+    n = mesh.n_elems
+    xs = np.linspace(mesh.x_left, mesh.x_right, n + 1)
+    h = (mesh.x_right - mesh.x_left) / n
+    t, w = np.polynomial.legendre.leggauss(3)
+    pts = (0.5 * (xs[:-1] + xs[1:]))[:, None] + 0.5 * h * t[None, :]
+    wts = 0.5 * h * w
+    N1, N2 = 0.5 * (1.0 - t), 0.5 * (1.0 + t)
+    idx = np.arange(n)
+
+    A = np.zeros((n + 1, n + 1))
+    a_vals = spec.diffusion.eval(k, pts.ravel()).reshape(n, 3)
+    stiff = a_vals @ wts / h ** 2
+    for i, j, sign in ((0, 0, 1.0), (1, 1, 1.0), (0, 1, -1.0), (1, 0, -1.0)):
+        np.add.at(A, (idx + i, idx + j), sign * stiff)
+    if spec.potential is not None:
+        c_vals = spec.potential.eval(k, pts.ravel()).reshape(n, 3)
+        for i, j, Ni, Nj in ((0, 0, N1, N1), (1, 1, N2, N2), (0, 1, N1, N2), (1, 0, N2, N1)):
+            np.add.at(A, (idx + i, idx + j), c_vals @ (wts * Ni * Nj))
+
+    b = np.zeros(n + 1)
+    f_vals = spec.rhs_values(k, pts.ravel()).reshape(n, 3)
+    np.add.at(b, idx, f_vals @ (wts * N1))
+    np.add.at(b, idx + 1, f_vals @ (wts * N2))
+    for x0, weight in spec.point_loads:
+        e = min(int((float(x0) - mesh.x_left) / h), n - 1)
+        s = (float(x0) - xs[e]) / h
+        b[e] += per_k(weight) * (1.0 - s)
+        b[e + 1] += per_k(weight) * s
+
+    gl, gr = per_k(spec.boundary[0]), per_k(spec.boundary[1])
+    gtilde = gl + (gr - gl) * (xs - mesh.x_left) / (mesh.x_right - mesh.x_left)
+    b = b - A @ gtilde
+    return A[1:-1, 1:-1], b[1:-1], gtilde
+
+
+def bands_to_dense(samples):
+    """Dense (K, m, m) matrices from (K, 3, m) solve_banded-layout bands."""
+    K, _, m = samples.shape
+    out = np.zeros((K, m, m))
+    i = np.arange(m)
+    out[:, i, i] = samples[:, 1]
+    out[:, i[:-1], i[1:]] = samples[:, 0, 1:]
+    out[:, i[1:], i[:-1]] = samples[:, 2, :-1]
+    return out

@@ -2,14 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from _oracles import cosh_exact, obstacle_exact, point_load_exact
+from _oracles import (
+    assemble_p1_dense,
+    bands_to_dense,
+    cosh_exact,
+    obstacle_exact,
+    point_load_exact,
+)
 from gennet import (
     CoefficientNet,
     CoercivityFailure,
     EpsGrid,
     GenScalar,
+    GenVector,
     InvalidSpec,
     Mesh1D,
     NumericPolicy,
@@ -23,7 +32,7 @@ from gennet import (
     solve_obstacle,
     under_resolved_indices,
 )
-from gennet.fem import _assemble_sample
+from gennet.fem import _assemble_all, _write_nodal_csv
 
 GRID = EpsGrid.geometric(24)
 POLICY = NumericPolicy()
@@ -159,8 +168,9 @@ def test_poincare_constant_is_the_lowest_stiffness_eigenvalue():
     mesh = Mesh1D(-1.0, 1.0, 200)
     c_p = poincare_constant(mesh)
     n, h = mesh.n_elems, mesh.h
-    closed_form = (2.0 / h) * (1.0 - np.cos(np.pi / n))
-    assert abs(c_p - closed_form) <= 1e-10
+    unit = np.diag(np.full(n - 1, 2.0 / h)) - np.diag(np.full(n - 2, 1.0 / h), 1) \
+        - np.diag(np.full(n - 2, 1.0 / h), -1)
+    assert abs(c_p - np.linalg.eigvalsh(unit)[0]) <= 1e-10
     assert c_p > 0.01  # comfortably above the exam problem's demand
 
 
@@ -170,6 +180,85 @@ def test_h1_norm_of_the_identity_function():
     vals = h1_norm_net(mesh, GRID, u).samples
     # |x|_H1^2 = 1 + 1/3, and P1 interpolation of x is exact
     assert np.allclose(vals, np.sqrt(4.0 / 3.0), atol=1e-12)
+
+
+# ---------------------------------------------------------------- assembly
+
+def _assembly_case(case):
+    mesh = Mesh1D(-1.0, 1.0, 24)
+    xs = np.linspace(-1.0, 1.0, 7)
+    rng = np.random.default_rng(709)
+    if case == "singular":
+        return _spec(mesh, diffusion=CoefficientNet.heaviside_nu(GRID),
+                     potential=CoefficientNet.mollified_measure(GRID, [(0.0, 1.0)]),
+                     rhs=1.0)
+    if case == "point-loads":
+        weights = GenScalar(GRID, GRID.values ** -0.5)
+        return _spec(mesh, rhs=-2.0, point_loads=[(0.3, weights), (-0.55, 2.0)])
+    # per-k sign-changing tabulated potential, nonzero and net boundary data
+    return _spec(mesh,
+                 diffusion=CoefficientNet.tabulated(GRID, xs, rng.uniform(0.5, 2.0, xs.size)),
+                 potential=CoefficientNet.tabulated(
+                     GRID, xs, rng.uniform(-3.0, 3.0, (GRID.K, xs.size))),
+                 rhs=lambda x: np.sin(3.0 * x),
+                 boundary=(1.5, GenScalar(GRID, -GRID.values)))
+
+
+@pytest.mark.parametrize("case", ["singular", "point-loads", "boundary"])
+def test_band_assembly_matches_dense_oracle(case):
+    spec = _assembly_case(case)
+    T, b, gtilde, *_ = _assemble_all(spec)
+    dense = bands_to_dense(T.samples)
+    for k in range(GRID.K):
+        A_ref, b_ref, g_ref = assemble_p1_dense(spec, k)
+        scale = np.abs(A_ref).max()
+        assert np.max(np.abs(dense[k] - A_ref)) <= 1e-12 * scale
+        lifted = max(1.0, np.abs(b_ref).max(), scale * np.abs(g_ref).max())
+        assert np.max(np.abs(b[k] - b_ref)) <= 1e-12 * lifted
+        assert np.max(np.abs(gtilde[k] - g_ref)) <= 1e-12 * max(1.0, np.abs(g_ref).max())
+
+
+def test_negative_potential_fails_the_certificate_at_its_grid_point():
+    # the assembled matrices are indefinite (lambda_min = -0.402); a bound
+    # that ignored the potential would certify alpha = a c_P = 0.197
+    spec = _spec(Mesh1D(0.0, 1.0, 50), rhs=1.0,
+                 potential=CoefficientNet.constant(GRID, -30.0))
+    T, *_ = _assemble_all(spec)
+    assert np.all(T.eig_bounds()[0] < -0.4)
+    first_tail = GRID.K - POLICY.tail + 1
+    with pytest.raises(CoercivityFailure, match=rf"grid point {first_tail}$"):
+        solve_dirichlet(spec, POLICY)
+    with pytest.raises(CoercivityFailure, match=rf"grid point {first_tail}$"):
+        solve_obstacle(_spec(Mesh1D(0.0, 1.0, 50), rhs=1.0, obstacle=-1.0,
+                             potential=CoefficientNet.constant(GRID, -30.0)), POLICY)
+
+
+@seed(20261018)
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=4, max_value=40),
+    a_levels=st.lists(st.floats(min_value=0.5, max_value=2.0), min_size=3, max_size=3),
+    c_levels=st.lists(st.floats(min_value=-60.0, max_value=60.0), min_size=3, max_size=3),
+    c_drift=st.floats(min_value=-1.0, max_value=1.0),
+    loads=st.lists(st.tuples(st.floats(min_value=0.05, max_value=0.95),
+                             st.floats(min_value=-5.0, max_value=5.0)), max_size=3),
+)
+def test_certified_alpha_never_exceeds_the_exact_lowest_eigenvalue(
+        n, a_levels, c_levels, c_drift, loads):
+    xs = np.array([0.0, 0.5, 1.0])
+    # a sign-changing potential that also moves along the grid
+    c_vals = np.outer(1.0 + c_drift * GRID.values, c_levels)
+    spec = ProblemSpec(grid=GRID, mesh=Mesh1D(0.0, 1.0, n),
+                       diffusion=CoefficientNet.tabulated(GRID, xs, a_levels),
+                       potential=CoefficientNet.tabulated(GRID, xs, c_vals),
+                       rhs=1.0, point_loads=loads)
+    lam_min, lam_max = _assemble_all(spec)[0].eig_bounds()
+    try:
+        res = solve_dirichlet(spec, POLICY)
+    except CoercivityFailure:
+        return  # a conservative bound may refuse; it must never overclaim
+    assert np.all(res.cert.alpha.samples <= lam_min + 1e-12 * np.abs(lam_max))
+    assert np.all(res.residual.samples <= 1e-10)
 
 
 # --------------------------------------------------------------- dirichlet
@@ -242,18 +331,18 @@ def test_obstacle_benchmark_against_closed_form():
     assert np.max(np.abs(res.u.samples - res.u.samples[0][None, :])) <= 1e-10
 
     # the constrained solution minimizes the energy over the feasible set
-    A, b, gtilde, _, _ = _assemble_sample(spec, 0)
-    w = res.u.samples[0, 1:-1] - gtilde[1:-1]
-    lower = res.psi[0, 1:-1] - gtilde[1:-1]
+    T, b, gtilde, *_ = _assemble_all(spec)
+    w = res.u.samples[:, 1:-1] - gtilde[:, 1:-1]
+    lower = res.psi[:, 1:-1] - gtilde[:, 1:-1]
 
     def energy(v):
-        return v @ A @ v - 2.0 * b @ v
+        return np.einsum("ki,ki->k", v, T.matvec(v) - 2.0 * b)
 
     e_star = energy(w)
     rng = np.random.default_rng(701)
     for _ in range(20):
-        v = np.maximum(lower, rng.uniform(-1.0, 0.5, w.size))
-        assert e_star <= energy(v) + 1e-9
+        v = np.maximum(lower, rng.uniform(-1.0, 0.5, w.shape))
+        assert np.all(e_star <= energy(v) + 1e-9)
 
 
 def test_inactive_obstacle_matches_the_unconstrained_solve():
@@ -303,3 +392,19 @@ def test_nodal_csv_layout(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "1" and first[2] == "0"
     assert float(first[1]) == 0.5 and float(first[4]) == 0.0
+
+
+def test_nodal_csv_bytes_match_per_row_formatting(tmp_path):
+    mesh = Mesh1D(-1.0, 1.0, 12)
+    rng = np.random.default_rng(719)
+    vals = rng.standard_normal((GRID.K, 13)) * np.logspace(-300, 300, 13)
+    vals[0, 0], vals[1, 1], vals[2, 2] = -0.0, 5e-324, 0.1
+    u = GenVector(GRID, vals)
+    path = tmp_path / "solution.csv"
+    _write_nodal_csv(path, mesh, u)
+    rows = ["k,eps,node_index,x,u\n"]
+    for k in range(GRID.K):
+        eps = repr(float(GRID.values[k]))
+        for i, x in enumerate(mesh.nodes):
+            rows.append(f"{k + 1},{eps},{i},{float(x)!r},{float(u.samples[k, i])!r}\n")
+    assert path.read_bytes() == "".join(rows).encode()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _oracles import bands_to_dense
 from gennet import (
     BasicFunctional,
     BasicOperator,
@@ -13,6 +14,7 @@ from gennet import (
     GeneratorSet,
     GridMismatch,
     NumericPolicy,
+    TridiagonalOperator,
     adjoint,
     apply,
     classify_operator,
@@ -174,6 +176,31 @@ def test_op_norm_matches_gram_eigenvalue_route():
     gram = np.conj(np.transpose(T.samples, (0, 2, 1))) @ T.samples
     largest = np.array([np.linalg.eigvalsh(g)[-1] for g in gram])
     assert np.allclose(direct, np.sqrt(largest), rtol=1e-10, atol=0.0)
+
+
+def test_band_net_solves_and_bounds_like_its_dense_matrices():
+    rng = np.random.default_rng(234)
+    m = 9
+    # indefinite samples whose scale moves along the grid
+    diag = rng.uniform(-2.0, 4.0, (GRID.K, m)) * GRID.values[:, None] ** -0.5
+    T = TridiagonalOperator.symmetric(GRID, diag, rng.standard_normal((GRID.K, m - 1)))
+    dense = bands_to_dense(T.samples)
+    eigs = np.linalg.eigvalsh(dense)
+    lo, hi = T.eig_bounds()
+    scale = np.abs(eigs).max(axis=1)
+    assert np.all(np.abs(lo - eigs[:, 0]) <= 1e-12 * scale)
+    assert np.all(np.abs(hi - eigs[:, -1]) <= 1e-12 * scale)
+    assert np.allclose(op_norm_net(T).samples, scale, rtol=1e-12, atol=0.0)
+    b = rng.standard_normal((GRID.K, m))
+    for k in range(GRID.K):
+        assert np.allclose(T.solve(k, b[k]), np.linalg.solve(dense[k], b[k]),
+                           rtol=1e-10, atol=1e-12)
+    assert T.dims == (m, m) and T.samples.shape == (GRID.K, 3, m)
+    with pytest.raises(ValueError):
+        TridiagonalOperator(GRID, np.zeros((GRID.K, 2, m)))
+    with pytest.raises(np.linalg.LinAlgError):
+        TridiagonalOperator.symmetric(GRID, np.zeros((GRID.K, 3)),
+                                      np.zeros((GRID.K, 2))).solve(0, np.ones(3))
 
 
 def test_op_norm_bounds_application():

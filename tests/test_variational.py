@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from _oracles import solve_box_vi
+from _oracles import bands_to_dense, solve_box_vi
 from gennet import (
     BasicOperator,
     ConvexSetNet,
@@ -14,6 +14,8 @@ from gennet import (
     InvalidCertificate,
     IterationBudgetExceeded,
     NumericPolicy,
+    SingularSample,
+    TridiagonalOperator,
     apply,
     certify_coercivity,
     inner,
@@ -23,7 +25,6 @@ from gennet import (
     vi_solve_contraction,
     vi_solve_minimization,
 )
-from gennet.variational import _make_matvec, _tridiagonal_bands
 
 GRID = EpsGrid.geometric(24)
 POLICY = NumericPolicy()
@@ -130,8 +131,6 @@ def test_lax_milgram_guards():
 
 
 def test_lax_milgram_singular_sample_reports_grid_index():
-    from gennet import SingularSample
-
     mats = np.tile(np.eye(2), (GRID.K, 1, 1))
     mats[4] = 0.0  # k = 5 is singular; the certificate comes from elsewhere
     good = certify_coercivity(BasicOperator.identity(GRID, 2), POLICY)
@@ -297,20 +296,60 @@ def test_minimization_rejects_unsuitable_operators():
 def test_tridiagonal_matvec_agrees_with_dense():
     rng = np.random.default_rng(677)
     n = 6
-    mats = np.zeros((GRID.K, n, n))
-    idx = np.arange(n)
-    mats[:, idx, idx] = rng.uniform(2.0, 3.0, (GRID.K, n))
-    mats[:, idx[1:], idx[:-1]] = rng.standard_normal((GRID.K, n - 1))
-    mats[:, idx[:-1], idx[1:]] = rng.standard_normal((GRID.K, n - 1))
-    assert _tridiagonal_bands(mats) is not None
+    T = TridiagonalOperator.symmetric(GRID, rng.uniform(2.0, 3.0, (GRID.K, n)),
+                                      rng.standard_normal((GRID.K, n - 1)))
+    mats = bands_to_dense(T.samples)
     u = rng.standard_normal((GRID.K, n))
-    fast = _make_matvec(mats)(u)
     dense = np.einsum("kij,kj->ki", mats, u)
-    assert np.allclose(fast, dense, rtol=1e-14, atol=0.0)
-    # a single off-band entry forces the dense path
-    mats2 = mats.copy()
-    mats2[0, 0, n - 1] = 1.0
-    assert _tridiagonal_bands(mats2) is None
+    assert np.allclose(T.matvec(u), dense, rtol=1e-14, atol=0.0)
+    # unequal off-diagonal bands are not a symmetric net
+    bands = T.samples.copy()
+    bands[0, 0, n - 1] += 1.0
+    with pytest.raises(ValueError):
+        TridiagonalOperator(GRID, bands)
+
+
+def test_lax_milgram_checks_the_residual_after_the_last_refinement():
+    # each solve returns b / (1 + 1e-3), so the relative residual shrinks
+    # by 1e-3 per refinement step and first meets 1e-10 after the third
+    class DampedIdentity(BasicOperator):
+        calls = 0
+
+        def solve(self, k, b):
+            DampedIdentity.calls += 1
+            return b / (1.0 + 1e-3)
+
+    T = DampedIdentity(GRID, np.tile(np.eye(2), (GRID.K, 1, 1)))
+    c = GenVector(GRID, np.tile([0.6, 0.8], (GRID.K, 1)))
+    cert = certify_coercivity(BasicOperator.identity(GRID, 2), POLICY)
+    u = lax_milgram_solve(T, c, cert, POLICY)
+    assert DampedIdentity.calls == 4 * GRID.K
+    assert np.all(rnorm(u - c).samples <= RESIDUAL_REL * (1.0 + rnorm(c).samples))
+    # a tighter target would need a fourth step, which is not taken
+    with pytest.raises(SingularSample) as err:
+        lax_milgram_solve(T, c, cert, POLICY, rel_residual=1e-13)
+    assert err.value.k == 1
+
+
+def test_band_contraction_matches_dense_contraction():
+    rng = np.random.default_rng(679)
+    n = 8
+    T = TridiagonalOperator.symmetric(GRID, rng.uniform(2.5, 3.5, (GRID.K, n)),
+                                      rng.uniform(-1.0, 1.0, (GRID.K, n - 1)))
+    dense = BasicOperator(GRID, bands_to_dense(T.samples))
+    c = _random_vector(rng, n)
+    C = ConvexSetNet.obstacle(GRID, np.full(n, -0.1))
+    cert = certify_coercivity(dense, POLICY)
+    band_sol = vi_solve_contraction(T, c, C, cert, POLICY)
+    dense_sol = vi_solve_contraction(dense, c, C, cert, POLICY)
+    assert np.allclose(band_sol.operator_norm.samples, dense_sol.operator_norm.samples,
+                       rtol=1e-12, atol=0.0)
+    assert np.allclose(band_sol.contraction_k.samples, dense_sol.contraction_k.samples,
+                       rtol=1e-12, atol=0.0)
+    assert np.max(np.abs(band_sol.u.samples - dense_sol.u.samples)) <= ORACLE_TOL
+    w = lax_milgram_solve(T, c, cert, POLICY)
+    assert np.allclose(w.samples, lax_milgram_solve(dense, c, cert, POLICY).samples,
+                       rtol=1e-10, atol=1e-12)
 
 
 def test_report_rows_shape():
