@@ -10,6 +10,7 @@ elliptic model problems with singular (regularized) coefficients.
 from .errors import (
     CoercivityFailure,
     ConfigInvalid,
+    ContractionBoundViolated,
     DimMismatch,
     EmptySet,
     EmptyTailIntersection,
@@ -26,6 +27,7 @@ from .errors import (
     NotNonnegative,
     NotZeroProduct,
     ProbeNotInSet,
+    ResidualTargetMissed,
     SingularSample,
     SplitFailed,
 )
@@ -50,6 +52,7 @@ from .gennum import (
     sharp_norm,
     sqrt_nonneg,
     valuation_estimate,
+    write_grid_csv,
     zero_divisor_split,
     zero_wrt,
 )

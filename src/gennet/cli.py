@@ -45,6 +45,7 @@ from .gennum import (
     make_power_net,
     sharp_norm,
     valuation_estimate,
+    write_grid_csv,
 )
 from .hilbert import GenVector
 from .operators import BasicOperator, classify_operator, op_norm_net
@@ -216,20 +217,14 @@ def _finish(out: str, name: str, summary: dict) -> int:
     return 0 if ok else 2
 
 
-def _csv_open(out: str, name: str):
-    return open(os.path.join(out, name), "w", newline="")
-
-
 def _write_iterations_csv(out: str, sol) -> None:
     """One row per grid point of a VI solve: step data and iteration count."""
-    with _csv_open(out, "iterations.csv") as fh:
-        fh.write("k,eps,alpha,M,rho,contraction_k,iterations,residual\n")
-        for row in sol.report_rows():
-            fh.write(",".join([
-                str(row["k"]), repr(row["eps"]), repr(row["alpha"]), repr(row["M"]),
-                repr(row["rho"]), repr(row["contraction_k"]), str(row["iterations"]),
-                repr(row["residual"]),
-            ]) + "\n")
+    write_grid_csv(
+        os.path.join(out, "iterations.csv"), sol.u.grid,
+        ["alpha", "M", "rho", "contraction_k", "iterations", "residual"],
+        [sol.alpha.samples, sol.operator_norm.samples, sol.step_rho.samples,
+         sol.contraction_k.samples, sol.iterations, sol.residual.samples],
+    )
 
 
 _CONFIG_OPTS = [
@@ -269,12 +264,8 @@ def gennum_check(config_path, out, grid_k, seed, parallel):
         raise ConfigInvalid("/nets: must be a nonempty list")
     nets = [_scalar_net(s, grid, f"/nets/{j}") for j, s in enumerate(specs)]
     os.makedirs(out, exist_ok=True)
-    with _csv_open(out, "nets.csv") as fh:
-        fh.write("k,eps," + ",".join(f"net{j}" for j in range(len(nets))) + "\n")
-        for k in range(grid.K):
-            cells = [str(k + 1), repr(float(grid.values[k]))]
-            cells += [repr(float(np.real(net.samples[k]))) for net in nets]
-            fh.write(",".join(cells) + "\n")
+    write_grid_csv(os.path.join(out, "nets.csv"), grid,
+                   [f"net{j}" for j in range(len(nets))], [np.real(net.samples) for net in nets])
     rows = []
     for j, net in enumerate(nets):
         rows.append({
@@ -304,10 +295,7 @@ def classify_op(config_path, out, grid_k, seed, parallel):
     flags = classify_operator(T, policy)
     norms = op_norm_net(T)
     os.makedirs(out, exist_ok=True)
-    with _csv_open(out, "opnorm.csv") as fh:
-        fh.write("k,eps,op_norm\n")
-        for k in range(grid.K):
-            fh.write(f"{k + 1},{float(grid.values[k])!r},{float(norms.samples[k])!r}\n")
+    write_grid_csv(os.path.join(out, "opnorm.csv"), grid, ["op_norm"], [norms.samples])
     summary = {
         "command": "classify-op",
         "flags": {key: bool(v) for key, v in flags.items()},
@@ -327,27 +315,14 @@ def gram_schmidt(config_path, out, grid_k, seed, parallel):
     gens = _generators(cfg, grid, seed)
     result = classify_submodule(GeneratorSet(gens), policy)
     os.makedirs(out, exist_ok=True)
+    vecs = result.basis.vecs if result.basis is not None else []
+    write_grid_csv(os.path.join(out, "basis.csv"), grid,
+                   [f"v{j}_c{i}" for j, w in enumerate(vecs) for i in range(w.dim)],
+                   [col for w in vecs for col in np.real(w.samples).T])
     valuations = {}
-    with _csv_open(out, "basis.csv") as fh:
-        if result.basis is None:
-            fh.write("k,eps\n")
-            for k in range(grid.K):
-                fh.write(f"{k + 1},{float(grid.values[k])!r}\n")
-        else:
-            vecs = result.basis.vecs
-            header = ["k", "eps"]
-            for j, w in enumerate(vecs):
-                header += [f"v{j}_c{i}" for i in range(w.dim)]
-            fh.write(",".join(header) + "\n")
-            for k in range(grid.K):
-                cells = [str(k + 1), repr(float(grid.values[k]))]
-                for w in vecs:
-                    cells += [repr(float(np.real(w.samples[k, i])))
-                              for i in range(w.dim)]
-                fh.write(",".join(cells) + "\n")
-            for j, w in enumerate(vecs):
-                norm_net = GenScalar(grid, np.linalg.norm(w.samples, axis=1))
-                valuations[f"v{j}_norm"] = float(valuation_estimate(norm_net, policy))
+    for j, w in enumerate(vecs):
+        norm_net = GenScalar(grid, np.linalg.norm(w.samples, axis=1))
+        valuations[f"v{j}_norm"] = float(valuation_estimate(norm_net, policy))
     summary = {
         "command": "gram-schmidt",
         "closed_edged": result.closed_edged,
@@ -421,12 +396,8 @@ def vi_solve(config_path, out, grid_k, seed, parallel):
     solve_s = time.perf_counter() - t0
     os.makedirs(out, exist_ok=True)
     _write_iterations_csv(out, sol)
-    with _csv_open(out, "solution.csv") as fh:
-        fh.write("k,eps," + ",".join(f"u{i}" for i in range(sol.u.dim)) + "\n")
-        for k in range(grid.K):
-            cells = [str(k + 1), repr(float(grid.values[k]))]
-            cells += [repr(float(sol.u.samples[k, i])) for i in range(sol.u.dim)]
-            fh.write(",".join(cells) + "\n")
+    write_grid_csv(os.path.join(out, "solution.csv"), grid,
+                   [f"u{i}" for i in range(sol.u.dim)], sol.u.samples.T)
     u_norm = GenScalar(grid, np.linalg.norm(sol.u.samples, axis=1))
     summary = {
         "command": "vi-solve",

@@ -101,6 +101,15 @@ class SingularSample(GennetError):
         super().__init__(message or f"singular sample at grid index k={k}")
 
 
+class ResidualTargetMissed(GennetError):
+    """A per-epsilon solve missed its residual target after every refinement."""
+
+    def __init__(self, k, residual, target):
+        self.k, self.residual, self.target = k, residual, target
+        super().__init__(f"k={k}: relative residual {residual:.3e} misses the target "
+                         f"{target:.3e} after iterative refinement")
+
+
 class IterationBudgetExceeded(GennetError):
     """The contraction iteration ran out of its certified budget."""
 
@@ -112,6 +121,15 @@ class IterationBudgetExceeded(GennetError):
             f"k={k}: no convergence within {budget} iterations "
             f"(last step {step_norm:.3e})"
         )
+
+
+class ContractionBoundViolated(GennetError):
+    """An observed step ratio exceeds the certified contraction factor."""
+
+    def __init__(self, k, ratio, factor):
+        self.k, self.ratio, self.factor = k, ratio, factor
+        super().__init__(f"k={k}: observed step ratio {ratio:.6g} exceeds the certified "
+                         f"contraction factor {factor:.6g}")
 
 
 class CoercivityFailure(GennetError):

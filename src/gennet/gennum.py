@@ -94,6 +94,22 @@ class EpsGrid:
         return cls.geometric(int(obj.get("K", 24)), float(obj.get("base", 0.5)))
 
 
+def write_grid_csv(path, grid: EpsGrid, names, columns) -> None:
+    """Write a per-eps table: header ``k,eps,<names>``, one row per grid point.
+
+    Row k (1-based) holds k, eps_k and the ``repr`` of each column's k-th
+    Python number (from ``column.tolist()``), so floats round-trip exactly and
+    integer columns stay integer.  Cells are joined by ',', rows end in '\\n'.
+    """
+    cols = [np.asarray(col).tolist() for col in columns]
+    if len(cols) != len(names) or any(len(col) != grid.K for col in cols):
+        raise ValueError(f"need one length-{grid.K} column per name in {names}")
+    rows = zip(grid.values.tolist(), *cols)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(["k", "eps", *names]) + "\n")
+        fh.write("".join([f"{k},{','.join(map(repr, row))}\n" for k, row in enumerate(rows, 1)]))
+
+
 @dataclass(frozen=True)
 class NumericPolicy:
     """Exponent/tolerance thresholds interpreting asymptotics at finite scale."""

@@ -10,13 +10,12 @@ v * ||u|| = u with v_k = u_k/||u_k|| where the sample norm is nonzero.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimMismatch, GridMismatch, LengthMismatch
-from .gennum import EpsGrid, GenScalar, NumericPolicy, sharp_norm
+from .gennum import EpsGrid, GenScalar, NumericPolicy, sharp_norm, write_grid_csv
 
 _REAL = "real"
 _COMPLEX = "complex"
@@ -113,14 +112,8 @@ class GenVector:
         return cls(grid, np.asarray(obj["samples"], dtype=float), _REAL)
 
     def write_norm_csv(self, path):
-        """One row per grid index: k, eps, norm."""
-        norms = rnorm(self).samples
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "eps", "norm"])
-            for i in range(self.grid.K):
-                writer.writerow([i + 1, repr(float(self.grid.values[i])),
-                                 repr(float(norms[i]))])
+        """The R~-norm as a per-eps table with columns k, eps, norm."""
+        write_grid_csv(path, self.grid, ["norm"], [rnorm(self).samples])
 
 
 def inner(u: GenVector, v: GenVector) -> GenScalar:

@@ -17,16 +17,18 @@ whose factor (M - alpha)/(M + alpha) is never worse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .convex import ConvexSetNet
 from .errors import (
+    ContractionBoundViolated,
     DimMismatch,
     GridMismatch,
     InvalidCertificate,
     IterationBudgetExceeded,
+    ResidualTargetMissed,
     SingularSample,
 )
 from .gennum import (
@@ -41,6 +43,7 @@ from .operators import BasicOperator, TridiagonalOperator, classify_operator, op
 
 _EPS_MACH = np.finfo(float).eps
 _REFINEMENTS = 3  # iterative-refinement steps after the direct solve
+_RATIO_SLACK = 1e-6  # allowed excess of an observed step ratio over its factor
 
 
 @dataclass(frozen=True)
@@ -93,9 +96,9 @@ def lax_milgram_solve(
     Each sample system is solved directly and polished with up to
     _REFINEMENTS steps of iterative refinement until the relative
     residual |T_k u_k - c_k| / (1 + |c_k|) drops below ``rel_residual``;
-    the residual is checked after every step.  A sample that is
-    numerically singular, or that refuses to reach the residual target,
-    raises SingularSample.
+    the residual is checked after every step.  A numerically singular
+    sample raises SingularSample; a sample still above the residual
+    target after the last step raises ResidualTargetMissed.
     """
     if not cert.valid:
         raise InvalidCertificate("coercivity certificate is not valid")
@@ -110,14 +113,17 @@ def lax_milgram_solve(
             out[k] = T.solve(k, b[k])
         except np.linalg.LinAlgError as exc:
             raise SingularSample(k + 1) from exc
-    limit = rel_residual * (1.0 + np.linalg.norm(b, axis=1))
+    scale = 1.0 + np.linalg.norm(b, axis=1)
+    limit = rel_residual * scale
     for step in range(_REFINEMENTS + 1):
         r = T.matvec(out) - b
-        short = np.nonzero(~(np.linalg.norm(r, axis=1) <= limit))[0]
+        r_norm = np.linalg.norm(r, axis=1)
+        short = np.nonzero(~(r_norm <= limit))[0]
         if short.size == 0:
             break
         if step == _REFINEMENTS:
-            raise SingularSample(int(short[0]) + 1)
+            k = int(short[0])
+            raise ResidualTargetMissed(k + 1, float(r_norm[k] / scale[k]), rel_residual)
         for k in short:
             out[k] -= T.solve(k, r[k])
     return GenVector(c.grid, out, c.field_tag)
@@ -131,28 +137,10 @@ class VISolution:
     iterations: np.ndarray
     contraction_k: GenScalar
     residual: GenScalar
-    alpha: GenScalar | None = None
-    operator_norm: GenScalar | None = None
-    step_rho: GenScalar | None = None
+    alpha: GenScalar
+    operator_norm: GenScalar
+    step_rho: GenScalar
     max_step_ratio: GenScalar | None = None
-
-    def report_rows(self) -> list[dict]:
-        """One dict per grid point, for serialization."""
-        grid = self.u.grid
-        rows = []
-        for k in range(grid.K):
-            rows.append({
-                "k": k + 1,
-                "eps": float(grid.values[k]),
-                "alpha": float(self.alpha.samples[k]) if self.alpha is not None else None,
-                "M": float(self.operator_norm.samples[k])
-                     if self.operator_norm is not None else None,
-                "rho": float(self.step_rho.samples[k]) if self.step_rho is not None else None,
-                "contraction_k": float(self.contraction_k.samples[k]),
-                "iterations": int(self.iterations[k]),
-                "residual": float(self.residual.samples[k]),
-            })
-        return rows
 
 
 def vi_solve_contraction(
@@ -177,7 +165,9 @@ def vi_solve_contraction(
     The returned max_step_ratio records, per grid point, the largest
     observed |u_{n+1} - u_n| / |u_n - u_{n-1}|, measured only while the
     steps stay above the floating noise floor sqrt(eps_mach) * scale;
-    the contraction property bounds it by contraction_k.
+    the contraction property bounds it by contraction_k.  After the
+    iteration this bound is checked: the first grid point whose ratio
+    exceeds contraction_k + 1e-6 raises ContractionBoundViolated.
     """
     if not cert.valid:
         raise InvalidCertificate("coercivity certificate is not valid")
@@ -257,6 +247,11 @@ def vi_solve_contraction(
         last_step[active] = step[active]
         u = u_next
         active &= ~done_now
+
+    violated = np.nonzero(max_ratio > kfac + _RATIO_SLACK)[0]
+    if violated.size:
+        k = int(violated[0])
+        raise ContractionBoundViolated(k + 1, float(max_ratio[k]), float(kfac[k]))
 
     grid = c.grid
     return VISolution(

@@ -335,7 +335,7 @@ def test_criterion_8_obstacle_benchmark():
         assert sup_err <= 2e-3
         assert result.complementarity_ok
 
-        consistent, deviation = classical_consistency_check(spec, POLICY)
+        consistent, deviation = classical_consistency_check(result)
         assert consistent and deviation <= 1e-10
 
 

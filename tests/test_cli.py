@@ -95,6 +95,8 @@ def test_vi_solve_pins_the_first_coordinate(tmp_path):
     iters = (out / "iterations.csv").read_text().splitlines()
     assert iters[0] == "k,eps,alpha,M,rho,contraction_k,iterations,residual"
     assert len(iters) == 1 + K_DEFAULT
+    assert iters[1].split(",")[0] == "1"
+    assert iters[-1].split(",")[0] == str(K_DEFAULT)
     s = _summary(out, "vi-solve")
     assert s["verdicts"] == {"coercive": True}
     assert s["certificate"]["valid"]

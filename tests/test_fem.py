@@ -309,11 +309,11 @@ def test_diffusion_bound_guards():
 
 def test_classical_consistency_verdicts():
     flat = _spec(Mesh1D(0.0, 1.0, 32), rhs=1.0)
-    ok, dev = classical_consistency_check(flat, POLICY)
+    ok, dev = classical_consistency_check(solve_dirichlet(flat, POLICY))
     assert ok and dev <= 1e-10
     jumpy = _spec(Mesh1D(-1.0, 1.0, 32),
                   diffusion=CoefficientNet.heaviside_nu(GRID), rhs=1.0)
-    ok, dev = classical_consistency_check(jumpy, POLICY)
+    ok, dev = classical_consistency_check(solve_dirichlet(jumpy, POLICY))
     assert not ok and dev > 1e-6
 
 

@@ -30,6 +30,7 @@ from gennet import (
     sharp_norm,
     sqrt_nonneg,
     valuation_estimate,
+    write_grid_csv,
     zero_divisor_split,
     zero_wrt,
 )
@@ -309,3 +310,33 @@ def test_constant_gap_is_not_close():
     one = GenScalar.constant(1.0, GRID)
     res = close_infimum_check(one, [GenScalar.constant(2.0, GRID)], POLICY)
     assert res.lower_bound and not res.close
+
+
+# ---------------------------------------------------------------------------
+# per-eps tables
+# ---------------------------------------------------------------------------
+
+def test_grid_csv_format(tmp_path):
+    grid = EpsGrid.geometric(8)
+    floats = np.array([0.1, -2.5, 1e-20, 3.0, 1.0 / 3.0, 2.0 ** -30, 1e300, -0.0])
+    ints = np.arange(8, dtype=np.int64) * 10 - 20
+    path = tmp_path / "table.csv"
+    write_grid_csv(path, grid, ["x", "n"], [floats, ints])
+    assert path.read_bytes() == (
+        b"k,eps,x,n\n"
+        b"1,0.5,0.1,-20\n"
+        b"2,0.25,-2.5,-10\n"
+        b"3,0.125,1e-20,0\n"
+        b"4,0.0625,3.0,10\n"
+        b"5,0.03125,0.3333333333333333,20\n"
+        b"6,0.015625,9.313225746154785e-10,30\n"
+        b"7,0.0078125,1e+300,40\n"
+        b"8,0.00390625,-0.0,50\n"
+    )
+    write_grid_csv(path, grid, [], [])
+    assert path.read_bytes() == (
+        b"k,eps\n1,0.5\n2,0.25\n3,0.125\n4,0.0625\n"
+        b"5,0.03125\n6,0.015625\n7,0.0078125\n8,0.00390625\n"
+    )
+    with pytest.raises(ValueError):
+        write_grid_csv(path, grid, ["x"], [floats[:7]])

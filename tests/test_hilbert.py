@@ -178,6 +178,7 @@ def test_norm_csv_roundtrip(tmp_path):
     u = GenVector.constant(np.array([3.0, 4.0]), GRID)
     path = tmp_path / "norms.csv"
     u.write_norm_csv(path)
+    assert b"\r" not in path.read_bytes()
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "k,eps,norm"
     assert len(lines) == GRID.K + 1

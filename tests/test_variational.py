@@ -6,6 +6,7 @@ import pytest
 from _oracles import bands_to_dense, solve_box_vi
 from gennet import (
     BasicOperator,
+    ContractionBoundViolated,
     ConvexSetNet,
     DimMismatch,
     EpsGrid,
@@ -14,6 +15,7 @@ from gennet import (
     InvalidCertificate,
     IterationBudgetExceeded,
     NumericPolicy,
+    ResidualTargetMissed,
     SingularSample,
     TridiagonalOperator,
     apply,
@@ -247,6 +249,21 @@ def test_budget_blows_up_under_a_forged_certificate():
     assert err.value.step_norm > 1.0
 
 
+def test_contraction_bound_is_checked_against_the_observed_ratios():
+    # a certificate overstating alpha = 3.9 on diag(1, 4) promises the
+    # factor 0.1/7.9 ~ 0.0127; the iteration still converges, but its
+    # step ratios approach 1 - rho = 0.747
+    T = BasicOperator.constant(np.diag([1.0, 4.0]), GRID)
+    forged = certify_coercivity(BasicOperator.constant(3.9 * np.eye(2), GRID), POLICY)
+    c = GenVector(GRID, np.tile([1.0, 1.0], (GRID.K, 1)))
+    C = ConvexSetNet.box(GRID, np.full(2, -1e6), np.full(2, 1e6))
+    with pytest.raises(ContractionBoundViolated) as err:
+        vi_solve_contraction(T, c, C, forged, POLICY)
+    assert err.value.k == 1
+    assert err.value.factor == pytest.approx(0.1 / 7.9, rel=1e-12)
+    assert err.value.ratio > 0.7
+
+
 # ----------------------------------------------------------- minimization
 
 def test_minimization_agrees_with_contraction():
@@ -326,7 +343,7 @@ def test_lax_milgram_checks_the_residual_after_the_last_refinement():
     assert DampedIdentity.calls == 4 * GRID.K
     assert np.all(rnorm(u - c).samples <= RESIDUAL_REL * (1.0 + rnorm(c).samples))
     # a tighter target would need a fourth step, which is not taken
-    with pytest.raises(SingularSample) as err:
+    with pytest.raises(ResidualTargetMissed) as err:
         lax_milgram_solve(T, c, cert, POLICY, rel_residual=1e-13)
     assert err.value.k == 1
 
@@ -350,16 +367,3 @@ def test_band_contraction_matches_dense_contraction():
     w = lax_milgram_solve(T, c, cert, POLICY)
     assert np.allclose(w.samples, lax_milgram_solve(dense, c, cert, POLICY).samples,
                        rtol=1e-10, atol=1e-12)
-
-
-def test_report_rows_shape():
-    rng = np.random.default_rng(683)
-    T = _spd_operator(rng, 2)
-    sol = vi_solve_contraction(T, _random_vector(rng, 2),
-                               ConvexSetNet.obstacle(GRID, np.zeros(2)),
-                               certify_coercivity(T, POLICY), POLICY)
-    rows = sol.report_rows()
-    assert len(rows) == GRID.K
-    assert rows[0]["k"] == 1 and rows[-1]["k"] == GRID.K
-    assert set(rows[0]) == {"k", "eps", "alpha", "M", "rho",
-                            "contraction_k", "iterations", "residual"}
