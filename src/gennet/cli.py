@@ -313,12 +313,16 @@ def gram_schmidt(config_path, out, grid_k, seed, parallel):
     t0 = time.perf_counter()
     cfg, grid, policy = _load_setup(config_path, grid_k)
     gens = _generators(cfg, grid, seed)
+    t_gs = time.perf_counter()
     result = classify_submodule(GeneratorSet(gens), policy)
+    gram_schmidt_s = time.perf_counter() - t_gs
     os.makedirs(out, exist_ok=True)
     vecs = result.basis.vecs if result.basis is not None else []
+    t_csv = time.perf_counter()
     write_grid_csv(os.path.join(out, "basis.csv"), grid,
                    [f"v{j}_c{i}" for j, w in enumerate(vecs) for i in range(w.dim)],
                    [col for w in vecs for col in np.real(w.samples).T])
+    csv_s = time.perf_counter() - t_csv
     valuations = {}
     for j, w in enumerate(vecs):
         norm_net = GenScalar(grid, np.linalg.norm(w.samples, axis=1))
@@ -331,7 +335,8 @@ def gram_schmidt(config_path, out, grid_k, seed, parallel):
         if result.basis is not None else None,
         "valuations": valuations,
         "verdicts": {"closed_edged": result.closed_edged},
-        "timings": {"total_s": time.perf_counter() - t0},
+        "timings": {"gram_schmidt_s": gram_schmidt_s, "csv_s": csv_s,
+                    "total_s": time.perf_counter() - t0},
     }
     return _finish(out, "gram-schmidt", summary)
 

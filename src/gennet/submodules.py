@@ -9,6 +9,16 @@ remaining generators off the dominant one there, recurses, and sums the
 per-block outputs.  Each output is then normalized to have idempotent
 norm: unit length on its support set, zero off it.
 
+The recursion runs on one (K, m, d) array as at most m sweeps over the
+whole grid: each sweep takes the dominant generator at every grid point
+still running (lowest index on ties), drops what is below eps_k**m_inv
+and projects the rest off it, so the cost is O(m*K*m*d) in O(m) numpy
+calls.  Its norms are the ones the support test takes, so the drop
+decision and the support agree at every (j, k).  Where a sample norm
+equals eps_k**m_inv up to rounding (a power tower at k = m_inv), which
+side of the threshold it falls on, and so whether k is among the
+offending_indices, follows the last bit of that norm.
+
 The normalization is where the finite-scale analogue of the beta-type
 pathology is caught: a norm net whose support (samples >= eps**m_inv)
 is nonempty but dies out before the tail window has no certifiable
@@ -76,19 +86,38 @@ class OrthoBasis:
         return len(self.vecs)
 
     def validate(self, policy: NumericPolicy):
-        """Check the orthogonality and idempotent-norm invariants."""
-        for j, (w, S) in enumerate(zip(self.vecs, self.supports)):
-            norms = rnorm(w).samples
-            mask = S.mask()
-            scale = 1.0
-            if np.any(np.abs(norms[mask] - 1.0) > 100 * policy.tol_abs):
-                raise InvalidBasis(f"vector {j} is not unit length on its support")
-            if np.any(norms[~mask] > 100 * policy.tol_abs):
-                raise InvalidBasis(f"vector {j} is nonzero off its support")
-            for i in range(j):
-                ip = np.abs(inner(self.vecs[i], w).samples)
-                if np.any(ip > 100 * policy.tol_abs * scale):
-                    raise InvalidBasis(f"vectors {i} and {j} are not orthogonal")
+        """Check the idempotent-norm and orthogonality invariants.
+
+        One (K, n, n) Gram net holds every inner product.  A failure
+        raises InvalidBasis naming the check, the vector indices and the
+        first failing grid point (1-based).
+        """
+        if not self.vecs:
+            return
+        for w in self.vecs[1:]:
+            self.vecs[0]._check_partner(w)
+        W = np.stack([w.samples for w in self.vecs], axis=1)
+        gram = W @ np.conj(np.swapaxes(W, 1, 2))
+        norms = np.sqrt(np.real(np.diagonal(gram, axis1=1, axis2=2)))
+        mask = np.stack([S.mask() for S in self.supports], axis=1)
+        tol = 100 * policy.tol_abs
+        checks = (
+            ("unit length", "is not unit length on its support",
+             mask & (np.abs(norms - 1.0) > tol)),
+            ("zero off the support", "is nonzero off its support", ~mask & (norms > tol)),
+        )
+        for check, what, bad in checks:
+            if np.any(bad):
+                j, k = np.argwhere(bad.T)[0]
+                raise InvalidBasis(f"{check}: vector {j} {what} at grid point "
+                                   f"k={k + 1} (norm {norms[k, j]:.3e})")
+        upper = np.triu(np.ones(len(self.vecs), dtype=bool), 1)
+        bad = upper & (np.abs(gram) > tol)
+        if np.any(bad):
+            j, i, k = np.argwhere(bad.transpose(2, 1, 0))[0]
+            raise InvalidBasis(f"orthogonality: vectors {i} and {j} are not orthogonal at "
+                               f"grid point k={k + 1} "
+                               f"(|<w_{i}, w_{j}>| = {abs(gram[k, i, j]):.3e})")
 
     def to_json(self) -> dict:
         return {
@@ -133,41 +162,46 @@ def idempotent_normalize(u: GenVector, policy: NumericPolicy):
     return w, IndexSet.from_mask(support)
 
 
-def _gs_at_point(vectors, order, eps_k, m_inv):
-    """The interleaved recursion at one grid point.
+def _orthogonalize(samples: np.ndarray, eps: np.ndarray, m_inv: int) -> np.ndarray:
+    """The interleaved recursion at every grid point at once.
 
-    ``vectors`` maps generator index -> current sample vector.  Picks
-    the dominant generator (largest norm, lowest index on ties), keeps
-    it as its own output, projects the others off it, and recurses on
-    what is left.  A dominant norm below eps_k**m_inv means every
-    remaining generator is below the invertibility scale here: they are
-    all treated as zero at this point (their supports exclude it).
+    ``samples`` is the (K, m, d) stack of generator samples; returns the
+    (K, m, d) raw outputs.  Each sweep picks, at every grid point where
+    generators remain, the dominant one (largest norm, lowest index on
+    ties), keeps it as its own output, projects the others off it and
+    flushes residuals that are rounding noise.  A dominant norm below
+    eps_k**m_inv means every remaining generator is below the
+    invertibility scale at point k: they are all zeroed there (their
+    supports exclude it).  Every sweep removes at least one generator
+    at every point still running, so at most m sweeps are made.
+
+    The norms are those ``rnorm`` takes, so a generator kept here has a
+    sample norm at or above the support threshold of idempotent_normalize.
     """
-    out = {}
-    remaining = list(order)
-    vecs = dict(vectors)
-    threshold = eps_k ** m_inv
-    while remaining:
-        norms = [np.linalg.norm(vecs[j]) for j in remaining]
-        best = int(np.argmax(norms))  # argmax returns the first (lowest j) on ties
-        dom = remaining[best]
-        dom_norm = norms[best]
-        if dom_norm < threshold:
-            for j in remaining:
-                out[j] = np.zeros_like(vecs[j])
-            return out
-        v = vecs[dom]
-        out[dom] = v
-        remaining.remove(dom)
-        vv = np.real(np.sum(v * np.conj(v)))
-        for j in remaining:
-            coeff = np.sum(vecs[j] * np.conj(v)) / vv
-            before = np.linalg.norm(vecs[j])
-            res = vecs[j] - coeff * v
-            if np.linalg.norm(res) <= _FLUSH_REL * before:
-                res = np.zeros_like(res)
-            vecs[j] = res
-    return out
+    V = samples.copy()
+    rows = np.arange(V.shape[0])
+    threshold = eps ** m_inv
+    remaining = np.ones(V.shape[:2], dtype=bool)
+    norms = np.linalg.norm(V, axis=2)
+    while remaining.any():
+        running = remaining.any(axis=1)
+        # argmax returns the first (lowest j) on ties
+        best = np.argmax(np.where(remaining, norms, -np.inf), axis=1)
+        drop = running & (norms[rows, best] < threshold)
+        V[remaining & drop[:, None]] = 0.0
+        remaining[drop] = False
+        keep = running & ~drop
+        remaining[rows[keep], best[keep]] = False
+        v = V[rows, best]
+        vv = np.where(keep, np.real(np.sum(v * np.conj(v), axis=1)), 1.0)
+        coeff = np.sum(V * np.conj(v)[:, None, :], axis=2) / vv[:, None]
+        res = V - coeff[:, :, None] * v[:, None, :]
+        res_norms = np.linalg.norm(res, axis=2)
+        flush = res_norms <= _FLUSH_REL * norms
+        update = remaining & keep[:, None]
+        V = np.where(update[:, :, None], np.where(flush[:, :, None], 0.0, res), V)
+        norms = np.where(update, np.where(flush, 0.0, res_norms), norms)
+    return V
 
 
 def interleaved_gram_schmidt(g: GeneratorSet, policy: NumericPolicy) -> OrthoBasis:
@@ -183,20 +217,13 @@ def interleaved_gram_schmidt(g: GeneratorSet, policy: NumericPolicy) -> OrthoBas
     Raises MixedScaleGenerator if any assembled output has no uniform
     scale (see idempotent_normalize).
     """
-    m = len(g.gens)
     grid = g.grid
-    order = list(range(m))
-    raw = np.zeros((m, grid.K, g.dim),
-                   dtype=complex if any(v.field_tag == "complex" for v in g.gens) else float)
-    for k in range(grid.K):
-        at_k = {j: g.gens[j].samples[k] for j in order}
-        out = _gs_at_point(at_k, order, grid.values[k], policy.m_inv)
-        for j in order:
-            raw[j, k] = out[j]
-    vecs, supports = [], []
+    raw = _orthogonalize(np.stack([v.samples for v in g.gens], axis=1),
+                         grid.values, policy.m_inv)
     tag = "complex" if np.iscomplexobj(raw) else "real"
-    for j in order:
-        w, S = idempotent_normalize(GenVector(grid, raw[j], tag), policy)
+    vecs, supports = [], []
+    for j in range(raw.shape[1]):
+        w, S = idempotent_normalize(GenVector(grid, raw[:, j], tag), policy)
         if len(S) == 0:
             continue
         vecs.append(w)

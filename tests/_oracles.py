@@ -159,3 +159,47 @@ def bands_to_dense(samples):
     out[:, i[:-1], i[1:]] = samples[:, 0, 1:]
     out[:, i[1:], i[:-1]] = samples[:, 2, :-1]
     return out
+
+
+def gram_schmidt_per_point(samples, eps, m_inv, flush_rel=1e-12):
+    """The interleaved Gram-Schmidt recursion, one grid point at a time.
+
+    ``samples`` lists m (K, d) generator sample arrays.  At each grid
+    point: pick the dominant generator (largest 1-D norm, lowest index on
+    ties), keep it as its own output, project the others off it, flush
+    residuals below ``flush_rel`` times their pre-projection norm to
+    zero, and recurse on the rest; once the dominant norm falls below
+    eps_k**m_inv every remaining generator is zero there.  Returns the
+    (m, K, d) raw outputs, before idempotent normalization.  Works in the
+    set's field: the generators of a set with any complex member are all
+    cast to complex first.
+    """
+    dtype = complex if any(np.iscomplexobj(s) for s in samples) else float
+    samples = [np.asarray(s, dtype=dtype) for s in samples]
+    m, (K, d) = len(samples), samples[0].shape
+    raw = np.zeros((m, K, d), dtype=dtype)
+    for k in range(K):
+        vecs = {j: samples[j][k] for j in range(m)}
+        remaining = list(range(m))
+        threshold = eps[k] ** m_inv
+        while remaining:
+            norms = [np.linalg.norm(vecs[j]) for j in remaining]
+            best = int(np.argmax(norms))
+            dom = remaining[best]
+            if norms[best] < threshold:
+                for j in remaining:
+                    vecs[j] = np.zeros_like(vecs[j])
+                break
+            v = vecs[dom]
+            remaining.remove(dom)
+            vv = np.real(np.sum(v * np.conj(v)))
+            for j in remaining:
+                coeff = np.sum(vecs[j] * np.conj(v)) / vv
+                before = np.linalg.norm(vecs[j])
+                res = vecs[j] - coeff * v
+                if np.linalg.norm(res) <= flush_rel * before:
+                    res = np.zeros_like(res)
+                vecs[j] = res
+        for j in range(m):
+            raw[j, k] = vecs[j]
+    return raw

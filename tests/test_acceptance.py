@@ -370,7 +370,7 @@ def test_criterion_9_dirichlet_benchmarks():
         assert res.moderate
 
 
-def test_criterion_10_cli_determinism(tmp_path, monkeypatch):
+def test_criterion_10_cli_determinism(tmp_path):
     cfg_nets = tmp_path / "nets.json"
     cfg_nets.write_text(json.dumps({
         "nets": [{"kind": "power", "a": -3.0}, {"kind": "power", "a": 2.5},
@@ -388,11 +388,10 @@ def test_criterion_10_cli_determinism(tmp_path, monkeypatch):
                     "potential": {"kind": "mollified_measure",
                                   "masses": [[0.5, 1.0]]}},
     }))
-    serial, threaded = tmp_path / "serial", tmp_path / "threaded"
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
     assert cli_main(["solve-dirichlet", "--config", str(cfg_fem),
                      "--out", str(serial)]) == 0
-    monkeypatch.setenv("GENNET_THREADS", "4")
     assert cli_main(["solve-dirichlet", "--config", str(cfg_fem),
-                     "--out", str(threaded), "--parallel", "true"]) == 0
+                     "--out", str(parallel), "--parallel", "true"]) == 0
     assert ((serial / "solution.csv").read_bytes()
-            == (threaded / "solution.csv").read_bytes())
+            == (parallel / "solution.csv").read_bytes())

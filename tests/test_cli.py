@@ -104,7 +104,7 @@ def test_vi_solve_pins_the_first_coordinate(tmp_path):
     assert "solve_s" in s["timings"]
 
 
-def test_solve_dirichlet_cli_and_parallel_determinism(tmp_path, monkeypatch):
+def test_solve_dirichlet_cli_and_parallel_determinism(tmp_path):
     cfg = _write_config(tmp_path, "dirichlet.json", {
         "problem": {"interval": [0.0, 1.0], "n_elems": 16,
                     "diffusion": 1.0, "rhs": 1.0},
@@ -117,11 +117,10 @@ def test_solve_dirichlet_cli_and_parallel_determinism(tmp_path, monkeypatch):
     s = _summary(serial, "solve-dirichlet")
     assert s["verdicts"] == {"coercive": True, "residual_ok": True, "moderate": True}
 
-    monkeypatch.setenv("GENNET_THREADS", "3")
-    threaded = tmp_path / "threaded"
-    assert _run(["solve-dirichlet", "--config", cfg, "--out", str(threaded),
+    parallel = tmp_path / "parallel"
+    assert _run(["solve-dirichlet", "--config", cfg, "--out", str(parallel),
                  "--parallel", "true"]) == 0
-    assert (serial / "solution.csv").read_bytes() == (threaded / "solution.csv").read_bytes()
+    assert (serial / "solution.csv").read_bytes() == (parallel / "solution.csv").read_bytes()
 
 
 def test_solve_obstacle_cli(tmp_path):
@@ -162,6 +161,9 @@ def test_seed_controls_random_generators(tmp_path):
     assert s["closed_edged"] and s["verdicts"] == {"closed_edged": True}
     assert len(s["supports"]) == 3
     assert all(abs(v) <= 1e-9 for v in s["valuations"].values())
+    timings = s["timings"]
+    assert set(timings) == {"gram_schmidt_s", "csv_s", "total_s"}
+    assert 0.0 <= timings["gram_schmidt_s"] + timings["csv_s"] <= timings["total_s"]
 
 
 # ---------------------------------------------------------- verdict exits

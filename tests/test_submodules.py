@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from _oracles import gram_schmidt_per_point
 from gennet import (
     DimMismatch,
     EpsGrid,
@@ -26,6 +29,7 @@ from gennet import (
     rnorm,
     submodule_projection_operator,
 )
+from gennet.submodules import _orthogonalize
 
 GRID = EpsGrid.geometric(24)
 POLICY = NumericPolicy()
@@ -92,6 +96,124 @@ def test_beta_type_generator_has_no_uniform_scale():
         interleaved_gram_schmidt(g, POLICY)
     # support covers exactly the indices where eps**k >= eps**m_inv
     assert err.value.indices == list(range(1, POLICY.m_inv + 1))
+
+
+# ------------------------------------------ batched recursion vs oracle
+
+def _tower(vec):
+    """Sample norm eps_k**k along the unit direction vec."""
+    return GRID.values[:, None] ** np.arange(1.0, GRID.K + 1)[:, None] * np.asarray(vec)[None, :]
+
+
+@st.composite
+def _generator_samples(draw, kinds):
+    """m <= 8 generator sample arrays (K, d), d <= 6, with one kind each.
+
+    power: eps^p * v, p in 0..4, |v| in [0.5, 2], so input norms stay at
+    least 32 times above the drop threshold eps_k**m_inv; duplicate: an
+    exact copy of an earlier generator (a tie); zero; vanish: a power
+    generator that is zero on a block of grid points (the drop branch);
+    near_parallel: a multiple of an earlier generator plus noise of
+    relative size 1e-15 .. 1e-11 (the flush branch and its neighbour);
+    tower: eps_k**k * v, whose norm crosses the threshold at k = m_inv
+    within rounding (the knife edge).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 6))
+    field = draw(st.sampled_from(["real", "complex", "mixed"]))
+    out = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=8)):
+        is_complex = field == "complex" or (field == "mixed" and rng.random() < 0.5)
+        v = rng.standard_normal(d) + (1j * rng.standard_normal(d) if is_complex else 0.0)
+        v = v / np.linalg.norm(v)
+        s = GRID.values[:, None] ** float(rng.integers(0, 5)) * (rng.uniform(0.5, 2.0) * v)
+        if kind == "duplicate" and out:
+            s = out[rng.integers(len(out))].copy()
+        elif kind == "zero":
+            s = np.zeros_like(s)
+        elif kind == "vanish":
+            a = int(rng.integers(0, GRID.K))
+            s[a:int(rng.integers(a + 1, GRID.K + 1))] = 0.0
+        elif kind == "near_parallel" and out:
+            base = out[rng.integers(len(out))]
+            noise = rng.standard_normal(base.shape) * np.linalg.norm(base, axis=1)[:, None]
+            s = rng.uniform(0.5, 2.0) * base + 10.0 ** rng.uniform(-15, -11) * noise
+        elif kind == "tower":
+            s = _tower(v)
+        out.append(s)
+    return out
+
+
+def _vector(samples):
+    return GenVector(GRID, samples, "complex" if np.iscomplexobj(samples) else "real")
+
+
+def _outcome(build):
+    """A basis as (vector bytes, supports), or the offenders it raised."""
+    try:
+        basis = build()
+    except MixedScaleGenerator as err:
+        return err.indices
+    return ([w.samples.tobytes() for w in basis.vecs],
+            [sorted(S.members) for S in basis.supports])
+
+
+def _oracle_basis(raw):
+    vecs, supports = [], []
+    for r in raw:
+        w, S = idempotent_normalize(_vector(r), POLICY)
+        if len(S):
+            vecs.append(w)
+            supports.append(S)
+    return OrthoBasis(vecs, supports)
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None)
+@given(samples=_generator_samples(["power", "duplicate", "zero", "vanish", "near_parallel"]))
+def test_batched_gram_schmidt_matches_the_per_point_oracle(samples):
+    want = gram_schmidt_per_point(samples, GRID.values, POLICY.m_inv)
+    raw = _orthogonalize(np.stack(samples, axis=1), GRID.values, POLICY.m_inv)
+    assert raw.dtype == want.dtype
+    assert raw.transpose(1, 0, 2).tobytes() == want.tobytes()
+    g = GeneratorSet(tuple(_vector(s) for s in samples))
+    assert (_outcome(lambda: interleaved_gram_schmidt(g, POLICY))
+            == _outcome(lambda: _oracle_basis(want)))
+
+
+@seed(20261019)
+@settings(max_examples=100, deadline=None)
+@given(samples=_generator_samples(["power", "duplicate", "vanish", "near_parallel", "tower"]))
+def test_drop_decision_agrees_with_the_normalization_support(samples):
+    # a generator is kept at (j, k) exactly when idempotent_normalize's
+    # support test ||w_k|| >= eps_k**m_inv puts k in its support
+    raw = _orthogonalize(np.stack(samples, axis=1), GRID.values, POLICY.m_inv)
+    threshold = GRID.values ** POLICY.m_inv
+    for j in range(raw.shape[1]):
+        support = rnorm(_vector(raw[:, j])).samples >= threshold
+        assert np.array_equal(np.any(raw[:, j] != 0.0, axis=1), support)
+
+
+# Unit directions whose power tower has ||u_10|| = eps_10**10 in exact
+# arithmetic: rounding puts the computed sample norm just above ("in") or
+# just below ("out") the threshold.  A 1-D np.linalg.norm (a BLAS dot)
+# may round the other way than the axis-wise reduce of rnorm; the
+# recursion uses the latter, so k = 10 is offending exactly when the
+# support test takes it.
+KNIFE_EDGE = [
+    ([0.018681436816318283, 0.742906754880426, 0.669134184952101], True),
+    ([0.3635365676813111, 0.8642994867575062, 0.3476025908263671], False),
+]
+
+
+@pytest.mark.parametrize("vec,in_support", KNIFE_EDGE)
+def test_power_tower_knife_edge_follows_the_support_test(vec, in_support):
+    u = GenVector(GRID, _tower(vec))
+    k10 = POLICY.m_inv - 1
+    assert (rnorm(u).samples[k10] >= GRID.values[k10] ** POLICY.m_inv) == in_support
+    verdict = classify_submodule(GeneratorSet((u,)), POLICY)
+    assert verdict.diagnostics["offending_indices"] == list(
+        range(1, POLICY.m_inv + (1 if in_support else 0)))
 
 
 # -------------------------------------------------- idempotent normalize
@@ -264,6 +386,24 @@ def test_validate_flags_broken_bases():
                    (full, full)).validate(POLICY)
     with pytest.raises(InvalidBasis):
         OrthoBasis((_constant([1.0, 0.0]),), ())
+
+
+def test_validate_names_the_check_vectors_and_first_grid_point():
+    full = IndexSet.full(GRID)
+    forged = np.tile([1.0, 0.0], (GRID.K, 1))
+    forged[4] *= 1.1  # sample 5
+    with pytest.raises(InvalidBasis, match=r"^unit length: vector 0 .* k=5 "):
+        OrthoBasis((GenVector(GRID, forged),), (full,)).validate(POLICY)
+    mask = np.ones(GRID.K, dtype=bool)
+    mask[[2, 9]] = False
+    with pytest.raises(InvalidBasis, match=r"^zero off the support: vector 0 .* k=3 "):
+        OrthoBasis((_constant([1.0, 0.0]),), (IndexSet.from_mask(mask),)).validate(POLICY)
+    tilted = np.tile([0.0, 1.0], (GRID.K, 1))
+    tilted[[6, 11]] = 1.0 / np.sqrt(2.0)
+    with pytest.raises(InvalidBasis, match=r"^orthogonality: vectors 1 and 2 .* k=7 "):
+        OrthoBasis((_constant([0.0, 0.0, 1.0]), _constant([1.0, 0.0, 0.0]),
+                    GenVector(GRID, np.c_[tilted, np.zeros(GRID.K)])),
+                   (full, full, full)).validate(POLICY)
 
 
 def test_generator_set_guards():
