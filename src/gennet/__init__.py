@@ -41,6 +41,7 @@ from .gennum import (
     arithmetic,
     close_infimum_check,
     eq,
+    format_cells,
     ge,
     ge_zero,
     idempotent,

@@ -203,8 +203,7 @@ def _problem(cfg: dict, grid: EpsGrid) -> ProblemSpec:
 def _write_summary(out: str, name: str, summary: dict) -> str:
     path = os.path.join(out, f"{name}_summary.json")
     with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return path
 
 
@@ -507,9 +506,9 @@ def report(summaries, out):
             all_ok = all_ok and bool(value)
     if out is not None:
         os.makedirs(out, exist_ok=True)
+        text = json.dumps({"reports": merged, "all_ok": all_ok}, indent=2, sort_keys=True)
         with open(os.path.join(out, "report.json"), "w") as fh:
-            json.dump({"reports": merged, "all_ok": all_ok}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
     return 0 if all_ok else 2
 
 

@@ -31,6 +31,7 @@ from .gennum import (
     GenScalar,
     IndexSet,
     NumericPolicy,
+    format_cells,
     ge_zero,
     invertible_wrt,
     is_moderate,
@@ -442,12 +443,22 @@ class ObstacleResult:
 
 
 def _write_nodal_csv(path, mesh: Mesh1D, u: GenVector):
-    nodes = [f"{i},{x!r}," for i, x in enumerate(mesh.nodes.tolist())]
+    """Write a nodal net: header ``k,eps,node_index,x,u``, one row per (k, node).
+
+    Rows run over the grid points k = 1..K and, within each, over the
+    nodes 0..n.  The eps, x and u cells equal the ``repr`` of the Python
+    float; they come from ``format_cells`` (orjson, with the ``repr``
+    fallback outside 1e-4 <= |v| < 1e16), u's whole net in one call.
+    """
+    width = mesh.nodes.size
+    values = format_cells(u.samples.ravel())
+    nodes = [f"{i},{x}," for i, x in enumerate(format_cells(mesh.nodes))]
     with open(path, "w", newline="") as fh:
         fh.write("k,eps,node_index,x,u\n")
-        for k, (eps, row) in enumerate(zip(u.grid.values.tolist(), u.samples.tolist()), 1):
-            head = f"{k},{eps!r},"
-            fh.write("".join([f"{head}{node}{v!r}\n" for node, v in zip(nodes, row)]))
+        for k, eps in enumerate(format_cells(u.grid.values), 1):
+            head = f"{k},{eps},"
+            row = values[(k - 1) * width:k * width]
+            fh.write("".join([f"{head}{node}{v}\n" for node, v in zip(nodes, row)]))
 
 
 def solve_dirichlet(spec: ProblemSpec, policy: NumericPolicy) -> DirichletResult:

@@ -25,6 +25,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 from .errors import (
     EmptyTailIntersection,
@@ -94,20 +95,74 @@ class EpsGrid:
         return cls.geometric(int(obj.get("K", 24)), float(obj.get("base", 0.5)))
 
 
+# Cells are printed in one of these dtypes, chosen by the array's dtype kind:
+# float64 for floats (``tolist`` widens narrower floats the same way), int64
+# for signed and uint64 for unsigned integers.
+_CELL_DTYPES = {"f": np.float64, "i": np.int64, "u": np.uint64}
+
+
+def _cell_dtype(dtype: np.dtype):
+    """The dtype ``format_cells`` prints ``dtype`` in, or None if it cannot."""
+    return _CELL_DTYPES.get(dtype.kind) if dtype.itemsize <= 8 else None
+
+
+def format_cells(array) -> list[str]:
+    """``[repr(v) for v in array.tolist()]`` for a 1-D integer or float array.
+
+    The cells are printed in C by one ``orjson.dumps`` call.  orjson writes
+    floats with Ryu's shortest round-trip digits, the digits ``repr``
+    writes, and lays them out as ``repr`` does for 1e-4 <= |v| < 1e16 and
+    for zeros.  Elsewhere the layouts differ (orjson writes ``0.00001``,
+    ``1e16`` and ``null`` where ``repr`` writes ``1e-05``, ``1e+16`` and
+    ``nan``), so those cells, and the non-finite ones, are re-printed with
+    ``repr``.  Integer cells need no fallback.
+    """
+    arr = np.asarray(array)
+    cell_dtype = _cell_dtype(arr.dtype)
+    if arr.ndim != 1 or cell_dtype is None:
+        raise ValueError(f"cells need a 1-D integer or float array, not {arr.ndim}-D {arr.dtype}")
+    if arr.size == 0:
+        return []
+    arr = np.ascontiguousarray(arr, dtype=cell_dtype)
+    cells = orjson.dumps(arr, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    if arr.dtype.kind == "f":
+        mag = np.abs(arr)
+        for i in np.flatnonzero(~(mag < 1e16) | ((mag < 1e-4) & (mag != 0.0))).tolist():
+            cells[i] = repr(float(arr[i]))
+    return cells
+
+
 def write_grid_csv(path, grid: EpsGrid, names, columns) -> None:
     """Write a per-eps table: header ``k,eps,<names>``, one row per grid point.
 
-    Row k (1-based) holds k, eps_k and the ``repr`` of each column's k-th
-    Python number (from ``column.tolist()``), so floats round-trip exactly and
-    integer columns stay integer.  Cells are joined by ',', rows end in '\\n'.
+    Row k (1-based) holds k, eps_k and each column's k-th value.  Every
+    cell equals the ``repr`` of that value as a Python int or float (from
+    ``column.tolist()``), so floats round-trip exactly and integer columns
+    stay integer; the cells come from ``format_cells`` (orjson, with the
+    ``repr`` fallback outside 1e-4 <= |v| < 1e16), all columns of one kind
+    in one call.  Cells are joined by ',', rows end in '\n'.  Raises
+    ValueError when the names and columns differ in number, when a column
+    is not of length K, or when a column is not real integers or floats
+    (complex, bool and object columns are refused, naming the column).
     """
-    cols = [np.asarray(col).tolist() for col in columns]
-    if len(cols) != len(names) or any(len(col) != grid.K for col in cols):
+    cols = [np.asarray(col) for col in columns]
+    if len(cols) != len(names) or any(col.shape != (grid.K,) for col in cols):
         raise ValueError(f"need one length-{grid.K} column per name in {names}")
-    rows = zip(grid.values.tolist(), *cols)
+    for name, col in zip(names, cols):
+        if _cell_dtype(col.dtype) is None:
+            raise ValueError(f"column {name!r}: cells must be real integers or floats, "
+                             f"not {col.dtype}")
+    cells = [None] * len(cols)
+    for kind in _CELL_DTYPES:
+        idx = [j for j, col in enumerate(cols) if col.dtype.kind == kind]
+        if idx:
+            flat = format_cells(np.stack([cols[j] for j in idx]).ravel())
+            for i, j in enumerate(idx):
+                cells[j] = flat[i * grid.K:(i + 1) * grid.K]
+    rows = zip(format_cells(grid.values), *cells)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["k", "eps", *names]) + "\n")
-        fh.write("".join([f"{k},{','.join(map(repr, row))}\n" for k, row in enumerate(rows, 1)]))
+        fh.write("".join([f"{k},{','.join(row)}\n" for k, row in enumerate(rows, 1)]))
 
 
 @dataclass(frozen=True)
@@ -319,9 +374,10 @@ def arithmetic(op: str, a: GenScalar, b: GenScalar | None = None) -> GenScalar:
 def valuation_estimate(a: GenScalar, policy: NumericPolicy) -> float:
     """Least-squares slope of log|a_k| vs log eps_k over the tail window.
 
-    Exact zeros are left out of the fit; an all-zero tail returns +inf
-    (the net is indistinguishable from 0 at this scale).  Exact on pure
-    power laws c*eps**a.
+    The slope is the closed form sum(x_c * y_c) / sum(x_c**2) over the
+    centred logs x_c, y_c.  Exact zeros are left out of the fit; an
+    all-zero tail returns +inf (the net is indistinguishable from 0 at this
+    scale).  Exact on pure power laws c*eps**a.
     """
     pos = _tail_positions(a.grid, policy)
     mags = np.abs(a.samples[pos])
@@ -333,8 +389,8 @@ def valuation_estimate(a: GenScalar, policy: NumericPolicy) -> float:
     if log_eps.size == 1:
         # one point: pin the prefactor at 1 and read the exponent off directly
         return float(log_mag[0] / log_eps[0])
-    slope = np.polyfit(log_eps, log_mag, 1)[0]
-    return float(slope)
+    x = log_eps - log_eps.mean()
+    return float(np.dot(x, log_mag - log_mag.mean()) / np.dot(x, x))
 
 
 def sharp_norm(a: GenScalar, policy: NumericPolicy) -> float:

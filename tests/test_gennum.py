@@ -19,6 +19,7 @@ from gennet import (
     arithmetic,
     close_infimum_check,
     eq,
+    format_cells,
     ge,
     ge_zero,
     idempotent,
@@ -90,6 +91,29 @@ def test_valuation_skips_exact_zeros():
 def test_valuation_power_net_property(c, a):
     net = make_power_net(c, a, GRID)
     assert abs(valuation_estimate(net, POLICY) - a) < 1e-8
+
+
+@seed(20261020)
+@settings(max_examples=200, deadline=None)
+@given(
+    c=st.floats(min_value=1e-3, max_value=1e3),
+    a=st.floats(min_value=-20.0, max_value=20.0),
+    noise=st.lists(st.floats(min_value=-30.0, max_value=30.0),
+                   min_size=GRID.K, max_size=GRID.K),
+    zeros=st.lists(st.booleans(), min_size=POLICY.tail, max_size=POLICY.tail),
+)
+def test_closed_form_slope_matches_polyfit(c, a, noise, zeros):
+    # relative to max(1, |slope|): on constant-scale nets polyfit leaves a
+    # ~1e-17 residue where the closed form gives 0, so no relative bound holds
+    samples = c * GRID.values**a * np.exp(np.asarray(noise))
+    samples[GRID.K - POLICY.tail:][np.asarray(zeros)] = 0.0
+    tail = slice(GRID.K - POLICY.tail, GRID.K)
+    keep = samples[tail] != 0.0
+    if np.count_nonzero(keep) < 2:
+        return
+    fitted = np.polyfit(np.log(GRID.values[tail][keep]), np.log(samples[tail][keep]), 1)[0]
+    slope = valuation_estimate(GenScalar(GRID, samples), POLICY)
+    assert abs(slope - fitted) <= 1e-12 * max(1.0, abs(fitted))
 
 
 def test_square_and_sqrt_sharp_norm_identities():
@@ -340,3 +364,54 @@ def test_grid_csv_format(tmp_path):
     )
     with pytest.raises(ValueError):
         write_grid_csv(path, grid, ["x"], [floats[:7]])
+
+
+def test_grid_csv_refuses_complex_and_object_columns(tmp_path):
+    grid = EpsGrid.geometric(8)
+    floats = np.linspace(0.0, 1.0, 8)
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match="column 'z'.*complex"):
+        write_grid_csv(path, grid, ["x", "z"], [floats, floats + 1j])
+    with pytest.raises(ValueError, match="column 'o'.*object"):
+        write_grid_csv(path, grid, ["o"], [floats.astype(object)])
+    assert not path.exists()
+
+
+def _repr_cells(arr):
+    return [repr(v) for v in arr.tolist()]
+
+
+@seed(20261021)
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats(), max_size=40))
+def test_format_cells_equals_repr_on_floats(values):
+    arr = np.array(values, dtype=np.float64)
+    assert format_cells(arr) == _repr_cells(arr)
+
+
+@seed(20261022)
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.integers(min_value=-2**63, max_value=2**63 - 1), max_size=40))
+def test_format_cells_equals_repr_on_int64(values):
+    arr = np.array(values, dtype=np.int64)
+    assert format_cells(arr) == _repr_cells(arr)
+
+
+def test_format_cells_at_the_band_edges():
+    # orjson's layout matches repr's on 1e-4 <= |v| < 1e16; pin both edges
+    edges = []
+    for edge in (1e-4, 1e16):
+        below, above = np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)
+        edges += [np.nextafter(below, 0.0), below, edge, above, np.nextafter(above, np.inf)]
+    specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308,
+                np.finfo(float).max, 1e-5, 0.1, 1e15, 123456789012345.6]
+    arr = np.array(edges + specials)
+    arr = np.concatenate([arr, -arr])
+    assert format_cells(arr) == _repr_cells(arr)
+    assert format_cells(np.zeros(0)) == []
+    assert format_cells(np.array([0.1], dtype=np.float32)) == ["0.10000000149011612"]
+    big = np.array([0, 2**64 - 1], dtype=np.uint64)
+    assert format_cells(big) == _repr_cells(big)
+    for bad in (np.array([1j]), np.array([True]), np.zeros((2, 2)), np.array([1.0], dtype=object)):
+        with pytest.raises(ValueError):
+            format_cells(bad)
