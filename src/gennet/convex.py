@@ -1,10 +1,12 @@
 """Internal convex subsets given per epsilon, and projection onto them.
 
 A ConvexSetNet holds one closed convex set per grid index; projection of
-a vector net is the net of componentwise Euclidean projections.  Boxes,
+a vector net is the net of componentwise Euclidean projections.  Every
+kind has one projection path, run on all grid points at once: boxes,
 lower-bound (obstacle) sets and affine subspaces are projected in closed
 form; halfspace intersections use Dykstra's alternating projections with
-correction terms, iterated to tolerance.  The variational
+correction terms on the whole (K, m, d) net, each grid point iterated to
+the fixed tolerance _DYKSTRA_TOL = 1e-12.  The variational
 characterization Re<u - P(u), w - P(u)> <= 0 for w in C is exposed as a
 residual against a finite probe set.
 """
@@ -19,9 +21,8 @@ from .errors import DimMismatch, EmptySet, GridMismatch, NoConvergence, ProbeNot
 from .gennum import EpsGrid, GenScalar, NumericPolicy
 from .hilbert import GenVector
 
-KINDS = ("box", "obstacle_lower_bound", "affine_subspace", "halfspaces")
-
 _DYKSTRA_MAX_SWEEPS = 20000
+_DYKSTRA_TOL = 1e-12  # the default NumericPolicy.tol_abs
 
 
 @dataclass(frozen=True)
@@ -31,8 +32,9 @@ class ConvexSetNet:
     data layout by kind:
       box                  {"lower": (K,d), "upper": (K,d)}
       obstacle_lower_bound {"lower": (K,d)}          (+inf implicit above)
-      affine_subspace      {"basis": (K,d,r), "offset": (K,d),
-                            "onb": (K,d,r)}          (onb cached at build)
+      affine_subspace      {"basis": (K,r,d), "offset": (K,d),
+                            "onb": (K,d,min(r,d))}   (onb cached at build,
+                                                      dropped columns zero)
       halfspaces           {"rows": (K,m,d), "offsets": (K,m)}  A x <= b
     """
 
@@ -63,7 +65,9 @@ class ConvexSetNet:
         """Affine subspace offset + span(rows of basis), per grid point.
 
         ``basis`` is (r, d) for one spanning set shared by all grid
-        points or (K, r, d) for per-point spans.
+        points or (K, r, d) for per-point spans.  One stacked SVD gives
+        each span's orthonormal basis; directions whose singular value is
+        at most ``tol`` times max(1, the largest) are zeroed.
         """
         basis = np.asarray(basis, dtype=float)
         if basis.ndim == 2:  # constant basis across eps
@@ -75,12 +79,9 @@ class ConvexSetNet:
             offset = np.zeros((grid.K, d))
         else:
             offset = _per_eps(offset, grid)
-        cols = np.swapaxes(basis, 1, 2)
-        onb = np.zeros_like(cols)
-        for i in range(grid.K):
-            q, r = np.linalg.qr(cols[i])
-            keep = np.abs(np.diag(r)) > tol * max(1.0, np.abs(r).max())
-            onb[i, :, : keep.sum()] = q[:, keep]
+        u, sv, _ = np.linalg.svd(np.swapaxes(basis, 1, 2), full_matrices=False)
+        keep = sv > tol * np.maximum(1.0, sv[:, :1])
+        onb = u * keep[:, None, :]
         return cls(grid, d, "affine_subspace",
                    {"basis": basis, "offset": offset, "onb": onb})
 
@@ -95,41 +96,12 @@ class ConvexSetNet:
             raise DimMismatch("halfspace rows must be (K, m, d), offsets (K, m)")
         return cls(grid, rows.shape[2], "halfspaces", {"rows": rows, "offsets": offsets})
 
-    # -- per-sample geometry -------------------------------------------------
-
-    def project_sample(self, k: int, x: np.ndarray, tol_abs: float) -> np.ndarray:
-        """Euclidean projection of one sample onto the k-th set (0-based k)."""
-        if self.kind == "box":
-            return np.clip(x, self.data["lower"][k], self.data["upper"][k])
-        if self.kind == "obstacle_lower_bound":
-            return np.maximum(x, self.data["lower"][k])
-        if self.kind == "affine_subspace":
-            q = self.data["onb"][k]
-            p = self.data["offset"][k]
-            return p + q @ (q.T @ (x - p))
-        return self._dykstra(k, x, tol_abs)
-
-    def violation(self, k: int, x: np.ndarray) -> float:
-        """How far the sample is from the k-th set (0 inside)."""
-        if self.kind == "box":
-            lo, up = self.data["lower"][k], self.data["upper"][k]
-            return float(max(np.max(lo - x, initial=0.0), np.max(x - up, initial=0.0)))
-        if self.kind == "obstacle_lower_bound":
-            return float(np.max(self.data["lower"][k] - x, initial=0.0))
-        if self.kind == "affine_subspace":
-            return float(np.linalg.norm(x - self.project_sample(k, x, 0.0)))
-        rows, offs = self.data["rows"][k], self.data["offsets"][k]
-        return float(np.max(rows @ x - offs, initial=0.0))
-
-    def contains(self, k: int, x: np.ndarray, tol: float) -> bool:
-        return self.violation(k, x) <= tol
-
     def batched_projector(self):
-        """A callable projecting all grid samples at once, or None.
+        """A callable projecting a (K, d) array of samples onto the set.
 
-        Only the pointwise kinds (box, obstacle) admit this; the
-        iterative solvers use it to avoid a per-sample Python loop in
-        their inner iteration.
+        All grid points are projected at once, for every kind: boxes and
+        obstacles by clipping, affine subspaces in closed form, halfspace
+        intersections by Dykstra's method on the whole (K, m, d) net.
         """
         if self.kind == "box":
             lo, up = self.data["lower"], self.data["upper"]
@@ -137,32 +109,62 @@ class ConvexSetNet:
         if self.kind == "obstacle_lower_bound":
             lo = self.data["lower"]
             return lambda z: np.maximum(z, lo)
-        return None
+        if self.kind == "affine_subspace":
+            q, p = self.data["onb"], self.data["offset"]
+            return lambda z: p + np.einsum("kdr,kr->kd", q, np.einsum("kdr,kd->kr", q, z - p))
+        rows, offs = self.data["rows"], self.data["offsets"]
+        return lambda z: _dykstra(rows, offs, z)
 
-    def _dykstra(self, k: int, x0: np.ndarray, tol_abs: float) -> np.ndarray:
-        rows = self.data["rows"][k]
-        offs = self.data["offsets"][k]
-        sqn = np.sum(rows * rows, axis=1)
-        x = x0.astype(float).copy()
-        corr = np.zeros_like(rows)
-        tol = max(tol_abs, 1e-14)
-        for _ in range(_DYKSTRA_MAX_SWEEPS):
-            x_prev = x.copy()
-            for i in range(rows.shape[0]):
-                if sqn[i] == 0.0:
-                    continue
-                y = x + corr[i]
-                excess = rows[i] @ y - offs[i]
-                xi = y - (max(excess, 0.0) / sqn[i]) * rows[i]
-                corr[i] = y - xi
-                x = xi
-            if (self.violation(k, x) <= tol
-                    and np.linalg.norm(x - x_prev) <= tol * (1.0 + np.linalg.norm(x))):
-                return x
-        raise NoConvergence(
-            f"Dykstra stalled at grid index k={k + 1}",
-            residual=self.violation(k, x),
-        )
+    def violation(self, x: np.ndarray) -> np.ndarray:
+        """How far each sample of x (K, d) is from its set: (K,), 0 inside."""
+        if self.kind == "box":
+            return np.maximum(np.max(self.data["lower"] - x, axis=1, initial=0.0),
+                              np.max(x - self.data["upper"], axis=1, initial=0.0))
+        if self.kind == "obstacle_lower_bound":
+            return np.max(self.data["lower"] - x, axis=1, initial=0.0)
+        if self.kind == "affine_subspace":
+            return np.linalg.norm(x - self.batched_projector()(x), axis=1)
+        return _halfspace_violation(self.data["rows"], self.data["offsets"], x)
+
+
+def _halfspace_violation(rows, offs, x):
+    return np.max(np.einsum("kmd,kd->km", rows, x) - offs, axis=1, initial=0.0)
+
+
+def _dykstra(rows: np.ndarray, offs: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """Dykstra's alternating projections onto rows_k x <= offs_k, all k at once.
+
+    A grid point is done after the first sweep whose result violates no
+    row by more than _DYKSTRA_TOL and moved by at most _DYKSTRA_TOL *
+    (1 + |x|); later sweeps run only on the points not yet done.  Zero
+    rows are skipped.  A point still not done after _DYKSTRA_MAX_SWEEPS
+    raises NoConvergence naming the first such grid index (1-based).
+    """
+    sqn = np.sum(rows * rows, axis=2)
+    sqn[sqn == 0.0] = 1.0  # a zero row then leaves x and its correction as they are
+    x = np.asarray(x0, dtype=float)
+    out = np.empty_like(x)
+    idx = np.arange(x.shape[0])
+    corr = np.zeros_like(rows)
+    for _ in range(_DYKSTRA_MAX_SWEEPS):
+        x_prev = x
+        for i in range(rows.shape[1]):
+            y = x + corr[:, i]
+            excess = np.einsum("kd,kd->k", rows[:, i], y) - offs[:, i]
+            x = y - (np.maximum(excess, 0.0) / sqn[:, i])[:, None] * rows[:, i]
+            corr[:, i] = y - x
+        viol = _halfspace_violation(rows, offs, x)
+        done = (viol <= _DYKSTRA_TOL) & (
+            np.linalg.norm(x - x_prev, axis=1)
+            <= _DYKSTRA_TOL * (1.0 + np.linalg.norm(x, axis=1)))
+        if np.any(done):
+            out[idx[done]] = x[done]
+            if np.all(done):
+                return out
+            idx, x, corr, rows, offs, sqn, viol = (
+                a[~done] for a in (idx, x, corr, rows, offs, sqn, viol))
+    raise NoConvergence(f"Dykstra stalled at grid index k={idx[0] + 1}",
+                        residual=float(viol[0]))
 
 
 def _per_eps(arr, grid: EpsGrid) -> np.ndarray:
@@ -182,15 +184,22 @@ def _check_compat(C: ConvexSetNet, u: GenVector):
         raise DimMismatch(f"set dim {C.dim} != vector dim {u.dim}")
 
 
+def _outside(C: ConvexSetNet, x: np.ndarray, policy: NumericPolicy) -> np.ndarray:
+    """(K,) mask of the samples of x that miss C by more than the membership tolerance."""
+    member_tol = 100.0 * policy.tol_abs
+    return ~(C.violation(x) <= member_tol * (1.0 + np.linalg.norm(x, axis=1)))
+
+
 def project_point(C: ConvexSetNet, u: GenVector, policy: NumericPolicy) -> GenVector:
-    """Net of componentwise Euclidean projections of u onto C."""
+    """Net of componentwise Euclidean projections of u onto C.
+
+    ``policy`` sets no precision here: halfspace intersections are
+    projected to the fixed tolerance _DYKSTRA_TOL.
+    """
     _check_compat(C, u)
     if u.field_tag != "real":
         raise DimMismatch("projection implemented for real vector nets")
-    out = np.empty_like(u.samples)
-    for k in range(u.grid.K):
-        out[k] = C.project_sample(k, u.samples[k], policy.tol_abs)
-    return GenVector(u.grid, out, "real")
+    return GenVector(u.grid, C.batched_projector()(u.samples), "real")
 
 
 def characterization_residual(C: ConvexSetNet, u: GenVector, v: GenVector,
@@ -198,17 +207,16 @@ def characterization_residual(C: ConvexSetNet, u: GenVector, v: GenVector,
     """max over probes w of Re<u_k - v_k, w_k - v_k>, per grid index.
 
     Nonpositive samples (up to tolerance) certify v = P_C(u) against the
-    probe set; probes must lie in C per epsilon.
+    probe set; probes must lie in C per epsilon.  The first probe outside
+    C raises ProbeNotInSet naming its first grid index outside (1-based).
     """
     _check_compat(C, u)
     probes = list(probes)
-    member_tol = 100.0 * policy.tol_abs
     for w in probes:
         _check_compat(C, w)
-        for k in range(C.grid.K):
-            x = w.samples[k]
-            if not C.contains(k, x, member_tol * (1.0 + np.linalg.norm(x))):
-                raise ProbeNotInSet(f"probe outside set at grid index k={k + 1}")
+        outside = np.nonzero(_outside(C, w.samples, policy))[0]
+        if outside.size:
+            raise ProbeNotInSet(f"probe outside set at grid index k={outside[0] + 1}")
     res = np.full(C.grid.K, -np.inf)
     for w in probes:
         vals = np.sum((u.samples - v.samples) * np.conj(w.samples - v.samples), axis=1).real
@@ -225,12 +233,9 @@ def midpoint_closure_check(C: ConvexSetNet, pairs, policy: NumericPolicy) -> boo
     not enforced), so handing in points of a nonconvex union exposes the
     failure of C + C <= 2C for whatever C's data actually describes.
     """
-    member_tol = 100.0 * policy.tol_abs
     for c1, c2 in pairs:
         _check_compat(C, c1)
         _check_compat(C, c2)
-        mid = 0.5 * (c1.samples + c2.samples)
-        for k in range(C.grid.K):
-            if not C.contains(k, mid[k], member_tol * (1.0 + np.linalg.norm(mid[k]))):
-                return False
+        if np.any(_outside(C, 0.5 * (c1.samples + c2.samples), policy)):
+            return False
     return True

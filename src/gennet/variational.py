@@ -28,6 +28,7 @@ from .errors import (
     GridMismatch,
     InvalidCertificate,
     IterationBudgetExceeded,
+    NoConvergence,
     ResidualTargetMissed,
     SingularSample,
 )
@@ -182,7 +183,7 @@ def vi_solve_contraction(
         rho = alpha / M ** 2
         kfac = np.sqrt(np.maximum(0.0, 1.0 - alpha ** 2 / M ** 2))
 
-    K, d = c.samples.shape
+    K = c.samples.shape[0]
     tol = policy.tol_abs
     thresholds = tol * (1.0 - kfac) / np.maximum(kfac, tol)
     budgets = np.empty(K, dtype=np.int64)
@@ -193,16 +194,9 @@ def vi_solve_contraction(
             base = math.ceil(math.log(tol) / math.log(kfac[k]))
             budgets[k] = base + max(1024, base // 2)
 
-    batched = C.batched_projector()
-
-    start_pts = np.zeros_like(c.samples, dtype=float) if start is None \
-        else start.samples.astype(float)
-    u = np.empty_like(c.samples, dtype=float)
-    if batched is not None:
-        u[:] = batched(start_pts)
-    else:
-        for k in range(K):
-            u[k] = C.project_sample(k, start_pts[k], tol)
+    project = C.batched_projector()
+    u = project(np.zeros_like(c.samples, dtype=float) if start is None
+                else start.samples.astype(float))
     iterations = np.zeros(K, dtype=np.int64)
     last_step = np.zeros(K)
     max_ratio = np.zeros(K)
@@ -218,15 +212,7 @@ def vi_solve_contraction(
             raise IterationBudgetExceeded(k_bad + 1, int(budgets[k_bad]),
                                           float(last_step[k_bad]))
         z = rho[:, None] * (c.samples - T.matvec(u)) + u
-        if batched is not None:
-            u_next = np.where(active[:, None], batched(z), u)
-        else:
-            u_next = np.empty_like(u)
-            for k in range(K):
-                if active[k]:
-                    u_next[k] = C.project_sample(k, z[k], tol)
-                else:
-                    u_next[k] = u[k]
+        u_next = np.where(active[:, None], project(z), u)
         step = np.linalg.norm(u_next - u, axis=1)
         scale = 1.0 + np.linalg.norm(u_next, axis=1)
         measurable = active & (iterations >= 1) & (last_step > ratio_floor * scale)
@@ -291,14 +277,9 @@ def vi_solve_minimization(
     step = 1.0 / M
     tol = policy.tol_abs
 
-    K, d = c.samples.shape
-    batched = C.batched_projector()
-    u = np.empty_like(c.samples, dtype=float)
-    if batched is not None:
-        u[:] = batched(np.zeros_like(u))
-    else:
-        for k in range(K):
-            u[k] = C.project_sample(k, np.zeros(d), tol)
+    K = c.samples.shape[0]
+    project = C.batched_projector()
+    u = project(np.zeros_like(c.samples, dtype=float))
     iterations = np.zeros(K, dtype=np.int64)
     resid = np.zeros(K)
     active = np.ones(K, dtype=bool)
@@ -309,12 +290,7 @@ def vi_solve_minimization(
         it += 1
         g = T.matvec(u) - c.samples
         trial = u - step[:, None] * g
-        if batched is not None:
-            proj = np.where(active[:, None], batched(trial), u)
-        else:
-            proj = np.empty_like(u)
-            for k in range(K):
-                proj[k] = C.project_sample(k, trial[k], tol) if active[k] else u[k]
+        proj = np.where(active[:, None], project(trial), u)
         d_dir = proj - u
         pg = np.linalg.norm(d_dir, axis=1) / step
         floor = 4.0 * _EPS_MACH * (1.0 + np.linalg.norm(u, axis=1)) / step
@@ -333,8 +309,6 @@ def vi_solve_minimization(
         active = newly_active
 
     if np.any(active):
-        from .errors import NoConvergence
-
         k_bad = int(np.nonzero(active)[0][0])
         raise NoConvergence(
             f"projected gradient did not converge at grid point {k_bad + 1}",

@@ -11,6 +11,8 @@ import itertools
 
 import numpy as np
 
+from gennet import NoConvergence
+
 
 def project_box(z, lower, upper):
     return np.minimum(np.maximum(z, lower), upper)
@@ -25,6 +27,38 @@ def project_affine(z, span_rows, offset):
     A = np.asarray(span_rows, dtype=float)
     t, *_ = np.linalg.lstsq(A.T, np.asarray(z, dtype=float) - offset, rcond=None)
     return offset + A.T @ t
+
+
+def dykstra_per_point(rows, offs, x0, tol_abs):
+    """Dykstra's alternating projections onto {x : rows x <= offs}, one sample.
+
+    The per-sample loop the library ran before its batched projector:
+    rows in order, zero rows skipped, correction terms per row, stop after
+    the first sweep whose result violates no row by more than tol and
+    moved by at most tol * (1 + |x|), with tol = max(tol_abs, 1e-14);
+    NoConvergence after 20000 sweeps.
+    """
+    def violation(x):
+        return float(np.max(rows @ x - offs, initial=0.0))
+
+    sqn = np.sum(rows * rows, axis=1)
+    x = x0.astype(float).copy()
+    corr = np.zeros_like(rows)
+    tol = max(tol_abs, 1e-14)
+    for _ in range(20000):
+        x_prev = x.copy()
+        for i in range(rows.shape[0]):
+            if sqn[i] == 0.0:
+                continue
+            y = x + corr[i]
+            excess = rows[i] @ y - offs[i]
+            xi = y - (max(excess, 0.0) / sqn[i]) * rows[i]
+            corr[i] = y - xi
+            x = xi
+        if (violation(x) <= tol
+                and np.linalg.norm(x - x_prev) <= tol * (1.0 + np.linalg.norm(x))):
+            return x
+    raise NoConvergence("Dykstra stalled", residual=violation(x))
 
 
 def solve_box_vi(T, c, lower, upper, tol=1e-8):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import _oracles
@@ -11,6 +13,7 @@ from gennet import (
     EmptySet,
     EpsGrid,
     GenVector,
+    NoConvergence,
     NumericPolicy,
     ProbeNotInSet,
     characterization_residual,
@@ -22,6 +25,8 @@ GRID = EpsGrid.geometric(24)
 POLICY = NumericPolicy()
 
 NONEXPANSIVE_SLACK = 1e-12
+ORACLE_DYKSTRA_TOL = 1e-12
+ORACLE_AFFINE_TOL = 1e-10
 CHARACTERIZATION_TOL = 1e-10
 N_PAIRS = 100
 N_FEASIBLE = 50
@@ -101,12 +106,75 @@ class TestClosedForms:
         p = project_point(C, u, POLICY)
         assert_allclose(p.samples[0], np.array([0.5, 0.5, 0.0]), atol=1e-12)
 
+    def test_affine_keeps_directions_after_a_dependent_column(self):
+        # an unpivoted QR reads the zero pivot of (2, 0, 0) as the end of
+        # the span and drops e2
+        span = np.array([[1.0, 0.0, 0.0],
+                         [2.0, 0.0, 0.0],
+                         [0.0, 1.0, 0.0]])
+        C = ConvexSetNet.affine(GRID, span)
+        u = GenVector.constant(np.array([0.3, 0.7, 0.9]), GRID)
+        p = project_point(C, u, POLICY)
+        assert_allclose(p.samples, np.tile([0.3, 0.7, 0.0], (GRID.K, 1)), atol=1e-12)
+
     def test_halfspace_single_matches_formula(self):
         # one halfspace x + y <= 1: projection moves along the normal
         C = ConvexSetNet.halfspaces(GRID, np.array([[1.0, 1.0]]), np.array([1.0]))
         u = GenVector.constant(np.array([1.0, 1.0]), GRID)
         p = project_point(C, u, POLICY)
         assert_allclose(p.samples[0], np.array([0.5, 0.5]), atol=1e-12)
+
+
+@st.composite
+def _affine_sets(draw):
+    """Per-k spans (K, r, d) of rank q <= min(r, d), with zero rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 6))
+    r = draw(st.integers(1, 7))
+    q = draw(st.integers(0, min(r, d)))
+    span = rng.standard_normal((GRID.K, r, q)) @ rng.standard_normal((GRID.K, q, d))
+    span[:, rng.random(r) < 0.2] = 0.0
+    return span, rng.standard_normal((GRID.K, d)), 3.0 * rng.standard_normal((GRID.K, d))
+
+
+@seed(20261020)
+@settings(max_examples=100, deadline=None)
+@given(case=_affine_sets())
+def test_affine_projection_matches_the_lstsq_oracle(case):
+    span, offset, z = case
+    got = ConvexSetNet.affine(GRID, span, offset).batched_projector()(z)
+    for k in range(GRID.K):
+        ref = _oracles.project_affine(z[k], span[k], offset[k])
+        assert np.linalg.norm(got[k] - ref) <= ORACLE_AFFINE_TOL * (1.0 + np.linalg.norm(z[k]))
+
+
+@st.composite
+def _halfspace_sets(draw):
+    """Per-k rows and offsets around a feasible point, with zero and redundant rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6))
+    rows = rng.standard_normal((GRID.K, m, d))
+    rows[:, rng.random(m) < 0.2] = 0.0
+    inside = rng.standard_normal((GRID.K, d))
+    offsets = np.einsum("kmd,kd->km", rows, inside) + rng.uniform(0.0, 1.0, (GRID.K, m))
+    n_red = draw(st.integers(0, 2))
+    pick = rng.integers(0, m, n_red)  # redundant copies, same or looser offset
+    rows = np.concatenate([rows, rows[:, pick]], axis=1)
+    offsets = np.concatenate([offsets, offsets[:, pick] + rng.choice([0.0, 0.5], n_red)],
+                             axis=1)
+    return rows, offsets, 3.0 * rng.standard_normal((GRID.K, d))
+
+
+@seed(20261021)
+@settings(max_examples=100, deadline=None)
+@given(case=_halfspace_sets())
+def test_batched_dykstra_matches_the_per_point_oracle(case):
+    rows, offsets, z = case
+    got = ConvexSetNet.halfspaces(GRID, rows, offsets).batched_projector()(z)
+    for k in range(GRID.K):
+        ref = _oracles.dykstra_per_point(rows[k], offsets[k], z[k], POLICY.tol_abs)
+        assert np.linalg.norm(got[k] - ref) <= ORACLE_DYKSTRA_TOL * (1.0 + np.linalg.norm(z[k]))
 
 
 class TestProjectionProperties:
@@ -161,6 +229,21 @@ class TestProjectionProperties:
         res = characterization_residual(C, u, not_proj, probes, POLICY)
         assert np.all(res.samples > 0.1)  # strictly positive: 1.75 * 0.75
 
+    def test_probe_outside_set_names_its_first_grid_point(self):
+        C = ConvexSetNet.box(GRID, np.array([0.0]), np.array([1.0]))
+        u = GenVector.constant(np.array([0.5]), GRID)
+        inside = GenVector.constant(np.array([0.25]), GRID)
+        bad = np.full((GRID.K, 1), 0.75)
+        bad[4] = 5.0  # outside only at k = 5
+        later = np.full((GRID.K, 1), 0.75)
+        later[1] = -1.0  # outside only at k = 2, but a later probe
+        probes = [inside, GenVector(GRID, bad), GenVector(GRID, later)]
+        with pytest.raises(ProbeNotInSet, match=r"k=5$"):
+            characterization_residual(C, u, u, probes, POLICY)
+        bad[11] = 5.0
+        with pytest.raises(ProbeNotInSet, match=r"k=5$"):
+            characterization_residual(C, u, u, [GenVector(GRID, bad)], POLICY)
+
     def test_probe_outside_set_raises(self):
         C = ConvexSetNet.box(GRID, np.array([0.0]), np.array([1.0]))
         u = GenVector.constant(np.array([0.5]), GRID)
@@ -202,6 +285,18 @@ class TestDykstra:
         p = project_point(C, u, POLICY)
         assert np.allclose(p.samples, 0.5, atol=1e-9)
 
+    def test_set_empty_at_one_grid_point_names_it(self):
+        # x <= 1 and x >= 0 everywhere, but x >= 2 at k = 5
+        rows = np.tile([[1.0], [-1.0]], (GRID.K, 1, 1))
+        offs = np.tile([1.0, 0.0], (GRID.K, 1))
+        offs[4, 1] = -2.0
+        C = ConvexSetNet.halfspaces(GRID, rows, offs)
+        z = np.full((GRID.K, 1), 0.5)
+        with pytest.raises(NoConvergence, match=r"k=5$"):
+            C.batched_projector()(z)
+        with pytest.raises(NoConvergence):
+            _oracles.dykstra_per_point(rows[4], offs[4], z[4], POLICY.tol_abs)
+
 
 class TestMidpointClosure:
     def test_convex_kinds_pass(self):
@@ -240,9 +335,22 @@ class TestValidation:
             project_point(C, u, POLICY)
 
     def test_batched_projector_kinds(self):
-        box = ConvexSetNet.box(GRID, np.array([0.0]), np.array([1.0]))
-        obs = ConvexSetNet.obstacle(GRID, np.array([0.0]))
-        aff = ConvexSetNet.affine(GRID, np.array([[1.0, 0.0]]))
-        assert box.batched_projector() is not None
-        assert obs.batched_projector() is not None
-        assert aff.batched_projector() is None
+        rng = np.random.default_rng(61)
+        lo, up = np.array([0.0, -1.0]), np.array([1.0, 0.0])
+        span, offset = np.array([[1.0, 2.0]]), np.array([0.5, 0.0])
+        rows, offs = np.array([[1.0, 1.0], [-1.0, 0.0]]), np.array([1.0, 0.5])
+        z = 3.0 * rng.standard_normal((GRID.K, 2))
+        cases = [
+            (ConvexSetNet.box(GRID, lo, up), lambda x: _oracles.project_box(x, lo, up)),
+            (ConvexSetNet.obstacle(GRID, lo), lambda x: _oracles.project_obstacle(x, lo)),
+            (ConvexSetNet.affine(GRID, span, offset),
+             lambda x: _oracles.project_affine(x, span, offset)),
+            (ConvexSetNet.halfspaces(GRID, rows, offs),
+             lambda x: _oracles.dykstra_per_point(rows, offs, x, POLICY.tol_abs)),
+        ]
+        for C, oracle in cases:
+            proj = C.batched_projector()
+            assert callable(proj)
+            got = proj(z)
+            for k in range(GRID.K):
+                assert_allclose(got[k], oracle(z[k]), atol=1e-12)

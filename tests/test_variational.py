@@ -175,6 +175,42 @@ def test_contraction_matches_active_set_enumeration():
         assert np.all(ratios <= sol.contraction_k.samples + CONTRACTION_SLACK)
 
 
+@pytest.mark.parametrize("solver", ["contraction", "minimization"])
+def test_halfspace_box_matches_active_set_enumeration(solver):
+    rng = np.random.default_rng(637)
+    for trial in range(4):
+        d = int(rng.integers(1, 4))
+        T = (_spd_operator(rng, d) if solver == "minimization" or trial % 2 == 0
+             else _nonsym_operator(rng, d))
+        c = _random_vector(rng, d)
+        lower = rng.uniform(-1.0, 0.0, d)
+        upper = lower + rng.uniform(0.5, 2.0, d)
+        C = ConvexSetNet.halfspaces(GRID, np.vstack([np.eye(d), -np.eye(d)]),
+                                    np.concatenate([upper, -lower]))
+        sol = (vi_solve_minimization(T, c, C, POLICY) if solver == "minimization"
+               else vi_solve_contraction(T, c, C, certify_coercivity(T, POLICY), POLICY))
+        for k in range(GRID.K):
+            ref = solve_box_vi(T.samples[k], c.samples[k], lower, upper)
+            assert np.linalg.norm(sol.u.samples[k] - ref) <= ORACLE_TOL
+
+
+def test_affine_contraction_matches_the_reduced_solve():
+    # on p + span(Q) the VI is the equation Q^T (T (p + Q y) - c) = 0
+    rng = np.random.default_rng(639)
+    d, r = 4, 2
+    T = _nonsym_operator(rng, d)
+    c = _random_vector(rng, d)
+    span = rng.standard_normal((GRID.K, r, d))
+    offset = rng.standard_normal((GRID.K, d))
+    C = ConvexSetNet.affine(GRID, span, offset)
+    sol = vi_solve_contraction(T, c, C, certify_coercivity(T, POLICY), POLICY)
+    for k in range(GRID.K):
+        Q, _ = np.linalg.qr(span[k].T)
+        Tk, p = T.samples[k], offset[k]
+        y = np.linalg.solve(Q.T @ Tk @ Q, Q.T @ (c.samples[k] - Tk @ p))
+        assert np.linalg.norm(sol.u.samples[k] - (p + Q @ y)) <= ORACLE_TOL
+
+
 def test_step_choice_tracks_symmetry():
     rng = np.random.default_rng(641)
     T_sym = _spd_operator(rng, 3)
