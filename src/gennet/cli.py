@@ -142,6 +142,28 @@ def _operator_net(spec, grid: EpsGrid) -> BasicOperator:
     raise ConfigInvalid(f"/operator/kind: unknown operator kind {kind!r}")
 
 
+def _number(value, ptr: str, cast=float):
+    """``cast(value)``, or ConfigInvalid naming ``ptr`` if the value is not a number."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"{ptr}: must be a number, got {value!r}") from exc
+
+
+def _pair(value, ptr: str) -> tuple:
+    """Two numbers given as a JSON list of length 2."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigInvalid(f"{ptr}: must be a pair of numbers, got {value!r}")
+    return _number(value[0], f"{ptr}/0"), _number(value[1], f"{ptr}/1")
+
+
+def _pairs(value, ptr: str) -> list:
+    """A JSON list of (location, weight) pairs."""
+    if not isinstance(value, list):
+        raise ConfigInvalid(f"{ptr}: must be a list of pairs")
+    return [_pair(item, f"{ptr}/{i}") for i, item in enumerate(value)]
+
+
 def _coefficient(spec, grid: EpsGrid, ptr: str = "/coefficient") -> CoefficientNet | None:
     if spec is None:
         return None
@@ -152,17 +174,19 @@ def _coefficient(spec, grid: EpsGrid, ptr: str = "/coefficient") -> CoefficientN
     kind = spec.get("kind")
     try:
         if kind == "constant":
-            return CoefficientNet.constant(grid, float(spec["value"]))
+            return CoefficientNet.constant(grid, _number(spec["value"], f"{ptr}/value"))
         if kind == "heaviside_nu":
             return CoefficientNet.heaviside_nu(
                 grid,
-                nu_exponent=float(spec.get("nu_exponent", 1.0)),
-                jump_at=float(spec.get("jump_at", 0.0)),
-                high=float(spec.get("high", 1.0)),
+                nu_exponent=_number(spec.get("nu_exponent", 1.0), f"{ptr}/nu_exponent"),
+                jump_at=_number(spec.get("jump_at", 0.0), f"{ptr}/jump_at"),
+                high=_number(spec.get("high", 1.0), f"{ptr}/high"),
             )
         if kind == "mollified_measure":
-            masses = [(float(x), float(w)) for x, w in spec.get("masses", [])]
+            masses = _pairs(spec.get("masses", []), f"{ptr}/masses")
             density = spec.get("density")
+            if density is not None:
+                density = _number(density, f"{ptr}/density")
             return CoefficientNet.mollified_measure(grid, masses, density)
         if kind == "tabulated":
             return CoefficientNet.tabulated(grid, spec["xs"], spec["values"])
@@ -176,25 +200,25 @@ def _problem(cfg: dict, grid: EpsGrid) -> ProblemSpec:
     if not isinstance(p, dict):
         raise ConfigInvalid("/problem: must be an object")
     try:
-        a, b = (float(v) for v in p["interval"])
-        mesh = Mesh1D(a, b, int(p["n_elems"]))
+        a, b = _pair(p["interval"], "/problem/interval")
+        mesh = Mesh1D(a, b, _number(p["n_elems"], "/problem/n_elems", int))
         diffusion = _coefficient(p["diffusion"], grid, "/problem/diffusion")
     except KeyError as exc:
         raise ConfigInvalid(f"/problem: missing field {exc}") from exc
     obstacle = p.get("obstacle")
     if isinstance(obstacle, dict):
         obstacle = _coefficient(obstacle, grid, "/problem/obstacle")
-    boundary = tuple(p.get("boundary", (0.0, 0.0)))
+    boundary = _pair(p.get("boundary", [0.0, 0.0]), "/problem/boundary")
     rhs = p.get("rhs", 0.0)
-    if isinstance(rhs, dict):
-        rhs = _coefficient(rhs, grid, "/problem/rhs")
+    rhs = (_coefficient(rhs, grid, "/problem/rhs") if isinstance(rhs, dict)
+           else _number(rhs, "/problem/rhs"))
     return ProblemSpec(
         grid=grid,
         mesh=mesh,
         diffusion=diffusion,
         rhs=rhs,
         potential=_coefficient(p.get("potential"), grid, "/problem/potential"),
-        point_loads=tuple((float(x), float(w)) for x, w in p.get("point_loads", [])),
+        point_loads=tuple(_pairs(p.get("point_loads", []), "/problem/point_loads")),
         obstacle=obstacle,
         boundary=boundary,
     )

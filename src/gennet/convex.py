@@ -115,6 +115,25 @@ class ConvexSetNet:
         rows, offs = self.data["rows"], self.data["offsets"]
         return lambda z: _dykstra(rows, offs, z)
 
+    def masked_projector(self):
+        """A callable (z, active, keep): P_C(z) on the active rows, keep on the rest.
+
+        For iterations whose grid points finish at different times.  Only
+        the active rows of a halfspace intersection go through Dykstra's
+        method; the closed-form kinds project every row and select.
+        """
+        if self.kind == "halfspaces":
+            rows, offs = self.data["rows"], self.data["offsets"]
+
+            def project(z, active, keep):
+                out = keep.copy()
+                k = np.flatnonzero(active)
+                out[k] = _dykstra(rows[k], offs[k], z[k], k)
+                return out
+            return project
+        project = self.batched_projector()
+        return lambda z, active, keep: np.where(active[:, None], project(z), keep)
+
     def violation(self, x: np.ndarray) -> np.ndarray:
         """How far each sample of x (K, d) is from its set: (K,), 0 inside."""
         if self.kind == "box":
@@ -131,14 +150,17 @@ def _halfspace_violation(rows, offs, x):
     return np.max(np.einsum("kmd,kd->km", rows, x) - offs, axis=1, initial=0.0)
 
 
-def _dykstra(rows: np.ndarray, offs: np.ndarray, x0: np.ndarray) -> np.ndarray:
+def _dykstra(rows: np.ndarray, offs: np.ndarray, x0: np.ndarray,
+             grid_index: np.ndarray | None = None) -> np.ndarray:
     """Dykstra's alternating projections onto rows_k x <= offs_k, all k at once.
 
     A grid point is done after the first sweep whose result violates no
     row by more than _DYKSTRA_TOL and moved by at most _DYKSTRA_TOL *
     (1 + |x|); later sweeps run only on the points not yet done.  Zero
     rows are skipped.  A point still not done after _DYKSTRA_MAX_SWEEPS
-    raises NoConvergence naming the first such grid index (1-based).
+    raises NoConvergence naming the first such grid index (1-based);
+    ``grid_index`` gives the 0-based grid index of each row when the
+    rows are a subset of the grid.
     """
     sqn = np.sum(rows * rows, axis=2)
     sqn[sqn == 0.0] = 1.0  # a zero row then leaves x and its correction as they are
@@ -163,7 +185,8 @@ def _dykstra(rows: np.ndarray, offs: np.ndarray, x0: np.ndarray) -> np.ndarray:
                 return out
             idx, x, corr, rows, offs, sqn, viol = (
                 a[~done] for a in (idx, x, corr, rows, offs, sqn, viol))
-    raise NoConvergence(f"Dykstra stalled at grid index k={idx[0] + 1}",
+    k = idx[0] if grid_index is None else grid_index[idx[0]]
+    raise NoConvergence(f"Dykstra stalled at grid index k={k + 1}",
                         residual=float(viol[0]))
 
 

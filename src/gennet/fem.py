@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .convex import ConvexSetNet
 from .errors import CoercivityFailure, InvalidSpec
@@ -48,7 +47,8 @@ _GAUSS_W = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 _N1 = 0.5 * (1.0 - _GAUSS_T)
 _N2 = 0.5 * (1.0 + _GAUSS_T)
 
-_MOLLIFIER_NORM = None
+# 1 / integral_{-1}^{1} exp(-1/(1 - s^2)) ds, the unit-mass factor of the bump
+_MOLLIFIER_NORM = 2.2522836210435813
 
 
 def _bump(t):
@@ -60,22 +60,17 @@ def _bump(t):
     return out
 
 
-def _mollifier_norm() -> float:
-    """1 / integral of the unscaled bump, computed once to ~1e-13."""
-    global _MOLLIFIER_NORM
-    if _MOLLIFIER_NORM is None:
-        val, _err = quad(lambda s: math.exp(-1.0 / (1.0 - s * s)), -1.0, 1.0,
-                         epsabs=1e-14, epsrel=1e-13)
-        _MOLLIFIER_NORM = 1.0 / val
-    return _MOLLIFIER_NORM
-
-
 def mollifier_eval(x, eps: float, center: float = 0.0):
-    """The standard bump mollifier phi_eps(x - center), unit mass, support width eps."""
+    """The standard bump mollifier phi_eps(x - center), unit mass, support width eps.
+
+    phi_eps(x) = _MOLLIFIER_NORM * exp(-1 / (1 - (x/eps)^2)) / eps inside
+    |x| < eps, where _MOLLIFIER_NORM = 1 / integral_{-1}^{1} exp(-1/(1 - s^2)) ds
+    = 2.2522836210435813.
+    """
     if eps <= 0.0:
         raise InvalidSpec("mollifier width must be positive")
     t = (np.asarray(x, dtype=float) - center) / eps
-    return _mollifier_norm() * _bump(t) / eps
+    return _MOLLIFIER_NORM * _bump(t) / eps
 
 
 def mollify_measure(masses, density, eps: float, points) -> np.ndarray:

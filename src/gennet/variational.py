@@ -194,9 +194,9 @@ def vi_solve_contraction(
             base = math.ceil(math.log(tol) / math.log(kfac[k]))
             budgets[k] = base + max(1024, base // 2)
 
-    project = C.batched_projector()
-    u = project(np.zeros_like(c.samples, dtype=float) if start is None
-                else start.samples.astype(float))
+    u = C.batched_projector()(np.zeros_like(c.samples, dtype=float) if start is None
+                              else start.samples.astype(float))
+    project = C.masked_projector()
     iterations = np.zeros(K, dtype=np.int64)
     last_step = np.zeros(K)
     max_ratio = np.zeros(K)
@@ -212,7 +212,7 @@ def vi_solve_contraction(
             raise IterationBudgetExceeded(k_bad + 1, int(budgets[k_bad]),
                                           float(last_step[k_bad]))
         z = rho[:, None] * (c.samples - T.matvec(u)) + u
-        u_next = np.where(active[:, None], project(z), u)
+        u_next = project(z, active, u)
         step = np.linalg.norm(u_next - u, axis=1)
         scale = 1.0 + np.linalg.norm(u_next, axis=1)
         measurable = active & (iterations >= 1) & (last_step > ratio_floor * scale)
@@ -278,8 +278,8 @@ def vi_solve_minimization(
     tol = policy.tol_abs
 
     K = c.samples.shape[0]
-    project = C.batched_projector()
-    u = project(np.zeros_like(c.samples, dtype=float))
+    u = C.batched_projector()(np.zeros_like(c.samples, dtype=float))
+    project = C.masked_projector()
     iterations = np.zeros(K, dtype=np.int64)
     resid = np.zeros(K)
     active = np.ones(K, dtype=bool)
@@ -290,7 +290,7 @@ def vi_solve_minimization(
         it += 1
         g = T.matvec(u) - c.samples
         trial = u - step[:, None] * g
-        proj = np.where(active[:, None], project(trial), u)
+        proj = project(trial, active, u)
         d_dir = proj - u
         pg = np.linalg.norm(d_dir, axis=1) / step
         floor = 4.0 * _EPS_MACH * (1.0 + np.linalg.norm(u, axis=1)) / step

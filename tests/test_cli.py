@@ -1,6 +1,10 @@
 """End-to-end command-line runs: exit codes, CSV layout, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ import pytest
 from gennet.cli import main
 
 K_DEFAULT = 24
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _write_config(tmp_path, name, cfg):
@@ -251,6 +256,36 @@ def test_config_errors_point_into_the_document(tmp_path, capsys, cfg, args, need
     assert rc == 1
     err = capsys.readouterr().err
     assert "config error" in err and needle in err
+
+
+@pytest.mark.parametrize("field,needle", [
+    ({"potential": {"kind": "mollified_measure", "masses": [[0.0]]}},
+     "/problem/potential/masses/0"),
+    ({"potential": {"kind": "constant", "value": "abc"}}, "/problem/potential/value"),
+    ({"boundary": ["a", 0.0]}, "/problem/boundary/0"),
+    ({"rhs": "abc"}, "/problem/rhs"),
+], ids=["masses", "value", "boundary", "rhs"])
+def test_malformed_problem_fields_are_config_errors(tmp_path, capsys, field, needle):
+    path = _write_config(tmp_path, "bad.json", {"problem": {
+        "interval": [0.0, 1.0], "n_elems": 16, "diffusion": 1.0, **field}})
+    rc = _run(["solve-dirichlet", "--config", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "config error" in err and needle in err
+    assert "Traceback" not in err
+
+
+def test_import_loads_no_scipy_beyond_linalg():
+    # scipy.integrate alone drags in optimize, special, sparse, spatial and fft,
+    # which makes the start-up of every command nearly twice as long
+    heavy = ["scipy.integrate", "scipy.optimize", "scipy.special",
+             "scipy.sparse", "scipy.spatial", "scipy.fft"]
+    code = ("import sys, gennet.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_usage_errors_exit_1(tmp_path):

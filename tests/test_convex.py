@@ -296,6 +296,10 @@ class TestDykstra:
             C.batched_projector()(z)
         with pytest.raises(NoConvergence):
             _oracles.dykstra_per_point(rows[4], offs[4], z[4], POLICY.tol_abs)
+        # on a subset of the grid the error still names the grid index
+        active = np.arange(GRID.K) >= 3
+        with pytest.raises(NoConvergence, match=r"k=5$"):
+            C.masked_projector()(z, active, z)
 
 
 class TestMidpointClosure:
@@ -348,9 +352,13 @@ class TestValidation:
             (ConvexSetNet.halfspaces(GRID, rows, offs),
              lambda x: _oracles.dykstra_per_point(rows, offs, x, POLICY.tol_abs)),
         ]
+        keep = rng.standard_normal((GRID.K, 2))
+        active = rng.random(GRID.K) < 0.5
         for C, oracle in cases:
             proj = C.batched_projector()
             assert callable(proj)
             got = proj(z)
+            masked = C.masked_projector()(z, active, keep)
             for k in range(GRID.K):
                 assert_allclose(got[k], oracle(z[k]), atol=1e-12)
+                assert np.array_equal(masked[k], got[k] if active[k] else keep[k])

@@ -32,7 +32,7 @@ from gennet import (
     solve_obstacle,
     under_resolved_indices,
 )
-from gennet.fem import _assemble_all, _write_nodal_csv
+from gennet.fem import _MOLLIFIER_NORM, _assemble_all, _write_nodal_csv
 
 GRID = EpsGrid.geometric(24)
 POLICY = NumericPolicy()
@@ -49,6 +49,13 @@ def _spec(mesh, diffusion=1.0, **kw):
 
 
 # -------------------------------------------------------------- mollifier
+
+def test_mollifier_constant_is_the_bump_integral():
+    val, _ = quad(lambda s: np.exp(-1.0 / (1.0 - s * s)), -1.0, 1.0,
+                  epsabs=1e-14, epsrel=1e-13)
+    ref = 1.0 / val
+    assert abs(_MOLLIFIER_NORM - ref) <= 2.0 * np.spacing(ref)
+
 
 @pytest.mark.parametrize("eps", [0.1, 0.01])
 def test_mollifier_has_unit_mass(eps):

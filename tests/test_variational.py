@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _oracles import bands_to_dense, solve_box_vi
+from gennet import convex
 from gennet import (
     BasicOperator,
     ContractionBoundViolated,
@@ -192,6 +193,33 @@ def test_halfspace_box_matches_active_set_enumeration(solver):
         for k in range(GRID.K):
             ref = solve_box_vi(T.samples[k], c.samples[k], lower, upper)
             assert np.linalg.norm(sol.u.samples[k] - ref) <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("solver", ["contraction", "minimization"])
+def test_halfspace_projection_runs_only_on_active_points(solver, monkeypatch):
+    # right-hand sides from 1 to 1e3 across the grid: the large ones pin u to
+    # a corner of the box within two steps, the small ones take many more
+    seen = []
+
+    def counting(rows, offs, x0, *args):
+        seen.append(x0.shape[0])
+        return dykstra(rows, offs, x0, *args)
+
+    dykstra = convex._dykstra
+    monkeypatch.setattr(convex, "_dykstra", counting)
+    d = 3
+    T = BasicOperator.constant(np.diag([1.0, 1.25, 1.5]), GRID)
+    scale = np.geomspace(1.0, 1e3, GRID.K)
+    c = GenVector(GRID, scale[:, None] * np.array([0.3, 0.2, 0.1]))
+    C = ConvexSetNet.halfspaces(GRID, np.vstack([np.eye(d), -np.eye(d)]), np.ones(2 * d))
+    sol = (vi_solve_minimization(T, c, C, POLICY) if solver == "minimization"
+           else vi_solve_contraction(T, c, C, certify_coercivity(T, POLICY), POLICY))
+    # the first projection takes every point, each later one only the unfinished
+    assert sum(seen) == GRID.K + sol.iterations.sum()
+    assert sum(seen) < GRID.K * (1 + sol.iterations.max())
+    for k in range(GRID.K):
+        ref = solve_box_vi(T.samples[k], c.samples[k], -np.ones(d), np.ones(d))
+        assert np.linalg.norm(sol.u.samples[k] - ref) <= ORACLE_TOL
 
 
 def test_affine_contraction_matches_the_reduced_solve():
