@@ -98,15 +98,19 @@ def _scalar_net(spec, grid: EpsGrid, ptr: str = "/nets") -> GenScalar:
     if not isinstance(spec, dict):
         raise ConfigInvalid(f"{ptr}: net spec must be a number or an object")
     kind = spec.get("kind")
-    if kind == "power":
-        return make_power_net(float(spec.get("c", 1.0)), float(spec["a"]), grid)
-    if kind == "constant":
-        return GenScalar.constant(float(spec["value"]), grid)
-    if kind == "samples":
-        vals = np.asarray(spec["values"], dtype=float)
-        if vals.shape != (grid.K,):
-            raise ConfigInvalid(f"{ptr}/values: must have length {grid.K}")
-        return GenScalar(grid, vals)
+    try:
+        if kind == "power":
+            return make_power_net(_number(spec.get("c", 1.0), f"{ptr}/c"),
+                                  _number(spec["a"], f"{ptr}/a"), grid)
+        if kind == "constant":
+            return GenScalar.constant(_number(spec["value"], f"{ptr}/value"), grid)
+        if kind == "samples":
+            vals = _array(spec["values"], f"{ptr}/values")
+            if vals.shape != (grid.K,):
+                raise ConfigInvalid(f"{ptr}/values: must have length {grid.K}")
+            return GenScalar(grid, vals)
+    except KeyError as exc:
+        raise ConfigInvalid(f"{ptr}: missing field {exc}") from exc
     raise ConfigInvalid(f"{ptr}/kind: unknown net kind {kind!r}")
 
 
@@ -114,31 +118,35 @@ def _operator_net(spec, grid: EpsGrid) -> BasicOperator:
     if not isinstance(spec, dict):
         raise ConfigInvalid("/operator: must be an object")
     kind = spec.get("kind")
-    if kind == "constant":
-        return BasicOperator.constant(np.asarray(spec["matrix"], dtype=float), grid)
-    if kind == "rotation":
-        theta = grid.values ** float(spec.get("theta_power", 1.0))
-        c, s = np.cos(theta), np.sin(theta)
-        mats = np.stack([np.stack([c, -s], axis=1), np.stack([s, c], axis=1)], axis=1)
-        return BasicOperator(grid, mats)
-    if kind == "diag_powers":
-        powers = np.asarray(spec["powers"], dtype=float)
-        diags = grid.values[:, None] ** powers[None, :]
-        mats = np.zeros((grid.K, powers.size, powers.size))
-        np.einsum("kii->ki", mats)[:] = diags
-        return BasicOperator(grid, mats)
-    if kind == "idempotent_diag":
-        members = {int(m) for m in spec["members"]}
-        dim = int(spec.get("dim", 2))
-        S = IndexSet(frozenset(members), grid.K)
-        mats = np.zeros((grid.K, dim, dim))
-        np.einsum("kii->ki", mats)[:] = S.mask().astype(float)[:, None]
-        return BasicOperator(grid, mats)
-    if kind == "samples":
-        mats = np.asarray(spec["matrices"], dtype=float)
-        if mats.ndim != 3 or mats.shape[0] != grid.K:
-            raise ConfigInvalid("/operator/matrices: must be (K, d_out, d_in)")
-        return BasicOperator(grid, mats)
+    try:
+        if kind == "constant":
+            return BasicOperator.constant(_array(spec["matrix"], "/operator/matrix"), grid)
+        if kind == "rotation":
+            theta = grid.values ** _number(spec.get("theta_power", 1.0), "/operator/theta_power")
+            c, s = np.cos(theta), np.sin(theta)
+            mats = np.stack([np.stack([c, -s], axis=1), np.stack([s, c], axis=1)], axis=1)
+            return BasicOperator(grid, mats)
+        if kind == "diag_powers":
+            powers = _array(spec["powers"], "/operator/powers")
+            diags = grid.values[:, None] ** powers[None, :]
+            mats = np.zeros((grid.K, powers.size, powers.size))
+            np.einsum("kii->ki", mats)[:] = diags
+            return BasicOperator(grid, mats)
+        if kind == "idempotent_diag":
+            members = {_number(m, f"/operator/members/{i}", int)
+                       for i, m in enumerate(spec["members"])}
+            dim = _number(spec.get("dim", 2), "/operator/dim", int)
+            S = IndexSet(frozenset(members), grid.K)
+            mats = np.zeros((grid.K, dim, dim))
+            np.einsum("kii->ki", mats)[:] = S.mask().astype(float)[:, None]
+            return BasicOperator(grid, mats)
+        if kind == "samples":
+            mats = _array(spec["matrices"], "/operator/matrices")
+            if mats.ndim != 3 or mats.shape[0] != grid.K:
+                raise ConfigInvalid("/operator/matrices: must be (K, d_out, d_in)")
+            return BasicOperator(grid, mats)
+    except KeyError as exc:
+        raise ConfigInvalid(f"/operator: missing field {exc}") from exc
     raise ConfigInvalid(f"/operator/kind: unknown operator kind {kind!r}")
 
 
@@ -148,6 +156,15 @@ def _number(value, ptr: str, cast=float):
         return cast(value)
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"{ptr}: must be a number, got {value!r}") from exc
+
+
+def _array(value, ptr: str) -> np.ndarray:
+    """A JSON number or (nested) list of numbers as a float array, or
+    ConfigInvalid naming ``ptr``."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"{ptr}: must be numbers, got {value!r}") from exc
 
 
 def _pair(value, ptr: str) -> tuple:
@@ -189,7 +206,8 @@ def _coefficient(spec, grid: EpsGrid, ptr: str = "/coefficient") -> CoefficientN
                 density = _number(density, f"{ptr}/density")
             return CoefficientNet.mollified_measure(grid, masses, density)
         if kind == "tabulated":
-            return CoefficientNet.tabulated(grid, spec["xs"], spec["values"])
+            return CoefficientNet.tabulated(grid, _array(spec["xs"], f"{ptr}/xs"),
+                                            _array(spec["values"], f"{ptr}/values"))
     except KeyError as exc:
         raise ConfigInvalid(f"{ptr}: missing field {exc}") from exc
     raise ConfigInvalid(f"{ptr}/kind: unknown coefficient kind {kind!r}")
@@ -367,43 +385,53 @@ def gram_schmidt(config_path, out, grid_k, seed, parallel):
 def _generators(cfg: dict, grid: EpsGrid, seed: int) -> list:
     if "random" in cfg:
         r = cfg["random"]
+        if not isinstance(r, dict):
+            raise ConfigInvalid("/random: must be an object")
         rng = np.random.default_rng(seed)
-        m, d = int(r["m"]), int(r["d"])
-        powers = r.get("powers", [0] * m)
-        if len(powers) != m:
+        try:
+            m = _number(r["m"], "/random/m", int)
+            d = _number(r["d"], "/random/d", int)
+        except KeyError as exc:
+            raise ConfigInvalid(f"/random: missing field {exc}") from exc
+        powers = _array(r.get("powers", [0] * m), "/random/powers")
+        if powers.shape != (m,):
             raise ConfigInvalid("/random/powers: must list one exponent per generator")
         vecs = rng.standard_normal((m, d))
         return [
-            GenVector(grid, grid.values[:, None] ** float(p) * v[None, :])
-            for p, v in zip(powers, vecs)
+            GenVector(grid, grid.values[:, None] ** p * v[None, :])
+            for p, v in zip(powers.tolist(), vecs)
         ]
     specs = cfg.get("generators")
     if not isinstance(specs, list) or not specs:
         raise ConfigInvalid("/generators: need a nonempty list (or a /random object)")
     gens = []
-    for s in specs:
+    for j, s in enumerate(specs):
+        ptr = f"/generators/{j}"
         if not isinstance(s, dict):
-            raise ConfigInvalid(f"/generators/{len(gens)}: must be an object")
+            raise ConfigInvalid(f"{ptr}: must be an object")
         kind = s.get("kind")
-        if kind == "constant":
-            gens.append(GenVector.constant(np.asarray(s["vector"], dtype=float), grid))
-        elif kind == "power_scaled":
-            v = np.asarray(s["vector"], dtype=float)
-            p = float(s.get("power", 0.0))
-            gens.append(GenVector(grid, grid.values[:, None] ** p * v[None, :]))
-        elif kind == "power_tower":
-            # sample norm eps_k^k: scales drift without bound across the grid
-            v = np.asarray(s["vector"], dtype=float)
-            v = v / np.linalg.norm(v)
-            ks = np.arange(1, grid.K + 1, dtype=float)
-            gens.append(GenVector(grid, (grid.values ** ks)[:, None] * v[None, :]))
-        elif kind == "samples":
-            vals = np.asarray(s["values"], dtype=float)
-            if vals.ndim != 2 or vals.shape[0] != grid.K:
-                raise ConfigInvalid(f"/generators/{len(gens)}/values: must be (K, d)")
-            gens.append(GenVector(grid, vals))
-        else:
-            raise ConfigInvalid(f"/generators/{len(gens)}/kind: unknown generator kind {kind!r}")
+        try:
+            if kind == "constant":
+                gens.append(GenVector.constant(_array(s["vector"], f"{ptr}/vector"), grid))
+            elif kind == "power_scaled":
+                v = _array(s["vector"], f"{ptr}/vector")
+                p = _number(s.get("power", 0.0), f"{ptr}/power")
+                gens.append(GenVector(grid, grid.values[:, None] ** p * v[None, :]))
+            elif kind == "power_tower":
+                # sample norm eps_k^k: scales drift without bound across the grid
+                v = _array(s["vector"], f"{ptr}/vector")
+                v = v / np.linalg.norm(v)
+                ks = np.arange(1, grid.K + 1, dtype=float)
+                gens.append(GenVector(grid, (grid.values ** ks)[:, None] * v[None, :]))
+            elif kind == "samples":
+                vals = _array(s["values"], f"{ptr}/values")
+                if vals.ndim != 2 or vals.shape[0] != grid.K:
+                    raise ConfigInvalid(f"{ptr}/values: must be (K, d)")
+                gens.append(GenVector(grid, vals))
+            else:
+                raise ConfigInvalid(f"{ptr}/kind: unknown generator kind {kind!r}")
+        except KeyError as exc:
+            raise ConfigInvalid(f"{ptr}: missing field {exc}") from exc
     return gens
 
 
@@ -417,7 +445,7 @@ def vi_solve(config_path, out, grid_k, seed, parallel):
     rhs = cfg.get("rhs")
     if not isinstance(rhs, list):
         raise ConfigInvalid("/rhs: must be a vector (list of numbers)")
-    c = GenVector.constant(np.asarray(rhs, dtype=float), grid)
+    c = GenVector.constant(_array(rhs, "/rhs"), grid)
     C = _convex_set(cfg.get("set"), grid)
     cert = certify_coercivity(T, policy)
     sol = vi_solve_contraction(T, c, C, cert, policy)
@@ -443,11 +471,14 @@ def _convex_set(spec, grid: EpsGrid) -> ConvexSetNet:
     if not isinstance(spec, dict):
         raise ConfigInvalid("/set: must be an object")
     kind = spec.get("kind")
-    if kind == "box":
-        return ConvexSetNet.box(grid, np.asarray(spec["lower"], dtype=float),
-                                np.asarray(spec["upper"], dtype=float))
-    if kind == "obstacle":
-        return ConvexSetNet.obstacle(grid, np.asarray(spec["lower"], dtype=float))
+    try:
+        if kind == "box":
+            return ConvexSetNet.box(grid, _array(spec["lower"], "/set/lower"),
+                                    _array(spec["upper"], "/set/upper"))
+        if kind == "obstacle":
+            return ConvexSetNet.obstacle(grid, _array(spec["lower"], "/set/lower"))
+    except KeyError as exc:
+        raise ConfigInvalid(f"/set: missing field {exc}") from exc
     raise ConfigInvalid(f"/set/kind: unknown set kind {kind!r}")
 
 

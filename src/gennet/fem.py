@@ -87,17 +87,48 @@ def mollify_measure(masses, density, eps: float, points) -> np.ndarray:
     for x0, w in masses:
         vals = vals + float(w) * mollifier_eval(points, eps, center=float(x0))
     if density is not None:
-        f = density if callable(density) else (lambda y, _c=float(density): np.full_like(y, _c))
-        nodes, weights = np.polynomial.legendre.leggauss(12)
-        panels = np.linspace(-eps, eps, 13)
-        mid = 0.5 * (panels[:-1] + panels[1:])
-        half = 0.5 * (panels[1] - panels[0])
-        offs = (mid[:, None] + half * nodes[None, :]).ravel()
-        q = mollifier_eval(offs, eps) * np.tile(half * weights, 12)
-        q = q / q.sum()
-        y = points[:, None] - offs[None, :]
-        vals = vals + np.sum(f(y) * q[None, :], axis=1)
+        vals = vals + _density_convolution(density, eps, points)
     return vals
+
+
+def _density_convolution(density, eps: float, points: np.ndarray) -> np.ndarray:
+    """(density * phi_eps) at the points by the renormalized 12x12 Gauss rule."""
+    f = density if callable(density) else (lambda y, _c=float(density): np.full_like(y, _c))
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    panels = np.linspace(-eps, eps, 13)
+    mid = 0.5 * (panels[:-1] + panels[1:])
+    half = 0.5 * (panels[1] - panels[0])
+    offs = (mid[:, None] + half * nodes[None, :]).ravel()
+    q = mollifier_eval(offs, eps) * np.tile(half * weights, 12)
+    q = q / q.sum()
+    y = points[:, None] - offs[None, :]
+    return np.sum(f(y) * q[None, :], axis=1)
+
+
+def _point_mass_net(x: np.ndarray, eps: np.ndarray, center: float):
+    """phi_eps(x - center) for every eps of the grid, on its support only.
+
+    Returns (k, i, phi): the grid and point indices with
+    |x_i - center| / eps_k < 1 and ``mollifier_eval``'s value there, bit
+    for bit; phi is zero everywhere else.  The points are sorted by
+    distance once, so each eps_k's candidates |x_i - center| < eps_k are
+    a prefix found by ``searchsorted`` (a point at eps_k or beyond has a
+    rounded ratio of at least 1), and the work and memory follow the
+    support sizes rather than K times the number of points.
+    """
+    d = x - center
+    dist = np.abs(d)
+    order = np.argsort(dist)
+    counts = np.searchsorted(dist[order], eps)
+    k = np.repeat(np.arange(eps.size), counts)
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    i = order[np.arange(k.size) - starts]
+    t = d[i] / eps[k]
+    inside = np.abs(t) < 1.0
+    k, i, t = k[inside], i[inside], t[inside]
+    with np.errstate(divide="ignore", over="ignore"):
+        phi = _MOLLIFIER_NORM * np.exp(-1.0 / (1.0 - t ** 2)) / eps[k]
+    return k, i, phi
 
 
 @dataclass(frozen=True)
@@ -133,8 +164,14 @@ class Mesh1D:
 class CoefficientNet:
     """A coefficient function sampled along the eps grid.
 
-    Construct through the classmethods; ``eval(k, x)`` returns values
-    at the points x for grid index k (0-based).
+    Construct through the classmethods; ``eval(x)`` returns the whole
+    net at the points x, a (K, x.size) array whose row k holds the
+    values for grid index k (0-based).  Constants and ``heaviside_nu``
+    broadcast over the grid (a constant comes back as a read-only
+    broadcast view), and each point mass of a mollified measure is
+    evaluated only on its eps-support; tabulated values and a mollified
+    density loop over the grid inside the method.  Every value is the
+    one a per-sample evaluation gives, bit for bit.
     """
 
     def __init__(self, grid: EpsGrid, kind: str, data: dict):
@@ -172,18 +209,28 @@ class CoefficientNet:
             raise InvalidSpec("tabulated values must be (len(xs),) or (K, len(xs))")
         return cls(grid, "tabulated", {"xs": xs, "values": values})
 
-    def eval(self, k: int, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        eps = self.grid.values[k]
+    def eval(self, x) -> np.ndarray:
+        x = np.ravel(np.asarray(x, dtype=float))
+        eps = self.grid.values
         if self.kind == "constant":
-            return np.full_like(x, self.data["value"])
+            return np.broadcast_to(self.data["value"], (eps.size, x.size))
         if self.kind == "heaviside_nu":
-            low = eps ** self.data["nu_exponent"]
-            return np.where(x > self.data["jump_at"], self.data["high"], low)
+            # scalar powers, as per sample: numpy's array power may round
+            # differently in the last bit
+            low = np.array([e ** self.data["nu_exponent"] for e in eps])
+            return np.where(x > self.data["jump_at"], self.data["high"], low[:, None])
         if self.kind == "mollified_measure":
-            return mollify_measure(self.data["masses"], self.data["density"], eps, x)
+            out = np.zeros((eps.size, x.size))
+            for x0, w in self.data["masses"]:
+                k, i, phi = _point_mass_net(x, eps, x0)
+                out[k, i] += w * phi
+            density = self.data["density"]
+            if density is not None:
+                for k, e in enumerate(eps):
+                    out[k] += _density_convolution(density, e, x)
+            return out
         if self.kind == "tabulated":
-            return np.interp(x, self.data["xs"], self.data["values"][k])
+            return np.stack([np.interp(x, self.data["xs"], v) for v in self.data["values"]])
         raise InvalidSpec(f"unknown coefficient kind {self.kind!r}")
 
     def to_json(self) -> dict:
@@ -225,29 +272,29 @@ class ProblemSpec:
             if not xl < float(x0) < xr:
                 raise InvalidSpec("point loads must sit inside the open interval")
 
-    def rhs_values(self, k: int, x: np.ndarray) -> np.ndarray:
+    def rhs_values(self, x: np.ndarray) -> np.ndarray:
+        """The load f at the points x for every grid point, a (K, x.size) net."""
+        shape = (self.grid.K, x.size)
         if isinstance(self.rhs, CoefficientNet):
-            return self.rhs.eval(k, x)
+            return self.rhs.eval(x)
         if callable(self.rhs):
-            return np.asarray(self.rhs(x), dtype=float)
-        return np.full_like(x, float(self.rhs))
+            return np.broadcast_to(np.asarray(self.rhs(x), dtype=float), shape)
+        return np.broadcast_to(float(self.rhs), shape)
 
-    def obstacle_nodal(self, k: int) -> np.ndarray:
+    def obstacle_nodal(self) -> np.ndarray:
+        """The obstacle at the mesh nodes for every grid point, a (K, n+1) net."""
         xs = self.mesh.nodes
+        shape = (self.grid.K, xs.size)
         psi = self.obstacle
         if psi is None:
             raise InvalidSpec("no obstacle in this problem")
         if isinstance(psi, CoefficientNet):
-            return psi.eval(k, xs)
-        if callable(psi):
-            return np.asarray(psi(xs), dtype=float)
-        arr = np.asarray(psi, dtype=float)
-        if arr.ndim == 0:
-            return np.full_like(xs, float(arr))
-        if arr.shape == xs.shape:
+            return psi.eval(xs)
+        arr = np.asarray(psi(xs) if callable(psi) else psi, dtype=float)
+        if arr.ndim == 0 or arr.shape == xs.shape:
+            return np.broadcast_to(arr, shape)
+        if arr.shape == shape:
             return arr
-        if arr.ndim == 2 and arr.shape == (self.grid.K, xs.size):
-            return arr[k]
         raise InvalidSpec("obstacle values do not match the mesh nodes")
 
 
@@ -275,30 +322,28 @@ def _assemble_all(spec: ProblemSpec):
     xs = mesh.nodes
     pts, wts = mesh.gauss_points()
     flat = pts.ravel()
-
-    def at_gauss(values):
-        return np.stack([values(k, flat) for k in range(K)]).reshape(K, n, 3)
-
-    a_vals = at_gauss(spec.diffusion.eval)
+    a_vals = spec.diffusion.eval(flat).reshape(K, n, 3)
     stiff = a_vals @ wts / h ** 2  # integral of a per element, / h^2
     a_min, a_max = a_vals.min(axis=(1, 2)), a_vals.max(axis=(1, 2))
     del a_vals
-    # full-node bands: diag[:, i] = A_ii, off[:, i] = A_i,i+1
-    diag = np.zeros((K, n + 1))
+    # full-node bands in solve_banded layout; diag[:, i] = A_ii and
+    # off[:, i] = A_i,i+1 are views of its diagonal and superdiagonal rows
+    bands = np.zeros((K, 3, n + 1))
+    diag, off = bands[:, 1], bands[:, 0, 1:]
     diag[:, :-1] += stiff
     diag[:, 1:] += stiff
-    off = -stiff
+    np.negative(stiff, out=off)
     c_min = np.zeros(K)
     if spec.potential is not None:
-        c_vals = at_gauss(spec.potential.eval)
+        c_vals = spec.potential.eval(flat).reshape(K, n, 3)
         diag[:, :-1] += c_vals @ (wts * _N1 * _N1)
         diag[:, 1:] += c_vals @ (wts * _N2 * _N2)
-        off = off + c_vals @ (wts * _N1 * _N2)
+        off += c_vals @ (wts * _N1 * _N2)
         c_min = c_vals.min(axis=(1, 2))
         del c_vals
 
     b = np.zeros((K, n + 1))
-    f_vals = at_gauss(spec.rhs_values)
+    f_vals = spec.rhs_values(flat).reshape(K, n, 3)
     b[:, :-1] += f_vals @ (wts * _N1)
     b[:, 1:] += f_vals @ (wts * _N2)
     del f_vals
@@ -315,7 +360,8 @@ def _assemble_all(spec: ProblemSpec):
     # interior rows of the full-node system applied to the lifting
     lift = (diag[:, 1:-1] * gtilde[:, 1:-1] + off[:, :-1] * gtilde[:, :-2]
             + off[:, 1:] * gtilde[:, 2:])
-    T = TridiagonalOperator.symmetric(grid, diag[:, 1:-1], off[:, 1:-1])
+    bands[:, 2, :-1] = off
+    T = TridiagonalOperator(grid, bands[:, :, 1:-1])
     return T, b[:, 1:-1] - lift, gtilde, a_min, a_max, c_min
 
 
@@ -444,16 +490,23 @@ def _write_nodal_csv(path, mesh: Mesh1D, u: GenVector):
     nodes 0..n.  The eps, x and u cells equal the ``repr`` of the Python
     float; they come from ``format_cells`` (orjson, with the ``repr``
     fallback outside 1e-4 <= |v| < 1e16), u's whole net in one call.
+    Each eps block is written with one ``"".join`` over a list of three
+    parts per row that holds the ``node_index,x,`` cells once; per block
+    only the heads and that block's slice of the u cells are
+    slice-assigned into it.  A head carries the newline that ends the
+    row before it, so the file ends with one more newline.
     """
     width = mesh.nodes.size
     values = format_cells(u.samples.ravel())
-    nodes = [f"{i},{x}," for i, x in enumerate(format_cells(mesh.nodes))]
+    parts = [""] * (3 * width)
+    parts[1::3] = [f"{i},{x}," for i, x in enumerate(format_cells(mesh.nodes))]
     with open(path, "w", newline="") as fh:
-        fh.write("k,eps,node_index,x,u\n")
+        fh.write("k,eps,node_index,x,u")
         for k, eps in enumerate(format_cells(u.grid.values), 1):
-            head = f"{k},{eps},"
-            row = values[(k - 1) * width:k * width]
-            fh.write("".join([f"{head}{node}{v}\n" for node, v in zip(nodes, row)]))
+            parts[0::3] = [f"\n{k},{eps},"] * width
+            parts[2::3] = values[(k - 1) * width:k * width]
+            fh.write("".join(parts))
+        fh.write("\n")
 
 
 def solve_dirichlet(spec: ProblemSpec, policy: NumericPolicy) -> DirichletResult:
@@ -508,7 +561,7 @@ def solve_obstacle(spec: ProblemSpec, policy: NumericPolicy,
     _check_diffusion_bounds(spec, a_min, a_max, policy)
     cert = _certificate(spec, a_min, c_min, policy)
 
-    psi = np.stack([spec.obstacle_nodal(k) for k in range(spec.grid.K)])
+    psi = spec.obstacle_nodal()
     low_gap = psi[:, 0] - gtilde[:, 0]
     high_gap = psi[:, -1] - gtilde[:, -1]
     if np.any(low_gap > 0.0) or np.any(high_gap > 0.0):

@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal, solve_banded
+from scipy.linalg import eigvalsh_tridiagonal, lapack
 
-from .errors import DimMismatch, GridMismatch
+from .errors import DimMismatch, GridMismatch, SingularSample
 from .gennum import EpsGrid, GenScalar, NumericPolicy, _tail_positions
 from .hilbert import GenVector
 
@@ -76,9 +76,22 @@ class BasicOperator:
         """Batched product T_k u_k of a (K, d_in) array."""
         return np.einsum("kij,kj->ki", self.samples, u)
 
-    def solve(self, k: int, b: np.ndarray) -> np.ndarray:
-        """Solve T_k x = b for grid index k (0-based); LinAlgError if singular."""
-        return np.linalg.solve(self.samples[k], b)
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve T_k x_k = b_k for every sample of a (K, d) array at once.
+
+        One batched LAPACK ``?gesv`` call; if any sample is singular the
+        samples are tried one by one so that SingularSample names the
+        first singular grid index (1-based).
+        """
+        try:
+            return np.linalg.solve(self.samples, b[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            for k in range(self.grid.K):
+                try:
+                    np.linalg.solve(self.samples[k], b[k])
+                except np.linalg.LinAlgError as exc:
+                    raise SingularSample(k + 1) from exc
+            raise
 
     def compose(self, other: "BasicOperator") -> "BasicOperator":
         """Net of matrix products self_k @ other_k."""
@@ -115,8 +128,10 @@ class TridiagonalOperator:
     ``samples[k]`` is the (3, m) banded form that scipy.linalg.solve_banded
     takes for one sub- and one superdiagonal: row 0 holds the
     superdiagonal shifted right, row 1 the diagonal, row 2 the
-    subdiagonal; the two corners are unused.  Self-adjoint by
-    construction.
+    subdiagonal.  The two unused corners, ``[:, 0, 0]`` and ``[:, 2, -1]``,
+    are set to zero: laid end to end, the K samples then form one
+    block-diagonal tridiagonal matrix with zero couplings, which ``solve``
+    hands to LAPACK in a single call.  Self-adjoint by construction.
     """
 
     grid: EpsGrid
@@ -128,6 +143,8 @@ class TridiagonalOperator:
             raise ValueError("samples must have shape (K, 3, m)")
         if not np.array_equal(arr[:, 0, 1:], arr[:, 2, :-1]):
             raise ValueError("super- and subdiagonal bands differ: not symmetric")
+        arr[:, 0, 0] = 0.0
+        arr[:, 2, -1] = 0.0
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
@@ -153,9 +170,28 @@ class TridiagonalOperator:
         out[:, :-1] += self.samples[:, 0, 1:] * u[:, 1:]
         return out
 
-    def solve(self, k: int, b: np.ndarray) -> np.ndarray:
-        """Solve T_k x = b for grid index k (0-based); LinAlgError if singular."""
-        return solve_banded((1, 1), self.samples[k], b, check_finite=False)
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve T_k x_k = b_k for every sample of a (K, m) array at once.
+
+        One LAPACK ``?gtsv`` call on the (K m) x (K m) block-diagonal
+        stack of the samples, whose couplings are the zeroed corners.
+        Partial pivoting never swaps a row across a zero coupling, so
+        each block gets exactly the arithmetic of its own
+        ``solve_banded((1, 1), ...)`` call.  A zero pivot raises
+        SingularSample naming the grid index (1-based) of its block.
+        """
+        K, m = b.shape
+        sub, diag, sup = (self.samples[:, row].flatten() for row in (2, 1, 0))
+        if K * m > 1:  # a 1 x 1 stack keeps one dummy off-diagonal entry for f2py
+            sub, sup = sub[:-1], sup[1:]
+        gtsv = lapack.zgtsv if np.iscomplexobj(b) else lapack.dgtsv
+        _, _, _, x, info = gtsv(sub, diag, sup, b.reshape(K * m, 1),
+                                overwrite_dl=True, overwrite_d=True, overwrite_du=True)
+        if info > 0:
+            raise SingularSample((info - 1) // m + 1)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of ?gtsv")
+        return x.reshape(K, m)
 
     def eig_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Lowest and highest eigenvalue of every sample, each of shape (K,)."""

@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from gennet import NoConvergence
+from gennet import CoefficientNet, NoConvergence, mollify_measure
 
 
 def project_box(z, lower, upper):
@@ -135,14 +135,36 @@ def point_load_exact(x, x0):
     return np.where(x <= x0, (1.0 - x0) * x, x0 * (1.0 - x))
 
 
+def coefficient_per_k(coef, k, x):
+    """A CoefficientNet's values at the points x for grid index k (0-based).
+
+    The per-sample evaluation the library ran before its batched
+    ``CoefficientNet.eval``: scalar powers for the Heaviside level, the
+    per-sample ``mollify_measure`` sum for point masses and density, and
+    one ``np.interp`` per sample for tabulated values.
+    """
+    x = np.asarray(x, dtype=float)
+    eps = coef.grid.values[k]
+    if coef.kind == "constant":
+        return np.full_like(x, coef.data["value"])
+    if coef.kind == "heaviside_nu":
+        low = eps ** coef.data["nu_exponent"]
+        return np.where(x > coef.data["jump_at"], coef.data["high"], low)
+    if coef.kind == "mollified_measure":
+        return mollify_measure(coef.data["masses"], coef.data["density"], eps, x)
+    if coef.kind == "tabulated":
+        return np.interp(x, coef.data["xs"], coef.data["values"][k])
+    raise ValueError(f"unknown coefficient kind {coef.kind!r}")
+
+
 def assemble_p1_dense(spec, k):
     """Dense P1 system of grid point k (0-based) for a 1D ProblemSpec.
 
     Element by element with np.add.at and a three-point Gauss rule on
     every element, boundary data lifted linearly.  Reads only the spec's
-    fields and the coefficients' per-sample ``eval``.  Returns (A, b,
-    gtilde): the interior stiffness matrix, the interior load after
-    lifting, and the full nodal lifting function.
+    fields and evaluates the coefficients through ``coefficient_per_k``.
+    Returns (A, b, gtilde): the interior stiffness matrix, the interior
+    load after lifting, and the full nodal lifting function.
     """
     def per_k(v):
         samples = getattr(v, "samples", None)
@@ -159,17 +181,23 @@ def assemble_p1_dense(spec, k):
     idx = np.arange(n)
 
     A = np.zeros((n + 1, n + 1))
-    a_vals = spec.diffusion.eval(k, pts.ravel()).reshape(n, 3)
+    a_vals = coefficient_per_k(spec.diffusion, k, pts.ravel()).reshape(n, 3)
     stiff = a_vals @ wts / h ** 2
     for i, j, sign in ((0, 0, 1.0), (1, 1, 1.0), (0, 1, -1.0), (1, 0, -1.0)):
         np.add.at(A, (idx + i, idx + j), sign * stiff)
     if spec.potential is not None:
-        c_vals = spec.potential.eval(k, pts.ravel()).reshape(n, 3)
+        c_vals = coefficient_per_k(spec.potential, k, pts.ravel()).reshape(n, 3)
         for i, j, Ni, Nj in ((0, 0, N1, N1), (1, 1, N2, N2), (0, 1, N1, N2), (1, 0, N2, N1)):
             np.add.at(A, (idx + i, idx + j), c_vals @ (wts * Ni * Nj))
 
     b = np.zeros(n + 1)
-    f_vals = spec.rhs_values(k, pts.ravel()).reshape(n, 3)
+    if isinstance(spec.rhs, CoefficientNet):
+        f_vals = coefficient_per_k(spec.rhs, k, pts.ravel())
+    elif callable(spec.rhs):
+        f_vals = np.asarray(spec.rhs(pts.ravel()), dtype=float)
+    else:
+        f_vals = np.full(pts.size, float(spec.rhs))
+    f_vals = f_vals.reshape(n, 3)
     np.add.at(b, idx, f_vals @ (wts * N1))
     np.add.at(b, idx + 1, f_vals @ (wts * N2))
     for x0, weight in spec.point_loads:

@@ -275,6 +275,36 @@ def test_malformed_problem_fields_are_config_errors(tmp_path, capsys, field, nee
     assert "Traceback" not in err
 
 
+_VI = {"operator": {"kind": "constant", "matrix": [[1.0]]}, "rhs": [1.0],
+       "set": {"kind": "box", "lower": [0.0], "upper": [1.0]}}
+
+
+@pytest.mark.parametrize("cfg,args,needle", [
+    ({"nets": [{"kind": "power", "a": "x"}]}, ["gennum-check"], "/nets/0/a"),
+    ({"nets": [{"kind": "samples", "values": ["x"] * K_DEFAULT}]}, ["gennum-check"],
+     "/nets/0/values"),
+    ({**_VI, "set": {"kind": "box", "lower": ["a"], "upper": [1.0]}}, ["vi-solve"],
+     "/set/lower"),
+    ({**_VI, "rhs": ["a"]}, ["vi-solve"], "/rhs"),
+    ({"operator": {"kind": "constant", "matrix": [["x"]]}}, ["classify-op"],
+     "/operator/matrix"),
+    ({"operator": {"kind": "diag_powers", "powers": [1.0, [2.0]]}}, ["classify-op"],
+     "/operator/powers"),
+    ({"generators": [{"kind": "constant", "vector": ["x", 1.0]}]}, ["gram-schmidt"],
+     "/generators/0/vector"),
+    ({"problem": {"interval": [0.0, 1.0], "n_elems": 16, "diffusion": 1.0,
+                  "potential": {"kind": "tabulated", "xs": [0.0, "x"], "values": [1.0, 1.0]}}},
+     ["solve-dirichlet"], "/problem/potential/xs"),
+], ids=["power", "samples", "box", "rhs", "matrix", "powers", "vector", "tabulated"])
+def test_malformed_numbers_are_config_errors(tmp_path, capsys, cfg, args, needle):
+    path = _write_config(tmp_path, "bad.json", cfg)
+    rc = _run(args + ["--config", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "config error" in err and needle in err
+    assert "Traceback" not in err
+
+
 def test_import_loads_no_scipy_beyond_linalg():
     # scipy.integrate alone drags in optimize, special, sparse, spatial and fft,
     # which makes the start-up of every command nearly twice as long

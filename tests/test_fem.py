@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from _oracles import (
     assemble_p1_dense,
     bands_to_dense,
+    coefficient_per_k,
     cosh_exact,
     obstacle_exact,
     point_load_exact,
@@ -101,22 +102,62 @@ def test_mollified_constant_density_keeps_its_floor():
 def test_coefficient_kinds_evaluate():
     x = np.linspace(-1.0, 1.0, 9)
     const = CoefficientNet.constant(GRID, 2.5)
-    assert np.all(const.eval(0, x) == 2.5)
+    assert const.eval(x).shape == (GRID.K, x.size)
+    assert np.all(const.eval(x) == 2.5)
 
     heav = CoefficientNet.heaviside_nu(GRID, nu_exponent=2.0, jump_at=0.0, high=3.0)
-    vals = heav.eval(3, x)  # eps_4 = 2**-4
+    vals = heav.eval(x)[3]  # eps_4 = 2**-4
     low = GRID.values[3] ** 2.0
     assert np.all(vals[x > 0.0] == 3.0)
     assert np.all(vals[x <= 0.0] == low)
 
     tab = CoefficientNet.tabulated(GRID, [0.0, 1.0], [1.0, 3.0])
-    assert np.allclose(tab.eval(0, [0.5]), 2.0)
+    assert np.allclose(tab.eval([0.5]), 2.0)
     with pytest.raises(InvalidSpec):
         CoefficientNet.tabulated(GRID, [0.0, 1.0], np.ones((5, 2)))
     with pytest.raises(InvalidSpec):
         CoefficientNet.heaviside_nu(GRID, nu_exponent=0.0)
     with pytest.raises(InvalidSpec):
-        CoefficientNet(GRID, "nope", {}).eval(0, x)
+        CoefficientNet(GRID, "nope", {}).eval(x)
+
+
+@seed(20261018)
+@settings(max_examples=120, deadline=None)
+@given(
+    K=st.integers(min_value=8, max_value=30),
+    base=st.floats(min_value=0.2, max_value=0.9),
+    kind=st.sampled_from(["constant", "heaviside_nu", "masses", "density",
+                          "callable_density", "tabulated"]),
+    draw=st.integers(0, 2**32 - 1),
+)
+def test_batched_coefficient_eval_matches_the_per_sample_oracle(K, base, kind, draw):
+    rng = np.random.default_rng(draw)
+    grid = EpsGrid.geometric(K, base)
+    centers = rng.uniform(-0.5, 0.5, 2)
+    jump = float(rng.uniform(-0.5, 0.5))
+    # random points in any order, plus points at the jump, at the centers
+    # and at distance eps_k from them, where the mollifier's support ends
+    x = np.concatenate([rng.uniform(-1.0, 1.0, int(rng.integers(0, 300))), [jump],
+                        centers, (centers[:, None] + grid.values[None, :]).ravel(),
+                        (centers[:, None] - grid.values[None, :]).ravel()])
+    rng.shuffle(x)
+    masses = [(float(x0), float(w)) for x0, w in zip(centers, rng.uniform(-3.0, 3.0, 2))]
+    coef = {
+        "constant": lambda: CoefficientNet.constant(grid, float(rng.normal())),
+        "heaviside_nu": lambda: CoefficientNet.heaviside_nu(
+            grid, nu_exponent=float(rng.uniform(0.1, 3.0)), jump_at=jump,
+            high=float(rng.uniform(0.5, 2.0))),
+        "masses": lambda: CoefficientNet.mollified_measure(grid, masses),
+        "density": lambda: CoefficientNet.mollified_measure(grid, masses[:1], density=2.5),
+        "callable_density": lambda: CoefficientNet.mollified_measure(
+            grid, [], density=lambda y: np.sin(3.0 * y)),
+        "tabulated": lambda: CoefficientNet.tabulated(
+            grid, np.linspace(-1.0, 1.0, 7), rng.normal(size=(K, 7))),
+    }[kind]()
+    got = coef.eval(x)
+    assert got.shape == (K, x.size)
+    expected = np.stack([coefficient_per_k(coef, k, x) for k in range(K)])
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_coefficient_json_is_serializable():

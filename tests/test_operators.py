@@ -1,7 +1,12 @@
 """Matrix nets: adjoints, operator norms, and structural classification."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from _oracles import bands_to_dense
 from gennet import (
@@ -14,6 +19,7 @@ from gennet import (
     GeneratorSet,
     GridMismatch,
     NumericPolicy,
+    SingularSample,
     TridiagonalOperator,
     adjoint,
     apply,
@@ -192,15 +198,89 @@ def test_band_net_solves_and_bounds_like_its_dense_matrices():
     assert np.all(np.abs(hi - eigs[:, -1]) <= 1e-12 * scale)
     assert np.allclose(op_norm_net(T).samples, scale, rtol=1e-12, atol=0.0)
     b = rng.standard_normal((GRID.K, m))
-    for k in range(GRID.K):
-        assert np.allclose(T.solve(k, b[k]), np.linalg.solve(dense[k], b[k]),
-                           rtol=1e-10, atol=1e-12)
+    assert np.allclose(T.solve(b), np.linalg.solve(dense, b[..., None])[..., 0],
+                       rtol=1e-10, atol=1e-12)
     assert T.dims == (m, m) and T.samples.shape == (GRID.K, 3, m)
     with pytest.raises(ValueError):
         TridiagonalOperator(GRID, np.zeros((GRID.K, 2, m)))
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(SingularSample):
         TridiagonalOperator.symmetric(GRID, np.zeros((GRID.K, 3)),
-                                      np.zeros((GRID.K, 2))).solve(0, np.ones(3))
+                                      np.zeros((GRID.K, 2))).solve(np.ones((GRID.K, 3)))
+
+
+def _band_net(rng, K, m, zero_couplings=0.0):
+    """A (K, 3, m) symmetric band net with sign-changing diagonals whose
+    scale moves across the samples; ``zero_couplings`` is the share of
+    off-diagonal entries set to zero, which splits samples into blocks."""
+    diag = rng.uniform(-3.0, 3.0, (K, m)) * 10.0 ** rng.uniform(-3.0, 3.0, (K, 1))
+    off = rng.standard_normal((K, m - 1)) * (rng.random((K, m - 1)) >= zero_couplings)
+    bands = np.zeros((K, 3, m))
+    bands[:, 1] = diag
+    bands[:, 0, 1:] = off
+    bands[:, 2, :-1] = off
+    return bands
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None)
+@given(K=st.integers(1, 30), m=st.integers(1, 40), draw=st.integers(0, 2**32 - 1),
+       zero_couplings=st.sampled_from([0.0, 0.3]))
+@example(K=1, m=1, draw=1, zero_couplings=0.0)
+@example(K=1, m=25, draw=2, zero_couplings=0.0)
+@example(K=24, m=1, draw=3, zero_couplings=0.0)
+def test_stacked_band_solve_equals_per_sample_solve_banded(K, m, draw, zero_couplings):
+    # the solve reads no grid values, so K < 8 (below EpsGrid's minimum)
+    # goes through a stand-in grid that only knows K
+    rng = np.random.default_rng(draw)
+    T = TridiagonalOperator(SimpleNamespace(K=K), _band_net(rng, K, m, zero_couplings))
+    b = rng.standard_normal((K, m)) * 10.0 ** rng.uniform(-3.0, 3.0, (K, 1))
+    expected = np.stack([solve_banded((1, 1), T.samples[k], b[k], check_finite=False)
+                         for k in range(K)])
+    got = T.solve(b)
+    assert got.shape == (K, m)
+    assert got.tobytes() == expected.tobytes()
+
+
+# singular 6 x 6 band samples whose first zero pivot turns up in the first
+# row, in a middle row (two 2 x 2 blocks [[1, 1], [1, 1]]), and in the last row
+_SINGULAR_BANDS = {
+    "first_row": np.zeros((3, 6)),
+    "middle_row": [[0, 1, 0, 1, 0, 0], [1, 1, 1, 1, 2, 2], [1, 0, 1, 0, 0, 0]],
+    "last_row": [[0, 0, 0, 0, 0, 0], [1, 2, 3, 4, 5, 0], [0, 0, 0, 0, 0, 0]],
+}
+
+
+@pytest.mark.parametrize("pattern", sorted(_SINGULAR_BANDS))
+@pytest.mark.parametrize("k_bad", [1, 12, GRID.K])
+def test_singular_sample_names_its_grid_index(k_bad, pattern):
+    rng = np.random.default_rng(240 + k_bad)
+    m = 6
+    bands = _band_net(rng, GRID.K, m)
+    bands[:, 1] = np.abs(bands[:, 1]) + 4.0 * np.abs(bands[:, 0]).max()  # dominant: regular
+    bands[k_bad - 1] = _SINGULAR_BANDS[pattern]
+    if k_bad < GRID.K:  # a second singular sample further on: the first is named
+        bands[GRID.K - 1] = 0.0
+    b = rng.standard_normal((GRID.K, m))
+    band = TridiagonalOperator(GRID, bands)
+    for T in (band, BasicOperator(GRID, bands_to_dense(band.samples))):
+        with pytest.raises(SingularSample) as err:
+            T.solve(b)
+        assert err.value.k == k_bad
+
+
+def test_band_corners_are_zeroed_so_they_never_couple_samples():
+    rng = np.random.default_rng(243)
+    bands = _band_net(rng, GRID.K, 7)
+    clean = TridiagonalOperator(GRID, bands)
+    bands[:, 0, 0] = np.nan
+    bands[:, 2, -1] = np.nan
+    T = TridiagonalOperator(GRID, bands)
+    assert np.all(T.samples[:, 0, 0] == 0.0) and np.all(T.samples[:, 2, -1] == 0.0)
+    assert T.samples.tobytes() == clean.samples.tobytes()
+    b = rng.standard_normal((GRID.K, 7))
+    assert T.solve(b).tobytes() == clean.solve(b).tobytes()
+    assert np.all(np.isfinite(T.solve(b)))
+    assert T.matvec(b).tobytes() == clean.matvec(b).tobytes()
 
 
 def test_op_norm_bounds_application():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from _oracles import bands_to_dense, solve_box_vi
 from gennet import convex
@@ -396,7 +397,7 @@ def test_lax_milgram_checks_the_residual_after_the_last_refinement():
     class DampedIdentity(BasicOperator):
         calls = 0
 
-        def solve(self, k, b):
+        def solve(self, b):
             DampedIdentity.calls += 1
             return b / (1.0 + 1e-3)
 
@@ -404,12 +405,76 @@ def test_lax_milgram_checks_the_residual_after_the_last_refinement():
     c = GenVector(GRID, np.tile([0.6, 0.8], (GRID.K, 1)))
     cert = certify_coercivity(BasicOperator.identity(GRID, 2), POLICY)
     u = lax_milgram_solve(T, c, cert, POLICY)
-    assert DampedIdentity.calls == 4 * GRID.K
+    assert DampedIdentity.calls == 4  # one batched solve per round
     assert np.all(rnorm(u - c).samples <= RESIDUAL_REL * (1.0 + rnorm(c).samples))
     # a tighter target would need a fourth step, which is not taken
     with pytest.raises(ResidualTargetMissed) as err:
         lax_milgram_solve(T, c, cert, POLICY, rel_residual=1e-13)
     assert err.value.k == 1
+
+
+def test_refinement_touches_only_the_samples_short_of_the_target():
+    # the solve is off by 1e-3 on odd samples and by 1e-12 on even ones,
+    # which already meet the 1e-10 target and must keep their first solve
+    damping = np.where(np.arange(GRID.K) % 2 == 1, 1e-3, 1e-12)
+
+    class UnevenIdentity(BasicOperator):
+        def solve(self, b):
+            return b / (1.0 + damping[:, None])
+
+    T = UnevenIdentity(GRID, np.tile(np.eye(2), (GRID.K, 1, 1)))
+    c = GenVector(GRID, np.tile([0.6, 0.8], (GRID.K, 1)))
+    u = lax_milgram_solve(T, c, certify_coercivity(BasicOperator.identity(GRID, 2), POLICY),
+                          POLICY)
+    first = c.samples / (1.0 + damping[:, None])
+    assert u.samples[::2].tobytes() == first[::2].tobytes()
+    assert np.all(u.samples[1::2] != first[1::2])
+    assert np.all(rnorm(u - c).samples <= RESIDUAL_REL * (1.0 + rnorm(c).samples))
+
+
+@pytest.fixture
+def gtsv_calls(monkeypatch):
+    """Count every LAPACK ?gtsv call, whether made directly through
+    scipy.linalg.lapack or looked up by solve_banded's get_lapack_funcs."""
+    from scipy.linalg import _flapack, lapack
+
+    calls = []
+    for name in ("dgtsv", "zgtsv"):
+        original = getattr(lapack, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(lapack, name, counted)
+        monkeypatch.setattr(_flapack, name, counted)
+    memo = lapack.get_lapack_funcs.memo  # solve_banded's cached lookups
+    cached = dict(memo)
+    memo.clear()
+    yield calls
+    memo.clear()
+    memo.update(cached)
+
+
+def test_band_lax_milgram_makes_one_lapack_call_per_round(gtsv_calls):
+    rng = np.random.default_rng(683)
+    m = 200
+    T = TridiagonalOperator.symmetric(GRID, rng.uniform(2.5, 3.5, (GRID.K, m)),
+                                      rng.uniform(-1.0, 1.0, (GRID.K, m - 1)))
+    c = _random_vector(rng, m)
+    cert = certify_coercivity(BasicOperator.identity(GRID, 1), POLICY)
+    lax_milgram_solve(T, c, cert, POLICY)
+    assert len(gtsv_calls) == 1
+    # a target no float64 solve can meet forces all three refinement rounds
+    gtsv_calls.clear()
+    with pytest.raises(ResidualTargetMissed):
+        lax_milgram_solve(T, c, cert, POLICY, rel_residual=1e-300)
+    assert len(gtsv_calls) == 4
+    # the counter sees per-sample solve_banded calls too
+    gtsv_calls.clear()
+    for k in range(GRID.K):
+        solve_banded((1, 1), T.samples[k], c.samples[k])
+    assert len(gtsv_calls) == GRID.K
 
 
 def test_band_contraction_matches_dense_contraction():
