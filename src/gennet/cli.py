@@ -68,28 +68,34 @@ def _build_grid(cfg: dict, grid_k: int | None) -> EpsGrid:
     gspec = cfg.get("grid", {})
     if not isinstance(gspec, dict):
         raise ConfigInvalid("/grid: must be an object")
-    K = grid_k if grid_k is not None else int(gspec.get("K", 24))
-    base = float(gspec.get("base", 0.5))
+    K = grid_k if grid_k is not None else _number(gspec.get("K", 24), "/grid/K", int)
+    base = _number(gspec.get("base", 0.5), "/grid/base")
     try:
         return EpsGrid.geometric(K=K, base=base)
     except ValueError as exc:
         raise ConfigInvalid(f"/grid: {exc}") from exc
 
 
-def _build_policy(cfg: dict) -> NumericPolicy:
+def _build_policy(cfg: dict, grid: EpsGrid) -> NumericPolicy:
     pspec = cfg.get("policy", {})
     if not isinstance(pspec, dict):
         raise ConfigInvalid("/policy: must be an object")
+    values = {key: _number(value, f"/policy/{key}", float if key == "tol_abs" else int)
+              for key, value in pspec.items()}
     try:
-        return NumericPolicy(**{k: pspec[k] for k in pspec})
-    except TypeError as exc:
+        policy = NumericPolicy(**values)
+    except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"/policy: {exc}") from exc
+    if policy.tail > grid.K:
+        raise ConfigInvalid(f"/policy/tail: {policy.tail} exceeds the grid length K = {grid.K}")
+    return policy
 
 
 def _load_setup(config_path: str, grid_k: int | None):
     """A command's config with the grid and numeric policy it declares."""
     cfg = _load_config(config_path)
-    return cfg, _build_grid(cfg, grid_k), _build_policy(cfg)
+    grid = _build_grid(cfg, grid_k)
+    return cfg, grid, _build_policy(cfg, grid)
 
 
 def _scalar_net(spec, grid: EpsGrid, ptr: str = "/nets") -> GenScalar:
@@ -151,11 +157,15 @@ def _operator_net(spec, grid: EpsGrid) -> BasicOperator:
 
 
 def _number(value, ptr: str, cast=float):
-    """``cast(value)``, or ConfigInvalid naming ``ptr`` if the value is not a number."""
+    """``cast(value)``, or ConfigInvalid naming ``ptr`` if the value is not a
+    number, or with ``cast=int`` not a whole number."""
     try:
-        return cast(value)
+        number = float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"{ptr}: must be a number, got {value!r}") from exc
+    if cast is int and not number.is_integer():
+        raise ConfigInvalid(f"{ptr}: must be an integer, got {value!r}")
+    return cast(number)
 
 
 def _array(value, ptr: str) -> np.ndarray:
@@ -275,11 +285,6 @@ _CONFIG_OPTS = [
                  help="Output directory for CSV and summary files."),
     click.option("--grid-K", "grid_k", default=None, type=int,
                  help="Override the number of grid points."),
-    click.option("--seed", default=0, type=int, show_default=True,
-                 help="Seed for randomized fixtures in configs."),
-    click.option("--parallel", default=False, type=bool, show_default=True,
-                 help="Accepted for compatibility; has no effect, since every "
-                      "command already works vectorised across the grid."),
 ]
 
 
@@ -296,7 +301,7 @@ def cli():
 
 @cli.command("gennum-check")
 @_with_config_opts
-def gennum_check(config_path, out, grid_k, seed, parallel):
+def gennum_check(config_path, out, grid_k):
     """Valuations, sharp norms, and negligibility/moderateness verdicts."""
     t0 = time.perf_counter()
     cfg, grid, policy = _load_setup(config_path, grid_k)
@@ -328,7 +333,7 @@ def gennum_check(config_path, out, grid_k, seed, parallel):
 
 @cli.command("classify-op")
 @_with_config_opts
-def classify_op(config_path, out, grid_k, seed, parallel):
+def classify_op(config_path, out, grid_k):
     """Isometric / unitary / self-adjoint / projection flags for an operator net."""
     t0 = time.perf_counter()
     cfg, grid, policy = _load_setup(config_path, grid_k)
@@ -349,7 +354,9 @@ def classify_op(config_path, out, grid_k, seed, parallel):
 
 @cli.command("gram-schmidt")
 @_with_config_opts
-def gram_schmidt(config_path, out, grid_k, seed, parallel):
+@click.option("--seed", default=0, type=int, show_default=True,
+              help="Seed for the /random generators.")
+def gram_schmidt(config_path, out, grid_k, seed):
     """Orthogonalize a generator set; exit 2 if no uniform scale exists."""
     t0 = time.perf_counter()
     cfg, grid, policy = _load_setup(config_path, grid_k)
@@ -437,7 +444,7 @@ def _generators(cfg: dict, grid: EpsGrid, seed: int) -> list:
 
 @cli.command("vi-solve")
 @_with_config_opts
-def vi_solve(config_path, out, grid_k, seed, parallel):
+def vi_solve(config_path, out, grid_k):
     """Projected contraction iteration for a small variational inequality."""
     t0 = time.perf_counter()
     cfg, grid, policy = _load_setup(config_path, grid_k)
@@ -484,7 +491,7 @@ def _convex_set(spec, grid: EpsGrid) -> ConvexSetNet:
 
 @cli.command("solve-dirichlet")
 @_with_config_opts
-def solve_dirichlet_cmd(config_path, out, grid_k, seed, parallel):
+def solve_dirichlet_cmd(config_path, out, grid_k):
     """P1 solve of -(a u')' + c u = f with Dirichlet data, per grid point."""
     t0 = time.perf_counter()
     cfg, grid, policy = _load_setup(config_path, grid_k)
@@ -509,7 +516,7 @@ def solve_dirichlet_cmd(config_path, out, grid_k, seed, parallel):
 
 @cli.command("solve-obstacle")
 @_with_config_opts
-def solve_obstacle_cmd(config_path, out, grid_k, seed, parallel):
+def solve_obstacle_cmd(config_path, out, grid_k):
     """Obstacle-constrained P1 solve via the projected contraction iteration."""
     t0 = time.perf_counter()
     cfg, grid, policy = _load_setup(config_path, grid_k)

@@ -220,9 +220,9 @@ def project_point(C: ConvexSetNet, u: GenVector, policy: NumericPolicy) -> GenVe
     projected to the fixed tolerance _DYKSTRA_TOL.
     """
     _check_compat(C, u)
-    if u.field_tag != "real":
+    if not u.is_real():
         raise DimMismatch("projection implemented for real vector nets")
-    return GenVector(u.grid, C.batched_projector()(u.samples), "real")
+    return GenVector(u.grid, C.batched_projector()(u.samples))
 
 
 def characterization_residual(C: ConvexSetNet, u: GenVector, v: GenVector,
@@ -246,7 +246,7 @@ def characterization_residual(C: ConvexSetNet, u: GenVector, v: GenVector,
         res = np.maximum(res, vals)
     if not probes:
         res = np.zeros(C.grid.K)
-    return GenScalar(C.grid, res, "real")
+    return GenScalar(C.grid, res)
 
 
 def midpoint_closure_check(C: ConvexSetNet, pairs, policy: NumericPolicy) -> bool:

@@ -25,10 +25,11 @@ import numpy as np
 
 from .convex import ConvexSetNet
 from .errors import CoercivityFailure, InvalidSpec
-from .gennum import (
+# ge_zero and invertible_wrt are no longer called here (CoercivityCertificate.from_alpha
+# decides validity), but perfbench/spans.py wraps them in this namespace by name.
+from .gennum import (  # noqa: F401
     EpsGrid,
     GenScalar,
-    IndexSet,
     NumericPolicy,
     format_cells,
     ge_zero,
@@ -413,10 +414,8 @@ def _certificate(spec: ProblemSpec, a_min, c_min, policy: NumericPolicy) -> Coer
     the bound is not invertible-nonnegative.
     """
     a = a_min * poincare_constant(spec.mesh) + np.minimum(c_min, 0.0) * spec.mesh.h
-    alpha = GenScalar(spec.grid, a)
-    nonneg = ge_zero(alpha, policy)
-    inv = invertible_wrt(alpha, IndexSet.full(spec.grid), policy)
-    if not (nonneg and inv.holds):
+    cert = CoercivityCertificate.from_alpha(GenScalar(spec.grid, a), policy)
+    if not cert.valid:
         eps = spec.grid.values
         bad = (a < -eps ** policy.q_neg) | (np.abs(a) < eps ** policy.m_inv)
         start = spec.grid.K - policy.tail
@@ -424,7 +423,7 @@ def _certificate(spec: ProblemSpec, a_min, c_min, policy: NumericPolicy) -> Coer
         raise CoercivityFailure(
             f"coercivity bound alpha = {a[k]:.6g} is not invertible-nonnegative "
             f"at grid point {k + 1}")
-    return CoercivityCertificate(alpha=alpha, witness_exponent=inv.witness, valid=True)
+    return cert
 
 
 def under_resolved_indices(spec: ProblemSpec) -> list[int]:

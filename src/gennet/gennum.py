@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import orjson
@@ -45,15 +46,9 @@ _COMPLEX = "complex"
 
 @dataclass(frozen=True)
 class EpsGrid:
-    """Strictly decreasing sample points eps_1 > ... > eps_K in (0,1].
-
-    ``base`` is remembered only for geometric grids so the grid can be
-    serialized as ``{"K": K, "base": base}``; grids built from explicit
-    values serialize their value list.
-    """
+    """Strictly decreasing sample points eps_1 > ... > eps_K in (0,1]."""
 
     values: np.ndarray
-    base: float | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -72,7 +67,7 @@ class EpsGrid:
         """The default grid eps_k = base**k, k = 1..K."""
         if not (0.0 < base < 1.0):
             raise ValueError("base must be in (0, 1)")
-        return cls(base ** np.arange(1, K + 1), base=base)
+        return cls(base ** np.arange(1, K + 1))
 
     @property
     def K(self) -> int:
@@ -82,17 +77,6 @@ class EpsGrid:
         return self.values.shape == other.values.shape and bool(
             np.array_equal(self.values, other.values)
         )
-
-    def to_json(self) -> dict:
-        if self.base is not None:
-            return {"K": self.K, "base": self.base}
-        return {"values": self.values.tolist()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "EpsGrid":
-        if "values" in obj:
-            return cls(np.asarray(obj["values"], dtype=float))
-        return cls.geometric(int(obj.get("K", 24)), float(obj.get("base", 0.5)))
 
 
 # Cells are printed in one of these dtypes, chosen by the array's dtype kind:
@@ -184,19 +168,6 @@ class NumericPolicy:
         if self.tol_abs <= 0.0:
             raise ValueError("tol_abs must be positive")
 
-    def to_json(self) -> dict:
-        return {
-            "q_neg": self.q_neg,
-            "m_inv": self.m_inv,
-            "N_mod": self.N_mod,
-            "tail": self.tail,
-            "tol_abs": self.tol_abs,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "NumericPolicy":
-        return cls(**{k: obj[k] for k in ("q_neg", "m_inv", "N_mod", "tail", "tol_abs") if k in obj})
-
 
 @dataclass(frozen=True)
 class IndexSet:
@@ -248,33 +219,79 @@ def _tail_positions(grid: EpsGrid, policy: NumericPolicy) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# GenScalar
+# sample nets and their field tag
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class GenScalar:
-    """A net of field values on an EpsGrid; stand-in for an element of R~ or C~."""
+class _SampleNet:
+    """A net of (K, ...) samples on an EpsGrid over the field R or C.
+
+    The field tag decides the dtype: a "real" net stores float64 samples
+    and refuses nonzero imaginary parts, a "complex" net stores
+    complex128.  A net computed from other nets takes its tag from the
+    result array through ``_by_dtype``: the array is complex exactly when
+    an operand was, so no operation joins operand tags by hand.  ``ndim``
+    counts the sample axes, the grid axis included.  Samples are stored
+    as a read-only copy.
+    """
 
     grid: EpsGrid
     samples: np.ndarray
-    field_tag: str = field(default=_REAL)
+    field_tag: str = _REAL
+
+    ndim: ClassVar[int]
 
     def __post_init__(self):
-        arr = np.asarray(self.samples)
-        if arr.shape != (self.grid.K,):
-            raise ValueError("samples length must equal grid length")
         if self.field_tag not in (_REAL, _COMPLEX):
-            raise ValueError("field_tag must be 'real' or 'complex'")
+            raise ValueError(f"field_tag must be 'real' or 'complex', not {self.field_tag!r}")
+        arr = np.asarray(self.samples)
+        if arr.ndim != self.ndim or arr.shape[0] != self.grid.K:
+            raise ValueError(f"{type(self).__name__} samples must have {self.ndim} axes, "
+                             f"the first of length K = {self.grid.K}; got shape {arr.shape}")
         if self.field_tag == _REAL:
             if np.iscomplexobj(arr):
                 if np.any(arr.imag != 0.0):
                     raise ValueError("real-tagged net has nonzero imaginary part")
                 arr = arr.real
-            arr = arr.astype(float, copy=True)
+            arr = arr.astype(np.float64)
         else:
-            arr = arr.astype(complex, copy=True)
+            arr = arr.astype(np.complex128)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
+
+    @classmethod
+    def _by_dtype(cls, grid: EpsGrid, samples: np.ndarray):
+        """The net of ``samples`` tagged by their dtype: complex arrays make complex nets."""
+        return cls(grid, samples, _COMPLEX if np.iscomplexobj(samples) else _REAL)
+
+    def is_real(self) -> bool:
+        return self.field_tag == _REAL
+
+    def _json(self) -> dict:
+        """``{"field": tag, "samples": nested lists}``; a complex entry is its [re, im] pair."""
+        samples = self.samples
+        if not self.is_real():
+            samples = np.stack([samples.real, samples.imag], axis=-1)
+        return {"field": self.field_tag, "samples": samples.tolist()}
+
+    @classmethod
+    def _from_json(cls, obj: dict, grid: EpsGrid):
+        """The net ``_json`` wrote into ``obj``; a missing field means real."""
+        tag = obj.get("field", _REAL)
+        arr = np.asarray(obj["samples"], dtype=float)
+        if tag == _COMPLEX:
+            arr = arr.view(np.complex128)[..., 0]
+        return cls(grid, arr, tag)
+
+
+# ---------------------------------------------------------------------------
+# GenScalar
+# ---------------------------------------------------------------------------
+
+class GenScalar(_SampleNet):
+    """A net of field values on an EpsGrid; stand-in for an element of R~ or C~."""
+
+    ndim = 1
 
     # -- constructors ------------------------------------------------------
 
@@ -294,14 +311,11 @@ class GenScalar:
             return GenScalar.constant(other, self.grid)
         return NotImplemented
 
-    def _tag_with(self, other: "GenScalar") -> str:
-        return _COMPLEX if _COMPLEX in (self.field_tag, other.field_tag) else _REAL
-
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return GenScalar(self.grid, self.samples + other.samples, self._tag_with(other))
+        return GenScalar._by_dtype(self.grid, self.samples + other.samples)
 
     __radd__ = __add__
 
@@ -309,7 +323,7 @@ class GenScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return GenScalar(self.grid, self.samples - other.samples, self._tag_with(other))
+        return GenScalar._by_dtype(self.grid, self.samples - other.samples)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -318,7 +332,7 @@ class GenScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return GenScalar(self.grid, self.samples * other.samples, self._tag_with(other))
+        return GenScalar._by_dtype(self.grid, self.samples * other.samples)
 
     __rmul__ = __mul__
 
@@ -329,21 +343,12 @@ class GenScalar:
         return GenScalar(self.grid, np.conj(self.samples), self.field_tag)
 
     def abs(self) -> "GenScalar":
-        return GenScalar(self.grid, np.abs(self.samples), _REAL)
-
-    @property
-    def real_samples(self) -> np.ndarray:
-        return self.samples.real if self.field_tag == _COMPLEX else self.samples
-
-    def is_real(self) -> bool:
-        return self.field_tag == _REAL
+        return GenScalar(self.grid, np.abs(self.samples))
 
 
 def make_power_net(c, a: float, grid: EpsGrid) -> GenScalar:
     """The net c * eps_k**a — the basic scale model [(c eps^a)_eps]."""
-    samples = c * grid.values ** float(a)
-    tag = _COMPLEX if np.iscomplexobj(samples) else _REAL
-    return GenScalar(grid, samples, tag)
+    return GenScalar._by_dtype(grid, c * grid.values ** float(a))
 
 
 _BINARY = {"add", "sub", "mul"}
@@ -450,7 +455,7 @@ def sqrt_nonneg(a: GenScalar, policy: NumericPolicy) -> GenScalar:
     """
     if not ge_zero(a, policy):
         raise NotNonnegative("net fails the nonnegativity order test")
-    return GenScalar(a.grid, np.sqrt(np.maximum(a.samples.real, 0.0)), _REAL)
+    return GenScalar(a.grid, np.sqrt(np.maximum(a.samples.real, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +466,7 @@ def idempotent(S: IndexSet, grid: EpsGrid) -> GenScalar:
     """e_S: the characteristic net of S (1 on S, 0 elsewhere)."""
     if S.k_max != grid.K:
         raise GridMismatch("index set sized for a different grid")
-    return GenScalar(grid, S.mask().astype(float), _REAL)
+    return GenScalar(grid, S.mask().astype(float))
 
 
 Invertibility = namedtuple("Invertibility", ["holds", "witness"])

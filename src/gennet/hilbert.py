@@ -10,41 +10,16 @@ v * ||u|| = u with v_k = u_k/||u_k|| where the sample norm is nonzero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import DimMismatch, GridMismatch, LengthMismatch
-from .gennum import EpsGrid, GenScalar, NumericPolicy, sharp_norm, write_grid_csv
-
-_REAL = "real"
-_COMPLEX = "complex"
+from .gennum import EpsGrid, GenScalar, NumericPolicy, _SampleNet, sharp_norm, write_grid_csv
 
 
-@dataclass(frozen=True)
-class GenVector:
-    """A net of d-dimensional sample vectors on a shared EpsGrid."""
+class GenVector(_SampleNet):
+    """A net of d-dimensional sample vectors, samples of shape (K, d), on a shared EpsGrid."""
 
-    grid: EpsGrid
-    samples: np.ndarray  # shape (K, d)
-    field_tag: str = field(default=_REAL)
-
-    def __post_init__(self):
-        arr = np.asarray(self.samples)
-        if arr.ndim != 2 or arr.shape[0] != self.grid.K:
-            raise ValueError("samples must have shape (K, d)")
-        if self.field_tag == _REAL:
-            if np.iscomplexobj(arr):
-                if np.any(arr.imag != 0.0):
-                    raise ValueError("real-tagged vector has nonzero imaginary part")
-                arr = arr.real
-            arr = arr.astype(float, copy=True)
-        elif self.field_tag == _COMPLEX:
-            arr = arr.astype(complex, copy=True)
-        else:
-            raise ValueError("field_tag must be 'real' or 'complex'")
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
+    ndim = 2
 
     @property
     def dim(self) -> int:
@@ -52,12 +27,10 @@ class GenVector:
 
     @classmethod
     def constant(cls, vec, grid: EpsGrid) -> "GenVector":
-        vec = np.asarray(vec)
-        tag = _COMPLEX if np.iscomplexobj(vec) else _REAL
-        return cls(grid, np.tile(vec, (grid.K, 1)), tag)
+        return cls._by_dtype(grid, np.tile(np.asarray(vec), (grid.K, 1)))
 
     @classmethod
-    def zero(cls, grid: EpsGrid, dim: int, field_tag: str = _REAL) -> "GenVector":
+    def zero(cls, grid: EpsGrid, dim: int, field_tag: str = "real") -> "GenVector":
         return cls(grid, np.zeros((grid.K, dim)), field_tag)
 
     def _check_partner(self, other: "GenVector"):
@@ -66,18 +39,13 @@ class GenVector:
         if self.dim != other.dim:
             raise DimMismatch(f"dims {self.dim} != {other.dim}")
 
-    def _tag_with(self, tag: str) -> str:
-        return _COMPLEX if _COMPLEX in (self.field_tag, tag) else _REAL
-
     def __add__(self, other: "GenVector") -> "GenVector":
         self._check_partner(other)
-        return GenVector(self.grid, self.samples + other.samples,
-                         self._tag_with(other.field_tag))
+        return GenVector._by_dtype(self.grid, self.samples + other.samples)
 
     def __sub__(self, other: "GenVector") -> "GenVector":
         self._check_partner(other)
-        return GenVector(self.grid, self.samples - other.samples,
-                         self._tag_with(other.field_tag))
+        return GenVector._by_dtype(self.grid, self.samples - other.samples)
 
     def __neg__(self) -> "GenVector":
         return GenVector(self.grid, -self.samples, self.field_tag)
@@ -87,29 +55,19 @@ class GenVector:
         if isinstance(coeff, GenScalar):
             if not self.grid.same_as(coeff.grid):
                 raise GridMismatch("coefficient on a different grid")
-            return GenVector(self.grid, self.samples * coeff.samples[:, None],
-                             self._tag_with(coeff.field_tag))
-        if isinstance(coeff, (int, float, np.integer, np.floating)):
-            return GenVector(self.grid, self.samples * coeff, self.field_tag)
-        if isinstance(coeff, complex):
-            return GenVector(self.grid, self.samples.astype(complex) * coeff, _COMPLEX)
+            return GenVector._by_dtype(self.grid, self.samples * coeff.samples[:, None])
+        if isinstance(coeff, (int, float, complex, np.integer, np.floating)):
+            return GenVector._by_dtype(self.grid, self.samples * coeff)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def to_json(self) -> dict:
-        if self.field_tag == _COMPLEX:
-            samples = [[[z.real, z.imag] for z in row] for row in self.samples]
-        else:
-            samples = self.samples.tolist()
-        return {"dim": self.dim, "field": self.field_tag, "samples": samples}
+        return {"dim": self.dim, **self._json()}
 
     @classmethod
     def from_json(cls, obj: dict, grid: EpsGrid) -> "GenVector":
-        if obj.get("field") == _COMPLEX:
-            arr = np.asarray([[complex(re, im) for re, im in row] for row in obj["samples"]])
-            return cls(grid, arr, _COMPLEX)
-        return cls(grid, np.asarray(obj["samples"], dtype=float), _REAL)
+        return cls._from_json(obj, grid)
 
     def write_norm_csv(self, path):
         """The R~-norm as a per-eps table with columns k, eps, norm."""
@@ -119,16 +77,12 @@ class GenVector:
 def inner(u: GenVector, v: GenVector) -> GenScalar:
     """Componentwise scalar product, conjugate-linear in the second slot."""
     u._check_partner(v)
-    vals = np.sum(u.samples * np.conj(v.samples), axis=1)
-    tag = u._tag_with(v.field_tag)
-    if tag == _REAL:
-        vals = vals.real
-    return GenScalar(u.grid, vals, tag)
+    return GenScalar._by_dtype(u.grid, np.sum(u.samples * np.conj(v.samples), axis=1))
 
 
 def rnorm(u: GenVector) -> GenScalar:
     """The R~-norm: the net of Euclidean sample norms."""
-    return GenScalar(u.grid, np.linalg.norm(u.samples, axis=1), _REAL)
+    return GenScalar(u.grid, np.linalg.norm(u.samples, axis=1))
 
 
 def upn(u: GenVector, policy: NumericPolicy) -> float:

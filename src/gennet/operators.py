@@ -18,41 +18,20 @@ and solve, multiply and bound their spectrum in O(K m).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, lapack
 
 from .errors import DimMismatch, GridMismatch, SingularSample
-from .gennum import EpsGrid, GenScalar, NumericPolicy, _tail_positions
+from .gennum import EpsGrid, GenScalar, NumericPolicy, _SampleNet, _tail_positions
 from .hilbert import GenVector
 
-_REAL = "real"
-_COMPLEX = "complex"
 
+class BasicOperator(_SampleNet):
+    """A net of d_out x d_in matrices, samples of shape (K, d_out, d_in), over a shared EpsGrid."""
 
-@dataclass(frozen=True)
-class BasicOperator:
-    """A net of d_out x d_in matrices over a shared EpsGrid."""
-
-    grid: EpsGrid
-    samples: np.ndarray  # (K, d_out, d_in)
-    field_tag: str = field(default=_REAL)
-
-    def __post_init__(self):
-        arr = np.asarray(self.samples)
-        if arr.ndim != 3 or arr.shape[0] != self.grid.K:
-            raise ValueError("samples must have shape (K, d_out, d_in)")
-        if self.field_tag == _REAL:
-            if np.iscomplexobj(arr):
-                if np.any(arr.imag != 0.0):
-                    raise ValueError("real-tagged operator has imaginary entries")
-                arr = arr.real
-            arr = arr.astype(float, copy=True)
-        else:
-            arr = arr.astype(complex, copy=True)
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
+    ndim = 3
 
     @property
     def dims(self):
@@ -64,9 +43,7 @@ class BasicOperator:
 
     @classmethod
     def constant(cls, matrix, grid: EpsGrid) -> "BasicOperator":
-        matrix = np.asarray(matrix)
-        tag = _COMPLEX if np.iscomplexobj(matrix) else _REAL
-        return cls(grid, np.tile(matrix, (grid.K, 1, 1)), tag)
+        return cls._by_dtype(grid, np.tile(np.asarray(matrix), (grid.K, 1, 1)))
 
     @classmethod
     def identity(cls, grid: EpsGrid, dim: int) -> "BasicOperator":
@@ -99,26 +76,18 @@ class BasicOperator:
             raise GridMismatch("operators on different grids")
         if self.dims[1] != other.dims[0]:
             raise DimMismatch(f"cannot compose {self.dims} with {other.dims}")
-        tag = _COMPLEX if _COMPLEX in (self.field_tag, other.field_tag) else _REAL
-        return BasicOperator(self.grid, self.samples @ other.samples, tag)
+        return BasicOperator._by_dtype(self.grid, self.samples @ other.samples)
 
     def __sub__(self, other: "BasicOperator") -> "BasicOperator":
         if not self.grid.same_as(other.grid):
             raise GridMismatch("operators on different grids")
         if self.dims != other.dims:
             raise DimMismatch(f"dims {self.dims} != {other.dims}")
-        tag = _COMPLEX if _COMPLEX in (self.field_tag, other.field_tag) else _REAL
-        return BasicOperator(self.grid, self.samples - other.samples, tag)
+        return BasicOperator._by_dtype(self.grid, self.samples - other.samples)
 
     def to_json(self) -> dict:
         d_out, d_in = self.dims
-        if self.field_tag == _COMPLEX:
-            samples = [[[[z.real, z.imag] for z in row] for row in mat]
-                       for mat in self.samples]
-        else:
-            samples = self.samples.tolist()
-        return {"K": self.grid.K, "d_out": d_out, "d_in": d_in,
-                "field": self.field_tag, "samples": samples}
+        return {"K": self.grid.K, "d_out": d_out, "d_in": d_in, **self._json()}
 
 
 @dataclass(frozen=True)
@@ -202,24 +171,10 @@ class TridiagonalOperator:
         return bounds[:, 0], bounds[:, 1]
 
 
-@dataclass(frozen=True)
-class BasicFunctional:
-    """A net of covectors: u |-> row_k . u_k per sample."""
+class BasicFunctional(_SampleNet):
+    """A net of covectors, samples of shape (K, d): u |-> row_k . u_k per sample."""
 
-    grid: EpsGrid
-    samples: np.ndarray  # (K, d)
-    field_tag: str = field(default=_REAL)
-
-    def __post_init__(self):
-        arr = np.asarray(self.samples)
-        if arr.ndim != 2 or arr.shape[0] != self.grid.K:
-            raise ValueError("samples must have shape (K, d)")
-        if self.field_tag == _REAL:
-            arr = arr.astype(float, copy=True)
-        else:
-            arr = arr.astype(complex, copy=True)
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
+    ndim = 2
 
     @property
     def dim(self) -> int:
@@ -230,11 +185,7 @@ class BasicFunctional:
             raise GridMismatch("functional and vector on different grids")
         if self.dim != u.dim:
             raise DimMismatch(f"functional dim {self.dim} != vector dim {u.dim}")
-        vals = np.sum(self.samples * u.samples, axis=1)
-        tag = _COMPLEX if _COMPLEX in (self.field_tag, u.field_tag) else _REAL
-        if tag == _REAL:
-            vals = vals.real
-        return GenScalar(self.grid, vals, tag)
+        return GenScalar._by_dtype(self.grid, np.sum(self.samples * u.samples, axis=1))
 
 
 def apply(T: BasicOperator, u: GenVector) -> GenVector:
@@ -243,11 +194,7 @@ def apply(T: BasicOperator, u: GenVector) -> GenVector:
         raise GridMismatch("operator and vector on different grids")
     if T.dims[1] != u.dim:
         raise DimMismatch(f"operator expects dim {T.dims[1]}, got {u.dim}")
-    out = T.matvec(u.samples)
-    tag = _COMPLEX if _COMPLEX in (T.field_tag, u.field_tag) else _REAL
-    if tag == _REAL:
-        out = out.real
-    return GenVector(u.grid, out, tag)
+    return GenVector._by_dtype(u.grid, T.matvec(u.samples))
 
 
 def adjoint(T: BasicOperator) -> BasicOperator:
@@ -260,9 +207,9 @@ def op_norm_net(T: BasicOperator | TridiagonalOperator) -> GenScalar:
     """Per-sample spectral norm (largest singular value)."""
     if isinstance(T, TridiagonalOperator):
         lo, hi = T.eig_bounds()
-        return GenScalar(T.grid, np.maximum(-lo, hi), _REAL)
+        return GenScalar(T.grid, np.maximum(-lo, hi))
     svals = np.linalg.svd(T.samples, compute_uv=False)
-    return GenScalar(T.grid, svals[:, 0] if svals.ndim == 2 else svals, _REAL)
+    return GenScalar(T.grid, svals[:, 0] if svals.ndim == 2 else svals)
 
 
 def riesz_representer(f: BasicFunctional) -> GenVector:

@@ -220,10 +220,9 @@ def interleaved_gram_schmidt(g: GeneratorSet, policy: NumericPolicy) -> OrthoBas
     grid = g.grid
     raw = _orthogonalize(np.stack([v.samples for v in g.gens], axis=1),
                          grid.values, policy.m_inv)
-    tag = "complex" if np.iscomplexobj(raw) else "real"
     vecs, supports = [], []
     for j in range(raw.shape[1]):
-        w, S = idempotent_normalize(GenVector(grid, raw[:, j], tag), policy)
+        w, S = idempotent_normalize(GenVector._by_dtype(grid, raw[:, j]), policy)
         if len(S) == 0:
             continue
         vecs.append(w)
@@ -241,11 +240,10 @@ def project_submodule(B: OrthoBasis, v: GenVector) -> GenVector:
 
 def submodule_projection_operator(B: OrthoBasis, grid: EpsGrid, dim: int) -> BasicOperator:
     """Materialize P_M as a matrix net sum_j w_j w_j^*."""
-    tag = "complex" if any(w.field_tag == "complex" for w in B.vecs) else "real"
-    P = np.zeros((grid.K, dim, dim), dtype=complex if tag == "complex" else float)
+    P = np.zeros((grid.K, dim, dim))
     for w in B.vecs:
-        P += np.einsum("ki,kj->kij", w.samples, np.conj(w.samples))
-    return BasicOperator(grid, P, tag)
+        P = P + np.einsum("ki,kj->kij", w.samples, np.conj(w.samples))
+    return BasicOperator._by_dtype(grid, P)
 
 
 @dataclass(frozen=True)
@@ -294,11 +292,7 @@ def extend_functional(values, B: OrthoBasis) -> BasicFunctional:
         raise InvalidBasis("empty basis cannot carry a functional")
     grid = B.vecs[0].grid
     dim = B.vecs[0].dim
-    tag = "real"
-    if any(w.field_tag == "complex" for w in B.vecs) or any(
-            f.field_tag == "complex" for f in values):
-        tag = "complex"
-    rows = np.zeros((grid.K, dim), dtype=complex if tag == "complex" else float)
+    rows = np.zeros((grid.K, dim))
     for f_j, w in zip(values, B.vecs):
-        rows += f_j.samples[:, None] * np.conj(w.samples)
-    return BasicFunctional(grid, rows, tag)
+        rows = rows + f_j.samples[:, None] * np.conj(w.samples)
+    return BasicFunctional._by_dtype(grid, rows)

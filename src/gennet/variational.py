@@ -54,6 +54,18 @@ class CoercivityCertificate:
     witness_exponent: int | None
     valid: bool
 
+    @classmethod
+    def from_alpha(cls, alpha: GenScalar, policy: NumericPolicy) -> "CoercivityCertificate":
+        """The certificate of the lower-bound net ``alpha``.
+
+        It is valid when alpha is nonnegative in the order sense and
+        invertible with respect to the full grid; the witness exponent is
+        the smallest m with |alpha_k| >= eps_k**m on the tail.
+        """
+        inv = invertible_wrt(alpha, IndexSet.full(alpha.grid), policy)
+        return cls(alpha=alpha, witness_exponent=inv.witness,
+                   valid=bool(ge_zero(alpha, policy) and inv.holds))
+
     def to_json(self) -> dict:
         return {
             "alpha": self.alpha.samples.tolist(),
@@ -65,23 +77,13 @@ class CoercivityCertificate:
 def certify_coercivity(T: BasicOperator, policy: NumericPolicy) -> CoercivityCertificate:
     """Bound <T_k x, x> >= alpha_k |x|^2 via the symmetric part's lowest eigenvalue.
 
-    The certificate is valid when the alpha net is nonnegative in the
-    order sense and invertible with respect to the full grid; the
-    witness exponent is the smallest m with alpha_k >= eps_k**m on the
-    tail.
+    See CoercivityCertificate.from_alpha for when the certificate is valid.
     """
     if not T.is_square:
         raise DimMismatch("coercivity requires a square operator net")
     sym = 0.5 * (T.samples + np.conj(np.swapaxes(T.samples, 1, 2)))
     alpha = np.linalg.eigvalsh(sym)[:, 0]
-    alpha_net = GenScalar(T.grid, alpha)
-    nonneg = ge_zero(alpha_net, policy)
-    inv = invertible_wrt(alpha_net, IndexSet.full(T.grid), policy)
-    return CoercivityCertificate(
-        alpha=alpha_net,
-        witness_exponent=inv.witness if inv.holds else None,
-        valid=bool(nonneg and inv.holds),
-    )
+    return CoercivityCertificate.from_alpha(GenScalar(T.grid, alpha), policy)
 
 
 def lax_milgram_solve(
@@ -123,7 +125,7 @@ def lax_milgram_solve(
             k = int(short[0])
             raise ResidualTargetMissed(k + 1, float(r_norm[k] / scale[k]), rel_residual)
         out[short] -= T.solve(r)[short]
-    return GenVector(c.grid, out, c.field_tag)
+    return GenVector._by_dtype(c.grid, out)
 
 
 @dataclass(frozen=True)

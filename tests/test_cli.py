@@ -122,10 +122,9 @@ def test_solve_dirichlet_cli_and_parallel_determinism(tmp_path):
     s = _summary(serial, "solve-dirichlet")
     assert s["verdicts"] == {"coercive": True, "residual_ok": True, "moderate": True}
 
-    parallel = tmp_path / "parallel"
-    assert _run(["solve-dirichlet", "--config", cfg, "--out", str(parallel),
-                 "--parallel", "true"]) == 0
-    assert (serial / "solution.csv").read_bytes() == (parallel / "solution.csv").read_bytes()
+    again = tmp_path / "again"
+    assert _run(["solve-dirichlet", "--config", cfg, "--out", str(again)]) == 0
+    assert (serial / "solution.csv").read_bytes() == (again / "solution.csv").read_bytes()
 
 
 def test_solve_obstacle_cli(tmp_path):
@@ -295,7 +294,16 @@ _VI = {"operator": {"kind": "constant", "matrix": [[1.0]]}, "rhs": [1.0],
     ({"problem": {"interval": [0.0, 1.0], "n_elems": 16, "diffusion": 1.0,
                   "potential": {"kind": "tabulated", "xs": [0.0, "x"], "values": [1.0, 1.0]}}},
      ["solve-dirichlet"], "/problem/potential/xs"),
-], ids=["power", "samples", "box", "rhs", "matrix", "powers", "vector", "tabulated"])
+    ({"nets": [1.0], "grid": {"K": "x"}}, ["gennum-check"], "/grid/K"),
+    ({"nets": [1.0], "grid": {"K": 8.7}}, ["gennum-check"], "/grid/K"),
+    ({"nets": [1.0], "grid": {"base": [1]}}, ["gennum-check"], "/grid/base"),
+    ({"nets": [1.0], "policy": {"tail": 30}}, ["gennum-check"], "/policy/tail"),
+    ({"nets": [1.0], "policy": {"tail": 8.5}}, ["gennum-check"], "/policy/tail"),
+    ({"nets": [1.0], "policy": {"tail": 12}}, ["gennum-check", "--grid-K", "10"],
+     "/policy/tail"),
+], ids=["power", "samples", "box", "rhs", "matrix", "powers", "vector", "tabulated",
+        "grid-K", "grid-K-fraction", "grid-base", "policy-tail", "policy-tail-fraction",
+        "policy-tail-grid-K"])
 def test_malformed_numbers_are_config_errors(tmp_path, capsys, cfg, args, needle):
     path = _write_config(tmp_path, "bad.json", cfg)
     rc = _run(args + ["--config", path, "--out", str(tmp_path / "out")])
@@ -322,6 +330,8 @@ def test_usage_errors_exit_1(tmp_path):
     assert _run(["frobnicate"]) == 1
     assert _run(["gennum-check"]) == 1  # --config is required
     assert _run(["gennum-check", "--config", str(tmp_path / "missing.json")]) == 1
+    cfg = _write_config(tmp_path, "vi.json", _VI)
+    assert _run(["vi-solve", "--config", cfg, "--parallel", "true"]) == 1
 
 
 def test_unreadable_config_exits_1(tmp_path, capsys):

@@ -8,10 +8,13 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from gennet import (
+    BasicFunctional,
+    BasicOperator,
     CloseInfimumResult,
     EmptyTailIntersection,
     EpsGrid,
     GenScalar,
+    GenVector,
     GridMismatch,
     IndexSet,
     NotNonnegative,
@@ -221,6 +224,28 @@ def test_complex_tag_propagates():
     assert (z * z).field_tag == "complex"
     assert z.abs().is_real()
     assert z.conj().samples[0] == 1.0 - 2.0j
+
+
+@pytest.mark.parametrize("cls,shape", [(GenScalar, ()), (GenVector, (3,)),
+                                       (BasicOperator, (2, 3)), (BasicFunctional, (3,))],
+                         ids=["GenScalar", "GenVector", "BasicOperator", "BasicFunctional"])
+def test_net_construction_decides_tag_dtype_and_shape(cls, shape):
+    samples = np.arange(GRID.K * math.prod(shape), dtype=float).reshape(GRID.K, *shape)
+    with pytest.raises(ValueError):
+        cls(GRID, samples, "cmplx")
+    with pytest.raises(ValueError):
+        cls(GRID, samples + 1j)  # the default tag is real
+    with pytest.raises(ValueError):
+        cls(GRID, samples[..., None])
+    with pytest.raises(ValueError):
+        cls(GRID, samples[1:])
+    assert cls(GRID, samples + 0j).samples.dtype == np.float64
+    assert cls(GRID, samples.astype(int), "complex").samples.dtype == np.complex128
+    for tag, arr in (("real", samples), ("complex", samples + 1j)):
+        net = cls(GRID, arr, tag)
+        assert net.field_tag == tag and not net.samples.flags.writeable
+        assert not np.shares_memory(net.samples, arr)
+        np.testing.assert_array_equal(net.samples, arr)
 
 
 # ---------------------------------------------------------------------------
