@@ -12,6 +12,7 @@ separator ','.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import time
@@ -100,7 +101,7 @@ def _load_setup(config_path: str, grid_k: int | None):
 
 def _scalar_net(spec, grid: EpsGrid, ptr: str = "/nets") -> GenScalar:
     if isinstance(spec, (int, float)):
-        return GenScalar.constant(float(spec), grid)
+        return GenScalar.constant(_number(spec, ptr), grid)
     if not isinstance(spec, dict):
         raise ConfigInvalid(f"{ptr}: net spec must be a number or an object")
     kind = spec.get("kind")
@@ -158,11 +159,14 @@ def _operator_net(spec, grid: EpsGrid) -> BasicOperator:
 
 def _number(value, ptr: str, cast=float):
     """``cast(value)``, or ConfigInvalid naming ``ptr`` if the value is not a
-    number, or with ``cast=int`` not a whole number."""
+    number, is NaN, or with ``cast=int`` is not a whole number.  ±inf is a
+    number: box bounds use it."""
     try:
         number = float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"{ptr}: must be a number, got {value!r}") from exc
+    if math.isnan(number):
+        raise ConfigInvalid(f"{ptr}: must be a number, got NaN")
     if cast is int and not number.is_integer():
         raise ConfigInvalid(f"{ptr}: must be an integer, got {value!r}")
     return cast(number)
@@ -170,11 +174,14 @@ def _number(value, ptr: str, cast=float):
 
 def _array(value, ptr: str) -> np.ndarray:
     """A JSON number or (nested) list of numbers as a float array, or
-    ConfigInvalid naming ``ptr``."""
+    ConfigInvalid naming ``ptr`` if an entry is not a number or is NaN."""
     try:
-        return np.asarray(value, dtype=float)
+        arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"{ptr}: must be numbers, got {value!r}") from exc
+    if np.isnan(arr).any():
+        raise ConfigInvalid(f"{ptr}: must be numbers, got NaN")
+    return arr
 
 
 def _pair(value, ptr: str) -> tuple:
@@ -195,7 +202,7 @@ def _coefficient(spec, grid: EpsGrid, ptr: str = "/coefficient") -> CoefficientN
     if spec is None:
         return None
     if isinstance(spec, (int, float)):
-        return CoefficientNet.constant(grid, float(spec))
+        return CoefficientNet.constant(grid, _number(spec, ptr))
     if not isinstance(spec, dict):
         raise ConfigInvalid(f"{ptr}: must be a number or an object")
     kind = spec.get("kind")
@@ -236,6 +243,8 @@ def _problem(cfg: dict, grid: EpsGrid) -> ProblemSpec:
     obstacle = p.get("obstacle")
     if isinstance(obstacle, dict):
         obstacle = _coefficient(obstacle, grid, "/problem/obstacle")
+    elif obstacle is not None:
+        obstacle = _array(obstacle, "/problem/obstacle")
     boundary = _pair(p.get("boundary", [0.0, 0.0]), "/problem/boundary")
     rhs = p.get("rhs", 0.0)
     rhs = (_coefficient(rhs, grid, "/problem/rhs") if isinstance(rhs, dict)

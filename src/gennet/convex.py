@@ -17,7 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, EmptySet, GridMismatch, NoConvergence, ProbeNotInSet
+from .errors import (
+    DimMismatch,
+    EmptySet,
+    GridMismatch,
+    InvalidSpec,
+    NoConvergence,
+    ProbeNotInSet,
+)
 from .gennum import EpsGrid, GenScalar, NumericPolicy
 from .hilbert import GenVector
 
@@ -49,15 +56,18 @@ class ConvexSetNet:
         upper = _per_eps(upper, grid)
         if lower.shape != upper.shape:
             raise DimMismatch("box bounds differ in shape")
+        _refuse_nan(lower, "lower")
+        _refuse_nan(upper, "upper")
         if np.any(lower > upper):
-            raise EmptySet("box has lower > upper somewhere")
+            raise EmptySet(f"box has lower > upper at grid index k={_first_k(lower > upper)}")
         return cls(grid, lower.shape[1], "box", {"lower": lower, "upper": upper})
 
     @classmethod
     def obstacle(cls, grid: EpsGrid, lower) -> "ConvexSetNet":
         lower = _per_eps(lower, grid)
-        if not np.all(lower < np.inf):
-            raise EmptySet("obstacle bound is +inf somewhere")
+        _refuse_nan(lower, "obstacle")
+        if np.any(lower == np.inf):
+            raise EmptySet(f"obstacle bound is +inf at grid index k={_first_k(lower == np.inf)}")
         return cls(grid, lower.shape[1], "obstacle_lower_bound", {"lower": lower})
 
     @classmethod
@@ -198,6 +208,16 @@ def _per_eps(arr, grid: EpsGrid) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] != grid.K:
         raise DimMismatch("per-eps data must have shape (K, d)")
     return arr
+
+
+def _first_k(mask: np.ndarray) -> int:
+    """The first grid index (1-based) of a (K, d) mask with a True entry."""
+    return int(np.flatnonzero(mask.any(axis=1))[0]) + 1
+
+
+def _refuse_nan(bound: np.ndarray, name: str):
+    if np.isnan(bound).any():
+        raise InvalidSpec(f"{name} bound is NaN at grid index k={_first_k(np.isnan(bound))}")
 
 
 def _check_compat(C: ConvexSetNet, u: GenVector):

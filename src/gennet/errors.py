@@ -137,7 +137,7 @@ class CoercivityFailure(GennetError):
 
 
 class InvalidSpec(GennetError):
-    """A ProblemSpec violates its invariants."""
+    """Problem data violates its invariants: a ProblemSpec, or a NaN set bound."""
 
 
 class ConfigInvalid(GennetError):

@@ -561,10 +561,11 @@ def solve_obstacle(spec: ProblemSpec, policy: NumericPolicy,
     cert = _certificate(spec, a_min, c_min, policy)
 
     psi = spec.obstacle_nodal()
-    low_gap = psi[:, 0] - gtilde[:, 0]
-    high_gap = psi[:, -1] - gtilde[:, -1]
-    if np.any(low_gap > 0.0) or np.any(high_gap > 0.0):
-        raise InvalidSpec("obstacle exceeds the boundary data at an endpoint")
+    above = psi[:, [0, -1]] > gtilde[:, [0, -1]]
+    if np.any(above):
+        k, end = np.argwhere(above)[0]
+        raise InvalidSpec(f"obstacle exceeds the boundary data at the {('left', 'right')[end]} "
+                          f"endpoint at grid index k={k + 1}")
 
     lower = psi[:, 1:-1] - gtilde[:, 1:-1]
     C = ConvexSetNet.obstacle(spec.grid, lower)

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal, lapack
 
 from .errors import DimMismatch, GridMismatch, SingularSample
 from .gennum import EpsGrid, GenScalar, NumericPolicy, _SampleNet, _tail_positions
@@ -149,6 +148,9 @@ class TridiagonalOperator:
         ``solve_banded((1, 1), ...)`` call.  A zero pivot raises
         SingularSample naming the grid index (1-based) of its block.
         """
+        # imported on first use: scipy.linalg would double the start-up of every command
+        from scipy.linalg import lapack
+
         K, m = b.shape
         sub, diag, sup = (self.samples[:, row].flatten() for row in (2, 1, 0))
         if K * m > 1:  # a 1 x 1 stack keeps one dummy off-diagonal entry for f2py
@@ -164,6 +166,9 @@ class TridiagonalOperator:
 
     def eig_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Lowest and highest eigenvalue of every sample, each of shape (K,)."""
+        # imported on first use: scipy.linalg would double the start-up of every command
+        from scipy.linalg import eigvalsh_tridiagonal
+
         ends = (0, self.dims[0] - 1)
         bounds = np.array([[eigvalsh_tridiagonal(diag, sub[:-1], select="i",
                                                  select_range=(i, i))[0] for i in ends]

@@ -172,7 +172,9 @@ def vi_solve_contraction(
         raise InvalidCertificate("coercivity certificate is not valid")
     alpha = cert.alpha.samples.astype(float)
     if np.any(alpha <= 0.0):
-        raise InvalidCertificate("contraction step needs strictly positive alpha samples")
+        k = int(np.flatnonzero(alpha <= 0.0)[0])
+        raise InvalidCertificate("contraction step needs strictly positive alpha samples; "
+                                 f"alpha = {alpha[k]:.3e} at grid index k={k + 1}")
     M = op_norm_net(T).samples
     if isinstance(T, TridiagonalOperator) or classify_operator(T, policy)["self_adjoint"]:
         rho = 2.0 / (alpha + M)

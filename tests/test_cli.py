@@ -12,6 +12,7 @@ import pytest
 from gennet.cli import main
 
 K_DEFAULT = 24
+NAN, INF = float("nan"), float("inf")  # json.dumps writes them as NaN and Infinity
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -301,9 +302,26 @@ _VI = {"operator": {"kind": "constant", "matrix": [[1.0]]}, "rhs": [1.0],
     ({"nets": [1.0], "policy": {"tail": 8.5}}, ["gennum-check"], "/policy/tail"),
     ({"nets": [1.0], "policy": {"tail": 12}}, ["gennum-check", "--grid-K", "10"],
      "/policy/tail"),
+    ({"operator": {"kind": "constant", "matrix": [[1.0, 0.0], [0.0, 1.0]]}, "rhs": [1.0, 1.0],
+      "set": {"kind": "box", "lower": [NAN, 0.0], "upper": [1.0, 1.0]}}, ["vi-solve"],
+     "/set/lower"),
+    ({**_VI, "set": {"kind": "obstacle", "lower": [NAN]}}, ["vi-solve"], "/set/lower"),
+    ({**_VI, "rhs": [NAN]}, ["vi-solve"], "/rhs"),
+    ({"nets": [NAN]}, ["gennum-check"], "/nets/0"),
+    ({"nets": [{"kind": "power", "a": NAN}]}, ["gennum-check"], "/nets/0/a"),
+    ({"nets": [1.0], "grid": {"base": NAN}}, ["gennum-check"], "/grid/base"),
+    ({"nets": [1.0], "policy": {"tol_abs": NAN}}, ["gennum-check"], "/policy/tol_abs"),
+    ({"problem": {"interval": [0.0, 1.0], "n_elems": 16, "diffusion": 1.0, "rhs": NAN}},
+     ["solve-dirichlet"], "/problem/rhs"),
+    ({"problem": {"interval": [0.0, 1.0], "n_elems": 16, "diffusion": NAN}},
+     ["solve-dirichlet"], "/problem/diffusion"),
+    ({"problem": {"interval": [0.0, 1.0], "n_elems": 16, "diffusion": 1.0,
+                  "obstacle": NAN}}, ["solve-obstacle"], "/problem/obstacle"),
 ], ids=["power", "samples", "box", "rhs", "matrix", "powers", "vector", "tabulated",
         "grid-K", "grid-K-fraction", "grid-base", "policy-tail", "policy-tail-fraction",
-        "policy-tail-grid-K"])
+        "policy-tail-grid-K", "nan-box", "nan-obstacle-set", "nan-rhs", "nan-net",
+        "nan-power", "nan-grid-base", "nan-tol-abs", "nan-problem-rhs", "nan-diffusion",
+        "nan-obstacle"])
 def test_malformed_numbers_are_config_errors(tmp_path, capsys, cfg, args, needle):
     path = _write_config(tmp_path, "bad.json", cfg)
     rc = _run(args + ["--config", path, "--out", str(tmp_path / "out")])
@@ -313,17 +331,60 @@ def test_malformed_numbers_are_config_errors(tmp_path, capsys, cfg, args, needle
     assert "Traceback" not in err
 
 
-def test_import_loads_no_scipy_beyond_linalg():
-    # scipy.integrate alone drags in optimize, special, sparse, spatial and fft,
-    # which makes the start-up of every command nearly twice as long
-    heavy = ["scipy.integrate", "scipy.optimize", "scipy.special",
-             "scipy.sparse", "scipy.spatial", "scipy.fft"]
-    code = ("import sys, gennet.cli; "
-            f"print([m for m in {heavy!r} if m in sys.modules])")
+_SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def _in_fresh_interpreter(code, *args):
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout
+
+
+def test_infinite_box_bounds_are_numbers(tmp_path):
+    cfg = _write_config(tmp_path, "vi.json", {
+        **_VI, "set": {"kind": "box", "lower": [-INF], "upper": [INF]}})
+    out = tmp_path / "out"
+    assert _run(["vi-solve", "--config", cfg, "--out", str(out)]) == 0
+    assert float((out / "solution.csv").read_text().splitlines()[1].split(",")[2]) == 1.0
+
+
+def test_import_loads_no_scipy_beyond_linalg():
+    # scipy.linalg alone about doubles the start-up time and memory of every
+    # command; only the band solves and band eigenvalue bounds load it
+    code = f"import sys, gennet.cli; print({_SCIPY_MODULES})"
+    assert _in_fresh_interpreter(code).strip() == "[]"
+
+
+def test_small_matrix_commands_never_load_scipy(tmp_path, gennum_cfg):
+    out = str(tmp_path / "out")
+    configs = {
+        "classify-op": {"operator": {"kind": "rotation", "theta_power": 1.0}},
+        "gram-schmidt": {"generators": [{"kind": "constant", "vector": [1.0, 0.0]},
+                                        {"kind": "power_scaled", "vector": [1.0, 1.0],
+                                         "power": 1.0}]},
+        "vi-solve": _VI,
+        "solve-dirichlet": {"problem": {"interval": [0.0, 1.0], "n_elems": 16,
+                                        "diffusion": 1.0, "rhs": 1.0}},
+    }
+    paths = {cmd: _write_config(tmp_path, f"{cmd}.json", cfg) for cmd, cfg in configs.items()}
+    steps = [["gennum-check", "--config", gennum_cfg, "--out", out]]
+    steps += [[cmd, "--config", paths[cmd], "--out", out]
+              for cmd in ("classify-op", "gram-schmidt", "vi-solve")]
+    steps += [["report", os.path.join(out, "gennum-check_summary.json"),
+               os.path.join(out, "vi-solve_summary.json")],
+              ["solve-dirichlet", "--config", paths["solve-dirichlet"], "--out", out]]
+    code = ("import json, sys\n"
+            "from gennet.cli import main\n"
+            "for step in json.loads(sys.argv[1]):\n"
+            f"    print(json.dumps([step[0], main(step), {_SCIPY_MODULES}]))\n")
+    lines = _in_fresh_interpreter(code, json.dumps(steps)).splitlines()
+    runs = [json.loads(line) for line in lines if line.startswith("[")]
+    assert [cmd for cmd, _, _ in runs] == [step[0] for step in steps]
+    for cmd, rc, loaded in runs[:-1]:
+        assert (cmd, rc, loaded) == (cmd, 0, [])
+    cmd, rc, loaded = runs[-1]
+    assert rc == 0 and "scipy.linalg" in loaded  # the band solve does load it
 
 
 def test_usage_errors_exit_1(tmp_path):

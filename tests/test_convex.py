@@ -13,6 +13,7 @@ from gennet import (
     EmptySet,
     EpsGrid,
     GenVector,
+    InvalidSpec,
     NoConvergence,
     NumericPolicy,
     ProbeNotInSet,
@@ -331,6 +332,26 @@ class TestValidation:
     def test_infinite_obstacle_bound_raises(self):
         with pytest.raises(EmptySet):
             ConvexSetNet.obstacle(GRID, np.array([np.inf]))
+
+    @pytest.mark.parametrize("build,error,message", [
+        (lambda nan, inf, one: ConvexSetNet.box(GRID, nan, one), InvalidSpec,
+         "lower bound is NaN at grid index k=5"),
+        (lambda nan, inf, one: ConvexSetNet.box(GRID, -one, nan), InvalidSpec,
+         "upper bound is NaN at grid index k=5"),
+        (lambda nan, inf, one: ConvexSetNet.obstacle(GRID, nan), InvalidSpec,
+         "obstacle bound is NaN at grid index k=5"),
+        (lambda nan, inf, one: ConvexSetNet.box(GRID, inf, one), EmptySet,
+         "box has lower > upper at grid index k=7"),
+        (lambda nan, inf, one: ConvexSetNet.obstacle(GRID, inf), EmptySet,
+         "obstacle bound is \\+inf at grid index k=7"),
+    ], ids=["box-lower-nan", "box-upper-nan", "obstacle-nan", "box-empty", "obstacle-inf"])
+    def test_bad_bounds_name_the_first_grid_index(self, build, error, message):
+        nan = np.zeros((GRID.K, 2))
+        nan[4, 1] = nan[9, 0] = np.nan  # first at k = 5
+        inf = np.zeros((GRID.K, 2))
+        inf[[6, 11], 0] = np.inf  # first at k = 7
+        with pytest.raises(error, match=message):
+            build(nan, inf, np.ones((GRID.K, 2)))
 
     def test_dim_mismatch_on_projection(self):
         C = ConvexSetNet.box(GRID, np.array([0.0]), np.array([1.0]))

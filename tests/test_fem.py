@@ -193,6 +193,20 @@ def test_mesh_and_spec_validation():
         solve_obstacle(_spec(mesh, rhs=-8.0, obstacle=1.0), POLICY)  # above boundary
 
 
+@pytest.mark.parametrize("above,message", [
+    ({(3, 0), (5, -1)}, "left endpoint at grid index k=4"),
+    ({(5, -1), (8, 0)}, "right endpoint at grid index k=6"),
+    ({(6, 0), (6, -1)}, "left endpoint at grid index k=7"),
+], ids=["left", "right", "both"])
+def test_obstacle_above_the_boundary_names_its_endpoint_and_grid_index(above, message):
+    mesh = Mesh1D(0.0, 1.0, 8)
+    psi = np.full((GRID.K, mesh.nodes.size), -1.0)
+    for k, node in above:
+        psi[k, node] = 0.5
+    with pytest.raises(InvalidSpec, match=message):
+        solve_obstacle(_spec(mesh, rhs=-8.0, obstacle=psi), POLICY)
+
+
 def test_boundary_data_may_be_a_net():
     mesh = Mesh1D(0.0, 1.0, 16)
     g = GenScalar(GRID, GRID.values.copy())

@@ -8,10 +8,12 @@ from _oracles import bands_to_dense, solve_box_vi
 from gennet import convex
 from gennet import (
     BasicOperator,
+    CoercivityCertificate,
     ContractionBoundViolated,
     ConvexSetNet,
     DimMismatch,
     EpsGrid,
+    GenScalar,
     GenVector,
     GridMismatch,
     InvalidCertificate,
@@ -360,6 +362,16 @@ def test_minimizer_beats_feasible_competitors():
     for _ in range(20):
         v = np.clip(rng.standard_normal((GRID.K, 3)) * 1.5, lower, upper)
         assert np.all(e_star <= energy(v) + 1e-9)
+
+
+def test_contraction_names_the_first_nonpositive_alpha():
+    alpha = np.ones(GRID.K)
+    alpha[[8, 15]] = [0.0, -1.0]
+    cert = CoercivityCertificate(GenScalar(GRID, alpha), witness_exponent=0, valid=True)
+    T = BasicOperator.identity(GRID, 2)
+    C = ConvexSetNet.obstacle(GRID, np.zeros(2))
+    with pytest.raises(InvalidCertificate, match="alpha = 0.000e\\+00 at grid index k=9"):
+        vi_solve_contraction(T, _random_vector(np.random.default_rng(5), 2), C, cert, POLICY)
 
 
 def test_minimization_rejects_unsuitable_operators():
