@@ -11,6 +11,7 @@ separator ','.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -28,14 +29,7 @@ from .errors import (
     InvalidSpec,
     MalformedSummary,
 )
-from .fem import (
-    CoefficientNet,
-    Mesh1D,
-    ProblemSpec,
-    h1_norm_net,
-    solve_dirichlet,
-    solve_obstacle,
-)
+from .fem import CoefficientNet, Mesh1D, ProblemSpec, solve_dirichlet, solve_obstacle
 from .gennum import (
     EpsGrid,
     GenScalar,
@@ -92,11 +86,12 @@ def _build_policy(cfg: dict, grid: EpsGrid) -> NumericPolicy:
     return policy
 
 
-def _load_setup(config_path: str, grid_k: int | None):
-    """A command's config with the grid and numeric policy it declares."""
-    cfg = _load_config(config_path)
-    grid = _build_grid(cfg, grid_k)
-    return cfg, grid, _build_policy(cfg, grid)
+def _field(spec: dict, key: str, ptr: str):
+    """``spec[key]``, or ConfigInvalid naming ``ptr`` and the missing key."""
+    try:
+        return spec[key]
+    except KeyError:
+        raise ConfigInvalid(f"{ptr}: missing field {key!r}") from None
 
 
 def _scalar_net(spec, grid: EpsGrid, ptr: str = "/nets") -> GenScalar:
@@ -105,19 +100,16 @@ def _scalar_net(spec, grid: EpsGrid, ptr: str = "/nets") -> GenScalar:
     if not isinstance(spec, dict):
         raise ConfigInvalid(f"{ptr}: net spec must be a number or an object")
     kind = spec.get("kind")
-    try:
-        if kind == "power":
-            return make_power_net(_number(spec.get("c", 1.0), f"{ptr}/c"),
-                                  _number(spec["a"], f"{ptr}/a"), grid)
-        if kind == "constant":
-            return GenScalar.constant(_number(spec["value"], f"{ptr}/value"), grid)
-        if kind == "samples":
-            vals = _array(spec["values"], f"{ptr}/values")
-            if vals.shape != (grid.K,):
-                raise ConfigInvalid(f"{ptr}/values: must have length {grid.K}")
-            return GenScalar(grid, vals)
-    except KeyError as exc:
-        raise ConfigInvalid(f"{ptr}: missing field {exc}") from exc
+    if kind == "power":
+        return make_power_net(_number(spec.get("c", 1.0), f"{ptr}/c"),
+                              _number(_field(spec, "a", ptr), f"{ptr}/a"), grid)
+    if kind == "constant":
+        return GenScalar.constant(_number(_field(spec, "value", ptr), f"{ptr}/value"), grid)
+    if kind == "samples":
+        vals = _array(_field(spec, "values", ptr), f"{ptr}/values")
+        if vals.shape != (grid.K,):
+            raise ConfigInvalid(f"{ptr}/values: must have length {grid.K}")
+        return GenScalar(grid, vals)
     raise ConfigInvalid(f"{ptr}/kind: unknown net kind {kind!r}")
 
 
@@ -125,35 +117,33 @@ def _operator_net(spec, grid: EpsGrid) -> BasicOperator:
     if not isinstance(spec, dict):
         raise ConfigInvalid("/operator: must be an object")
     kind = spec.get("kind")
-    try:
-        if kind == "constant":
-            return BasicOperator.constant(_array(spec["matrix"], "/operator/matrix"), grid)
-        if kind == "rotation":
-            theta = grid.values ** _number(spec.get("theta_power", 1.0), "/operator/theta_power")
-            c, s = np.cos(theta), np.sin(theta)
-            mats = np.stack([np.stack([c, -s], axis=1), np.stack([s, c], axis=1)], axis=1)
-            return BasicOperator(grid, mats)
-        if kind == "diag_powers":
-            powers = _array(spec["powers"], "/operator/powers")
-            diags = grid.values[:, None] ** powers[None, :]
-            mats = np.zeros((grid.K, powers.size, powers.size))
-            np.einsum("kii->ki", mats)[:] = diags
-            return BasicOperator(grid, mats)
-        if kind == "idempotent_diag":
-            members = {_number(m, f"/operator/members/{i}", int)
-                       for i, m in enumerate(spec["members"])}
-            dim = _number(spec.get("dim", 2), "/operator/dim", int)
-            S = IndexSet(frozenset(members), grid.K)
-            mats = np.zeros((grid.K, dim, dim))
-            np.einsum("kii->ki", mats)[:] = S.mask().astype(float)[:, None]
-            return BasicOperator(grid, mats)
-        if kind == "samples":
-            mats = _array(spec["matrices"], "/operator/matrices")
-            if mats.ndim != 3 or mats.shape[0] != grid.K:
-                raise ConfigInvalid("/operator/matrices: must be (K, d_out, d_in)")
-            return BasicOperator(grid, mats)
-    except KeyError as exc:
-        raise ConfigInvalid(f"/operator: missing field {exc}") from exc
+    if kind == "constant":
+        return BasicOperator.constant(
+            _array(_field(spec, "matrix", "/operator"), "/operator/matrix"), grid)
+    if kind == "rotation":
+        theta = grid.values ** _number(spec.get("theta_power", 1.0), "/operator/theta_power")
+        c, s = np.cos(theta), np.sin(theta)
+        mats = np.stack([np.stack([c, -s], axis=1), np.stack([s, c], axis=1)], axis=1)
+        return BasicOperator(grid, mats)
+    if kind == "diag_powers":
+        powers = _array(_field(spec, "powers", "/operator"), "/operator/powers")
+        diags = grid.values[:, None] ** powers[None, :]
+        mats = np.zeros((grid.K, powers.size, powers.size))
+        np.einsum("kii->ki", mats)[:] = diags
+        return BasicOperator(grid, mats)
+    if kind == "idempotent_diag":
+        members = {_number(m, f"/operator/members/{i}", int)
+                   for i, m in enumerate(_field(spec, "members", "/operator"))}
+        dim = _number(spec.get("dim", 2), "/operator/dim", int)
+        S = IndexSet(frozenset(members), grid.K)
+        mats = np.zeros((grid.K, dim, dim))
+        np.einsum("kii->ki", mats)[:] = S.mask().astype(float)[:, None]
+        return BasicOperator(grid, mats)
+    if kind == "samples":
+        mats = _array(_field(spec, "matrices", "/operator"), "/operator/matrices")
+        if mats.ndim != 3 or mats.shape[0] != grid.K:
+            raise ConfigInvalid("/operator/matrices: must be (K, d_out, d_in)")
+        return BasicOperator(grid, mats)
     raise ConfigInvalid(f"/operator/kind: unknown operator kind {kind!r}")
 
 
@@ -206,27 +196,24 @@ def _coefficient(spec, grid: EpsGrid, ptr: str = "/coefficient") -> CoefficientN
     if not isinstance(spec, dict):
         raise ConfigInvalid(f"{ptr}: must be a number or an object")
     kind = spec.get("kind")
-    try:
-        if kind == "constant":
-            return CoefficientNet.constant(grid, _number(spec["value"], f"{ptr}/value"))
-        if kind == "heaviside_nu":
-            return CoefficientNet.heaviside_nu(
-                grid,
-                nu_exponent=_number(spec.get("nu_exponent", 1.0), f"{ptr}/nu_exponent"),
-                jump_at=_number(spec.get("jump_at", 0.0), f"{ptr}/jump_at"),
-                high=_number(spec.get("high", 1.0), f"{ptr}/high"),
-            )
-        if kind == "mollified_measure":
-            masses = _pairs(spec.get("masses", []), f"{ptr}/masses")
-            density = spec.get("density")
-            if density is not None:
-                density = _number(density, f"{ptr}/density")
-            return CoefficientNet.mollified_measure(grid, masses, density)
-        if kind == "tabulated":
-            return CoefficientNet.tabulated(grid, _array(spec["xs"], f"{ptr}/xs"),
-                                            _array(spec["values"], f"{ptr}/values"))
-    except KeyError as exc:
-        raise ConfigInvalid(f"{ptr}: missing field {exc}") from exc
+    if kind == "constant":
+        return CoefficientNet.constant(grid, _number(_field(spec, "value", ptr), f"{ptr}/value"))
+    if kind == "heaviside_nu":
+        return CoefficientNet.heaviside_nu(
+            grid,
+            nu_exponent=_number(spec.get("nu_exponent", 1.0), f"{ptr}/nu_exponent"),
+            jump_at=_number(spec.get("jump_at", 0.0), f"{ptr}/jump_at"),
+            high=_number(spec.get("high", 1.0), f"{ptr}/high"),
+        )
+    if kind == "mollified_measure":
+        masses = _pairs(spec.get("masses", []), f"{ptr}/masses")
+        density = spec.get("density")
+        if density is not None:
+            density = _number(density, f"{ptr}/density")
+        return CoefficientNet.mollified_measure(grid, masses, density)
+    if kind == "tabulated":
+        return CoefficientNet.tabulated(grid, _array(_field(spec, "xs", ptr), f"{ptr}/xs"),
+                                        _array(_field(spec, "values", ptr), f"{ptr}/values"))
     raise ConfigInvalid(f"{ptr}/kind: unknown coefficient kind {kind!r}")
 
 
@@ -234,12 +221,9 @@ def _problem(cfg: dict, grid: EpsGrid) -> ProblemSpec:
     p = cfg.get("problem")
     if not isinstance(p, dict):
         raise ConfigInvalid("/problem: must be an object")
-    try:
-        a, b = _pair(p["interval"], "/problem/interval")
-        mesh = Mesh1D(a, b, _number(p["n_elems"], "/problem/n_elems", int))
-        diffusion = _coefficient(p["diffusion"], grid, "/problem/diffusion")
-    except KeyError as exc:
-        raise ConfigInvalid(f"/problem: missing field {exc}") from exc
+    a, b = _pair(_field(p, "interval", "/problem"), "/problem/interval")
+    mesh = Mesh1D(a, b, _number(_field(p, "n_elems", "/problem"), "/problem/n_elems", int))
+    diffusion = _coefficient(_field(p, "diffusion", "/problem"), grid, "/problem/diffusion")
     obstacle = p.get("obstacle")
     if isinstance(obstacle, dict):
         obstacle = _coefficient(obstacle, grid, "/problem/obstacle")
@@ -261,64 +245,64 @@ def _problem(cfg: dict, grid: EpsGrid) -> ProblemSpec:
     )
 
 
-def _write_summary(out: str, name: str, summary: dict) -> str:
-    path = os.path.join(out, f"{name}_summary.json")
-    with open(path, "w") as fh:
-        fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def _finish(out: str, name: str, summary: dict) -> int:
-    path = _write_summary(out, name, summary)
-    verdicts = summary.get("verdicts", {})
-    ok = all(bool(v) for v in verdicts.values())
-    status = "ok" if ok else "FAILED"
-    click.echo(f"{name}: {status} ({path})")
-    return 0 if ok else 2
-
-
-def _write_iterations_csv(out: str, sol) -> None:
-    """One row per grid point of a VI solve: step data and iteration count."""
-    write_grid_csv(
-        os.path.join(out, "iterations.csv"), sol.u.grid,
-        ["alpha", "M", "rho", "contraction_k", "iterations", "residual"],
-        [sol.alpha.samples, sol.operator_norm.samples, sol.step_rho.samples,
-         sol.contraction_k.samples, sol.iterations, sol.residual.samples],
-    )
-
-
-_CONFIG_OPTS = [
-    click.option("--config", "config_path", required=True,
-                 type=click.Path(exists=True, dir_okay=False), help="JSON config file."),
-    click.option("--out", "out", default=".", type=click.Path(file_okay=False),
-                 help="Output directory for CSV and summary files."),
-    click.option("--grid-K", "grid_k", default=None, type=int,
-                 help="Override the number of grid points."),
-]
-
-
-def _with_config_opts(fn):
-    for opt in reversed(_CONFIG_OPTS):
-        fn = opt(fn)
-    return fn
-
-
 @click.group()
 def cli():
     """Generalized-number nets: arithmetic, submodules, variational solvers."""
 
 
-@cli.command("gennum-check")
-@_with_config_opts
-def gennum_check(config_path, out, grid_k):
+def _config_command(name: str, *extra_options):
+    """Register ``body`` as the config command ``name``.
+
+    The command takes --config, --out and --grid-K, then
+    ``extra_options``.  It reads the config with the grid and numeric
+    policy it declares, makes the output directory and calls
+    ``body(cfg, grid, policy, out, **extra)``.  The body writes its tables
+    into ``out`` and returns its summary fields, ``verdicts`` among them.
+    The command then adds ``command`` and ``timings.total_s``, writes
+    ``<name>_summary.json`` and exits 0 when every verdict holds, 2
+    otherwise.
+    """
+    options = [
+        click.option("--config", "config_path", required=True,
+                     type=click.Path(exists=True, dir_okay=False), help="JSON config file."),
+        click.option("--out", "out", default=".", type=click.Path(file_okay=False),
+                     help="Output directory for CSV and summary files."),
+        click.option("--grid-K", "grid_k", default=None, type=int,
+                     help="Override the number of grid points."),
+        *extra_options,
+    ]
+
+    def register(body):
+        @functools.wraps(body)
+        def command(config_path, out, grid_k, **extra):
+            t0 = time.perf_counter()
+            cfg = _load_config(config_path)
+            grid = _build_grid(cfg, grid_k)
+            policy = _build_policy(cfg, grid)
+            os.makedirs(out, exist_ok=True)
+            summary = body(cfg, grid, policy, out, **extra)
+            summary["command"] = name
+            summary.setdefault("timings", {})["total_s"] = time.perf_counter() - t0
+            path = os.path.join(out, f"{name}_summary.json")
+            with open(path, "w") as fh:
+                fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+            ok = all(bool(v) for v in summary["verdicts"].values())
+            click.echo(f"{name}: {'ok' if ok else 'FAILED'} ({path})")
+            return 0 if ok else 2
+
+        for option in reversed(options):
+            command = option(command)
+        return cli.command(name)(command)
+    return register
+
+
+@_config_command("gennum-check")
+def gennum_check(cfg, grid, policy, out):
     """Valuations, sharp norms, and negligibility/moderateness verdicts."""
-    t0 = time.perf_counter()
-    cfg, grid, policy = _load_setup(config_path, grid_k)
     specs = cfg.get("nets")
     if not isinstance(specs, list) or not specs:
         raise ConfigInvalid("/nets: must be a nonempty list")
     nets = [_scalar_net(s, grid, f"/nets/{j}") for j, s in enumerate(specs)]
-    os.makedirs(out, exist_ok=True)
     write_grid_csv(os.path.join(out, "nets.csv"), grid,
                    [f"net{j}" for j in range(len(nets))], [np.real(net.samples) for net in nets])
     rows = []
@@ -330,50 +314,35 @@ def gennum_check(config_path, out, grid_k):
             "negligible": bool(is_negligible(net, policy)),
             "moderate": bool(is_moderate(net, policy)),
         })
-    summary = {
-        "command": "gennum-check",
+    return {
         "results": rows,
         "valuations": {f"net{r['net']}": r["valuation"] for r in rows},
         "verdicts": {},
-        "timings": {"total_s": time.perf_counter() - t0},
     }
-    return _finish(out, "gennum-check", summary)
 
 
-@cli.command("classify-op")
-@_with_config_opts
-def classify_op(config_path, out, grid_k):
+@_config_command("classify-op")
+def classify_op(cfg, grid, policy, out):
     """Isometric / unitary / self-adjoint / projection flags for an operator net."""
-    t0 = time.perf_counter()
-    cfg, grid, policy = _load_setup(config_path, grid_k)
     T = _operator_net(cfg.get("operator"), grid)
     flags = classify_operator(T, policy)
     norms = op_norm_net(T)
-    os.makedirs(out, exist_ok=True)
     write_grid_csv(os.path.join(out, "opnorm.csv"), grid, ["op_norm"], [norms.samples])
-    summary = {
-        "command": "classify-op",
+    return {
         "flags": {key: bool(v) for key, v in flags.items()},
         "valuations": {"op_norm": float(valuation_estimate(norms, policy))},
         "verdicts": {},
-        "timings": {"total_s": time.perf_counter() - t0},
     }
-    return _finish(out, "classify-op", summary)
 
 
-@cli.command("gram-schmidt")
-@_with_config_opts
-@click.option("--seed", default=0, type=int, show_default=True,
-              help="Seed for the /random generators.")
-def gram_schmidt(config_path, out, grid_k, seed):
+@_config_command("gram-schmidt", click.option(
+    "--seed", default=0, type=int, show_default=True, help="Seed for the /random generators."))
+def gram_schmidt(cfg, grid, policy, out, seed):
     """Orthogonalize a generator set; exit 2 if no uniform scale exists."""
-    t0 = time.perf_counter()
-    cfg, grid, policy = _load_setup(config_path, grid_k)
     gens = _generators(cfg, grid, seed)
     t_gs = time.perf_counter()
     result = classify_submodule(GeneratorSet(gens), policy)
     gram_schmidt_s = time.perf_counter() - t_gs
-    os.makedirs(out, exist_ok=True)
     vecs = result.basis.vecs if result.basis is not None else []
     t_csv = time.perf_counter()
     write_grid_csv(os.path.join(out, "basis.csv"), grid,
@@ -384,18 +353,15 @@ def gram_schmidt(config_path, out, grid_k, seed):
     for j, w in enumerate(vecs):
         norm_net = GenScalar(grid, np.linalg.norm(w.samples, axis=1))
         valuations[f"v{j}_norm"] = float(valuation_estimate(norm_net, policy))
-    summary = {
-        "command": "gram-schmidt",
+    return {
         "closed_edged": result.closed_edged,
         "diagnostics": result.diagnostics,
         "supports": [sorted(S.members) for S in result.basis.supports]
         if result.basis is not None else None,
         "valuations": valuations,
         "verdicts": {"closed_edged": result.closed_edged},
-        "timings": {"gram_schmidt_s": gram_schmidt_s, "csv_s": csv_s,
-                    "total_s": time.perf_counter() - t0},
+        "timings": {"gram_schmidt_s": gram_schmidt_s, "csv_s": csv_s},
     }
-    return _finish(out, "gram-schmidt", summary)
 
 
 def _generators(cfg: dict, grid: EpsGrid, seed: int) -> list:
@@ -404,11 +370,8 @@ def _generators(cfg: dict, grid: EpsGrid, seed: int) -> list:
         if not isinstance(r, dict):
             raise ConfigInvalid("/random: must be an object")
         rng = np.random.default_rng(seed)
-        try:
-            m = _number(r["m"], "/random/m", int)
-            d = _number(r["d"], "/random/d", int)
-        except KeyError as exc:
-            raise ConfigInvalid(f"/random: missing field {exc}") from exc
+        m = _number(_field(r, "m", "/random"), "/random/m", int)
+        d = _number(_field(r, "d", "/random"), "/random/d", int)
         powers = _array(r.get("powers", [0] * m), "/random/powers")
         if powers.shape != (m,):
             raise ConfigInvalid("/random/powers: must list one exponent per generator")
@@ -426,37 +389,33 @@ def _generators(cfg: dict, grid: EpsGrid, seed: int) -> list:
         if not isinstance(s, dict):
             raise ConfigInvalid(f"{ptr}: must be an object")
         kind = s.get("kind")
-        try:
-            if kind == "constant":
-                gens.append(GenVector.constant(_array(s["vector"], f"{ptr}/vector"), grid))
-            elif kind == "power_scaled":
-                v = _array(s["vector"], f"{ptr}/vector")
-                p = _number(s.get("power", 0.0), f"{ptr}/power")
-                gens.append(GenVector(grid, grid.values[:, None] ** p * v[None, :]))
-            elif kind == "power_tower":
-                # sample norm eps_k^k: scales drift without bound across the grid
-                v = _array(s["vector"], f"{ptr}/vector")
-                v = v / np.linalg.norm(v)
-                ks = np.arange(1, grid.K + 1, dtype=float)
-                gens.append(GenVector(grid, (grid.values ** ks)[:, None] * v[None, :]))
-            elif kind == "samples":
-                vals = _array(s["values"], f"{ptr}/values")
-                if vals.ndim != 2 or vals.shape[0] != grid.K:
-                    raise ConfigInvalid(f"{ptr}/values: must be (K, d)")
-                gens.append(GenVector(grid, vals))
-            else:
-                raise ConfigInvalid(f"{ptr}/kind: unknown generator kind {kind!r}")
-        except KeyError as exc:
-            raise ConfigInvalid(f"{ptr}: missing field {exc}") from exc
+        if kind == "constant":
+            gens.append(GenVector.constant(_array(_field(s, "vector", ptr), f"{ptr}/vector"),
+                                           grid))
+        elif kind == "power_scaled":
+            v = _array(_field(s, "vector", ptr), f"{ptr}/vector")
+            p = _number(s.get("power", 0.0), f"{ptr}/power")
+            gens.append(GenVector(grid, grid.values[:, None] ** p * v[None, :]))
+        elif kind == "power_tower":
+            # sample norm eps_k^k: scales drift without bound across the grid
+            v = _array(_field(s, "vector", ptr), f"{ptr}/vector")
+            v = v / np.linalg.norm(v)
+            ks = np.arange(1, grid.K + 1, dtype=float)
+            gens.append(GenVector(grid, (grid.values ** ks)[:, None] * v[None, :]))
+        elif kind == "samples":
+            vals = _array(_field(s, "values", ptr), f"{ptr}/values")
+            if vals.ndim != 2 or vals.shape[0] != grid.K:
+                raise ConfigInvalid(f"{ptr}/values: must be (K, d)")
+            gens.append(GenVector(grid, vals))
+        else:
+            raise ConfigInvalid(f"{ptr}/kind: unknown generator kind {kind!r}")
     return gens
 
 
-@cli.command("vi-solve")
-@_with_config_opts
-def vi_solve(config_path, out, grid_k):
+@_config_command("vi-solve")
+def vi_solve(cfg, grid, policy, out):
     """Projected contraction iteration for a small variational inequality."""
     t0 = time.perf_counter()
-    cfg, grid, policy = _load_setup(config_path, grid_k)
     T = _operator_net(cfg.get("operator"), grid)
     rhs = cfg.get("rhs")
     if not isinstance(rhs, list):
@@ -466,87 +425,57 @@ def vi_solve(config_path, out, grid_k):
     cert = certify_coercivity(T, policy)
     sol = vi_solve_contraction(T, c, C, cert, policy)
     solve_s = time.perf_counter() - t0
-    os.makedirs(out, exist_ok=True)
-    _write_iterations_csv(out, sol)
+    sol.write_iterations_csv(os.path.join(out, "iterations.csv"))
     write_grid_csv(os.path.join(out, "solution.csv"), grid,
                    [f"u{i}" for i in range(sol.u.dim)], sol.u.samples.T)
     u_norm = GenScalar(grid, np.linalg.norm(sol.u.samples, axis=1))
-    summary = {
-        "command": "vi-solve",
+    return {
         "certificate": cert.to_json(),
         "max_iterations": int(sol.iterations.max()),
         "max_residual": float(sol.residual.samples.max()),
         "valuations": {"u_norm": float(valuation_estimate(u_norm, policy))},
         "verdicts": {"coercive": cert.valid},
-        "timings": {"solve_s": solve_s, "total_s": time.perf_counter() - t0},
+        "timings": {"solve_s": solve_s},
     }
-    return _finish(out, "vi-solve", summary)
 
 
 def _convex_set(spec, grid: EpsGrid) -> ConvexSetNet:
     if not isinstance(spec, dict):
         raise ConfigInvalid("/set: must be an object")
     kind = spec.get("kind")
-    try:
-        if kind == "box":
-            return ConvexSetNet.box(grid, _array(spec["lower"], "/set/lower"),
-                                    _array(spec["upper"], "/set/upper"))
-        if kind == "obstacle":
-            return ConvexSetNet.obstacle(grid, _array(spec["lower"], "/set/lower"))
-    except KeyError as exc:
-        raise ConfigInvalid(f"/set: missing field {exc}") from exc
+    if kind == "box":
+        return ConvexSetNet.box(grid, _array(_field(spec, "lower", "/set"), "/set/lower"),
+                                _array(_field(spec, "upper", "/set"), "/set/upper"))
+    if kind == "obstacle":
+        return ConvexSetNet.obstacle(grid, _array(_field(spec, "lower", "/set"), "/set/lower"))
     raise ConfigInvalid(f"/set/kind: unknown set kind {kind!r}")
 
 
-@cli.command("solve-dirichlet")
-@_with_config_opts
-def solve_dirichlet_cmd(config_path, out, grid_k):
-    """P1 solve of -(a u')' + c u = f with Dirichlet data, per grid point."""
+def _fem_summary(solve, cfg, grid, policy, out) -> dict:
+    """Solve the config's problem with ``solve``, write the result's tables,
+    and return its summary fields."""
     t0 = time.perf_counter()
-    cfg, grid, policy = _load_setup(config_path, grid_k)
-    spec = _problem(cfg, grid)
-    result = solve_dirichlet(spec, policy)
+    result = solve(_problem(cfg, grid), policy)
     solve_s = time.perf_counter() - t0
-    os.makedirs(out, exist_ok=True)
-    result.write_solution_csv(os.path.join(out, "solution.csv"))
-    summary = {
-        "command": "solve-dirichlet",
+    result.write_tables(out)
+    return {
         **result.to_json(),
         "valuations": {"h1_norm": result.valuation},
-        "verdicts": {
-            "coercive": result.cert.valid,
-            "residual_ok": bool(np.all(result.residual.samples <= 1e-10)),
-            "moderate": result.moderate,
-        },
-        "timings": {"solve_s": solve_s, "total_s": time.perf_counter() - t0},
+        "verdicts": result.verdicts(),
+        "timings": {"solve_s": solve_s},
     }
-    return _finish(out, "solve-dirichlet", summary)
 
 
-@cli.command("solve-obstacle")
-@_with_config_opts
-def solve_obstacle_cmd(config_path, out, grid_k):
+@_config_command("solve-dirichlet")
+def solve_dirichlet_cmd(cfg, grid, policy, out):
+    """P1 solve of -(a u')' + c u = f with Dirichlet data, per grid point."""
+    return _fem_summary(solve_dirichlet, cfg, grid, policy, out)
+
+
+@_config_command("solve-obstacle")
+def solve_obstacle_cmd(cfg, grid, policy, out):
     """Obstacle-constrained P1 solve via the projected contraction iteration."""
-    t0 = time.perf_counter()
-    cfg, grid, policy = _load_setup(config_path, grid_k)
-    spec = _problem(cfg, grid)
-    result = solve_obstacle(spec, policy)
-    solve_s = time.perf_counter() - t0
-    os.makedirs(out, exist_ok=True)
-    result.write_solution_csv(os.path.join(out, "solution.csv"))
-    _write_iterations_csv(out, result.vi)
-    hn = h1_norm_net(spec.mesh, grid, result.u.samples)
-    summary = {
-        "command": "solve-obstacle",
-        **result.to_json(),
-        "valuations": {"h1_norm": float(valuation_estimate(hn, policy))},
-        "verdicts": {
-            "coercive": result.cert.valid,
-            "complementarity_ok": result.complementarity_ok,
-        },
-        "timings": {"solve_s": solve_s, "total_s": time.perf_counter() - t0},
-    }
-    return _finish(out, "solve-obstacle", summary)
+    return _fem_summary(solve_obstacle, cfg, grid, policy, out)
 
 
 @cli.command("report")
@@ -563,7 +492,8 @@ def report(summaries, out):
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise MalformedSummary(f"cannot read summary {path}: {exc}") from exc
-        if not isinstance(data, dict) or "command" not in data or "verdicts" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("command"), str) \
+                or not isinstance(data.get("verdicts"), dict):
             raise MalformedSummary(f"{path} is not a command summary")
         merged.append(data)
     all_ok = True

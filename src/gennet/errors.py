@@ -2,9 +2,9 @@
 
 Every error raised on a documented contract violation lives here so that
 callers (and the CLI) can catch them by family.  ``GennetError`` is the
-common base; ``VerdictFailure`` marks errors that the CLI maps to exit
-code 2 (a computation ran but a mathematical verdict failed), everything
-else is a usage/contract problem.
+common base.  The CLI exits 1 on ``ConfigInvalid``, ``MalformedSummary``,
+``InvalidSpec`` and ``InvalidBasis`` (bad input), and 2 on every other
+``GennetError`` (a computation ran but a mathematical verdict failed).
 """
 
 

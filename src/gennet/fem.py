@@ -19,6 +19,7 @@ continuum limit's.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,13 @@ from .gennum import (  # noqa: F401
 )
 from .hilbert import GenVector
 from .operators import TridiagonalOperator
-from .variational import CoercivityCertificate, VISolution, lax_milgram_solve, vi_solve_contraction
+from .variational import (
+    RESIDUAL_TARGET,
+    CoercivityCertificate,
+    VISolution,
+    lax_milgram_solve,
+    vi_solve_contraction,
+)
 
 # reference 3-point Gauss rule on [-1, 1]
 _GAUSS_T = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
@@ -366,19 +373,6 @@ def _assemble_all(spec: ProblemSpec):
     return T, b[:, 1:-1] - lift, gtilde, a_min, a_max, c_min
 
 
-def _check_diffusion_bounds(spec: ProblemSpec, a_min, a_max, policy: NumericPolicy):
-    eps = spec.grid.values
-    if np.any(a_min <= 0.0):
-        k = int(np.argmax(a_min <= 0.0))
-        raise CoercivityFailure(
-            f"diffusion is not positive at the quadrature points (grid point {k + 1})")
-    bad = (a_min < eps ** policy.N_mod) | (a_max > eps ** (-policy.N_mod))
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise CoercivityFailure(
-            f"diffusion leaves the moderate window eps^±N_mod at grid point {k + 1}")
-
-
 def poincare_constant(mesh: Mesh1D) -> float:
     """Smallest eigenvalue of the unit-coefficient interior stiffness matrix.
 
@@ -403,20 +397,32 @@ def h1_norm_net(mesh: Mesh1D, grid: EpsGrid, u_nodal: np.ndarray) -> GenScalar:
     return GenScalar(grid, np.sqrt(sq))
 
 
-def _certificate(spec: ProblemSpec, a_min, c_min, policy: NumericPolicy) -> CoercivityCertificate:
+def _certificate(spec: ProblemSpec, a_min, a_max, c_min,
+                 policy: NumericPolicy) -> CoercivityCertificate:
     """Coercivity lower bound alpha_k = a_min c_P + min(c_min, 0) h per sample.
 
     The stiffness part of v^T A v is at least a_min c_P |v|^2.  The
     potential part is a positive-weight quadrature of c v^2, exact for
     the P1 mass matrix M, so it is at least min(c_min, 0) lambda_max(M)
     |v|^2, and Gershgorin gives lambda_max(M) <= h.  Raises
-    CoercivityFailure naming the first tail grid point (1-based) where
-    the bound is not invertible-nonnegative.
+    CoercivityFailure naming the first grid point (1-based) where the
+    diffusion range [a_min, a_max] is not positive or leaves the moderate
+    window eps^±N_mod, and otherwise the first tail grid point where the
+    bound is not invertible-nonnegative.
     """
+    eps = spec.grid.values
+    if np.any(a_min <= 0.0):
+        k = int(np.argmax(a_min <= 0.0))
+        raise CoercivityFailure(
+            f"diffusion is not positive at the quadrature points (grid point {k + 1})")
+    bad = (a_min < eps ** policy.N_mod) | (a_max > eps ** (-policy.N_mod))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise CoercivityFailure(
+            f"diffusion leaves the moderate window eps^±N_mod at grid point {k + 1}")
     a = a_min * poincare_constant(spec.mesh) + np.minimum(c_min, 0.0) * spec.mesh.h
     cert = CoercivityCertificate.from_alpha(GenScalar(spec.grid, a), policy)
     if not cert.valid:
-        eps = spec.grid.values
         bad = (a < -eps ** policy.q_neg) | (np.abs(a) < eps ** policy.m_inv)
         start = spec.grid.K - policy.tail
         k = start + int(np.argmax(bad[start:]))
@@ -433,15 +439,25 @@ def under_resolved_indices(spec: ProblemSpec) -> list[int]:
 
 
 @dataclass(frozen=True)
-class DirichletResult:
+class NodalResult:
+    """What both FEM solves share: the nodal solution net, its certificate
+    and its discrete H1 norm net with that net's valuation."""
+
     u: GenVector  # full nodal values, boundary included
     cert: CoercivityCertificate
-    residual: GenScalar  # relative residual of each sample solve
     h1_norm: GenScalar
     valuation: float
-    moderate: bool
     under_resolved: list
     mesh: Mesh1D
+
+    def write_solution_csv(self, path):
+        _write_nodal_csv(path, self.mesh, self.u)
+
+
+@dataclass(frozen=True)
+class DirichletResult(NodalResult):
+    residual: GenScalar  # relative residual of each sample solve
+    moderate: bool
 
     def to_json(self) -> dict:
         return {
@@ -453,20 +469,24 @@ class DirichletResult:
             "under_resolved": list(self.under_resolved),
         }
 
-    def write_solution_csv(self, path):
-        _write_nodal_csv(path, self.mesh, self.u)
+    def verdicts(self) -> dict:
+        return {
+            "coercive": self.cert.valid,
+            "residual_ok": bool(np.all(self.residual.samples <= RESIDUAL_TARGET)),
+            "moderate": self.moderate,
+        }
+
+    def write_tables(self, out):
+        """``solution.csv`` in the existing directory ``out``."""
+        self.write_solution_csv(os.path.join(out, "solution.csv"))
 
 
 @dataclass(frozen=True)
-class ObstacleResult:
-    u: GenVector  # full nodal values
+class ObstacleResult(NodalResult):
     vi: VISolution
-    cert: CoercivityCertificate
     psi: np.ndarray  # nodal obstacle values (K, n+1)
     complementarity_ok: bool
     complementarity_max: float
-    under_resolved: list
-    mesh: Mesh1D
 
     def to_json(self) -> dict:
         return {
@@ -478,8 +498,14 @@ class ObstacleResult:
             "under_resolved": list(self.under_resolved),
         }
 
-    def write_solution_csv(self, path):
-        _write_nodal_csv(path, self.mesh, self.u)
+    def verdicts(self) -> dict:
+        return {"coercive": self.cert.valid, "complementarity_ok": self.complementarity_ok}
+
+    def write_tables(self, out):
+        """``solution.csv`` and the VI's ``iterations.csv`` in the existing
+        directory ``out``."""
+        self.write_solution_csv(os.path.join(out, "solution.csv"))
+        self.vi.write_iterations_csv(os.path.join(out, "iterations.csv"))
 
 
 def _write_nodal_csv(path, mesh: Mesh1D, u: GenVector):
@@ -508,40 +534,41 @@ def _write_nodal_csv(path, mesh: Mesh1D, u: GenVector):
         fh.write("\n")
 
 
+def _assemble_certified(spec: ProblemSpec, policy: NumericPolicy):
+    """The band net, interior loads and lifting of ``_assemble_all``, with
+    the coercivity certificate of the net."""
+    _validate_boundary(spec, policy)
+    T, b_net, gtilde, a_min, a_max, c_min = _assemble_all(spec)
+    return T, b_net, gtilde, _certificate(spec, a_min, a_max, c_min, policy)
+
+
+def _nodal_fields(spec: ProblemSpec, policy: NumericPolicy, cert, gtilde, w) -> dict:
+    """The NodalResult fields of the interior solution net ``w`` (K, n-1)."""
+    u_full = gtilde.copy()
+    u_full[:, 1:-1] += w
+    hn = h1_norm_net(spec.mesh, spec.grid, u_full)
+    return {"u": GenVector(spec.grid, u_full), "cert": cert, "h1_norm": hn,
+            "valuation": float(valuation_estimate(hn, policy)),
+            "under_resolved": under_resolved_indices(spec), "mesh": spec.mesh}
+
+
 def solve_dirichlet(spec: ProblemSpec, policy: NumericPolicy) -> DirichletResult:
     """Solve the unconstrained problem per grid point and certify the answer.
 
     Assembles the P1 band net for every eps sample, certifies coercivity
     through the Poincare constant and the potential's minimum, solves to
-    relative residual 1e-10, and reports the discrete H1 norm net with its
-    valuation and moderateness verdict.
+    the relative residual RESIDUAL_TARGET, and reports the discrete H1
+    norm net with its valuation and moderateness verdict.
     """
     if spec.obstacle is not None:
         raise InvalidSpec("this problem has an obstacle; use solve_obstacle")
-    _validate_boundary(spec, policy)
-    T, b_net, gtilde, a_min, a_max, c_min = _assemble_all(spec)
-    _check_diffusion_bounds(spec, a_min, a_max, policy)
-    cert = _certificate(spec, a_min, c_min, policy)
-
-    w = lax_milgram_solve(T, GenVector(spec.grid, b_net), cert, policy, rel_residual=1e-10)
-
-    u_full = gtilde.copy()
-    u_full[:, 1:-1] += w.samples
-    r = T.matvec(w.samples) - b_net
+    T, b_net, gtilde, cert = _assemble_certified(spec, policy)
+    w = lax_milgram_solve(T, GenVector(spec.grid, b_net), cert, policy).samples
+    r = T.matvec(w) - b_net
     rel = np.linalg.norm(r, axis=1) / (1.0 + np.linalg.norm(b_net, axis=1))
-
-    hn = h1_norm_net(spec.mesh, spec.grid, u_full)
-    val = valuation_estimate(hn, policy)
-    return DirichletResult(
-        u=GenVector(spec.grid, u_full),
-        cert=cert,
-        residual=GenScalar(spec.grid, rel),
-        h1_norm=hn,
-        valuation=float(val),
-        moderate=bool(is_moderate(hn, policy)),
-        under_resolved=under_resolved_indices(spec),
-        mesh=spec.mesh,
-    )
+    nodal = _nodal_fields(spec, policy, cert, gtilde, w)
+    return DirichletResult(**nodal, residual=GenScalar(spec.grid, rel),
+                           moderate=bool(is_moderate(nodal["h1_norm"], policy)))
 
 
 def solve_obstacle(spec: ProblemSpec, policy: NumericPolicy,
@@ -552,13 +579,13 @@ def solve_obstacle(spec: ProblemSpec, policy: NumericPolicy,
     boundary lifting); afterwards the discrete complementarity system
     is checked: residual >= 0, u >= psi, and at every node at least one
     of the two is active, all within check_tol at the data's scale.
+    The feasibility term is scaled by the largest finite |psi - lifting|,
+    so nodes where the obstacle is -inf never constrain and never turn
+    the check into NaN.
     """
     if spec.obstacle is None:
         raise InvalidSpec("this problem has no obstacle; use solve_dirichlet")
-    _validate_boundary(spec, policy)
-    T, b_net, gtilde, a_min, a_max, c_min = _assemble_all(spec)
-    _check_diffusion_bounds(spec, a_min, a_max, policy)
-    cert = _certificate(spec, a_min, c_min, policy)
+    T, b_net, gtilde, cert = _assemble_certified(spec, policy)
 
     psi = spec.obstacle_nodal()
     above = psi[:, [0, -1]] > gtilde[:, [0, -1]]
@@ -572,30 +599,26 @@ def solve_obstacle(spec: ProblemSpec, policy: NumericPolicy,
     vi = vi_solve_contraction(T, GenVector(spec.grid, b_net), C, cert, policy)
 
     w = vi.u.samples
-    u_full = gtilde.copy()
-    u_full[:, 1:-1] += w
     r = T.matvec(w) - b_net
     scale = (1.0 + np.linalg.norm(b_net, axis=1))[:, None]
     slack = w - lower
+    lower_max = np.abs(lower).max(axis=1, initial=0.0, where=np.isfinite(lower))
     viol = np.maximum.reduce([
         np.max(-r / scale, axis=1),
-        np.max(-slack, axis=1) / (1.0 + np.abs(lower).max(axis=1)),
+        np.max(-slack, axis=1) / (1.0 + lower_max),
         np.max(np.minimum(np.abs(r) / scale, slack), axis=1),
     ])
     comp_max = float(np.max(viol))
     return ObstacleResult(
-        u=GenVector(spec.grid, u_full),
+        **_nodal_fields(spec, policy, cert, gtilde, w),
         vi=vi,
-        cert=cert,
         psi=psi,
         complementarity_ok=bool(comp_max <= check_tol),
         complementarity_max=comp_max,
-        under_resolved=under_resolved_indices(spec),
-        mesh=spec.mesh,
     )
 
 
-def classical_consistency_check(result: DirichletResult | ObstacleResult):
+def classical_consistency_check(result: NodalResult):
     """How far a solve's per-eps solutions drift from the first grid point's.
 
     Takes the result of solve_dirichlet or solve_obstacle and solves

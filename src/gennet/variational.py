@@ -37,6 +37,7 @@ from .gennum import (
     NumericPolicy,
     ge_zero,
     invertible_wrt,
+    write_grid_csv,
 )
 from .hilbert import GenVector
 from .operators import BasicOperator, TridiagonalOperator, classify_operator, op_norm_net
@@ -44,6 +45,7 @@ from .operators import BasicOperator, TridiagonalOperator, classify_operator, op
 _EPS_MACH = np.finfo(float).eps
 _REFINEMENTS = 3  # iterative-refinement steps after the direct solve
 _RATIO_SLACK = 1e-6  # allowed excess of an observed step ratio over its factor
+RESIDUAL_TARGET = 1e-10  # relative residual every Lax-Milgram solve must reach
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,7 @@ def lax_milgram_solve(
     c: GenVector,
     cert: CoercivityCertificate,
     policy: NumericPolicy,
-    rel_residual: float = 1e-10,
+    rel_residual: float = RESIDUAL_TARGET,
 ) -> GenVector:
     """Solve T_k u_k = c_k at every grid point under a valid coercivity certificate.
 
@@ -140,6 +142,15 @@ class VISolution:
     operator_norm: GenScalar
     step_rho: GenScalar
     max_step_ratio: GenScalar | None = None
+
+    def write_iterations_csv(self, path):
+        """One row per grid point: step data and iteration count."""
+        write_grid_csv(
+            path, self.u.grid,
+            ["alpha", "M", "rho", "contraction_k", "iterations", "residual"],
+            [self.alpha.samples, self.operator_norm.samples, self.step_rho.samples,
+             self.contraction_k.samples, self.iterations, self.residual.samples],
+        )
 
 
 def vi_solve_contraction(

@@ -171,6 +171,36 @@ def test_seed_controls_random_generators(tmp_path):
     assert 0.0 <= timings["gram_schmidt_s"] + timings["csv_s"] <= timings["total_s"]
 
 
+# ------------------------------------------------------- command protocol
+
+_PROTOCOL_CASES = {
+    "gennum-check": {"nets": [{"kind": "power", "a": 1.0}]},
+    "classify-op": {"operator": {"kind": "rotation"}},
+    "gram-schmidt": {"generators": [{"kind": "constant", "vector": [1.0, 0.0]}]},
+    "gram-schmidt-tower": {"generators": [{"kind": "power_tower", "vector": [1.0, 0.0]}]},
+    "vi-solve": {"operator": {"kind": "constant", "matrix": [[2.0]]}, "rhs": [1.0],
+                 "set": {"kind": "box", "lower": [0.0], "upper": [1.0]}},
+    "solve-dirichlet": {"problem": {"interval": [0.0, 1.0], "n_elems": 8,
+                                    "diffusion": 1.0, "rhs": 1.0}},
+    "solve-obstacle": {"problem": {"interval": [0.0, 1.0], "n_elems": 8,
+                                   "diffusion": 1.0, "rhs": -8.0, "obstacle": -0.75}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PROTOCOL_CASES))
+def test_every_config_command_keeps_the_summary_protocol(tmp_path, case):
+    command = case.removesuffix("-tower")
+    path = _write_config(tmp_path, "cfg.json", _PROTOCOL_CASES[case])
+    rc = _run([command, "--config", path, "--out", str(tmp_path / "out")])
+    s = _summary(tmp_path / "out", command)
+    assert s["command"] == command
+    assert isinstance(s["verdicts"], dict)
+    timings = s["timings"]
+    assert all(0.0 <= t <= timings["total_s"] for t in timings.values())
+    assert rc == (0 if all(s["verdicts"].values()) else 2)
+    assert (rc == 2) == (case == "gram-schmidt-tower")
+
+
 # ---------------------------------------------------------- verdict exits
 
 def test_mixed_scale_generator_exits_2(tmp_path, capsys):
@@ -228,10 +258,20 @@ def test_report_rejects_malformed_summaries(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     assert _run(["report", str(broken)]) == 1
+    for i, text in enumerate(['{"command": "x", "verdicts": [1]}',
+                              '{"command": [1], "verdicts": {}}']):
+        odd = tmp_path / f"odd{i}.json"
+        odd.write_text(text)
+        assert _run(["report", str(odd)]) == 1
+        assert "is not a command summary" in capsys.readouterr().err
     assert _run(["report"]) == 1  # no inputs is a usage error
 
 
 # ------------------------------------------------------------- bad config
+
+_VI = {"operator": {"kind": "constant", "matrix": [[1.0]]}, "rhs": [1.0],
+       "set": {"kind": "box", "lower": [0.0], "upper": [1.0]}}
+
 
 @pytest.mark.parametrize("cfg,args,needle", [
     ({"nets": []}, ["gennum-check"], "/nets"),
@@ -258,6 +298,25 @@ def test_config_errors_point_into_the_document(tmp_path, capsys, cfg, args, need
     assert "config error" in err and needle in err
 
 
+@pytest.mark.parametrize("cfg,args,needle", [
+    ({"operator": {"kind": "constant"}}, ["classify-op"], "/operator: missing field 'matrix'"),
+    ({"problem": {"interval": [0.0, 1.0], "diffusion": 1.0}}, ["solve-dirichlet"],
+     "/problem: missing field 'n_elems'"),
+    ({"generators": [{"kind": "power_scaled"}]}, ["gram-schmidt"],
+     "/generators/0: missing field 'vector'"),
+    ({"random": {"m": 2}}, ["gram-schmidt"], "/random: missing field 'd'"),
+    ({**_VI, "set": {"kind": "box", "lower": [0.0]}}, ["vi-solve"],
+     "/set: missing field 'upper'"),
+], ids=["operator-matrix", "problem-n_elems", "generator-vector", "random-d", "box-upper"])
+def test_missing_fields_are_config_errors(tmp_path, capsys, cfg, args, needle):
+    path = _write_config(tmp_path, "bad.json", cfg)
+    rc = _run(args + ["--config", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "config error" in err and needle in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("field,needle", [
     ({"potential": {"kind": "mollified_measure", "masses": [[0.0]]}},
      "/problem/potential/masses/0"),
@@ -273,10 +332,6 @@ def test_malformed_problem_fields_are_config_errors(tmp_path, capsys, field, nee
     assert rc == 1
     assert "config error" in err and needle in err
     assert "Traceback" not in err
-
-
-_VI = {"operator": {"kind": "constant", "matrix": [[1.0]]}, "rhs": [1.0],
-       "set": {"kind": "box", "lower": [0.0], "upper": [1.0]}}
 
 
 @pytest.mark.parametrize("cfg,args,needle", [

@@ -417,6 +417,26 @@ def test_inactive_obstacle_matches_the_unconstrained_solve():
     assert len(blob["iterations"]) == GRID.K
 
 
+@pytest.mark.filterwarnings("error")
+def test_minus_infinite_obstacle_nodes_never_constrain():
+    mesh = Mesh1D(0.0, 1.0, 16)
+    free = solve_dirichlet(_spec(mesh, rhs=-8.0), POLICY)
+    nowhere = CoefficientNet.tabulated(GRID, [0.0, 1.0], [-np.inf, -np.inf])
+    res = solve_obstacle(_spec(mesh, rhs=-8.0, obstacle=nowhere), POLICY)
+    assert res.complementarity_ok and res.complementarity_max <= 1e-8
+    assert np.max(np.abs(res.u.samples - free.u.samples)) <= 1e-8
+
+    # -inf on the left half; a far-away finite obstacle there is the same problem
+    left = mesh.nodes < 0.5
+    res = solve_obstacle(_spec(mesh, rhs=-8.0, obstacle=np.where(left, -np.inf, -0.75)),
+                         POLICY)
+    far = solve_obstacle(_spec(mesh, rhs=-8.0, obstacle=np.where(left, -1e6, -0.75)),
+                         POLICY)
+    assert res.complementarity_ok and res.complementarity_max <= 1e-8
+    assert np.max(np.abs(res.u.samples - far.u.samples)) <= 1e-8
+    assert np.all(res.u.samples[:, ~left] >= -0.75 - 1e-10)
+
+
 # ------------------------------------------------- the singular exam case
 
 def test_vanishing_diffusion_with_singular_potential():
