@@ -474,7 +474,7 @@ def solve_dirichlet_cmd(cfg, grid, policy, out):
 
 @_config_command("solve-obstacle")
 def solve_obstacle_cmd(cfg, grid, policy, out):
-    """Obstacle-constrained P1 solve via the projected contraction iteration."""
+    """Obstacle-constrained P1 solve by a primal-dual active-set method."""
     return _fem_summary(solve_obstacle, cfg, grid, policy, out)
 
 
@@ -495,6 +495,8 @@ def report(summaries, out):
         if not isinstance(data, dict) or not isinstance(data.get("command"), str) \
                 or not isinstance(data.get("verdicts"), dict):
             raise MalformedSummary(f"{path} is not a command summary")
+        if not all(isinstance(value, bool) for value in data["verdicts"].values()):
+            raise MalformedSummary(f"{path}: every verdict must be true or false")
         merged.append(data)
     all_ok = True
     click.echo(f"{'command':<16} {'verdict':<20} value")
@@ -504,7 +506,7 @@ def report(summaries, out):
             click.echo(f"{data['command']:<16} {'(informational)':<20} ok")
         for name, value in sorted(verdicts.items()):
             click.echo(f"{data['command']:<16} {name:<20} {'pass' if value else 'FAIL'}")
-            all_ok = all_ok and bool(value)
+            all_ok = all_ok and value
     if out is not None:
         os.makedirs(out, exist_ok=True)
         text = json.dumps({"reports": merged, "all_ok": all_ok}, indent=2, sort_keys=True)

@@ -5,10 +5,10 @@ the diffusion a, potential c, and load f are nets over the eps grid:
 a Heaviside jump whose lower level is a power of eps, a point mass
 mollified at width eps, or plain constants.  Discretization is P1
 finite elements with three-point Gauss quadrature per element; all K
-per-sample systems are assembled at once as a symmetric tridiagonal
-band net, so assembly, solve and certificate cost O(K n).  The systems
-feed the variational-problem machinery, with coercivity certified
-through the discrete Poincare constant and the potential's lower bound.
+per-sample systems are assembled at once as a tridiagonal band net, so
+assembly, solve, obstacle solve and certificate cost O(K n) per step,
+with coercivity certified through the discrete Poincare constant and
+the potential's lower bound.
 
 Grid points whose regularization width falls under the mesh resolution
 (eps_k < 2h) are flagged as under-resolved rather than hidden: the
@@ -25,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import ConvexSetNet
-from .errors import CoercivityFailure, InvalidSpec
-# ge_zero and invertible_wrt are no longer called here (CoercivityCertificate.from_alpha
-# decides validity), but perfbench/spans.py wraps them in this namespace by name.
+from .errors import CoercivityFailure, InvalidCertificate, InvalidSpec, NoConvergence
+# ge_zero and invertible_wrt are unused here, but perfbench/spans.py wraps them by name
 from .gennum import (  # noqa: F401
     EpsGrid,
     GenScalar,
@@ -37,16 +36,11 @@ from .gennum import (  # noqa: F401
     invertible_wrt,
     is_moderate,
     valuation_estimate,
+    write_grid_csv,
 )
 from .hilbert import GenVector
 from .operators import TridiagonalOperator
-from .variational import (
-    RESIDUAL_TARGET,
-    CoercivityCertificate,
-    VISolution,
-    lax_milgram_solve,
-    vi_solve_contraction,
-)
+from .variational import RESIDUAL_TARGET, CoercivityCertificate, lax_milgram_solve
 
 # reference 3-point Gauss rule on [-1, 1]
 _GAUSS_T = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
@@ -57,6 +51,7 @@ _N2 = 0.5 * (1.0 + _GAUSS_T)
 
 # 1 / integral_{-1}^{1} exp(-1/(1 - s^2)) ds, the unit-mass factor of the bump
 _MOLLIFIER_NORM = 2.2522836210435813
+COMPLEMENTARITY_TOL = 1e-8  # largest scaled violation an obstacle solve may leave
 
 
 def _bump(t):
@@ -483,16 +478,18 @@ class DirichletResult(NodalResult):
 
 @dataclass(frozen=True)
 class ObstacleResult(NodalResult):
-    vi: VISolution
     psi: np.ndarray  # nodal obstacle values (K, n+1)
+    steps: np.ndarray  # active-set steps per sample
+    contact_nodes: np.ndarray  # interior nodes on the obstacle, per sample
+    error_bound: GenScalar  # certified bound on |w_k - w*_k| per sample
     complementarity_ok: bool
     complementarity_max: float
 
     def to_json(self) -> dict:
         return {
             "certificate": self.cert.to_json(),
-            "iterations": self.vi.iterations.tolist(),
-            "contraction_k": self.vi.contraction_k.samples.tolist(),
+            "steps": self.steps.tolist(),
+            "error_bound": self.error_bound.samples.tolist(),
             "complementarity_ok": self.complementarity_ok,
             "complementarity_max": self.complementarity_max,
             "under_resolved": list(self.under_resolved),
@@ -502,10 +499,12 @@ class ObstacleResult(NodalResult):
         return {"coercive": self.cert.valid, "complementarity_ok": self.complementarity_ok}
 
     def write_tables(self, out):
-        """``solution.csv`` and the VI's ``iterations.csv`` in the existing
-        directory ``out``."""
+        """``solution.csv`` and the per-eps ``iterations.csv`` in the existing ``out``."""
         self.write_solution_csv(os.path.join(out, "solution.csv"))
-        self.vi.write_iterations_csv(os.path.join(out, "iterations.csv"))
+        write_grid_csv(os.path.join(out, "iterations.csv"), self.u.grid,
+                       ["alpha", "steps", "contact_nodes", "error_bound"],
+                       [self.cert.alpha.samples, self.steps, self.contact_nodes,
+                        self.error_bound.samples])
 
 
 def _write_nodal_csv(path, mesh: Mesh1D, u: GenVector):
@@ -571,18 +570,64 @@ def solve_dirichlet(spec: ProblemSpec, policy: NumericPolicy) -> DirichletResult
                            moderate=bool(is_moderate(nodal["h1_norm"], policy)))
 
 
-def solve_obstacle(spec: ProblemSpec, policy: NumericPolicy,
-                   check_tol: float = 1e-8) -> ObstacleResult:
-    """Solve the obstacle-constrained problem by projected contraction.
+def _pdas(T: TridiagonalOperator, b: np.ndarray, lower: np.ndarray):
+    """T w >= b, w >= lower, (T w - b)(w - lower) = 0 for every sample by the
+    primal-dual active-set method (Hintermueller, Ito & Kunisch, SIAM J.
+    Optim. 13(3), 2003), in lock-step from the empty active set A.
 
-    The obstacle is imposed at the interior nodes (shifted by the
-    boundary lifting); afterwards the discrete complementarity system
-    is checked: residual >= 0, u >= psi, and at every node at least one
-    of the two is active, all within check_tol at the data's scale.
-    The feasibility term is scaled by the largest finite |psi - lifting|,
-    so nodes where the obstacle is -inf never constrain and never turn
-    the check into NaN.
+    A step is one stacked ``?gtsv`` call whose rows in A read d_i w_i =
+    d_i lower_i, d the diagonal (unit rows would make ``?gtsv`` swap
+    pivots); lambda = T w - b on A, 0 off it, gives the next set
+    {lambda + d (lower - w) > 0}.  A sample is done, and keeps its bits,
+    once its set repeats.  Returns (w, steps); NoConvergence names the
+    first k (1-based) still moving after m + 1 steps.  Finite convergence
+    is proven for M-matrices only (P1 nets with c h^2 <= 6 a are ones).
     """
+    K, m = b.shape
+    d = T.samples[:, 1]
+    active = np.zeros((K, m), dtype=bool)
+    steps = np.zeros(K, dtype=np.int64)
+    moving = np.ones(K, dtype=bool)
+    for _ in range(m + 1):
+        bands = np.array(T.samples)
+        bands[:, 0, 1:][active[:, :-1]] = 0.0
+        bands[:, 2, :-1][active[:, 1:]] = 0.0
+        w = TridiagonalOperator(T.grid, bands).solve(np.where(active, d * lower, b))
+        steps[moving] += 1
+        following = np.where(active, T.matvec(w) - b, 0.0) + d * (lower - w) > 0.0
+        moving &= np.any(following != active, axis=1)
+        if not np.any(moving):
+            return w, steps
+        active[moving] = following[moving]
+    raise NoConvergence(f"active set still changes after {m + 1} steps "
+                        f"at grid index k={int(np.argmax(moving)) + 1}")
+
+
+def _error_bound(T: TridiagonalOperator, b, lower, w, alpha):
+    """(w, contact, r, bound): w raised to max(w, lower) and pinned to lower
+    within 4 ulp of it (contact), r = T w - b, and |delta| / alpha_k >= |w - w*|.
+
+    delta is r on free nodes and min(r, 0) on contact nodes: w solves the
+    problem with data b + delta exactly, so Stampacchia's stability
+    (Kinderlehrer & Stampacchia 1980, ch. II) gives the bound."""
+    w = np.maximum(w, lower)
+    contact = w - lower <= 4.0 * np.spacing(np.abs(lower))
+    w = np.where(contact, lower, w)
+    r = T.matvec(w) - b
+    delta = np.where(contact, np.minimum(r, 0.0), r)
+    return w, contact, r, np.linalg.norm(delta, axis=1) / alpha
+
+
+def solve_obstacle(spec: ProblemSpec, policy: NumericPolicy) -> ObstacleResult:
+    """Solve the obstacle-constrained problem by ``_pdas`` and bound the
+    answer's error by ``_error_bound``; alpha_k must be positive.
+
+    The obstacle, refused where it is NaN or +inf, is imposed at the
+    interior nodes (shifted by the boundary lifting); then the discrete
+    complementarity system is checked: residual >= 0, u >= psi, and at
+    every node one of the two is active, all within COMPLEMENTARITY_TOL at
+    the data's scale.  The feasibility term is scaled by the largest
+    finite |psi - lifting|, so -inf obstacle nodes never constrain or make NaN."""
     if spec.obstacle is None:
         raise InvalidSpec("this problem has no obstacle; use solve_dirichlet")
     T, b_net, gtilde, cert = _assemble_certified(spec, policy)
@@ -593,13 +638,14 @@ def solve_obstacle(spec: ProblemSpec, policy: NumericPolicy,
         k, end = np.argwhere(above)[0]
         raise InvalidSpec(f"obstacle exceeds the boundary data at the {('left', 'right')[end]} "
                           f"endpoint at grid index k={k + 1}")
+    lower = ConvexSetNet.obstacle(spec.grid, psi[:, 1:-1] - gtilde[:, 1:-1]).data["lower"]
+    alpha = cert.alpha.samples
+    if np.any(alpha <= 0.0):
+        k = int(np.argmax(alpha <= 0.0))
+        raise InvalidCertificate(f"alpha = {alpha[k]:.3e} is not positive at grid index k={k + 1}")
+    w, steps = _pdas(T, b_net, lower)
+    w, contact, r, bound = _error_bound(T, b_net, lower, w, alpha)
 
-    lower = psi[:, 1:-1] - gtilde[:, 1:-1]
-    C = ConvexSetNet.obstacle(spec.grid, lower)
-    vi = vi_solve_contraction(T, GenVector(spec.grid, b_net), C, cert, policy)
-
-    w = vi.u.samples
-    r = T.matvec(w) - b_net
     scale = (1.0 + np.linalg.norm(b_net, axis=1))[:, None]
     slack = w - lower
     lower_max = np.abs(lower).max(axis=1, initial=0.0, where=np.isfinite(lower))
@@ -611,9 +657,11 @@ def solve_obstacle(spec: ProblemSpec, policy: NumericPolicy,
     comp_max = float(np.max(viol))
     return ObstacleResult(
         **_nodal_fields(spec, policy, cert, gtilde, w),
-        vi=vi,
         psi=psi,
-        complementarity_ok=bool(comp_max <= check_tol),
+        steps=steps,
+        contact_nodes=contact.sum(axis=1),
+        error_bound=GenScalar(spec.grid, bound),
+        complementarity_ok=bool(comp_max <= COMPLEMENTARITY_TOL),
         complementarity_max=comp_max,
     )
 

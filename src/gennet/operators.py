@@ -11,14 +11,12 @@ floating-point floor, since the defects of computed nets carry rounding
 noise far above eps_k**q_neg at the small end of the grid.
 
 Two representations, one per operator kind: dense (K, d_out, d_in)
-nets for the small-matrix layer, and symmetric tridiagonal band nets
-(K, 3, m) for the 1D finite-element systems, which store O(K m) numbers
-and solve, multiply and bound their spectrum in O(K m).
+nets for the small-matrix layer, and tridiagonal band nets (K, 3, m)
+for the 1D finite-element systems, which store O(K m) numbers and
+multiply and solve in O(K m).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,32 +87,26 @@ class BasicOperator(_SampleNet):
         return {"K": self.grid.K, "d_out": d_out, "d_in": d_in, **self._json()}
 
 
-@dataclass(frozen=True)
-class TridiagonalOperator:
-    """A net of real symmetric tridiagonal m x m matrices, stored as bands.
+class TridiagonalOperator(_SampleNet):
+    """A net of general tridiagonal m x m matrices, real or complex, as bands.
 
     ``samples[k]`` is the (3, m) banded form that scipy.linalg.solve_banded
-    takes for one sub- and one superdiagonal: row 0 holds the
-    superdiagonal shifted right, row 1 the diagonal, row 2 the
-    subdiagonal.  The two unused corners, ``[:, 0, 0]`` and ``[:, 2, -1]``,
-    are set to zero: laid end to end, the K samples then form one
-    block-diagonal tridiagonal matrix with zero couplings, which ``solve``
-    hands to LAPACK in a single call.  Self-adjoint by construction.
+    takes for one sub- and one superdiagonal: row 0 holds the superdiagonal
+    shifted right, row 1 the diagonal, row 2 the subdiagonal.  The unused
+    corners ``[:, 0, 0]`` and ``[:, 2, -1]`` are set to zero: laid end to
+    end, the K samples then form one block-diagonal tridiagonal matrix with
+    zero couplings, which ``solve`` hands to LAPACK in a single call.
     """
 
-    grid: EpsGrid
-    samples: np.ndarray  # (K, 3, m)
+    ndim = 3
 
     def __post_init__(self):
-        arr = np.array(self.samples, dtype=float)
-        if arr.ndim != 3 or arr.shape[0] != self.grid.K or arr.shape[1] != 3:
+        super().__post_init__()
+        if self.samples.shape[1] != 3:
             raise ValueError("samples must have shape (K, 3, m)")
-        if not np.array_equal(arr[:, 0, 1:], arr[:, 2, :-1]):
-            raise ValueError("super- and subdiagonal bands differ: not symmetric")
-        arr[:, 0, 0] = 0.0
-        arr[:, 2, -1] = 0.0
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
+        self.samples.setflags(write=True)  # the base stored a copy of its own
+        self.samples[:, 0, 0] = self.samples[:, 2, -1] = 0.0
+        self.samples.setflags(write=False)
 
     @classmethod
     def symmetric(cls, grid: EpsGrid, diag, off) -> "TridiagonalOperator":
@@ -128,8 +120,7 @@ class TridiagonalOperator:
 
     @property
     def dims(self):
-        m = int(self.samples.shape[2])
-        return (m, m)
+        return (self.samples.shape[2],) * 2
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         """Batched product T_k u_k of a (K, m) array."""
@@ -155,7 +146,7 @@ class TridiagonalOperator:
         sub, diag, sup = (self.samples[:, row].flatten() for row in (2, 1, 0))
         if K * m > 1:  # a 1 x 1 stack keeps one dummy off-diagonal entry for f2py
             sub, sup = sub[:-1], sup[1:]
-        gtsv = lapack.zgtsv if np.iscomplexobj(b) else lapack.dgtsv
+        gtsv = lapack.zgtsv if np.iscomplexobj(b) or not self.is_real() else lapack.dgtsv
         _, _, _, x, info = gtsv(sub, diag, sup, b.reshape(K * m, 1),
                                 overwrite_dl=True, overwrite_d=True, overwrite_du=True)
         if info > 0:
@@ -163,17 +154,6 @@ class TridiagonalOperator:
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of ?gtsv")
         return x.reshape(K, m)
-
-    def eig_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lowest and highest eigenvalue of every sample, each of shape (K,)."""
-        # imported on first use: scipy.linalg would double the start-up of every command
-        from scipy.linalg import eigvalsh_tridiagonal
-
-        ends = (0, self.dims[0] - 1)
-        bounds = np.array([[eigvalsh_tridiagonal(diag, sub[:-1], select="i",
-                                                 select_range=(i, i))[0] for i in ends]
-                           for _, diag, sub in self.samples])
-        return bounds[:, 0], bounds[:, 1]
 
 
 class BasicFunctional(_SampleNet):
@@ -208,11 +188,11 @@ def adjoint(T: BasicOperator) -> BasicOperator:
                          T.field_tag)
 
 
-def op_norm_net(T: BasicOperator | TridiagonalOperator) -> GenScalar:
+def op_norm_net(T: BasicOperator) -> GenScalar:
     """Per-sample spectral norm (largest singular value)."""
-    if isinstance(T, TridiagonalOperator):
-        lo, hi = T.eig_bounds()
-        return GenScalar(T.grid, np.maximum(-lo, hi))
+    if not isinstance(T, BasicOperator):
+        raise TypeError(f"op_norm_net needs a dense BasicOperator net, not {type(T).__name__}; "
+                        "solve band obstacle problems with fem.solve_obstacle")
     svals = np.linalg.svd(T.samples, compute_uv=False)
     return GenScalar(T.grid, svals[:, 0] if svals.ndim == 2 else svals)
 

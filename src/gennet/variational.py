@@ -154,7 +154,7 @@ class VISolution:
 
 
 def vi_solve_contraction(
-    T: BasicOperator | TridiagonalOperator,
+    T: BasicOperator,
     c: GenVector,
     C: ConvexSetNet,
     cert: CoercivityCertificate,
@@ -187,7 +187,7 @@ def vi_solve_contraction(
         raise InvalidCertificate("contraction step needs strictly positive alpha samples; "
                                  f"alpha = {alpha[k]:.3e} at grid index k={k + 1}")
     M = op_norm_net(T).samples
-    if isinstance(T, TridiagonalOperator) or classify_operator(T, policy)["self_adjoint"]:
+    if classify_operator(T, policy)["self_adjoint"]:
         rho = 2.0 / (alpha + M)
         kfac = (M - alpha) / (M + alpha)
     else:

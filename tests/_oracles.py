@@ -215,12 +215,26 @@ def assemble_p1_dense(spec, k):
 def bands_to_dense(samples):
     """Dense (K, m, m) matrices from (K, 3, m) solve_banded-layout bands."""
     K, _, m = samples.shape
-    out = np.zeros((K, m, m))
+    out = np.zeros((K, m, m), dtype=samples.dtype)
     i = np.arange(m)
     out[:, i, i] = samples[:, 1]
     out[:, i[:-1], i[1:]] = samples[:, 0, 1:]
     out[:, i[1:], i[:-1]] = samples[:, 2, :-1]
     return out
+
+
+def band_eig_bounds(samples):
+    """Lowest and highest eigenvalue of each symmetric (3, m) band sample,
+    two arrays of shape (K,), by one ``eigvalsh_tridiagonal`` call per
+    sample and end of the spectrum."""
+    # imported here: the benchmark's workers import this module and load no scipy
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    m = samples.shape[2]
+    bounds = np.array([[eigvalsh_tridiagonal(diag, sub[:-1], select="i",
+                                             select_range=(i, i))[0] for i in (0, m - 1)]
+                       for _, diag, sub in samples])
+    return bounds[:, 0], bounds[:, 1]
 
 
 def gram_schmidt_per_point(samples, eps, m_inv, flush_rel=1e-12):

@@ -142,6 +142,28 @@ def test_solve_obstacle_cli(tmp_path):
     assert "h1_norm" in s["valuations"]
 
 
+@pytest.mark.parametrize("n_elems,steps", [(32, 13), (64, 24)])
+def test_solve_obstacle_cli_on_vanishing_diffusion(tmp_path, n_elems, steps):
+    # diffusion eps^0.5 left of 0.4 under a tent-shaped obstacle: the
+    # contact set moves with eps, and every sample still meets the check
+    cfg = _write_config(tmp_path, "obstacle.json", {
+        "problem": {"interval": [0.0, 1.0], "n_elems": n_elems,
+                    "diffusion": {"kind": "heaviside_nu", "nu_exponent": 0.5,
+                                  "jump_at": 0.4, "high": 1.0},
+                    "rhs": -8.0,
+                    "obstacle": {"kind": "tabulated", "xs": [0.0, 0.5, 1.0],
+                                 "values": [-1.0, -0.6, -1.0]}},
+    })
+    out = tmp_path / "out"
+    assert _run(["solve-obstacle", "--config", cfg, "--out", str(out)]) == 0
+    s = _summary(out, "solve-obstacle")
+    assert s["verdicts"] == {"coercive": True, "complementarity_ok": True}
+    assert max(s["steps"]) == steps and len(s["error_bound"]) == K_DEFAULT
+    lines = (out / "iterations.csv").read_text().splitlines()
+    assert lines[0] == "k,eps,alpha,steps,contact_nodes,error_bound"
+    assert len(lines) == 1 + K_DEFAULT
+
+
 # ------------------------------------------------------------ determinism
 
 def test_repeat_runs_are_byte_identical(tmp_path, gennum_cfg):
@@ -265,6 +287,15 @@ def test_report_rejects_malformed_summaries(tmp_path, capsys):
         assert _run(["report", str(odd)]) == 1
         assert "is not a command summary" in capsys.readouterr().err
     assert _run(["report"]) == 1  # no inputs is a usage error
+
+
+@pytest.mark.parametrize("verdict", ['"false"', "0", "null", "[]"])
+def test_report_refuses_a_verdict_that_is_not_a_boolean(tmp_path, capsys, verdict):
+    odd = tmp_path / "odd.json"
+    odd.write_text(f'{{"command": "x", "verdicts": {{"ok": true, "coercive": {verdict}}}}}')
+    assert _run(["report", str(odd)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "every verdict must be true or false" in err
 
 
 # ------------------------------------------------------------- bad config

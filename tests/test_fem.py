@@ -8,22 +8,30 @@ from scipy.integrate import quad
 
 from _oracles import (
     assemble_p1_dense,
+    band_eig_bounds,
     bands_to_dense,
     coefficient_per_k,
     cosh_exact,
     obstacle_exact,
     point_load_exact,
+    solve_box_vi,
 )
 from gennet import (
+    BasicOperator,
     CoefficientNet,
+    ConvexSetNet,
     CoercivityFailure,
+    EmptySet,
     EpsGrid,
     GenScalar,
     GenVector,
+    InvalidCertificate,
     InvalidSpec,
     Mesh1D,
+    NoConvergence,
     NumericPolicy,
     ProblemSpec,
+    TridiagonalOperator,
     classical_consistency_check,
     h1_norm_net,
     mollifier_eval,
@@ -32,8 +40,9 @@ from gennet import (
     solve_dirichlet,
     solve_obstacle,
     under_resolved_indices,
+    vi_solve_contraction,
 )
-from gennet.fem import _MOLLIFIER_NORM, _assemble_all, _write_nodal_csv
+from gennet.fem import _MOLLIFIER_NORM, _assemble_all, _error_bound, _pdas, _write_nodal_csv
 
 GRID = EpsGrid.geometric(24)
 POLICY = NumericPolicy()
@@ -286,7 +295,7 @@ def test_negative_potential_fails_the_certificate_at_its_grid_point():
     spec = _spec(Mesh1D(0.0, 1.0, 50), rhs=1.0,
                  potential=CoefficientNet.constant(GRID, -30.0))
     T, *_ = _assemble_all(spec)
-    assert np.all(T.eig_bounds()[0] < -0.4)
+    assert np.all(band_eig_bounds(T.samples)[0] < -0.4)
     first_tail = GRID.K - POLICY.tail + 1
     with pytest.raises(CoercivityFailure, match=rf"grid point {first_tail}$"):
         solve_dirichlet(spec, POLICY)
@@ -314,7 +323,7 @@ def test_certified_alpha_never_exceeds_the_exact_lowest_eigenvalue(
                        diffusion=CoefficientNet.tabulated(GRID, xs, a_levels),
                        potential=CoefficientNet.tabulated(GRID, xs, c_vals),
                        rhs=1.0, point_loads=loads)
-    lam_min, lam_max = _assemble_all(spec)[0].eig_bounds()
+    lam_min, lam_max = band_eig_bounds(_assemble_all(spec)[0].samples)
     try:
         res = solve_dirichlet(spec, POLICY)
     except CoercivityFailure:
@@ -414,7 +423,7 @@ def test_inactive_obstacle_matches_the_unconstrained_solve():
     assert np.max(np.abs(free.u.samples - pinned.u.samples)) <= 1e-8
     blob = pinned.to_json()
     assert blob["complementarity_ok"]
-    assert len(blob["iterations"]) == GRID.K
+    assert len(blob["steps"]) == GRID.K
 
 
 @pytest.mark.filterwarnings("error")
@@ -435,6 +444,127 @@ def test_minus_infinite_obstacle_nodes_never_constrain():
     assert res.complementarity_ok and res.complementarity_max <= 1e-8
     assert np.max(np.abs(res.u.samples - far.u.samples)) <= 1e-8
     assert np.all(res.u.samples[:, ~left] >= -0.75 - 1e-10)
+
+
+@pytest.mark.parametrize("value,error,name", [(np.nan, InvalidSpec, "NaN"),
+                                               (np.inf, EmptySet, r"\+inf")])
+def test_nan_or_plus_infinite_obstacle_is_refused_at_its_grid_point(value, error, name):
+    mesh = Mesh1D(0.0, 1.0, 16)
+    psi = np.full((GRID.K, mesh.nodes.size), -0.75)
+    psi[4, 7] = value
+    with pytest.raises(error, match=rf"obstacle bound is {name} at grid index k=5$"):
+        solve_obstacle(_spec(mesh, rhs=-8.0, obstacle=psi), POLICY)
+
+
+def test_active_set_solve_matches_dense_contraction_on_a_net_that_is_no_m_matrix():
+    # potential -4 (1 + eps) near the ends, 5000 (1 + eps) around the middle:
+    # there c h^2 > 6 a turns off-diagonals positive (no M-matrix), near the
+    # ends c < 0 costs the rows their diagonal dominance, and alpha_k stays
+    # positive through the Poincare constant
+    xs = [0.0, 0.35, 0.5, 0.65, 1.0]
+    c_vals = np.outer(1.0 + GRID.values, [-4.0, -4.0, 5000.0, -4.0, -4.0])
+    spec = _spec(Mesh1D(0.0, 1.0, 24), rhs=-8.0, obstacle=-0.03,
+                 potential=CoefficientNet.tabulated(GRID, xs, c_vals))
+    res = solve_obstacle(spec, POLICY)
+    T, b, gtilde, *_ = _assemble_all(spec)
+    reach = np.pad(np.abs(T.samples[:, 0, 1:]), ((0, 0), (1, 1)))
+    assert np.all(np.any(T.samples[:, 0, 1:] > 0.0, axis=1))
+    assert np.all(np.any(T.samples[:, 1] < reach[:, :-1] + reach[:, 1:], axis=1))
+    assert res.complementarity_ok and np.all(res.contact_nodes > 0)
+    lower = res.psi[:, 1:-1] - gtilde[:, 1:-1]
+    dense = vi_solve_contraction(BasicOperator(GRID, bands_to_dense(T.samples)),
+                                 GenVector(GRID, b), ConvexSetNet.obstacle(GRID, lower),
+                                 res.cert, POLICY)
+    w = res.u.samples[:, 1:-1] - gtilde[:, 1:-1]
+    assert np.max(np.abs(w - dense.u.samples)) <= 1e-10
+    assert np.all(res.error_bound.samples <= 1e-10)
+
+
+SMALL_GRID = EpsGrid.geometric(8)
+
+
+def _small_obstacle_problem(m, draw):
+    """A symmetric positive definite band net on an 8-point grid with
+    off-diagonals of both signs (no M-matrix), a load and an obstacle
+    that is -inf at some nodes, and the exact coercivity constant of
+    every sample.  Each diagonal starts strictly dominant and is then
+    shifted down by a random share of the way to lambda_min = 1e-3, so
+    most samples are not diagonally dominant either: nets on which the
+    active-set method is tested, not proven, to converge."""
+    rng = np.random.default_rng(draw)
+    K = SMALL_GRID.K
+    off = rng.standard_normal((K, m - 1)) * 10.0 ** rng.uniform(-1.0, 1.0, (K, 1))
+    reach = np.pad(np.abs(off), ((0, 0), (1, 1)))
+    diag = reach[:, :-1] + reach[:, 1:] + rng.uniform(0.05, 1.0, (K, m))
+    lowest = band_eig_bounds(TridiagonalOperator.symmetric(SMALL_GRID, diag, off).samples)[0]
+    diag -= (rng.uniform(0.0, 1.0, K) * (lowest - 1e-3))[:, None]
+    T = TridiagonalOperator.symmetric(SMALL_GRID, diag, off)
+    b = 3.0 * rng.standard_normal((K, m))
+    lower = rng.uniform(-1.0, 0.5, (K, m))
+    lower[rng.random((K, m)) < 0.2] = -np.inf
+    return T, b, lower, band_eig_bounds(T.samples)[0]
+
+
+@seed(20261018)
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(min_value=1, max_value=6), draw=st.integers(0, 2**32 - 1))
+def test_active_set_solve_matches_active_set_enumeration(m, draw):
+    T, b, lower, _ = _small_obstacle_problem(m, draw)
+    w, steps = _pdas(T, b, lower)
+    dense = bands_to_dense(T.samples)
+    for k in range(SMALL_GRID.K):
+        ref = solve_box_vi(dense[k], b[k], lower[k], np.full(m, np.inf))
+        assert np.max(np.abs(w[k] - ref)) <= 1e-10 * (1.0 + np.abs(ref).max())
+    assert np.all((1 <= steps) & (steps <= m + 1))
+
+
+def test_active_set_solve_names_the_sample_still_moving_after_its_budget():
+    # the indefinite sample [[1, -4], [-4, 1]] makes the active set cycle
+    diag = np.ones((SMALL_GRID.K, 2))
+    off = np.zeros((SMALL_GRID.K, 1))
+    off[2] = -4.0
+    b = np.zeros((SMALL_GRID.K, 2))
+    b[2] = -3.0
+    lower = np.full((SMALL_GRID.K, 2), -1.0)
+    lower[2] = [-3.0, 2.0]
+    T = TridiagonalOperator.symmetric(SMALL_GRID, diag, off)
+    with pytest.raises(NoConvergence, match=r"after 3 steps at grid index k=3$"):
+        _pdas(T, b, lower)
+
+
+@seed(20261018)
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(min_value=1, max_value=6), draw=st.integers(0, 2**32 - 1),
+       size=st.floats(min_value=-6.0, max_value=0.0))
+def test_error_bound_covers_the_error_of_perturbed_answers(m, draw, size):
+    T, b, lower, alpha = _small_obstacle_problem(m, draw)
+    dense = bands_to_dense(T.samples)
+    exact = np.array([solve_box_vi(dense[k], b[k], lower[k], np.full(m, np.inf))
+                      for k in range(SMALL_GRID.K)])
+    rng = np.random.default_rng(draw + 1)
+    guess = exact + 10.0 ** size * rng.standard_normal(exact.shape)
+    keep = rng.random(exact.shape) < 0.3  # nodes already right, on or off the obstacle
+    guess[keep] = exact[keep]
+    w, contact, _, bound = _error_bound(T, b, lower, guess, alpha)
+    assert np.all(w >= lower) and np.all(w[contact] == lower[contact])
+    err = np.linalg.norm(w - exact, axis=1)
+    assert np.all(err <= bound * (1.0 + 1e-9) + 1e-12)
+
+
+@seed(20261018)
+@settings(max_examples=10, deadline=None)
+@given(c_first=st.floats(min_value=-60.0, max_value=-10.0),
+       c_rest=st.floats(min_value=0.0, max_value=60.0))
+def test_nonpositive_alpha_outside_the_tail_is_refused_at_its_grid_point(c_first, c_rest):
+    # alpha_k = c_P + min(c_k, 0) h with c_P = 0.615 and h = 1/16: the
+    # first sample's alpha is negative, the tail's positive, so the
+    # certificate is valid but the active-set method may not run
+    values = np.full((GRID.K, 2), c_rest)
+    values[0] = c_first
+    spec = _spec(Mesh1D(0.0, 1.0, 16), rhs=-8.0, obstacle=-0.75,
+                 potential=CoefficientNet.tabulated(GRID, [0.0, 1.0], values))
+    with pytest.raises(InvalidCertificate, match=r"at grid index k=1$"):
+        solve_obstacle(spec, POLICY)
 
 
 # ------------------------------------------------- the singular exam case

@@ -31,6 +31,7 @@ from gennet import (
     vi_solve_contraction,
     vi_solve_minimization,
 )
+from gennet.fem import _pdas
 
 GRID = EpsGrid.geometric(24)
 POLICY = NumericPolicy()
@@ -396,11 +397,17 @@ def test_tridiagonal_matvec_agrees_with_dense():
     u = rng.standard_normal((GRID.K, n))
     dense = np.einsum("kij,kj->ki", mats, u)
     assert np.allclose(T.matvec(u), dense, rtol=1e-14, atol=0.0)
-    # unequal off-diagonal bands are not a symmetric net
-    bands = T.samples.copy()
-    bands[0, 0, n - 1] += 1.0
-    with pytest.raises(ValueError):
-        TridiagonalOperator(GRID, bands)
+    # general bands: unequal off-diagonals, real and complex
+    for field in ("real", "complex"):
+        bands = rng.standard_normal((GRID.K, 3, n))
+        if field == "complex":
+            bands = bands + 1j * rng.standard_normal((GRID.K, 3, n))
+        T = TridiagonalOperator(GRID, bands, field)
+        mats = bands_to_dense(T.samples)
+        assert T.field_tag == field and np.any(mats != np.swapaxes(mats, 1, 2))
+        assert np.allclose(T.matvec(u), np.einsum("kij,kj->ki", mats, u), rtol=1e-14, atol=0.0)
+        assert np.allclose(T.solve(u), np.linalg.solve(mats, u[..., None])[..., 0],
+                           rtol=1e-10, atol=1e-12)
 
 
 def test_lax_milgram_checks_the_residual_after_the_last_refinement():
@@ -489,22 +496,34 @@ def test_band_lax_milgram_makes_one_lapack_call_per_round(gtsv_calls):
     assert len(gtsv_calls) == GRID.K
 
 
+def test_band_nets_are_refused_by_the_dense_norm_and_contraction():
+    rng = np.random.default_rng(680)
+    n = 3  # (3, 3) band samples have the shape of square dense ones
+    T = TridiagonalOperator.symmetric(GRID, rng.uniform(2.5, 3.5, (GRID.K, n)),
+                                      rng.uniform(-1.0, 1.0, (GRID.K, n - 1)))
+    cert = certify_coercivity(BasicOperator(GRID, bands_to_dense(T.samples)), POLICY)
+    C = ConvexSetNet.obstacle(GRID, np.full(n, -0.1))
+    with pytest.raises(TypeError, match="not TridiagonalOperator"):
+        op_norm_net(T)
+    with pytest.raises(TypeError, match="not TridiagonalOperator"):
+        vi_solve_contraction(T, _random_vector(rng, n), C, cert, POLICY)
+
+
 def test_band_contraction_matches_dense_contraction():
+    # the band net's obstacle solve (the active-set method of gennet.fem)
+    # and its Lax-Milgram solve agree with the dense net's
     rng = np.random.default_rng(679)
     n = 8
     T = TridiagonalOperator.symmetric(GRID, rng.uniform(2.5, 3.5, (GRID.K, n)),
                                       rng.uniform(-1.0, 1.0, (GRID.K, n - 1)))
     dense = BasicOperator(GRID, bands_to_dense(T.samples))
     c = _random_vector(rng, n)
-    C = ConvexSetNet.obstacle(GRID, np.full(n, -0.1))
+    lower = np.full((GRID.K, n), -0.1)
+    C = ConvexSetNet.obstacle(GRID, lower[0])
     cert = certify_coercivity(dense, POLICY)
-    band_sol = vi_solve_contraction(T, c, C, cert, POLICY)
     dense_sol = vi_solve_contraction(dense, c, C, cert, POLICY)
-    assert np.allclose(band_sol.operator_norm.samples, dense_sol.operator_norm.samples,
-                       rtol=1e-12, atol=0.0)
-    assert np.allclose(band_sol.contraction_k.samples, dense_sol.contraction_k.samples,
-                       rtol=1e-12, atol=0.0)
-    assert np.max(np.abs(band_sol.u.samples - dense_sol.u.samples)) <= ORACLE_TOL
+    band_u, _ = _pdas(T, c.samples, lower)
+    assert np.max(np.abs(band_u - dense_sol.u.samples)) <= ORACLE_TOL
     w = lax_milgram_solve(T, c, cert, POLICY)
     assert np.allclose(w.samples, lax_milgram_solve(dense, c, cert, POLICY).samples,
                        rtol=1e-10, atol=1e-12)
