@@ -513,22 +513,21 @@ def _write_nodal_csv(path, mesh: Mesh1D, u: GenVector):
     Rows run over the grid points k = 1..K and, within each, over the
     nodes 0..n.  The eps, x and u cells equal the ``repr`` of the Python
     float; they come from ``format_cells`` (orjson, with the ``repr``
-    fallback outside 1e-4 <= |v| < 1e16), u's whole net in one call.
+    fallback outside 1e-4 <= |v| < 1e16), one call per eps block.
     Each eps block is written with one ``"".join`` over a list of three
     parts per row that holds the ``node_index,x,`` cells once; per block
-    only the heads and that block's slice of the u cells are
-    slice-assigned into it.  A head carries the newline that ends the
-    row before it, so the file ends with one more newline.
+    only the heads and that block's u cells are slice-assigned into it.
+    A head carries the newline that ends the row before it, so the file
+    ends with one more newline.
     """
     width = mesh.nodes.size
-    values = format_cells(u.samples.ravel())
     parts = [""] * (3 * width)
     parts[1::3] = [f"{i},{x}," for i, x in enumerate(format_cells(mesh.nodes))]
     with open(path, "w", newline="") as fh:
         fh.write("k,eps,node_index,x,u")
-        for k, eps in enumerate(format_cells(u.grid.values), 1):
+        for k, (eps, u_k) in enumerate(zip(format_cells(u.grid.values), u.samples), 1):
             parts[0::3] = [f"\n{k},{eps},"] * width
-            parts[2::3] = values[(k - 1) * width:k * width]
+            parts[2::3] = format_cells(u_k)
             fh.write("".join(parts))
         fh.write("\n")
 

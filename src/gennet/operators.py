@@ -18,6 +18,12 @@ multiply and solve in O(K m).
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
 import numpy as np
 
 from .errors import DimMismatch, GridMismatch, SingularSample
@@ -139,9 +145,7 @@ class TridiagonalOperator(_SampleNet):
         ``solve_banded((1, 1), ...)`` call.  A zero pivot raises
         SingularSample naming the grid index (1-based) of its block.
         """
-        # imported on first use: scipy.linalg would double the start-up of every command
-        from scipy.linalg import lapack
-
+        lapack = _flapack()  # looked up per call, so a patched dgtsv/zgtsv is seen
         K, m = b.shape
         sub, diag, sup = (self.samples[:, row].flatten() for row in (2, 1, 0))
         if K * m > 1:  # a 1 x 1 stack keeps one dummy off-diagonal entry for f2py
@@ -154,6 +158,36 @@ class TridiagonalOperator(_SampleNet):
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of ?gtsv")
         return x.reshape(K, m)
+
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _flapack():
+    """scipy's f2py LAPACK extension, which holds ``dgtsv`` and ``zgtsv``.
+
+    Once scipy.linalg is imported, its ``_flapack`` module; before that,
+    the extension file loaded on its own.  Importing the scipy.linalg
+    package instead would run scipy's and scipy.linalg's ``__init__``,
+    which load 85 modules for two functions.
+    """
+    return sys.modules.get(_FLAPACK) or _load_flapack()
+
+
+@functools.cache
+def _load_flapack():
+    scipy = importlib.util.find_spec("scipy")
+    spec = scipy and importlib.machinery.PathFinder.find_spec(
+        _FLAPACK, [os.path.join(path, "linalg") for path in scipy.submodule_search_locations])
+    if spec is None:
+        raise ImportError(f"cannot find scipy's LAPACK extension {_FLAPACK}", name=_FLAPACK)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # A single-phase extension enters itself into sys.modules; taking it out
+    # keeps a later ``import scipy.linalg`` whole: it sets the package's
+    # _flapack attribute and shares this copy's functions.
+    sys.modules.pop(_FLAPACK, None)
+    return module
 
 
 class BasicFunctional(_SampleNet):
@@ -188,11 +222,16 @@ def adjoint(T: BasicOperator) -> BasicOperator:
                          T.field_tag)
 
 
+def _require_dense(T, caller: str):
+    """TypeError unless T is a dense net: the band layout is no matrix."""
+    if not isinstance(T, BasicOperator):
+        raise TypeError(f"{caller} needs a dense BasicOperator net, not {type(T).__name__}; "
+                        "solve band obstacle problems with fem.solve_obstacle")
+
+
 def op_norm_net(T: BasicOperator) -> GenScalar:
     """Per-sample spectral norm (largest singular value)."""
-    if not isinstance(T, BasicOperator):
-        raise TypeError(f"op_norm_net needs a dense BasicOperator net, not {type(T).__name__}; "
-                        "solve band obstacle problems with fem.solve_obstacle")
+    _require_dense(T, "op_norm_net")
     svals = np.linalg.svd(T.samples, compute_uv=False)
     return GenScalar(T.grid, svals[:, 0] if svals.ndim == 2 else svals)
 
@@ -234,6 +273,7 @@ def classify_operator(T: BasicOperator, policy: NumericPolicy) -> dict:
     the unitary/self-adjoint/projection flags are properties only square
     matrices can have and report False for non-square dims.
     """
+    _require_dense(T, "classify_operator")
     d_out, d_in = T.dims
     Ts = adjoint(T)
     scale = float(max(1.0, np.max(np.abs(T.samples)) ** 2))

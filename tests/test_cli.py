@@ -436,8 +436,8 @@ def test_infinite_box_bounds_are_numbers(tmp_path):
 
 
 def test_import_loads_no_scipy_beyond_linalg():
-    # scipy.linalg alone about doubles the start-up time and memory of every
-    # command; only the band solves and band eigenvalue bounds load it
+    # the scipy.linalg package alone about doubles the start-up time and
+    # memory of every command; the band solves load only its LAPACK extension
     code = f"import sys, gennet.cli; print({_SCIPY_MODULES})"
     assert _in_fresh_interpreter(code).strip() == "[]"
 
@@ -467,10 +467,43 @@ def test_small_matrix_commands_never_load_scipy(tmp_path, gennum_cfg):
     lines = _in_fresh_interpreter(code, json.dumps(steps)).splitlines()
     runs = [json.loads(line) for line in lines if line.startswith("[")]
     assert [cmd for cmd, _, _ in runs] == [step[0] for step in steps]
-    for cmd, rc, loaded in runs[:-1]:
+    # the band solve of solve-dirichlet loads scipy's LAPACK extension as a
+    # file, outside sys.modules and without the scipy packages
+    for cmd, rc, loaded in runs:
         assert (cmd, rc, loaded) == (cmd, 0, [])
-    cmd, rc, loaded = runs[-1]
-    assert rc == 0 and "scipy.linalg" in loaded  # the band solve does load it
+
+
+def test_band_solves_share_lapack_with_a_later_scipy_import():
+    code = f"""
+import json, sys
+import numpy as np
+from gennet import EpsGrid, TridiagonalOperator
+from gennet.operators import _flapack
+K, n = 8, 40
+grid = EpsGrid.geometric(K)
+rng = np.random.default_rng(7)
+real = TridiagonalOperator.symmetric(grid, rng.uniform(2.5, 3.5, (K, n)),
+                                     rng.uniform(-1.0, 1.0, (K, n - 1)))
+cplx = TridiagonalOperator(grid, real.samples + 1j * rng.uniform(-1.0, 1.0, (K, 3, n)),
+                           "complex")
+b = rng.standard_normal((K, n))
+nets = [(real, b, real.solve(b)), (cplx, b - 2j * b[::-1], cplx.solve(b - 2j * b[::-1]))]
+own = _flapack()
+before = {_SCIPY_MODULES}
+import scipy.linalg
+from scipy.linalg import solve_banded
+print(json.dumps({{
+    "before": before,
+    "bitwise": [np.stack([solve_banded((1, 1), T.samples[k], rhs[k]) for k in range(K)])
+                .tobytes() == x.tobytes() for T, rhs, x in nets],
+    "dtypes": [str(x.dtype) for _, _, x in nets],
+    "shared": [scipy.linalg.lapack.dgtsv is own.dgtsv, scipy.linalg.lapack.zgtsv is own.zgtsv],
+    "package_attribute": _flapack() is scipy.linalg._flapack,
+}}))
+"""
+    assert json.loads(_in_fresh_interpreter(code)) == {
+        "before": [], "bitwise": [True, True], "dtypes": ["float64", "complex128"],
+        "shared": [True, True], "package_attribute": True}
 
 
 def test_usage_errors_exit_1(tmp_path):

@@ -1,5 +1,6 @@
 """Matrix nets: adjoints, operator norms, and structural classification."""
 
+import importlib.util
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from _oracles import band_eig_bounds, bands_to_dense
+from gennet import operators
 from gennet import (
     BasicFunctional,
     BasicOperator,
@@ -240,6 +242,12 @@ def test_stacked_band_solve_equals_per_sample_solve_banded(K, m, draw, zero_coup
     got = T.solve(b)
     assert got.shape == (K, m)
     assert got.tobytes() == expected.tobytes()
+
+
+def test_a_missing_lapack_extension_is_an_import_error_naming_it(monkeypatch):
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: None)
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack"):
+        operators._load_flapack.__wrapped__()  # past the cache of the loaded module
 
 
 # singular 6 x 6 band samples whose first zero pivot turns up in the first

@@ -24,6 +24,7 @@ from gennet import (
     TridiagonalOperator,
     apply,
     certify_coercivity,
+    classify_operator,
     inner,
     lax_milgram_solve,
     op_norm_net,
@@ -453,7 +454,8 @@ def test_refinement_touches_only_the_samples_short_of_the_target():
 
 @pytest.fixture
 def gtsv_calls(monkeypatch):
-    """Count every LAPACK ?gtsv call, whether made directly through
+    """Count every LAPACK ?gtsv call, whether made through scipy.linalg's
+    _flapack extension (TridiagonalOperator.solve), through
     scipy.linalg.lapack or looked up by solve_banded's get_lapack_funcs."""
     from scipy.linalg import _flapack, lapack
 
@@ -496,17 +498,24 @@ def test_band_lax_milgram_makes_one_lapack_call_per_round(gtsv_calls):
     assert len(gtsv_calls) == GRID.K
 
 
-def test_band_nets_are_refused_by_the_dense_norm_and_contraction():
+def test_band_nets_are_refused_by_the_dense_layer():
     rng = np.random.default_rng(680)
     n = 3  # (3, 3) band samples have the shape of square dense ones
     T = TridiagonalOperator.symmetric(GRID, rng.uniform(2.5, 3.5, (GRID.K, n)),
                                       rng.uniform(-1.0, 1.0, (GRID.K, n - 1)))
     cert = certify_coercivity(BasicOperator(GRID, bands_to_dense(T.samples)), POLICY)
     C = ConvexSetNet.obstacle(GRID, np.full(n, -0.1))
-    with pytest.raises(TypeError, match="not TridiagonalOperator"):
+    c = _random_vector(rng, n)
+    with pytest.raises(TypeError, match="op_norm_net needs a dense BasicOperator net, "
+                                        "not TridiagonalOperator"):
         op_norm_net(T)
     with pytest.raises(TypeError, match="not TridiagonalOperator"):
-        vi_solve_contraction(T, _random_vector(rng, n), C, cert, POLICY)
+        vi_solve_contraction(T, c, C, cert, POLICY)
+    with pytest.raises(TypeError, match="classify_operator needs a dense BasicOperator net, "
+                                        "not TridiagonalOperator"):
+        classify_operator(T, POLICY)
+    with pytest.raises(TypeError, match="classify_operator needs a dense"):
+        vi_solve_minimization(T, c, C, POLICY)
 
 
 def test_band_contraction_matches_dense_contraction():
