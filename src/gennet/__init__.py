@@ -50,6 +50,7 @@ from .gennum import (
     is_negligible,
     le,
     make_power_net,
+    net_verdicts,
     sharp_norm,
     sqrt_nonneg,
     valuation_estimate,

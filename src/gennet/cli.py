@@ -30,7 +30,9 @@ from .errors import (
     MalformedSummary,
 )
 from .fem import CoefficientNet, Mesh1D, ProblemSpec, solve_dirichlet, solve_obstacle
-from .gennum import (
+# is_moderate, is_negligible and sharp_norm are unused here, but
+# perfbench/spans.py wraps them by name
+from .gennum import (  # noqa: F401
     EpsGrid,
     GenScalar,
     IndexSet,
@@ -38,6 +40,7 @@ from .gennum import (
     is_moderate,
     is_negligible,
     make_power_net,
+    net_verdicts,
     sharp_norm,
     valuation_estimate,
     write_grid_csv,
@@ -302,18 +305,13 @@ def gennum_check(cfg, grid, policy, out):
     specs = cfg.get("nets")
     if not isinstance(specs, list) or not specs:
         raise ConfigInvalid("/nets: must be a nonempty list")
-    nets = [_scalar_net(s, grid, f"/nets/{j}") for j, s in enumerate(specs)]
+    samples = np.stack([_scalar_net(s, grid, f"/nets/{j}").samples
+                        for j, s in enumerate(specs)])
     write_grid_csv(os.path.join(out, "nets.csv"), grid,
-                   [f"net{j}" for j in range(len(nets))], [np.real(net.samples) for net in nets])
-    rows = []
-    for j, net in enumerate(nets):
-        rows.append({
-            "net": j,
-            "valuation": float(valuation_estimate(net, policy)),
-            "sharp_norm": float(sharp_norm(net, policy)),
-            "negligible": bool(is_negligible(net, policy)),
-            "moderate": bool(is_moderate(net, policy)),
-        })
+                   [f"net{j}" for j in range(len(samples))], np.real(samples))
+    verdicts = net_verdicts(samples, grid, policy)
+    rows = [{"net": j, "valuation": v, "sharp_norm": n, "negligible": neg, "moderate": mod}
+            for j, (v, n, neg, mod) in enumerate(zip(*(f.tolist() for f in verdicts)))]
     return {
         "results": rows,
         "valuations": {f"net{r['net']}": r["valuation"] for r in rows},
@@ -350,9 +348,10 @@ def gram_schmidt(cfg, grid, policy, out, seed):
                    [col for w in vecs for col in np.real(w.samples).T])
     csv_s = time.perf_counter() - t_csv
     valuations = {}
-    for j, w in enumerate(vecs):
-        norm_net = GenScalar(grid, np.linalg.norm(w.samples, axis=1))
-        valuations[f"v{j}_norm"] = float(valuation_estimate(norm_net, policy))
+    if vecs:
+        norms = np.linalg.norm(np.stack([w.samples for w in vecs]), axis=2)
+        valuations = {f"v{j}_norm": v for j, v in
+                      enumerate(net_verdicts(norms, grid, policy).valuation.tolist())}
     return {
         "closed_edged": result.closed_edged,
         "diagnostics": result.diagnostics,

@@ -2,11 +2,12 @@
 
 A ConvexSetNet holds one closed convex set per grid index; projection of
 a vector net is the net of componentwise Euclidean projections.  Every
-kind has one projection path, run on all grid points at once: boxes,
-lower-bound (obstacle) sets and affine subspaces are projected in closed
-form; halfspace intersections use Dykstra's alternating projections with
-correction terms on the whole (K, m, d) net, each grid point iterated to
-the fixed tolerance _DYKSTRA_TOL = 1e-12.  The variational
+kind has one projection path, run at once on all grid points or on a
+subset of them (``row_projector``): boxes, lower-bound (obstacle) sets
+and affine subspaces are projected in closed form; halfspace
+intersections use Dykstra's alternating projections with correction
+terms on the (K, m, d) rows, each grid point iterated to the fixed
+tolerance _DYKSTRA_TOL = 1e-12.  The variational
 characterization Re<u - P(u), w - P(u)> <= 0 for w in C is exposed as a
 residual against a finite probe set.
 """
@@ -113,36 +114,29 @@ class ConvexSetNet:
         obstacles by clipping, affine subspaces in closed form, halfspace
         intersections by Dykstra's method on the whole (K, m, d) net.
         """
+        return self.row_projector(np.arange(self.grid.K))
+
+    def row_projector(self, rows: np.ndarray):
+        """A callable projecting a (rows.size, d) array onto the sets at ``rows``.
+
+        ``rows`` holds 0-based grid indices in increasing order; row i of
+        the argument is projected onto the set at grid point rows[i].  The
+        set's data is sliced once, here: box and obstacle bounds, the
+        affine offset and orthonormal basis, the halfspace rows and
+        offsets.  For iterations whose grid points finish at different
+        times, each grid point's result has the bits of ``batched_projector``.
+        """
         if self.kind == "box":
-            lo, up = self.data["lower"], self.data["upper"]
+            lo, up = self.data["lower"][rows], self.data["upper"][rows]
             return lambda z: np.clip(z, lo, up)
         if self.kind == "obstacle_lower_bound":
-            lo = self.data["lower"]
+            lo = self.data["lower"][rows]
             return lambda z: np.maximum(z, lo)
         if self.kind == "affine_subspace":
-            q, p = self.data["onb"], self.data["offset"]
+            q, p = self.data["onb"][rows], self.data["offset"][rows]
             return lambda z: p + np.einsum("kdr,kr->kd", q, np.einsum("kdr,kd->kr", q, z - p))
-        rows, offs = self.data["rows"], self.data["offsets"]
-        return lambda z: _dykstra(rows, offs, z)
-
-    def masked_projector(self):
-        """A callable (z, active, keep): P_C(z) on the active rows, keep on the rest.
-
-        For iterations whose grid points finish at different times.  Only
-        the active rows of a halfspace intersection go through Dykstra's
-        method; the closed-form kinds project every row and select.
-        """
-        if self.kind == "halfspaces":
-            rows, offs = self.data["rows"], self.data["offsets"]
-
-            def project(z, active, keep):
-                out = keep.copy()
-                k = np.flatnonzero(active)
-                out[k] = _dykstra(rows[k], offs[k], z[k], k)
-                return out
-            return project
-        project = self.batched_projector()
-        return lambda z, active, keep: np.where(active[:, None], project(z), keep)
+        a, offs = self.data["rows"][rows], self.data["offsets"][rows]
+        return lambda z: _dykstra(a, offs, z, rows)
 
     def violation(self, x: np.ndarray) -> np.ndarray:
         """How far each sample of x (K, d) is from its set: (K,), 0 inside."""
@@ -161,7 +155,7 @@ def _halfspace_violation(rows, offs, x):
 
 
 def _dykstra(rows: np.ndarray, offs: np.ndarray, x0: np.ndarray,
-             grid_index: np.ndarray | None = None) -> np.ndarray:
+             grid_index: np.ndarray) -> np.ndarray:
     """Dykstra's alternating projections onto rows_k x <= offs_k, all k at once.
 
     A grid point is done after the first sweep whose result violates no
@@ -169,8 +163,7 @@ def _dykstra(rows: np.ndarray, offs: np.ndarray, x0: np.ndarray,
     (1 + |x|); later sweeps run only on the points not yet done.  Zero
     rows are skipped.  A point still not done after _DYKSTRA_MAX_SWEEPS
     raises NoConvergence naming the first such grid index (1-based);
-    ``grid_index`` gives the 0-based grid index of each row when the
-    rows are a subset of the grid.
+    ``grid_index`` gives the 0-based grid index of each row.
     """
     sqn = np.sum(rows * rows, axis=2)
     sqn[sqn == 0.0] = 1.0  # a zero row then leaves x and its correction as they are
@@ -195,8 +188,7 @@ def _dykstra(rows: np.ndarray, offs: np.ndarray, x0: np.ndarray,
                 return out
             idx, x, corr, rows, offs, sqn, viol = (
                 a[~done] for a in (idx, x, corr, rows, offs, sqn, viol))
-    k = idx[0] if grid_index is None else grid_index[idx[0]]
-    raise NoConvergence(f"Dykstra stalled at grid index k={k + 1}",
+    raise NoConvergence(f"Dykstra stalled at grid index k={grid_index[idx[0]] + 1}",
                         residual=float(viol[0]))
 
 

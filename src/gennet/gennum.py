@@ -20,7 +20,6 @@ every operation is a pure function.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import ClassVar
@@ -129,9 +128,10 @@ def write_grid_csv(path, grid: EpsGrid, names, columns) -> None:
     is not of length K, or when a column is not real integers or floats
     (complex, bool and object columns are refused, naming the column).
     """
+    K = grid.K
     cols = [np.asarray(col) for col in columns]
-    if len(cols) != len(names) or any(col.shape != (grid.K,) for col in cols):
-        raise ValueError(f"need one length-{grid.K} column per name in {names}")
+    if len(cols) != len(names) or any(col.shape != (K,) for col in cols):
+        raise ValueError(f"need one length-{K} column per name in {names}")
     for name, col in zip(names, cols):
         if _cell_dtype(col.dtype) is None:
             raise ValueError(f"column {name!r}: cells must be real integers or floats, "
@@ -142,7 +142,7 @@ def write_grid_csv(path, grid: EpsGrid, names, columns) -> None:
         if idx:
             flat = format_cells(np.stack([cols[j] for j in idx]).ravel())
             for i, j in enumerate(idx):
-                cells[j] = flat[i * grid.K:(i + 1) * grid.K]
+                cells[j] = flat[i * K:(i + 1) * K]
     rows = zip(format_cells(grid.values), *cells)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["k", "eps", *names]) + "\n")
@@ -376,34 +376,63 @@ def arithmetic(op: str, a: GenScalar, b: GenScalar | None = None) -> GenScalar:
 # valuation and sharp norm
 # ---------------------------------------------------------------------------
 
+NetVerdicts = namedtuple("NetVerdicts", ["valuation", "sharp_norm", "negligible", "moderate"])
+
+
+def net_verdicts(samples: np.ndarray, grid: EpsGrid, policy: NumericPolicy) -> NetVerdicts:
+    """Valuations, sharp norms and negligible/moderate verdicts of m nets in one pass.
+
+    ``samples`` is the (m, K) stack of the nets' samples on ``grid``, one
+    net per row, real or complex; each field of the result is an (m,)
+    array.  Per net, over the tail window:
+
+    * valuation: the least-squares slope of log|a_k| against log eps_k,
+      the closed form sum(x_c * y_c) / sum(x_c**2) over the centred logs
+      x_c, y_c.  Exact zeros are left out of each net's own fit; a tail
+      with one nonzero sample gives log|a_k| / log eps_k there (the
+      prefactor pinned at 1), an all-zero tail +inf (the net is
+      indistinguishable from 0 at this scale).  Exact on pure power laws
+      c*eps**a up to rounding.
+    * sharp_norm: exp(-valuation), so 0 for an all-zero tail.
+    * negligible: |a_k| <= eps_k**q_neg on every tail index.
+    * moderate: |a_k| <= eps_k**-N_mod on every tail index.
+    """
+    pos = _tail_positions(grid, policy)
+    mags = np.abs(np.asarray(samples)[:, pos])
+    eps = grid.values[pos]
+    negligible = np.all(mags <= eps ** policy.q_neg, axis=1)
+    moderate = np.all(mags <= eps ** (-policy.N_mod), axis=1)
+    keep = mags != 0.0
+    kept = np.count_nonzero(keep, axis=1)
+    log_eps = np.where(keep, np.log(eps), 0.0)
+    log_mag = np.log(mags, out=np.zeros_like(mags), where=keep)
+    valuation = np.divide(log_mag.sum(axis=1), log_eps.sum(axis=1),
+                          out=np.full(kept.shape, np.inf), where=kept == 1)
+    fit = kept >= 2
+    if fit.any():
+        count = np.maximum(kept, 1)[:, None]
+        x = np.where(keep, log_eps - log_eps.sum(axis=1, keepdims=True) / count, 0.0)
+        y = log_mag - log_mag.sum(axis=1, keepdims=True) / count
+        np.divide((x * y).sum(axis=1), (x * x).sum(axis=1), out=valuation, where=fit)
+    return NetVerdicts(valuation, np.exp(-valuation), negligible, moderate)
+
+
+def _verdicts(a: GenScalar, policy: NumericPolicy) -> NetVerdicts:
+    return net_verdicts(a.samples[None], a.grid, policy)
+
+
 def valuation_estimate(a: GenScalar, policy: NumericPolicy) -> float:
     """Least-squares slope of log|a_k| vs log eps_k over the tail window.
 
-    The slope is the closed form sum(x_c * y_c) / sum(x_c**2) over the
-    centred logs x_c, y_c.  Exact zeros are left out of the fit; an
-    all-zero tail returns +inf (the net is indistinguishable from 0 at this
-    scale).  Exact on pure power laws c*eps**a.
+    Exact zeros are left out of the fit; an all-zero tail returns +inf.
+    See net_verdicts, which computes it.
     """
-    pos = _tail_positions(a.grid, policy)
-    mags = np.abs(a.samples[pos])
-    keep = mags != 0.0
-    if not np.any(keep):
-        return math.inf
-    log_eps = np.log(a.grid.values[pos][keep])
-    log_mag = np.log(mags[keep])
-    if log_eps.size == 1:
-        # one point: pin the prefactor at 1 and read the exponent off directly
-        return float(log_mag[0] / log_eps[0])
-    x = log_eps - log_eps.mean()
-    return float(np.dot(x, log_mag - log_mag.mean()) / np.dot(x, x))
+    return float(_verdicts(a, policy).valuation[0])
 
 
 def sharp_norm(a: GenScalar, policy: NumericPolicy) -> float:
     """exp(-valuation); 0 for nets with all-zero tail."""
-    nu = valuation_estimate(a, policy)
-    if math.isinf(nu):
-        return 0.0
-    return math.exp(-nu)
+    return float(_verdicts(a, policy).sharp_norm[0])
 
 
 # ---------------------------------------------------------------------------
@@ -412,14 +441,12 @@ def sharp_norm(a: GenScalar, policy: NumericPolicy) -> float:
 
 def is_negligible(a: GenScalar, policy: NumericPolicy) -> bool:
     """|a_k| <= eps_k**q_neg on every tail index (exact thresholds)."""
-    pos = _tail_positions(a.grid, policy)
-    return bool(np.all(np.abs(a.samples[pos]) <= a.grid.values[pos] ** policy.q_neg))
+    return bool(_verdicts(a, policy).negligible[0])
 
 
 def is_moderate(a: GenScalar, policy: NumericPolicy) -> bool:
     """|a_k| <= eps_k**-N_mod on every tail index."""
-    pos = _tail_positions(a.grid, policy)
-    return bool(np.all(np.abs(a.samples[pos]) <= a.grid.values[pos] ** (-policy.N_mod)))
+    return bool(_verdicts(a, policy).moderate[0])
 
 
 def ge_zero(a: GenScalar, policy: NumericPolicy) -> bool:

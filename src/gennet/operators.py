@@ -253,6 +253,17 @@ def defect_threshold(grid: EpsGrid, policy: NumericPolicy, scale: float = 1.0) -
     return np.maximum(grid.values[pos] ** policy.q_neg, policy.tol_abs * scale)
 
 
+def _defect_scale(T: BasicOperator) -> float:
+    """The O(1) size that rounding noise on T's defect nets scales with."""
+    return float(max(1.0, np.max(np.abs(T.samples)) ** 2))
+
+
+def _self_adjoint(T: BasicOperator, policy: NumericPolicy) -> bool:
+    """classify_operator's self_adjoint flag alone: T square and T - T* negligible."""
+    return T.is_square and _defect_negligible(
+        T.samples - np.conj(np.swapaxes(T.samples, 1, 2)), T.grid, policy, _defect_scale(T))
+
+
 def _defect_negligible(net: np.ndarray, grid: EpsGrid, policy: NumericPolicy,
                        scale: float) -> bool:
     """Entrywise negligibility of a (K, ...) defect net on the tail."""
@@ -276,7 +287,7 @@ def classify_operator(T: BasicOperator, policy: NumericPolicy) -> dict:
     _require_dense(T, "classify_operator")
     d_out, d_in = T.dims
     Ts = adjoint(T)
-    scale = float(max(1.0, np.max(np.abs(T.samples)) ** 2))
+    scale = _defect_scale(T)
     eye_in = np.eye(d_in)
     tst = Ts.compose(T).samples - eye_in
     flags = {"isometric": _defect_negligible(tst, T.grid, policy, scale)}
@@ -286,8 +297,7 @@ def classify_operator(T: BasicOperator, policy: NumericPolicy) -> dict:
         return flags
     tts = T.compose(Ts).samples - eye_in
     flags["unitary"] = flags["isometric"] and _defect_negligible(tts, T.grid, policy, scale)
-    sa = T.samples - Ts.samples
-    flags["self_adjoint"] = _defect_negligible(sa, T.grid, policy, scale)
+    flags["self_adjoint"] = _self_adjoint(T, policy)
     idem = T.compose(T).samples - T.samples
     flags["projection"] = flags["self_adjoint"] and _defect_negligible(
         idem, T.grid, policy, scale)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DimMismatch, GridMismatch, InvalidBasis, MixedScaleGenerator
 from .gennum import EpsGrid, GenScalar, IndexSet, NumericPolicy, _tail_positions
-from .hilbert import GenVector, inner, lincomb, rnorm
+from .hilbert import GenVector, inner, lincomb
 from .operators import BasicFunctional, BasicOperator
 
 # residuals this far below the pre-projection sample norm are treated as
@@ -142,24 +142,37 @@ def idempotent_normalize(u: GenVector, policy: NumericPolicy):
 
     Returns (w, S).
     """
-    norms = rnorm(u).samples
-    eps = u.grid.values
+    w, support = _normalize(u.samples[:, None, :], u.grid, policy)
+    return GenVector(u.grid, w[:, 0], u.field_tag), IndexSet.from_mask(support[:, 0])
+
+
+def _normalize(samples: np.ndarray, grid: EpsGrid, policy: NumericPolicy):
+    """idempotent_normalize of the m vectors of a (K, m, d) stack at once.
+
+    Returns the (K, m, d) normalized stack and the (K, m) support masks.
+    The norms are rnorm's, bit for bit.  The first vector j without a
+    uniform scale raises MixedScaleGenerator, naming the indices and
+    reason idempotent_normalize gives for it alone.
+    """
+    norms = np.linalg.norm(samples, axis=2)
+    eps = grid.values[:, None]
     support = norms >= eps ** policy.m_inv
-    tail = _tail_positions(u.grid, policy)
+    tail = _tail_positions(grid, policy)
     in_gap = (~support[tail]) & (norms[tail] > eps[tail] ** policy.q_neg)
-    if np.any(in_gap):
+    dies_out = support.any(axis=0) & ~support[tail].any(axis=0)
+    bad = np.flatnonzero(in_gap.any(axis=0) | dies_out)
+    if bad.size:
+        j = bad[0]
+        if in_gap[:, j].any():
+            raise MixedScaleGenerator(
+                (tail[in_gap[:, j]] + 1).tolist(),
+                "tail samples fall between the invertibility and negligibility scales",
+            )
         raise MixedScaleGenerator(
-            (tail[in_gap] + 1).tolist(),
-            "tail samples fall between the invertibility and negligibility scales",
-        )
-    if np.any(support) and not np.any(support[tail]):
-        raise MixedScaleGenerator(
-            (np.nonzero(support)[0] + 1).tolist(),
+            (np.flatnonzero(support[:, j]) + 1).tolist(),
             "norm support dies out before the tail window (no uniform scale)",
         )
-    scale = np.where(support, norms, np.inf)
-    w = GenVector(u.grid, u.samples / scale[:, None], u.field_tag)
-    return w, IndexSet.from_mask(support)
+    return samples / np.where(support, norms, np.inf)[:, :, None], support
 
 
 def _orthogonalize(samples: np.ndarray, eps: np.ndarray, m_inv: int) -> np.ndarray:
@@ -208,26 +221,23 @@ def interleaved_gram_schmidt(g: GeneratorSet, policy: NumericPolicy) -> OrthoBas
     """Orthogonalize a generator set blockwise across the grid.
 
     Implements the grid-pointwise recursion described in the module
-    docstring and idempotent-normalizes each assembled output; outputs
+    docstring and idempotent-normalizes the assembled outputs, all m in
+    one pass over the (K, m, d) stack; outputs
     with empty support (dropped-to-zero generators) are discarded, which
     also performs the reduction to at most dim generators.  The result
     spans the same submodule: every input generator reconstructs from
     the output basis sample by sample.
 
-    Raises MixedScaleGenerator if any assembled output has no uniform
-    scale (see idempotent_normalize).
+    Raises MixedScaleGenerator for the first assembled output with no
+    uniform scale (see idempotent_normalize).
     """
     grid = g.grid
     raw = _orthogonalize(np.stack([v.samples for v in g.gens], axis=1),
                          grid.values, policy.m_inv)
-    vecs, supports = [], []
-    for j in range(raw.shape[1]):
-        w, S = idempotent_normalize(GenVector._by_dtype(grid, raw[:, j]), policy)
-        if len(S) == 0:
-            continue
-        vecs.append(w)
-        supports.append(S)
-    return OrthoBasis(vecs, supports)
+    w, support = _normalize(raw, grid, policy)
+    kept = np.flatnonzero(support.any(axis=0))
+    return OrthoBasis([GenVector._by_dtype(grid, w[:, j]) for j in kept],
+                      [IndexSet.from_mask(support[:, j]) for j in kept])
 
 
 def project_submodule(B: OrthoBasis, v: GenVector) -> GenVector:

@@ -40,7 +40,13 @@ from .gennum import (
     write_grid_csv,
 )
 from .hilbert import GenVector
-from .operators import BasicOperator, TridiagonalOperator, classify_operator, op_norm_net
+from .operators import (
+    BasicOperator,
+    TridiagonalOperator,
+    _self_adjoint,
+    classify_operator,
+    op_norm_net,
+)
 
 _EPS_MACH = np.finfo(float).eps
 _REFINEMENTS = 3  # iterative-refinement steps after the direct solve
@@ -107,6 +113,12 @@ def lax_milgram_solve(
     SingularSample naming its grid index; a sample still above the
     residual target after the last round raises ResidualTargetMissed.
     """
+    return _lax_milgram(T, c, cert, policy, rel_residual)[0]
+
+
+def _lax_milgram(T, c, cert, policy, rel_residual=RESIDUAL_TARGET):
+    """lax_milgram_solve's solution, with the (K,) relative residuals
+    |T_k u_k - c_k| / (1 + |c_k|) of its last check."""
     if not cert.valid:
         raise InvalidCertificate("coercivity certificate is not valid")
     if not T.grid.same_as(c.grid):
@@ -127,7 +139,7 @@ def lax_milgram_solve(
             k = int(short[0])
             raise ResidualTargetMissed(k + 1, float(r_norm[k] / scale[k]), rel_residual)
         out[short] -= T.solve(r)[short]
-    return GenVector._by_dtype(c.grid, out)
+    return GenVector._by_dtype(c.grid, out), r_norm / scale
 
 
 @dataclass(frozen=True)
@@ -168,9 +180,16 @@ def vi_solve_contraction(
     point as described in the module docstring.  A grid point stops
     when its step norm falls below tol_abs * (1 - k_k) / max(k_k,
     tol_abs), or the iteration reaches an exact fixed point, or the
-    step hits the floating-point floor 4 * eps_mach * (1 + |u|).  The
-    iteration budget per point is ceil(log tol_abs / log k_k) plus half
-    again (at least 1024); exceeding it raises IterationBudgetExceeded.
+    step hits the floating-point floor 4 * eps_mach * (1 + |u|), or the
+    iterate equals the one before last: in exact arithmetic the iterates
+    of a contraction never repeat short of the fixed point, so such a
+    two-cycle is rounding, and its points lie within the rounding error
+    of two updates over (1 - k_k**2) of the solution.  The iteration
+    budget per point is ceil(log tol_abs / log k_k) plus half again (at
+    least 1024); exceeding it raises IterationBudgetExceeded.  Each sweep
+    runs only on the grid points still iterating: their operator rows,
+    data, iterates, last steps and ratios form a compressed state that a
+    point leaves when it finishes.
 
     The returned max_step_ratio records, per grid point, the largest
     observed |u_{n+1} - u_n| / |u_n - u_{n-1}|, measured only while the
@@ -187,7 +206,7 @@ def vi_solve_contraction(
         raise InvalidCertificate("contraction step needs strictly positive alpha samples; "
                                  f"alpha = {alpha[k]:.3e} at grid index k={k + 1}")
     M = op_norm_net(T).samples
-    if classify_operator(T, policy)["self_adjoint"]:
+    if _self_adjoint(T, policy):
         rho = 2.0 / (alpha + M)
         kfac = (M - alpha) / (M + alpha)
     else:
@@ -207,43 +226,47 @@ def vi_solve_contraction(
 
     u = C.batched_projector()(np.zeros_like(c.samples, dtype=float) if start is None
                               else start.samples.astype(float))
-    project = C.masked_projector()
     iterations = np.zeros(K, dtype=np.int64)
     last_step = np.zeros(K)
     max_ratio = np.zeros(K)
-    active = np.ones(K, dtype=bool)
-    max_budget = int(budgets.max())
     ratio_floor = math.sqrt(_EPS_MACH)
+    first_budget = int(budgets.min())
 
+    # the running state: grid indices, operator rows, data, iterates, last
+    # steps and max ratios of the points still iterating, in grid order
+    rows = np.arange(K)
+    A, b, step_rho, thr, bud = T.samples, c.samples, rho[:, None], thresholds, budgets
+    x, x_prev, last, ratio = u, u, None, np.zeros(K)
+    project = C.row_projector(rows)
     it = 0
-    while np.any(active):
+    while rows.size:
         it += 1
-        if it > max_budget:
-            k_bad = int(np.nonzero(active)[0][0])
-            raise IterationBudgetExceeded(k_bad + 1, int(budgets[k_bad]),
-                                          float(last_step[k_bad]))
-        z = rho[:, None] * (c.samples - T.matvec(u)) + u
-        u_next = project(z, active, u)
-        step = np.linalg.norm(u_next - u, axis=1)
-        scale = 1.0 + np.linalg.norm(u_next, axis=1)
-        measurable = active & (iterations >= 1) & (last_step > ratio_floor * scale)
-        if np.any(measurable):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(measurable, step / last_step, 0.0)
-            max_ratio = np.maximum(max_ratio, ratio)
-        floor = 4.0 * _EPS_MACH * scale
-        done_now = active & (
-            (step <= thresholds) | (step == 0.0) | (step <= floor)
-        )
-        over = active & ~done_now & (iterations + 1 >= budgets)
-        if np.any(over):
-            k_bad = int(np.nonzero(over)[0][0])
-            raise IterationBudgetExceeded(k_bad + 1, int(budgets[k_bad]),
-                                          float(step[k_bad]))
-        iterations[active] += 1
-        last_step[active] = step[active]
-        u = u_next
-        active &= ~done_now
+        x_next = project(step_rho * (b - np.einsum("kij,kj->ki", A, x)) + x)
+        step = _row_norms(x_next - x)
+        scale = 1.0 + _row_norms(x_next)
+        done = (step <= thr) | (step <= 4.0 * _EPS_MACH * scale)  # 0 steps included
+        if it > 1:
+            measurable = last > ratio_floor * scale
+            np.maximum(ratio, np.divide(step, last, out=None, where=measurable), out=ratio,
+                       where=measurable)
+            # back at the iterate before last: a two-cycle of rounding
+            done |= (x_next == x_prev).all(axis=1)
+        if it >= first_budget:
+            over = ~done & (bud <= it)
+            if over.any():
+                j = int(np.argmax(over))
+                raise IterationBudgetExceeded(int(rows[j]) + 1, int(bud[j]), float(step[j]))
+        x_prev, x, last = x, x_next, step
+        if done.any():
+            finished = rows[done]
+            u[finished] = x[done]
+            iterations[finished] = it
+            last_step[finished] = step[done]
+            max_ratio[finished] = ratio[done]
+            going = ~done
+            rows, A, b, step_rho, thr, bud, x, x_prev, last, ratio = (
+                a[going] for a in (rows, A, b, step_rho, thr, bud, x, x_prev, last, ratio))
+            project = C.row_projector(rows)
 
     violated = np.nonzero(max_ratio > kfac + _RATIO_SLACK)[0]
     if violated.size:
@@ -261,6 +284,11 @@ def vi_solve_contraction(
         step_rho=GenScalar(grid, rho),
         max_step_ratio=GenScalar(grid, max_ratio),
     )
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=1), bit for bit, without its argument handling."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real if np.iscomplexobj(x) else x * x, axis=1))
 
 
 def vi_solve_minimization(
@@ -290,7 +318,8 @@ def vi_solve_minimization(
 
     K = c.samples.shape[0]
     u = C.batched_projector()(np.zeros_like(c.samples, dtype=float))
-    project = C.masked_projector()
+    rows = np.arange(K)
+    project = C.row_projector(rows)
     iterations = np.zeros(K, dtype=np.int64)
     resid = np.zeros(K)
     active = np.ones(K, dtype=bool)
@@ -301,7 +330,8 @@ def vi_solve_minimization(
         it += 1
         g = T.matvec(u) - c.samples
         trial = u - step[:, None] * g
-        proj = project(trial, active, u)
+        proj = u.copy()
+        proj[rows] = project(trial[rows])
         d_dir = proj - u
         pg = np.linalg.norm(d_dir, axis=1) / step
         floor = 4.0 * _EPS_MACH * (1.0 + np.linalg.norm(u, axis=1)) / step
@@ -317,6 +347,9 @@ def vi_solve_minimization(
             t = np.clip(t, 0.0, 1.0)
             u = np.where(newly_active[:, None], u + t[:, None] * d_dir, u)
         iterations[active] += 1
+        if np.any(done_now):
+            rows = np.flatnonzero(newly_active)
+            project = C.row_projector(rows)
         active = newly_active
 
     if np.any(active):

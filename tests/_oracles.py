@@ -8,10 +8,20 @@ import from here; the library never does.
 """
 
 import itertools
+import math
 
 import numpy as np
 
-from gennet import CoefficientNet, NoConvergence, mollify_measure
+from gennet import (
+    CoefficientNet,
+    ContractionBoundViolated,
+    IterationBudgetExceeded,
+    MixedScaleGenerator,
+    NoConvergence,
+    classify_operator,
+    mollify_measure,
+    op_norm_net,
+)
 
 
 def project_box(z, lower, upper):
@@ -107,6 +117,110 @@ def solve_box_vi(T, c, lower, upper, tol=1e-8):
     if best is None or best_viol > tol * scale:
         raise RuntimeError(f"no admissible active set (best violation {best_viol})")
     return best
+
+
+def vi_contraction_masked(T, c, C, cert, policy, start=None):
+    """The projected contraction loop of ``vi_solve_contraction`` on the whole grid.
+
+    The loop the library ran before it kept only the unfinished grid
+    points: every sweep updates all K rows, projects them with the set's
+    ``batched_projector`` and keeps the rows of finished points as they
+    were.  Same step rho, factor, budgets, stop tests, ratio record and
+    errors.  Returns (u, iterations, last_step, max_ratio) as arrays.
+    """
+    eps_mach = np.finfo(float).eps
+    alpha = cert.alpha.samples.astype(float)
+    M = op_norm_net(T).samples
+    if classify_operator(T, policy)["self_adjoint"]:
+        rho = 2.0 / (alpha + M)
+        kfac = (M - alpha) / (M + alpha)
+    else:
+        rho = alpha / M ** 2
+        kfac = np.sqrt(np.maximum(0.0, 1.0 - alpha ** 2 / M ** 2))
+    K = c.samples.shape[0]
+    tol = policy.tol_abs
+    thresholds = tol * (1.0 - kfac) / np.maximum(kfac, tol)
+    budgets = np.full(K, 8)
+    for k in np.flatnonzero(kfac > 0.0):
+        base = math.ceil(math.log(tol) / math.log(kfac[k]))
+        budgets[k] = base + max(1024, base // 2)
+    project = C.batched_projector()
+    u = project(np.zeros_like(c.samples, dtype=float) if start is None
+                else start.samples.astype(float))
+    u_prev = u
+    iterations = np.zeros(K, dtype=np.int64)
+    last_step = np.zeros(K)
+    max_ratio = np.zeros(K)
+    active = np.ones(K, dtype=bool)
+    while np.any(active):
+        z = rho[:, None] * (c.samples - T.matvec(u)) + u
+        u_next = np.where(active[:, None], project(z), u)
+        step = np.linalg.norm(u_next - u, axis=1)
+        scale = 1.0 + np.linalg.norm(u_next, axis=1)
+        measurable = active & (iterations >= 1) & (last_step > math.sqrt(eps_mach) * scale)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(measurable, step / last_step, 0.0)
+        max_ratio = np.maximum(max_ratio, ratio)
+        cycle = (iterations >= 1) & np.all(u_next == u_prev, axis=1)
+        done_now = active & ((step <= thresholds) | (step == 0.0)
+                             | (step <= 4.0 * eps_mach * scale) | cycle)
+        over = active & ~done_now & (iterations + 1 >= budgets)
+        if np.any(over):
+            k = int(np.nonzero(over)[0][0])
+            raise IterationBudgetExceeded(k + 1, int(budgets[k]), float(step[k]))
+        iterations[active] += 1
+        last_step[active] = step[active]
+        u_prev, u = u, u_next
+        active &= ~done_now
+    violated = np.nonzero(max_ratio > kfac + 1e-6)[0]
+    if violated.size:
+        k = int(violated[0])
+        raise ContractionBoundViolated(k + 1, float(max_ratio[k]), float(kfac[k]))
+    return u, iterations, last_step, max_ratio
+
+
+def net_verdicts_per_net(samples, eps, policy):
+    """(valuation, sharp norm, negligible, moderate) of one net, its own way.
+
+    The per-net code the library ran before its stacked pass: the
+    least-squares slope of log|a_k| against log eps_k over the tail by
+    np.mean and np.dot on the nonzero tail samples alone, log|a|/log eps
+    for a single one, +inf for none; math.exp for the sharp norm.
+    """
+    tail = slice(len(eps) - policy.tail, len(eps))
+    mags, eps = np.abs(np.asarray(samples)[tail]), np.asarray(eps)[tail]
+    negligible = bool(np.all(mags <= eps ** policy.q_neg))
+    moderate = bool(np.all(mags <= eps ** (-policy.N_mod)))
+    keep = mags != 0.0
+    if not keep.any():
+        return math.inf, 0.0, negligible, moderate
+    x, y = np.log(eps[keep]), np.log(mags[keep])
+    if x.size == 1:
+        nu = float(y[0] / x[0])
+    else:
+        x = x - x.mean()
+        nu = float(np.dot(x, y - y.mean()) / np.dot(x, x))
+    return nu, math.exp(-nu), negligible, moderate
+
+
+def idempotent_normalize_per_vector(samples, eps, policy):
+    """(w, support) of one (K, d) vector, normalized on its support.
+
+    The support is {k : |u_k| >= eps_k**m_inv}, with the axis-wise norm
+    reduce that rnorm takes; w is u / |u| there.  Raises
+    MixedScaleGenerator naming the tail points between eps**m_inv and
+    eps**q_neg, else, when the support misses the tail, the support.
+    Off the support w is u / inf, a zero with the sign of u.
+    """
+    norms = np.sqrt(np.add.reduce((np.conj(samples) * samples).real, axis=1))
+    support = norms >= eps ** policy.m_inv
+    tail = np.arange(len(eps) - policy.tail, len(eps))
+    gap = [int(k) + 1 for k in tail if not support[k] and norms[k] > eps[k] ** policy.q_neg]
+    if gap:
+        raise MixedScaleGenerator(gap, "gap")
+    if support.any() and not support[tail].any():
+        raise MixedScaleGenerator([int(k) + 1 for k in np.flatnonzero(support)], "dies out")
+    return samples / np.where(support, norms, np.inf)[:, None], support
 
 
 # -u'' = -8 on (0,1), u(0) = u(1) = 0, u >= -3/4.  The parabola

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from _oracles import net_verdicts_per_net
 from gennet import (
     BasicFunctional,
     BasicOperator,
@@ -31,6 +32,7 @@ from gennet import (
     is_negligible,
     le,
     make_power_net,
+    net_verdicts,
     sharp_norm,
     sqrt_nonneg,
     valuation_estimate,
@@ -117,6 +119,84 @@ def test_closed_form_slope_matches_polyfit(c, a, noise, zeros):
     fitted = np.polyfit(np.log(GRID.values[tail][keep]), np.log(samples[tail][keep]), 1)[0]
     slope = valuation_estimate(GenScalar(GRID, samples), POLICY)
     assert abs(slope - fitted) <= 1e-12 * max(1.0, abs(fitted))
+
+
+# ---------------------------------------------------------------------------
+# the stacked verdict pass against per-net oracles
+# ---------------------------------------------------------------------------
+
+_NET_KINDS = ["power", "negative", "complex", "zeros_in_tail", "one_in_tail", "zero_tail",
+              "negligible", "huge"]
+
+
+def _net(rng, kind, grid, tail):
+    """One net of ``kind``: c eps^a with noise, signs, phases or tail zeros."""
+    K = grid.K
+    a = {"negligible": 12.0, "huge": -25.0}.get(kind, rng.uniform(-5.0, 5.0))
+    s = rng.uniform(0.1, 10.0) * grid.values ** a * np.exp(rng.uniform(-1.0, 1.0, K))
+    if kind == "negative":
+        s = s * rng.choice([-1.0, 1.0], K)
+    elif kind == "complex":
+        s = s * np.exp(2j * np.pi * rng.random(K))
+    elif kind == "zeros_in_tail":
+        s[K - tail:][rng.random(tail) < 0.5] = 0.0
+    elif kind == "one_in_tail":
+        one = s[K - tail + rng.integers(tail)]
+        s[K - tail:] = 0.0
+        s[K - tail + rng.integers(tail)] = one
+    elif kind == "zero_tail":
+        s[K - tail:] = 0.0
+    return s
+
+
+def _assert_matches_per_net(samples, grid, policy):
+    got = net_verdicts(samples, grid, policy)
+    for j, row in enumerate(samples):
+        nu, sharp, negligible, moderate = net_verdicts_per_net(row, grid.values, policy)
+        if math.isinf(nu):
+            assert got.valuation[j] == nu and got.sharp_norm[j] == 0.0
+        else:  # a few ulp of the logs' size: the sums run in another order
+            assert abs(got.valuation[j] - nu) <= 1e-13 * max(1.0, abs(nu))
+            assert abs(got.sharp_norm[j] - sharp) <= 1e-12 * sharp
+        assert (got.negligible[j], got.moderate[j]) == (negligible, moderate)
+
+
+@seed(20261022)
+@settings(max_examples=150, deadline=None)
+@given(data=st.integers(0, 2**32 - 1), K=st.sampled_from([8, 12, 24]),
+       kinds=st.lists(st.sampled_from(_NET_KINDS), min_size=1, max_size=6),
+       tail_frac=st.floats(0.0, 1.0))
+def test_stacked_verdicts_match_the_per_net_oracle(data, K, kinds, tail_frac):
+    rng = np.random.default_rng(data)
+    grid = EpsGrid.geometric(K)
+    tail = 1 + round(tail_frac * (K - 1))  # 1 .. K
+    samples = np.array([_net(rng, kind, grid, tail) for kind in kinds])
+    _assert_matches_per_net(samples, grid, NumericPolicy(tail=tail))
+
+
+def test_stacked_verdicts_keep_every_per_net_rule():
+    # K = 8 with tail == K: an all-zero tail, one nonzero tail sample,
+    # zeros inside the tail, a negative and a complex net in one stack
+    grid = EpsGrid.geometric(8)
+    policy = NumericPolicy(tail=8)
+    power = 3.0 * grid.values ** 1.5
+    one = np.zeros(8)
+    one[5] = grid.values[5] ** 2.0
+    holes = power.copy()
+    holes[::3] = 0.0
+    samples = np.array([np.zeros(8), one, holes, -power, power * np.exp(1j * np.arange(8))])
+    got = net_verdicts(samples, grid, policy)
+    assert got.valuation[0] == math.inf and got.sharp_norm[0] == 0.0
+    assert got.valuation[1] == 2.0  # log|a| / log eps at the one sample
+    assert np.allclose(got.valuation[2:], 1.5, rtol=0.0, atol=1e-13)
+    assert got.negligible.tolist() == [True, False, False, False, False]
+    _assert_matches_per_net(samples, grid, policy)
+    for j, row in enumerate(samples):  # the one-net functions read the same pass
+        net = GenScalar._by_dtype(grid, row)
+        assert valuation_estimate(net, policy) == got.valuation[j]
+        assert sharp_norm(net, policy) == got.sharp_norm[j]
+        assert is_negligible(net, policy) == got.negligible[j]
+        assert is_moderate(net, policy) == got.moderate[j]
 
 
 def test_square_and_sqrt_sharp_norm_identities():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from _oracles import gram_schmidt_per_point
+from _oracles import gram_schmidt_per_point, idempotent_normalize_per_vector
 from gennet import (
     DimMismatch,
     EpsGrid,
@@ -29,7 +29,7 @@ from gennet import (
     rnorm,
     submodule_projection_operator,
 )
-from gennet.submodules import _orthogonalize
+from gennet.submodules import _normalize, _orthogonalize
 
 GRID = EpsGrid.geometric(24)
 POLICY = NumericPolicy()
@@ -116,7 +116,8 @@ def _generator_samples(draw, kinds):
     near_parallel: a multiple of an earlier generator plus noise of
     relative size 1e-15 .. 1e-11 (the flush branch and its neighbour);
     tower: eps_k**k * v, whose norm crosses the threshold at k = m_inv
-    within rounding (the knife edge).
+    within rounding (the knife edge); gap: a power generator whose norm
+    is eps_K**11 at random tail points, between eps**12 and eps**10.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = draw(st.integers(1, 6))
@@ -140,6 +141,9 @@ def _generator_samples(draw, kinds):
             s = rng.uniform(0.5, 2.0) * base + 10.0 ** rng.uniform(-15, -11) * noise
         elif kind == "tower":
             s = _tower(v)
+        elif kind == "gap":  # norms eps^11 on a random part of the tail
+            tail = np.arange(GRID.K - POLICY.tail, GRID.K)
+            s[tail[rng.random(tail.size) < 0.5]] = GRID.values[-1] ** 11.0 * v
         out.append(s)
     return out
 
@@ -158,13 +162,13 @@ def _outcome(build):
             [sorted(S.members) for S in basis.supports])
 
 
-def _oracle_basis(raw):
+def _oracle_basis(raw, policy=POLICY):
     vecs, supports = [], []
     for r in raw:
-        w, S = idempotent_normalize(_vector(r), POLICY)
-        if len(S):
-            vecs.append(w)
-            supports.append(S)
+        w, support = idempotent_normalize_per_vector(r, GRID.values, policy)
+        if support.any():
+            vecs.append(_vector(w))
+            supports.append(IndexSet.from_mask(support))
     return OrthoBasis(vecs, supports)
 
 
@@ -192,6 +196,52 @@ def test_drop_decision_agrees_with_the_normalization_support(samples):
     for j in range(raw.shape[1]):
         support = rnorm(_vector(raw[:, j])).samples >= threshold
         assert np.array_equal(np.any(raw[:, j] != 0.0, axis=1), support)
+
+
+GAP_POLICY = NumericPolicy(q_neg=12)  # tail norms in (eps^12, eps^10) have no scale
+
+
+@seed(20261023)
+@settings(max_examples=150, deadline=None)
+@given(samples=_generator_samples(["power", "zero", "vanish", "tower", "gap"]))
+def test_batched_normalization_matches_the_per_vector_oracle(samples):
+    # the same vectors and supports, or MixedScaleGenerator naming the
+    # indices of the same first vector (power towers and gap tails)
+    stack = np.stack(samples, axis=1)
+    assert (_outcome(lambda: _oracle_basis(stack.transpose(1, 0, 2), GAP_POLICY))
+            == _outcome(lambda: _basis(*_normalize(stack, GRID, GAP_POLICY))))
+
+
+def _basis(w, support):
+    kept = np.flatnonzero(support.any(axis=0))
+    return OrthoBasis([_vector(w[:, j]) for j in kept],
+                      [IndexSet.from_mask(support[:, j]) for j in kept])
+
+
+@pytest.mark.parametrize("first,offenders", [
+    ("tower", list(range(1, POLICY.m_inv + 1))),
+    ("gap", [GRID.K - 1]),
+    ("gap_and_dies_out", list(range(GRID.K - POLICY.tail + 1, GRID.K + 1))),
+], ids=["tower", "gap", "gap-and-dies-out"])
+def test_batched_normalization_names_the_first_failing_vector(first, offenders):
+    # a good vector, the failing one, then a power tower that fails too
+    good = GRID.values[:, None] * np.array([1.0, 0.0])
+    if first == "tower":
+        bad = GRID.values[:, None] ** np.arange(1.0, GRID.K + 1)[:, None] * np.array([0.0, 1.0])
+    elif first == "gap":  # one tail sample between eps^q_neg and eps^m_inv
+        bad = good.copy()
+        bad[-2] = GRID.values[-2] ** 11.0 * np.array([0.6, 0.8])
+    else:  # support at the head only, every tail sample in the gap: the gap is named
+        bad = np.zeros_like(good)
+        bad[:3, 0] = 1.0
+        bad[-POLICY.tail:, 1] = GRID.values[-POLICY.tail:] ** 11.0
+    tower = GRID.values[:, None] ** np.arange(1.0, GRID.K + 1)[:, None] * np.array([1.0, 0.0])
+    with pytest.raises(MixedScaleGenerator) as err:
+        _normalize(np.stack([good, bad, tower], axis=1), GRID, GAP_POLICY)
+    assert err.value.indices == offenders
+    with pytest.raises(MixedScaleGenerator) as one:
+        idempotent_normalize_per_vector(bad, GRID.values, GAP_POLICY)
+    assert one.value.indices == offenders
 
 
 # Unit directions whose power tower has ||u_10|| = eps_10**10 in exact

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
-from _oracles import bands_to_dense, solve_box_vi
+from _oracles import bands_to_dense, solve_box_vi, vi_contraction_masked
 from gennet import convex
 from gennet import (
     BasicOperator,
+    CoefficientNet,
     CoercivityCertificate,
     ContractionBoundViolated,
     ConvexSetNet,
@@ -18,7 +21,9 @@ from gennet import (
     GridMismatch,
     InvalidCertificate,
     IterationBudgetExceeded,
+    Mesh1D,
     NumericPolicy,
+    ProblemSpec,
     ResidualTargetMissed,
     SingularSample,
     TridiagonalOperator,
@@ -29,10 +34,11 @@ from gennet import (
     lax_milgram_solve,
     op_norm_net,
     rnorm,
+    solve_obstacle,
     vi_solve_contraction,
     vi_solve_minimization,
 )
-from gennet.fem import _pdas
+from gennet.fem import _assemble_all, _pdas
 
 GRID = EpsGrid.geometric(24)
 POLICY = NumericPolicy()
@@ -331,6 +337,140 @@ def test_contraction_bound_is_checked_against_the_observed_ratios():
     assert err.value.k == 1
     assert err.value.factor == pytest.approx(0.1 / 7.9, rel=1e-12)
     assert err.value.ratio > 0.7
+
+
+# ------------------------------------------- running rows vs the masked loop
+
+SMALL_GRID = EpsGrid.geometric(10)
+
+
+def _staggered_problem(rng, kind):
+    """A coercive net, rhs and set of ``kind`` on SMALL_GRID whose grid
+    points need different sweep counts: the spread of each sample's
+    spectrum, and so its contraction factor, varies along the grid."""
+    K = SMALL_GRID.K
+    d = int(rng.integers(1, 4))
+    q, _ = np.linalg.qr(rng.standard_normal((K, d, d)))
+    symmetric = rng.random() < 0.5
+    spread = rng.uniform(0.2, 12.0 if symmetric else 2.0, (K, 1))
+    lam = 1.0 + spread * rng.random((K, d))
+    mats = q @ (lam[:, :, None] * np.swapaxes(q, 1, 2))
+    if not symmetric:
+        skew = rng.standard_normal((K, d, d))
+        mats = mats + 0.3 * (skew - np.swapaxes(skew, 1, 2))
+    T = BasicOperator(SMALL_GRID, mats)
+    c = GenVector(SMALL_GRID, rng.standard_normal((K, d)) * 10.0 ** rng.uniform(-1, 2, (K, 1)))
+    lower = rng.uniform(-1.0, 0.0, (K, d))
+    upper = lower + rng.uniform(0.5, 2.0, (K, d))
+    if kind == "box":
+        C = ConvexSetNet.box(SMALL_GRID, lower, upper)
+    elif kind == "obstacle":
+        C = ConvexSetNet.obstacle(SMALL_GRID, lower)
+    elif kind == "affine":
+        r = max(1, d - 1)
+        C = ConvexSetNet.affine(SMALL_GRID, rng.standard_normal((K, r, d)), lower)
+    else:
+        rows = np.vstack([np.eye(d), -np.eye(d), np.ones((1, d))])
+        offs = np.hstack([upper, -lower, upper.sum(axis=1, keepdims=True) - 0.25])
+        C = ConvexSetNet.halfspaces(SMALL_GRID, np.tile(rows, (K, 1, 1)), offs)
+    return T, c, C
+
+
+def _contraction_outcome(run):
+    """The arrays a contraction returns, as bytes, or the error it raised."""
+    try:
+        return [np.asarray(a).tobytes() for a in run()]
+    except (IterationBudgetExceeded, ContractionBoundViolated) as err:
+        return type(err).__name__, vars(err)
+
+
+def _running_rows(T, c, C, cert, start=None):
+    sol = vi_solve_contraction(T, c, C, cert, POLICY, start=start)
+    return (sol.u.samples, sol.iterations, sol.residual.samples,
+            sol.max_step_ratio.samples)
+
+
+@seed(20261021)
+@settings(max_examples=60, deadline=None)
+@given(data=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["box", "obstacle", "affine", "halfspaces"]),
+       warm=st.booleans())
+def test_running_rows_match_the_masked_loop_bit_for_bit(data, kind, warm):
+    rng = np.random.default_rng(data)
+    T, c, C = _staggered_problem(rng, kind)
+    cert = certify_coercivity(T, POLICY)
+    start = GenVector(SMALL_GRID, 5.0 * rng.standard_normal(c.samples.shape)) if warm else None
+    got = _contraction_outcome(lambda: _running_rows(T, c, C, cert, start))
+    assert got == _contraction_outcome(
+        lambda: vi_contraction_masked(T, c, C, cert, POLICY, start))
+
+
+def _forged(T, true_from, alpha):
+    """The certificate of T with alpha in place of the true bound on the
+    grid points before ``true_from`` (0-based)."""
+    real = certify_coercivity(T, POLICY).alpha.samples.copy()
+    real[:true_from] = alpha
+    return CoercivityCertificate(GenScalar(T.grid, real), 1, True)
+
+
+def test_running_rows_raise_the_masked_loops_budget_error():
+    # alpha = M promises k = 0 and an 8-step budget on the first four grid
+    # points, where this rotation-heavy operator expands instead
+    T = BasicOperator.constant(np.array([[0.05, 1.0], [-1.0, 0.05]]), SMALL_GRID)
+    cert = _forged(T, 4, float(op_norm_net(T).samples[0]))
+    c = GenVector(SMALL_GRID, np.tile([30.0, -20.0], (SMALL_GRID.K, 1)))
+    C = ConvexSetNet.box(SMALL_GRID, np.full(2, -1e6), np.full(2, 1e6))
+    got = _contraction_outcome(lambda: _running_rows(T, c, C, cert))
+    assert got == _contraction_outcome(lambda: vi_contraction_masked(T, c, C, cert, POLICY))
+    assert got[0] == "IterationBudgetExceeded"
+    assert (got[1]["k"], got[1]["budget"]) == (1, 8) and got[1]["step_norm"] > 1.0
+
+
+def test_running_rows_raise_the_masked_loops_bound_violation():
+    # alpha = 3.9 on diag(1, 4) at the first three grid points overstates
+    # the factor there; the others converge with their true factor 0.6
+    T = BasicOperator.constant(np.diag([1.0, 4.0]), SMALL_GRID)
+    cert = _forged(T, 3, 3.9)
+    c = GenVector(SMALL_GRID, np.tile([1.0, 1.0], (SMALL_GRID.K, 1)))
+    C = ConvexSetNet.box(SMALL_GRID, np.full(2, -1e6), np.full(2, 1e6))
+    got = _contraction_outcome(lambda: _running_rows(T, c, C, cert))
+    assert got == _contraction_outcome(lambda: vi_contraction_masked(T, c, C, cert, POLICY))
+    assert got[0] == "ContractionBoundViolated" and got[1]["k"] == 1
+
+
+def _dense_heaviside_obstacle(n_elems):
+    """Diffusion eps^0.5 left of 0.4 under a tent obstacle, the P1 problem
+    of test_cli's vanishing-diffusion case: (spec, dense net, rhs, set,
+    lifting).  alpha_k / M_k falls from 2e-3 to 4e-6 at n = 32, so
+    tol_abs (1 - k_k) / k_k lies below rounding."""
+    spec = ProblemSpec(
+        grid=GRID, mesh=Mesh1D(0.0, 1.0, n_elems),
+        diffusion=CoefficientNet.heaviside_nu(GRID, nu_exponent=0.5, jump_at=0.4, high=1.0),
+        rhs=-8.0,
+        obstacle=CoefficientNet.tabulated(GRID, [0.0, 0.5, 1.0], [-1.0, -0.6, -1.0]))
+    T, b, gtilde, *_ = _assemble_all(spec)
+    dense = BasicOperator(GRID, bands_to_dense(T.samples))
+    C = ConvexSetNet.obstacle(GRID, spec.obstacle_nodal()[:, 1:-1] - gtilde[:, 1:-1])
+    return spec, dense, GenVector(GRID, b), C, gtilde
+
+
+@pytest.mark.parametrize("n_elems", [32, 64])
+def test_contraction_reaches_the_active_set_answer_on_a_dense_heaviside_net(n_elems):
+    # the steps settle in a two-cycle at rounding level, which must end the
+    # iteration there, within the active-set answer's certified error
+    spec, dense, c, C, gtilde = _dense_heaviside_obstacle(n_elems)
+    sol = vi_solve_contraction(dense, c, C, certify_coercivity(dense, POLICY), POLICY)
+    ref = solve_obstacle(spec, POLICY)
+    gap = np.linalg.norm(sol.u.samples - (ref.u.samples - gtilde)[:, 1:-1], axis=1)
+    assert np.all(gap <= ref.error_bound.samples)
+
+
+def test_running_rows_match_the_masked_loop_on_two_cycles():
+    # grid points end by a two-cycle after 2,040 to 4,206 sweeps
+    _, dense, c, C, _ = _dense_heaviside_obstacle(32)
+    cert = certify_coercivity(dense, POLICY)
+    got = _contraction_outcome(lambda: _running_rows(dense, c, C, cert))
+    assert got == _contraction_outcome(lambda: vi_contraction_masked(dense, c, C, cert, POLICY))
 
 
 # ----------------------------------------------------------- minimization
