@@ -26,6 +26,7 @@ from .errors import (
     NoConvergence,
     NotNonnegative,
     NotZeroProduct,
+    OutputUnwritable,
     ProbeNotInSet,
     ResidualTargetMissed,
     SingularSample,

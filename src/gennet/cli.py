@@ -28,6 +28,7 @@ from .errors import (
     InvalidBasis,
     InvalidSpec,
     MalformedSummary,
+    OutputUnwritable,
 )
 from .fem import CoefficientNet, Mesh1D, ProblemSpec, solve_dirichlet, solve_obstacle
 # is_moderate, is_negligible and sharp_norm are unused here, but
@@ -37,6 +38,7 @@ from .gennum import (  # noqa: F401
     GenScalar,
     IndexSet,
     NumericPolicy,
+    _open_output,
     is_moderate,
     is_negligible,
     make_power_net,
@@ -49,6 +51,15 @@ from .hilbert import GenVector
 from .operators import BasicOperator, classify_operator, op_norm_net
 from .submodules import GeneratorSet, classify_submodule
 from .variational import certify_coercivity, vi_solve_contraction
+
+
+def _make_out_dir(out: str) -> None:
+    """Create the output directory ``out``; an OS error is an ``OutputUnwritable``."""
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise OutputUnwritable(
+            f"cannot make output directory {out}: {exc.strerror or exc}") from exc
 
 
 def _load_config(path: str) -> dict:
@@ -282,12 +293,12 @@ def _config_command(name: str, *extra_options):
             cfg = _load_config(config_path)
             grid = _build_grid(cfg, grid_k)
             policy = _build_policy(cfg, grid)
-            os.makedirs(out, exist_ok=True)
+            _make_out_dir(out)
             summary = body(cfg, grid, policy, out, **extra)
             summary["command"] = name
             summary.setdefault("timings", {})["total_s"] = time.perf_counter() - t0
             path = os.path.join(out, f"{name}_summary.json")
-            with open(path, "w") as fh:
+            with _open_output(path) as fh:
                 fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
             ok = all(bool(v) for v in summary["verdicts"].values())
             click.echo(f"{name}: {'ok' if ok else 'FAILED'} ({path})")
@@ -507,9 +518,9 @@ def report(summaries, out):
             click.echo(f"{data['command']:<16} {name:<20} {'pass' if value else 'FAIL'}")
             all_ok = all_ok and value
     if out is not None:
-        os.makedirs(out, exist_ok=True)
+        _make_out_dir(out)
         text = json.dumps({"reports": merged, "all_ok": all_ok}, indent=2, sort_keys=True)
-        with open(os.path.join(out, "report.json"), "w") as fh:
+        with _open_output(os.path.join(out, "report.json")) as fh:
             fh.write(text + "\n")
     return 0 if all_ok else 2
 
@@ -527,6 +538,9 @@ def main(argv=None):
         return 1
     except (ConfigInvalid, MalformedSummary, InvalidSpec, InvalidBasis) as exc:
         click.echo(f"config error: {exc}", err=True)
+        return 1
+    except OutputUnwritable as exc:
+        click.echo(f"output error: {exc}", err=True)
         return 1
     except GennetError as exc:
         click.echo(f"verdict failure: {exc.__class__.__name__}: {exc}", err=True)

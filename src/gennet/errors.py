@@ -3,8 +3,9 @@
 Every error raised on a documented contract violation lives here so that
 callers (and the CLI) can catch them by family.  ``GennetError`` is the
 common base.  The CLI exits 1 on ``ConfigInvalid``, ``MalformedSummary``,
-``InvalidSpec`` and ``InvalidBasis`` (bad input), and 2 on every other
-``GennetError`` (a computation ran but a mathematical verdict failed).
+``InvalidSpec`` and ``InvalidBasis`` (bad input) and on ``OutputUnwritable``,
+and 2 on every other ``GennetError`` (a computation ran but a mathematical
+verdict failed).
 """
 
 
@@ -146,3 +147,7 @@ class ConfigInvalid(GennetError):
 
 class MalformedSummary(GennetError):
     """A summary file handed to `gennet report` is not a summary."""
+
+
+class OutputUnwritable(GennetError):
+    """An output file could not be written; message names the path and the reason."""

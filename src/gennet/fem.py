@@ -31,6 +31,7 @@ from .gennum import (  # noqa: F401
     EpsGrid,
     GenScalar,
     NumericPolicy,
+    _open_output,
     format_cells,
     ge_zero,
     invertible_wrt,
@@ -521,12 +522,13 @@ def _write_nodal_csv(path, mesh: Mesh1D, u: GenVector):
     parts per row that holds the ``node_index,x,`` cells once; per block
     only the heads and that block's u cells are slice-assigned into it.
     A head carries the newline that ends the row before it, so the file
-    ends with one more newline.
+    ends with one more newline.  The CSV is a new file (``_open_output``):
+    an existing file at ``path`` is replaced, not rewritten in place.
     """
     width = mesh.nodes.size
     parts = [""] * (3 * width)
     parts[1::3] = [f"{i},{x}," for i, x in enumerate(format_cells(mesh.nodes))]
-    with open(path, "w", newline="") as fh:
+    with _open_output(path) as fh:
         fh.write("k,eps,node_index,x,u")
         for k, (eps, u_k) in enumerate(zip(format_cells(u.grid.values), u.samples), 1):
             parts[0::3] = [f"\n{k},{eps},"] * width

@@ -20,6 +20,7 @@ every operation is a pure function.
 
 from __future__ import annotations
 
+import os
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import ClassVar
@@ -32,6 +33,7 @@ from .errors import (
     GridMismatch,
     NotNonnegative,
     NotZeroProduct,
+    OutputUnwritable,
     SplitFailed,
 )
 
@@ -115,6 +117,27 @@ def format_cells(array) -> list[str]:
     return cells
 
 
+def _open_output(path):
+    """Open ``path`` for writing text as a new file.
+
+    An existing file at ``path`` is unlinked first, never truncated: on
+    ext4 a truncate-and-rewrite makes ``close`` allocate blocks and start
+    writeback in the writing process, while a new inode gets delayed
+    allocation.  A handle or hard link to the old file keeps its bytes, and
+    a symlink at ``path`` is replaced, not followed.  Rows are written as
+    given (``newline=""``).  Any OS error is an ``OutputUnwritable`` that
+    names the path and the reason.
+    """
+    try:
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
+            pass
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise OutputUnwritable(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def write_grid_csv(path, grid: EpsGrid, names, columns) -> None:
     """Write a per-eps table: header ``k,eps,<names>``, one row per grid point.
 
@@ -123,10 +146,13 @@ def write_grid_csv(path, grid: EpsGrid, names, columns) -> None:
     ``column.tolist()``), so floats round-trip exactly and integer columns
     stay integer; the cells come from ``format_cells`` (orjson, with the
     ``repr`` fallback outside 1e-4 <= |v| < 1e16), all columns of one kind
-    in one call.  Cells are joined by ',', rows end in '\n'.  Raises
-    ValueError when the names and columns differ in number, when a column
-    is not of length K, or when a column is not real integers or floats
-    (complex, bool and object columns are refused, naming the column).
+    in one call.  Cells are joined by ',', rows end in '\n'.  The table is
+    a new file (``_open_output``): an existing file at ``path`` is
+    replaced, not rewritten in place.  Raises ValueError when the names
+    and columns differ in number, when a column is not of length K, or when
+    a column is not real integers or floats (complex, bool and object
+    columns are refused, naming the column), and ``OutputUnwritable`` when
+    the file cannot be written.
     """
     K = grid.K
     cols = [np.asarray(col) for col in columns]
@@ -144,7 +170,7 @@ def write_grid_csv(path, grid: EpsGrid, names, columns) -> None:
             for i, j in enumerate(idx):
                 cells[j] = flat[i * K:(i + 1) * K]
     rows = zip(format_cells(grid.values), *cells)
-    with open(path, "w", newline="") as fh:
+    with _open_output(path) as fh:
         fh.write(",".join(["k", "eps", *names]) + "\n")
         fh.write("".join([f"{k},{','.join(row)}\n" for k, row in enumerate(rows, 1)]))
 

@@ -1,5 +1,6 @@
 """End-to-end command-line runs: exit codes, CSV layout, determinism."""
 
+import ast
 import json
 import os
 import subprocess
@@ -520,3 +521,122 @@ def test_unreadable_config_exits_1(tmp_path, capsys):
     assert _run(["gennum-check", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 1
     assert "cannot read config" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------- output files
+
+def test_unwritable_output_exits_1_and_names_the_file(tmp_path, capsys, gennum_cfg):
+    out = tmp_path / "out"
+    (out / "nets.csv").mkdir(parents=True)
+    assert _run(["gennum-check", "--config", gennum_cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"output error: cannot write {out / 'nets.csv'}: Is a directory"]
+    summary = tmp_path / "x_summary.json"
+    summary.write_text('{"command": "x", "verdicts": {}}')
+    out = summary / "out"  # under a plain file
+    for args in (["gennum-check", "--config", gennum_cfg], ["report", str(summary)]):
+        assert _run([*args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"output error: cannot make output directory {out}: Not a directory"]
+
+
+def test_rerun_replaces_every_output_with_a_new_file(tmp_path, gennum_cfg):
+    # one run of each writer: write_grid_csv (nets.csv), _write_nodal_csv
+    # (solution.csv), the command summaries and report.json
+    dirichlet = _write_config(tmp_path, "dirichlet.json", {
+        "problem": {"interval": [0.0, 1.0], "n_elems": 8, "diffusion": 1.0, "rhs": 1.0}})
+    out, links = tmp_path / "out", tmp_path / "links"
+    steps = [["gennum-check", "--config", gennum_cfg, "--out", str(out)],
+             ["solve-dirichlet", "--config", dirichlet, "--out", str(out)],
+             ["report", str(out / "gennum-check_summary.json"),
+              str(out / "solve-dirichlet_summary.json"), "--out", str(out)]]
+    names = ["gennum-check_summary.json", "nets.csv", "report.json",
+             "solution.csv", "solve-dirichlet_summary.json"]
+    for step in steps:
+        assert _run(step) == 0
+    assert sorted(os.listdir(out)) == names
+    first = {name: (out / name).read_bytes() for name in names}
+    links.mkdir()
+    for name in names:
+        os.link(out / name, links / name)
+
+    for step in steps:
+        assert _run(step) == 0
+    assert sorted(os.listdir(out)) == names
+    for name in names:
+        old, new = os.stat(links / name), os.stat(out / name)
+        assert (links / name).read_bytes() == first[name], name
+        assert old.st_ino != new.st_ino and old.st_nlink == 1, name
+        if name.endswith(".csv"):
+            assert (out / name).read_bytes() == first[name], name
+
+
+def test_a_symlink_at_an_output_name_is_replaced_not_followed(tmp_path, gennum_cfg):
+    out, target = tmp_path / "out", tmp_path / "elsewhere.txt"
+    out.mkdir()
+    target.write_text("keep me\n")
+    (out / "nets.csv").symlink_to(target)
+    assert _run(["gennum-check", "--config", gennum_cfg, "--out", str(out)]) == 0
+    assert target.read_text() == "keep me\n"
+    assert not (out / "nets.csv").is_symlink()
+    assert (out / "nets.csv").read_text().startswith("k,eps,net0,net1,net2\n")
+
+
+def test_summaries_keep_infinity_and_report_reads_it_back(tmp_path):
+    # the valuation of the zero net is +inf; the summary writes it as the
+    # JSON extension Infinity, which report reads back
+    cfg = _write_config(tmp_path, "zero.json", {"nets": [{"kind": "constant", "value": 0.0}]})
+    out = tmp_path / "out"
+    assert _run(["gennum-check", "--config", cfg, "--out", str(out)]) == 0
+    summary = out / "gennum-check_summary.json"
+    assert '"valuation": Infinity' in summary.read_text()
+    assert _run(["report", str(summary), "--out", str(out)]) == 0
+    blob = json.loads((out / "report.json").read_text())
+    assert blob["all_ok"] is True
+    assert blob["reports"][0]["valuations"] == {"net0": INF}
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """Whether ``call`` opens a file in a write mode or writes one whole.
+
+    ``open``, ``io.open`` and ``Path.open`` count when a literal mode among
+    their positional arguments or their ``mode=`` holds w, a, x or +; a
+    ``mode=`` that is no literal counts too, since it cannot be checked.
+    ``Path.write_text`` and ``Path.write_bytes`` always count.
+    """
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("write_text", "write_bytes"):
+        return isinstance(func, ast.Attribute)
+    if name != "open":
+        return False
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"]
+    if any(not isinstance(m, ast.Constant) for m in modes):
+        return True
+    modes += [arg for arg in call.args if isinstance(arg, ast.Constant)]
+    return any(isinstance(m.value, str) and set(m.value) <= set("rwaxbt+")
+               and set(m.value) & set("wax+") for m in modes)
+
+
+def test_the_write_detector_sees_every_write_mode():
+    calls = {"open(p)": False, "open(p, 'rb')": False, "p.open()": False,
+             "open(p, 'w')": True, "open(p, 'a', newline='')": True,
+             "open(p, mode='x')": True, "open(p, 'r+')": True, "io.open(p, 'wb')": True,
+             "p.open('a')": True, "open(p, mode=m)": True, "p.write_text(s)": True}
+    for source, writes in calls.items():
+        assert _writes_a_file(ast.parse(source, mode="eval").body) == writes, source
+
+
+def test_every_output_file_goes_through_one_opener():
+    # gennum._open_output writes each output as a new file; an open(path,
+    # "w") elsewhere would go back to truncating outputs in place
+    offenders = []
+    for path in sorted((SRC / "gennet").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        opener = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "_open_output"
+                  for node in ast.walk(fn)}
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and _writes_a_file(node)
+                      and id(node) not in opener]
+    assert offenders == []
