@@ -11,14 +11,13 @@ separator ','.
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
 import math
 import os
 import sys
 import time
 
-import click
 import numpy as np
 
 from .convex import ConvexSetNet
@@ -259,54 +258,103 @@ def _problem(cfg: dict, grid: EpsGrid) -> ProblemSpec:
     )
 
 
-@click.group()
-def cli():
-    """Generalized-number nets: arithmetic, submodules, variational solvers."""
+class _UsageError(Exception):
+    """A command line that no command accepts; ``main`` prints it and exits 1."""
 
 
-def _config_command(name: str, *extra_options):
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise ``_UsageError`` instead of
+    exiting the process.  ``main`` answers ``--help`` before parsing, so
+    the option here only lists it."""
+
+    def __init__(self, name: str, doc: str):
+        super().__init__(prog=f"gennet {name}", description=doc, add_help=False,
+                         allow_abbrev=False)
+        self.add_argument("--help", action="store_true", help="Show this message and exit.")
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
+# command name -> (its parser, the body that takes the parsed arguments and
+# returns the exit code); the parsers are built once, at import
+_COMMANDS: dict = {}
+
+
+def _command(name: str, doc: str, run) -> _Parser:
+    parser = _Parser(name, doc)
+    _COMMANDS[name] = (parser, run)
+    return parser
+
+
+def _input_file(path: str) -> str:
+    """``path`` if it names an existing file that is no directory."""
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"file {path!r} is a directory")
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"file {path!r} does not exist")
+    return path
+
+
+def _output_dir(path: str) -> str:
+    """``path`` unless it names an existing plain file."""
+    if os.path.isfile(path):
+        raise argparse.ArgumentTypeError(f"directory {path!r} is a file")
+    return path
+
+
+def _seed(text: str) -> int:
+    """A seed for ``np.random.default_rng``: an integer ≥ 0."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {seed}")
+    return seed
+
+
+def _config_command(name: str, **extra_options):
     """Register ``body`` as the config command ``name``.
 
-    The command takes --config, --out and --grid-K, then
-    ``extra_options``.  It reads the config with the grid and numeric
-    policy it declares, makes the output directory and calls
-    ``body(cfg, grid, policy, out, **extra)``.  The body writes its tables
-    into ``out`` and returns its summary fields, ``verdicts`` among them.
-    The command then adds ``command`` and ``timings.total_s``, writes
-    ``<name>_summary.json`` and exits 0 when every verdict holds, 2
-    otherwise.
+    The command takes --config, --out and --grid-K, then one ``--<key>``
+    option per ``extra_options`` item, whose value holds the keyword
+    arguments of ``add_argument``.  It reads the config with the grid and
+    numeric policy it declares, makes the output directory and calls
+    ``body(cfg, grid, policy, out, **extra)``, ``extra`` keyed like
+    ``extra_options``.  The body writes its tables into ``out`` and returns
+    its summary fields, ``verdicts`` among them.  The command then adds
+    ``command`` and ``timings.total_s``, writes ``<name>_summary.json`` and
+    exits 0 when every verdict holds, 2 otherwise.
     """
-    options = [
-        click.option("--config", "config_path", required=True,
-                     type=click.Path(exists=True, dir_okay=False), help="JSON config file."),
-        click.option("--out", "out", default=".", type=click.Path(file_okay=False),
-                     help="Output directory for CSV and summary files."),
-        click.option("--grid-K", "grid_k", default=None, type=int,
-                     help="Override the number of grid points."),
-        *extra_options,
-    ]
-
     def register(body):
-        @functools.wraps(body)
-        def command(config_path, out, grid_k, **extra):
+        def run(args):
             t0 = time.perf_counter()
-            cfg = _load_config(config_path)
-            grid = _build_grid(cfg, grid_k)
+            cfg = _load_config(args.config)
+            grid = _build_grid(cfg, args.grid_k)
             policy = _build_policy(cfg, grid)
-            _make_out_dir(out)
-            summary = body(cfg, grid, policy, out, **extra)
+            _make_out_dir(args.out)
+            summary = body(cfg, grid, policy, args.out,
+                           **{key: getattr(args, key) for key in extra_options})
             summary["command"] = name
             summary.setdefault("timings", {})["total_s"] = time.perf_counter() - t0
-            path = os.path.join(out, f"{name}_summary.json")
+            path = os.path.join(args.out, f"{name}_summary.json")
             with _open_output(path) as fh:
                 fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
             ok = all(bool(v) for v in summary["verdicts"].values())
-            click.echo(f"{name}: {'ok' if ok else 'FAILED'} ({path})")
+            print(f"{name}: {'ok' if ok else 'FAILED'} ({path})")
             return 0 if ok else 2
 
-        for option in reversed(options):
-            command = option(command)
-        return cli.command(name)(command)
+        parser = _command(name, body.__doc__, run)
+        parser.add_argument("--config", required=True, type=_input_file, metavar="FILE",
+                            help="JSON config file.")
+        parser.add_argument("--out", default=".", type=_output_dir, metavar="DIR",
+                            help="Output directory for CSV and summary files.")
+        parser.add_argument("--grid-K", dest="grid_k", type=int, metavar="N",
+                            help="Override the number of grid points.")
+        for key, kwargs in extra_options.items():
+            parser.add_argument(f"--{key}", **kwargs)
+        return body
     return register
 
 
@@ -344,8 +392,9 @@ def classify_op(cfg, grid, policy, out):
     }
 
 
-@_config_command("gram-schmidt", click.option(
-    "--seed", default=0, type=int, show_default=True, help="Seed for the /random generators."))
+@_config_command("gram-schmidt", seed=dict(
+    default=0, type=_seed, metavar="N",
+    help="Seed for the /random generators (default: %(default)s)."))
 def gram_schmidt(cfg, grid, policy, out, seed):
     """Orthogonalize a generator set; exit 2 if no uniform scale exists."""
     gens = _generators(cfg, grid, seed)
@@ -488,11 +537,6 @@ def solve_obstacle_cmd(cfg, grid, policy, out):
     return _fem_summary(solve_obstacle, cfg, grid, policy, out)
 
 
-@cli.command("report")
-@click.argument("summaries", nargs=-1, required=True,
-                type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", default=None, type=click.Path(file_okay=False),
-              help="Also write the merged report.json here.")
 def report(summaries, out):
     """Merge command summaries into one table; exit 2 if any verdict failed."""
     merged = []
@@ -509,13 +553,13 @@ def report(summaries, out):
             raise MalformedSummary(f"{path}: every verdict must be true or false")
         merged.append(data)
     all_ok = True
-    click.echo(f"{'command':<16} {'verdict':<20} value")
+    print(f"{'command':<16} {'verdict':<20} value")
     for data in merged:
         verdicts = data["verdicts"]
         if not verdicts:
-            click.echo(f"{data['command']:<16} {'(informational)':<20} ok")
+            print(f"{data['command']:<16} {'(informational)':<20} ok")
         for name, value in sorted(verdicts.items()):
-            click.echo(f"{data['command']:<16} {name:<20} {'pass' if value else 'FAIL'}")
+            print(f"{data['command']:<16} {name:<20} {'pass' if value else 'FAIL'}")
             all_ok = all_ok and value
     if out is not None:
         _make_out_dir(out)
@@ -525,27 +569,53 @@ def report(summaries, out):
     return 0 if all_ok else 2
 
 
-def main(argv=None):
+_report_parser = _command("report", report.__doc__,
+                          lambda args: report(args.summaries, args.out))
+_report_parser.add_argument("summaries", nargs="+", type=_input_file, metavar="SUMMARY",
+                            help="A <command>_summary.json file.")
+_report_parser.add_argument("--out", type=_output_dir, metavar="DIR",
+                            help="Also write the merged report.json here.")
+
+_TOP_HELP = "\n".join([
+    "usage: gennet COMMAND [OPTIONS]",
+    "",
+    "Generalized-number nets: arithmetic, submodules, variational solvers.",
+    "",
+    "commands:",
+    *(f"  {name:<16} {parser.description.splitlines()[0]}"
+      for name, (parser, _) in sorted(_COMMANDS.items())),
+    "",
+    "Run 'gennet COMMAND --help' for a command's options.",
+])
+
+
+def main(argv=None) -> int:
+    """Run the command line ``argv`` (default ``sys.argv[1:]``); return its exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        rv = cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
-    except click.UsageError as exc:
-        click.echo(f"usage error: {exc.format_message()}", err=True)
-        return 1
-    except click.ClickException as exc:
-        exc.show()
+        if argv[:1] == ["--help"]:
+            print(_TOP_HELP)
+            return 0
+        if not argv or argv[0] not in _COMMANDS:
+            got = f"no such command {argv[0]!r}" if argv else "missing command"
+            raise _UsageError(f"{got}; choose from {', '.join(sorted(_COMMANDS))}")
+        parser, run = _COMMANDS[argv[0]]
+        if "--help" in argv[1:]:  # before any other argument is checked
+            parser.print_help()
+            return 0
+        return run(parser.parse_args(argv[1:]))
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (ConfigInvalid, MalformedSummary, InvalidSpec, InvalidBasis) as exc:
-        click.echo(f"config error: {exc}", err=True)
+        print(f"config error: {exc}", file=sys.stderr)
         return 1
     except OutputUnwritable as exc:
-        click.echo(f"output error: {exc}", err=True)
+        print(f"output error: {exc}", file=sys.stderr)
         return 1
     except GennetError as exc:
-        click.echo(f"verdict failure: {exc.__class__.__name__}: {exc}", err=True)
+        print(f"verdict failure: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 2
-    return int(rv) if isinstance(rv, int) else 0
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -290,6 +291,24 @@ def test_report_rejects_malformed_summaries(tmp_path, capsys):
     assert _run(["report"]) == 1  # no inputs is a usage error
 
 
+def test_report_prints_one_row_per_verdict(tmp_path, capsys, gennum_cfg):
+    tower = _write_config(tmp_path, "tower.json", {
+        "generators": [{"kind": "power_tower", "vector": [1.0, 0.0]}]})
+    vi = _write_config(tmp_path, "vi.json", _VI)
+    runs = [("gennum-check", gennum_cfg, 0), ("vi-solve", vi, 0), ("gram-schmidt", tower, 2)]
+    summaries = []
+    for command, cfg, rc in runs:
+        assert _run([command, "--config", cfg, "--out", str(tmp_path / command)]) == rc
+        summaries.append(str(tmp_path / command / f"{command}_summary.json"))
+    capsys.readouterr()
+    assert _run(["report", *summaries]) == 2
+    assert capsys.readouterr().out == (
+        "command          verdict              value\n"
+        "gennum-check     (informational)      ok\n"
+        "vi-solve         coercive             pass\n"
+        "gram-schmidt     closed_edged         FAIL\n")
+
+
 @pytest.mark.parametrize("verdict", ['"false"', "0", "null", "[]"])
 def test_report_refuses_a_verdict_that_is_not_a_boolean(tmp_path, capsys, verdict):
     odd = tmp_path / "odd.json"
@@ -443,7 +462,9 @@ def test_import_loads_no_scipy_beyond_linalg():
     assert _in_fresh_interpreter(code).strip() == "[]"
 
 
-def test_small_matrix_commands_never_load_scipy(tmp_path, gennum_cfg):
+def _small_command_steps(tmp_path, gennum_cfg) -> list:
+    """Command lines of every small-matrix command, report included, then a
+    small solve-dirichlet, all writing into one output directory."""
     out = str(tmp_path / "out")
     configs = {
         "classify-op": {"operator": {"kind": "rotation", "theta_power": 1.0}},
@@ -461,17 +482,40 @@ def test_small_matrix_commands_never_load_scipy(tmp_path, gennum_cfg):
     steps += [["report", os.path.join(out, "gennum-check_summary.json"),
                os.path.join(out, "vi-solve_summary.json")],
               ["solve-dirichlet", "--config", paths["solve-dirichlet"], "--out", out]]
+    return steps
+
+
+def _modules_after_each_step(steps, modules) -> list:
+    """[command, exit code, ``modules``] after each step, run in one fresh
+    interpreter; ``modules`` is an expression over ``sys.modules``."""
     code = ("import json, sys\n"
             "from gennet.cli import main\n"
             "for step in json.loads(sys.argv[1]):\n"
-            f"    print(json.dumps([step[0], main(step), {_SCIPY_MODULES}]))\n")
+            f"    print(json.dumps([step[0], main(step), {modules}]))\n")
     lines = _in_fresh_interpreter(code, json.dumps(steps)).splitlines()
     runs = [json.loads(line) for line in lines if line.startswith("[")]
     assert [cmd for cmd, _, _ in runs] == [step[0] for step in steps]
+    return runs
+
+
+def test_small_matrix_commands_never_load_scipy(tmp_path, gennum_cfg):
+    runs = _modules_after_each_step(_small_command_steps(tmp_path, gennum_cfg),
+                                    _SCIPY_MODULES)
     # the band solve of solve-dirichlet loads scipy's LAPACK extension as a
     # file, outside sys.modules and without the scipy packages
     for cmd, rc, loaded in runs:
         assert (cmd, rc, loaded) == (cmd, 0, [])
+
+
+def test_import_and_every_command_load_no_click(tmp_path, gennum_cfg):
+    # importing click takes 15-27 ms and its parsing about 0.3 ms per
+    # command, against argparse's parsers built once at import
+    click_modules = "sorted(m for m in sys.modules if m.split('.')[0] == 'click')"
+    assert _in_fresh_interpreter(f"import sys, gennet.cli; print({click_modules})"
+                                 ).strip() == "[]"
+    runs = _modules_after_each_step(_small_command_steps(tmp_path, gennum_cfg),
+                                    click_modules)
+    assert [(rc, loaded) for _, rc, loaded in runs] == [(0, [])] * len(runs)
 
 
 def test_band_solves_share_lapack_with_a_later_scipy_import():
@@ -513,6 +557,69 @@ def test_usage_errors_exit_1(tmp_path):
     assert _run(["gennum-check", "--config", str(tmp_path / "missing.json")]) == 1
     cfg = _write_config(tmp_path, "vi.json", _VI)
     assert _run(["vi-solve", "--config", cfg, "--parallel", "true"]) == 1
+
+
+_COMMANDS = ["classify-op", "gennum-check", "gram-schmidt", "report",
+             "solve-dirichlet", "solve-obstacle", "vi-solve"]
+
+# argv, with {cfg}, {random}, {dir} and {missing} standing for a valid
+# config, a config with /random generators, a directory and a path that
+# does not exist; and a pattern that the one error line must match, naming
+# the offending option or argument
+_USAGE_ERRORS = {
+    "unknown-command": (["frobnicate"], r"frobnicate"),
+    "no-command": ([], r"command"),
+    "missing-config": (["gennum-check"], r"--config\b"),
+    "config-does-not-exist": (["gennum-check", "--config", "{missing}"], r"--config\b"),
+    "config-is-a-directory": (["gennum-check", "--config", "{dir}"], r"--config\b"),
+    "config-without-value": (["gennum-check", "--config"], r"--config\b"),
+    "out-is-a-file": (["gennum-check", "--config", "{cfg}", "--out", "{cfg}"], r"--out\b"),
+    "grid-K-not-an-integer": (["gennum-check", "--config", "{cfg}", "--grid-K", "abc"],
+                              r"--grid-K\b"),
+    "removed-parallel": (["vi-solve", "--config", "{cfg}", "--parallel", "true"],
+                         r"--parallel\b"),
+    # an abbreviation is not taken for the option: --config is still missing
+    "abbreviated-config": (["gennum-check", "--conf", "{cfg}"], r"--config\b"),
+    "abbreviated-seed": (["gram-schmidt", "--config", "{cfg}", "--se", "3"], r"--se\b"),
+    # numpy's generator refuses a negative seed; the command line refuses it first
+    "negative-seed": (["gram-schmidt", "--config", "{random}", "--seed", "-1"], r"--seed\b"),
+    "negative-seed-after-equals": (["gram-schmidt", "--config", "{random}", "--seed=-7"],
+                                   r"--seed\b"),
+    "report-without-summaries": (["report"], r"SUMMAR(Y|IES)\b"),
+    "report-of-a-directory": (["report", "{dir}"], r"SUMMAR(Y|IES)\b"),
+}
+
+
+@pytest.mark.parametrize("case", list(_USAGE_ERRORS))
+def test_usage_errors_print_one_line_naming_the_offender(tmp_path, capsys, gennum_cfg, case):
+    argv, pattern = _USAGE_ERRORS[case]
+    slots = {"cfg": gennum_cfg, "dir": str(tmp_path), "missing": str(tmp_path / "no.json"),
+             "random": _write_config(tmp_path, "random.json", {"random": {"m": 2, "d": 3}})}
+    assert _run([arg.format(**slots) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error:"), captured.err
+    assert re.search(pattern, lines[0], re.IGNORECASE), lines[0]
+    assert captured.out == ""
+
+
+def test_option_equals_value_and_help_exit_0(tmp_path, capsys, gennum_cfg):
+    out = tmp_path / "out"
+    assert _run(["gennum-check", f"--config={gennum_cfg}", f"--out={out}"]) == 0
+    assert (out / "nets.csv").is_file()
+    capsys.readouterr()
+    assert _run(["--help"]) == 0
+    text = capsys.readouterr().out
+    assert all(command in text for command in _COMMANDS), text
+    # --help wins over any other argument, checked or not
+    assert _run(["gennum-check", "--config", str(tmp_path / "missing.json"), "--help"]) == 0
+    capsys.readouterr()
+    for command in _COMMANDS:
+        assert _run([command, "--help"]) == 0
+        text = capsys.readouterr().out
+        assert command in text and "--help" in text and "--out" in text
+        assert ("--config" in text) == (command != "report")
+        assert ("--seed" in text) == (command == "gram-schmidt")
 
 
 def test_unreadable_config_exits_1(tmp_path, capsys):
