@@ -94,7 +94,6 @@ from .variational import (
     certify_coercivity,
     lax_milgram_solve,
     vi_solve_contraction,
-    vi_solve_minimization,
 )
 from .fem import (
     CoefficientNet,

@@ -30,19 +30,17 @@ from .errors import (
     OutputUnwritable,
 )
 from .fem import CoefficientNet, Mesh1D, ProblemSpec, solve_dirichlet, solve_obstacle
-# is_moderate, is_negligible and sharp_norm are unused here, but
-# perfbench/spans.py wraps them by name
-from .gennum import (  # noqa: F401
+from .gennum import (
     EpsGrid,
     GenScalar,
     IndexSet,
     NumericPolicy,
     _open_output,
-    is_moderate,
-    is_negligible,
+    is_moderate,  # noqa: F401 -- unused; perfbench/spans.py wraps it here by name
+    is_negligible,  # noqa: F401 -- unused; perfbench/spans.py wraps it here by name
     make_power_net,
     net_verdicts,
-    sharp_norm,
+    sharp_norm,  # noqa: F401 -- unused; perfbench/spans.py wraps it here by name
     valuation_estimate,
     write_grid_csv,
 )
@@ -140,15 +138,19 @@ def _operator_net(spec, grid: EpsGrid) -> BasicOperator:
         return BasicOperator(grid, mats)
     if kind == "diag_powers":
         powers = _array(_field(spec, "powers", "/operator"), "/operator/powers")
+        if powers.ndim != 1 or powers.size == 0:
+            raise ConfigInvalid("/operator/powers: must be a nonempty list of numbers")
         diags = grid.values[:, None] ** powers[None, :]
         mats = np.zeros((grid.K, powers.size, powers.size))
         np.einsum("kii->ki", mats)[:] = diags
         return BasicOperator(grid, mats)
     if kind == "idempotent_diag":
-        members = {_number(m, f"/operator/members/{i}", int)
-                   for i, m in enumerate(_field(spec, "members", "/operator"))}
-        dim = _number(spec.get("dim", 2), "/operator/dim", int)
-        S = IndexSet(frozenset(members), grid.K)
+        members = _field(spec, "members", "/operator")
+        if not isinstance(members, list):
+            raise ConfigInvalid("/operator/members: must be a list of grid indices")
+        S = IndexSet(frozenset(_number(m, f"/operator/members/{i}", int, 1, grid.K)
+                               for i, m in enumerate(members)), grid.K)
+        dim = _number(spec.get("dim", 2), "/operator/dim", int, 1)
         mats = np.zeros((grid.K, dim, dim))
         np.einsum("kii->ki", mats)[:] = S.mask().astype(float)[:, None]
         return BasicOperator(grid, mats)
@@ -160,10 +162,10 @@ def _operator_net(spec, grid: EpsGrid) -> BasicOperator:
     raise ConfigInvalid(f"/operator/kind: unknown operator kind {kind!r}")
 
 
-def _number(value, ptr: str, cast=float):
+def _number(value, ptr: str, cast=float, least=-math.inf, most=math.inf):
     """``cast(value)``, or ConfigInvalid naming ``ptr`` if the value is not a
-    number, is NaN, or with ``cast=int`` is not a whole number.  ±inf is a
-    number: box bounds use it."""
+    number, is NaN, lies outside [least, most], or with ``cast=int`` is not
+    a whole number.  ±inf is a number: box bounds use it."""
     try:
         number = float(value)
     except (TypeError, ValueError) as exc:
@@ -172,18 +174,23 @@ def _number(value, ptr: str, cast=float):
         raise ConfigInvalid(f"{ptr}: must be a number, got NaN")
     if cast is int and not number.is_integer():
         raise ConfigInvalid(f"{ptr}: must be an integer, got {value!r}")
+    if not least <= number <= most:
+        raise ConfigInvalid(f"{ptr}: must lie in [{least}, {most}], got {value!r}")
     return cast(number)
 
 
-def _array(value, ptr: str) -> np.ndarray:
+def _array(value, ptr: str, length: int | None = None) -> np.ndarray:
     """A JSON number or (nested) list of numbers as a float array, or
-    ConfigInvalid naming ``ptr`` if an entry is not a number or is NaN."""
+    ConfigInvalid naming ``ptr`` if an entry is not a number or is NaN, or
+    if ``length`` is given and the last axis has another length."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"{ptr}: must be numbers, got {value!r}") from exc
     if np.isnan(arr).any():
         raise ConfigInvalid(f"{ptr}: must be numbers, got NaN")
+    if length is not None and arr.shape[-1:] != (length,):
+        raise ConfigInvalid(f"{ptr}: must have length {length}")
     return arr
 
 
@@ -274,6 +281,24 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
+
+    def parse_args(self, args):
+        """argparse's ``parse_args``, except that an unrecognized option, such
+        as an abbreviated ``--conf``, is named before a missing required one."""
+        required = [a for a in self._actions if a.required and a.option_strings]
+        for action in required:
+            action.required = False
+        try:
+            namespace, extras = self.parse_known_args(args)
+        finally:
+            for action in required:
+                action.required = True
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        missing = [a.option_strings[0] for a in required if getattr(namespace, a.dest) is None]
+        if missing:
+            self.error(f"the following arguments are required: {', '.join(missing)}")
+        return namespace
 
 
 # command name -> (its parser, the body that takes the parsed arguments and
@@ -429,8 +454,8 @@ def _generators(cfg: dict, grid: EpsGrid, seed: int) -> list:
         if not isinstance(r, dict):
             raise ConfigInvalid("/random: must be an object")
         rng = np.random.default_rng(seed)
-        m = _number(_field(r, "m", "/random"), "/random/m", int)
-        d = _number(_field(r, "d", "/random"), "/random/d", int)
+        m = _number(_field(r, "m", "/random"), "/random/m", int, 1)
+        d = _number(_field(r, "d", "/random"), "/random/d", int, 0)
         powers = _array(r.get("powers", [0] * m), "/random/powers")
         if powers.shape != (m,):
             raise ConfigInvalid("/random/powers: must list one exponent per generator")
@@ -477,10 +502,11 @@ def vi_solve(cfg, grid, policy, out):
     t0 = time.perf_counter()
     T = _operator_net(cfg.get("operator"), grid)
     rhs = cfg.get("rhs")
-    if not isinstance(rhs, list):
+    if not isinstance(rhs, list) or any(isinstance(v, list) for v in rhs):
         raise ConfigInvalid("/rhs: must be a vector (list of numbers)")
-    c = GenVector.constant(_array(rhs, "/rhs"), grid)
-    C = _convex_set(cfg.get("set"), grid)
+    d = T.dims[1]  # the length of /rhs and of the /set bounds
+    c = GenVector.constant(_array(rhs, "/rhs", d), grid)
+    C = _convex_set(cfg.get("set"), grid, d)
     cert = certify_coercivity(T, policy)
     sol = vi_solve_contraction(T, c, C, cert, policy)
     solve_s = time.perf_counter() - t0
@@ -498,15 +524,16 @@ def vi_solve(cfg, grid, policy, out):
     }
 
 
-def _convex_set(spec, grid: EpsGrid) -> ConvexSetNet:
+def _convex_set(spec, grid: EpsGrid, d: int) -> ConvexSetNet:
     if not isinstance(spec, dict):
         raise ConfigInvalid("/set: must be an object")
     kind = spec.get("kind")
     if kind == "box":
-        return ConvexSetNet.box(grid, _array(_field(spec, "lower", "/set"), "/set/lower"),
-                                _array(_field(spec, "upper", "/set"), "/set/upper"))
+        return ConvexSetNet.box(grid, _array(_field(spec, "lower", "/set"), "/set/lower", d),
+                                _array(_field(spec, "upper", "/set"), "/set/upper", d))
     if kind == "obstacle":
-        return ConvexSetNet.obstacle(grid, _array(_field(spec, "lower", "/set"), "/set/lower"))
+        return ConvexSetNet.obstacle(grid,
+                                     _array(_field(spec, "lower", "/set"), "/set/lower", d))
     raise ConfigInvalid(f"/set/kind: unknown set kind {kind!r}")
 
 

@@ -57,7 +57,7 @@ class EmptySet(GennetError):
 
 
 class NoConvergence(GennetError):
-    """An iterative projection/minimization failed to reach tolerance."""
+    """Dykstra's projection or the obstacle active-set solve failed to settle."""
 
     def __init__(self, message, residual=None):
         self.residual = residual

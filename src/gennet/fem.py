@@ -26,15 +26,14 @@ import numpy as np
 
 from .convex import ConvexSetNet
 from .errors import CoercivityFailure, InvalidCertificate, InvalidSpec, NoConvergence
-# ge_zero and invertible_wrt are unused here, but perfbench/spans.py wraps them by name
-from .gennum import (  # noqa: F401
+from .gennum import (
     EpsGrid,
     GenScalar,
     NumericPolicy,
     _open_output,
     format_cells,
-    ge_zero,
-    invertible_wrt,
+    ge_zero,  # noqa: F401 -- unused; perfbench/spans.py wraps it here by name
+    invertible_wrt,  # noqa: F401 -- unused; perfbench/spans.py wraps it here by name
     is_moderate,
     valuation_estimate,
     write_grid_csv,

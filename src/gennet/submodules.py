@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, GridMismatch, InvalidBasis, MixedScaleGenerator
-from .gennum import EpsGrid, GenScalar, IndexSet, NumericPolicy, _tail_positions
+from .gennum import EpsGrid, IndexSet, NumericPolicy, _tail_positions
 from .hilbert import GenVector, inner, lincomb
 from .operators import BasicFunctional, BasicOperator
 

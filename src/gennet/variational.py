@@ -28,7 +28,6 @@ from .errors import (
     GridMismatch,
     InvalidCertificate,
     IterationBudgetExceeded,
-    NoConvergence,
     ResidualTargetMissed,
 )
 from .gennum import (
@@ -44,7 +43,7 @@ from .operators import (
     BasicOperator,
     TridiagonalOperator,
     _self_adjoint,
-    classify_operator,
+    classify_operator,  # noqa: F401 -- unused; perfbench/spans.py wraps it here by name
     op_norm_net,
 )
 
@@ -153,7 +152,7 @@ class VISolution:
     alpha: GenScalar
     operator_norm: GenScalar
     step_rho: GenScalar
-    max_step_ratio: GenScalar | None = None
+    max_step_ratio: GenScalar
 
     def write_iterations_csv(self, path):
         """One row per grid point: step data and iteration count."""
@@ -197,9 +196,15 @@ def vi_solve_contraction(
     the contraction property bounds it by contraction_k.  After the
     iteration this bound is checked: the first grid point whose ratio
     exceeds contraction_k + 1e-6 raises ContractionBoundViolated.
+    Inputs on different grids raise GridMismatch; a T that is not d x d
+    for the dimension d of c and C raises DimMismatch.
     """
     if not cert.valid:
         raise InvalidCertificate("coercivity certificate is not valid")
+    if not (T.grid.same_as(c.grid) and C.grid.same_as(c.grid)):
+        raise GridMismatch("operator, right-hand side and set on different grids")
+    if T.dims != (c.dim, c.dim) or C.dim != c.dim:
+        raise DimMismatch(f"operator has dims {T.dims}, rhs dim {c.dim}, set dim {C.dim}")
     alpha = cert.alpha.samples.astype(float)
     if np.any(alpha <= 0.0):
         k = int(np.flatnonzero(alpha <= 0.0)[0])
@@ -289,84 +294,3 @@ def vi_solve_contraction(
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """np.linalg.norm(x, axis=1), bit for bit, without its argument handling."""
     return np.sqrt(np.add.reduce((x.conj() * x).real if np.iscomplexobj(x) else x * x, axis=1))
-
-
-def vi_solve_minimization(
-    T: BasicOperator,
-    c: GenVector,
-    C: ConvexSetNet,
-    policy: NumericPolicy,
-    max_iter: int = 500_000,
-) -> VISolution:
-    """Minimize <T u, u> - 2 <c, u> over C by projected gradient descent.
-
-    Requires T self-adjoint with a valid coercivity certificate
-    (InvalidCertificate otherwise).  Each step projects the gradient
-    move u - (1/M_k) (T_k u_k - c_k), then takes an exact line search
-    along the feasible direction; a grid point stops when its scaled
-    projected-gradient norm falls below tol_abs * (1 + |c_k|).
-    """
-    if not classify_operator(T, policy)["self_adjoint"]:
-        raise InvalidCertificate("minimization form requires a self-adjoint operator")
-    cert = certify_coercivity(T, policy)
-    if not cert.valid or np.any(cert.alpha.samples <= 0.0):
-        raise InvalidCertificate("operator is not certifiably coercive")
-    alpha = cert.alpha.samples.astype(float)
-    M = op_norm_net(T).samples
-    step = 1.0 / M
-    tol = policy.tol_abs
-
-    K = c.samples.shape[0]
-    u = C.batched_projector()(np.zeros_like(c.samples, dtype=float))
-    rows = np.arange(K)
-    project = C.row_projector(rows)
-    iterations = np.zeros(K, dtype=np.int64)
-    resid = np.zeros(K)
-    active = np.ones(K, dtype=bool)
-    stop_at = tol * (1.0 + np.linalg.norm(c.samples, axis=1))
-
-    it = 0
-    while np.any(active) and it < max_iter:
-        it += 1
-        g = T.matvec(u) - c.samples
-        trial = u - step[:, None] * g
-        proj = u.copy()
-        proj[rows] = project(trial[rows])
-        d_dir = proj - u
-        pg = np.linalg.norm(d_dir, axis=1) / step
-        floor = 4.0 * _EPS_MACH * (1.0 + np.linalg.norm(u, axis=1)) / step
-        done_now = active & ((pg <= stop_at) | (pg <= floor))
-        resid[active] = pg[active]
-        newly_active = active & ~done_now
-        if np.any(newly_active):
-            Td = T.matvec(d_dir)
-            curv = np.einsum("ki,ki->k", Td, d_dir)
-            slope = np.einsum("ki,ki->k", g, d_dir)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = np.where(curv > 0.0, -slope / curv, 1.0)
-            t = np.clip(t, 0.0, 1.0)
-            u = np.where(newly_active[:, None], u + t[:, None] * d_dir, u)
-        iterations[active] += 1
-        if np.any(done_now):
-            rows = np.flatnonzero(newly_active)
-            project = C.row_projector(rows)
-        active = newly_active
-
-    if np.any(active):
-        k_bad = int(np.nonzero(active)[0][0])
-        raise NoConvergence(
-            f"projected gradient did not converge at grid point {k_bad + 1}",
-            residual=float(resid[k_bad]),
-        )
-
-    grid = c.grid
-    kfac = (M - alpha) / (M + alpha)
-    return VISolution(
-        u=GenVector(grid, u, c.field_tag),
-        iterations=iterations,
-        contraction_k=GenScalar(grid, kfac),
-        residual=GenScalar(grid, resid),
-        alpha=GenScalar(grid, alpha),
-        operator_norm=GenScalar(grid, M),
-        step_rho=GenScalar(grid, step),
-    )

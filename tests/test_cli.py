@@ -322,6 +322,8 @@ def test_report_refuses_a_verdict_that_is_not_a_boolean(tmp_path, capsys, verdic
 
 _VI = {"operator": {"kind": "constant", "matrix": [[1.0]]}, "rhs": [1.0],
        "set": {"kind": "box", "lower": [0.0], "upper": [1.0]}}
+_VI_2D = {"operator": {"kind": "constant", "matrix": [[2.0, 0.0], [0.0, 2.0]]},
+          "rhs": [1.0, 2.0], "set": {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]}}
 
 
 @pytest.mark.parametrize("cfg,args,needle", [
@@ -340,6 +342,19 @@ _VI = {"operator": {"kind": "constant", "matrix": [[1.0]]}, "rhs": [1.0],
     ({"problem": {"interval": [0.0, 1.0]}}, ["solve-dirichlet"], "/problem"),
     ({"generators": [{"kind": "warp"}]}, ["gram-schmidt"], "/generators/0"),
     ({"random": {"m": 2, "d": 3, "powers": [1]}}, ["gram-schmidt"], "/random/powers"),
+    ({"random": {"m": 0, "d": 3}}, ["gram-schmidt"], "/random/m"),
+    ({"random": {"m": 2, "d": -1}}, ["gram-schmidt"], "/random/d"),
+    ({"operator": {"kind": "idempotent_diag", "members": [1, 99]}}, ["classify-op"],
+     "/operator/members/1"),
+    ({"operator": {"kind": "idempotent_diag", "members": [1], "dim": -1}}, ["classify-op"],
+     "/operator/dim"),
+    ({"operator": {"kind": "diag_powers", "powers": []}}, ["classify-op"], "/operator/powers"),
+    ({"operator": {"kind": "diag_powers", "powers": [[1, 2], [3, 4]]}}, ["classify-op"],
+     "/operator/powers: must be a nonempty list"),
+    ({**_VI_2D, "rhs": [1.0, 2.0, 3.0]}, ["vi-solve"], "/rhs: must have length 2"),
+    ({**_VI_2D, "rhs": [[1.0, 2.0], [1.0, 2.0]]}, ["vi-solve"], "/rhs: must be a vector"),
+    ({**_VI_2D, "set": {"kind": "box", "lower": [0.0] * 3, "upper": [1.0] * 3}}, ["vi-solve"],
+     "/set/lower: must have length 2"),
 ], ids=lambda v: v if isinstance(v, str) else "")
 def test_config_errors_point_into_the_document(tmp_path, capsys, cfg, args, needle):
     path = _write_config(tmp_path, "bad.json", cfg)
@@ -578,8 +593,9 @@ _USAGE_ERRORS = {
                               r"--grid-K\b"),
     "removed-parallel": (["vi-solve", "--config", "{cfg}", "--parallel", "true"],
                          r"--parallel\b"),
-    # an abbreviation is not taken for the option: --config is still missing
-    "abbreviated-config": (["gennum-check", "--conf", "{cfg}"], r"--config\b"),
+    # an abbreviation is not taken for the option, and is named before the
+    # --config it leaves missing
+    "abbreviated-config": (["gennum-check", "--conf", "{cfg}"], r"--conf\b"),
     "abbreviated-seed": (["gram-schmidt", "--config", "{cfg}", "--se", "3"], r"--se\b"),
     # numpy's generator refuses a negative seed; the command line refuses it first
     "negative-seed": (["gram-schmidt", "--config", "{random}", "--seed", "-1"], r"--seed\b"),

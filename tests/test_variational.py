@@ -36,7 +36,6 @@ from gennet import (
     rnorm,
     solve_obstacle,
     vi_solve_contraction,
-    vi_solve_minimization,
 )
 from gennet.fem import _assemble_all, _pdas
 
@@ -187,27 +186,23 @@ def test_contraction_matches_active_set_enumeration():
         assert np.all(ratios <= sol.contraction_k.samples + CONTRACTION_SLACK)
 
 
-@pytest.mark.parametrize("solver", ["contraction", "minimization"])
-def test_halfspace_box_matches_active_set_enumeration(solver):
+def test_halfspace_box_matches_active_set_enumeration():
     rng = np.random.default_rng(637)
     for trial in range(4):
         d = int(rng.integers(1, 4))
-        T = (_spd_operator(rng, d) if solver == "minimization" or trial % 2 == 0
-             else _nonsym_operator(rng, d))
+        T = _spd_operator(rng, d) if trial % 2 == 0 else _nonsym_operator(rng, d)
         c = _random_vector(rng, d)
         lower = rng.uniform(-1.0, 0.0, d)
         upper = lower + rng.uniform(0.5, 2.0, d)
         C = ConvexSetNet.halfspaces(GRID, np.vstack([np.eye(d), -np.eye(d)]),
                                     np.concatenate([upper, -lower]))
-        sol = (vi_solve_minimization(T, c, C, POLICY) if solver == "minimization"
-               else vi_solve_contraction(T, c, C, certify_coercivity(T, POLICY), POLICY))
+        sol = vi_solve_contraction(T, c, C, certify_coercivity(T, POLICY), POLICY)
         for k in range(GRID.K):
             ref = solve_box_vi(T.samples[k], c.samples[k], lower, upper)
             assert np.linalg.norm(sol.u.samples[k] - ref) <= ORACLE_TOL
 
 
-@pytest.mark.parametrize("solver", ["contraction", "minimization"])
-def test_halfspace_projection_runs_only_on_active_points(solver, monkeypatch):
+def test_halfspace_projection_runs_only_on_active_points(monkeypatch):
     # right-hand sides from 1 to 1e3 across the grid: the large ones pin u to
     # a corner of the box within two steps, the small ones take many more
     seen = []
@@ -223,8 +218,7 @@ def test_halfspace_projection_runs_only_on_active_points(solver, monkeypatch):
     scale = np.geomspace(1.0, 1e3, GRID.K)
     c = GenVector(GRID, scale[:, None] * np.array([0.3, 0.2, 0.1]))
     C = ConvexSetNet.halfspaces(GRID, np.vstack([np.eye(d), -np.eye(d)]), np.ones(2 * d))
-    sol = (vi_solve_minimization(T, c, C, POLICY) if solver == "minimization"
-           else vi_solve_contraction(T, c, C, certify_coercivity(T, POLICY), POLICY))
+    sol = vi_solve_contraction(T, c, C, certify_coercivity(T, POLICY), POLICY)
     # the first projection takes every point, each later one only the unfinished
     assert sum(seen) == GRID.K + sol.iterations.sum()
     assert sum(seen) < GRID.K * (1 + sol.iterations.max())
@@ -473,20 +467,7 @@ def test_running_rows_match_the_masked_loop_on_two_cycles():
     assert got == _contraction_outcome(lambda: vi_contraction_masked(dense, c, C, cert, POLICY))
 
 
-# ----------------------------------------------------------- minimization
-
-def test_minimization_agrees_with_contraction():
-    rng = np.random.default_rng(659)
-    T = _spd_operator(rng, 4)
-    c = _random_vector(rng, 4)
-    C = ConvexSetNet.box(GRID, -0.5 * np.ones(4), 0.5 * np.ones(4))
-    by_gradient = vi_solve_minimization(T, c, C, POLICY)
-    by_contraction = vi_solve_contraction(T, c, C,
-                                          certify_coercivity(T, POLICY), POLICY)
-    gap = np.linalg.norm(by_gradient.u.samples - by_contraction.u.samples, axis=1)
-    assert np.all(gap <= UNIQUENESS_TOL)
-    assert by_gradient.max_step_ratio is None
-
+# ------------------------------------------------------ energy minimizer
 
 def test_minimizer_beats_feasible_competitors():
     rng = np.random.default_rng(661)
@@ -494,7 +475,8 @@ def test_minimizer_beats_feasible_competitors():
     c = _random_vector(rng, 3)
     lower, upper = -np.ones(3), np.ones(3)
     C = ConvexSetNet.box(GRID, lower, upper)
-    sol = vi_solve_minimization(T, c, C, POLICY)
+    # for self-adjoint T the VI's answer minimizes <T u, u> - 2 <c, u> over C
+    sol = vi_solve_contraction(T, c, C, certify_coercivity(T, POLICY), POLICY)
 
     def energy(samples):
         v = GenVector(GRID, samples)
@@ -516,15 +498,23 @@ def test_contraction_names_the_first_nonpositive_alpha():
         vi_solve_contraction(T, _random_vector(np.random.default_rng(5), 2), C, cert, POLICY)
 
 
-def test_minimization_rejects_unsuitable_operators():
-    rng = np.random.default_rng(673)
-    C = ConvexSetNet.obstacle(GRID, np.zeros(2))
+def test_contraction_refuses_mismatched_inputs():
+    rng = np.random.default_rng(683)
+    T = _spd_operator(rng, 2)
+    cert = certify_coercivity(T, POLICY)
     c = _random_vector(rng, 2)
-    with pytest.raises(InvalidCertificate):
-        vi_solve_minimization(_nonsym_operator(rng, 2), c, C, POLICY)
-    indefinite = BasicOperator.constant(np.diag([1.0, -1.0]), GRID)
-    with pytest.raises(InvalidCertificate):
-        vi_solve_minimization(indefinite, c, C, POLICY)
+    C = ConvexSetNet.box(GRID, -np.ones(2), np.ones(2))
+    with pytest.raises(DimMismatch):
+        vi_solve_contraction(T, _random_vector(rng, 3), C, cert, POLICY)
+    with pytest.raises(DimMismatch):
+        vi_solve_contraction(T, c, ConvexSetNet.box(GRID, -np.ones(3), np.ones(3)), cert, POLICY)
+    with pytest.raises(DimMismatch):
+        vi_solve_contraction(BasicOperator(GRID, np.ones((GRID.K, 3, 2))), c, C, cert, POLICY)
+    other = EpsGrid.geometric(GRID.K, base=0.25)
+    with pytest.raises(GridMismatch):
+        vi_solve_contraction(T, c, ConvexSetNet.box(other, -np.ones(2), np.ones(2)), cert, POLICY)
+    with pytest.raises(GridMismatch):
+        vi_solve_contraction(T, GenVector.constant(np.ones(2), other), C, cert, POLICY)
 
 
 # -------------------------------------------------------------- plumbing
@@ -654,8 +644,6 @@ def test_band_nets_are_refused_by_the_dense_layer():
     with pytest.raises(TypeError, match="classify_operator needs a dense BasicOperator net, "
                                         "not TridiagonalOperator"):
         classify_operator(T, POLICY)
-    with pytest.raises(TypeError, match="classify_operator needs a dense"):
-        vi_solve_minimization(T, c, C, POLICY)
 
 
 def test_band_contraction_matches_dense_contraction():
