@@ -39,7 +39,6 @@ from .gennum import (
     IndexSet,
     Invertibility,
     NumericPolicy,
-    arithmetic,
     close_infimum_check,
     eq,
     format_cells,

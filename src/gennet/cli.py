@@ -39,12 +39,13 @@ from .gennum import (
     is_moderate,  # noqa: F401 -- unused; perfbench/spans.py wraps it here by name
     is_negligible,  # noqa: F401 -- unused; perfbench/spans.py wraps it here by name
     make_power_net,
+    max_geometric_K,
     net_verdicts,
     sharp_norm,  # noqa: F401 -- unused; perfbench/spans.py wraps it here by name
     valuation_estimate,
     write_grid_csv,
 )
-from .hilbert import GenVector
+from .hilbert import GenVector, rnorm
 from .operators import BasicOperator, classify_operator, op_norm_net
 from .submodules import GeneratorSet, classify_submodule
 from .variational import certify_coercivity, vi_solve_contraction
@@ -71,15 +72,22 @@ def _load_config(path: str) -> dict:
 
 
 def _build_grid(cfg: dict, grid_k: int | None) -> EpsGrid:
+    """The grid of ``/grid``; EpsGrid's refusal of K names ``--grid-K`` or ``/grid/K``."""
     gspec = cfg.get("grid", {})
     if not isinstance(gspec, dict):
         raise ConfigInvalid("/grid: must be an object")
     K = grid_k if grid_k is not None else _number(gspec.get("K", 24), "/grid/K", int)
     base = _number(gspec.get("base", 0.5), "/grid/base")
     try:
+        max_geometric_K(base)
+    except ValueError as exc:
+        raise ConfigInvalid(f"/grid/base: {exc}") from exc
+    try:
         return EpsGrid.geometric(K=K, base=base)
     except ValueError as exc:
-        raise ConfigInvalid(f"/grid: {exc}") from exc
+        if grid_k is not None:
+            raise _UsageError(f"argument --grid-K: {exc}") from exc
+        raise ConfigInvalid(f"/grid/K: {exc}") from exc
 
 
 def _build_policy(cfg: dict, grid: EpsGrid) -> NumericPolicy:
@@ -513,12 +521,11 @@ def vi_solve(cfg, grid, policy, out):
     sol.write_iterations_csv(os.path.join(out, "iterations.csv"))
     write_grid_csv(os.path.join(out, "solution.csv"), grid,
                    [f"u{i}" for i in range(sol.u.dim)], sol.u.samples.T)
-    u_norm = GenScalar(grid, np.linalg.norm(sol.u.samples, axis=1))
     return {
         "certificate": cert.to_json(),
         "max_iterations": int(sol.iterations.max()),
         "max_residual": float(sol.residual.samples.max()),
-        "valuations": {"u_norm": float(valuation_estimate(u_norm, policy))},
+        "valuations": {"u_norm": float(valuation_estimate(rnorm(sol.u), policy))},
         "verdicts": {"coercive": cert.valid},
         "timings": {"solve_s": solve_s},
     }

@@ -72,13 +72,13 @@ class ConvexSetNet:
         return cls(grid, lower.shape[1], "obstacle_lower_bound", {"lower": lower})
 
     @classmethod
-    def affine(cls, grid: EpsGrid, basis, offset=None, tol: float = 1e-12) -> "ConvexSetNet":
+    def affine(cls, grid: EpsGrid, basis, offset=None) -> "ConvexSetNet":
         """Affine subspace offset + span(rows of basis), per grid point.
 
         ``basis`` is (r, d) for one spanning set shared by all grid
         points or (K, r, d) for per-point spans.  One stacked SVD gives
         each span's orthonormal basis; directions whose singular value is
-        at most ``tol`` times max(1, the largest) are zeroed.
+        at most 1e-12 times max(1, the largest) are zeroed.
         """
         basis = np.asarray(basis, dtype=float)
         if basis.ndim == 2:  # constant basis across eps
@@ -91,7 +91,7 @@ class ConvexSetNet:
         else:
             offset = _per_eps(offset, grid)
         u, sv, _ = np.linalg.svd(np.swapaxes(basis, 1, 2), full_matrices=False)
-        keep = sv > tol * np.maximum(1.0, sv[:, :1])
+        keep = sv > 1e-12 * np.maximum(1.0, sv[:, :1])
         onb = u * keep[:, None, :]
         return cls(grid, d, "affine_subspace",
                    {"basis": basis, "offset": offset, "onb": onb})

@@ -91,7 +91,7 @@ class InvalidBasis(GennetError):
 
 
 class InvalidCertificate(GennetError):
-    """A solver was handed a coercivity certificate with valid=False."""
+    """A solver was handed an invalid certificate, or an alpha_k <= 0 it cannot use."""
 
 
 class SingularSample(GennetError):

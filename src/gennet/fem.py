@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex import ConvexSetNet
-from .errors import CoercivityFailure, InvalidCertificate, InvalidSpec, NoConvergence
+from .errors import CoercivityFailure, InvalidSpec, NoConvergence
 from .gennum import (
     EpsGrid,
     GenScalar,
@@ -40,10 +40,8 @@ from .gennum import (
 )
 from .hilbert import GenVector
 from .operators import TridiagonalOperator
-from .variational import RESIDUAL_TARGET, CoercivityCertificate
-# the private solve also returns the residuals; it keeps the public name,
-# which perfbench/spans.py wraps
-from .variational import _lax_milgram as lax_milgram_solve
+from .variational import RESIDUAL_TARGET, CoercivityCertificate, lax_milgram_solve
+from .variational import _certified_alpha, _tail_failure
 
 # reference 3-point Gauss rule on [-1, 1]
 _GAUSS_T = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
@@ -114,13 +112,11 @@ def _density_convolution(density, eps: float, points: np.ndarray) -> np.ndarray:
 def _point_mass_net(x: np.ndarray, eps: np.ndarray, center: float):
     """phi_eps(x - center) for every eps of the grid, on its support only.
 
-    Returns (k, i, phi): the grid and point indices with
-    |x_i - center| / eps_k < 1 and ``mollifier_eval``'s value there, bit
-    for bit; phi is zero everywhere else.  The points are sorted by
-    distance once, so each eps_k's candidates |x_i - center| < eps_k are
-    a prefix found by ``searchsorted`` (a point at eps_k or beyond has a
-    rounded ratio of at least 1), and the work and memory follow the
-    support sizes rather than K times the number of points.
+    Returns (k, i, phi): the grid and point indices with |x_i - center| <
+    eps_k and ``mollifier_eval``'s value there, bit for bit (0 where the
+    ratio rounds to 1).  The points are sorted by distance once, so each
+    eps_k's points are a prefix found by ``searchsorted``, and the work
+    and memory follow the support sizes, not K times the number of points.
     """
     d = x - center
     dist = np.abs(d)
@@ -129,12 +125,7 @@ def _point_mass_net(x: np.ndarray, eps: np.ndarray, center: float):
     k = np.repeat(np.arange(eps.size), counts)
     starts = np.repeat(np.cumsum(counts) - counts, counts)
     i = order[np.arange(k.size) - starts]
-    t = d[i] / eps[k]
-    inside = np.abs(t) < 1.0
-    k, i, t = k[inside], i[inside], t[inside]
-    with np.errstate(divide="ignore", over="ignore"):
-        phi = _MOLLIFIER_NORM * np.exp(-1.0 / (1.0 - t ** 2)) / eps[k]
-    return k, i, phi
+    return k, i, _MOLLIFIER_NORM * _bump(d[i] / eps[k]) / eps[k]
 
 
 @dataclass(frozen=True)
@@ -332,13 +323,11 @@ def _assemble_all(spec: ProblemSpec):
     stiff = a_vals @ wts / h ** 2  # integral of a per element, / h^2
     a_min, a_max = a_vals.min(axis=(1, 2)), a_vals.max(axis=(1, 2))
     del a_vals
-    # full-node bands in solve_banded layout; diag[:, i] = A_ii and
-    # off[:, i] = A_i,i+1 are views of its diagonal and superdiagonal rows
-    bands = np.zeros((K, 3, n + 1))
-    diag, off = bands[:, 1], bands[:, 0, 1:]
+    # the full-node system: diag[:, i] = A_ii and off[:, i] = A_i,i+1
+    diag = np.zeros((K, n + 1))
     diag[:, :-1] += stiff
     diag[:, 1:] += stiff
-    np.negative(stiff, out=off)
+    off = -stiff
     c_min = np.zeros(K)
     if spec.potential is not None:
         c_vals = spec.potential.eval(flat).reshape(K, n, 3)
@@ -366,8 +355,7 @@ def _assemble_all(spec: ProblemSpec):
     # interior rows of the full-node system applied to the lifting
     lift = (diag[:, 1:-1] * gtilde[:, 1:-1] + off[:, :-1] * gtilde[:, :-2]
             + off[:, 1:] * gtilde[:, 2:])
-    bands[:, 2, :-1] = off
-    T = TridiagonalOperator(grid, bands[:, :, 1:-1])
+    T = TridiagonalOperator.symmetric(grid, diag[:, 1:-1], off[:, 1:-1])
     return T, b[:, 1:-1] - lift, gtilde, a_min, a_max, c_min
 
 
@@ -421,12 +409,9 @@ def _certificate(spec: ProblemSpec, a_min, a_max, c_min,
     a = a_min * poincare_constant(spec.mesh) + np.minimum(c_min, 0.0) * spec.mesh.h
     cert = CoercivityCertificate.from_alpha(GenScalar(spec.grid, a), policy)
     if not cert.valid:
-        bad = (a < -eps ** policy.q_neg) | (np.abs(a) < eps ** policy.m_inv)
-        start = spec.grid.K - policy.tail
-        k = start + int(np.argmax(bad[start:]))
-        raise CoercivityFailure(
-            f"coercivity bound alpha = {a[k]:.6g} is not invertible-nonnegative "
-            f"at grid point {k + 1}")
+        k, check = _tail_failure(cert.alpha, policy)
+        raise CoercivityFailure(f"coercivity bound alpha = {a[k - 1]:.6g} is not invertible-"
+                                f"nonnegative ({check}) at grid point {k}")
     return cert
 
 
@@ -448,8 +433,9 @@ class NodalResult:
     under_resolved: list
     mesh: Mesh1D
 
-    def write_solution_csv(self, path):
-        _write_nodal_csv(path, self.mesh, self.u)
+    def write_tables(self, out):
+        """``solution.csv`` in the existing directory ``out``."""
+        _write_nodal_csv(os.path.join(out, "solution.csv"), self.mesh, self.u)
 
 
 @dataclass(frozen=True)
@@ -473,10 +459,6 @@ class DirichletResult(NodalResult):
             "residual_ok": bool(np.all(self.residual.samples <= RESIDUAL_TARGET)),
             "moderate": self.moderate,
         }
-
-    def write_tables(self, out):
-        """``solution.csv`` in the existing directory ``out``."""
-        self.write_solution_csv(os.path.join(out, "solution.csv"))
 
 
 @dataclass(frozen=True)
@@ -503,7 +485,7 @@ class ObstacleResult(NodalResult):
 
     def write_tables(self, out):
         """``solution.csv`` and the per-eps ``iterations.csv`` in the existing ``out``."""
-        self.write_solution_csv(os.path.join(out, "solution.csv"))
+        super().write_tables(out)
         write_grid_csv(os.path.join(out, "iterations.csv"), self.u.grid,
                        ["alpha", "steps", "contact_nodes", "error_bound"],
                        [self.cert.alpha.samples, self.steps, self.contact_nodes,
@@ -565,8 +547,10 @@ def solve_dirichlet(spec: ProblemSpec, policy: NumericPolicy) -> DirichletResult
     if spec.obstacle is not None:
         raise InvalidSpec("this problem has an obstacle; use solve_obstacle")
     T, b_net, gtilde, cert = _assemble_certified(spec, policy)
-    w, rel = lax_milgram_solve(T, GenVector(spec.grid, b_net), cert, policy)
-    nodal = _nodal_fields(spec, policy, cert, gtilde, w.samples)
+    w = lax_milgram_solve(T, GenVector(spec.grid, b_net), cert, policy).samples
+    # the relative residuals of the solve's last check, bit for bit
+    rel = np.linalg.norm(T.matvec(w) - b_net, axis=1) / (1.0 + np.linalg.norm(b_net, axis=1))
+    nodal = _nodal_fields(spec, policy, cert, gtilde, w)
     return DirichletResult(**nodal, residual=GenScalar(spec.grid, rel),
                            moderate=bool(is_moderate(nodal["h1_norm"], policy)))
 
@@ -640,10 +624,7 @@ def solve_obstacle(spec: ProblemSpec, policy: NumericPolicy) -> ObstacleResult:
         raise InvalidSpec(f"obstacle exceeds the boundary data at the {('left', 'right')[end]} "
                           f"endpoint at grid index k={k + 1}")
     lower = ConvexSetNet.obstacle(spec.grid, psi[:, 1:-1] - gtilde[:, 1:-1]).data["lower"]
-    alpha = cert.alpha.samples
-    if np.any(alpha <= 0.0):
-        k = int(np.argmax(alpha <= 0.0))
-        raise InvalidCertificate(f"alpha = {alpha[k]:.3e} is not positive at grid index k={k + 1}")
+    alpha = _certified_alpha(cert, policy, positive=True)
     w, steps = _pdas(T, b_net, lower)
     w, contact, r, bound = _error_bound(T, b_net, lower, w, alpha)
 

@@ -20,6 +20,8 @@ every operation is a pure function.
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 from collections import namedtuple
 from dataclasses import dataclass
@@ -65,9 +67,10 @@ class EpsGrid:
 
     @classmethod
     def geometric(cls, K: int = 24, base: float = 0.5) -> "EpsGrid":
-        """The default grid eps_k = base**k, k = 1..K."""
-        if not (0.0 < base < 1.0):
-            raise ValueError("base must be in (0, 1)")
+        """eps_k = base**k, k = 1..K, once K is checked to lie in [8, max_geometric_K(base)]."""
+        most = max_geometric_K(base)
+        if not 8 <= K <= most:
+            raise ValueError(f"K must lie in [8, {most}] for base {base!r}, got {K}")
         return cls(base ** np.arange(1, K + 1))
 
     @property
@@ -78,6 +81,22 @@ class EpsGrid:
         return self.values.shape == other.values.shape and bool(
             np.array_equal(self.values, other.values)
         )
+
+
+@functools.cache
+def max_geometric_K(base: float) -> int:
+    """The largest K with base**k, k = 1..K, positive and strictly decreasing, as
+    EpsGrid needs; 0 < base < 1.  Rounding breaks that only below 2**-1022, so just
+    the powers from there to 0 are computed, at most the last 2**20 of them: for a
+    base within 4e-5 of 1 the bound can lie too high, and an earlier break is left
+    to EpsGrid's own check."""
+    if not (0.0 < base < 1.0):
+        raise ValueError("base must be in (0, 1)")
+    hi = math.ceil(-1080 / math.log2(base)) + 1
+    lo = max(1, math.floor(-1022 / math.log2(base)) - 1, hi - 2 ** 20)
+    powers = base ** np.arange(lo - 1, hi + 1)  # base**0 = 1 heads a window from k = 1
+    bad = ~((powers[1:] > 0.0) & (powers[1:] < powers[:-1]))
+    return lo - 1 + int(np.argmax(bad)) if bad.any() else hi
 
 
 # Cells are printed in one of these dtypes, chosen by the array's dtype kind:
@@ -375,27 +394,6 @@ class GenScalar(_SampleNet):
 def make_power_net(c, a: float, grid: EpsGrid) -> GenScalar:
     """The net c * eps_k**a — the basic scale model [(c eps^a)_eps]."""
     return GenScalar._by_dtype(grid, c * grid.values ** float(a))
-
-
-_BINARY = {"add", "sub", "mul"}
-_UNARY = {"neg", "conj", "abs"}
-
-
-def arithmetic(op: str, a: GenScalar, b: GenScalar | None = None) -> GenScalar:
-    """Componentwise ring operation dispatcher.
-
-    ``op`` is one of add/sub/mul (binary) or neg/conj/abs (unary); abs
-    always yields a real-tagged net.
-    """
-    if op in _BINARY:
-        if b is None:
-            raise ValueError(f"{op} needs two operands")
-        return {"add": a.__add__, "sub": a.__sub__, "mul": a.__mul__}[op](b)
-    if op in _UNARY:
-        if b is not None:
-            raise ValueError(f"{op} takes one operand")
-        return {"neg": a.__neg__, "conj": a.conj, "abs": a.abs}[op]()
-    raise ValueError(f"unknown op {op!r}")
 
 
 # ---------------------------------------------------------------------------

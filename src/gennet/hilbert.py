@@ -90,14 +90,14 @@ def upn(u: GenVector, policy: NumericPolicy) -> float:
     return sharp_norm(rnorm(u), policy)
 
 
-def normalize(u: GenVector, tol_abs: float = 1e-12) -> GenVector:
-    """Per-sample unit vector; zero where the sample norm is below tol.
+def normalize(u: GenVector) -> GenVector:
+    """Per-sample unit vector; zero where the sample norm is at most 1e-12.
 
     The result v satisfies the normalization property v*||u|| = u
     exactly on the non-degenerate samples.
     """
     norms = np.linalg.norm(u.samples, axis=1)
-    scale = np.where(norms > tol_abs, norms, np.inf)
+    scale = np.where(norms > 1e-12, norms, np.inf)
     return GenVector(u.grid, u.samples / scale[:, None], u.field_tag)
 
 

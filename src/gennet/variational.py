@@ -34,6 +34,7 @@ from .gennum import (
     GenScalar,
     IndexSet,
     NumericPolicy,
+    _tail_positions,
     ge_zero,
     invertible_wrt,
     write_grid_csv,
@@ -93,33 +94,52 @@ def certify_coercivity(T: BasicOperator, policy: NumericPolicy) -> CoercivityCer
     return CoercivityCertificate.from_alpha(GenScalar(T.grid, alpha), policy)
 
 
-def lax_milgram_solve(
-    T: BasicOperator | TridiagonalOperator,
-    c: GenVector,
-    cert: CoercivityCertificate,
-    policy: NumericPolicy,
-    rel_residual: float = RESIDUAL_TARGET,
-) -> GenVector:
+def _tail_failure(alpha: GenScalar, policy: NumericPolicy):
+    """(k, check): the first tail grid index k (1-based) where alpha breaks a valid
+    certificate's rule (CoercivityCertificate.from_alpha), alpha_k >= -eps_k**q_neg
+    and |alpha_k| >= eps_k**m_inv, and the failed check; None if it holds."""
+    pos = _tail_positions(alpha.grid, policy)
+    a, eps = alpha.samples[pos], alpha.grid.values[pos]
+    negative = ~(a >= -eps ** policy.q_neg)
+    bad = np.flatnonzero(negative | ~(np.abs(a) >= eps ** policy.m_inv))
+    if bad.size:
+        j = bad[0]
+        check = "alpha_k < -eps_k^q_neg" if negative[j] else "|alpha_k| < eps_k^m_inv"
+        return int(pos[j]) + 1, check
+    return None
+
+
+def _certified_alpha(cert, policy: NumericPolicy, positive: bool) -> np.ndarray:
+    """cert.alpha's float samples past the solvers' gate: InvalidCertificate for an
+    invalid certificate (naming ``_tail_failure``'s check) and, with ``positive``,
+    an alpha_k <= 0, its message ending in ``alpha = <alpha_k> at grid index k=<k>``."""
+    alpha = cert.alpha.samples.astype(float)
+    if not cert.valid:
+        k, check = _tail_failure(cert.alpha, policy) or (0, "marked invalid")
+        where = f": alpha = {alpha[k - 1]:.3e} at grid index k={k}" if k else ""
+        raise InvalidCertificate(f"coercivity certificate is not valid ({check}){where}")
+    if positive and np.any(alpha <= 0.0):
+        k = int(np.argmax(alpha <= 0.0)) + 1
+        raise InvalidCertificate(f"the solver needs alpha_k > 0: alpha = {alpha[k - 1]:.3e} "
+                                 f"at grid index k={k}")
+    return alpha
+
+
+def lax_milgram_solve(T: BasicOperator | TridiagonalOperator, c: GenVector,
+                      cert: CoercivityCertificate, policy: NumericPolicy) -> GenVector:
     """Solve T_k u_k = c_k at every grid point under a valid coercivity certificate.
 
     All K sample systems go to one batched direct solve (for a band net,
     a single LAPACK ``?gtsv`` call on the block-diagonal stack), followed
     by up to _REFINEMENTS rounds of iterative refinement until the
     relative residual |T_k u_k - c_k| / (1 + |c_k|) drops below
-    ``rel_residual``.  The residual is checked after every round; a round
+    RESIDUAL_TARGET.  The residual is checked after every round; a round
     is one batched solve of the residuals, applied only to the samples
     still short of the target.  A numerically singular sample raises
     SingularSample naming its grid index; a sample still above the
     residual target after the last round raises ResidualTargetMissed.
     """
-    return _lax_milgram(T, c, cert, policy, rel_residual)[0]
-
-
-def _lax_milgram(T, c, cert, policy, rel_residual=RESIDUAL_TARGET):
-    """lax_milgram_solve's solution, with the (K,) relative residuals
-    |T_k u_k - c_k| / (1 + |c_k|) of its last check."""
-    if not cert.valid:
-        raise InvalidCertificate("coercivity certificate is not valid")
+    _certified_alpha(cert, policy, positive=False)
     if not T.grid.same_as(c.grid):
         raise GridMismatch("operator and right-hand side on different grids")
     if T.dims[1] != c.dim:
@@ -127,7 +147,7 @@ def _lax_milgram(T, c, cert, policy, rel_residual=RESIDUAL_TARGET):
     b = c.samples
     out = T.solve(b)
     scale = 1.0 + np.linalg.norm(b, axis=1)
-    limit = rel_residual * scale
+    limit = RESIDUAL_TARGET * scale
     for step in range(_REFINEMENTS + 1):
         r = T.matvec(out) - b
         r_norm = np.linalg.norm(r, axis=1)
@@ -136,9 +156,9 @@ def _lax_milgram(T, c, cert, policy, rel_residual=RESIDUAL_TARGET):
             break
         if step == _REFINEMENTS:
             k = int(short[0])
-            raise ResidualTargetMissed(k + 1, float(r_norm[k] / scale[k]), rel_residual)
+            raise ResidualTargetMissed(k + 1, float(r_norm[k] / scale[k]), RESIDUAL_TARGET)
         out[short] -= T.solve(r)[short]
-    return GenVector._by_dtype(c.grid, out), r_norm / scale
+    return GenVector._by_dtype(c.grid, out)
 
 
 @dataclass(frozen=True)
@@ -199,17 +219,11 @@ def vi_solve_contraction(
     Inputs on different grids raise GridMismatch; a T that is not d x d
     for the dimension d of c and C raises DimMismatch.
     """
-    if not cert.valid:
-        raise InvalidCertificate("coercivity certificate is not valid")
+    alpha = _certified_alpha(cert, policy, positive=True)
     if not (T.grid.same_as(c.grid) and C.grid.same_as(c.grid)):
         raise GridMismatch("operator, right-hand side and set on different grids")
     if T.dims != (c.dim, c.dim) or C.dim != c.dim:
         raise DimMismatch(f"operator has dims {T.dims}, rhs dim {c.dim}, set dim {C.dim}")
-    alpha = cert.alpha.samples.astype(float)
-    if np.any(alpha <= 0.0):
-        k = int(np.flatnonzero(alpha <= 0.0)[0])
-        raise InvalidCertificate("contraction step needs strictly positive alpha samples; "
-                                 f"alpha = {alpha[k]:.3e} at grid index k={k + 1}")
     M = op_norm_net(T).samples
     if _self_adjoint(T, policy):
         rho = 2.0 / (alpha + M)

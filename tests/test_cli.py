@@ -253,6 +253,43 @@ def test_noncoercive_operator_exits_2(tmp_path, capsys):
     assert "InvalidCertificate" in capsys.readouterr().err
 
 
+def test_noncoercive_vi_solve_names_its_grid_point_and_writes_no_summary(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "indefinite.json", {
+        "operator": {"kind": "constant", "matrix": [[1.0, 0.0], [0.0, -1.0]]},
+        "rhs": [1.0, 1.0],
+        "set": {"kind": "obstacle", "lower": [0.0, 0.0]},
+    })
+    out = tmp_path / "o"
+    assert _run(["vi-solve", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "verdict failure: InvalidCertificate: coercivity certificate is not valid "
+        "(alpha_k < -eps_k^q_neg): alpha = -1.000e+00 at grid index k=17\n")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("grid,args,message", [
+    ({"K": 2000}, [], "config error: /grid/K: K must lie in [8, 1074] for base 0.5, got 2000"),
+    ({"K": 4}, [], "config error: /grid/K: K must lie in [8, 1074] for base 0.5, got 4"),
+    ({"K": 30}, ["--grid-K", "2000"],
+     "usage error: argument --grid-K: K must lie in [8, 1074] for base 0.5, got 2000"),
+    ({"base": 0.25}, ["--grid-K", "600"],
+     "usage error: argument --grid-K: K must lie in [8, 537] for base 0.25, got 600"),
+], ids=["config-too-long", "config-too-short", "option-too-long", "option-base-0.25"])
+def test_grid_sizes_are_refused_naming_their_source_and_bound(tmp_path, capsys, grid, args,
+                                                              message):
+    cfg = _write_config(tmp_path, "grid.json", {"nets": [1.0], "grid": grid})
+    assert _run(["gennum-check", "--config", cfg, "--out", str(tmp_path / "o"), *args]) == 1
+    assert capsys.readouterr().err == f"{message}\n"
+
+
+def test_a_base_near_1_keeps_its_default_grid(tmp_path):
+    # the bound of such a base is found in a window of at most 2**20 powers
+    cfg = _write_config(tmp_path, "grid.json", {"nets": [1.0], "grid": {"base": 0.9999999}})
+    out = tmp_path / "o"
+    assert _run(["gennum-check", "--config", cfg, "--out", str(out)]) == 0
+    assert len((out / "nets.csv").read_text().splitlines()) == 1 + 24
+
+
 # -------------------------------------------------------------- reporting
 
 def test_report_merges_and_propagates_failures(tmp_path, gennum_cfg):
@@ -591,6 +628,9 @@ _USAGE_ERRORS = {
     "out-is-a-file": (["gennum-check", "--config", "{cfg}", "--out", "{cfg}"], r"--out\b"),
     "grid-K-not-an-integer": (["gennum-check", "--config", "{cfg}", "--grid-K", "abc"],
                               r"--grid-K\b"),
+    # EpsGrid takes no fewer than 8 points
+    "grid-K-below-8": (["gennum-check", "--config", "{cfg}", "--grid-K", "4"],
+                       r"--grid-K\b.*\b8\b"),
     "removed-parallel": (["vi-solve", "--config", "{cfg}", "--parallel", "true"],
                          r"--parallel\b"),
     # an abbreviation is not taken for the option, and is named before the

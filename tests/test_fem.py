@@ -304,6 +304,15 @@ def test_negative_potential_fails_the_certificate_at_its_grid_point():
                              potential=CoefficientNet.constant(GRID, -30.0)), POLICY)
 
 
+def test_certificate_failure_names_the_failed_check():
+    # a constant potential of -30 makes alpha negative on the whole grid
+    spec = _spec(Mesh1D(0.0, 1.0, 50), rhs=1.0,
+                 potential=CoefficientNet.constant(GRID, -30.0))
+    with pytest.raises(CoercivityFailure,
+                       match=r"\(alpha_k < -eps_k\^q_neg\) at grid point 17$"):
+        solve_dirichlet(spec, POLICY)
+
+
 @seed(20261018)
 @settings(max_examples=40, deadline=None)
 @given(
@@ -596,9 +605,9 @@ def test_vanishing_diffusion_with_singular_potential():
 def test_nodal_csv_layout(tmp_path):
     mesh = Mesh1D(0.0, 1.0, 4)
     res = solve_dirichlet(_spec(mesh, rhs=1.0), POLICY)
-    path = tmp_path / "solution.csv"
-    res.write_solution_csv(path)
-    lines = path.read_text().splitlines()
+    res.write_tables(tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["solution.csv"]
+    lines = (tmp_path / "solution.csv").read_text().splitlines()
     assert lines[0] == "k,eps,node_index,x,u"
     assert len(lines) == 1 + GRID.K * (mesh.n_elems + 1)
     first = lines[1].split(",")

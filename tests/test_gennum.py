@@ -1,6 +1,7 @@
 """Scalar net arithmetic, valuation, order tests, idempotents, infima."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from gennet import (
     IndexSet,
     NotNonnegative,
     NumericPolicy,
-    arithmetic,
     close_infimum_check,
     eq,
     format_cells,
@@ -275,21 +275,40 @@ def test_order_helpers_consistent():
     assert eq(a, a + make_power_net(1.0, float(POLICY.q_neg + 2), GRID), POLICY)
 
 
-# ---------------------------------------------------------------------------
-# arithmetic plumbing
-# ---------------------------------------------------------------------------
+def test_geometric_grid_size_is_checked_against_its_bound():
+    from gennet.gennum import max_geometric_K
 
-def test_arithmetic_dispatcher():
-    a = make_power_net(1.0, 1.0, GRID)
-    b = GenScalar.constant(2.0, GRID)
-    assert np.array_equal(arithmetic("add", a, b).samples, a.samples + 2.0)
-    assert np.array_equal(arithmetic("mul", a, b).samples, 2.0 * a.samples)
-    assert np.array_equal(arithmetic("neg", a).samples, -a.samples)
-    assert arithmetic("abs", GenScalar.constant(-3.0, GRID)).samples[0] == 3.0
-    with pytest.raises(ValueError):
-        arithmetic("div", a, b)
-    with pytest.raises(ValueError):
-        arithmetic("add", a)
+    # 0.5**1074 is the least subnormal; 0.5**1075 rounds to 0
+    assert max_geometric_K(0.5) == 1074
+    assert EpsGrid.geometric(1074).values[-1] == 5e-324
+    for K in (4, 2000):
+        with pytest.raises(ValueError, match=rf"K must lie in \[8, 1074\] for base 0.5, got {K}$"):
+            EpsGrid.geometric(K)
+    # elsewhere the bound is where EpsGrid's own checks start to refuse:
+    # rounded subnormal powers stop decreasing before they reach 0
+    for base in (0.25, 0.7, 0.9):
+        most = max_geometric_K(base)
+        powers = base ** np.arange(1, most + 2)
+        EpsGrid(powers[:most])
+        with pytest.raises(ValueError):
+            EpsGrid(powers[:most + 1])
+    with pytest.raises(ValueError, match="base must be in"):
+        max_geometric_K(1.0)
+
+
+@pytest.mark.parametrize("base", [1 - 1e-7, 1 - 1e-9, np.nextafter(1.0, 0.0)])
+def test_geometric_bound_of_a_base_near_1_computes_few_powers(base):
+    from gennet.gennum import max_geometric_K
+
+    tracemalloc.start()
+    try:
+        most = max_geometric_K.__wrapped__(base)  # past the cache
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20  # a window of 2**20 powers, not all of them
+    # the bound lies at or above the true one: every K the grid takes is accepted
+    assert most >= 10 ** 6 and EpsGrid.geometric(24, base).K == 24
 
 
 def test_grid_mismatch_raises():
