@@ -91,7 +91,16 @@ class InvalidBasis(GennetError):
 
 
 class InvalidCertificate(GennetError):
-    """A solver was handed an invalid certificate, or an alpha_k <= 0 it cannot use."""
+    """A solver was handed an invalid certificate, or an alpha_k <= 0 it cannot use.
+
+    ``check``, a certificate's tail check or "alpha_k <= 0" (NaN included), fails
+    at grid index ``k`` (1-based), where alpha_k is ``alpha``."""
+
+    def __init__(self, k, check, alpha):
+        self.k, self.check, self.alpha = k, check, alpha
+        head = ("the solver needs alpha_k > 0" if check == "alpha_k <= 0"
+                else f"coercivity certificate is not valid ({check})")
+        super().__init__(f"{head}: alpha = {alpha:.3e} at grid index k={k}")
 
 
 class SingularSample(GennetError):
@@ -134,7 +143,22 @@ class ContractionBoundViolated(GennetError):
 
 
 class CoercivityFailure(GennetError):
-    """A discretized problem could not be certified coercive."""
+    """A discretized problem could not be certified coercive at grid index ``k``.
+
+    ``check``, one of the diffusion checks below or a certificate's tail check
+    on the coercivity bound ``alpha`` = alpha_k, fails there."""
+
+    _DIFFUSION = {
+        "diffusion_k <= 0": "diffusion is not positive at the quadrature points (grid point {k})",
+        "diffusion_k outside eps_k^±N_mod":
+            "diffusion leaves the moderate window eps^±N_mod at grid point {k}",
+    }
+
+    def __init__(self, k, check, alpha=None):
+        self.k, self.check, self.alpha = k, check, alpha
+        template = self._DIFFUSION.get(check, "coercivity bound alpha = {alpha:.6g} is not "
+                                              "invertible-nonnegative ({check}) at grid point {k}")
+        super().__init__(template.format(k=k, check=check, alpha=alpha))
 
 
 class InvalidSpec(GennetError):

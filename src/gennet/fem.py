@@ -41,7 +41,7 @@ from .gennum import (
 from .hilbert import GenVector
 from .operators import TridiagonalOperator
 from .variational import RESIDUAL_TARGET, CoercivityCertificate, lax_milgram_solve
-from .variational import _certified_alpha, _tail_failure
+from .variational import _certified_alpha
 
 # reference 3-point Gauss rule on [-1, 1]
 _GAUSS_T = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
@@ -392,26 +392,22 @@ def _certificate(spec: ProblemSpec, a_min, a_max, c_min,
     the P1 mass matrix M, so it is at least min(c_min, 0) lambda_max(M)
     |v|^2, and Gershgorin gives lambda_max(M) <= h.  Raises
     CoercivityFailure naming the first grid point (1-based) where the
-    diffusion range [a_min, a_max] is not positive or leaves the moderate
-    window eps^±N_mod, and otherwise the first tail grid point where the
-    bound is not invertible-nonnegative.
+    diffusion range [a_min, a_max] is not positive (NaN included) or
+    leaves the moderate window eps^±N_mod, and otherwise the certificate's
+    failure: the first tail grid point where the bound is not
+    invertible-nonnegative.
     """
     eps = spec.grid.values
-    if np.any(a_min <= 0.0):
-        k = int(np.argmax(a_min <= 0.0))
-        raise CoercivityFailure(
-            f"diffusion is not positive at the quadrature points (grid point {k + 1})")
+    if not np.all(a_min > 0.0):
+        raise CoercivityFailure(int(np.argmin(a_min > 0.0)) + 1, "diffusion_k <= 0")
     bad = (a_min < eps ** policy.N_mod) | (a_max > eps ** (-policy.N_mod))
     if np.any(bad):
-        k = int(np.argmax(bad))
-        raise CoercivityFailure(
-            f"diffusion leaves the moderate window eps^±N_mod at grid point {k + 1}")
+        raise CoercivityFailure(int(np.argmax(bad)) + 1, "diffusion_k outside eps_k^±N_mod")
     a = a_min * poincare_constant(spec.mesh) + np.minimum(c_min, 0.0) * spec.mesh.h
     cert = CoercivityCertificate.from_alpha(GenScalar(spec.grid, a), policy)
-    if not cert.valid:
-        k, check = _tail_failure(cert.alpha, policy)
-        raise CoercivityFailure(f"coercivity bound alpha = {a[k - 1]:.6g} is not invertible-"
-                                f"nonnegative ({check}) at grid point {k}")
+    if cert.failure:
+        k, check = cert.failure
+        raise CoercivityFailure(k, check, float(a[k - 1]))
     return cert
 
 
@@ -624,7 +620,7 @@ def solve_obstacle(spec: ProblemSpec, policy: NumericPolicy) -> ObstacleResult:
         raise InvalidSpec(f"obstacle exceeds the boundary data at the {('left', 'right')[end]} "
                           f"endpoint at grid index k={k + 1}")
     lower = ConvexSetNet.obstacle(spec.grid, psi[:, 1:-1] - gtilde[:, 1:-1]).data["lower"]
-    alpha = _certified_alpha(cert, policy, positive=True)
+    alpha = _certified_alpha(cert, positive=True)
     w, steps = _pdas(T, b_net, lower)
     w, contact, r, bound = _error_bound(T, b_net, lower, w, alpha)
 

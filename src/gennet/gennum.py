@@ -10,7 +10,7 @@ interpreted on the tail window of the grid through a NumericPolicy:
 * negligible        |a_k| <= eps_k**q_neg   on the tail
 * moderate          |a_k| <= eps_k**-N_mod  on the tail
 * nonnegative       a_k   >= -eps_k**q_neg  on the tail
-* invertible w.r.t. S: |a_k| >= eps_k**m (some m <= m_inv) on S-tail
+* invertible w.r.t. S: 0 < |a_k| >= eps_k**m (some m <= m_inv) on S-tail
 
 The valuation nu(a) = sup{b : |a_eps| = O(eps**b)} is estimated by the
 least-squares slope of log|a_k| against log eps_k over the tail, and the
@@ -529,17 +529,20 @@ def _tail_members(grid: EpsGrid, S: IndexSet, policy: NumericPolicy) -> np.ndarr
 
 
 def invertible_wrt(a: GenScalar, S: IndexSet, policy: NumericPolicy) -> Invertibility:
-    """Is |a_k| bounded below by some eps_k**m (m <= m_inv) on S's tail?
+    """Is |a_k| > 0 bounded below by some eps_k**m (m <= m_inv) on S's tail?
 
     Returns the verdict together with the smallest working integer
-    witness exponent.  Raises EmptyTailIntersection when S misses the
-    tail window — no meaningful asymptotic verdict exists there.
+    witness exponent.  A zero or NaN a_k is never invertible, even where
+    eps_k**m underflows to 0.  Raises EmptyTailIntersection when S misses
+    the tail window — no meaningful asymptotic verdict exists there.
     """
     pos = _tail_members(a.grid, S, policy)
     if pos.size == 0:
         raise EmptyTailIntersection("index set does not meet the tail window")
     mags = np.abs(a.samples[pos])
     eps = a.grid.values[pos]
+    if not np.all(mags > 0.0):
+        return Invertibility(False, None)
     for m in range(1, policy.m_inv + 1):
         if np.all(mags >= eps ** m):
             return Invertibility(True, m)
@@ -548,20 +551,26 @@ def invertible_wrt(a: GenScalar, S: IndexSet, policy: NumericPolicy) -> Invertib
 
 def zero_wrt(a: GenScalar, S: IndexSet, policy: NumericPolicy) -> bool:
     """Is |a_k| <= eps_k**q_neg on S's tail (negligible relative to S)?"""
-    pos = _tail_members(a.grid, S, policy)
-    if pos.size == 0:
+    if _tail_members(a.grid, S, policy).size == 0:
         raise EmptyTailIntersection("index set does not meet the tail window")
+    return _zero_on(a, S, policy)
+
+
+def _zero_on(a: GenScalar, S: IndexSet, policy: NumericPolicy) -> bool:
+    """zero_wrt, vacuously true when S misses the tail."""
+    pos = _tail_members(a.grid, S, policy)
     return bool(np.all(np.abs(a.samples[pos]) <= a.grid.values[pos] ** policy.q_neg))
 
 
-def _zero_on(a: GenScalar, S: IndexSet, policy: NumericPolicy):
-    """Like zero_wrt but vacuously true off the tail; returns (ok, excess)."""
+def _excess(a: GenScalar, S: IndexSet, policy: NumericPolicy) -> float:
+    """The largest |a_k| / eps_k**q_neg on S's tail (0 off it), for SplitFailed:
+    where eps_k**q_neg underflows to 0 it is 0 for a_k = 0 and inf otherwise,
+    and a NaN a_k counts as inf."""
     pos = _tail_members(a.grid, S, policy)
-    if pos.size == 0:
-        return True, 0.0
-    excess = np.abs(a.samples[pos]) / a.grid.values[pos] ** policy.q_neg
-    worst = float(np.max(excess))
-    return worst <= 1.0, worst
+    mags, thr = np.abs(a.samples[pos]), a.grid.values[pos] ** policy.q_neg
+    ratio = np.divide(mags, thr, out=np.where(mags == 0.0, 0.0, np.inf),
+                      where=(thr > 0.0) & np.isfinite(mags))
+    return float(np.max(ratio, initial=0.0))
 
 
 def zero_divisor_split(x: GenScalar, y: GenScalar, policy: NumericPolicy) -> IndexSet:
@@ -577,10 +586,8 @@ def zero_divisor_split(x: GenScalar, y: GenScalar, policy: NumericPolicy) -> Ind
     if not is_negligible(x * y, policy):
         raise NotZeroProduct("x*y is not negligible")
     S = IndexSet.from_mask(np.abs(x.samples) <= np.abs(y.samples))
-    ok_x, ex_x = _zero_on(x, S, policy)
-    ok_y, ex_y = _zero_on(y, S.complement(), policy)
-    if not (ok_x and ok_y):
-        raise SplitFailed(ex_x, ex_y)
+    if not (_zero_on(x, S, policy) and _zero_on(y, S.complement(), policy)):
+        raise SplitFailed(_excess(x, S, policy), _excess(y, S.complement(), policy))
     return S
 
 

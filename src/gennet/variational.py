@@ -32,11 +32,10 @@ from .errors import (
 )
 from .gennum import (
     GenScalar,
-    IndexSet,
     NumericPolicy,
     _tail_positions,
-    ge_zero,
-    invertible_wrt,
+    ge_zero,  # noqa: F401 -- unused; perfbench/spans.py wraps it here by name
+    invertible_wrt,  # noqa: F401 -- unused; perfbench/spans.py wraps it here by name
     write_grid_csv,
 )
 from .hilbert import GenVector
@@ -56,23 +55,44 @@ RESIDUAL_TARGET = 1e-10  # relative residual every Lax-Milgram solve must reach
 
 @dataclass(frozen=True)
 class CoercivityCertificate:
-    """A per-sample coercivity lower bound with its invertibility witness."""
+    """A per-sample coercivity lower bound with its invertibility witness.
+
+    ``failure`` is (k, check): the first tail grid index k (1-based) where
+    alpha breaks the rule of ``from_alpha``, and the check it breaks; None
+    if there is none, which is what makes the certificate ``valid``.
+    """
 
     alpha: GenScalar
     witness_exponent: int | None
-    valid: bool
+    failure: tuple[int, str] | None
+
+    @property
+    def valid(self) -> bool:
+        return self.failure is None
 
     @classmethod
     def from_alpha(cls, alpha: GenScalar, policy: NumericPolicy) -> "CoercivityCertificate":
-        """The certificate of the lower-bound net ``alpha``.
+        """The certificate of the real lower-bound net ``alpha``, in one pass over the tail.
 
-        It is valid when alpha is nonnegative in the order sense and
-        invertible with respect to the full grid; the witness exponent is
-        the smallest m with |alpha_k| >= eps_k**m on the tail.
+        Every tail alpha_k must be nonnegative in the order sense, alpha_k >= -eps_k**q_neg,
+        and invertible, 0 < |alpha_k| >= eps_k**m_inv (a zero or NaN alpha_k never is, even
+        where eps_k**m underflows to 0); the witness is the least such m on the whole tail.
         """
-        inv = invertible_wrt(alpha, IndexSet.full(alpha.grid), policy)
-        return cls(alpha=alpha, witness_exponent=inv.witness,
-                   valid=bool(ge_zero(alpha, policy) and inv.holds))
+        if not alpha.is_real():
+            raise ValueError("order test needs a real-tagged net")
+        pos = _tail_positions(alpha.grid, policy)
+        a, eps = alpha.samples[pos], alpha.grid.values[pos]
+        # row m - 1: is 0 < |alpha_k| >= eps_k**m, for m = 1..m_inv
+        bounded = (a != 0.0) & (np.abs(a) >= eps ** np.arange(1, policy.m_inv + 1)[:, None])
+        whole = bounded.all(axis=1)
+        negative = ~(a >= -eps ** policy.q_neg)
+        failure = None
+        bad = np.flatnonzero(negative | ~bounded[-1])
+        if bad.size:
+            j = bad[0]
+            check = "alpha_k < -eps_k^q_neg" if negative[j] else "|alpha_k| < eps_k^m_inv"
+            failure = int(pos[j]) + 1, check
+        return cls(alpha, int(np.argmax(whole)) + 1 if whole.any() else None, failure)
 
     def to_json(self) -> dict:
         return {
@@ -94,34 +114,16 @@ def certify_coercivity(T: BasicOperator, policy: NumericPolicy) -> CoercivityCer
     return CoercivityCertificate.from_alpha(GenScalar(T.grid, alpha), policy)
 
 
-def _tail_failure(alpha: GenScalar, policy: NumericPolicy):
-    """(k, check): the first tail grid index k (1-based) where alpha breaks a valid
-    certificate's rule (CoercivityCertificate.from_alpha), alpha_k >= -eps_k**q_neg
-    and |alpha_k| >= eps_k**m_inv, and the failed check; None if it holds."""
-    pos = _tail_positions(alpha.grid, policy)
-    a, eps = alpha.samples[pos], alpha.grid.values[pos]
-    negative = ~(a >= -eps ** policy.q_neg)
-    bad = np.flatnonzero(negative | ~(np.abs(a) >= eps ** policy.m_inv))
-    if bad.size:
-        j = bad[0]
-        check = "alpha_k < -eps_k^q_neg" if negative[j] else "|alpha_k| < eps_k^m_inv"
-        return int(pos[j]) + 1, check
-    return None
-
-
-def _certified_alpha(cert, policy: NumericPolicy, positive: bool) -> np.ndarray:
-    """cert.alpha's float samples past the solvers' gate: InvalidCertificate for an
-    invalid certificate (naming ``_tail_failure``'s check) and, with ``positive``,
-    an alpha_k <= 0, its message ending in ``alpha = <alpha_k> at grid index k=<k>``."""
+def _certified_alpha(cert: CoercivityCertificate, positive: bool) -> np.ndarray:
+    """cert.alpha's float samples past the solvers' gate: InvalidCertificate at
+    ``cert.failure`` and, with ``positive``, at the first alpha_k that is not > 0."""
     alpha = cert.alpha.samples.astype(float)
-    if not cert.valid:
-        k, check = _tail_failure(cert.alpha, policy) or (0, "marked invalid")
-        where = f": alpha = {alpha[k - 1]:.3e} at grid index k={k}" if k else ""
-        raise InvalidCertificate(f"coercivity certificate is not valid ({check}){where}")
-    if positive and np.any(alpha <= 0.0):
-        k = int(np.argmax(alpha <= 0.0)) + 1
-        raise InvalidCertificate(f"the solver needs alpha_k > 0: alpha = {alpha[k - 1]:.3e} "
-                                 f"at grid index k={k}")
+    if cert.failure:
+        k, check = cert.failure
+        raise InvalidCertificate(k, check, float(alpha[k - 1]))
+    if positive and not np.all(alpha > 0.0):
+        k = int(np.argmin(alpha > 0.0)) + 1
+        raise InvalidCertificate(k, "alpha_k <= 0", float(alpha[k - 1]))
     return alpha
 
 
@@ -139,7 +141,7 @@ def lax_milgram_solve(T: BasicOperator | TridiagonalOperator, c: GenVector,
     SingularSample naming its grid index; a sample still above the
     residual target after the last round raises ResidualTargetMissed.
     """
-    _certified_alpha(cert, policy, positive=False)
+    _certified_alpha(cert, positive=False)
     if not T.grid.same_as(c.grid):
         raise GridMismatch("operator and right-hand side on different grids")
     if T.dims[1] != c.dim:
@@ -219,7 +221,7 @@ def vi_solve_contraction(
     Inputs on different grids raise GridMismatch; a T that is not d x d
     for the dimension d of c and C raises DimMismatch.
     """
-    alpha = _certified_alpha(cert, policy, positive=True)
+    alpha = _certified_alpha(cert, positive=True)
     if not (T.grid.same_as(c.grid) and C.grid.same_as(c.grid)):
         raise GridMismatch("operator, right-hand side and set on different grids")
     if T.dims != (c.dim, c.dim) or C.dim != c.dim:

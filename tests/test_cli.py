@@ -267,6 +267,41 @@ def test_noncoercive_vi_solve_names_its_grid_point_and_writes_no_summary(tmp_pat
     assert list(out.iterdir()) == []
 
 
+def test_a_zero_alpha_fails_the_tail_rule_on_a_grid_whose_thresholds_underflow(
+        tmp_path, capsys):
+    # diag(1, 0) has alpha_k = 0; on K = 200, eps_k**m_inv is 0 on the tail
+    # and 0 >= 0 would hold, but 0 is not invertible: the first tail point fails
+    cfg = _write_config(tmp_path, "semidefinite.json", {
+        "operator": {"kind": "constant", "matrix": [[1.0, 0.0], [0.0, 0.0]]},
+        "rhs": [1.0, 1.0],
+        "set": {"kind": "obstacle", "lower": [0.0, 0.0]},
+    })
+    assert _run(["vi-solve", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--grid-K", "200"]) == 2
+    assert capsys.readouterr().err == (
+        "verdict failure: InvalidCertificate: coercivity certificate is not valid "
+        "(|alpha_k| < eps_k^m_inv): alpha = 0.000e+00 at grid index k=193\n")
+
+
+@pytest.mark.parametrize("command,obstacle", [("solve-dirichlet", None),
+                                              ("solve-obstacle", -1.0)])
+def test_a_nan_diffusion_fails_coercivity_at_its_grid_point(tmp_path, capsys, command,
+                                                             obstacle):
+    # np.interp between Infinity and -Infinity gives NaN diffusion at k = 1
+    problem = {"interval": [0.0, 1.0], "n_elems": 8, "rhs": 1.0,
+               "diffusion": {"kind": "tabulated", "xs": [0.0, 1.0],
+                             "values": [[float("inf"), float("-inf")]] + [[1.0, 1.0]] * 23}}
+    if obstacle is not None:
+        problem["obstacle"] = obstacle
+    cfg = _write_config(tmp_path, "nan.json", {"problem": problem})
+    out = tmp_path / "o"
+    assert _run([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "verdict failure: CoercivityFailure: diffusion is not positive at the quadrature "
+        "points (grid point 1)\n")
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("grid,args,message", [
     ({"K": 2000}, [], "config error: /grid/K: K must lie in [8, 1074] for base 0.5, got 2000"),
     ({"K": 4}, [], "config error: /grid/K: K must lie in [8, 1074] for base 0.5, got 4"),

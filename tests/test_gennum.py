@@ -416,6 +416,27 @@ def test_zero_divisor_split_alternating_ties():
     assert zero_wrt(x, S, POLICY) and zero_wrt(y, S.complement(), POLICY)
 
 
+def test_zero_wrt_and_the_split_agree_where_the_thresholds_underflow():
+    # q_neg = 50 on K = 24: eps_k**q_neg is 0 from k = 22 on, where
+    # |0| <= 0 holds for zero_wrt and the split alike
+    policy = NumericPolicy(q_neg=50)
+    ks = np.arange(GRID.K)
+    x = GenScalar(GRID, (ks % 2).astype(float))
+    y = GenScalar(GRID, 1.0 - (ks % 2))
+    S = zero_divisor_split(x, y, policy)
+    assert S == IndexSet.from_mask(ks % 2 == 0)
+    assert zero_wrt(x, S, policy) and zero_wrt(y, S.complement(), policy)
+    # a tie at k = 22 puts x_22 = 2**-600 > 0 = eps_22**q_neg on S: the
+    # split fails, and its excess there is inf, never NaN
+    from gennet import SplitFailed
+
+    tied = np.where(ks == 21, 2.0 ** -600, x.samples)
+    with pytest.raises(SplitFailed) as err:
+        zero_divisor_split(GenScalar(GRID, tied),
+                           GenScalar(GRID, np.where(ks == 21, tied, y.samples)), policy)
+    assert (err.value.residual_x, err.value.residual_y) == (math.inf, 0.0)
+
+
 def test_zero_divisor_split_rejects_nonzero_product():
     from gennet import NotZeroProduct
 

@@ -113,7 +113,7 @@ def test_the_guards_see_span_markers_and_private_aliases():
         "    _open_output,",
         ")",
         "from .variational import _lax_milgram as lax_milgram_solve",
-        "from .variational import _tail_failure as _failure, _gate",
+        "from .variational import _certified_alpha as _alpha, _gate",
     ])
     assert span_only_imports(source) == [(2, "ge_zero")]
     assert private_aliases(source) == [(6, "_lax_milgram as lax_milgram_solve")]

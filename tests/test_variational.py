@@ -19,6 +19,7 @@ from gennet import (
     GenScalar,
     GenVector,
     GridMismatch,
+    IndexSet,
     InvalidCertificate,
     IterationBudgetExceeded,
     Mesh1D,
@@ -30,7 +31,9 @@ from gennet import (
     apply,
     certify_coercivity,
     classify_operator,
+    ge_zero,
     inner,
+    invertible_wrt,
     lax_milgram_solve,
     op_norm_net,
     rnorm,
@@ -404,7 +407,7 @@ def _forged(T, true_from, alpha):
     grid points before ``true_from`` (0-based)."""
     real = certify_coercivity(T, POLICY).alpha.samples.copy()
     real[:true_from] = alpha
-    return CoercivityCertificate(GenScalar(T.grid, real), 1, True)
+    return CoercivityCertificate(GenScalar(T.grid, real), 1, None)
 
 
 def test_running_rows_raise_the_masked_loops_budget_error():
@@ -496,50 +499,106 @@ def test_invalid_certificates_name_the_first_failing_tail_point():
     c = GenVector.constant(np.ones(2), GRID)
     C = ConvexSetNet.obstacle(GRID, np.zeros(2))
     negative = r"\(alpha_k < -eps_k\^q_neg\): alpha = -1\.000e\+00 at grid index k=17$"
-    with pytest.raises(InvalidCertificate, match=negative):
+    assert cert.failure == (17, "alpha_k < -eps_k^q_neg")
+    with pytest.raises(InvalidCertificate, match=negative) as err:
         lax_milgram_solve(T, c, cert, POLICY)
-    with pytest.raises(InvalidCertificate, match=negative):
+    assert (err.value.k, err.value.check) == cert.failure
+    with pytest.raises(InvalidCertificate, match=negative) as err:
         vi_solve_contraction(T, c, C, cert, POLICY)
+    assert (err.value.k, err.value.check) == cert.failure
     # a zero alpha on the tail is nonnegative but not invertible
     alpha = np.ones(GRID.K)
     alpha[19] = 0.0
     cert = CoercivityCertificate.from_alpha(GenScalar(GRID, alpha), POLICY)
-    with pytest.raises(InvalidCertificate, match=r"\(\|alpha_k\| < eps_k\^m_inv\): "
-                                                 r"alpha = 0\.000e\+00 at grid index k=20$"):
+    zero = r"\(\|alpha_k\| < eps_k\^m_inv\): alpha = 0\.000e\+00 at grid index k=20$"
+    with pytest.raises(InvalidCertificate, match=zero) as err:
         lax_milgram_solve(BasicOperator.identity(GRID, 2), c, cert, POLICY)
+    assert (err.value.k, err.value.check, err.value.alpha) == (20, "|alpha_k| < eps_k^m_inv", 0.0)
+
+
+def _scalar_tail_rule(alpha, eps, policy):
+    """(k, check) of the first tail point, k 1-based, where alpha_k is not
+    >= -eps_k**q_neg or not invertible (0 < |alpha_k| >= eps_k**m_inv);
+    None if there is none.  One Python float at a time."""
+    for k in range(len(eps) - policy.tail, len(eps)):
+        a, e = float(alpha[k]), float(eps[k])
+        if not a >= -e ** policy.q_neg:
+            return k + 1, "alpha_k < -eps_k^q_neg"
+        if not (abs(a) > 0.0 and abs(a) >= e ** policy.m_inv):
+            return k + 1, "|alpha_k| < eps_k^m_inv"
+    return None
 
 
 @pytest.mark.parametrize("policy", [POLICY, NumericPolicy(q_neg=3, m_inv=6, tail=5),
                                     NumericPolicy(q_neg=8, m_inv=2, tail=24)],
                          ids=["default", "q_neg<m_inv", "m_inv<q_neg"])
 def test_the_tail_rule_decides_validity_exactly(policy):
-    # alpha_k drawn around the two thresholds +-eps^q_neg and eps^m_inv, NaN included
-    from gennet.variational import _tail_failure
-
+    # alpha_k drawn around the thresholds +-eps^q_neg and eps^m (m <= m_inv),
+    # NaN and signed zeros included, on the default grid and on K = 200, where
+    # the thresholds underflow to 0; the oracles are gennum's order and
+    # invertibility predicates and a scalar loop over the tail
     rng = np.random.default_rng(691)
-    eps = GRID.values
-    for _ in range(300):
-        scale = eps ** rng.choice([policy.q_neg, policy.m_inv], GRID.K)
-        alpha = scale * rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0], GRID.K)
-        if rng.random() < 0.3:
-            alpha[GRID.K - policy.tail:] = np.abs(alpha[GRID.K - policy.tail:]) + scale[-1]
-        if rng.random() < 0.1:
-            alpha[rng.integers(GRID.K)] = np.nan
-        net = GenScalar(GRID, alpha)
-        failure = _tail_failure(net, policy)
-        assert (failure is None) == CoercivityCertificate.from_alpha(net, policy).valid
-        if failure is not None:
-            assert failure[0] > GRID.K - policy.tail
+    for grid in (GRID, EpsGrid.geometric(200)):
+        eps, tail = grid.values, slice(grid.K - policy.tail, None)
+        for _ in range(300):
+            scale = eps ** rng.choice([1, policy.q_neg, policy.m_inv], grid.K)
+            alpha = scale * rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0], grid.K)
+            if rng.random() < 0.3:
+                alpha[tail] = np.abs(alpha[tail]) + scale[-1]
+            if rng.random() < 0.1:
+                alpha[rng.integers(grid.K)] = np.nan
+            if rng.random() < 0.1:
+                alpha[rng.integers(grid.K - policy.tail, grid.K)] = rng.choice([0.0, -0.0])
+            net = GenScalar(grid, alpha)
+            cert = CoercivityCertificate.from_alpha(net, policy)
+            inv = invertible_wrt(net, IndexSet.full(grid), policy)
+            assert cert.valid == (ge_zero(net, policy) and inv.holds)
+            assert cert.witness_exponent == inv.witness
+            assert cert.failure == _scalar_tail_rule(alpha, eps, policy)
+
+
+def test_zero_alpha_is_not_invertible_where_the_thresholds_underflow():
+    # eps_k**m_inv underflows to 0 on the tail of K = 200 (and, with m_inv =
+    # 50, from k = 22 on K = 24); |alpha_k| >= 0 holds there, 0 < |alpha_k| not
+    big = EpsGrid.geometric(200)
+    cert = CoercivityCertificate.from_alpha(GenScalar(big, np.zeros(big.K)), POLICY)
+    assert (cert.valid, cert.witness_exponent) == (False, None)
+    assert cert.failure == (193, "|alpha_k| < eps_k^m_inv")
+    assert invertible_wrt(GenScalar(big, np.zeros(big.K)), IndexSet.full(big), POLICY) == (
+        False, None)
+    alpha = np.ones(GRID.K)
+    alpha[21] = 0.0
+    cert = CoercivityCertificate.from_alpha(GenScalar(GRID, alpha), NumericPolicy(m_inv=50))
+    assert (cert.failure, cert.witness_exponent) == ((22, "|alpha_k| < eps_k^m_inv"), None)
+    with pytest.raises(InvalidCertificate, match=r"alpha = 0\.000e\+00 at grid index k=22$"):
+        lax_milgram_solve(BasicOperator.identity(GRID, 2), GenVector(GRID, np.ones((GRID.K, 2))),
+                          cert, POLICY)
 
 
 def test_contraction_names_the_first_nonpositive_alpha():
     alpha = np.ones(GRID.K)
     alpha[[8, 15]] = [0.0, -1.0]
-    cert = CoercivityCertificate(GenScalar(GRID, alpha), witness_exponent=0, valid=True)
+    cert = CoercivityCertificate(GenScalar(GRID, alpha), witness_exponent=0, failure=None)
     T = BasicOperator.identity(GRID, 2)
     C = ConvexSetNet.obstacle(GRID, np.zeros(2))
-    with pytest.raises(InvalidCertificate, match="alpha = 0.000e\\+00 at grid index k=9"):
+    with pytest.raises(InvalidCertificate, match="alpha = 0.000e\\+00 at grid index k=9") as err:
         vi_solve_contraction(T, _random_vector(np.random.default_rng(5), 2), C, cert, POLICY)
+    assert (err.value.k, err.value.check) == (9, "alpha_k <= 0")
+
+
+def test_contraction_refuses_a_nan_alpha_at_its_grid_point():
+    # alpha_1 = NaN lies before the tail, so the certificate is valid; NaN
+    # is not > 0, and the contraction refuses it rather than budget with it
+    alpha = np.ones(GRID.K)
+    alpha[0] = np.nan
+    cert = CoercivityCertificate.from_alpha(GenScalar(GRID, alpha), POLICY)
+    assert cert.valid
+    C = ConvexSetNet.obstacle(GRID, np.zeros(2))
+    with pytest.raises(InvalidCertificate, match=r"the solver needs alpha_k > 0: "
+                                                 r"alpha = nan at grid index k=1$") as err:
+        vi_solve_contraction(BasicOperator.identity(GRID, 2),
+                             _random_vector(np.random.default_rng(5), 2), C, cert, POLICY)
+    assert (err.value.k, err.value.check) == (1, "alpha_k <= 0")
 
 
 def test_contraction_refuses_mismatched_inputs():
