@@ -103,7 +103,6 @@ from .fem import (
     classical_consistency_check,
     h1_norm_net,
     mollifier_eval,
-    mollify_measure,
     poincare_constant,
     solve_dirichlet,
     solve_obstacle,

@@ -4,10 +4,7 @@ A ConvexSetNet holds one closed convex set per grid index; projection of
 a vector net is the net of componentwise Euclidean projections.  Every
 kind has one projection path, run at once on all grid points or on a
 subset of them (``row_projector``): boxes, lower-bound (obstacle) sets
-and affine subspaces are projected in closed form; halfspace
-intersections use Dykstra's alternating projections with correction
-terms on the (K, m, d) rows, each grid point iterated to the fixed
-tolerance _DYKSTRA_TOL = 1e-12.  The variational
+and affine subspaces are projected in closed form.  The variational
 characterization Re<u - P(u), w - P(u)> <= 0 for w in C is exposed as a
 residual against a finite probe set.
 """
@@ -23,14 +20,10 @@ from .errors import (
     EmptySet,
     GridMismatch,
     InvalidSpec,
-    NoConvergence,
     ProbeNotInSet,
 )
 from .gennum import EpsGrid, GenScalar, NumericPolicy
 from .hilbert import GenVector
-
-_DYKSTRA_MAX_SWEEPS = 20000
-_DYKSTRA_TOL = 1e-12  # the default NumericPolicy.tol_abs
 
 
 @dataclass(frozen=True)
@@ -43,7 +36,6 @@ class ConvexSetNet:
       affine_subspace      {"basis": (K,r,d), "offset": (K,d),
                             "onb": (K,d,min(r,d))}   (onb cached at build,
                                                       dropped columns zero)
-      halfspaces           {"rows": (K,m,d), "offsets": (K,m)}  A x <= b
     """
 
     grid: EpsGrid
@@ -96,23 +88,11 @@ class ConvexSetNet:
         return cls(grid, d, "affine_subspace",
                    {"basis": basis, "offset": offset, "onb": onb})
 
-    @classmethod
-    def halfspaces(cls, grid: EpsGrid, rows, offsets) -> "ConvexSetNet":
-        rows = np.asarray(rows, dtype=float)
-        offsets = np.asarray(offsets, dtype=float)
-        if rows.ndim == 2:
-            rows = np.tile(rows, (grid.K, 1, 1))
-            offsets = np.tile(offsets, (grid.K, 1))
-        if rows.ndim != 3 or rows.shape[0] != grid.K or offsets.shape != rows.shape[:2]:
-            raise DimMismatch("halfspace rows must be (K, m, d), offsets (K, m)")
-        return cls(grid, rows.shape[2], "halfspaces", {"rows": rows, "offsets": offsets})
-
     def batched_projector(self):
         """A callable projecting a (K, d) array of samples onto the set.
 
         All grid points are projected at once, for every kind: boxes and
-        obstacles by clipping, affine subspaces in closed form, halfspace
-        intersections by Dykstra's method on the whole (K, m, d) net.
+        obstacles by clipping, affine subspaces in closed form.
         """
         return self.row_projector(np.arange(self.grid.K))
 
@@ -122,9 +102,9 @@ class ConvexSetNet:
         ``rows`` holds 0-based grid indices in increasing order; row i of
         the argument is projected onto the set at grid point rows[i].  The
         set's data is sliced once, here: box and obstacle bounds, the
-        affine offset and orthonormal basis, the halfspace rows and
-        offsets.  For iterations whose grid points finish at different
-        times, each grid point's result has the bits of ``batched_projector``.
+        affine offset and orthonormal basis.  For iterations whose grid
+        points finish at different times, each grid point's result has
+        the bits of ``batched_projector``.
         """
         if self.kind == "box":
             lo, up = self.data["lower"][rows], self.data["upper"][rows]
@@ -132,11 +112,8 @@ class ConvexSetNet:
         if self.kind == "obstacle_lower_bound":
             lo = self.data["lower"][rows]
             return lambda z: np.maximum(z, lo)
-        if self.kind == "affine_subspace":
-            q, p = self.data["onb"][rows], self.data["offset"][rows]
-            return lambda z: p + np.einsum("kdr,kr->kd", q, np.einsum("kdr,kd->kr", q, z - p))
-        a, offs = self.data["rows"][rows], self.data["offsets"][rows]
-        return lambda z: _dykstra(a, offs, z, rows)
+        q, p = self.data["onb"][rows], self.data["offset"][rows]
+        return lambda z: p + np.einsum("kdr,kr->kd", q, np.einsum("kdr,kd->kr", q, z - p))
 
     def violation(self, x: np.ndarray) -> np.ndarray:
         """How far each sample of x (K, d) is from its set: (K,), 0 inside."""
@@ -145,51 +122,7 @@ class ConvexSetNet:
                               np.max(x - self.data["upper"], axis=1, initial=0.0))
         if self.kind == "obstacle_lower_bound":
             return np.max(self.data["lower"] - x, axis=1, initial=0.0)
-        if self.kind == "affine_subspace":
-            return np.linalg.norm(x - self.batched_projector()(x), axis=1)
-        return _halfspace_violation(self.data["rows"], self.data["offsets"], x)
-
-
-def _halfspace_violation(rows, offs, x):
-    return np.max(np.einsum("kmd,kd->km", rows, x) - offs, axis=1, initial=0.0)
-
-
-def _dykstra(rows: np.ndarray, offs: np.ndarray, x0: np.ndarray,
-             grid_index: np.ndarray) -> np.ndarray:
-    """Dykstra's alternating projections onto rows_k x <= offs_k, all k at once.
-
-    A grid point is done after the first sweep whose result violates no
-    row by more than _DYKSTRA_TOL and moved by at most _DYKSTRA_TOL *
-    (1 + |x|); later sweeps run only on the points not yet done.  Zero
-    rows are skipped.  A point still not done after _DYKSTRA_MAX_SWEEPS
-    raises NoConvergence naming the first such grid index (1-based);
-    ``grid_index`` gives the 0-based grid index of each row.
-    """
-    sqn = np.sum(rows * rows, axis=2)
-    sqn[sqn == 0.0] = 1.0  # a zero row then leaves x and its correction as they are
-    x = np.asarray(x0, dtype=float)
-    out = np.empty_like(x)
-    idx = np.arange(x.shape[0])
-    corr = np.zeros_like(rows)
-    for _ in range(_DYKSTRA_MAX_SWEEPS):
-        x_prev = x
-        for i in range(rows.shape[1]):
-            y = x + corr[:, i]
-            excess = np.einsum("kd,kd->k", rows[:, i], y) - offs[:, i]
-            x = y - (np.maximum(excess, 0.0) / sqn[:, i])[:, None] * rows[:, i]
-            corr[:, i] = y - x
-        viol = _halfspace_violation(rows, offs, x)
-        done = (viol <= _DYKSTRA_TOL) & (
-            np.linalg.norm(x - x_prev, axis=1)
-            <= _DYKSTRA_TOL * (1.0 + np.linalg.norm(x, axis=1)))
-        if np.any(done):
-            out[idx[done]] = x[done]
-            if np.all(done):
-                return out
-            idx, x, corr, rows, offs, sqn, viol = (
-                a[~done] for a in (idx, x, corr, rows, offs, sqn, viol))
-    raise NoConvergence(f"Dykstra stalled at grid index k={grid_index[idx[0]] + 1}",
-                        residual=float(viol[0]))
+        return np.linalg.norm(x - self.batched_projector()(x), axis=1)
 
 
 def _per_eps(arr, grid: EpsGrid) -> np.ndarray:
@@ -228,8 +161,7 @@ def _outside(C: ConvexSetNet, x: np.ndarray, policy: NumericPolicy) -> np.ndarra
 def project_point(C: ConvexSetNet, u: GenVector, policy: NumericPolicy) -> GenVector:
     """Net of componentwise Euclidean projections of u onto C.
 
-    ``policy`` sets no precision here: halfspace intersections are
-    projected to the fixed tolerance _DYKSTRA_TOL.
+    ``policy`` sets no precision here: every kind is projected in closed form.
     """
     _check_compat(C, u)
     if not u.is_real():

@@ -57,7 +57,7 @@ class EmptySet(GennetError):
 
 
 class NoConvergence(GennetError):
-    """Dykstra's projection or the obstacle active-set solve failed to settle."""
+    """The obstacle active-set solve failed to settle."""
 
     def __init__(self, message, residual=None):
         self.residual = residual
@@ -145,19 +145,22 @@ class ContractionBoundViolated(GennetError):
 class CoercivityFailure(GennetError):
     """A discretized problem could not be certified coercive at grid index ``k``.
 
-    ``check``, one of the diffusion checks below or a certificate's tail check
-    on the coercivity bound ``alpha`` = alpha_k, fails there."""
+    ``check``, one of the coefficient checks below or a certificate's tail
+    check on the coercivity bound ``alpha`` = alpha_k, fails there."""
 
-    _DIFFUSION = {
+    _COEFFICIENT = {
         "diffusion_k <= 0": "diffusion is not positive at the quadrature points (grid point {k})",
+        "potential_k not finite":
+            "potential_k not finite: ±inf or NaN at a quadrature point (grid point {k})",
         "diffusion_k outside eps_k^±N_mod":
             "diffusion leaves the moderate window eps^±N_mod at grid point {k}",
     }
 
     def __init__(self, k, check, alpha=None):
         self.k, self.check, self.alpha = k, check, alpha
-        template = self._DIFFUSION.get(check, "coercivity bound alpha = {alpha:.6g} is not "
-                                              "invertible-nonnegative ({check}) at grid point {k}")
+        template = self._COEFFICIENT.get(
+            check, "coercivity bound alpha = {alpha:.6g} is not "
+                   "invertible-nonnegative ({check}) at grid point {k}")
         super().__init__(template.format(k=k, check=check, alpha=alpha))
 
 

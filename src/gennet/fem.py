@@ -77,38 +77,6 @@ def mollifier_eval(x, eps: float, center: float = 0.0):
     return _MOLLIFIER_NORM * _bump(t) / eps
 
 
-def mollify_measure(masses, density, eps: float, points) -> np.ndarray:
-    """Evaluate (mu * phi_eps) at the given points.
-
-    ``masses`` is an iterable of (location, weight) pairs; ``density``
-    is None, a constant, or a callable density function.  The density
-    convolution integrates over the mollifier support with a composite
-    12x12 Gauss rule whose weights are renormalized to unit discrete
-    mass, so constant densities convolve exactly.
-    """
-    points = np.asarray(points, dtype=float)
-    vals = np.zeros_like(points)
-    for x0, w in masses:
-        vals = vals + float(w) * mollifier_eval(points, eps, center=float(x0))
-    if density is not None:
-        vals = vals + _density_convolution(density, eps, points)
-    return vals
-
-
-def _density_convolution(density, eps: float, points: np.ndarray) -> np.ndarray:
-    """(density * phi_eps) at the points by the renormalized 12x12 Gauss rule."""
-    f = density if callable(density) else (lambda y, _c=float(density): np.full_like(y, _c))
-    nodes, weights = np.polynomial.legendre.leggauss(12)
-    panels = np.linspace(-eps, eps, 13)
-    mid = 0.5 * (panels[:-1] + panels[1:])
-    half = 0.5 * (panels[1] - panels[0])
-    offs = (mid[:, None] + half * nodes[None, :]).ravel()
-    q = mollifier_eval(offs, eps) * np.tile(half * weights, 12)
-    q = q / q.sum()
-    y = points[:, None] - offs[None, :]
-    return np.sum(f(y) * q[None, :], axis=1)
-
-
 def _point_mass_net(x: np.ndarray, eps: np.ndarray, center: float):
     """phi_eps(x - center) for every eps of the grid, on its support only.
 
@@ -165,10 +133,11 @@ class CoefficientNet:
     net at the points x, a (K, x.size) array whose row k holds the
     values for grid index k (0-based).  Constants and ``heaviside_nu``
     broadcast over the grid (a constant comes back as a read-only
-    broadcast view), and each point mass of a mollified measure is
-    evaluated only on its eps-support; tabulated values and a mollified
-    density loop over the grid inside the method.  Every value is the
-    one a per-sample evaluation gives, bit for bit.
+    broadcast view), each point mass of a mollified measure is
+    evaluated only on its eps-support, and the measure's constant
+    density, which mollifying leaves unchanged, is added after its
+    masses; tabulated values loop over the grid inside the method.
+    Every value is the one a per-sample evaluation gives, bit for bit.
     """
 
     def __init__(self, grid: EpsGrid, kind: str, data: dict):
@@ -193,7 +162,10 @@ class CoefficientNet:
 
     @classmethod
     def mollified_measure(cls, grid: EpsGrid, masses, density=None) -> "CoefficientNet":
+        """Point masses (location, weight) mollified at width eps, plus a
+        constant ``density`` (None for none)."""
         masses = [(float(x), float(w)) for x, w in masses]
+        density = None if density is None else float(density)
         return cls(grid, "mollified_measure", {"masses": masses, "density": density})
 
     @classmethod
@@ -221,10 +193,8 @@ class CoefficientNet:
             for x0, w in self.data["masses"]:
                 k, i, phi = _point_mass_net(x, eps, x0)
                 out[k, i] += w * phi
-            density = self.data["density"]
-            if density is not None:
-                for k, e in enumerate(eps):
-                    out[k] += _density_convolution(density, e, x)
+            if self.data["density"] is not None:
+                out += self.data["density"]
             return out
         if self.kind == "tabulated":
             return np.stack([np.interp(x, self.data["xs"], v) for v in self.data["values"]])
@@ -234,8 +204,6 @@ class CoefficientNet:
         data = dict(self.data)
         if self.kind == "tabulated":
             data = {"xs": self.data["xs"].tolist(), "values": self.data["values"].tolist()}
-        if self.kind == "mollified_measure" and callable(data.get("density")):
-            data["density"] = "<callable>"
         return {"kind": self.kind, "data": data}
 
 
@@ -313,6 +281,9 @@ def _assemble_all(spec: ProblemSpec):
     and the potential's minimum (0 without a potential) seen at the
     quadrature points.  Each (K, n, 3) array of quadrature-point values is
     reduced to its element terms and dropped before the next is evaluated.
+    A potential that is not finite at a quadrature point raises
+    CoercivityFailure naming the first such grid point (1-based): a +inf
+    would hide behind a finite minimum.
     """
     grid, mesh = spec.grid, spec.mesh
     K, n, h = grid.K, mesh.n_elems, mesh.h
@@ -331,6 +302,9 @@ def _assemble_all(spec: ProblemSpec):
     c_min = np.zeros(K)
     if spec.potential is not None:
         c_vals = spec.potential.eval(flat).reshape(K, n, 3)
+        finite = np.isfinite(c_vals).all(axis=(1, 2))
+        if not np.all(finite):
+            raise CoercivityFailure(int(np.argmin(finite)) + 1, "potential_k not finite")
         diag[:, :-1] += c_vals @ (wts * _N1 * _N1)
         diag[:, 1:] += c_vals @ (wts * _N2 * _N2)
         off += c_vals @ (wts * _N1 * _N2)

@@ -17,9 +17,7 @@ from gennet import (
     ContractionBoundViolated,
     IterationBudgetExceeded,
     MixedScaleGenerator,
-    NoConvergence,
     classify_operator,
-    mollify_measure,
     op_norm_net,
 )
 
@@ -37,38 +35,6 @@ def project_affine(z, span_rows, offset):
     A = np.asarray(span_rows, dtype=float)
     t, *_ = np.linalg.lstsq(A.T, np.asarray(z, dtype=float) - offset, rcond=None)
     return offset + A.T @ t
-
-
-def dykstra_per_point(rows, offs, x0, tol_abs):
-    """Dykstra's alternating projections onto {x : rows x <= offs}, one sample.
-
-    The per-sample loop the library ran before its batched projector:
-    rows in order, zero rows skipped, correction terms per row, stop after
-    the first sweep whose result violates no row by more than tol and
-    moved by at most tol * (1 + |x|), with tol = max(tol_abs, 1e-14);
-    NoConvergence after 20000 sweeps.
-    """
-    def violation(x):
-        return float(np.max(rows @ x - offs, initial=0.0))
-
-    sqn = np.sum(rows * rows, axis=1)
-    x = x0.astype(float).copy()
-    corr = np.zeros_like(rows)
-    tol = max(tol_abs, 1e-14)
-    for _ in range(20000):
-        x_prev = x.copy()
-        for i in range(rows.shape[0]):
-            if sqn[i] == 0.0:
-                continue
-            y = x + corr[i]
-            excess = rows[i] @ y - offs[i]
-            xi = y - (max(excess, 0.0) / sqn[i]) * rows[i]
-            corr[i] = y - xi
-            x = xi
-        if (violation(x) <= tol
-                and np.linalg.norm(x - x_prev) <= tol * (1.0 + np.linalg.norm(x))):
-            return x
-    raise NoConvergence("Dykstra stalled", residual=violation(x))
 
 
 def solve_box_vi(T, c, lower, upper, tol=1e-8):
@@ -249,13 +215,17 @@ def point_load_exact(x, x0):
     return np.where(x <= x0, (1.0 - x0) * x, x0 * (1.0 - x))
 
 
+# 1 / integral_{-1}^{1} exp(-1/(1 - t^2)) dt, checked against quad in test_fem
+BUMP_UNIT_MASS = 2.2522836210435813
+
+
 def coefficient_per_k(coef, k, x):
     """A CoefficientNet's values at the points x for grid index k (0-based).
 
-    The per-sample evaluation the library ran before its batched
-    ``CoefficientNet.eval``: scalar powers for the Heaviside level, the
-    per-sample ``mollify_measure`` sum for point masses and density, and
-    one ``np.interp`` per sample for tabulated values.
+    The per-sample evaluation: scalar powers for the Heaviside level, the
+    unit-mass bump c exp(-1/(1 - t^2)) / eps with t = (x - x0)/eps summed
+    over the point masses with the constant density added last, and one
+    ``np.interp`` per sample for tabulated values.
     """
     x = np.asarray(x, dtype=float)
     eps = coef.grid.values[k]
@@ -265,7 +235,15 @@ def coefficient_per_k(coef, k, x):
         low = eps ** coef.data["nu_exponent"]
         return np.where(x > coef.data["jump_at"], coef.data["high"], low)
     if coef.kind == "mollified_measure":
-        return mollify_measure(coef.data["masses"], coef.data["density"], eps, x)
+        vals = np.zeros_like(x)
+        for x0, w in coef.data["masses"]:
+            t = (x - x0) / eps
+            with np.errstate(divide="ignore", over="ignore"):
+                bump = BUMP_UNIT_MASS * np.exp(-1.0 / (1.0 - t ** 2)) / eps
+            vals = vals + w * np.where(np.abs(t) < 1.0, bump, 0.0)
+        if coef.data["density"] is not None:
+            vals = vals + coef.data["density"]
+        return vals
     if coef.kind == "tabulated":
         return np.interp(x, coef.data["xs"], coef.data["values"][k])
     raise ValueError(f"unknown coefficient kind {coef.kind!r}")

@@ -1,4 +1,4 @@
-"""Projection onto per-epsilon convex sets: closed forms, Dykstra, checks."""
+"""Projection onto per-epsilon convex sets: closed forms and checks."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from gennet import (
     EpsGrid,
     GenVector,
     InvalidSpec,
-    NoConvergence,
     NumericPolicy,
     ProbeNotInSet,
     characterization_residual,
@@ -26,7 +25,6 @@ GRID = EpsGrid.geometric(24)
 POLICY = NumericPolicy()
 
 NONEXPANSIVE_SLACK = 1e-12
-ORACLE_DYKSTRA_TOL = 1e-12
 ORACLE_AFFINE_TOL = 1e-10
 CHARACTERIZATION_TOL = 1e-10
 N_PAIRS = 100
@@ -38,19 +36,15 @@ def _random_point(rng, d):
 
 
 def _random_set(rng, d):
-    kind = rng.choice(["box", "obstacle", "affine", "halfspaces"])
+    kind = rng.choice(["box", "obstacle", "affine"])
     if kind == "box":
         lo = rng.uniform(-2.0, 0.0, d)
         return ConvexSetNet.box(GRID, lo, lo + rng.uniform(0.5, 3.0, d)), kind
     if kind == "obstacle":
         return ConvexSetNet.obstacle(GRID, rng.uniform(-1.0, 1.0, d)), kind
-    if kind == "affine":
-        r = int(rng.integers(1, d + 1))
-        return ConvexSetNet.affine(GRID, rng.standard_normal((r, d)),
-                                   rng.standard_normal(d)), kind
-    rows = rng.standard_normal((max(2, d - 1), d))
-    offsets = rng.uniform(0.5, 2.0, rows.shape[0])  # all contain the origin
-    return ConvexSetNet.halfspaces(GRID, rows, offsets), kind
+    r = int(rng.integers(1, d + 1))
+    return ConvexSetNet.affine(GRID, rng.standard_normal((r, d)),
+                               rng.standard_normal(d)), kind
 
 
 def _feasible_point(rng, C, kind, d):
@@ -60,14 +54,9 @@ def _feasible_point(rng, C, kind, d):
     if kind == "obstacle":
         lo = C.data["lower"][0]
         return GenVector.constant(lo + rng.uniform(0.0, 2.0, d), GRID)
-    if kind == "affine":
-        t = rng.standard_normal(C.data["basis"].shape[1])
-        pts = C.data["offset"] + np.einsum("krd,r->kd", C.data["basis"], t)
-        return GenVector(GRID, pts)
-    # halfspaces as drawn all contain a ball around the origin
-    x = rng.standard_normal(d)
-    x *= rng.uniform(0.0, 0.4) / max(1.0, np.linalg.norm(x))
-    return GenVector.constant(x, GRID)
+    t = rng.standard_normal(C.data["basis"].shape[1])
+    pts = C.data["offset"] + np.einsum("krd,r->kd", C.data["basis"], t)
+    return GenVector(GRID, pts)
 
 
 class TestClosedForms:
@@ -118,13 +107,6 @@ class TestClosedForms:
         p = project_point(C, u, POLICY)
         assert_allclose(p.samples, np.tile([0.3, 0.7, 0.0], (GRID.K, 1)), atol=1e-12)
 
-    def test_halfspace_single_matches_formula(self):
-        # one halfspace x + y <= 1: projection moves along the normal
-        C = ConvexSetNet.halfspaces(GRID, np.array([[1.0, 1.0]]), np.array([1.0]))
-        u = GenVector.constant(np.array([1.0, 1.0]), GRID)
-        p = project_point(C, u, POLICY)
-        assert_allclose(p.samples[0], np.array([0.5, 0.5]), atol=1e-12)
-
 
 @st.composite
 def _affine_sets(draw):
@@ -147,35 +129,6 @@ def test_affine_projection_matches_the_lstsq_oracle(case):
     for k in range(GRID.K):
         ref = _oracles.project_affine(z[k], span[k], offset[k])
         assert np.linalg.norm(got[k] - ref) <= ORACLE_AFFINE_TOL * (1.0 + np.linalg.norm(z[k]))
-
-
-@st.composite
-def _halfspace_sets(draw):
-    """Per-k rows and offsets around a feasible point, with zero and redundant rows."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    d = draw(st.integers(1, 6))
-    m = draw(st.integers(1, 6))
-    rows = rng.standard_normal((GRID.K, m, d))
-    rows[:, rng.random(m) < 0.2] = 0.0
-    inside = rng.standard_normal((GRID.K, d))
-    offsets = np.einsum("kmd,kd->km", rows, inside) + rng.uniform(0.0, 1.0, (GRID.K, m))
-    n_red = draw(st.integers(0, 2))
-    pick = rng.integers(0, m, n_red)  # redundant copies, same or looser offset
-    rows = np.concatenate([rows, rows[:, pick]], axis=1)
-    offsets = np.concatenate([offsets, offsets[:, pick] + rng.choice([0.0, 0.5], n_red)],
-                             axis=1)
-    return rows, offsets, 3.0 * rng.standard_normal((GRID.K, d))
-
-
-@seed(20261021)
-@settings(max_examples=100, deadline=None)
-@given(case=_halfspace_sets())
-def test_batched_dykstra_matches_the_per_point_oracle(case):
-    rows, offsets, z = case
-    got = ConvexSetNet.halfspaces(GRID, rows, offsets).batched_projector()(z)
-    for k in range(GRID.K):
-        ref = _oracles.dykstra_per_point(rows[k], offsets[k], z[k], POLICY.tol_abs)
-        assert np.linalg.norm(got[k] - ref) <= ORACLE_DYKSTRA_TOL * (1.0 + np.linalg.norm(z[k]))
 
 
 class TestProjectionProperties:
@@ -264,45 +217,6 @@ class TestProjectionProperties:
                           (1.0 + np.linalg.norm(u.samples, axis=1)))
 
 
-class TestDykstra:
-    def test_matches_box_encoded_as_halfspaces(self):
-        rng = np.random.default_rng(53)
-        lo, up = np.array([-1.0, -0.5]), np.array([0.5, 1.0])
-        box = ConvexSetNet.box(GRID, lo, up)
-        rows = np.vstack([np.eye(2), -np.eye(2)])
-        offs = np.concatenate([up, -lo])
-        poly = ConvexSetNet.halfspaces(GRID, rows, offs)
-        u = _random_point(rng, 2)
-        p_box = project_point(box, u, POLICY)
-        p_poly = project_point(poly, u, POLICY)
-        assert np.allclose(p_poly.samples, p_box.samples, atol=1e-9)
-
-    def test_simplex_corner(self):
-        # x, y >= 0, x + y <= 1; project (2, 2) -> nearest point (0.5, 0.5)
-        rows = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
-        offs = np.array([0.0, 0.0, 1.0])
-        C = ConvexSetNet.halfspaces(GRID, rows, offs)
-        u = GenVector.constant(np.array([2.0, 2.0]), GRID)
-        p = project_point(C, u, POLICY)
-        assert np.allclose(p.samples, 0.5, atol=1e-9)
-
-    def test_set_empty_at_one_grid_point_names_it(self):
-        # x <= 1 and x >= 0 everywhere, but x >= 2 at k = 5
-        rows = np.tile([[1.0], [-1.0]], (GRID.K, 1, 1))
-        offs = np.tile([1.0, 0.0], (GRID.K, 1))
-        offs[4, 1] = -2.0
-        C = ConvexSetNet.halfspaces(GRID, rows, offs)
-        z = np.full((GRID.K, 1), 0.5)
-        with pytest.raises(NoConvergence, match=r"k=5$"):
-            C.batched_projector()(z)
-        with pytest.raises(NoConvergence):
-            _oracles.dykstra_per_point(rows[4], offs[4], z[4], POLICY.tol_abs)
-        # on a subset of the grid the error still names the grid index
-        subset = np.arange(3, GRID.K)
-        with pytest.raises(NoConvergence, match=r"k=5$"):
-            C.row_projector(subset)(z[subset])
-
-
 class TestMidpointClosure:
     def test_convex_kinds_pass(self):
         rng = np.random.default_rng(59)
@@ -314,11 +228,9 @@ class TestMidpointClosure:
             assert midpoint_closure_check(C, pairs, POLICY)
 
     def test_two_disjoint_boxes_fail(self):
-        # stacking both boxes' halfspace rows leaves an empty intersection;
-        # cross-box midpoints expose it
-        rows = np.vstack([np.eye(1), -np.eye(1), np.eye(1), -np.eye(1)])
-        offs = np.array([1.0, 0.0, 3.0, -2.0])  # [0,1] and [2,3]
-        C = ConvexSetNet.halfspaces(GRID, rows, offs)
+        # one point of [0, 1] and one of [2, 3]: their midpoint 1.5 is
+        # outside [0, 1]
+        C = ConvexSetNet.box(GRID, [0.0], [1.0])
         a = GenVector.constant(np.array([0.5]), GRID)
         b = GenVector.constant(np.array([2.5]), GRID)
         assert not midpoint_closure_check(C, [(a, b)], POLICY)
@@ -363,15 +275,12 @@ class TestValidation:
         rng = np.random.default_rng(61)
         lo, up = np.array([0.0, -1.0]), np.array([1.0, 0.0])
         span, offset = np.array([[1.0, 2.0]]), np.array([0.5, 0.0])
-        rows, offs = np.array([[1.0, 1.0], [-1.0, 0.0]]), np.array([1.0, 0.5])
         z = 3.0 * rng.standard_normal((GRID.K, 2))
         cases = [
             (ConvexSetNet.box(GRID, lo, up), lambda x: _oracles.project_box(x, lo, up)),
             (ConvexSetNet.obstacle(GRID, lo), lambda x: _oracles.project_obstacle(x, lo)),
             (ConvexSetNet.affine(GRID, span, offset),
              lambda x: _oracles.project_affine(x, span, offset)),
-            (ConvexSetNet.halfspaces(GRID, rows, offs),
-             lambda x: _oracles.dykstra_per_point(rows, offs, x, POLICY.tol_abs)),
         ]
         subset = np.flatnonzero(rng.random(GRID.K) < 0.5)
         for C, oracle in cases:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from _oracles import (
+    BUMP_UNIT_MASS,
     assemble_p1_dense,
     band_eig_bounds,
     bands_to_dense,
@@ -35,7 +36,6 @@ from gennet import (
     classical_consistency_check,
     h1_norm_net,
     mollifier_eval,
-    mollify_measure,
     poincare_constant,
     solve_dirichlet,
     solve_obstacle,
@@ -67,6 +67,12 @@ def test_mollifier_constant_is_the_bump_integral():
     assert abs(_MOLLIFIER_NORM - ref) <= 2.0 * np.spacing(ref)
 
 
+def test_oracle_bump_constant_is_the_bump_integral():
+    val, _ = quad(lambda t: np.exp(-1.0 / (1.0 - t * t)), -1.0, 1.0,
+                  epsabs=1e-14, epsrel=1e-13)
+    assert abs(BUMP_UNIT_MASS - 1.0 / val) <= 2.0 * np.spacing(1.0 / val)
+
+
 @pytest.mark.parametrize("eps", [0.1, 0.01])
 def test_mollifier_has_unit_mass(eps):
     mass, _ = quad(lambda x: float(mollifier_eval(x, eps)), -eps, eps,
@@ -89,21 +95,22 @@ def test_mollifier_support_and_shape():
 
 
 def test_mollified_point_mass_carries_its_weight():
-    eps = 0.05
-    mass, _ = quad(lambda x: float(mollify_measure([(0.3, 2.0)], None, eps, [x])[0]),
+    k = 4  # eps_5 = 2**-5
+    eps = GRID.values[k]
+    meas = CoefficientNet.mollified_measure(GRID, [(0.3, 2.0)])
+    mass, _ = quad(lambda x: float(meas.eval([x])[k, 0]),
                    0.3 - eps, 0.3 + eps, epsabs=1e-13, epsrel=1e-13, limit=200)
     assert abs(mass - 2.0) <= MASS_TOL
 
 
 def test_mollified_constant_density_keeps_its_floor():
-    eps = 0.02
     pts = np.linspace(-1.0, 1.0, 401)
-    vals = mollify_measure([], 3.0, eps, pts)
+    vals = CoefficientNet.mollified_measure(GRID, [], 3.0).eval(pts)
     assert np.all(vals >= 3.0 - MASS_TOL)
     assert np.all(vals <= 3.0 + MASS_TOL)
-    with_mass = mollify_measure([(0.0, 1.0)], 3.0, eps, pts)
+    with_mass = CoefficientNet.mollified_measure(GRID, [(0.0, 1.0)], 3.0).eval(pts)
     assert np.all(with_mass >= 3.0 - MASS_TOL)
-    assert with_mass.max() > 3.0 + 1.0
+    assert np.all(with_mass.max(axis=1) > 3.0 + 1.0)
 
 
 # ----------------------------------------------------------- coefficients
@@ -135,8 +142,7 @@ def test_coefficient_kinds_evaluate():
 @given(
     K=st.integers(min_value=8, max_value=30),
     base=st.floats(min_value=0.2, max_value=0.9),
-    kind=st.sampled_from(["constant", "heaviside_nu", "masses", "density",
-                          "callable_density", "tabulated"]),
+    kind=st.sampled_from(["constant", "heaviside_nu", "masses", "density", "tabulated"]),
     draw=st.integers(0, 2**32 - 1),
 )
 def test_batched_coefficient_eval_matches_the_per_sample_oracle(K, base, kind, draw):
@@ -158,8 +164,6 @@ def test_batched_coefficient_eval_matches_the_per_sample_oracle(K, base, kind, d
             high=float(rng.uniform(0.5, 2.0))),
         "masses": lambda: CoefficientNet.mollified_measure(grid, masses),
         "density": lambda: CoefficientNet.mollified_measure(grid, masses[:1], density=2.5),
-        "callable_density": lambda: CoefficientNet.mollified_measure(
-            grid, [], density=lambda y: np.sin(3.0 * y)),
         "tabulated": lambda: CoefficientNet.tabulated(
             grid, np.linspace(-1.0, 1.0, 7), rng.normal(size=(K, 7))),
     }[kind]()
@@ -173,10 +177,12 @@ def test_coefficient_json_is_serializable():
     import json
 
     tab = CoefficientNet.tabulated(GRID, [0.0, 1.0], [1.0, 3.0])
-    meas = CoefficientNet.mollified_measure(GRID, [(0.0, 1.0)], density=lambda y: y)
+    meas = CoefficientNet.mollified_measure(GRID, [(0.0, 1.0)], density=2)
     for coeff in (tab, meas):
         json.dumps(coeff.to_json())
-    assert meas.to_json()["data"]["density"] == "<callable>"
+    assert meas.to_json()["data"]["density"] == 2.0
+    with pytest.raises(TypeError):
+        CoefficientNet.mollified_measure(GRID, [(0.0, 1.0)], density=lambda y: y)
 
 
 # ------------------------------------------------------------- mesh, spec
@@ -266,6 +272,9 @@ def _assembly_case(case):
     if case == "point-loads":
         weights = GenScalar(GRID, GRID.values ** -0.5)
         return _spec(mesh, rhs=-2.0, point_loads=[(0.3, weights), (-0.55, 2.0)])
+    if case == "density":
+        return _spec(mesh, rhs=CoefficientNet.mollified_measure(GRID, [(0.25, 2.0)],
+                                                                density=0.1))
     # per-k sign-changing tabulated potential, nonzero and net boundary data
     return _spec(mesh,
                  diffusion=CoefficientNet.tabulated(GRID, xs, rng.uniform(0.5, 2.0, xs.size)),
@@ -275,7 +284,7 @@ def _assembly_case(case):
                  boundary=(1.5, GenScalar(GRID, -GRID.values)))
 
 
-@pytest.mark.parametrize("case", ["singular", "point-loads", "boundary"])
+@pytest.mark.parametrize("case", ["singular", "point-loads", "boundary", "density"])
 def test_band_assembly_matches_dense_oracle(case):
     spec = _assembly_case(case)
     T, b, gtilde, *_ = _assemble_all(spec)
@@ -405,6 +414,22 @@ def test_nan_diffusion_fails_the_positivity_gate_at_its_grid_point():
         with pytest.raises(CoercivityFailure, match=r"\(grid point 3\)$") as err:
             solve(spec, POLICY)
         assert (err.value.k, err.value.check) == (3, "diffusion_k <= 0")
+
+
+@pytest.mark.parametrize("row", [[np.inf, -np.inf], [np.nan, 1.0], [np.inf, np.inf]],
+                         ids=["inf-minus-inf", "nan", "inf"])
+def test_non_finite_potential_fails_at_its_grid_point(row):
+    # NaN or +inf at the quadrature points of sample k = 1; +inf leaves the
+    # minimum finite, and NaN would reach the solve as a NaN residual
+    values = np.ones((GRID.K, 2))
+    values[0] = row
+    potential = CoefficientNet.tabulated(GRID, [0.0, 1.0], values)
+    for solve, obstacle in ((solve_dirichlet, None), (solve_obstacle, -1.0)):
+        spec = _spec(Mesh1D(0.0, 1.0, 8), potential=potential, rhs=1.0, obstacle=obstacle)
+        with pytest.raises(CoercivityFailure, match=r"^potential_k not finite: .*"
+                                                    r"\(grid point 1\)$") as err:
+            solve(spec, POLICY)
+        assert (err.value.k, err.value.check) == (1, "potential_k not finite")
 
 
 def test_classical_consistency_verdicts():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from _oracles import bands_to_dense, solve_box_vi, vi_contraction_masked
-from gennet import convex
 from gennet import (
     BasicOperator,
     CoefficientNet,
@@ -189,38 +188,26 @@ def test_contraction_matches_active_set_enumeration():
         assert np.all(ratios <= sol.contraction_k.samples + CONTRACTION_SLACK)
 
 
-def test_halfspace_box_matches_active_set_enumeration():
-    rng = np.random.default_rng(637)
-    for trial in range(4):
-        d = int(rng.integers(1, 4))
-        T = _spd_operator(rng, d) if trial % 2 == 0 else _nonsym_operator(rng, d)
-        c = _random_vector(rng, d)
-        lower = rng.uniform(-1.0, 0.0, d)
-        upper = lower + rng.uniform(0.5, 2.0, d)
-        C = ConvexSetNet.halfspaces(GRID, np.vstack([np.eye(d), -np.eye(d)]),
-                                    np.concatenate([upper, -lower]))
-        sol = vi_solve_contraction(T, c, C, certify_coercivity(T, POLICY), POLICY)
-        for k in range(GRID.K):
-            ref = solve_box_vi(T.samples[k], c.samples[k], lower, upper)
-            assert np.linalg.norm(sol.u.samples[k] - ref) <= ORACLE_TOL
-
-
-def test_halfspace_projection_runs_only_on_active_points(monkeypatch):
+def test_projection_runs_only_on_active_points(monkeypatch):
     # right-hand sides from 1 to 1e3 across the grid: the large ones pin u to
     # a corner of the box within two steps, the small ones take many more
     seen = []
 
-    def counting(rows, offs, x0, *args):
-        seen.append(x0.shape[0])
-        return dykstra(rows, offs, x0, *args)
+    def counting(C, rows):
+        project = row_projector(C, rows)
 
-    dykstra = convex._dykstra
-    monkeypatch.setattr(convex, "_dykstra", counting)
+        def run(z):
+            seen.append(z.shape[0])
+            return project(z)
+        return run
+
+    row_projector = ConvexSetNet.row_projector
+    monkeypatch.setattr(ConvexSetNet, "row_projector", counting)
     d = 3
     T = BasicOperator.constant(np.diag([1.0, 1.25, 1.5]), GRID)
     scale = np.geomspace(1.0, 1e3, GRID.K)
     c = GenVector(GRID, scale[:, None] * np.array([0.3, 0.2, 0.1]))
-    C = ConvexSetNet.halfspaces(GRID, np.vstack([np.eye(d), -np.eye(d)]), np.ones(2 * d))
+    C = ConvexSetNet.box(GRID, -np.ones(d), np.ones(d))
     sol = vi_solve_contraction(T, c, C, certify_coercivity(T, POLICY), POLICY)
     # the first projection takes every point, each later one only the unfinished
     assert sum(seen) == GRID.K + sol.iterations.sum()
@@ -363,13 +350,9 @@ def _staggered_problem(rng, kind):
         C = ConvexSetNet.box(SMALL_GRID, lower, upper)
     elif kind == "obstacle":
         C = ConvexSetNet.obstacle(SMALL_GRID, lower)
-    elif kind == "affine":
+    else:
         r = max(1, d - 1)
         C = ConvexSetNet.affine(SMALL_GRID, rng.standard_normal((K, r, d)), lower)
-    else:
-        rows = np.vstack([np.eye(d), -np.eye(d), np.ones((1, d))])
-        offs = np.hstack([upper, -lower, upper.sum(axis=1, keepdims=True) - 0.25])
-        C = ConvexSetNet.halfspaces(SMALL_GRID, np.tile(rows, (K, 1, 1)), offs)
     return T, c, C
 
 
@@ -390,7 +373,7 @@ def _running_rows(T, c, C, cert, start=None):
 @seed(20261021)
 @settings(max_examples=60, deadline=None)
 @given(data=st.integers(0, 2**32 - 1),
-       kind=st.sampled_from(["box", "obstacle", "affine", "halfspaces"]),
+       kind=st.sampled_from(["box", "obstacle", "affine"]),
        warm=st.booleans())
 def test_running_rows_match_the_masked_loop_bit_for_bit(data, kind, warm):
     rng = np.random.default_rng(data)
