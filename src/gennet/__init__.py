@@ -89,6 +89,7 @@ from .submodules import (
 )
 from .variational import (
     CoercivityCertificate,
+    LaxMilgramSolution,
     VISolution,
     certify_coercivity,
     lax_milgram_solve,

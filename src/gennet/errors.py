@@ -165,7 +165,8 @@ class CoercivityFailure(GennetError):
 
 
 class InvalidSpec(GennetError):
-    """Problem data violates its invariants: a ProblemSpec, or a NaN set bound."""
+    """Problem data violates its invariants: a ProblemSpec (a load, point-load
+    weight or boundary value that is not finite included), or a NaN set bound."""
 
 
 class ConfigInvalid(GennetError):

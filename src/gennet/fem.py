@@ -4,11 +4,15 @@ Problems -(a u')' + c u = f on an interval with Dirichlet data, where
 the diffusion a, potential c, and load f are nets over the eps grid:
 a Heaviside jump whose lower level is a power of eps, a point mass
 mollified at width eps, or plain constants.  Discretization is P1
-finite elements with three-point Gauss quadrature per element; all K
-per-sample systems are assembled at once as a tridiagonal band net, so
-assembly, solve, obstacle solve and certificate cost O(K n) per step,
-with coercivity certified through the discrete Poincare constant and
-the potential's lower bound.
+finite elements with three-point Gauss quadrature per element.  Each
+coefficient describes its Gauss-point values by structure
+(``GaussValues``): a level per sample left and right of a split point,
+plus the element rows that differ from it, such as a jump's element or
+a point mass's eps-support.  Element integrals are formed once per level
+and once per listed row, and all K per-sample systems are assembled at
+once as a tridiagonal band net, so assembly, solve, obstacle solve and
+certificate cost O(K n) per step, with coercivity certified through the
+discrete Poincare constant and the potential's lower bound.
 
 Grid points whose regularization width falls under the mesh resolution
 (eps_k < 2h) are flagged as under-resolved rather than hidden: the
@@ -126,18 +130,94 @@ class Mesh1D:
         return pts, 0.5 * self.h * _GAUSS_W
 
 
+@dataclass(frozen=True)
+class GaussValues:
+    """A coefficient net's values at the (n, 3) Gauss points of a mesh, by structure.
+
+    On sample k the elements e < ``split`` take ``levels[k, 0]`` at all
+    three points and the others ``levels[k, 1]``, except the listed rows:
+    element ``elems[j]`` of sample ``ks[j]`` has the three values
+    ``rows[j]``.  The rows run over the samples in order, and the
+    (ks, elems) pairs are distinct.
+    """
+
+    levels: np.ndarray  # (K, 2)
+    split: int
+    ks: np.ndarray  # (r,), nondecreasing
+    elems: np.ndarray  # (r,)
+    rows: np.ndarray  # (r, 3)
+    n_elems: int
+
+    @classmethod
+    def constant(cls, level: np.ndarray, n_elems: int) -> "GaussValues":
+        """The level (K,) on every element."""
+        none = np.zeros(0, dtype=np.intp)
+        return cls(np.stack([level, level], axis=1), 0, none, none, np.zeros((0, 3)), n_elems)
+
+    @classmethod
+    def general(cls, values: np.ndarray) -> "GaussValues":
+        """Every row of a (K, n, 3) array listed: the structure of any net."""
+        K, n, _ = values.shape
+        return cls(np.zeros((K, 2)), 0, np.repeat(np.arange(K), n), np.tile(np.arange(n), K),
+                   values.reshape(K * n, 3), n)
+
+    def integrals(self, *weights) -> list:
+        """The (K, n) element terms ``values @ w`` of each weight vector w (3,).
+
+        The levels, as rows [l, l, l], and the listed rows go through one
+        (rows, 3) @ w product.  It has at least two rows, so numpy hands it
+        to BLAS gemv as it hands each sample of a dense (K, n, 3) @ w; a
+        single row would go to a dot kernel that may round differently.
+        Every term thus has the bits of the dense product.
+        """
+        K = self.levels.shape[0]
+        table = np.concatenate([np.repeat(self.levels.reshape(2 * K, 1), 3, axis=1), self.rows])
+        out = []
+        for w in weights:
+            t = table @ w
+            terms = np.empty((K, self.n_elems))
+            terms[:, :self.split] = t[0:2 * K:2, None]
+            terms[:, self.split:] = t[1:2 * K:2, None]
+            terms[self.ks, self.elems] = t[2 * K:]
+            out.append(terms)
+        return out
+
+    def bounds(self):
+        """Per sample, the min and max of the values present (NaN if one is NaN):
+        the levels that some unlisted element takes, and the listed rows."""
+        K = self.levels.shape[0]
+        listed = np.bincount(2 * self.ks + (self.elems >= self.split), minlength=2 * K)
+        present = listed.reshape(K, 2) < (self.split, self.n_elems - self.split)
+        lo = np.where(present, self.levels, np.inf)
+        hi = np.where(present, self.levels, -np.inf)
+        lo, hi = np.minimum(lo[:, 0], lo[:, 1]), np.maximum(hi[:, 0], hi[:, 1])
+        counts = np.bincount(self.ks, minlength=K)
+        has = np.flatnonzero(counts)
+        if has.size:  # one reduceat segment per sample with rows, as they run by sample
+            first = (np.cumsum(counts) - counts)[has]
+            r0, r1, r2 = self.rows.T  # column by column: a min over axis 1 is slow
+            lo[has] = np.minimum(lo[has], np.minimum.reduceat(
+                np.minimum(np.minimum(r0, r1), r2), first))
+            hi[has] = np.maximum(hi[has], np.maximum.reduceat(
+                np.maximum(np.maximum(r0, r1), r2), first))
+        return lo, hi
+
+
 class CoefficientNet:
     """A coefficient function sampled along the eps grid.
 
-    Construct through the classmethods; ``eval(x)`` returns the whole
-    net at the points x, a (K, x.size) array whose row k holds the
-    values for grid index k (0-based).  Constants and ``heaviside_nu``
-    broadcast over the grid (a constant comes back as a read-only
-    broadcast view), each point mass of a mollified measure is
-    evaluated only on its eps-support, and the measure's constant
-    density, which mollifying leaves unchanged, is added after its
-    masses; tabulated values loop over the grid inside the method.
-    Every value is the one a per-sample evaluation gives, bit for bit.
+    Construct through the classmethods.  ``gauss_values(pts)`` gives
+    the net at a mesh's Gauss points by structure (``GaussValues``): a
+    constant lists no rows, ``heaviside_nu`` lists the element its jump
+    cuts, a mollified measure lists the elements its masses'
+    eps-supports reach over its density (or 0), and tabulated values
+    list every row.  ``eval(x)`` returns the whole net at the points x, a
+    (K, x.size) array whose row k holds the values for grid index k
+    (0-based); the FEM solves use it for nodal obstacle values.  Each
+    point mass is evaluated only on its eps-support, and the measure's
+    constant density, which mollifying leaves unchanged, is added after
+    its masses.  Both give the value a per-sample evaluation gives, bit
+    for bit.
     """
 
     def __init__(self, grid: EpsGrid, kind: str, data: dict):
@@ -200,6 +280,60 @@ class CoefficientNet:
             return np.stack([np.interp(x, self.data["xs"], v) for v in self.data["values"]])
         raise InvalidSpec(f"unknown coefficient kind {self.kind!r}")
 
+    def gauss_values(self, pts: np.ndarray) -> GaussValues:
+        """The net at the (n, 3) Gauss points ``pts`` of a mesh, which ascend
+        along ``pts.ravel()``, with ``eval``'s values."""
+        eps, (n, _) = self.grid.values, pts.shape
+        K = eps.size
+        if self.kind == "constant":
+            return GaussValues.constant(np.full(K, self.data["value"]), n)
+        if self.kind == "heaviside_nu":
+            low = np.array([e ** self.data["nu_exponent"] for e in eps])
+            jump, high = self.data["jump_at"], self.data["high"]
+            q = int(np.searchsorted(pts.ravel(), jump, side="right"))  # points x <= jump
+            cut = np.arange(q // 3, (q + 2) // 3)  # the element holding both kinds, if any
+            rows = np.where(pts[cut] > jump, high, low[:, None, None])
+            return GaussValues(np.stack([low, np.full(K, high)], axis=1), q // 3,
+                               np.repeat(np.arange(K), cut.size), np.tile(cut, K),
+                               rows.reshape(-1, 3), n)
+        if self.kind == "mollified_measure":
+            return self._measure_gauss_values(pts)
+        if self.kind == "tabulated":
+            return GaussValues.general(self.eval(pts.ravel()).reshape(K, n, 3))
+        raise InvalidSpec(f"unknown coefficient kind {self.kind!r}")
+
+    def _measure_gauss_values(self, pts: np.ndarray) -> GaussValues:
+        """Sample k lists the elements from the first to the last one with a
+        Gauss point in some mass's support |x - x0| < eps_k.
+
+        As x - x0 ascends with x, each support is a run of points found by
+        ``searchsorted``.  Each mass adds w phi_eps(x - x0) on those rows,
+        where phi_eps is 0 off its support and the sum is 0 + w phi exactly
+        as in ``eval``; the density comes last, as the level 0 + density.
+        """
+        eps, (n, _) = self.grid.values, pts.shape
+        K, flat = eps.size, pts.ravel()
+        first, stop = np.full(K, n), np.zeros(K, dtype=np.intp)
+        for x0, _w in self.data["masses"]:
+            d = flat - x0
+            lo, hi = np.searchsorted(d, -eps, side="right"), np.searchsorted(d, eps)
+            some = lo < hi
+            first = np.where(some, np.minimum(first, lo // 3), first)
+            stop = np.where(some, np.maximum(stop, (hi + 2) // 3), stop)
+        counts = np.maximum(stop - first, 0)
+        ks = np.repeat(np.arange(K), counts)
+        elems = np.arange(ks.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+        x, e_k = pts[elems], eps[ks][:, None]
+        rows = np.zeros((ks.size, 3))
+        for x0, w in self.data["masses"]:
+            rows += w * (_MOLLIFIER_NORM * _bump((x - x0) / e_k) / e_k)
+        level = 0.0  # 0.0 + density, as eval adds it to zeros (-0.0 becomes 0.0)
+        density = self.data["density"]
+        if density is not None:
+            rows += density
+            level += density
+        return GaussValues(np.full((K, 2), level), 0, ks, elems, rows, n)
+
     def to_json(self) -> dict:
         data = dict(self.data)
         if self.kind == "tabulated":
@@ -237,14 +371,15 @@ class ProblemSpec:
             if not xl < float(x0) < xr:
                 raise InvalidSpec("point loads must sit inside the open interval")
 
-    def rhs_values(self, x: np.ndarray) -> np.ndarray:
-        """The load f at the points x for every grid point, a (K, x.size) net."""
-        shape = (self.grid.K, x.size)
+    def rhs_gauss_values(self, pts: np.ndarray) -> GaussValues:
+        """The load f at the mesh's (n, 3) Gauss points ``pts`` for every grid point."""
+        K, n = self.grid.K, self.mesh.n_elems
         if isinstance(self.rhs, CoefficientNet):
-            return self.rhs.eval(x)
+            return self.rhs.gauss_values(pts)
         if callable(self.rhs):
-            return np.broadcast_to(np.asarray(self.rhs(x), dtype=float), shape)
-        return np.broadcast_to(float(self.rhs), shape)
+            vals = np.asarray(self.rhs(pts.ravel()), dtype=float)
+            return GaussValues.general(np.broadcast_to(vals, (K, 3 * n)).reshape(K, n, 3))
+        return GaussValues.constant(np.full(K, float(self.rhs)), n)
 
     def obstacle_nodal(self) -> np.ndarray:
         """The obstacle at the mesh nodes for every grid point, a (K, n+1) net."""
@@ -272,6 +407,12 @@ def _validate_boundary(spec: ProblemSpec, policy: NumericPolicy):
             float(side)
 
 
+def _first_non_finite(*nets) -> int | None:
+    """The first grid point (1-based) where one of the (K,) nets is ±inf or NaN."""
+    finite = np.logical_and.reduce([np.isfinite(v) for v in nets])
+    return None if finite.all() else int(np.argmin(finite)) + 1
+
+
 def _assemble_all(spec: ProblemSpec):
     """Assemble every per-sample system at once as a band net.
 
@@ -279,57 +420,73 @@ def _assemble_all(spec: ProblemSpec):
     net, the interior loads (K, n-1) after lifting the boundary data, the
     nodal lifting functions (K, n+1), and per sample the diffusion range
     and the potential's minimum (0 without a potential) seen at the
-    quadrature points.  Each (K, n, 3) array of quadrature-point values is
-    reduced to its element terms and dropped before the next is evaluated.
+    quadrature points.  Each coefficient comes as ``GaussValues``, whose
+    element integrals are (K, n) arrays and whose min and max come from
+    its levels and listed rows; no (K, n, 3) array of quadrature-point
+    values is formed unless a coefficient lists every row.  Zero boundary
+    data is not lifted: the lifting is 0 and b - 0 is b.
     A potential that is not finite at a quadrature point raises
     CoercivityFailure naming the first such grid point (1-based): a +inf
-    would hide behind a finite minimum.
+    would hide behind a finite minimum.  A load, point-load weight or
+    boundary value that is not finite raises InvalidSpec naming the
+    first such grid point and the check (``rhs_k not finite``,
+    ``point_load_k not finite``, ``boundary_k not finite``).
     """
     grid, mesh = spec.grid, spec.mesh
     K, n, h = grid.K, mesh.n_elems, mesh.h
     xs = mesh.nodes
     pts, wts = mesh.gauss_points()
-    flat = pts.ravel()
-    a_vals = spec.diffusion.eval(flat).reshape(K, n, 3)
-    stiff = a_vals @ wts / h ** 2  # integral of a per element, / h^2
-    a_min, a_max = a_vals.min(axis=(1, 2)), a_vals.max(axis=(1, 2))
-    del a_vals
-    # the full-node system: diag[:, i] = A_ii and off[:, i] = A_i,i+1
-    diag = np.zeros((K, n + 1))
-    diag[:, :-1] += stiff
-    diag[:, 1:] += stiff
-    off = -stiff
+    a = spec.diffusion.gauss_values(pts)
+    a_min, a_max = a.bounds()
+    stiff, = a.integrals(wts)
+    stiff /= h ** 2  # integral of a per element, / h^2
+    # the full-node system restricted to the interior nodes 1..n-1:
+    # diag[:, i - 1] = A_ii, and off[:, i] = A_i,i+1 for every node i < n
+    diag = np.zeros((K, n - 1))
+    diag += stiff[:, 1:]
+    diag += stiff[:, :-1]
+    off = np.negative(stiff, out=stiff)
     c_min = np.zeros(K)
     if spec.potential is not None:
-        c_vals = spec.potential.eval(flat).reshape(K, n, 3)
-        finite = np.isfinite(c_vals).all(axis=(1, 2))
-        if not np.all(finite):
-            raise CoercivityFailure(int(np.argmin(finite)) + 1, "potential_k not finite")
-        diag[:, :-1] += c_vals @ (wts * _N1 * _N1)
-        diag[:, 1:] += c_vals @ (wts * _N2 * _N2)
-        off += c_vals @ (wts * _N1 * _N2)
-        c_min = c_vals.min(axis=(1, 2))
-        del c_vals
+        c = spec.potential.gauss_values(pts)
+        c_min, c_max = c.bounds()
+        k = _first_non_finite(c_min, c_max)
+        if k:
+            raise CoercivityFailure(k, "potential_k not finite")
+        mass_a, mass_b, mass_ab = c.integrals(wts * _N1 * _N1, wts * _N2 * _N2, wts * _N1 * _N2)
+        diag += mass_a[:, 1:]
+        diag += mass_b[:, :-1]
+        off += mass_ab
+        del mass_a, mass_b, mass_ab
 
+    f = spec.rhs_gauss_values(pts)
+    loads = [(float(x0), _per_k_values(w, K)) for x0, w in spec.point_loads]
+    gl, gr = (_per_k_values(g, K) for g in spec.boundary)
+    for check, nets in (("rhs_k not finite", f.bounds()),
+                        ("point_load_k not finite", [w_k for _, w_k in loads]),
+                        ("boundary_k not finite", (gl, gr))):
+        k = _first_non_finite(*nets)
+        if k:
+            raise InvalidSpec(f"{check}: ±inf or NaN at grid index k={k}")
     b = np.zeros((K, n + 1))
-    f_vals = spec.rhs_values(flat).reshape(K, n, 3)
-    b[:, :-1] += f_vals @ (wts * _N1)
-    b[:, 1:] += f_vals @ (wts * _N2)
-    del f_vals
-    for x0, w in spec.point_loads:
-        x0 = float(x0)
-        w_k = _per_k_values(w, K)
+    load_a, load_b = f.integrals(wts * _N1, wts * _N2)
+    b[:, :-1] += load_a
+    b[:, 1:] += load_b
+    del load_a, load_b
+    for x0, w_k in loads:
         e = min(int((x0 - mesh.x_left) / h), n - 1)
         t = (x0 - xs[e]) / h
         b[:, e] += w_k * (1.0 - t)
         b[:, e + 1] += w_k * t
 
-    gl, gr = (_per_k_values(g, K)[:, None] for g in spec.boundary)
+    T = TridiagonalOperator.symmetric(grid, diag, off[:, 1:-1])
+    if not (gl.any() or gr.any()):
+        return T, b[:, 1:-1].copy(), np.zeros((K, n + 1)), a_min, a_max, c_min
+    gl, gr = gl[:, None], gr[:, None]
     gtilde = gl + (gr - gl) * (xs - mesh.x_left) / (mesh.x_right - mesh.x_left)
     # interior rows of the full-node system applied to the lifting
-    lift = (diag[:, 1:-1] * gtilde[:, 1:-1] + off[:, :-1] * gtilde[:, :-2]
+    lift = (diag * gtilde[:, 1:-1] + off[:, :-1] * gtilde[:, :-2]
             + off[:, 1:] * gtilde[:, 2:])
-    T = TridiagonalOperator.symmetric(grid, diag[:, 1:-1], off[:, 1:-1])
     return T, b[:, 1:-1] - lift, gtilde, a_min, a_max, c_min
 
 
@@ -517,11 +674,9 @@ def solve_dirichlet(spec: ProblemSpec, policy: NumericPolicy) -> DirichletResult
     if spec.obstacle is not None:
         raise InvalidSpec("this problem has an obstacle; use solve_obstacle")
     T, b_net, gtilde, cert = _assemble_certified(spec, policy)
-    w = lax_milgram_solve(T, GenVector(spec.grid, b_net), cert, policy).samples
-    # the relative residuals of the solve's last check, bit for bit
-    rel = np.linalg.norm(T.matvec(w) - b_net, axis=1) / (1.0 + np.linalg.norm(b_net, axis=1))
-    nodal = _nodal_fields(spec, policy, cert, gtilde, w)
-    return DirichletResult(**nodal, residual=GenScalar(spec.grid, rel),
+    sol = lax_milgram_solve(T, GenVector(spec.grid, b_net), cert, policy)
+    nodal = _nodal_fields(spec, policy, cert, gtilde, sol.u.samples)
+    return DirichletResult(**nodal, residual=sol.residual,
                            moderate=bool(is_moderate(nodal["h1_norm"], policy)))
 
 

@@ -24,7 +24,7 @@ import functools
 import math
 import os
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -277,16 +277,18 @@ class _SampleNet:
     result array through ``_by_dtype``: the array is complex exactly when
     an operand was, so no operation joins operand tags by hand.  ``ndim``
     counts the sample axes, the grid axis included.  Samples are stored
-    as a read-only copy.
+    as a read-only copy; ``_fresh=True`` marks a float64 or complex128
+    array built for this net alone, which is stored as it is.
     """
 
     grid: EpsGrid
     samples: np.ndarray
     field_tag: str = _REAL
+    _fresh: InitVar[bool] = False
 
     ndim: ClassVar[int]
 
-    def __post_init__(self):
+    def __post_init__(self, _fresh=False):
         if self.field_tag not in (_REAL, _COMPLEX):
             raise ValueError(f"field_tag must be 'real' or 'complex', not {self.field_tag!r}")
         arr = np.asarray(self.samples)
@@ -298,9 +300,9 @@ class _SampleNet:
                 if np.any(arr.imag != 0.0):
                     raise ValueError("real-tagged net has nonzero imaginary part")
                 arr = arr.real
-            arr = arr.astype(np.float64)
+            arr = arr.astype(np.float64, copy=not _fresh)
         else:
-            arr = arr.astype(np.complex128)
+            arr = arr.astype(np.complex128, copy=not _fresh)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 

@@ -106,23 +106,24 @@ class TridiagonalOperator(_SampleNet):
 
     ndim = 3
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __post_init__(self, _fresh=False):
+        super().__post_init__(_fresh)
         if self.samples.shape[1] != 3:
             raise ValueError("samples must have shape (K, 3, m)")
-        self.samples.setflags(write=True)  # the base stored a copy of its own
+        self.samples.setflags(write=True)  # a copy of its own, or a fresh array
         self.samples[:, 0, 0] = self.samples[:, 2, -1] = 0.0
         self.samples.setflags(write=False)
 
     @classmethod
     def symmetric(cls, grid: EpsGrid, diag, off) -> "TridiagonalOperator":
-        """From the (K, m) diagonal and the (K, m - 1) off-diagonal."""
+        """From the (K, m) diagonal and the (K, m - 1) off-diagonal, copied
+        into a fresh band array that the net keeps without a second copy."""
         diag = np.asarray(diag, dtype=float)
         bands = np.zeros((diag.shape[0], 3, diag.shape[1]))
         bands[:, 1] = diag
         bands[:, 0, 1:] = off
         bands[:, 2, :-1] = off
-        return cls(grid, bands)
+        return cls(grid, bands, _fresh=True)
 
     @property
     def dims(self):

@@ -127,8 +127,17 @@ def _certified_alpha(cert: CoercivityCertificate, positive: bool) -> np.ndarray:
     return alpha
 
 
+@dataclass(frozen=True)
+class LaxMilgramSolution:
+    """The solution net of ``lax_milgram_solve`` and the relative residuals
+    |T_k u_k - c_k| / (1 + |c_k|) of its last check."""
+
+    u: GenVector
+    residual: GenScalar
+
+
 def lax_milgram_solve(T: BasicOperator | TridiagonalOperator, c: GenVector,
-                      cert: CoercivityCertificate, policy: NumericPolicy) -> GenVector:
+                      cert: CoercivityCertificate, policy: NumericPolicy) -> LaxMilgramSolution:
     """Solve T_k u_k = c_k at every grid point under a valid coercivity certificate.
 
     All K sample systems go to one batched direct solve (for a band net,
@@ -137,8 +146,9 @@ def lax_milgram_solve(T: BasicOperator | TridiagonalOperator, c: GenVector,
     relative residual |T_k u_k - c_k| / (1 + |c_k|) drops below
     RESIDUAL_TARGET.  The residual is checked after every round; a round
     is one batched solve of the residuals, applied only to the samples
-    still short of the target.  A numerically singular sample raises
-    SingularSample naming its grid index; a sample still above the
+    still short of the target.  Returns the solution net with the
+    relative residuals of the last check.  A numerically singular sample
+    raises SingularSample naming its grid index; a sample still above the
     residual target after the last round raises ResidualTargetMissed.
     """
     _certified_alpha(cert, positive=False)
@@ -160,7 +170,7 @@ def lax_milgram_solve(T: BasicOperator | TridiagonalOperator, c: GenVector,
             k = int(short[0])
             raise ResidualTargetMissed(k + 1, float(r_norm[k] / scale[k]), RESIDUAL_TARGET)
         out[short] -= T.solve(r)[short]
-    return GenVector._by_dtype(c.grid, out)
+    return LaxMilgramSolution(GenVector._by_dtype(c.grid, out), GenScalar(c.grid, r_norm / scale))
 
 
 @dataclass(frozen=True)

@@ -304,6 +304,74 @@ def assemble_p1_dense(spec, k):
     return A[1:-1, 1:-1], b[1:-1], gtilde
 
 
+def assemble_gauss_dense(spec):
+    """The band assembly of a 1D ProblemSpec from dense (K, n, 3) nets of
+    quadrature-point values: the library's assembly before it read the
+    coefficients by structure, kept as a bit-for-bit regression reference.
+
+    Every coefficient is evaluated by ``CoefficientNet.eval`` (a callable
+    load by calling it, a number by broadcasting it) at all 3 n Gauss
+    points of every sample, and each (K, n, 3) net is reduced by
+    ``(K, n, 3) @ weights`` products.  Returns (bands, b, gtilde, a_min,
+    a_max, c_min) as ``fem._assemble_all`` does, with the (K, 3, n-1)
+    band array in place of the operator net.
+    """
+    grid, mesh = spec.grid, spec.mesh
+    K, n = grid.K, mesh.n_elems
+    h = (mesh.x_right - mesh.x_left) / n
+    xs = np.linspace(mesh.x_left, mesh.x_right, n + 1)
+    gauss_t = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
+    N1, N2 = 0.5 * (1.0 - gauss_t), 0.5 * (1.0 + gauss_t)
+    flat = ((0.5 * (xs[:-1] + xs[1:]))[:, None] + 0.5 * h * gauss_t[None, :]).ravel()
+    wts = 0.5 * h * np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
+
+    def per_k(v):
+        samples = getattr(v, "samples", None)
+        return np.full(K, float(v)) if samples is None else np.real(samples).astype(float)
+
+    a_vals = spec.diffusion.eval(flat).reshape(K, n, 3)
+    stiff = a_vals @ wts / h ** 2
+    a_min, a_max = a_vals.min(axis=(1, 2)), a_vals.max(axis=(1, 2))
+    diag = np.zeros((K, n + 1))
+    diag[:, :-1] += stiff
+    diag[:, 1:] += stiff
+    off = -stiff
+    c_min = np.zeros(K)
+    if spec.potential is not None:
+        c_vals = spec.potential.eval(flat).reshape(K, n, 3)
+        diag[:, :-1] += c_vals @ (wts * N1 * N1)
+        diag[:, 1:] += c_vals @ (wts * N2 * N2)
+        off += c_vals @ (wts * N1 * N2)
+        c_min = c_vals.min(axis=(1, 2))
+
+    b = np.zeros((K, n + 1))
+    if isinstance(spec.rhs, CoefficientNet):
+        f_vals = spec.rhs.eval(flat)
+    elif callable(spec.rhs):
+        f_vals = np.broadcast_to(np.asarray(spec.rhs(flat), dtype=float), (K, flat.size))
+    else:
+        f_vals = np.broadcast_to(float(spec.rhs), (K, flat.size))
+    f_vals = f_vals.reshape(K, n, 3)
+    b[:, :-1] += f_vals @ (wts * N1)
+    b[:, 1:] += f_vals @ (wts * N2)
+    for x0, w in spec.point_loads:
+        x0 = float(x0)
+        e = min(int((x0 - mesh.x_left) / h), n - 1)
+        t = (x0 - xs[e]) / h
+        b[:, e] += per_k(w) * (1.0 - t)
+        b[:, e + 1] += per_k(w) * t
+
+    gl, gr = (per_k(g)[:, None] for g in spec.boundary)
+    gtilde = gl + (gr - gl) * (xs - mesh.x_left) / (mesh.x_right - mesh.x_left)
+    lift = (diag[:, 1:-1] * gtilde[:, 1:-1] + off[:, :-1] * gtilde[:, :-2]
+            + off[:, 1:] * gtilde[:, 2:])
+    bands = np.zeros((K, 3, n - 1))
+    bands[:, 1] = diag[:, 1:-1]
+    bands[:, 0, 1:] = off[:, 1:-1]
+    bands[:, 2, :-1] = off[:, 1:-1]
+    return bands, b[:, 1:-1] - lift, gtilde, a_min, a_max, c_min
+
+
 def bands_to_dense(samples):
     """Dense (K, m, m) matrices from (K, 3, m) solve_banded-layout bands."""
     K, _, m = samples.shape

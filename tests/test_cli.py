@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -299,6 +300,31 @@ def test_a_nan_diffusion_fails_coercivity_at_its_grid_point(tmp_path, capsys, co
     assert capsys.readouterr().err == (
         "verdict failure: CoercivityFailure: diffusion is not positive at the quadrature "
         "points (grid point 1)\n")
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,obstacle", [("solve-dirichlet", None),
+                                              ("solve-obstacle", -1.0)])
+@pytest.mark.parametrize("change,check", [
+    ({"rhs": {"kind": "mollified_measure", "masses": [], "density": INF}}, "rhs_k"),
+    ({"rhs": {"kind": "tabulated", "xs": [0.0, 1.0],
+              "values": [[INF, -INF]] + [[1.0, 1.0]] * 23}}, "rhs_k"),
+    ({"boundary": [INF, 0.0]}, "boundary_k"),
+    ({"point_loads": [[0.5, INF]]}, "point_load_k"),
+], ids=["density", "tabulated", "boundary", "point-load"])
+def test_a_non_finite_load_is_refused_at_its_grid_point(tmp_path, capsys, command, obstacle,
+                                                        change, check):
+    # each used to reach the solve and end as "relative residual nan"
+    problem = {"interval": [0.0, 1.0], "n_elems": 8, "diffusion": 1.0, "rhs": 1.0, **change}
+    if obstacle is not None:
+        problem["obstacle"] = obstacle
+    cfg = _write_config(tmp_path, "inf.json", {"problem": problem})
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run([command, "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: {check} not finite: ±inf or NaN at grid index k=1\n")
     assert not out.exists() or list(out.iterdir()) == []
 
 

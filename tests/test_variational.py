@@ -115,7 +115,7 @@ def test_lax_milgram_reaches_relative_residual():
         T = _nonsym_operator(rng, int(rng.integers(2, 7)))
         c = _random_vector(rng, T.dims[1])
         cert = certify_coercivity(T, POLICY)
-        u = lax_milgram_solve(T, c, cert, POLICY)
+        u = lax_milgram_solve(T, c, cert, POLICY).u
         resid = rnorm(apply(T, u) - c).samples
         assert np.all(resid <= RESIDUAL_REL * (1.0 + rnorm(c).samples))
 
@@ -124,9 +124,25 @@ def test_lax_milgram_matches_direct_inverse():
     rng = np.random.default_rng(617)
     T = _spd_operator(rng, 4)
     c = _random_vector(rng, 4)
-    u = lax_milgram_solve(T, c, certify_coercivity(T, POLICY), POLICY)
+    u = lax_milgram_solve(T, c, certify_coercivity(T, POLICY), POLICY).u
     direct = np.linalg.solve(T.samples, c.samples[..., None])[..., 0]
     assert np.allclose(u.samples, direct, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["dense", "band"])
+def test_lax_milgram_returns_the_residual_of_its_last_check(kind):
+    rng = np.random.default_rng(823)
+    m = 5 if kind == "dense" else 60
+    T = (_spd_operator(rng, m) if kind == "dense" else
+         TridiagonalOperator.symmetric(GRID, rng.uniform(2.5, 3.5, (GRID.K, m)),
+                                       rng.uniform(-1.0, 1.0, (GRID.K, m - 1))))
+    c = _random_vector(rng, m)
+    sol = lax_milgram_solve(T, c, certify_coercivity(BasicOperator.identity(GRID, 1), POLICY),
+                            POLICY)
+    explicit = (np.linalg.norm(T.matvec(sol.u.samples) - c.samples, axis=1)
+                / (1.0 + np.linalg.norm(c.samples, axis=1)))
+    assert sol.residual.samples.view(np.uint64).tolist() == explicit.view(np.uint64).tolist()
+    assert sol.residual.grid is GRID and not hasattr(sol, "iterations")
 
 
 def test_lax_milgram_guards():
@@ -278,7 +294,7 @@ def test_unconstrained_vi_agrees_with_lax_milgram():
     cert = certify_coercivity(T, POLICY)
     whole = ConvexSetNet.box(GRID, np.full(3, -np.inf), np.full(3, np.inf))
     sol = vi_solve_contraction(T, c, whole, cert, POLICY)
-    u_lm = lax_milgram_solve(T, c, cert, POLICY)
+    u_lm = lax_milgram_solve(T, c, cert, POLICY).u
     gap = np.linalg.norm(sol.u.samples - u_lm.samples, axis=1)
     assert np.all(gap <= UNIQUENESS_TOL * (1.0 + rnorm(u_lm).samples))
 
@@ -640,7 +656,7 @@ def test_lax_milgram_checks_the_residual_after_the_last_refinement():
     T = DampedIdentity(GRID, np.tile(np.eye(2), (GRID.K, 1, 1)))
     c = GenVector(GRID, np.tile([0.6, 0.8], (GRID.K, 1)))
     cert = certify_coercivity(BasicOperator.identity(GRID, 2), POLICY)
-    u = lax_milgram_solve(T, c, cert, POLICY)
+    u = lax_milgram_solve(T, c, cert, POLICY).u
     assert DampedIdentity.calls == 4  # one batched solve per round
     assert np.all(rnorm(u - c).samples <= RESIDUAL_REL * (1.0 + rnorm(c).samples))
 
@@ -671,7 +687,7 @@ def test_refinement_touches_only_the_samples_short_of_the_target():
     T = UnevenIdentity(GRID, np.tile(np.eye(2), (GRID.K, 1, 1)))
     c = GenVector(GRID, np.tile([0.6, 0.8], (GRID.K, 1)))
     u = lax_milgram_solve(T, c, certify_coercivity(BasicOperator.identity(GRID, 2), POLICY),
-                          POLICY)
+                          POLICY).u
     first = c.samples / (1.0 + damping[:, None])
     assert u.samples[::2].tobytes() == first[::2].tobytes()
     assert np.all(u.samples[1::2] != first[1::2])
@@ -763,6 +779,6 @@ def test_band_contraction_matches_dense_contraction():
     dense_sol = vi_solve_contraction(dense, c, C, cert, POLICY)
     band_u, _ = _pdas(T, c.samples, lower)
     assert np.max(np.abs(band_u - dense_sol.u.samples)) <= ORACLE_TOL
-    w = lax_milgram_solve(T, c, cert, POLICY)
-    assert np.allclose(w.samples, lax_milgram_solve(dense, c, cert, POLICY).samples,
+    w = lax_milgram_solve(T, c, cert, POLICY).u
+    assert np.allclose(w.samples, lax_milgram_solve(dense, c, cert, POLICY).u.samples,
                        rtol=1e-10, atol=1e-12)
