@@ -436,9 +436,10 @@ def gram_schmidt(cfg, grid, policy, out, seed):
     gram_schmidt_s = time.perf_counter() - t_gs
     vecs = result.basis.vecs if result.basis is not None else []
     t_csv = time.perf_counter()
+    # one (m d, K) array: column j d + i is component i of basis vector j
+    basis = np.real(np.concatenate([w.samples for w in vecs], axis=1)).T if vecs else []
     write_grid_csv(os.path.join(out, "basis.csv"), grid,
-                   [f"v{j}_c{i}" for j, w in enumerate(vecs) for i in range(w.dim)],
-                   [col for w in vecs for col in np.real(w.samples).T])
+                   [f"v{j}_c{i}" for j, w in enumerate(vecs) for i in range(w.dim)], basis)
     csv_s = time.perf_counter() - t_csv
     valuations = {}
     if vecs:
@@ -527,7 +528,7 @@ def vi_solve(cfg, grid, policy, out):
         "max_residual": float(sol.residual.samples.max()),
         "valuations": {"u_norm": float(valuation_estimate(rnorm(sol.u), policy))},
         "verdicts": {"coercive": cert.valid},
-        "timings": {"solve_s": solve_s},
+        "timings": {"solve_s": solve_s, "sweeps": sol.sweeps, "stop_checks": sol.stop_checks},
     }
 
 

@@ -160,38 +160,63 @@ def _open_output(path):
 def write_grid_csv(path, grid: EpsGrid, names, columns) -> None:
     """Write a per-eps table: header ``k,eps,<names>``, one row per grid point.
 
-    Row k (1-based) holds k, eps_k and each column's k-th value.  Every
-    cell equals the ``repr`` of that value as a Python int or float (from
-    ``column.tolist()``), so floats round-trip exactly and integer columns
-    stay integer; the cells come from ``format_cells`` (orjson, with the
-    ``repr`` fallback outside 1e-4 <= |v| < 1e16), all columns of one kind
-    in one call.  Cells are joined by ',', rows end in '\n'.  The table is
-    a new file (``_open_output``): an existing file at ``path`` is
-    replaced, not rewritten in place.  Raises ValueError when the names
-    and columns differ in number, when a column is not of length K, or when
-    a column is not real integers or floats (complex, bool and object
-    columns are refused, naming the column), and ``OutputUnwritable`` when
-    the file cannot be written.
+    ``columns`` is a list of length-K columns or one (len(names), K)
+    array.  Row k (1-based) holds k, eps_k and each column's k-th value.
+    Every cell equals the ``repr`` of that value as a Python int or float
+    (from ``column.tolist()``), so floats round-trip exactly and integer
+    columns stay integer; the cells come from ``format_cells`` (orjson,
+    with the ``repr`` fallback outside 1e-4 <= |v| < 1e16).  The table is
+    formatted in row order: the columns of one dtype kind form a (K, c)
+    block, eps the first column of the float block, and each block is one
+    ``format_cells`` call.  A single block is the table's cells as they
+    are; several are placed by column into one (K, 1 + len(names)) table.
+    Each row is joined from its contiguous slice of cells, by ',', and
+    ends in '\n'.  An array input is never split into per-column views.
+    The table is a new file (``_open_output``): an existing file at
+    ``path`` is replaced, not rewritten in place.  Raises ValueError when
+    the names and columns differ in number, when a column is not of length
+    K, or when a column is not real integers or floats (complex, bool and
+    object columns are refused, naming the column), and
+    ``OutputUnwritable`` when the file cannot be written.
     """
-    K = grid.K
-    cols = [np.asarray(col) for col in columns]
-    if len(cols) != len(names) or any(col.shape != (K,) for col in cols):
-        raise ValueError(f"need one length-{K} column per name in {names}")
-    for name, col in zip(names, cols):
-        if _cell_dtype(col.dtype) is None:
-            raise ValueError(f"column {name!r}: cells must be real integers or floats, "
-                             f"not {col.dtype}")
-    cells = [None] * len(cols)
-    for kind in _CELL_DTYPES:
-        idx = [j for j, col in enumerate(cols) if col.dtype.kind == kind]
-        if idx:
-            flat = format_cells(np.stack([cols[j] for j in idx]).ravel())
-            for i, j in enumerate(idx):
-                cells[j] = flat[i * K:(i + 1) * K]
-    rows = zip(format_cells(grid.values), *cells)
+    K, width = grid.K, len(names) + 1
+    # per dtype kind: the table columns it fills and its (K, c) block
+    blocks = {}
+    if isinstance(columns, np.ndarray) and columns.ndim == 2:
+        if columns.shape != (len(names), K):
+            raise ValueError(f"need one length-{K} column per name in {names}")
+        if len(columns):  # one dtype: the first column names a refusal
+            _check_cells(names[0], columns.dtype)
+            blocks[columns.dtype.kind] = np.arange(1, width), columns.T
+    else:
+        cols = [np.asarray(col) for col in columns]
+        if len(cols) != len(names) or any(col.shape != (K,) for col in cols):
+            raise ValueError(f"need one length-{K} column per name in {names}")
+        for name, col in zip(names, cols):
+            _check_cells(name, col.dtype)
+        for kind in _CELL_DTYPES:
+            idx = [j for j, col in enumerate(cols) if col.dtype.kind == kind]
+            if idx:
+                blocks[kind] = np.array(idx) + 1, np.stack([cols[j] for j in idx], axis=1)
+    pos, block = blocks.get("f", (np.arange(0), np.empty((K, 0))))
+    blocks["f"] = np.append(0, pos), np.concatenate([grid.values[:, None], block], axis=1)
+    if len(blocks) == 1:
+        cells = format_cells(blocks["f"][1].ravel())
+    else:
+        table = np.empty((K, width), dtype=object)
+        for pos, block in blocks.values():
+            table[:, pos] = np.array(format_cells(block.ravel()), dtype=object).reshape(K, -1)
+        cells = table.ravel().tolist()
     with _open_output(path) as fh:
         fh.write(",".join(["k", "eps", *names]) + "\n")
-        fh.write("".join([f"{k},{','.join(row)}\n" for k, row in enumerate(rows, 1)]))
+        fh.write("".join([f"{k},{','.join(cells[i:i + width])}\n"
+                          for k, i in enumerate(range(0, K * width, width), 1)]))
+
+
+def _check_cells(name, dtype: np.dtype) -> None:
+    """Refuse a column whose dtype ``format_cells`` cannot print, naming it."""
+    if _cell_dtype(dtype) is None:
+        raise ValueError(f"column {name!r}: cells must be real integers or floats, not {dtype}")
 
 
 @dataclass(frozen=True)

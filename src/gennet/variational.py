@@ -51,6 +51,7 @@ _EPS_MACH = np.finfo(float).eps
 _REFINEMENTS = 3  # iterative-refinement steps after the direct solve
 _RATIO_SLACK = 1e-6  # allowed excess of an observed step ratio over its factor
 RESIDUAL_TARGET = 1e-10  # relative residual every Lax-Milgram solve must reach
+_BLOCKS = (1, 2, 4, 8, 16)  # sweeps per stop check; every later block has the last size
 
 
 @dataclass(frozen=True)
@@ -175,7 +176,12 @@ def lax_milgram_solve(T: BasicOperator | TridiagonalOperator, c: GenVector,
 
 @dataclass(frozen=True)
 class VISolution:
-    """Solution of a discrete variational inequality plus iteration data."""
+    """Solution of a discrete variational inequality plus iteration data.
+
+    ``sweeps`` counts the sweeps computed, summed over the grid points:
+    ``iterations.sum()`` plus the overshoot of each point's last block.
+    ``stop_checks`` counts the blocks, each checked once for stops.
+    """
 
     u: GenVector
     iterations: np.ndarray
@@ -185,6 +191,8 @@ class VISolution:
     operator_norm: GenScalar
     step_rho: GenScalar
     max_step_ratio: GenScalar
+    sweeps: int
+    stop_checks: int
 
     def write_iterations_csv(self, path):
         """One row per grid point: step data and iteration count."""
@@ -217,10 +225,21 @@ def vi_solve_contraction(
     two-cycle is rounding, and its points lie within the rounding error
     of two updates over (1 - k_k**2) of the solution.  The iteration
     budget per point is ceil(log tol_abs / log k_k) plus half again (at
-    least 1024); exceeding it raises IterationBudgetExceeded.  Each sweep
-    runs only on the grid points still iterating: their operator rows,
-    data, iterates, last steps and ratios form a compressed state that a
-    point leaves when it finishes.
+    least 1024); exceeding it raises IterationBudgetExceeded.
+
+    The sweeps run in blocks of _BLOCKS sweeps (1, 2, 4, 8, then 16
+    each), on the grid points still iterating when the block starts:
+    their operator rows, data, iterates, last steps and ratios form a
+    compressed state that a point leaves after the block in which it
+    stops.  The stop tests, the ratio record and the budget test are
+    evaluated once per block, as arrays over its sweeps; each point
+    takes its answer, sweep count, last step and ratio from its first
+    stopping sweep, and the budget error goes to the earliest sweep over
+    budget before a point's stop (the lowest grid index on ties).  So
+    every output and error has the bits of a loop that checks after each
+    sweep.  A point that stops after t sweeps is swept at most
+    min(t - 1, 15) more times; ``sweeps`` and ``stop_checks`` of the
+    result count that work.
 
     The returned max_step_ratio records, per grid point, the largest
     observed |u_{n+1} - u_n| / |u_n - u_{n-1}|, measured only while the
@@ -244,7 +263,7 @@ def vi_solve_contraction(
         rho = alpha / M ** 2
         kfac = np.sqrt(np.maximum(0.0, 1.0 - alpha ** 2 / M ** 2))
 
-    K = c.samples.shape[0]
+    K, d = c.samples.shape
     tol = policy.tol_abs
     thresholds = tol * (1.0 - kfac) / np.maximum(kfac, tol)
     budgets = np.empty(K, dtype=np.int64)
@@ -255,8 +274,10 @@ def vi_solve_contraction(
             base = math.ceil(math.log(tol) / math.log(kfac[k]))
             budgets[k] = base + max(1024, base // 2)
 
-    u = C.batched_projector()(np.zeros_like(c.samples, dtype=float) if start is None
+    x = C.batched_projector()(np.zeros_like(c.samples, dtype=float) if start is None
                               else start.samples.astype(float))
+    dtype = np.result_type(T.samples, c.samples, rho, x)  # complex data, complex iterates
+    u = np.empty((K, d), dtype)
     iterations = np.zeros(K, dtype=np.int64)
     last_step = np.zeros(K)
     max_ratio = np.zeros(K)
@@ -264,40 +285,52 @@ def vi_solve_contraction(
     first_budget = int(budgets.min())
 
     # the running state: grid indices, operator rows, data, iterates, last
-    # steps and max ratios of the points still iterating, in grid order
+    # steps and max ratios of the points still iterating, in grid order.
+    # Before the first sweep the iterate before last and the last step are
+    # NaN, which fails the two-cycle and ratio tests that sweep must skip.
     rows = np.arange(K)
     A, b, step_rho, thr, bud = T.samples, c.samples, rho[:, None], thresholds, budgets
-    x, x_prev, last, ratio = u, u, None, np.zeros(K)
+    x_prev, last, ratio = np.full_like(x, np.nan), np.full(K, np.nan), np.zeros(K)
     project = C.row_projector(rows)
-    it = 0
+    it = sweeps = checks = 0
     while rows.size:
-        it += 1
-        x_next = project(step_rho * (b - np.einsum("kij,kj->ki", A, x)) + x)
-        step = _row_norms(x_next - x)
-        scale = 1.0 + _row_norms(x_next)
-        done = (step <= thr) | (step <= 4.0 * _EPS_MACH * scale)  # 0 steps included
-        if it > 1:
-            measurable = last > ratio_floor * scale
-            np.maximum(ratio, np.divide(step, last, out=None, where=measurable), out=ratio,
-                       where=measurable)
-            # back at the iterate before last: a two-cycle of rounding
-            done |= (x_next == x_prev).all(axis=1)
-        if it >= first_budget:
-            over = ~done & (bud <= it)
+        size = _BLOCKS[min(checks, len(_BLOCKS) - 1)]
+        # X[0] is the iterate before last, X[1] the iterate, X[t + 1] sweep t
+        X = np.empty((size + 2, rows.size, d), dtype)
+        X[0], X[1] = x_prev, x
+        for t in range(1, size + 1):
+            X[t + 1] = project(step_rho * (b - np.einsum("kij,kj->ki", A, X[t])) + X[t])
+        sweeps += size * rows.size
+        checks += 1
+        step = _row_norms(X[2:] - X[1:-1])
+        scale = 1.0 + _row_norms(X[2:])
+        before = np.concatenate([last[None], step[:-1]])
+        measurable = before > ratio_floor * scale
+        ratios = np.maximum(ratio, np.maximum.accumulate(
+            np.divide(step, before, out=np.zeros_like(step), where=measurable)))
+        # (0 steps included; the last term is a two-cycle of rounding)
+        done = ((step <= thr) | (step <= 4.0 * _EPS_MACH * scale)
+                | (X[2:] == X[:-2]).all(axis=2))
+        running = ~np.logical_or.accumulate(done)
+        if it + size >= first_budget:
+            over = running & (bud <= it + np.arange(1, size + 1)[:, None])
             if over.any():
-                j = int(np.argmax(over))
-                raise IterationBudgetExceeded(int(rows[j]) + 1, int(bud[j]), float(step[j]))
-        x_prev, x, last = x, x_next, step
-        if done.any():
-            finished = rows[done]
-            u[finished] = x[done]
-            iterations[finished] = it
-            last_step[finished] = step[done]
-            max_ratio[finished] = ratio[done]
-            going = ~done
-            rows, A, b, step_rho, thr, bud, x, x_prev, last, ratio = (
-                a[going] for a in (rows, A, b, step_rho, thr, bud, x, x_prev, last, ratio))
+                t, j = divmod(int(np.argmax(over)), rows.size)
+                raise IterationBudgetExceeded(int(rows[j]) + 1, int(bud[j]), float(step[t, j]))
+        x_prev, x, last, ratio = X[-2], X[-1], step[-1], ratios[-1]
+        going = running[-1]
+        if not going.all():
+            cols = np.flatnonzero(~going)
+            t = np.argmax(done[:, cols], axis=0)
+            finished = rows[cols]
+            u[finished] = X[t + 2, cols]
+            iterations[finished] = it + t + 1
+            last_step[finished] = step[t, cols]
+            max_ratio[finished] = ratios[t, cols]
+            rows, A, b, step_rho, thr, bud, x_prev, x, last, ratio = (
+                a[going] for a in (rows, A, b, step_rho, thr, bud, x_prev, x, last, ratio))
             project = C.row_projector(rows)
+        it += size
 
     violated = np.nonzero(max_ratio > kfac + _RATIO_SLACK)[0]
     if violated.size:
@@ -314,9 +347,11 @@ def vi_solve_contraction(
         operator_norm=GenScalar(grid, M),
         step_rho=GenScalar(grid, rho),
         max_step_ratio=GenScalar(grid, max_ratio),
+        sweeps=sweeps,
+        stop_checks=checks,
     )
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(x, axis=1), bit for bit, without its argument handling."""
-    return np.sqrt(np.add.reduce((x.conj() * x).real if np.iscomplexobj(x) else x * x, axis=1))
+    """np.linalg.norm(x, axis=-1), bit for bit, without its argument handling."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real if np.iscomplexobj(x) else x * x, axis=-1))

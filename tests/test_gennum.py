@@ -522,6 +522,60 @@ def test_grid_csv_refuses_complex_and_object_columns(tmp_path):
     assert not path.exists()
 
 
+def _grid_rows(grid, columns):
+    """The rows of a grid table, each cell the repr of the Python number."""
+    return "".join(f"{k},{','.join(repr(v) for v in row)}\n" for k, row in enumerate(
+        zip(grid.values.tolist(), *(np.asarray(col).tolist() for col in columns)), 1))
+
+
+def test_grid_csv_takes_an_array_as_its_columns(tmp_path):
+    # a (c, K) array writes the bytes of the list of its c columns
+    grid = EpsGrid.geometric(8)
+    rng = np.random.default_rng(5)
+    floats = rng.standard_normal((5, 8)) * 10.0 ** rng.integers(-30, 30, (5, 8))
+    floats[1, 2], floats[3, 4] = np.inf, np.nan
+    ints = rng.integers(-10**15, 10**15, (3, 8))
+    path, listed = tmp_path / "array.csv", tmp_path / "list.csv"
+    for arr in (floats, ints, floats.T.copy().T, rng.standard_normal((4, 16))[:, ::2],
+                floats.astype(np.float32)):
+        names = [f"c{j}" for j in range(len(arr))]
+        write_grid_csv(path, grid, names, arr)
+        write_grid_csv(listed, grid, names, list(arr))
+        assert path.read_bytes() == listed.read_bytes()
+        assert path.read_text() == f"k,eps,{','.join(names)}\n" + _grid_rows(grid, arr)
+    write_grid_csv(path, grid, [], np.empty((0, 8)))
+    write_grid_csv(listed, grid, [], [])
+    assert path.read_bytes() == listed.read_bytes() == (
+        f"k,eps\n{_grid_rows(grid, [])}".encode())
+
+
+def test_grid_csv_interleaves_integer_and_float_columns(tmp_path):
+    grid = EpsGrid.geometric(8)
+    rng = np.random.default_rng(6)
+    columns = [rng.integers(-99, 99, 8), rng.standard_normal(8) * 1e-7,
+               np.arange(8, dtype=np.uint8), rng.standard_normal(8),
+               rng.integers(0, 2**40, 8), rng.standard_normal(8).astype(np.float32)]
+    path = tmp_path / "mixed.csv"
+    write_grid_csv(path, grid, list("abcdef"), columns)
+    assert path.read_text() == "k,eps,a,b,c,d,e,f\n" + _grid_rows(grid, columns)
+
+
+def test_grid_csv_refuses_a_misshapen_or_unprintable_array(tmp_path):
+    grid = EpsGrid.geometric(8)
+    floats = np.linspace(0.0, 1.0, 16).reshape(2, 8)
+    path = tmp_path / "table.csv"
+    for names, arr in ((["x"], floats), (["x", "y"], floats[:, :7]), (["x", "y", "z"], floats)):
+        with pytest.raises(ValueError, match="length-8 column per name"):
+            write_grid_csv(path, grid, names, arr)
+    for arr, kind in ((floats + 1j, "complex"), (floats > 0.5, "bool"),
+                      (floats.astype(object), "object")):
+        with pytest.raises(ValueError, match=f"column 'x'.*{kind}"):
+            write_grid_csv(path, grid, ["x", "y"], arr)
+    with pytest.raises(ValueError, match="column 'b'.*bool"):
+        write_grid_csv(path, grid, ["a", "b"], [floats[0], floats[1] > 0.5])
+    assert not path.exists()
+
+
 def _repr_cells(arr):
     return [repr(v) for v in arr.tolist()]
 

@@ -225,8 +225,13 @@ def test_projection_runs_only_on_active_points(monkeypatch):
     c = GenVector(GRID, scale[:, None] * np.array([0.3, 0.2, 0.1]))
     C = ConvexSetNet.box(GRID, -np.ones(d), np.ones(d))
     sol = vi_solve_contraction(T, c, C, certify_coercivity(T, POLICY), POLICY)
-    # the first projection takes every point, each later one only the unfinished
-    assert sum(seen) == GRID.K + sol.iterations.sum()
+    # the first projection takes every point; then each block of 1, 2, 4, 8,
+    # 16, 16, ... sweeps projects the points unfinished at its start once per
+    # sweep, so a point is swept to the end of the block in which it stops
+    ends = np.cumsum([1, 2, 4, 8] + [16] * 8)
+    swept = ends[np.searchsorted(ends, sol.iterations)]
+    assert sum(seen) == GRID.K + swept.sum() == GRID.K + sol.sweeps == 376
+    assert np.all(swept - sol.iterations <= np.minimum(sol.iterations - 1, 15))
     assert sum(seen) < GRID.K * (1 + sol.iterations.max())
     for k in range(GRID.K):
         ref = solve_box_vi(T.samples[k], c.samples[k], -np.ones(d), np.ones(d))
@@ -467,6 +472,123 @@ def test_running_rows_match_the_masked_loop_on_two_cycles():
     cert = certify_coercivity(dense, POLICY)
     got = _contraction_outcome(lambda: _running_rows(dense, c, C, cert))
     assert got == _contraction_outcome(lambda: vi_contraction_masked(dense, c, C, cert, POLICY))
+
+
+# Sweeps run in blocks of 1, 2, 4, 8, then 16, checked once per block: the
+# first sweeps of blocks 1-7 are 1, 2, 4, 8, 16, 32, 48, their last 1, 3, 7,
+# 15, 31, 47, 63.
+
+def _iterates_at(T, c, C, rho, sweeps):
+    """Per grid point k, the iterate after sweeps[k] sweeps from P_C(0), by
+    the masked loop's whole-grid update without its stop tests."""
+    project = C.batched_projector()
+    x = project(np.zeros(c.samples.shape))
+    out = np.empty_like(x)
+    for n in range(int(sweeps.max()) + 1):
+        out[sweeps == n] = x[sweeps == n]
+        x = project(rho[:, None] * (c.samples - T.matvec(x)) + x)
+    return GenVector(T.grid, out)
+
+
+def _warm_from_the_stop(T, c, C, cert, lead):
+    """The cold solve, and a start from which grid point k has lead[k] sweeps
+    left to the sweep the cold solve stopped on: the same iterates follow."""
+    cold = vi_solve_contraction(T, c, C, cert, POLICY)
+    return cold, _iterates_at(T, c, C, cold.step_rho.samples, cold.iterations - lead)
+
+
+def test_stops_on_the_first_and_last_sweep_of_a_block_keep_their_bits():
+    T = BasicOperator.constant(np.array([[1.0, 0.5], [-0.5, 2.0]]), GRID)
+    c = GenVector(GRID, np.geomspace(0.5, 50.0, GRID.K)[:, None] * np.array([1.0, -3.0]))
+    C = ConvexSetNet.box(GRID, np.array([-1.0, -np.inf]), np.array([np.inf, 1.0]))
+    cert = certify_coercivity(T, POLICY)
+    lead = np.resize([1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 47, 48], GRID.K)
+    cold, start = _warm_from_the_stop(T, c, C, cert, lead)
+    assert cold.iterations.min() > 48
+    warm = vi_solve_contraction(T, c, C, cert, POLICY, start=start)
+    assert np.array_equal(warm.iterations, lead)
+    assert warm.u.samples.tobytes() == cold.u.samples.tobytes()
+    assert warm.residual.samples.tobytes() == cold.residual.samples.tobytes()
+    ends = np.cumsum([1, 2, 4, 8, 16, 16, 16])
+    assert warm.sweeps == ends[np.searchsorted(ends, lead)].sum()
+    got = _contraction_outcome(lambda: _running_rows(T, c, C, cert, start))
+    assert got == _contraction_outcome(
+        lambda: vi_contraction_masked(T, c, C, cert, POLICY, start))
+
+
+def test_a_two_cycle_against_the_previous_block_keeps_its_bits():
+    # every grid point of the dense heaviside net ends in a two-cycle; from
+    # these starts it closes on the first sweep of a block, against the
+    # iterate two sweeps back, which the block before computed
+    _, dense, c, C, _ = _dense_heaviside_obstacle(32)
+    cert = certify_coercivity(dense, POLICY)
+    lead = np.resize([4, 8, 16, 32, 48], GRID.K)
+    cold, start = _warm_from_the_stop(dense, c, C, cert, lead)
+    warm = vi_solve_contraction(dense, c, C, cert, POLICY, start=start)
+    assert np.array_equal(warm.iterations, lead)
+    assert warm.u.samples.tobytes() == cold.u.samples.tobytes()
+    # no step test ends these points: their last steps lie above both bounds
+    kfac = warm.contraction_k.samples
+    bound = np.maximum(POLICY.tol_abs * (1.0 - kfac) / np.maximum(kfac, POLICY.tol_abs),
+                       4.0 * np.finfo(float).eps * (1.0 + np.linalg.norm(warm.u.samples, axis=1)))
+    assert np.all(warm.residual.samples > bound)
+    got = _contraction_outcome(lambda: _running_rows(dense, c, C, cert, start))
+    assert got == _contraction_outcome(
+        lambda: vi_contraction_masked(dense, c, C, cert, POLICY, start))
+
+
+def test_a_budget_error_inside_a_block_goes_to_its_earliest_sweep():
+    # forged certificates promise factors with budgets 1066 (k = 1) and 1064
+    # (k = 2) where the rotation-heavy samples expand; the other points stop
+    # after 1060 to 1079 sweeps, some in 1065..1071, the rest of the block
+    # 1056..1071 in which the budget of k = 2 runs out first
+    K = GRID.K
+    rotation = np.array([[0.05, 1.0], [-1.0, 0.05]])
+    slow = np.array([[0.1, 0.01], [-0.01, 1.0]])
+    rhs = np.geomspace(2.1e-9, 2.6e-9, K)[:, None] * np.ones(2)
+    C = ConvexSetNet.box(GRID, np.full(2, -1e6), np.full(2, 1e6))
+    others = BasicOperator.constant(slow, GRID)
+    settled = vi_solve_contraction(others, GenVector(GRID, rhs), C,
+                                   certify_coercivity(others, POLICY), POLICY)
+    assert np.any((settled.iterations[2:] > 1064) & (settled.iterations[2:] <= 1071))
+
+    T = BasicOperator(GRID, np.stack([rotation, rotation] + [slow] * (K - 2)))
+    alpha = certify_coercivity(T, POLICY).alpha.samples.copy()
+    M = op_norm_net(T).samples
+    for k, base in ((0, 42), (1, 40)):  # ceil(log tol_abs / log k_k) = base
+        alpha[k] = M[k] * np.sqrt(1.0 - 10.0 ** (-24.0 / (base - 0.5)))
+    cert = CoercivityCertificate(GenScalar(GRID, alpha), 1, None)
+    c = GenVector(GRID, np.concatenate([[[30.0, -20.0]] * 2, rhs[2:]]))
+    got = _contraction_outcome(lambda: _running_rows(T, c, C, cert))
+    assert got == _contraction_outcome(lambda: vi_contraction_masked(T, c, C, cert, POLICY))
+    assert got[0] == "IterationBudgetExceeded"
+    assert (got[1]["k"], got[1]["budget"]) == (2, 1064) and got[1]["step_norm"] > 1.0
+
+
+def test_the_budget_stops_counting_at_a_points_stop_inside_a_block():
+    # a forged alpha = M promises the factor 0: an 8-sweep budget and the
+    # threshold 1.  The steps fall below 1 on sweep 8, the budget's last and
+    # the block's first, and pass 1 again on sweep 13 of the same block; the
+    # stop stands, and its ratio record (1.18 > 0) is what fails
+    T = BasicOperator.constant(np.array([[-1.33, -7.24], [0.64, 0.98]]), GRID)
+    cert = _forged(T, GRID.K, float(op_norm_net(T).samples[0]))
+    c = GenVector(GRID, np.tile([7.77, 0.0], (GRID.K, 1)))
+    C = ConvexSetNet.box(GRID, np.full(2, -1e6), np.full(2, 1e6))
+    got = _contraction_outcome(lambda: _running_rows(T, c, C, cert))
+    assert got == _contraction_outcome(lambda: vi_contraction_masked(T, c, C, cert, POLICY))
+    assert got[0] == "ContractionBoundViolated" and got[1]["k"] == 1
+
+
+@pytest.mark.parametrize("kind", ["box", "obstacle", "affine"])
+def test_complex_nets_keep_the_masked_loops_bits(kind):
+    rng = np.random.default_rng(23)
+    T, c, C = _staggered_problem(rng, kind)
+    c = GenVector(SMALL_GRID, c.samples * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, c.samples.shape)),
+                  "complex")
+    cert = certify_coercivity(T, POLICY)
+    got = _contraction_outcome(lambda: _running_rows(T, c, C, cert))
+    assert got == _contraction_outcome(lambda: vi_contraction_masked(T, c, C, cert, POLICY))
+    assert vi_solve_contraction(T, c, C, cert, POLICY).u.samples.dtype == np.complex128
 
 
 # ------------------------------------------------------ energy minimizer
