@@ -59,10 +59,6 @@ class EmptySet(GennetError):
 class NoConvergence(GennetError):
     """The obstacle active-set solve failed to settle."""
 
-    def __init__(self, message, residual=None):
-        self.residual = residual
-        super().__init__(message)
-
 
 class ProbeNotInSet(GennetError):
     """A probe point handed to characterization_residual is outside C."""
@@ -78,12 +74,9 @@ class MixedScaleGenerator(GennetError):
     indices (1-based).
     """
 
-    def __init__(self, indices, message=None):
+    def __init__(self, indices, message):
         self.indices = sorted(indices)
-        super().__init__(
-            message
-            or f"norm net has no uniform scale; offending indices {self.indices}"
-        )
+        super().__init__(message)
 
 
 class InvalidBasis(GennetError):
@@ -106,9 +99,9 @@ class InvalidCertificate(GennetError):
 class SingularSample(GennetError):
     """A per-epsilon linear solve hit a singular matrix."""
 
-    def __init__(self, k, message=None):
+    def __init__(self, k):
         self.k = k
-        super().__init__(message or f"singular sample at grid index k={k}")
+        super().__init__(f"singular sample at grid index k={k}")
 
 
 class ResidualTargetMissed(GennetError):

@@ -3,12 +3,15 @@
 Problems -(a u')' + c u = f on an interval with Dirichlet data, where
 the diffusion a, potential c, and load f are nets over the eps grid:
 a Heaviside jump whose lower level is a power of eps, a point mass
-mollified at width eps, or plain constants.  Discretization is P1
+mollified at width eps, tabulated values or plain constants (a load
+given as a number becomes a constant net).  Discretization is P1
 finite elements with three-point Gauss quadrature per element.  Each
-coefficient describes its Gauss-point values by structure
-(``GaussValues``): a level per sample left and right of a split point,
-plus the element rows that differ from it, such as a jump's element or
-a point mass's eps-support.  Element integrals are formed once per level
+coefficient kind has one evaluation rule, which describes its values
+at ascending points by structure (``GaussValues``): a level per sample
+left and right of a split point, plus the rows that differ from it,
+such as a jump's element or a point mass's eps-support.  The assembly
+reads it at the Gauss points, and pointwise evaluation at the sorted
+points, one per row.  Element integrals are formed once per level
 and once per listed row, and all K per-sample systems are assembled at
 once as a tridiagonal band net, so assembly, solve, obstacle solve and
 certificate cost O(K n) per step, with coercivity certified through the
@@ -81,25 +84,6 @@ def mollifier_eval(x, eps: float, center: float = 0.0):
     return _MOLLIFIER_NORM * _bump(t) / eps
 
 
-def _point_mass_net(x: np.ndarray, eps: np.ndarray, center: float):
-    """phi_eps(x - center) for every eps of the grid, on its support only.
-
-    Returns (k, i, phi): the grid and point indices with |x_i - center| <
-    eps_k and ``mollifier_eval``'s value there, bit for bit (0 where the
-    ratio rounds to 1).  The points are sorted by distance once, so each
-    eps_k's points are a prefix found by ``searchsorted``, and the work
-    and memory follow the support sizes, not K times the number of points.
-    """
-    d = x - center
-    dist = np.abs(d)
-    order = np.argsort(dist)
-    counts = np.searchsorted(dist[order], eps)
-    k = np.repeat(np.arange(eps.size), counts)
-    starts = np.repeat(np.cumsum(counts) - counts, counts)
-    i = order[np.arange(k.size) - starts]
-    return k, i, _MOLLIFIER_NORM * _bump(d[i] / eps[k]) / eps[k]
-
-
 @dataclass(frozen=True)
 class Mesh1D:
     """Uniform mesh on [x_left, x_right] with at least 4 elements."""
@@ -132,34 +116,45 @@ class Mesh1D:
 
 @dataclass(frozen=True)
 class GaussValues:
-    """A coefficient net's values at the (n, 3) Gauss points of a mesh, by structure.
+    """A coefficient net's values at (n, w) points, by structure.
 
-    On sample k the elements e < ``split`` take ``levels[k, 0]`` at all
-    three points and the others ``levels[k, 1]``, except the listed rows:
-    element ``elems[j]`` of sample ``ks[j]`` has the three values
-    ``rows[j]``.  The rows run over the samples in order, and the
-    (ks, elems) pairs are distinct.
+    Row e of the points holds w of them: the 3 Gauss points of mesh
+    element e, or one plain point.  On sample k the rows e < ``split``
+    take ``levels[k, 0]`` at every point and the others ``levels[k, 1]``,
+    except the listed rows: row ``elems[j]`` of sample ``ks[j]`` has the
+    w values ``rows[j]``.  The listed rows run over the samples in order,
+    and the (ks, elems) pairs are distinct.  ``integrals`` and ``bounds``
+    take Gauss points (w = 3).
     """
 
     levels: np.ndarray  # (K, 2)
     split: int
     ks: np.ndarray  # (r,), nondecreasing
     elems: np.ndarray  # (r,)
-    rows: np.ndarray  # (r, 3)
-    n_elems: int
+    rows: np.ndarray  # (r, w)
+    n: int
 
     @classmethod
-    def constant(cls, level: np.ndarray, n_elems: int) -> "GaussValues":
-        """The level (K,) on every element."""
+    def constant(cls, level: np.ndarray, shape) -> "GaussValues":
+        """The level (K,) at every point of an (n, w) array."""
         none = np.zeros(0, dtype=np.intp)
-        return cls(np.stack([level, level], axis=1), 0, none, none, np.zeros((0, 3)), n_elems)
+        return cls(np.stack([level, level], axis=1), 0, none, none, np.zeros((0, shape[1])),
+                   shape[0])
 
     @classmethod
     def general(cls, values: np.ndarray) -> "GaussValues":
-        """Every row of a (K, n, 3) array listed: the structure of any net."""
-        K, n, _ = values.shape
+        """Every row of a (K, n, w) array listed: the structure of any net."""
+        K, n, w = values.shape
         return cls(np.zeros((K, 2)), 0, np.repeat(np.arange(K), n), np.tile(np.arange(n), K),
-                   values.reshape(K * n, 3), n)
+                   values.reshape(K * n, w), n)
+
+    def dense(self) -> np.ndarray:
+        """The (K, n, w) array of the values."""
+        out = np.empty((self.levels.shape[0], self.n, self.rows.shape[1]))
+        out[:, :self.split] = self.levels[:, 0, None, None]
+        out[:, self.split:] = self.levels[:, 1, None, None]
+        out[self.ks, self.elems] = self.rows
+        return out
 
     def integrals(self, *weights) -> list:
         """The (K, n) element terms ``values @ w`` of each weight vector w (3,).
@@ -175,7 +170,7 @@ class GaussValues:
         out = []
         for w in weights:
             t = table @ w
-            terms = np.empty((K, self.n_elems))
+            terms = np.empty((K, self.n))
             terms[:, :self.split] = t[0:2 * K:2, None]
             terms[:, self.split:] = t[1:2 * K:2, None]
             terms[self.ks, self.elems] = t[2 * K:]
@@ -184,10 +179,10 @@ class GaussValues:
 
     def bounds(self):
         """Per sample, the min and max of the values present (NaN if one is NaN):
-        the levels that some unlisted element takes, and the listed rows."""
+        the levels that some unlisted row takes, and the listed rows."""
         K = self.levels.shape[0]
         listed = np.bincount(2 * self.ks + (self.elems >= self.split), minlength=2 * K)
-        present = listed.reshape(K, 2) < (self.split, self.n_elems - self.split)
+        present = listed.reshape(K, 2) < (self.split, self.n - self.split)
         lo = np.where(present, self.levels, np.inf)
         hi = np.where(present, self.levels, -np.inf)
         lo, hi = np.minimum(lo[:, 0], lo[:, 1]), np.maximum(hi[:, 0], hi[:, 1])
@@ -206,18 +201,21 @@ class GaussValues:
 class CoefficientNet:
     """A coefficient function sampled along the eps grid.
 
-    Construct through the classmethods.  ``gauss_values(pts)`` gives
-    the net at a mesh's Gauss points by structure (``GaussValues``): a
-    constant lists no rows, ``heaviside_nu`` lists the element its jump
-    cuts, a mollified measure lists the elements its masses'
-    eps-supports reach over its density (or 0), and tabulated values
-    list every row.  ``eval(x)`` returns the whole net at the points x, a
+    Construct through the classmethods.  ``gauss_values(pts)`` is the one
+    evaluation rule of each kind: it gives the net at (n, w) ascending
+    points by structure (``GaussValues``).  A constant lists no rows,
+    ``heaviside_nu`` lists the row its jump cuts, a mollified measure
+    lists the rows its masses' eps-supports reach over its density (or
+    0), and tabulated values list every row.  Each point mass is
+    evaluated only on the rows it reaches, and the measure's constant
+    density, which mollifying leaves unchanged, is added after its
+    masses.  ``eval(x)`` returns the whole net at the points x, a
     (K, x.size) array whose row k holds the values for grid index k
-    (0-based); the FEM solves use it for nodal obstacle values.  Each
-    point mass is evaluated only on its eps-support, and the measure's
-    constant density, which mollifying leaves unchanged, is added after
-    its masses.  Both give the value a per-sample evaluation gives, bit
-    for bit.
+    (0-based): ``gauss_values`` at the sorted points, one per row, put
+    back in the order of x.  The FEM solves use it for nodal obstacle
+    values, and the assembly reads the same structure at the Gauss
+    points.  Both give the value a per-sample evaluation gives, bit for
+    bit.
     """
 
     def __init__(self, grid: EpsGrid, kind: str, data: dict):
@@ -260,85 +258,70 @@ class CoefficientNet:
 
     def eval(self, x) -> np.ndarray:
         x = np.ravel(np.asarray(x, dtype=float))
-        eps = self.grid.values
+        order = np.argsort(x, kind="stable")
+        out = np.empty((self.grid.K, x.size))
+        out[:, order] = self.gauss_values(x[order, None]).dense()[:, :, 0]
+        return out
+
+    def gauss_values(self, pts: np.ndarray) -> GaussValues:
+        """The net at the (n, w) points ``pts``, which ascend along
+        ``pts.ravel()``: a mesh's Gauss points (w = 3) or plain points (w = 1)."""
+        eps, (n, w) = self.grid.values, pts.shape
+        K = eps.size
         if self.kind == "constant":
-            return np.broadcast_to(self.data["value"], (eps.size, x.size))
+            return GaussValues.constant(np.full(K, self.data["value"]), pts.shape)
         if self.kind == "heaviside_nu":
             # scalar powers, as per sample: numpy's array power may round
             # differently in the last bit
             low = np.array([e ** self.data["nu_exponent"] for e in eps])
-            return np.where(x > self.data["jump_at"], self.data["high"], low[:, None])
-        if self.kind == "mollified_measure":
-            out = np.zeros((eps.size, x.size))
-            for x0, w in self.data["masses"]:
-                k, i, phi = _point_mass_net(x, eps, x0)
-                out[k, i] += w * phi
-            if self.data["density"] is not None:
-                out += self.data["density"]
-            return out
-        if self.kind == "tabulated":
-            return np.stack([np.interp(x, self.data["xs"], v) for v in self.data["values"]])
-        raise InvalidSpec(f"unknown coefficient kind {self.kind!r}")
-
-    def gauss_values(self, pts: np.ndarray) -> GaussValues:
-        """The net at the (n, 3) Gauss points ``pts`` of a mesh, which ascend
-        along ``pts.ravel()``, with ``eval``'s values."""
-        eps, (n, _) = self.grid.values, pts.shape
-        K = eps.size
-        if self.kind == "constant":
-            return GaussValues.constant(np.full(K, self.data["value"]), n)
-        if self.kind == "heaviside_nu":
-            low = np.array([e ** self.data["nu_exponent"] for e in eps])
             jump, high = self.data["jump_at"], self.data["high"]
             q = int(np.searchsorted(pts.ravel(), jump, side="right"))  # points x <= jump
-            cut = np.arange(q // 3, (q + 2) // 3)  # the element holding both kinds, if any
+            cut = np.arange(q // w, -(-q // w))  # the row holding both kinds, if any
             rows = np.where(pts[cut] > jump, high, low[:, None, None])
-            return GaussValues(np.stack([low, np.full(K, high)], axis=1), q // 3,
+            return GaussValues(np.stack([low, np.full(K, high)], axis=1), q // w,
                                np.repeat(np.arange(K), cut.size), np.tile(cut, K),
-                               rows.reshape(-1, 3), n)
+                               rows.reshape(-1, w), n)
         if self.kind == "mollified_measure":
             return self._measure_gauss_values(pts)
         if self.kind == "tabulated":
-            return GaussValues.general(self.eval(pts.ravel()).reshape(K, n, 3))
+            flat, xs = pts.ravel(), self.data["xs"]
+            return GaussValues.general(
+                np.stack([np.interp(flat, xs, v) for v in self.data["values"]]).reshape(K, n, w))
         raise InvalidSpec(f"unknown coefficient kind {self.kind!r}")
 
     def _measure_gauss_values(self, pts: np.ndarray) -> GaussValues:
-        """Sample k lists the elements from the first to the last one with a
-        Gauss point in some mass's support |x - x0| < eps_k.
+        """Sample k lists the rows with a point in some mass's support
+        |x - x0| < eps_k.
 
         As x - x0 ascends with x, each support is a run of points found by
-        ``searchsorted``.  Each mass adds w phi_eps(x - x0) on those rows,
-        where phi_eps is 0 off its support and the sum is 0 + w phi exactly
-        as in ``eval``; the density comes last, as the level 0 + density.
+        ``searchsorted``, so the rows it reaches are a run too; the listed
+        rows are the union of those runs, as sorted keys k n + row.  Each
+        mass adds w phi_eps(x - x0) on the listed rows, starting from 0,
+        where phi_eps is 0 off its support; the density comes last, as the
+        level 0 + density (-0.0 becomes 0.0).
         """
-        eps, (n, _) = self.grid.values, pts.shape
+        eps, (n, width) = self.grid.values, pts.shape
         K, flat = eps.size, pts.ravel()
-        first, stop = np.full(K, n), np.zeros(K, dtype=np.intp)
+        keys = [np.zeros(0, dtype=np.intp)]
         for x0, _w in self.data["masses"]:
             d = flat - x0
             lo, hi = np.searchsorted(d, -eps, side="right"), np.searchsorted(d, eps)
-            some = lo < hi
-            first = np.where(some, np.minimum(first, lo // 3), first)
-            stop = np.where(some, np.maximum(stop, (hi + 2) // 3), stop)
-        counts = np.maximum(stop - first, 0)
-        ks = np.repeat(np.arange(K), counts)
-        elems = np.arange(ks.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+            first = lo // width
+            counts = np.where(lo < hi, -(-hi // width) - first, 0)
+            starts = np.arange(K) * n + first - (np.cumsum(counts) - counts)
+            keys.append(np.arange(counts.sum()) + np.repeat(starts, counts))
+        keys = np.sort(np.concatenate(keys))
+        ks, elems = np.divmod(keys[np.diff(keys, prepend=-1) > 0], n)
         x, e_k = pts[elems], eps[ks][:, None]
-        rows = np.zeros((ks.size, 3))
+        rows = np.zeros((ks.size, width))
         for x0, w in self.data["masses"]:
             rows += w * (_MOLLIFIER_NORM * _bump((x - x0) / e_k) / e_k)
-        level = 0.0  # 0.0 + density, as eval adds it to zeros (-0.0 becomes 0.0)
+        level = 0.0
         density = self.data["density"]
         if density is not None:
             rows += density
             level += density
         return GaussValues(np.full((K, 2), level), 0, ks, elems, rows, n)
-
-    def to_json(self) -> dict:
-        data = dict(self.data)
-        if self.kind == "tabulated":
-            data = {"xs": self.data["xs"].tolist(), "values": self.data["values"].tolist()}
-        return {"kind": self.kind, "data": data}
 
 
 def _per_k_values(v, K: int) -> np.ndarray:
@@ -351,18 +334,27 @@ def _per_k_values(v, K: int) -> np.ndarray:
 @dataclass(frozen=True)
 class ProblemSpec:
     """-(a u')' + c u = f + point loads on mesh, u = g on the boundary,
-    optionally constrained to u >= psi."""
+    optionally constrained to u >= psi.
+
+    The load f is a number or a ``CoefficientNet``; a number becomes
+    ``CoefficientNet.constant``.  The obstacle psi is a ``CoefficientNet``,
+    a number, or nodal values (n+1,) or (K, n+1).  A function in either
+    place raises TypeError: the load when the spec is built, the obstacle
+    when it is solved.
+    """
 
     grid: EpsGrid
     mesh: Mesh1D
     diffusion: CoefficientNet
-    rhs: object = 0.0
+    rhs: CoefficientNet | float = 0.0
     potential: CoefficientNet | None = None
     point_loads: tuple = ()
     obstacle: object = None
     boundary: tuple = (0.0, 0.0)
 
     def __post_init__(self):
+        if not isinstance(self.rhs, CoefficientNet):
+            object.__setattr__(self, "rhs", CoefficientNet.constant(self.grid, self.rhs))
         object.__setattr__(self, "point_loads", tuple(self.point_loads))
         if len(self.boundary) != 2:
             raise InvalidSpec("boundary must give two values")
@@ -370,16 +362,6 @@ class ProblemSpec:
         for x0, _w in self.point_loads:
             if not xl < float(x0) < xr:
                 raise InvalidSpec("point loads must sit inside the open interval")
-
-    def rhs_gauss_values(self, pts: np.ndarray) -> GaussValues:
-        """The load f at the mesh's (n, 3) Gauss points ``pts`` for every grid point."""
-        K, n = self.grid.K, self.mesh.n_elems
-        if isinstance(self.rhs, CoefficientNet):
-            return self.rhs.gauss_values(pts)
-        if callable(self.rhs):
-            vals = np.asarray(self.rhs(pts.ravel()), dtype=float)
-            return GaussValues.general(np.broadcast_to(vals, (K, 3 * n)).reshape(K, n, 3))
-        return GaussValues.constant(np.full(K, float(self.rhs)), n)
 
     def obstacle_nodal(self) -> np.ndarray:
         """The obstacle at the mesh nodes for every grid point, a (K, n+1) net."""
@@ -390,7 +372,7 @@ class ProblemSpec:
             raise InvalidSpec("no obstacle in this problem")
         if isinstance(psi, CoefficientNet):
             return psi.eval(xs)
-        arr = np.asarray(psi(xs) if callable(psi) else psi, dtype=float)
+        arr = np.asarray(psi, dtype=float)
         if arr.ndim == 0 or arr.shape == xs.shape:
             return np.broadcast_to(arr, shape)
         if arr.shape == shape:
@@ -459,7 +441,7 @@ def _assemble_all(spec: ProblemSpec):
         off += mass_ab
         del mass_a, mass_b, mass_ab
 
-    f = spec.rhs_gauss_values(pts)
+    f = spec.rhs.gauss_values(pts)
     loads = [(float(x0), _per_k_values(w, K)) for x0, w in spec.point_loads]
     gl, gr = (_per_k_values(g, K) for g in spec.boundary)
     for check, nets in (("rhs_k not finite", f.bounds()),

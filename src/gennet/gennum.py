@@ -339,21 +339,6 @@ class _SampleNet:
     def is_real(self) -> bool:
         return self.field_tag == _REAL
 
-    def _json(self) -> dict:
-        """``{"field": tag, "samples": nested lists}``; a complex entry is its [re, im] pair."""
-        samples = self.samples
-        if not self.is_real():
-            samples = np.stack([samples.real, samples.imag], axis=-1)
-        return {"field": self.field_tag, "samples": samples.tolist()}
-
-    @classmethod
-    def _from_json(cls, obj: dict, grid: EpsGrid):
-        """The net ``_json`` wrote into ``obj``; a missing field means real."""
-        tag = obj.get("field", _REAL)
-        arr = np.asarray(obj["samples"], dtype=float)
-        if tag == _COMPLEX:
-            arr = arr.view(np.complex128)[..., 0]
-        return cls(grid, arr, tag)
 
 
 # ---------------------------------------------------------------------------
@@ -634,13 +619,6 @@ class CloseInfimumResult:
     lower_bound: bool
     close: bool
     witnesses: dict
-
-    def to_json(self) -> dict:
-        return {
-            "lower_bound": self.lower_bound,
-            "close": self.close,
-            "witnesses": {str(m): i for m, i in self.witnesses.items()},
-        }
 
 
 def close_infimum_check(delta: GenScalar, A, policy: NumericPolicy) -> CloseInfimumResult:

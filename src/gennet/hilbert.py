@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimMismatch, GridMismatch, LengthMismatch
-from .gennum import EpsGrid, GenScalar, NumericPolicy, _SampleNet, sharp_norm, write_grid_csv
+from .gennum import EpsGrid, GenScalar, NumericPolicy, _SampleNet, sharp_norm
 
 
 class GenVector(_SampleNet):
@@ -61,17 +61,6 @@ class GenVector(_SampleNet):
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def to_json(self) -> dict:
-        return {"dim": self.dim, **self._json()}
-
-    @classmethod
-    def from_json(cls, obj: dict, grid: EpsGrid) -> "GenVector":
-        return cls._from_json(obj, grid)
-
-    def write_norm_csv(self, path):
-        """The R~-norm as a per-eps table with columns k, eps, norm."""
-        write_grid_csv(path, self.grid, ["norm"], [rnorm(self).samples])
 
 
 def inner(u: GenVector, v: GenVector) -> GenScalar:

@@ -88,10 +88,6 @@ class BasicOperator(_SampleNet):
             raise DimMismatch(f"dims {self.dims} != {other.dims}")
         return BasicOperator._by_dtype(self.grid, self.samples - other.samples)
 
-    def to_json(self) -> dict:
-        d_out, d_in = self.dims
-        return {"K": self.grid.K, "d_out": d_out, "d_in": d_in, **self._json()}
-
 
 class TridiagonalOperator(_SampleNet):
     """A net of general tridiagonal m x m matrices, real or complex, as bands.

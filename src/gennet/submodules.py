@@ -119,12 +119,6 @@ class OrthoBasis:
                                f"grid point k={k + 1} "
                                f"(|<w_{i}, w_{j}>| = {abs(gram[k, i, j]):.3e})")
 
-    def to_json(self) -> dict:
-        return {
-            "vectors": [w.to_json() for w in self.vecs],
-            "supports": [sorted(S.members) for S in self.supports],
-        }
-
 
 def idempotent_normalize(u: GenVector, policy: NumericPolicy):
     """Rescale u to unit sample norm on its support set.
@@ -261,12 +255,6 @@ class SubmoduleClassification:
     closed_edged: bool
     basis: OrthoBasis | None
     diagnostics: dict
-
-    def to_json(self) -> dict:
-        out = {"closed_edged": self.closed_edged, "diagnostics": self.diagnostics}
-        if self.basis is not None:
-            out["basis"] = self.basis.to_json()
-        return out
 
 
 def classify_submodule(g: GeneratorSet, policy: NumericPolicy) -> SubmoduleClassification:

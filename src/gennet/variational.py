@@ -339,7 +339,7 @@ def vi_solve_contraction(
 
     grid = c.grid
     return VISolution(
-        u=GenVector(grid, u, c.field_tag),
+        u=GenVector._by_dtype(grid, u),
         iterations=iterations,
         contraction_k=GenScalar(grid, kfac),
         residual=GenScalar(grid, last_step),

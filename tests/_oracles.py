@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from gennet import (
-    CoefficientNet,
     ContractionBoundViolated,
     IterationBudgetExceeded,
     MixedScaleGenerator,
@@ -283,13 +282,7 @@ def assemble_p1_dense(spec, k):
             np.add.at(A, (idx + i, idx + j), c_vals @ (wts * Ni * Nj))
 
     b = np.zeros(n + 1)
-    if isinstance(spec.rhs, CoefficientNet):
-        f_vals = coefficient_per_k(spec.rhs, k, pts.ravel())
-    elif callable(spec.rhs):
-        f_vals = np.asarray(spec.rhs(pts.ravel()), dtype=float)
-    else:
-        f_vals = np.full(pts.size, float(spec.rhs))
-    f_vals = f_vals.reshape(n, 3)
+    f_vals = coefficient_per_k(spec.rhs, k, pts.ravel()).reshape(n, 3)
     np.add.at(b, idx, f_vals @ (wts * N1))
     np.add.at(b, idx + 1, f_vals @ (wts * N2))
     for x0, weight in spec.point_loads:
@@ -309,9 +302,9 @@ def assemble_gauss_dense(spec):
     quadrature-point values: the library's assembly before it read the
     coefficients by structure, kept as a bit-for-bit regression reference.
 
-    Every coefficient is evaluated by ``CoefficientNet.eval`` (a callable
-    load by calling it, a number by broadcasting it) at all 3 n Gauss
-    points of every sample, and each (K, n, 3) net is reduced by
+    Every coefficient, the load included (``ProblemSpec`` makes a number
+    load a constant net), is evaluated by ``CoefficientNet.eval`` at all
+    3 n Gauss points of every sample, and each (K, n, 3) net is reduced by
     ``(K, n, 3) @ weights`` products.  Returns (bands, b, gtilde, a_min,
     a_max, c_min) as ``fem._assemble_all`` does, with the (K, 3, n-1)
     band array in place of the operator net.
@@ -345,13 +338,7 @@ def assemble_gauss_dense(spec):
         c_min = c_vals.min(axis=(1, 2))
 
     b = np.zeros((K, n + 1))
-    if isinstance(spec.rhs, CoefficientNet):
-        f_vals = spec.rhs.eval(flat)
-    elif callable(spec.rhs):
-        f_vals = np.broadcast_to(np.asarray(spec.rhs(flat), dtype=float), (K, flat.size))
-    else:
-        f_vals = np.broadcast_to(float(spec.rhs), (K, flat.size))
-    f_vals = f_vals.reshape(K, n, 3)
+    f_vals = spec.rhs.eval(flat).reshape(K, n, 3)
     b[:, :-1] += f_vals @ (wts * N1)
     b[:, 1:] += f_vals @ (wts * N2)
     for x0, w in spec.point_loads:

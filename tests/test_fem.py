@@ -174,18 +174,27 @@ def test_batched_coefficient_eval_matches_the_per_sample_oracle(K, base, kind, d
     assert got.shape == (K, x.size)
     expected = np.stack([coefficient_per_k(coef, k, x) for k in range(K)])
     assert got.tobytes() == expected.tobytes()
+    # the Gauss points of a random mesh, grouped three to a row: the jump
+    # lies inside an element or (up to rounding) on a node, and the mass
+    # supports cross element edges or, on short meshes, cover the mesh
+    n = int(rng.integers(4, 60))
+    h = float(rng.uniform(0.05, 1.5)) / n
+    x_left = jump - h * float(rng.choice([rng.integers(0, n + 1), rng.uniform(0.0, n)]))
+    pts, _ = Mesh1D(x_left, x_left + n * h, n).gauss_points()
+    dense = coef.gauss_values(pts).dense()
+    assert dense.shape == (K, n, 3)
+    expected = np.stack([coefficient_per_k(coef, k, pts.ravel()) for k in range(K)])
+    assert dense.tobytes() == expected.tobytes()
 
 
-def test_coefficient_json_is_serializable():
-    import json
-
-    tab = CoefficientNet.tabulated(GRID, [0.0, 1.0], [1.0, 3.0])
-    meas = CoefficientNet.mollified_measure(GRID, [(0.0, 1.0)], density=2)
-    for coeff in (tab, meas):
-        json.dumps(coeff.to_json())
-    assert meas.to_json()["data"]["density"] == 2.0
+def test_functions_are_refused_as_coefficient_data():
     with pytest.raises(TypeError):
         CoefficientNet.mollified_measure(GRID, [(0.0, 1.0)], density=lambda y: y)
+    mesh = Mesh1D(0.0, 1.0, 8)
+    with pytest.raises(TypeError):
+        _spec(mesh, rhs=lambda y: y)
+    with pytest.raises(TypeError):
+        solve_obstacle(_spec(mesh, rhs=-8.0, obstacle=lambda y: -y), POLICY)
 
 
 # ------------------------------------------------------------- mesh, spec
@@ -283,7 +292,7 @@ def _assembly_case(case):
                  diffusion=CoefficientNet.tabulated(GRID, xs, rng.uniform(0.5, 2.0, xs.size)),
                  potential=CoefficientNet.tabulated(
                      GRID, xs, rng.uniform(-3.0, 3.0, (GRID.K, xs.size))),
-                 rhs=lambda x: np.sin(3.0 * x),
+                 rhs=CoefficientNet.tabulated(GRID, xs, np.sin(3.0 * xs)),
                  boundary=(1.5, GenScalar(GRID, -GRID.values)))
 
 

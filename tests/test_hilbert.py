@@ -172,23 +172,3 @@ def test_dimension_and_grid_guards():
     other = GenVector.constant(np.array([1.0, 0.0]), EpsGrid.geometric(16))
     with pytest.raises(GridMismatch):
         inner(u, other)
-
-
-def test_norm_csv_roundtrip(tmp_path):
-    u = GenVector.constant(np.array([3.0, 4.0]), GRID)
-    path = tmp_path / "norms.csv"
-    u.write_norm_csv(path)
-    assert b"\r" not in path.read_bytes()
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "k,eps,norm"
-    assert len(lines) == GRID.K + 1
-    assert lines[1].split(",")[2] == "5.0"
-
-
-def test_json_roundtrip_real_and_complex():
-    rng = np.random.default_rng(137)
-    for complex_ in (False, True):
-        u = _random_vector(rng, d=3, complex_=complex_)
-        v = GenVector.from_json(u.to_json(), GRID)
-        assert v.field_tag == u.field_tag
-        assert np.allclose(v.samples, u.samples)

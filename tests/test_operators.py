@@ -402,12 +402,3 @@ def test_shape_and_grid_guards():
     f = BasicFunctional(GRID, np.ones((GRID.K, 2)))
     with pytest.raises(DimMismatch):
         f(_random_vector(rng, 3))
-
-
-def test_operator_json_encodes_complex_entries_as_pairs():
-    T = BasicOperator.constant(np.array([[1.0 + 2.0j]]), GRID)
-    blob = T.to_json()
-    assert blob["field"] == "complex"
-    assert blob["samples"][0][0][0] == [1.0, 2.0]
-    blob_real = BasicOperator.identity(GRID, 2).to_json()
-    assert blob_real["samples"][0] == [[1.0, 0.0], [0.0, 1.0]]

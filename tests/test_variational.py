@@ -583,12 +583,19 @@ def test_the_budget_stops_counting_at_a_points_stop_inside_a_block():
 def test_complex_nets_keep_the_masked_loops_bits(kind):
     rng = np.random.default_rng(23)
     T, c, C = _staggered_problem(rng, kind)
-    c = GenVector(SMALL_GRID, c.samples * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, c.samples.shape)),
-                  "complex")
-    cert = certify_coercivity(T, POLICY)
-    got = _contraction_outcome(lambda: _running_rows(T, c, C, cert))
-    assert got == _contraction_outcome(lambda: vi_contraction_masked(T, c, C, cert, POLICY))
-    assert vi_solve_contraction(T, c, C, cert, POLICY).u.samples.dtype == np.complex128
+    complex_c = GenVector(
+        SMALL_GRID, c.samples * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, c.samples.shape)),
+        "complex")
+    # a skew-Hermitian part i S (S real symmetric) leaves Re <T x, x> as it was;
+    # with a real c the iterates are complex all the same
+    s = rng.standard_normal(T.samples.shape)
+    complex_T = BasicOperator(SMALL_GRID, T.samples + 0.5j * (s + np.swapaxes(s, 1, 2)),
+                              "complex")
+    for T, c in ((T, complex_c), (complex_T, c)):
+        cert = certify_coercivity(T, POLICY)
+        got = _contraction_outcome(lambda: _running_rows(T, c, C, cert))
+        assert got == _contraction_outcome(lambda: vi_contraction_masked(T, c, C, cert, POLICY))
+        assert vi_solve_contraction(T, c, C, cert, POLICY).u.samples.dtype == np.complex128
 
 
 # ------------------------------------------------------ energy minimizer
