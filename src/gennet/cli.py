@@ -132,18 +132,21 @@ def _scalar_net(spec, grid: EpsGrid, ptr: str = "/nets") -> GenScalar:
     raise ConfigInvalid(f"{ptr}/kind: unknown net kind {kind!r}")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # such samples are refused by _finite
 def _operator_net(spec, grid: EpsGrid) -> BasicOperator:
     if not isinstance(spec, dict):
         raise ConfigInvalid("/operator: must be an object")
     kind = spec.get("kind")
     if kind == "constant":
-        return BasicOperator.constant(
-            _array(_field(spec, "matrix", "/operator"), "/operator/matrix"), grid)
+        matrix = _array(_field(spec, "matrix", "/operator"), "/operator/matrix")
+        if 0 in matrix.shape:
+            raise ConfigInvalid(f"/operator/matrix: must not be empty, got shape {matrix.shape}")
+        return _finite(BasicOperator.constant(matrix, grid), "/operator/matrix")
     if kind == "rotation":
         theta = grid.values ** _number(spec.get("theta_power", 1.0), "/operator/theta_power")
         c, s = np.cos(theta), np.sin(theta)
         mats = np.stack([np.stack([c, -s], axis=1), np.stack([s, c], axis=1)], axis=1)
-        return BasicOperator(grid, mats)
+        return _finite(BasicOperator(grid, mats), "/operator/theta_power")
     if kind == "diag_powers":
         powers = _array(_field(spec, "powers", "/operator"), "/operator/powers")
         if powers.ndim != 1 or powers.size == 0:
@@ -151,7 +154,7 @@ def _operator_net(spec, grid: EpsGrid) -> BasicOperator:
         diags = grid.values[:, None] ** powers[None, :]
         mats = np.zeros((grid.K, powers.size, powers.size))
         np.einsum("kii->ki", mats)[:] = diags
-        return BasicOperator(grid, mats)
+        return _finite(BasicOperator(grid, mats), "/operator/powers")
     if kind == "idempotent_diag":
         members = _field(spec, "members", "/operator")
         if not isinstance(members, list):
@@ -164,10 +167,18 @@ def _operator_net(spec, grid: EpsGrid) -> BasicOperator:
         return BasicOperator(grid, mats)
     if kind == "samples":
         mats = _array(_field(spec, "matrices", "/operator"), "/operator/matrices")
-        if mats.ndim != 3 or mats.shape[0] != grid.K:
-            raise ConfigInvalid("/operator/matrices: must be (K, d_out, d_in)")
-        return BasicOperator(grid, mats)
+        if mats.ndim != 3 or mats.shape[0] != grid.K or 0 in mats.shape:
+            raise ConfigInvalid("/operator/matrices: must be (K, d_out, d_in), d_out, d_in >= 1")
+        return _finite(BasicOperator(grid, mats), "/operator/matrices")
     raise ConfigInvalid(f"/operator/kind: unknown operator kind {kind!r}")
+
+
+def _finite(net, ptr: str):
+    """``net``, or ConfigInvalid naming ``ptr`` and its first grid index with ±inf or NaN."""
+    bad = np.argwhere(~np.isfinite(net.samples))
+    if bad.size:
+        raise ConfigInvalid(f"{ptr}: not finite: ±inf or NaN at grid index k={bad[0, 0] + 1}")
+    return net
 
 
 def _number(value, ptr: str, cast=float, least=-math.inf, most=math.inf):
@@ -457,6 +468,7 @@ def gram_schmidt(cfg, grid, policy, out, seed):
     }
 
 
+@np.errstate(over="ignore", invalid="ignore")  # such samples are refused by _finite
 def _generators(cfg: dict, grid: EpsGrid, seed: int) -> list:
     if "random" in cfg:
         r = cfg["random"]
@@ -469,10 +481,8 @@ def _generators(cfg: dict, grid: EpsGrid, seed: int) -> list:
         if powers.shape != (m,):
             raise ConfigInvalid("/random/powers: must list one exponent per generator")
         vecs = rng.standard_normal((m, d))
-        return [
-            GenVector(grid, grid.values[:, None] ** p * v[None, :])
-            for p, v in zip(powers.tolist(), vecs)
-        ]
+        return [_finite(GenVector(grid, grid.values[:, None] ** p * v[None, :]), "/random")
+                for p, v in zip(powers.tolist(), vecs)]
     specs = cfg.get("generators")
     if not isinstance(specs, list) or not specs:
         raise ConfigInvalid("/generators: need a nonempty list (or a /random object)")
@@ -502,6 +512,7 @@ def _generators(cfg: dict, grid: EpsGrid, seed: int) -> list:
             gens.append(GenVector(grid, vals))
         else:
             raise ConfigInvalid(f"{ptr}/kind: unknown generator kind {kind!r}")
+        _finite(gens[-1], ptr)
     return gens
 
 

@@ -158,11 +158,8 @@ def _outside(C: ConvexSetNet, x: np.ndarray, policy: NumericPolicy) -> np.ndarra
     return ~(C.violation(x) <= member_tol * (1.0 + np.linalg.norm(x, axis=1)))
 
 
-def project_point(C: ConvexSetNet, u: GenVector, policy: NumericPolicy) -> GenVector:
-    """Net of componentwise Euclidean projections of u onto C.
-
-    ``policy`` sets no precision here: every kind is projected in closed form.
-    """
+def project_point(C: ConvexSetNet, u: GenVector) -> GenVector:
+    """Net of componentwise Euclidean projections of u onto C, each in closed form."""
     _check_compat(C, u)
     if not u.is_real():
         raise DimMismatch("projection implemented for real vector nets")

@@ -37,6 +37,8 @@ from .gennum import (
     EpsGrid,
     GenScalar,
     NumericPolicy,
+    _invertible,
+    _moderate,
     _open_output,
     format_cells,
     ge_zero,  # noqa: F401 -- unused; perfbench/spans.py wraps it here by name
@@ -513,7 +515,7 @@ def _certificate(spec: ProblemSpec, a_min, a_max, c_min,
     eps = spec.grid.values
     if not np.all(a_min > 0.0):
         raise CoercivityFailure(int(np.argmin(a_min > 0.0)) + 1, "diffusion_k <= 0")
-    bad = (a_min < eps ** policy.N_mod) | (a_max > eps ** (-policy.N_mod))
+    bad = ~(_invertible(a_min, eps, policy.N_mod) & _moderate(a_max, eps, policy))
     if np.any(bad):
         raise CoercivityFailure(int(np.argmax(bad)) + 1, "diffusion_k outside eps_k^±N_mod")
     a = a_min * poincare_constant(spec.mesh) + np.minimum(c_min, 0.0) * spec.mesh.h
@@ -656,7 +658,7 @@ def solve_dirichlet(spec: ProblemSpec, policy: NumericPolicy) -> DirichletResult
     if spec.obstacle is not None:
         raise InvalidSpec("this problem has an obstacle; use solve_obstacle")
     T, b_net, gtilde, cert = _assemble_certified(spec, policy)
-    sol = lax_milgram_solve(T, GenVector(spec.grid, b_net), cert, policy)
+    sol = lax_milgram_solve(T, GenVector(spec.grid, b_net), cert)
     nodal = _nodal_fields(spec, policy, cert, gtilde, sol.u.samples)
     return DirichletResult(**nodal, residual=sol.residual,
                            moderate=bool(is_moderate(nodal["h1_norm"], policy)))

@@ -12,6 +12,9 @@ interpreted on the tail window of the grid through a NumericPolicy:
 * nonnegative       a_k   >= -eps_k**q_neg  on the tail
 * invertible w.r.t. S: 0 < |a_k| >= eps_k**m (some m <= m_inv) on S-tail
 
+Every moderateness and invertibility test in the library is one of two
+per-sample rules, ``_moderate`` and ``_invertible``.
+
 The valuation nu(a) = sup{b : |a_eps| = O(eps**b)} is estimated by the
 least-squares slope of log|a_k| against log eps_k over the tail, and the
 sharp norm is exp(-nu).  All values are immutable after construction and
@@ -412,6 +415,19 @@ def make_power_net(c, a: float, grid: EpsGrid) -> GenScalar:
 # valuation and sharp norm
 # ---------------------------------------------------------------------------
 
+def _invertible(mags, eps, m):
+    """0 < mags >= eps**m per sample, so a zero or NaN sample never passes, even
+    where eps**m underflows to 0.  A column of exponents m gives one row per m."""
+    return (mags > 0.0) & (mags >= eps ** m)
+
+
+def _moderate(mags, eps, policy: NumericPolicy):
+    """mags <= eps**-N_mod per sample; a bound past the float range is +inf,
+    the bound meant, and its overflow raises no warning."""
+    with np.errstate(over="ignore"):
+        return mags <= eps ** -policy.N_mod
+
+
 NetVerdicts = namedtuple("NetVerdicts", ["valuation", "sharp_norm", "negligible", "moderate"])
 
 
@@ -437,7 +453,7 @@ def net_verdicts(samples: np.ndarray, grid: EpsGrid, policy: NumericPolicy) -> N
     mags = np.abs(np.asarray(samples)[:, pos])
     eps = grid.values[pos]
     negligible = np.all(mags <= eps ** policy.q_neg, axis=1)
-    moderate = np.all(mags <= eps ** (-policy.N_mod), axis=1)
+    moderate = np.all(_moderate(mags, eps, policy), axis=1)
     keep = mags != 0.0
     kept = np.count_nonzero(keep, axis=1)
     log_eps = np.where(keep, np.log(eps), 0.0)
@@ -544,21 +560,16 @@ def invertible_wrt(a: GenScalar, S: IndexSet, policy: NumericPolicy) -> Invertib
     """Is |a_k| > 0 bounded below by some eps_k**m (m <= m_inv) on S's tail?
 
     Returns the verdict together with the smallest working integer
-    witness exponent.  A zero or NaN a_k is never invertible, even where
-    eps_k**m underflows to 0.  Raises EmptyTailIntersection when S misses
-    the tail window — no meaningful asymptotic verdict exists there.
+    witness exponent, the least m of the ``_invertible`` table m = 1..m_inv.
+    Raises EmptyTailIntersection when S misses the tail window — no
+    meaningful asymptotic verdict exists there.
     """
     pos = _tail_members(a.grid, S, policy)
     if pos.size == 0:
         raise EmptyTailIntersection("index set does not meet the tail window")
-    mags = np.abs(a.samples[pos])
-    eps = a.grid.values[pos]
-    if not np.all(mags > 0.0):
-        return Invertibility(False, None)
-    for m in range(1, policy.m_inv + 1):
-        if np.all(mags >= eps ** m):
-            return Invertibility(True, m)
-    return Invertibility(False, None)
+    working = np.flatnonzero(_invertible(np.abs(a.samples[pos]), a.grid.values[pos],
+                                         np.arange(1, policy.m_inv + 1)[:, None]).all(axis=1))
+    return Invertibility(working.size > 0, int(working[0]) + 1 if working.size else None)
 
 
 def zero_wrt(a: GenScalar, S: IndexSet, policy: NumericPolicy) -> bool:

@@ -11,16 +11,16 @@ norm: unit length on its support set, zero off it.
 
 The recursion runs on one (K, m, d) array as at most m sweeps over the
 whole grid: each sweep takes the dominant generator at every grid point
-still running (lowest index on ties), drops what is below eps_k**m_inv
-and projects the rest off it, so the cost is O(m*K*m*d) in O(m) numpy
-calls.  Its norms are the ones the support test takes, so the drop
-decision and the support agree at every (j, k).  Where a sample norm
+still running (lowest index on ties), drops what fails 0 < norm >=
+eps_k**m_inv and projects the rest off it, so the cost is O(m*K*m*d) in
+O(m) numpy calls.  Its norms and rule are the ones the support test takes,
+so the drop decision and the support agree at every (j, k).  Where a sample norm
 equals eps_k**m_inv up to rounding (a power tower at k = m_inv), which
 side of the threshold it falls on, and so whether k is among the
 offending_indices, follows the last bit of that norm.
 
 The normalization is where the finite-scale analogue of the beta-type
-pathology is caught: a norm net whose support (samples >= eps**m_inv)
+pathology is caught: a norm net whose support (0 < samples >= eps**m_inv)
 is nonempty but dies out before the tail window has no certifiable
 uniform scale — neither invertible nor zero with respect to any
 tail-visible split — and raises MixedScaleGenerator.
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, GridMismatch, InvalidBasis, MixedScaleGenerator
-from .gennum import EpsGrid, IndexSet, NumericPolicy, _tail_positions
+from .gennum import EpsGrid, IndexSet, NumericPolicy, _invertible, _tail_positions
 from .hilbert import GenVector, inner, lincomb
 from .operators import BasicFunctional, BasicOperator
 
@@ -124,8 +124,9 @@ def idempotent_normalize(u: GenVector, policy: NumericPolicy):
     """Rescale u to unit sample norm on its support set.
 
     The support is the tail-extended pointwise set
-    S = {k : ||u_k|| >= eps_k**m_inv}; on S the result has unit sample
-    norm, off S it is zero, and u = rnorm(u) * w up to negligibility.
+    S = {k : 0 < ||u_k|| >= eps_k**m_inv} (gennum's ``_invertible``: a zero
+    u_k is outside S even where eps_k**m_inv is 0); on S the result has unit
+    sample norm, off S it is zero, and u = rnorm(u) * w up to negligibility.
 
     Raises MixedScaleGenerator when the norm net has no uniform scale:
     either a tail sample falls in the open gap between the
@@ -150,7 +151,7 @@ def _normalize(samples: np.ndarray, grid: EpsGrid, policy: NumericPolicy):
     """
     norms = np.linalg.norm(samples, axis=2)
     eps = grid.values[:, None]
-    support = norms >= eps ** policy.m_inv
+    support = _invertible(norms, eps, policy.m_inv)
     tail = _tail_positions(grid, policy)
     in_gap = (~support[tail]) & (norms[tail] > eps[tail] ** policy.q_neg)
     dies_out = support.any(axis=0) & ~support[tail].any(axis=0)
@@ -176,25 +177,24 @@ def _orthogonalize(samples: np.ndarray, eps: np.ndarray, m_inv: int) -> np.ndarr
     (K, m, d) raw outputs.  Each sweep picks, at every grid point where
     generators remain, the dominant one (largest norm, lowest index on
     ties), keeps it as its own output, projects the others off it and
-    flushes residuals that are rounding noise.  A dominant norm below
-    eps_k**m_inv means every remaining generator is below the
-    invertibility scale at point k: they are all zeroed there (their
-    supports exclude it).  Every sweep removes at least one generator
-    at every point still running, so at most m sweeps are made.
+    flushes residuals that are rounding noise.  Where the dominant norm
+    fails 0 < norm >= eps_k**m_inv (zero, NaN or below that scale), every
+    remaining generator is zeroed at point k (their supports exclude it).
+    Every sweep removes at least one generator at every point still
+    running, so at most m sweeps are made.
 
-    The norms are those ``rnorm`` takes, so a generator kept here has a
-    sample norm at or above the support threshold of idempotent_normalize.
+    The norms are those ``rnorm`` takes, so a generator kept here lies in
+    the support of idempotent_normalize at that point.
     """
     V = samples.copy()
     rows = np.arange(V.shape[0])
-    threshold = eps ** m_inv
     remaining = np.ones(V.shape[:2], dtype=bool)
     norms = np.linalg.norm(V, axis=2)
     while remaining.any():
         running = remaining.any(axis=1)
         # argmax returns the first (lowest j) on ties
         best = np.argmax(np.where(remaining, norms, -np.inf), axis=1)
-        drop = running & (norms[rows, best] < threshold)
+        drop = running & ~_invertible(norms[rows, best], eps, m_inv)
         V[remaining & drop[:, None]] = 0.0
         remaining[drop] = False
         keep = running & ~drop

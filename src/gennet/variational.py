@@ -33,6 +33,7 @@ from .errors import (
 from .gennum import (
     GenScalar,
     NumericPolicy,
+    _invertible,
     _tail_positions,
     ge_zero,  # noqa: F401 -- unused; perfbench/spans.py wraps it here by name
     invertible_wrt,  # noqa: F401 -- unused; perfbench/spans.py wraps it here by name
@@ -76,15 +77,15 @@ class CoercivityCertificate:
         """The certificate of the real lower-bound net ``alpha``, in one pass over the tail.
 
         Every tail alpha_k must be nonnegative in the order sense, alpha_k >= -eps_k**q_neg,
-        and invertible, 0 < |alpha_k| >= eps_k**m_inv (a zero or NaN alpha_k never is, even
-        where eps_k**m underflows to 0); the witness is the least such m on the whole tail.
+        and invertible by gennum's rule, 0 < |alpha_k| >= eps_k**m_inv; the witness is the
+        least such m on the whole tail.
         """
         if not alpha.is_real():
             raise ValueError("order test needs a real-tagged net")
         pos = _tail_positions(alpha.grid, policy)
         a, eps = alpha.samples[pos], alpha.grid.values[pos]
         # row m - 1: is 0 < |alpha_k| >= eps_k**m, for m = 1..m_inv
-        bounded = (a != 0.0) & (np.abs(a) >= eps ** np.arange(1, policy.m_inv + 1)[:, None])
+        bounded = _invertible(np.abs(a), eps, np.arange(1, policy.m_inv + 1)[:, None])
         whole = bounded.all(axis=1)
         negative = ~(a >= -eps ** policy.q_neg)
         failure = None
@@ -138,7 +139,7 @@ class LaxMilgramSolution:
 
 
 def lax_milgram_solve(T: BasicOperator | TridiagonalOperator, c: GenVector,
-                      cert: CoercivityCertificate, policy: NumericPolicy) -> LaxMilgramSolution:
+                      cert: CoercivityCertificate) -> LaxMilgramSolution:
     """Solve T_k u_k = c_k at every grid point under a valid coercivity certificate.
 
     All K sample systems go to one batched direct solve (for a band net,

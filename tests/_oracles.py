@@ -171,14 +171,15 @@ def net_verdicts_per_net(samples, eps, policy):
 def idempotent_normalize_per_vector(samples, eps, policy):
     """(w, support) of one (K, d) vector, normalized on its support.
 
-    The support is {k : |u_k| >= eps_k**m_inv}, with the axis-wise norm
-    reduce that rnorm takes; w is u / |u| there.  Raises
+    The support is {k : 0 < |u_k| >= eps_k**m_inv}, with the axis-wise
+    norm reduce that rnorm takes, so a zero u_k is outside it even where
+    eps_k**m_inv underflows to 0; w is u / |u| there.  Raises
     MixedScaleGenerator naming the tail points between eps**m_inv and
     eps**q_neg, else, when the support misses the tail, the support.
     Off the support w is u / inf, a zero with the sign of u.
     """
     norms = np.sqrt(np.add.reduce((np.conj(samples) * samples).real, axis=1))
-    support = norms >= eps ** policy.m_inv
+    support = (norms > 0.0) & (norms >= eps ** policy.m_inv)
     tail = np.arange(len(eps) - policy.tail, len(eps))
     gap = [int(k) + 1 for k in tail if not support[k] and norms[k] > eps[k] ** policy.q_neg]
     if gap:
@@ -391,8 +392,9 @@ def gram_schmidt_per_point(samples, eps, m_inv, flush_rel=1e-12):
     point: pick the dominant generator (largest 1-D norm, lowest index on
     ties), keep it as its own output, project the others off it, flush
     residuals below ``flush_rel`` times their pre-projection norm to
-    zero, and recurse on the rest; once the dominant norm falls below
-    eps_k**m_inv every remaining generator is zero there.  Returns the
+    zero, and recurse on the rest; once the dominant norm fails
+    0 < norm >= eps_k**m_inv (a zero fails even where eps_k**m_inv
+    underflows to 0) every remaining generator is zero there.  Returns the
     (m, K, d) raw outputs, before idempotent normalization.  Works in the
     set's field: the generators of a set with any complex member are all
     cast to complex first.
@@ -409,7 +411,7 @@ def gram_schmidt_per_point(samples, eps, m_inv, flush_rel=1e-12):
             norms = [np.linalg.norm(vecs[j]) for j in remaining]
             best = int(np.argmax(norms))
             dom = remaining[best]
-            if norms[best] < threshold:
+            if not 0.0 < norms[best] >= threshold:
                 for j in remaining:
                     vecs[j] = np.zeros_like(vecs[j])
                 break

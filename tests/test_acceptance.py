@@ -191,13 +191,13 @@ def test_criterion_4_projection_suite():
             C, feasible = random_set(d)
             u = _random_vector(rng, d)
             v = _random_vector(rng, d)
-            pu = project_point(C, u, POLICY)
-            pv = project_point(C, v, POLICY)
+            pu = project_point(C, u)
+            pv = project_point(C, v)
 
             # nonexpansiveness and idempotence
             lhs = rnorm(pu - pv).samples
             assert np.all(lhs <= rnorm(u - v).samples * (1.0 + 1e-12) + 1e-12)
-            again = project_point(C, pu, POLICY)
+            again = project_point(C, pu)
             assert np.all(rnorm(again - pu).samples
                           <= 1e-12 * (1.0 + rnorm(pu).samples))
 

@@ -542,11 +542,40 @@ def test_malformed_problem_fields_are_config_errors(tmp_path, capsys, field, nee
      ["solve-dirichlet"], "/problem/diffusion"),
     ({"problem": {"interval": [0.0, 1.0], "n_elems": 16, "diffusion": 1.0,
                   "obstacle": NAN}}, ["solve-obstacle"], "/problem/obstacle"),
+    ({"operator": {"kind": "constant", "matrix": [[]]}}, ["classify-op"],
+     "/operator/matrix: must not be empty, got shape (1, 0)"),
+    ({"operator": {"kind": "constant", "matrix": []}}, ["classify-op"],
+     "/operator/matrix: must not be empty, got shape (0,)"),
+    ({"operator": {"kind": "constant", "matrix": [[]]}, "rhs": [],
+      "set": {"kind": "box", "lower": [], "upper": []}}, ["vi-solve"],
+     "/operator/matrix: must not be empty"),
+    ({"operator": {"kind": "samples", "matrices": [[[]]] * K_DEFAULT}}, ["classify-op"],
+     "/operator/matrices: must be (K, d_out, d_in), d_out, d_in >= 1"),
+    ({"operator": {"kind": "constant", "matrix": [[INF, 0.0], [0.0, 1.0]]}}, ["classify-op"],
+     "/operator/matrix: not finite: ±inf or NaN at grid index k=1"),
+    ({**_VI_2D, "operator": {"kind": "constant", "matrix": [[2.0, 0.0], [0.0, -INF]]}},
+     ["vi-solve"], "/operator/matrix: not finite"),
+    ({"operator": {"kind": "samples", "matrices": [[[1.0]]] * 2 + [[[INF]]] * 22}},
+     ["classify-op"], "/operator/matrices: not finite: ±inf or NaN at grid index k=3"),
+    ({"operator": {"kind": "diag_powers", "powers": [1.0, -2000.0]}}, ["classify-op"],
+     "/operator/powers: not finite"),
+    ({"operator": {"kind": "rotation", "theta_power": -2000.0}}, ["classify-op"],
+     "/operator/theta_power: not finite"),
+    ({"generators": [{"kind": "constant", "vector": [INF, 0.0]}]}, ["gram-schmidt"],
+     "/generators/0: not finite: ±inf or NaN at grid index k=1"),
+    ({"generators": [{"kind": "constant", "vector": [1.0, 0.0]},
+                     {"kind": "power_scaled", "vector": [1.0, 1.0], "power": -2000.0}]},
+     ["gram-schmidt"], "/generators/1: not finite"),
+    ({"random": {"m": 2, "d": 2, "powers": [0.0, -2000.0]}}, ["gram-schmidt"],
+     "/random: not finite"),
 ], ids=["power", "samples", "box", "rhs", "matrix", "powers", "vector", "tabulated",
         "grid-K", "grid-K-fraction", "grid-base", "policy-tail", "policy-tail-fraction",
         "policy-tail-grid-K", "nan-box", "nan-obstacle-set", "nan-rhs", "nan-net",
         "nan-power", "nan-grid-base", "nan-tol-abs", "nan-problem-rhs", "nan-diffusion",
-        "nan-obstacle"])
+        "nan-obstacle", "empty-matrix", "empty-matrix-1d", "empty-vi-matrix",
+        "empty-matrices", "inf-matrix", "inf-vi-matrix", "inf-matrices",
+        "overflowed-powers", "overflowed-theta-power", "inf-vector",
+        "overflowed-power-scaled", "overflowed-random"])
 def test_malformed_numbers_are_config_errors(tmp_path, capsys, cfg, args, needle):
     path = _write_config(tmp_path, "bad.json", cfg)
     rc = _run(args + ["--config", path, "--out", str(tmp_path / "out")])
@@ -564,6 +593,38 @@ def _in_fresh_interpreter(code, *args):
     done = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, check=True)
     return done.stdout
+
+
+def test_no_numpy_warning_reaches_stderr(tmp_path, capsys):
+    # At K = 200, eps_k**-N_mod overflows (from K = 52 on) and eps_k**m_inv is
+    # 0 (from k = 108 on); at K = 24 so do eps_k**-60 and eps_k**50 (k >= 22).
+    # The README's nets and vi configs, its fem config, two parallel
+    # generators and a small obstacle problem, with every warning an error.
+    nets = {"nets": [{"kind": "power", "a": -3.0}, {"kind": "power", "a": 2.5, "c": 2.0},
+                     {"kind": "constant", "value": 5.0}]}
+    vi = {"operator": {"kind": "constant", "matrix": [[2, 1], [-1, 2]]}, "rhs": [-2.0, 4.0],
+          "set": {"kind": "box", "lower": [0.0, 0.0], "upper": [1e6, 1e6]}}
+    fem = {"problem": {"interval": [-1.0, 1.0], "n_elems": 200,
+                       "diffusion": {"kind": "heaviside_nu", "nu_exponent": 1.0},
+                       "potential": {"kind": "mollified_measure", "masses": [[0.0, 1.0]]},
+                       "rhs": 1.0}}
+    runs = [
+        ("gennum-check", nets, 200),
+        ("classify-op", vi, 200),
+        ("gram-schmidt", {"generators": [{"kind": "constant", "vector": [1.0, 0.0]},
+                                         {"kind": "constant", "vector": [2.0, 0.0]}]}, 200),
+        ("vi-solve", vi, 200),
+        ("solve-dirichlet", fem, 200),
+        ("solve-obstacle", _PROTOCOL_CASES["solve-obstacle"], 200),
+        ("gennum-check", {**nets, "policy": {"N_mod": 60, "m_inv": 50}}, 24),
+    ]
+    for i, (command, cfg, K) in enumerate(runs):
+        path = _write_config(tmp_path, f"cfg{i}.json", cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = _run([command, "--config", path, "--out", str(tmp_path / f"out{i}"),
+                       "--grid-K", str(K)])
+        assert (command, K, rc, capsys.readouterr().err) == (command, K, 0, "")
 
 
 def test_infinite_box_bounds_are_numbers(tmp_path):

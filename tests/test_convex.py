@@ -65,7 +65,7 @@ class TestClosedForms:
         lo, up = np.array([-1.0, 0.0, 2.0]), np.array([1.0, 0.5, 2.0])
         C = ConvexSetNet.box(GRID, lo, up)
         u = _random_point(rng, 3)
-        p = project_point(C, u, POLICY)
+        p = project_point(C, u)
         assert_allclose(p.samples, _oracles.project_box(u.samples, lo, up))
 
     def test_obstacle_matches_max_oracle(self):
@@ -73,7 +73,7 @@ class TestClosedForms:
         lo = np.array([0.0, -2.0])
         C = ConvexSetNet.obstacle(GRID, lo)
         u = _random_point(rng, 2)
-        p = project_point(C, u, POLICY)
+        p = project_point(C, u)
         assert_allclose(p.samples, _oracles.project_obstacle(u.samples, lo))
 
     def test_affine_matches_lstsq_oracle(self):
@@ -82,7 +82,7 @@ class TestClosedForms:
         offset = rng.standard_normal(5)
         C = ConvexSetNet.affine(GRID, span, offset)
         u = _random_point(rng, 5)
-        p = project_point(C, u, POLICY)
+        p = project_point(C, u)
         for k in range(GRID.K):
             assert_allclose(p.samples[k],
                             _oracles.project_affine(u.samples[k], span, offset),
@@ -93,7 +93,7 @@ class TestClosedForms:
                          [2.0, 2.0, 0.0]])  # rank 1
         C = ConvexSetNet.affine(GRID, span)
         u = GenVector.constant(np.array([1.0, 0.0, 3.0]), GRID)
-        p = project_point(C, u, POLICY)
+        p = project_point(C, u)
         assert_allclose(p.samples[0], np.array([0.5, 0.5, 0.0]), atol=1e-12)
 
     def test_affine_keeps_directions_after_a_dependent_column(self):
@@ -104,7 +104,7 @@ class TestClosedForms:
                          [0.0, 1.0, 0.0]])
         C = ConvexSetNet.affine(GRID, span)
         u = GenVector.constant(np.array([0.3, 0.7, 0.9]), GRID)
-        p = project_point(C, u, POLICY)
+        p = project_point(C, u)
         assert_allclose(p.samples, np.tile([0.3, 0.7, 0.0], (GRID.K, 1)), atol=1e-12)
 
 
@@ -138,12 +138,12 @@ class TestProjectionProperties:
             d = int(rng.integers(1, 9))
             C, kind = _random_set(rng, d)
             u, v = _random_point(rng, d), _random_point(rng, d)
-            pu, pv = project_point(C, u, POLICY), project_point(C, v, POLICY)
+            pu, pv = project_point(C, u), project_point(C, v)
             gap = np.linalg.norm(pu.samples - pv.samples, axis=1)
             bound = np.linalg.norm(u.samples - v.samples, axis=1)
             assert np.all(gap <= bound + NONEXPANSIVE_SLACK * (1.0 + bound))
 
-            ppu = project_point(C, pu, POLICY)
+            ppu = project_point(C, pu)
             assert np.allclose(ppu.samples, pu.samples, atol=1e-10)
 
             dist = np.linalg.norm(u.samples - pu.samples, axis=1)
@@ -156,7 +156,7 @@ class TestProjectionProperties:
         d = 4
         C, kind = _random_set(rng, d)
         u = _random_point(rng, d)
-        pu = project_point(C, u, POLICY)
+        pu = project_point(C, u)
         dist = np.linalg.norm(u.samples - pu.samples, axis=1)
         for _ in range(N_FEASIBLE):
             w = _feasible_point(rng, C, kind, d)
@@ -169,7 +169,7 @@ class TestProjectionProperties:
             d = int(rng.integers(1, 6))
             C, kind = _random_set(rng, d)
             u = _random_point(rng, d)
-            v = project_point(C, u, POLICY)
+            v = project_point(C, u)
             probes = [_feasible_point(rng, C, kind, d) for _ in range(10)]
             res = characterization_residual(C, u, v, probes, POLICY)
             scale = 1.0 + np.linalg.norm(u.samples, axis=1)
@@ -210,7 +210,7 @@ class TestProjectionProperties:
         span = rng.standard_normal((3, 6))
         C = ConvexSetNet.affine(GRID, span)
         u = _random_point(rng, 6)
-        p = project_point(C, u, POLICY)
+        p = project_point(C, u)
         resid = u.samples - p.samples
         for b in span:
             assert np.all(np.abs(resid @ b) <= 1e-10 *
@@ -269,7 +269,7 @@ class TestValidation:
         C = ConvexSetNet.box(GRID, np.array([0.0]), np.array([1.0]))
         u = GenVector.constant(np.array([0.0, 0.0]), GRID)
         with pytest.raises(DimMismatch):
-            project_point(C, u, POLICY)
+            project_point(C, u)
 
     def test_batched_projector_kinds(self):
         rng = np.random.default_rng(61)

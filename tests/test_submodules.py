@@ -33,6 +33,7 @@ from gennet.submodules import _normalize, _orthogonalize
 
 GRID = EpsGrid.geometric(24)
 POLICY = NumericPolicy()
+UNDERFLOW_POLICY = NumericPolicy(m_inv=50)  # eps_k**m_inv is 0 from k = 22 on
 
 ORTHO_TOL = 1e-10
 SPAN_TOL = 1e-10   # relative, per sample
@@ -83,11 +84,18 @@ def test_gram_schmidt_keeps_the_dominant_generator():
     assert np.allclose(basis.vecs[1].samples, [r, r], atol=1e-12)
 
 
-def test_duplicate_generator_is_dropped():
-    u = _constant([3.0, 4.0])
-    basis = interleaved_gram_schmidt(GeneratorSet((u, u)), POLICY)
+@pytest.mark.parametrize("grid,policy", [
+    (GRID, POLICY),
+    (EpsGrid.geometric(200), POLICY),  # eps_k**m_inv is 0 from k = 108 on
+    (GRID, UNDERFLOW_POLICY),
+], ids=["K24", "K200", "K24-m_inv50"])
+def test_duplicate_generator_is_dropped(grid, policy):
+    # the copy's residual is an exact zero, never kept, even where the threshold is 0
+    u = GenVector(grid, np.tile([3.0, 4.0], (grid.K, 1)))
+    basis = interleaved_gram_schmidt(GeneratorSet((u, u)), policy)
     assert len(basis) == 1
     assert np.allclose(rnorm(basis.vecs[0]).samples, 1.0, atol=1e-14)
+    assert not np.isnan(basis.vecs[0].samples).any()
 
 
 def test_beta_type_generator_has_no_uniform_scale():
@@ -176,13 +184,14 @@ def _oracle_basis(raw, policy=POLICY):
 @settings(max_examples=150, deadline=None)
 @given(samples=_generator_samples(["power", "duplicate", "zero", "vanish", "near_parallel"]))
 def test_batched_gram_schmidt_matches_the_per_point_oracle(samples):
-    want = gram_schmidt_per_point(samples, GRID.values, POLICY.m_inv)
-    raw = _orthogonalize(np.stack(samples, axis=1), GRID.values, POLICY.m_inv)
-    assert raw.dtype == want.dtype
-    assert raw.transpose(1, 0, 2).tobytes() == want.tobytes()
     g = GeneratorSet(tuple(_vector(s) for s in samples))
-    assert (_outcome(lambda: interleaved_gram_schmidt(g, POLICY))
-            == _outcome(lambda: _oracle_basis(want)))
+    for policy in (POLICY, UNDERFLOW_POLICY):
+        want = gram_schmidt_per_point(samples, GRID.values, policy.m_inv)
+        raw = _orthogonalize(np.stack(samples, axis=1), GRID.values, policy.m_inv)
+        assert raw.dtype == want.dtype
+        assert raw.transpose(1, 0, 2).tobytes() == want.tobytes()
+        assert (_outcome(lambda: interleaved_gram_schmidt(g, policy))
+                == _outcome(lambda: _oracle_basis(want, policy)))
 
 
 @seed(20261019)
@@ -208,8 +217,9 @@ def test_batched_normalization_matches_the_per_vector_oracle(samples):
     # the same vectors and supports, or MixedScaleGenerator naming the
     # indices of the same first vector (power towers and gap tails)
     stack = np.stack(samples, axis=1)
-    assert (_outcome(lambda: _oracle_basis(stack.transpose(1, 0, 2), GAP_POLICY))
-            == _outcome(lambda: _basis(*_normalize(stack, GRID, GAP_POLICY))))
+    for policy in (GAP_POLICY, UNDERFLOW_POLICY):
+        assert (_outcome(lambda: _oracle_basis(stack.transpose(1, 0, 2), policy))
+                == _outcome(lambda: _basis(*_normalize(stack, GRID, policy))))
 
 
 def _basis(w, support):
@@ -277,6 +287,16 @@ def test_normalize_on_partial_support():
     norms = rnorm(w).samples
     assert np.allclose(norms[mask], 1.0, atol=1e-14)
     assert np.all(norms[~mask] == 0.0)
+
+
+def test_normalize_leaves_out_a_zero_sample_where_the_threshold_underflows():
+    # eps_22**50 is 0, so 0 >= eps_22**m_inv holds, but 0 < ||u_22|| fails
+    samples = np.ones((GRID.K, 2))
+    samples[21] = 0.0
+    w, S = idempotent_normalize(GenVector(GRID, samples), UNDERFLOW_POLICY)
+    assert np.array_equal(S.mask(), np.arange(1, GRID.K + 1) != 22)
+    assert not np.isnan(w.samples).any()
+    assert np.allclose(rnorm(w).samples, S.mask(), atol=1e-14)
 
 
 def test_normalize_factorization():

@@ -115,7 +115,7 @@ def test_lax_milgram_reaches_relative_residual():
         T = _nonsym_operator(rng, int(rng.integers(2, 7)))
         c = _random_vector(rng, T.dims[1])
         cert = certify_coercivity(T, POLICY)
-        u = lax_milgram_solve(T, c, cert, POLICY).u
+        u = lax_milgram_solve(T, c, cert).u
         resid = rnorm(apply(T, u) - c).samples
         assert np.all(resid <= RESIDUAL_REL * (1.0 + rnorm(c).samples))
 
@@ -124,7 +124,7 @@ def test_lax_milgram_matches_direct_inverse():
     rng = np.random.default_rng(617)
     T = _spd_operator(rng, 4)
     c = _random_vector(rng, 4)
-    u = lax_milgram_solve(T, c, certify_coercivity(T, POLICY), POLICY).u
+    u = lax_milgram_solve(T, c, certify_coercivity(T, POLICY)).u
     direct = np.linalg.solve(T.samples, c.samples[..., None])[..., 0]
     assert np.allclose(u.samples, direct, rtol=1e-10, atol=1e-12)
 
@@ -137,8 +137,7 @@ def test_lax_milgram_returns_the_residual_of_its_last_check(kind):
          TridiagonalOperator.symmetric(GRID, rng.uniform(2.5, 3.5, (GRID.K, m)),
                                        rng.uniform(-1.0, 1.0, (GRID.K, m - 1))))
     c = _random_vector(rng, m)
-    sol = lax_milgram_solve(T, c, certify_coercivity(BasicOperator.identity(GRID, 1), POLICY),
-                            POLICY)
+    sol = lax_milgram_solve(T, c, certify_coercivity(BasicOperator.identity(GRID, 1), POLICY))
     explicit = (np.linalg.norm(T.matvec(sol.u.samples) - c.samples, axis=1)
                 / (1.0 + np.linalg.norm(c.samples, axis=1)))
     assert sol.residual.samples.view(np.uint64).tolist() == explicit.view(np.uint64).tolist()
@@ -152,13 +151,12 @@ def test_lax_milgram_guards():
     bad_cert = certify_coercivity(
         BasicOperator.constant(np.diag([1.0, -1.0, 1.0]), GRID), POLICY)
     with pytest.raises(InvalidCertificate):
-        lax_milgram_solve(T, c, bad_cert, POLICY)
+        lax_milgram_solve(T, c, bad_cert)
     good = certify_coercivity(T, POLICY)
     with pytest.raises(GridMismatch):
-        lax_milgram_solve(T, GenVector(EpsGrid.geometric(12), np.ones((12, 3))),
-                          good, POLICY)
+        lax_milgram_solve(T, GenVector(EpsGrid.geometric(12), np.ones((12, 3))), good)
     with pytest.raises(DimMismatch):
-        lax_milgram_solve(T, _random_vector(rng, 4), good, POLICY)
+        lax_milgram_solve(T, _random_vector(rng, 4), good)
 
 
 def test_lax_milgram_singular_sample_reports_grid_index():
@@ -167,7 +165,7 @@ def test_lax_milgram_singular_sample_reports_grid_index():
     good = certify_coercivity(BasicOperator.identity(GRID, 2), POLICY)
     with pytest.raises(SingularSample) as err:
         lax_milgram_solve(BasicOperator(GRID, mats),
-                          GenVector(GRID, np.ones((GRID.K, 2))), good, POLICY)
+                          GenVector(GRID, np.ones((GRID.K, 2))), good)
     assert err.value.k == 5
 
 
@@ -299,7 +297,7 @@ def test_unconstrained_vi_agrees_with_lax_milgram():
     cert = certify_coercivity(T, POLICY)
     whole = ConvexSetNet.box(GRID, np.full(3, -np.inf), np.full(3, np.inf))
     sol = vi_solve_contraction(T, c, whole, cert, POLICY)
-    u_lm = lax_milgram_solve(T, c, cert, POLICY).u
+    u_lm = lax_milgram_solve(T, c, cert).u
     gap = np.linalg.norm(sol.u.samples - u_lm.samples, axis=1)
     assert np.all(gap <= UNIQUENESS_TOL * (1.0 + rnorm(u_lm).samples))
 
@@ -629,7 +627,7 @@ def test_invalid_certificates_name_the_first_failing_tail_point():
     negative = r"\(alpha_k < -eps_k\^q_neg\): alpha = -1\.000e\+00 at grid index k=17$"
     assert cert.failure == (17, "alpha_k < -eps_k^q_neg")
     with pytest.raises(InvalidCertificate, match=negative) as err:
-        lax_milgram_solve(T, c, cert, POLICY)
+        lax_milgram_solve(T, c, cert)
     assert (err.value.k, err.value.check) == cert.failure
     with pytest.raises(InvalidCertificate, match=negative) as err:
         vi_solve_contraction(T, c, C, cert, POLICY)
@@ -640,7 +638,7 @@ def test_invalid_certificates_name_the_first_failing_tail_point():
     cert = CoercivityCertificate.from_alpha(GenScalar(GRID, alpha), POLICY)
     zero = r"\(\|alpha_k\| < eps_k\^m_inv\): alpha = 0\.000e\+00 at grid index k=20$"
     with pytest.raises(InvalidCertificate, match=zero) as err:
-        lax_milgram_solve(BasicOperator.identity(GRID, 2), c, cert, POLICY)
+        lax_milgram_solve(BasicOperator.identity(GRID, 2), c, cert)
     assert (err.value.k, err.value.check, err.value.alpha) == (20, "|alpha_k| < eps_k^m_inv", 0.0)
 
 
@@ -700,7 +698,7 @@ def test_zero_alpha_is_not_invertible_where_the_thresholds_underflow():
     assert (cert.failure, cert.witness_exponent) == ((22, "|alpha_k| < eps_k^m_inv"), None)
     with pytest.raises(InvalidCertificate, match=r"alpha = 0\.000e\+00 at grid index k=22$"):
         lax_milgram_solve(BasicOperator.identity(GRID, 2), GenVector(GRID, np.ones((GRID.K, 2))),
-                          cert, POLICY)
+                          cert)
 
 
 def test_contraction_names_the_first_nonpositive_alpha():
@@ -785,7 +783,7 @@ def test_lax_milgram_checks_the_residual_after_the_last_refinement():
     T = DampedIdentity(GRID, np.tile(np.eye(2), (GRID.K, 1, 1)))
     c = GenVector(GRID, np.tile([0.6, 0.8], (GRID.K, 1)))
     cert = certify_coercivity(BasicOperator.identity(GRID, 2), POLICY)
-    u = lax_milgram_solve(T, c, cert, POLICY).u
+    u = lax_milgram_solve(T, c, cert).u
     assert DampedIdentity.calls == 4  # one batched solve per round
     assert np.all(rnorm(u - c).samples <= RESIDUAL_REL * (1.0 + rnorm(c).samples))
 
@@ -800,7 +798,7 @@ def test_lax_milgram_checks_the_residual_after_the_last_refinement():
 
     T = CoarseIdentity(GRID, np.tile(np.eye(2), (GRID.K, 1, 1)))
     with pytest.raises(ResidualTargetMissed) as err:
-        lax_milgram_solve(T, c, cert, POLICY)
+        lax_milgram_solve(T, c, cert)
     assert err.value.k == 1 and CoarseIdentity.calls == 4
 
 
@@ -815,8 +813,7 @@ def test_refinement_touches_only_the_samples_short_of_the_target():
 
     T = UnevenIdentity(GRID, np.tile(np.eye(2), (GRID.K, 1, 1)))
     c = GenVector(GRID, np.tile([0.6, 0.8], (GRID.K, 1)))
-    u = lax_milgram_solve(T, c, certify_coercivity(BasicOperator.identity(GRID, 2), POLICY),
-                          POLICY).u
+    u = lax_milgram_solve(T, c, certify_coercivity(BasicOperator.identity(GRID, 2), POLICY)).u
     first = c.samples / (1.0 + damping[:, None])
     assert u.samples[::2].tobytes() == first[::2].tobytes()
     assert np.all(u.samples[1::2] != first[1::2])
@@ -855,7 +852,7 @@ def test_band_lax_milgram_makes_one_lapack_call_per_round(gtsv_calls):
                                       rng.uniform(-1.0, 1.0, (GRID.K, m - 1)))
     c = _random_vector(rng, m)
     cert = certify_coercivity(BasicOperator.identity(GRID, 1), POLICY)
-    lax_milgram_solve(T, c, cert, POLICY)
+    lax_milgram_solve(T, c, cert)
     assert len(gtsv_calls) == 1
 
     # a solve off by 1e-2 runs all three refinement rounds and still misses
@@ -866,7 +863,7 @@ def test_band_lax_milgram_makes_one_lapack_call_per_round(gtsv_calls):
     coarse = CoarseBands(GRID, T.samples)
     gtsv_calls.clear()
     with pytest.raises(ResidualTargetMissed):
-        lax_milgram_solve(coarse, c, cert, POLICY)
+        lax_milgram_solve(coarse, c, cert)
     assert len(gtsv_calls) == 4
     # the counter sees per-sample solve_banded calls too
     gtsv_calls.clear()
@@ -908,6 +905,6 @@ def test_band_contraction_matches_dense_contraction():
     dense_sol = vi_solve_contraction(dense, c, C, cert, POLICY)
     band_u, _ = _pdas(T, c.samples, lower)
     assert np.max(np.abs(band_u - dense_sol.u.samples)) <= ORACLE_TOL
-    w = lax_milgram_solve(T, c, cert, POLICY).u
-    assert np.allclose(w.samples, lax_milgram_solve(dense, c, cert, POLICY).u.samples,
+    w = lax_milgram_solve(T, c, cert).u
+    assert np.allclose(w.samples, lax_milgram_solve(dense, c, cert).u.samples,
                        rtol=1e-10, atol=1e-12)
