@@ -23,6 +23,7 @@ import numpy as np
 from .convex import ConvexSetNet
 from .errors import (
     ConfigInvalid,
+    EmptySet,
     GennetError,
     InvalidBasis,
     InvalidSpec,
@@ -113,7 +114,8 @@ def _field(spec: dict, key: str, ptr: str):
         raise ConfigInvalid(f"{ptr}: missing field {key!r}") from None
 
 
-def _scalar_net(spec, grid: EpsGrid, ptr: str = "/nets") -> GenScalar:
+@np.errstate(over="ignore", invalid="ignore")  # such samples are refused by _finite
+def _scalar_net(spec, grid: EpsGrid, ptr: str) -> GenScalar:
     if isinstance(spec, (int, float)):
         return GenScalar.constant(_number(spec, ptr), grid)
     if not isinstance(spec, dict):
@@ -408,8 +410,9 @@ def gennum_check(cfg, grid, policy, out):
     specs = cfg.get("nets")
     if not isinstance(specs, list) or not specs:
         raise ConfigInvalid("/nets: must be a nonempty list")
-    samples = np.stack([_scalar_net(s, grid, f"/nets/{j}").samples
-                        for j, s in enumerate(specs)])
+    ptrs = [f"/nets/{j}" for j in range(len(specs))]
+    samples = np.stack([_finite(_scalar_net(s, grid, ptr), ptr).samples
+                        for s, ptr in zip(specs, ptrs)])
     write_grid_csv(os.path.join(out, "nets.csv"), grid,
                    [f"net{j}" for j in range(len(samples))], np.real(samples))
     verdicts = net_verdicts(samples, grid, policy)
@@ -653,7 +656,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigInvalid, MalformedSummary, InvalidSpec, InvalidBasis) as exc:
+    except (ConfigInvalid, MalformedSummary, InvalidSpec, InvalidBasis, EmptySet) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except OutputUnwritable as exc:

@@ -4,9 +4,9 @@ A ConvexSetNet holds one closed convex set per grid index; projection of
 a vector net is the net of componentwise Euclidean projections.  Every
 kind has one projection path, run at once on all grid points or on a
 subset of them (``row_projector``): boxes, lower-bound (obstacle) sets
-and affine subspaces are projected in closed form.  The variational
-characterization Re<u - P(u), w - P(u)> <= 0 for w in C is exposed as a
-residual against a finite probe set.
+among them, and affine subspaces are projected in closed form.  The
+variational characterization Re<u - P(u), w - P(u)> <= 0 for w in C is
+exposed as a residual against a finite probe set.
 """
 
 from __future__ import annotations
@@ -31,11 +31,12 @@ class ConvexSetNet:
     """Per-epsilon convex constraint descriptor.
 
     data layout by kind:
-      box                  {"lower": (K,d), "upper": (K,d)}
-      obstacle_lower_bound {"lower": (K,d)}          (+inf implicit above)
-      affine_subspace      {"basis": (K,r,d), "offset": (K,d),
-                            "onb": (K,d,min(r,d))}   (onb cached at build,
-                                                      dropped columns zero)
+      box              {"lower": (K,d), "upper": (K,d)}
+                       (an obstacle set is a box whose upper bound is a
+                       read-only +inf view)
+      affine_subspace  {"basis": (K,r,d), "offset": (K,d),
+                        "onb": (K,d,min(r,d))}   (onb cached at build,
+                                                  dropped columns zero)
     """
 
     grid: EpsGrid
@@ -49,19 +50,30 @@ class ConvexSetNet:
         upper = _per_eps(upper, grid)
         if lower.shape != upper.shape:
             raise DimMismatch("box bounds differ in shape")
-        _refuse_nan(lower, "lower")
-        _refuse_nan(upper, "upper")
-        if np.any(lower > upper):
-            raise EmptySet(f"box has lower > upper at grid index k={_first_k(lower > upper)}")
-        return cls(grid, lower.shape[1], "box", {"lower": lower, "upper": upper})
+        return cls._box(grid, lower, upper, "lower")
 
     @classmethod
     def obstacle(cls, grid: EpsGrid, lower) -> "ConvexSetNet":
+        """The lower-bound set {x >= lower}: a box whose upper bound is +inf."""
         lower = _per_eps(lower, grid)
-        _refuse_nan(lower, "obstacle")
-        if np.any(lower == np.inf):
-            raise EmptySet(f"obstacle bound is +inf at grid index k={_first_k(lower == np.inf)}")
-        return cls(grid, lower.shape[1], "obstacle_lower_bound", {"lower": lower})
+        return cls._box(grid, lower, np.broadcast_to(np.inf, lower.shape), "obstacle")
+
+    @classmethod
+    def _box(cls, grid: EpsGrid, lower, upper, lower_name: str) -> "ConvexSetNet":
+        """The box of (K, d) bounds, once its sets are checked.  A NaN bound
+        raises InvalidSpec, an empty set (lower > upper, lower = +inf or
+        upper = -inf) EmptySet, each naming the first such grid index k;
+        ``lower_name`` names the lower bound in the messages."""
+        _refuse_nan(lower, lower_name)
+        _refuse_nan(upper, "upper")
+        empty = np.stack([np.any(lower > upper, axis=1), np.any(lower == np.inf, axis=1),
+                          np.any(upper == -np.inf, axis=1)])
+        if empty.any():
+            k = int(np.flatnonzero(empty.any(axis=0))[0])
+            what = ("box has lower > upper", f"{lower_name} bound is +inf",
+                    "upper bound is -inf")[int(np.argmax(empty[:, k]))]
+            raise EmptySet(f"{what} at grid index k={k + 1}")
+        return cls(grid, lower.shape[1], "box", {"lower": lower, "upper": upper})
 
     @classmethod
     def affine(cls, grid: EpsGrid, basis, offset=None) -> "ConvexSetNet":
@@ -91,8 +103,8 @@ class ConvexSetNet:
     def batched_projector(self):
         """A callable projecting a (K, d) array of samples onto the set.
 
-        All grid points are projected at once, for every kind: boxes and
-        obstacles by clipping, affine subspaces in closed form.
+        All grid points are projected at once, for every kind: boxes by
+        clipping, affine subspaces in closed form.
         """
         return self.row_projector(np.arange(self.grid.K))
 
@@ -101,17 +113,14 @@ class ConvexSetNet:
 
         ``rows`` holds 0-based grid indices in increasing order; row i of
         the argument is projected onto the set at grid point rows[i].  The
-        set's data is sliced once, here: box and obstacle bounds, the
-        affine offset and orthonormal basis.  For iterations whose grid
+        set's data is sliced once, here: the box bounds, the affine
+        offset and orthonormal basis.  For iterations whose grid
         points finish at different times, each grid point's result has
         the bits of ``batched_projector``.
         """
         if self.kind == "box":
             lo, up = self.data["lower"][rows], self.data["upper"][rows]
-            return lambda z: np.clip(z, lo, up)
-        if self.kind == "obstacle_lower_bound":
-            lo = self.data["lower"][rows]
-            return lambda z: np.maximum(z, lo)
+            return lambda z: np.minimum(np.maximum(z, lo), up)
         q, p = self.data["onb"][rows], self.data["offset"][rows]
         return lambda z: p + np.einsum("kdr,kr->kd", q, np.einsum("kdr,kd->kr", q, z - p))
 
@@ -120,8 +129,6 @@ class ConvexSetNet:
         if self.kind == "box":
             return np.maximum(np.max(self.data["lower"] - x, axis=1, initial=0.0),
                               np.max(x - self.data["upper"], axis=1, initial=0.0))
-        if self.kind == "obstacle_lower_bound":
-            return np.max(self.data["lower"] - x, axis=1, initial=0.0)
         return np.linalg.norm(x - self.batched_projector()(x), axis=1)
 
 

@@ -42,9 +42,6 @@ from .errors import (
     SplitFailed,
 )
 
-_REAL = "real"
-_COMPLEX = "complex"
-
 
 # ---------------------------------------------------------------------------
 # grid / policy / index sets
@@ -292,56 +289,39 @@ def _tail_positions(grid: EpsGrid, policy: NumericPolicy) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sample nets and their field tag
+# sample nets
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class _SampleNet:
     """A net of (K, ...) samples on an EpsGrid over the field R or C.
 
-    The field tag decides the dtype: a "real" net stores float64 samples
-    and refuses nonzero imaginary parts, a "complex" net stores
-    complex128.  A net computed from other nets takes its tag from the
-    result array through ``_by_dtype``: the array is complex exactly when
-    an operand was, so no operation joins operand tags by hand.  ``ndim``
-    counts the sample axes, the grid axis included.  Samples are stored
-    as a read-only copy; ``_fresh=True`` marks a float64 or complex128
-    array built for this net alone, which is stored as it is.
+    The samples' dtype is the field: complex input is stored as
+    complex128, a net over C, and any other numbers as float64, a net
+    over R; so a net computed from other nets is complex exactly when an
+    operand is.  ``ndim`` counts the sample axes, the grid axis included.  Samples are stored as a read-only copy; ``_fresh=True``
+    marks a float64 or complex128 array built for this net alone, which
+    is stored as it is.
     """
 
     grid: EpsGrid
     samples: np.ndarray
-    field_tag: str = _REAL
     _fresh: InitVar[bool] = False
 
     ndim: ClassVar[int]
 
     def __post_init__(self, _fresh=False):
-        if self.field_tag not in (_REAL, _COMPLEX):
-            raise ValueError(f"field_tag must be 'real' or 'complex', not {self.field_tag!r}")
         arr = np.asarray(self.samples)
         if arr.ndim != self.ndim or arr.shape[0] != self.grid.K:
             raise ValueError(f"{type(self).__name__} samples must have {self.ndim} axes, "
                              f"the first of length K = {self.grid.K}; got shape {arr.shape}")
-        if self.field_tag == _REAL:
-            if np.iscomplexobj(arr):
-                if np.any(arr.imag != 0.0):
-                    raise ValueError("real-tagged net has nonzero imaginary part")
-                arr = arr.real
-            arr = arr.astype(np.float64, copy=not _fresh)
-        else:
-            arr = arr.astype(np.complex128, copy=not _fresh)
+        arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64,
+                         copy=not _fresh)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
-    @classmethod
-    def _by_dtype(cls, grid: EpsGrid, samples: np.ndarray):
-        """The net of ``samples`` tagged by their dtype: complex arrays make complex nets."""
-        return cls(grid, samples, _COMPLEX if np.iscomplexobj(samples) else _REAL)
-
     def is_real(self) -> bool:
-        return self.field_tag == _REAL
-
+        return self.samples.dtype == np.float64
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +337,7 @@ class GenScalar(_SampleNet):
 
     @classmethod
     def constant(cls, value, grid: EpsGrid) -> "GenScalar":
-        tag = _COMPLEX if isinstance(value, complex) and value.imag != 0.0 else _REAL
-        return cls(grid, np.full(grid.K, value), tag)
+        return cls(grid, np.full(grid.K, value))
 
     # -- ring structure ----------------------------------------------------
 
@@ -375,7 +354,7 @@ class GenScalar(_SampleNet):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return GenScalar._by_dtype(self.grid, self.samples + other.samples)
+        return GenScalar(self.grid, self.samples + other.samples)
 
     __radd__ = __add__
 
@@ -383,7 +362,7 @@ class GenScalar(_SampleNet):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return GenScalar._by_dtype(self.grid, self.samples - other.samples)
+        return GenScalar(self.grid, self.samples - other.samples)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -392,15 +371,15 @@ class GenScalar(_SampleNet):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return GenScalar._by_dtype(self.grid, self.samples * other.samples)
+        return GenScalar(self.grid, self.samples * other.samples)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return GenScalar(self.grid, -self.samples, self.field_tag)
+        return GenScalar(self.grid, -self.samples)
 
     def conj(self) -> "GenScalar":
-        return GenScalar(self.grid, np.conj(self.samples), self.field_tag)
+        return GenScalar(self.grid, np.conj(self.samples))
 
     def abs(self) -> "GenScalar":
         return GenScalar(self.grid, np.abs(self.samples))
@@ -408,7 +387,7 @@ class GenScalar(_SampleNet):
 
 def make_power_net(c, a: float, grid: EpsGrid) -> GenScalar:
     """The net c * eps_k**a — the basic scale model [(c eps^a)_eps]."""
-    return GenScalar._by_dtype(grid, c * grid.values ** float(a))
+    return GenScalar(grid, c * grid.values ** float(a))
 
 
 # ---------------------------------------------------------------------------
@@ -505,10 +484,10 @@ def ge_zero(a: GenScalar, policy: NumericPolicy) -> bool:
     """a_k >= -eps_k**q_neg on every tail index (non-strict boundary).
 
     This is the strictest finite-scale instance of the order test
-    "r_eps >= -eps**q for all small eps"; a real-tagged net is required.
+    "r_eps >= -eps**q for all small eps"; a real net is required.
     """
     if not a.is_real():
-        raise ValueError("order test needs a real-tagged net")
+        raise ValueError("order test needs a real net")
     pos = _tail_positions(a.grid, policy)
     return bool(np.all(a.samples[pos] >= -(a.grid.values[pos] ** policy.q_neg)))
 
@@ -637,7 +616,7 @@ def close_infimum_check(delta: GenScalar, A, policy: NumericPolicy) -> CloseInfi
 
     delta is a close infimum candidate iff for every order m in
     {1..q_neg} some element of A sits within [(eps)_eps]**m above it.
-    All nets must be real-tagged and share delta's grid.
+    All nets must be real and share delta's grid.
     """
     elems = list(A)
     for a in elems:

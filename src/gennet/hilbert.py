@@ -27,11 +27,11 @@ class GenVector(_SampleNet):
 
     @classmethod
     def constant(cls, vec, grid: EpsGrid) -> "GenVector":
-        return cls._by_dtype(grid, np.tile(np.asarray(vec), (grid.K, 1)))
+        return cls(grid, np.tile(np.asarray(vec), (grid.K, 1)))
 
     @classmethod
-    def zero(cls, grid: EpsGrid, dim: int, field_tag: str = "real") -> "GenVector":
-        return cls(grid, np.zeros((grid.K, dim)), field_tag)
+    def zero(cls, grid: EpsGrid, dim: int) -> "GenVector":
+        return cls(grid, np.zeros((grid.K, dim)))
 
     def _check_partner(self, other: "GenVector"):
         if not self.grid.same_as(other.grid):
@@ -41,23 +41,23 @@ class GenVector(_SampleNet):
 
     def __add__(self, other: "GenVector") -> "GenVector":
         self._check_partner(other)
-        return GenVector._by_dtype(self.grid, self.samples + other.samples)
+        return GenVector(self.grid, self.samples + other.samples)
 
     def __sub__(self, other: "GenVector") -> "GenVector":
         self._check_partner(other)
-        return GenVector._by_dtype(self.grid, self.samples - other.samples)
+        return GenVector(self.grid, self.samples - other.samples)
 
     def __neg__(self) -> "GenVector":
-        return GenVector(self.grid, -self.samples, self.field_tag)
+        return GenVector(self.grid, -self.samples)
 
     def __mul__(self, coeff) -> "GenVector":
         """Module action: scale by a GenScalar or a plain number."""
         if isinstance(coeff, GenScalar):
             if not self.grid.same_as(coeff.grid):
                 raise GridMismatch("coefficient on a different grid")
-            return GenVector._by_dtype(self.grid, self.samples * coeff.samples[:, None])
+            return GenVector(self.grid, self.samples * coeff.samples[:, None])
         if isinstance(coeff, (int, float, complex, np.integer, np.floating)):
-            return GenVector._by_dtype(self.grid, self.samples * coeff)
+            return GenVector(self.grid, self.samples * coeff)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -66,7 +66,7 @@ class GenVector(_SampleNet):
 def inner(u: GenVector, v: GenVector) -> GenScalar:
     """Componentwise scalar product, conjugate-linear in the second slot."""
     u._check_partner(v)
-    return GenScalar._by_dtype(u.grid, np.sum(u.samples * np.conj(v.samples), axis=1))
+    return GenScalar(u.grid, np.sum(u.samples * np.conj(v.samples), axis=1))
 
 
 def rnorm(u: GenVector) -> GenScalar:
@@ -87,7 +87,7 @@ def normalize(u: GenVector) -> GenVector:
     """
     norms = np.linalg.norm(u.samples, axis=1)
     scale = np.where(norms > 1e-12, norms, np.inf)
-    return GenVector(u.grid, u.samples / scale[:, None], u.field_tag)
+    return GenVector(u.grid, u.samples / scale[:, None])
 
 
 def lincomb(coeffs, vecs) -> GenVector:

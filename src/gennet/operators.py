@@ -46,7 +46,7 @@ class BasicOperator(_SampleNet):
 
     @classmethod
     def constant(cls, matrix, grid: EpsGrid) -> "BasicOperator":
-        return cls._by_dtype(grid, np.tile(np.asarray(matrix), (grid.K, 1, 1)))
+        return cls(grid, np.tile(np.asarray(matrix), (grid.K, 1, 1)))
 
     @classmethod
     def identity(cls, grid: EpsGrid, dim: int) -> "BasicOperator":
@@ -79,14 +79,14 @@ class BasicOperator(_SampleNet):
             raise GridMismatch("operators on different grids")
         if self.dims[1] != other.dims[0]:
             raise DimMismatch(f"cannot compose {self.dims} with {other.dims}")
-        return BasicOperator._by_dtype(self.grid, self.samples @ other.samples)
+        return BasicOperator(self.grid, self.samples @ other.samples)
 
     def __sub__(self, other: "BasicOperator") -> "BasicOperator":
         if not self.grid.same_as(other.grid):
             raise GridMismatch("operators on different grids")
         if self.dims != other.dims:
             raise DimMismatch(f"dims {self.dims} != {other.dims}")
-        return BasicOperator._by_dtype(self.grid, self.samples - other.samples)
+        return BasicOperator(self.grid, self.samples - other.samples)
 
 
 class TridiagonalOperator(_SampleNet):
@@ -147,7 +147,7 @@ class TridiagonalOperator(_SampleNet):
         sub, diag, sup = (self.samples[:, row].flatten() for row in (2, 1, 0))
         if K * m > 1:  # a 1 x 1 stack keeps one dummy off-diagonal entry for f2py
             sub, sup = sub[:-1], sup[1:]
-        gtsv = lapack.zgtsv if np.iscomplexobj(b) or not self.is_real() else lapack.dgtsv
+        gtsv = lapack.zgtsv if np.iscomplexobj(b) or np.iscomplexobj(diag) else lapack.dgtsv
         _, _, _, x, info = gtsv(sub, diag, sup, b.reshape(K * m, 1),
                                 overwrite_dl=True, overwrite_d=True, overwrite_du=True)
         if info > 0:
@@ -201,7 +201,7 @@ class BasicFunctional(_SampleNet):
             raise GridMismatch("functional and vector on different grids")
         if self.dim != u.dim:
             raise DimMismatch(f"functional dim {self.dim} != vector dim {u.dim}")
-        return GenScalar._by_dtype(self.grid, np.sum(self.samples * u.samples, axis=1))
+        return GenScalar(self.grid, np.sum(self.samples * u.samples, axis=1))
 
 
 def apply(T: BasicOperator, u: GenVector) -> GenVector:
@@ -210,13 +210,12 @@ def apply(T: BasicOperator, u: GenVector) -> GenVector:
         raise GridMismatch("operator and vector on different grids")
     if T.dims[1] != u.dim:
         raise DimMismatch(f"operator expects dim {T.dims[1]}, got {u.dim}")
-    return GenVector._by_dtype(u.grid, T.matvec(u.samples))
+    return GenVector(u.grid, T.matvec(u.samples))
 
 
 def adjoint(T: BasicOperator) -> BasicOperator:
     """Net of conjugate transposes: <Tu, v> = <u, T*v> per sample."""
-    return BasicOperator(T.grid, np.conj(np.transpose(T.samples, (0, 2, 1))),
-                         T.field_tag)
+    return BasicOperator(T.grid, np.conj(np.transpose(T.samples, (0, 2, 1))))
 
 
 def _require_dense(T, caller: str):
@@ -235,7 +234,7 @@ def op_norm_net(T: BasicOperator) -> GenScalar:
 
 def riesz_representer(f: BasicFunctional) -> GenVector:
     """The vector net c with f(v) = <v, c> and ||c_k|| = ||f_k|| exactly."""
-    return GenVector(f.grid, np.conj(f.samples), f.field_tag)
+    return GenVector(f.grid, np.conj(f.samples))
 
 
 def defect_threshold(grid: EpsGrid, policy: NumericPolicy, scale: float = 1.0) -> np.ndarray:

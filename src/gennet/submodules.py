@@ -138,7 +138,7 @@ def idempotent_normalize(u: GenVector, policy: NumericPolicy):
     Returns (w, S).
     """
     w, support = _normalize(u.samples[:, None, :], u.grid, policy)
-    return GenVector(u.grid, w[:, 0], u.field_tag), IndexSet.from_mask(support[:, 0])
+    return GenVector(u.grid, w[:, 0]), IndexSet.from_mask(support[:, 0])
 
 
 def _normalize(samples: np.ndarray, grid: EpsGrid, policy: NumericPolicy):
@@ -230,14 +230,14 @@ def interleaved_gram_schmidt(g: GeneratorSet, policy: NumericPolicy) -> OrthoBas
                          grid.values, policy.m_inv)
     w, support = _normalize(raw, grid, policy)
     kept = np.flatnonzero(support.any(axis=0))
-    return OrthoBasis([GenVector._by_dtype(grid, w[:, j]) for j in kept],
+    return OrthoBasis([GenVector(grid, w[:, j]) for j in kept],
                       [IndexSet.from_mask(support[:, j]) for j in kept])
 
 
 def project_submodule(B: OrthoBasis, v: GenVector) -> GenVector:
     """P_M(v) = sum_j <v, w_j> w_j for the submodule M spanned by B."""
     if not len(B):
-        return GenVector.zero(v.grid, v.dim, v.field_tag)
+        return GenVector(v.grid, np.zeros_like(v.samples))
     coeffs = [inner(v, w) for w in B.vecs]
     return lincomb(coeffs, list(B.vecs))
 
@@ -247,7 +247,7 @@ def submodule_projection_operator(B: OrthoBasis, grid: EpsGrid, dim: int) -> Bas
     P = np.zeros((grid.K, dim, dim))
     for w in B.vecs:
         P = P + np.einsum("ki,kj->kij", w.samples, np.conj(w.samples))
-    return BasicOperator._by_dtype(grid, P)
+    return BasicOperator(grid, P)
 
 
 @dataclass(frozen=True)
@@ -293,4 +293,4 @@ def extend_functional(values, B: OrthoBasis) -> BasicFunctional:
     rows = np.zeros((grid.K, dim))
     for f_j, w in zip(values, B.vecs):
         rows = rows + f_j.samples[:, None] * np.conj(w.samples)
-    return BasicFunctional._by_dtype(grid, rows)
+    return BasicFunctional(grid, rows)

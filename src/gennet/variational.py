@@ -81,7 +81,7 @@ class CoercivityCertificate:
         least such m on the whole tail.
         """
         if not alpha.is_real():
-            raise ValueError("order test needs a real-tagged net")
+            raise ValueError("order test needs a real net")
         pos = _tail_positions(alpha.grid, policy)
         a, eps = alpha.samples[pos], alpha.grid.values[pos]
         # row m - 1: is 0 < |alpha_k| >= eps_k**m, for m = 1..m_inv
@@ -172,7 +172,7 @@ def lax_milgram_solve(T: BasicOperator | TridiagonalOperator, c: GenVector,
             k = int(short[0])
             raise ResidualTargetMissed(k + 1, float(r_norm[k] / scale[k]), RESIDUAL_TARGET)
         out[short] -= T.solve(r)[short]
-    return LaxMilgramSolution(GenVector._by_dtype(c.grid, out), GenScalar(c.grid, r_norm / scale))
+    return LaxMilgramSolution(GenVector(c.grid, out), GenScalar(c.grid, r_norm / scale))
 
 
 @dataclass(frozen=True)
@@ -340,7 +340,7 @@ def vi_solve_contraction(
 
     grid = c.grid
     return VISolution(
-        u=GenVector._by_dtype(grid, u),
+        u=GenVector(grid, u),
         iterations=iterations,
         contraction_k=GenScalar(grid, kfac),
         residual=GenScalar(grid, last_step),

@@ -86,7 +86,7 @@ def _random_vector(rng, d, scale_exp=None, complex_=False):
         base = base + 1j * rng.standard_normal((GRID.K, d))
     if scale_exp is not None:
         base = GRID.values[:, None] ** scale_exp * base
-    return GenVector(GRID, base, "complex" if complex_ else "real")
+    return GenVector(GRID, base)
 
 
 def test_criterion_1_valuation_exactness():
@@ -253,7 +253,7 @@ def test_criterion_6_riesz_adjoint_classifier():
     with _Budget(10.0):
         for _ in range(50):  # representer norm identity, per sample
             rows = rng.standard_normal((GRID.K, 5)) + 1j * rng.standard_normal((GRID.K, 5))
-            f = BasicFunctional(GRID, rows, "complex")
+            f = BasicFunctional(GRID, rows)
             c = riesz_representer(f)
             gap = np.abs(rnorm(c).samples - np.linalg.norm(rows, axis=1))
             assert np.all(gap <= 1e-12)
@@ -281,7 +281,7 @@ def test_criterion_6_riesz_adjoint_classifier():
                 m = rng.standard_normal((GRID.K, d_out, d_in))
                 if complex_:
                     m = m + 1j * rng.standard_normal((GRID.K, d_out, d_in))
-                return BasicOperator(GRID, m, "complex" if complex_ else "real")
+                return BasicOperator(GRID, m)
             S = rand_op(3, 4)
             T = rand_op(4, 2)
             lhs = adjoint(S.compose(T)).samples

@@ -568,6 +568,12 @@ def test_malformed_problem_fields_are_config_errors(tmp_path, capsys, field, nee
      ["gram-schmidt"], "/generators/1: not finite"),
     ({"random": {"m": 2, "d": 2, "powers": [0.0, -2000.0]}}, ["gram-schmidt"],
      "/random: not finite"),
+    ({"nets": [1.0, {"kind": "samples", "values": [1.0] * (K_DEFAULT - 1) + [INF]}]},
+     ["gennum-check"], "/nets/1: not finite: ±inf or NaN at grid index k=24"),
+    ({"nets": [{"kind": "power", "a": -2000.0}]}, ["gennum-check"],
+     "/nets/0: not finite: ±inf or NaN at grid index k=1"),
+    ({**_VI_2D, "set": {"kind": "box", "lower": [INF, 0.0], "upper": [INF, 1.0]}},
+     ["vi-solve"], "lower bound is +inf at grid index k=1"),
 ], ids=["power", "samples", "box", "rhs", "matrix", "powers", "vector", "tabulated",
         "grid-K", "grid-K-fraction", "grid-base", "policy-tail", "policy-tail-fraction",
         "policy-tail-grid-K", "nan-box", "nan-obstacle-set", "nan-rhs", "nan-net",
@@ -575,7 +581,8 @@ def test_malformed_problem_fields_are_config_errors(tmp_path, capsys, field, nee
         "nan-obstacle", "empty-matrix", "empty-matrix-1d", "empty-vi-matrix",
         "empty-matrices", "inf-matrix", "inf-vi-matrix", "inf-matrices",
         "overflowed-powers", "overflowed-theta-power", "inf-vector",
-        "overflowed-power-scaled", "overflowed-random"])
+        "overflowed-power-scaled", "overflowed-random", "inf-net-samples",
+        "overflowed-power-net", "empty-box"])
 def test_malformed_numbers_are_config_errors(tmp_path, capsys, cfg, args, needle):
     path = _write_config(tmp_path, "bad.json", cfg)
     rc = _run(args + ["--config", path, "--out", str(tmp_path / "out")])
@@ -599,7 +606,9 @@ def test_no_numpy_warning_reaches_stderr(tmp_path, capsys):
     # At K = 200, eps_k**-N_mod overflows (from K = 52 on) and eps_k**m_inv is
     # 0 (from k = 108 on); at K = 24 so do eps_k**-60 and eps_k**50 (k >= 22).
     # The README's nets and vi configs, its fem config, two parallel
-    # generators and a small obstacle problem, with every warning an error.
+    # generators and a small obstacle problem, with every warning an error;
+    # then configs refused as config errors: an infinite net sample, an
+    # overflowed power net and an empty box.
     nets = {"nets": [{"kind": "power", "a": -3.0}, {"kind": "power", "a": 2.5, "c": 2.0},
                      {"kind": "constant", "value": 5.0}]}
     vi = {"operator": {"kind": "constant", "matrix": [[2, 1], [-1, 2]]}, "rhs": [-2.0, 4.0],
@@ -618,13 +627,24 @@ def test_no_numpy_warning_reaches_stderr(tmp_path, capsys):
         ("solve-obstacle", _PROTOCOL_CASES["solve-obstacle"], 200),
         ("gennum-check", {**nets, "policy": {"N_mod": 60, "m_inv": 50}}, 24),
     ]
-    for i, (command, cfg, K) in enumerate(runs):
+    refused = [
+        ("gennum-check", {"nets": [{"kind": "samples", "values": [1.0] * 23 + [INF]}]}, 24),
+        ("gennum-check", {"nets": [{"kind": "power", "a": -2000.0}]}, 24),
+        ("vi-solve", {**vi, "set": {"kind": "box", "lower": [INF, 0.0], "upper": [INF, 1.0]}},
+         24),
+    ]
+    for i, (command, cfg, K) in enumerate(runs + refused):
         path = _write_config(tmp_path, f"cfg{i}.json", cfg)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = _run([command, "--config", path, "--out", str(tmp_path / f"out{i}"),
                        "--grid-K", str(K)])
-        assert (command, K, rc, capsys.readouterr().err) == (command, K, 0, "")
+        err = capsys.readouterr().err
+        if i < len(runs):
+            assert (command, K, rc, err) == (command, K, 0, "")
+        else:
+            assert (command, rc, err.startswith("config error: "), err.count("\n")) == \
+                (command, 1, True, 1)
 
 
 def test_infinite_box_bounds_are_numbers(tmp_path):
@@ -709,8 +729,7 @@ grid = EpsGrid.geometric(K)
 rng = np.random.default_rng(7)
 real = TridiagonalOperator.symmetric(grid, rng.uniform(2.5, 3.5, (K, n)),
                                      rng.uniform(-1.0, 1.0, (K, n - 1)))
-cplx = TridiagonalOperator(grid, real.samples + 1j * rng.uniform(-1.0, 1.0, (K, 3, n)),
-                           "complex")
+cplx = TridiagonalOperator(grid, real.samples + 1j * rng.uniform(-1.0, 1.0, (K, 3, n)))
 b = rng.standard_normal((K, n))
 nets = [(real, b, real.solve(b)), (cplx, b - 2j * b[::-1], cplx.solve(b - 2j * b[::-1]))]
 own = _flapack()

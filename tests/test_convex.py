@@ -256,7 +256,15 @@ class TestValidation:
          "box has lower > upper at grid index k=7"),
         (lambda nan, inf, one: ConvexSetNet.obstacle(GRID, inf), EmptySet,
          "obstacle bound is \\+inf at grid index k=7"),
-    ], ids=["box-lower-nan", "box-upper-nan", "obstacle-nan", "box-empty", "obstacle-inf"])
+        (lambda nan, inf, one: ConvexSetNet.box(GRID, inf, inf + one), EmptySet,
+         "lower bound is \\+inf at grid index k=7"),
+        (lambda nan, inf, one: ConvexSetNet.box(GRID, -inf - one, -inf), EmptySet,
+         "upper bound is -inf at grid index k=7"),
+        # lower = upper = +inf at k = 7 and 12, lower > upper at k = 15 and 20
+        (lambda nan, inf, one: ConvexSetNet.box(GRID, inf, inf + one - 2 * np.isnan(nan[::-1])),
+         EmptySet, "lower bound is \\+inf at grid index k=7"),
+    ], ids=["box-lower-nan", "box-upper-nan", "obstacle-nan", "box-empty", "obstacle-inf",
+            "box-lower-plus-inf", "box-upper-minus-inf", "box-empty-first-k"])
     def test_bad_bounds_name_the_first_grid_index(self, build, error, message):
         nan = np.zeros((GRID.K, 2))
         nan[4, 1] = nan[9, 0] = np.nan  # first at k = 5

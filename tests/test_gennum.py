@@ -1,6 +1,8 @@
 """Scalar net arithmetic, valuation, order tests, idempotents, infima."""
 
+import itertools
 import math
+import operator
 import tracemalloc
 
 import numpy as np
@@ -21,18 +23,27 @@ from gennet import (
     IndexSet,
     NotNonnegative,
     NumericPolicy,
+    OrthoBasis,
+    adjoint,
+    apply,
     close_infimum_check,
     eq,
     format_cells,
     ge,
     ge_zero,
     idempotent,
+    idempotent_normalize,
+    inner,
     invertible_wrt,
     is_moderate,
     is_negligible,
     le,
+    lincomb,
     make_power_net,
     net_verdicts,
+    normalize,
+    project_submodule,
+    riesz_representer,
     sharp_norm,
     sqrt_nonneg,
     valuation_estimate,
@@ -192,7 +203,7 @@ def test_stacked_verdicts_keep_every_per_net_rule():
     assert got.negligible.tolist() == [True, False, False, False, False]
     _assert_matches_per_net(samples, grid, policy)
     for j, row in enumerate(samples):  # the one-net functions read the same pass
-        net = GenScalar._by_dtype(grid, row)
+        net = GenScalar(grid, row)
         assert valuation_estimate(net, policy) == got.valuation[j]
         assert sharp_norm(net, policy) == got.sharp_norm[j]
         assert is_negligible(net, policy) == got.negligible[j]
@@ -236,7 +247,7 @@ def test_ge_zero_boundary_is_non_strict():
 
 
 def test_ge_zero_requires_real_tag():
-    z = GenScalar(GRID, np.full(GRID.K, 1.0 + 0.0j), field_tag="complex")
+    z = GenScalar(GRID, np.full(GRID.K, 1.0 + 0.0j))  # complex, though every imaginary part is 0
     with pytest.raises(ValueError):
         ge_zero(z, POLICY)
 
@@ -317,32 +328,79 @@ def test_grid_mismatch_raises():
         make_power_net(1.0, 1.0, GRID) + make_power_net(1.0, 1.0, other)
 
 
-def test_complex_tag_propagates():
-    z = GenScalar.constant(1.0 + 2.0j, GRID)
-    assert not z.is_real()
-    assert (z * z).field_tag == "complex"
-    assert z.abs().is_real()
-    assert z.conj().samples[0] == 1.0 - 2.0j
+def _operand(cls, complex_):
+    """A net of ``cls`` on GRID, complex128 if ``complex_`` else float64."""
+    shape = {GenScalar: (), GenVector: (3,), BasicOperator: (3, 3), BasicFunctional: (3,)}[cls]
+    samples = np.linspace(0.5, 2.0, GRID.K * math.prod(shape)).reshape(GRID.K, *shape)
+    return cls(GRID, samples * (1.0 - 2.0j) if complex_ else samples)
+
+
+# per class: operation -> (the classes of its operands, the operation)
+_OPERATIONS = {
+    GenScalar: {
+        "add": ((GenScalar, GenScalar), operator.add),
+        "sub": ((GenScalar, GenScalar), operator.sub),
+        "mul": ((GenScalar, GenScalar), operator.mul),
+        "neg": ((GenScalar,), operator.neg),
+        "conj": ((GenScalar,), GenScalar.conj),
+    },
+    GenVector: {
+        "add": ((GenVector, GenVector), operator.add),
+        "sub": ((GenVector, GenVector), operator.sub),
+        "mul": ((GenVector, GenScalar), operator.mul),
+        "neg": ((GenVector,), operator.neg),
+        "inner": ((GenVector, GenVector), inner),
+        "lincomb": ((GenScalar, GenVector, GenScalar, GenVector),
+                    lambda a, u, b, v: lincomb([a, b], [u, v])),
+        "normalize": ((GenVector,), normalize),
+        "idempotent_normalize": ((GenVector,), lambda u: idempotent_normalize(u, POLICY)[0]),
+        "project_submodule": ((GenVector,), lambda u: project_submodule(OrthoBasis((), ()), u)),
+    },
+    BasicOperator: {
+        "sub": ((BasicOperator, BasicOperator), operator.sub),
+        "compose": ((BasicOperator, BasicOperator), BasicOperator.compose),
+        "adjoint": ((BasicOperator,), adjoint),
+        "apply": ((BasicOperator, GenVector), apply),
+    },
+    BasicFunctional: {
+        "call": ((BasicFunctional, GenVector), BasicFunctional.__call__),
+        "riesz_representer": ((BasicFunctional,), riesz_representer),
+    },
+}
+
+
+@pytest.mark.parametrize("cls", list(_OPERATIONS), ids=lambda cls: cls.__name__)
+def test_operations_are_complex_exactly_when_an_operand_is(cls):
+    for name, (classes, op) in _OPERATIONS[cls].items():
+        for fields in itertools.product((False, True), repeat=len(classes)):
+            net = op(*(_operand(c, complex_) for c, complex_ in zip(classes, fields)))
+            dtype = np.complex128 if any(fields) else np.float64
+            assert (name, net.samples.dtype, net.is_real()) == (name, dtype, not any(fields))
+    z = _operand(GenScalar, True)
+    assert z.abs().is_real() and z.conj().samples[0] == np.conj(z.samples[0])
+    # a complex number is a complex operand, even with a zero imaginary part
+    assert not (_operand(GenScalar, False) * (1.0 + 0.0j)).is_real()
+    assert not GenScalar.constant(1.0 + 0.0j, GRID).is_real()
 
 
 @pytest.mark.parametrize("cls,shape", [(GenScalar, ()), (GenVector, (3,)),
                                        (BasicOperator, (2, 3)), (BasicFunctional, (3,))],
                          ids=["GenScalar", "GenVector", "BasicOperator", "BasicFunctional"])
 def test_net_construction_decides_tag_dtype_and_shape(cls, shape):
+    # the samples' dtype is the field: complex arrays make complex128 nets,
+    # zero imaginary parts included, and any other numbers float64 nets
     samples = np.arange(GRID.K * math.prod(shape), dtype=float).reshape(GRID.K, *shape)
-    with pytest.raises(ValueError):
-        cls(GRID, samples, "cmplx")
-    with pytest.raises(ValueError):
-        cls(GRID, samples + 1j)  # the default tag is real
     with pytest.raises(ValueError):
         cls(GRID, samples[..., None])
     with pytest.raises(ValueError):
         cls(GRID, samples[1:])
-    assert cls(GRID, samples + 0j).samples.dtype == np.float64
-    assert cls(GRID, samples.astype(int), "complex").samples.dtype == np.complex128
-    for tag, arr in (("real", samples), ("complex", samples + 1j)):
-        net = cls(GRID, arr, tag)
-        assert net.field_tag == tag and not net.samples.flags.writeable
+    assert cls(GRID, samples + 0j).samples.dtype == np.complex128
+    assert cls(GRID, samples.astype(int)).samples.dtype == np.float64
+    assert cls(GRID, samples.astype(np.complex64)).samples.dtype == np.complex128
+    for arr in (samples, samples + 1j):
+        net = cls(GRID, arr)
+        assert net.samples.dtype == arr.dtype and net.is_real() == (arr.dtype == np.float64)
+        assert not net.samples.flags.writeable
         assert not np.shares_memory(net.samples, arr)
         np.testing.assert_array_equal(net.samples, arr)
 

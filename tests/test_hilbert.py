@@ -37,7 +37,6 @@ def _random_vector(rng, d=6, complex_=False):
     base = rng.standard_normal((GRID.K, d))
     if complex_:
         base = base + 1j * rng.standard_normal((GRID.K, d))
-        return GenVector(GRID, GRID.values[:, None] ** a * base, "complex")
     return GenVector(GRID, GRID.values[:, None] ** a * base)
 
 
@@ -78,9 +77,9 @@ def test_polarization_recovers_inner_product():
         a = rng.uniform(-1.5, 1.5)
         scale = GRID.values[:, None] ** a
         u = GenVector(GRID, scale * (rng.standard_normal((GRID.K, 6))
-                                     + 1j * rng.standard_normal((GRID.K, 6))), "complex")
+                                     + 1j * rng.standard_normal((GRID.K, 6))))
         v = GenVector(GRID, scale * (rng.standard_normal((GRID.K, 6))
-                                     + 1j * rng.standard_normal((GRID.K, 6))), "complex")
+                                     + 1j * rng.standard_normal((GRID.K, 6))))
         acc = np.zeros(GRID.K, dtype=complex)
         for p in range(4):
             w = u + v * (1j**p)
@@ -97,7 +96,7 @@ def test_inner_conjugate_symmetry_and_linearity():
     v = _random_vector(rng, complex_=True)
     w = _random_vector(rng, complex_=True)
     assert np.allclose(inner(u, v).samples, np.conj(inner(v, u).samples))
-    lam = GenScalar(GRID, GRID.values * (0.5 + 0.25j), "complex")
+    lam = GenScalar(GRID, GRID.values * (0.5 + 0.25j))
     left = inner(u * lam + w, v).samples
     right = lam.samples * inner(u, v).samples + inner(w, v).samples
     assert np.allclose(left, right)

@@ -62,14 +62,13 @@ def _random_operator(rng, d_out, d_in, scale_exp=0.0, complex_=False):
     if complex_:
         base = base + 1j * rng.standard_normal((GRID.K, d_out, d_in))
     base = GRID.values[:, None, None] ** scale_exp * base
-    return BasicOperator(GRID, base, "complex" if complex_ else "real")
+    return BasicOperator(GRID, base)
 
 
 def _random_vector(rng, d, complex_=False):
     base = rng.standard_normal((GRID.K, d))
     if complex_:
         base = base + 1j * rng.standard_normal((GRID.K, d))
-        return GenVector(GRID, base, "complex")
     return GenVector(GRID, base)
 
 
@@ -328,7 +327,7 @@ def test_isometry_preserves_sample_norms():
 def test_riesz_representer_reproduces_functional():
     rng = np.random.default_rng(257)
     rows = rng.standard_normal((GRID.K, 5)) + 1j * rng.standard_normal((GRID.K, 5))
-    f = BasicFunctional(GRID, rows, "complex")
+    f = BasicFunctional(GRID, rows)
     c = riesz_representer(f)
     for _ in range(20):
         v = _random_vector(rng, 5, complex_=True)
@@ -397,8 +396,6 @@ def test_shape_and_grid_guards():
         T.compose(other)
     with pytest.raises(ValueError):
         BasicOperator(GRID, np.zeros((GRID.K, 4)))
-    with pytest.raises(ValueError):
-        BasicOperator(GRID, 1j * np.ones((GRID.K, 2, 2)), "real")
     f = BasicFunctional(GRID, np.ones((GRID.K, 2)))
     with pytest.raises(DimMismatch):
         f(_random_vector(rng, 3))
