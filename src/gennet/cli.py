@@ -448,22 +448,20 @@ def gram_schmidt(cfg, grid, policy, out, seed):
     t_gs = time.perf_counter()
     result = classify_submodule(GeneratorSet(gens), policy)
     gram_schmidt_s = time.perf_counter() - t_gs
-    vecs = result.basis.vecs if result.basis is not None else []
+    W = result.basis.samples if result.basis is not None else np.zeros((grid.K, 0, 0))
     t_csv = time.perf_counter()
-    # one (m d, K) array: column j d + i is component i of basis vector j
-    basis = np.real(np.concatenate([w.samples for w in vecs], axis=1)).T if vecs else []
+    # one (r d, K) array: column j d + i is component i of basis vector j
     write_grid_csv(os.path.join(out, "basis.csv"), grid,
-                   [f"v{j}_c{i}" for j, w in enumerate(vecs) for i in range(w.dim)], basis)
+                   [f"v{j}_c{i}" for j, i in np.ndindex(W.shape[1:])],
+                   np.real(W.reshape(grid.K, -1)).T)
     csv_s = time.perf_counter() - t_csv
-    valuations = {}
-    if vecs:
-        norms = np.linalg.norm(np.stack([w.samples for w in vecs]), axis=2)
-        valuations = {f"v{j}_norm": v for j, v in
-                      enumerate(net_verdicts(norms, grid, policy).valuation.tolist())}
+    norms = np.linalg.norm(W, axis=2).T
+    valuations = {f"v{j}_norm": v for j, v in
+                  enumerate(net_verdicts(norms, grid, policy).valuation.tolist())}
     return {
         "closed_edged": result.closed_edged,
         "diagnostics": result.diagnostics,
-        "supports": [sorted(S.members) for S in result.basis.supports]
+        "supports": [(np.flatnonzero(S) + 1).tolist() for S in result.basis.support.T]
         if result.basis is not None else None,
         "valuations": valuations,
         "verdicts": {"closed_edged": result.closed_edged},
@@ -550,13 +548,16 @@ def _convex_set(spec, grid: EpsGrid, d: int) -> ConvexSetNet:
     if not isinstance(spec, dict):
         raise ConfigInvalid("/set: must be an object")
     kind = spec.get("kind")
-    if kind == "box":
-        return ConvexSetNet.box(grid, _array(_field(spec, "lower", "/set"), "/set/lower", d),
+    if kind not in ("box", "obstacle"):
+        raise ConfigInvalid(f"/set/kind: unknown set kind {kind!r}")
+    lower = _array(_field(spec, "lower", "/set"), "/set/lower", d)
+    try:
+        if kind == "obstacle":
+            return ConvexSetNet.obstacle(grid, lower)
+        return ConvexSetNet.box(grid, lower,
                                 _array(_field(spec, "upper", "/set"), "/set/upper", d))
-    if kind == "obstacle":
-        return ConvexSetNet.obstacle(grid,
-                                     _array(_field(spec, "lower", "/set"), "/set/lower", d))
-    raise ConfigInvalid(f"/set/kind: unknown set kind {kind!r}")
+    except EmptySet as exc:
+        raise ConfigInvalid(f"/set: {exc}") from exc
 
 
 def _fem_summary(solve, cfg, grid, policy, out) -> dict:
@@ -583,7 +584,10 @@ def solve_dirichlet_cmd(cfg, grid, policy, out):
 @_config_command("solve-obstacle")
 def solve_obstacle_cmd(cfg, grid, policy, out):
     """Obstacle-constrained P1 solve by a primal-dual active-set method."""
-    return _fem_summary(solve_obstacle, cfg, grid, policy, out)
+    try:
+        return _fem_summary(solve_obstacle, cfg, grid, policy, out)
+    except EmptySet as exc:
+        raise ConfigInvalid(f"/problem/obstacle: {exc}") from exc
 
 
 def report(summaries, out):
@@ -656,7 +660,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigInvalid, MalformedSummary, InvalidSpec, InvalidBasis, EmptySet) as exc:
+    except (ConfigInvalid, MalformedSummary, InvalidSpec, InvalidBasis) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except OutputUnwritable as exc:

@@ -125,10 +125,14 @@ class ConvexSetNet:
         return lambda z: p + np.einsum("kdr,kr->kd", q, np.einsum("kdr,kd->kr", q, z - p))
 
     def violation(self, x: np.ndarray) -> np.ndarray:
-        """How far each sample of x (K, d) is from its set: (K,), 0 inside."""
+        """How far each sample of x (K, d) is from its set: (K,), 0 inside.
+        An infinite bound keeps its side's gap 0: +inf lies in [lower, +inf]."""
         if self.kind == "box":
-            return np.maximum(np.max(self.data["lower"] - x, axis=1, initial=0.0),
-                              np.max(x - self.data["upper"], axis=1, initial=0.0))
+            lo, up = self.data["lower"], self.data["upper"]
+            gaps = np.zeros((2,) + x.shape, dtype=np.result_type(x, lo))
+            np.subtract(lo, x, out=gaps[0], where=lo > -np.inf)
+            np.subtract(x, up, out=gaps[1], where=up < np.inf)
+            return np.max(gaps, axis=(0, 2), initial=0.0)
         return np.linalg.norm(x - self.batched_projector()(x), axis=1)
 
 

@@ -27,7 +27,7 @@ import functools
 import math
 import os
 from collections import namedtuple
-from dataclasses import InitVar, dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -263,12 +263,11 @@ class IndexSet:
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "IndexSet":
         mask = np.asarray(mask, dtype=bool)
-        return cls(frozenset(int(i) + 1 for i in np.nonzero(mask)[0]), mask.size)
+        return cls(frozenset((np.flatnonzero(mask) + 1).tolist()), mask.size)
 
     def mask(self) -> np.ndarray:
         m = np.zeros(self.k_max, dtype=bool)
-        for k in self.members:
-            m[k - 1] = True
+        m[np.fromiter(self.members, np.intp, len(self.members)) - 1] = True
         return m
 
     def complement(self) -> "IndexSet":
@@ -306,6 +305,7 @@ class _SampleNet:
 
     grid: EpsGrid
     samples: np.ndarray
+    _: KW_ONLY  # so that a subclass (OrthoBasis) adds positional fields after samples
     _fresh: InitVar[bool] = False
 
     ndim: ClassVar[int]

@@ -7,17 +7,20 @@ blocks S_j on which the j-th generator has the largest sample norm
 (earlier j wins ties, minus previously claimed blocks), projects the
 remaining generators off the dominant one there, recurses, and sums the
 per-block outputs.  Each output is then normalized to have idempotent
-norm: unit length on its support set, zero off it.
+norm: unit length on its support set, zero off it.  The kept outputs are
+one (K, r, d) net with a (K, r) support mask, ``OrthoBasis(grid, samples,
+support)``; the projector net ``submodule_projection_operator(B)``, the
+projection and the functional extension are each one contraction over r.
 
 The recursion runs on one (K, m, d) array as at most m sweeps over the
 whole grid: each sweep takes the dominant generator at every grid point
 still running (lowest index on ties), drops what fails 0 < norm >=
 eps_k**m_inv and projects the rest off it, so the cost is O(m*K*m*d) in
-O(m) numpy calls.  Its norms and rule are the ones the support test takes,
-so the drop decision and the support agree at every (j, k).  Where a sample norm
-equals eps_k**m_inv up to rounding (a power tower at k = m_inv), which
-side of the threshold it falls on, and so whether k is among the
-offending_indices, follows the last bit of that norm.
+O(m) numpy calls.  Its norms and rule are the ones the support test
+takes, so the drop decision and the support agree at every (j, k).
+Where a sample norm equals eps_k**m_inv up to rounding (a power tower at
+k = m_inv), which side of the threshold it falls on, and so whether k is
+among the offending_indices, follows the last bit of that norm.
 
 The normalization is where the finite-scale analogue of the beta-type
 pathology is caught: a norm net whose support (0 < samples >= eps**m_inv)
@@ -33,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, GridMismatch, InvalidBasis, MixedScaleGenerator
-from .gennum import EpsGrid, IndexSet, NumericPolicy, _invertible, _tail_positions
-from .hilbert import GenVector, inner, lincomb
-from .operators import BasicFunctional, BasicOperator
+from .gennum import EpsGrid, IndexSet, NumericPolicy, _SampleNet, _invertible, _tail_positions
+from .hilbert import GenVector
+from .operators import BasicFunctional, BasicOperator, apply
 
 # residuals this far below the pre-projection sample norm are treated as
 # exact zeros (they are rounding noise, not a smaller-scale component)
@@ -70,48 +73,46 @@ class GeneratorSet:
 
 
 @dataclass(frozen=True)
-class OrthoBasis:
-    """Mutually orthogonal vectors with idempotent norms e_S."""
+class OrthoBasis(_SampleNet):
+    """r orthogonal vectors with idempotent norms e_S: the (K, r, d) net
+    ``samples``, vector j at ``samples[:, j]``, and the read-only (K, r) mask
+    ``support`` of each vector's set S_j.  r = 0 spans the zero submodule."""
 
-    vecs: tuple
-    supports: tuple
+    support: np.ndarray
+    ndim = 3
 
-    def __post_init__(self):
-        object.__setattr__(self, "vecs", tuple(self.vecs))
-        object.__setattr__(self, "supports", tuple(self.supports))
-        if len(self.vecs) != len(self.supports):
+    def __post_init__(self, _fresh=False):
+        super().__post_init__(_fresh)
+        object.__setattr__(self, "support", np.array(self.support, dtype=bool))
+        if self.support.shape != self.samples.shape[:2]:
             raise InvalidBasis("one support per basis vector required")
+        self.support.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.vecs)
+        return self.samples.shape[1]
 
     def validate(self, policy: NumericPolicy):
         """Check the idempotent-norm and orthogonality invariants.
 
-        One (K, n, n) Gram net holds every inner product.  A failure
+        One (K, r, r) Gram net holds every inner product.  A failure
         raises InvalidBasis naming the check, the vector indices and the
         first failing grid point (1-based).
         """
-        if not self.vecs:
-            return
-        for w in self.vecs[1:]:
-            self.vecs[0]._check_partner(w)
-        W = np.stack([w.samples for w in self.vecs], axis=1)
-        gram = W @ np.conj(np.swapaxes(W, 1, 2))
+        gram = self.samples @ np.conj(np.swapaxes(self.samples, 1, 2))
         norms = np.sqrt(np.real(np.diagonal(gram, axis1=1, axis2=2)))
-        mask = np.stack([S.mask() for S in self.supports], axis=1)
         tol = 100 * policy.tol_abs
         checks = (
             ("unit length", "is not unit length on its support",
-             mask & (np.abs(norms - 1.0) > tol)),
-            ("zero off the support", "is nonzero off its support", ~mask & (norms > tol)),
+             self.support & (np.abs(norms - 1.0) > tol)),
+            ("zero off the support", "is nonzero off its support",
+             ~self.support & (norms > tol)),
         )
         for check, what, bad in checks:
             if np.any(bad):
                 j, k = np.argwhere(bad.T)[0]
                 raise InvalidBasis(f"{check}: vector {j} {what} at grid point "
                                    f"k={k + 1} (norm {norms[k, j]:.3e})")
-        upper = np.triu(np.ones(len(self.vecs), dtype=bool), 1)
+        upper = np.triu(np.ones(len(self), dtype=bool), 1)
         bad = upper & (np.abs(gram) > tol)
         if np.any(bad):
             j, i, k = np.argwhere(bad.transpose(2, 1, 0))[0]
@@ -216,11 +217,11 @@ def interleaved_gram_schmidt(g: GeneratorSet, policy: NumericPolicy) -> OrthoBas
 
     Implements the grid-pointwise recursion described in the module
     docstring and idempotent-normalizes the assembled outputs, all m in
-    one pass over the (K, m, d) stack; outputs
-    with empty support (dropped-to-zero generators) are discarded, which
-    also performs the reduction to at most dim generators.  The result
-    spans the same submodule: every input generator reconstructs from
-    the output basis sample by sample.
+    one pass over the (K, m, d) stack.  The outputs with nonempty support,
+    with their support masks, are the basis; dropped-to-zero generators are
+    discarded, which also performs the reduction to at most dim generators.
+    The result spans the same submodule: every input generator
+    reconstructs from the output basis sample by sample.
 
     Raises MixedScaleGenerator for the first assembled output with no
     uniform scale (see idempotent_normalize).
@@ -230,24 +231,18 @@ def interleaved_gram_schmidt(g: GeneratorSet, policy: NumericPolicy) -> OrthoBas
                          grid.values, policy.m_inv)
     w, support = _normalize(raw, grid, policy)
     kept = np.flatnonzero(support.any(axis=0))
-    return OrthoBasis([GenVector(grid, w[:, j]) for j in kept],
-                      [IndexSet.from_mask(support[:, j]) for j in kept])
+    return OrthoBasis(grid, w[:, kept], support[:, kept])
 
 
 def project_submodule(B: OrthoBasis, v: GenVector) -> GenVector:
-    """P_M(v) = sum_j <v, w_j> w_j for the submodule M spanned by B."""
-    if not len(B):
-        return GenVector(v.grid, np.zeros_like(v.samples))
-    coeffs = [inner(v, w) for w in B.vecs]
-    return lincomb(coeffs, list(B.vecs))
+    """P_M(v) = sum_j <v, w_j> w_j for the submodule M spanned by B: the
+    projector net applied to v, which checks its grid and dimension."""
+    return apply(submodule_projection_operator(B), v)
 
 
-def submodule_projection_operator(B: OrthoBasis, grid: EpsGrid, dim: int) -> BasicOperator:
+def submodule_projection_operator(B: OrthoBasis) -> BasicOperator:
     """Materialize P_M as a matrix net sum_j w_j w_j^*."""
-    P = np.zeros((grid.K, dim, dim))
-    for w in B.vecs:
-        P = P + np.einsum("ki,kj->kij", w.samples, np.conj(w.samples))
-    return BasicOperator(grid, P)
+    return BasicOperator(B.grid, np.einsum("kri,krj->kij", B.samples, np.conj(B.samples)))
 
 
 @dataclass(frozen=True)
@@ -288,9 +283,5 @@ def extend_functional(values, B: OrthoBasis) -> BasicFunctional:
         raise InvalidBasis(f"{len(values)} values for {len(B)} basis vectors")
     if not values:
         raise InvalidBasis("empty basis cannot carry a functional")
-    grid = B.vecs[0].grid
-    dim = B.vecs[0].dim
-    rows = np.zeros((grid.K, dim))
-    for f_j, w in zip(values, B.vecs):
-        rows = rows + f_j.samples[:, None] * np.conj(w.samples)
-    return BasicFunctional(grid, rows)
+    f = np.stack([f_j.samples for f_j in values], axis=1)
+    return BasicFunctional(B.grid, np.einsum("kr,krd->kd", f, np.conj(B.samples)))

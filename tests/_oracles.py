@@ -428,3 +428,34 @@ def gram_schmidt_per_point(samples, eps, m_inv, flush_rel=1e-12):
         for j in range(m):
             raw[j, k] = vecs[j]
     return raw
+
+
+def project_submodule_per_vector(W, v):
+    """sum_j <v, w_j> w_j, one basis vector w_j = W[:, j] at a time.
+
+    ``W`` is the (K, r, d) basis stack and ``v`` a (K, d) sample array;
+    an empty basis (r = 0) projects every v to zero in v's field.
+    """
+    out = np.zeros(v.shape, dtype=np.result_type(v, W))
+    for j in range(W.shape[1]):
+        w = W[:, j]
+        out = out + np.sum(v * np.conj(w), axis=1)[:, None] * w
+    return out
+
+
+def projection_operator_per_vector(W):
+    """The (K, d, d) matrix net sum_j w_j w_j^*, one basis vector at a time."""
+    K, _, d = W.shape
+    P = np.zeros((K, d, d), dtype=W.dtype)
+    for j in range(W.shape[1]):
+        P = P + W[:, j, :, None] * np.conj(W[:, j, None, :])
+    return P
+
+
+def extend_functional_per_vector(f, W):
+    """The (K, d) covector net sum_j f_j,k conj(w_j,k) of a functional
+    given by its (K, r) values f on the basis, one basis vector at a time."""
+    rows = np.zeros((W.shape[0], W.shape[2]), dtype=np.result_type(f, W))
+    for j in range(W.shape[1]):
+        rows = rows + f[:, j, None] * np.conj(W[:, j])
+    return rows

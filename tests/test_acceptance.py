@@ -230,7 +230,8 @@ def test_criterion_5_gram_schmidt():
             basis = interleaved_gram_schmidt(g, POLICY)
             for i in range(len(basis)):
                 for j in range(i + 1, len(basis)):
-                    ip = np.abs(inner(basis.vecs[i], basis.vecs[j]).samples)
+                    ip = np.abs(inner(GenVector(GRID, basis.samples[:, i]),
+                                      GenVector(GRID, basis.samples[:, j])).samples)
                     assert np.all(ip <= 1e-10)
             # reconstruction is exact on each support; a residual that
             # falls below the invertibility scale at a grid point is

@@ -573,7 +573,10 @@ def test_malformed_problem_fields_are_config_errors(tmp_path, capsys, field, nee
     ({"nets": [{"kind": "power", "a": -2000.0}]}, ["gennum-check"],
      "/nets/0: not finite: ±inf or NaN at grid index k=1"),
     ({**_VI_2D, "set": {"kind": "box", "lower": [INF, 0.0], "upper": [INF, 1.0]}},
-     ["vi-solve"], "lower bound is +inf at grid index k=1"),
+     ["vi-solve"], "/set: lower bound is +inf at grid index k=1"),
+    ({"problem": {"interval": [0.0, 1.0], "n_elems": 8, "diffusion": 1.0, "rhs": -8.0,
+                  "obstacle": [-1.0] * 4 + [INF] + [-1.0] * 4}}, ["solve-obstacle"],
+     "/problem/obstacle: obstacle bound is +inf at grid index k=1"),
 ], ids=["power", "samples", "box", "rhs", "matrix", "powers", "vector", "tabulated",
         "grid-K", "grid-K-fraction", "grid-base", "policy-tail", "policy-tail-fraction",
         "policy-tail-grid-K", "nan-box", "nan-obstacle-set", "nan-rhs", "nan-net",
@@ -582,7 +585,7 @@ def test_malformed_problem_fields_are_config_errors(tmp_path, capsys, field, nee
         "empty-matrices", "inf-matrix", "inf-vi-matrix", "inf-matrices",
         "overflowed-powers", "overflowed-theta-power", "inf-vector",
         "overflowed-power-scaled", "overflowed-random", "inf-net-samples",
-        "overflowed-power-net", "empty-box"])
+        "overflowed-power-net", "empty-box", "inf-obstacle"])
 def test_malformed_numbers_are_config_errors(tmp_path, capsys, cfg, args, needle):
     path = _write_config(tmp_path, "bad.json", cfg)
     rc = _run(args + ["--config", path, "--out", str(tmp_path / "out")])

@@ -226,6 +226,14 @@ class TestMidpointClosure:
             pairs = [(_feasible_point(rng, C, kind, d),
                       _feasible_point(rng, C, kind, d)) for _ in range(5)]
             assert midpoint_closure_check(C, pairs, POLICY)
+        # an infinite bound constrains nothing on its side, so a point at
+        # +inf (-inf) lies in a set whose upper (lower) bound is +inf (-inf)
+        top = GenVector.constant(np.array([np.inf]), GRID)
+        for C, p in [(ConvexSetNet.obstacle(GRID, [0.0]), top),
+                     (ConvexSetNet.box(GRID, [0.0], [np.inf]), top),
+                     (ConvexSetNet.box(GRID, [-np.inf], [0.0]), -top)]:
+            assert np.all(C.violation(p.samples) == 0.0)
+            assert midpoint_closure_check(C, [(p, p)], POLICY)
 
     def test_two_disjoint_boxes_fail(self):
         # one point of [0, 1] and one of [2, 3]: their midpoint 1.5 is

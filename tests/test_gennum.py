@@ -354,7 +354,8 @@ _OPERATIONS = {
                     lambda a, u, b, v: lincomb([a, b], [u, v])),
         "normalize": ((GenVector,), normalize),
         "idempotent_normalize": ((GenVector,), lambda u: idempotent_normalize(u, POLICY)[0]),
-        "project_submodule": ((GenVector,), lambda u: project_submodule(OrthoBasis((), ()), u)),
+        "project_submodule": ((GenVector,), lambda u: project_submodule(
+            OrthoBasis(u.grid, np.zeros((u.grid.K, 0, u.dim)), np.zeros((u.grid.K, 0))), u)),
     },
     BasicOperator: {
         "sub": ((BasicOperator, BasicOperator), operator.sub),

@@ -361,7 +361,7 @@ def test_projection_flag_agrees_with_gram_schmidt_projector():
         for j in range(d)))
     basis = interleaved_gram_schmidt(cols, POLICY)
     assert len(basis) == r
-    P_m = submodule_projection_operator(basis, GRID, d)
+    P_m = submodule_projection_operator(basis)
     assert np.max(np.abs(P_m.samples - P.samples)) <= PROJECTOR_TOL
     for _ in range(50):
         x = _random_vector(rng, d)

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from _oracles import gram_schmidt_per_point, idempotent_normalize_per_vector
+from _oracles import (
+    extend_functional_per_vector,
+    gram_schmidt_per_point,
+    idempotent_normalize_per_vector,
+    project_submodule_per_vector,
+    projection_operator_per_vector,
+)
 from gennet import (
     DimMismatch,
     EpsGrid,
@@ -13,7 +19,6 @@ from gennet import (
     GenVector,
     GeneratorSet,
     GridMismatch,
-    IndexSet,
     InvalidBasis,
     MixedScaleGenerator,
     NumericPolicy,
@@ -69,9 +74,9 @@ def test_gram_schmidt_small_perturbation_splits_axes():
                       GenVector(GRID, np.stack([GRID.values, GRID.values], axis=1))))
     basis = interleaved_gram_schmidt(g, POLICY)
     assert len(basis) == 2
-    assert np.allclose(basis.vecs[0].samples, [1.0, 0.0], atol=1e-15)
-    assert np.allclose(basis.vecs[1].samples, [0.0, 1.0], atol=1e-15)
-    assert all(len(S) == GRID.K for S in basis.supports)
+    assert np.allclose(basis.samples[:, 0], [1.0, 0.0], atol=1e-15)
+    assert np.allclose(basis.samples[:, 1], [0.0, 1.0], atol=1e-15)
+    assert basis.support.all()
 
 
 def test_gram_schmidt_keeps_the_dominant_generator():
@@ -80,8 +85,8 @@ def test_gram_schmidt_keeps_the_dominant_generator():
     g = GeneratorSet((_constant([1.0, 0.0]), _constant([1.0, 1.0])))
     basis = interleaved_gram_schmidt(g, POLICY)
     r = 1.0 / np.sqrt(2.0)
-    assert np.allclose(basis.vecs[0].samples, [r, -r], atol=1e-12)
-    assert np.allclose(basis.vecs[1].samples, [r, r], atol=1e-12)
+    assert np.allclose(basis.samples[:, 0], [r, -r], atol=1e-12)
+    assert np.allclose(basis.samples[:, 1], [r, r], atol=1e-12)
 
 
 @pytest.mark.parametrize("grid,policy", [
@@ -94,8 +99,8 @@ def test_duplicate_generator_is_dropped(grid, policy):
     u = GenVector(grid, np.tile([3.0, 4.0], (grid.K, 1)))
     basis = interleaved_gram_schmidt(GeneratorSet((u, u)), policy)
     assert len(basis) == 1
-    assert np.allclose(rnorm(basis.vecs[0]).samples, 1.0, atol=1e-14)
-    assert not np.isnan(basis.vecs[0].samples).any()
+    assert np.allclose(rnorm(GenVector(grid, basis.samples[:, 0])).samples, 1.0, atol=1e-14)
+    assert not np.isnan(basis.samples).any()
 
 
 def test_beta_type_generator_has_no_uniform_scale():
@@ -161,13 +166,18 @@ def _vector(samples):
 
 
 def _outcome(build):
-    """A basis as (vector bytes, supports), or the offenders it raised."""
+    """A basis as (shape, sample bytes, support mask bytes), or the offenders it raised."""
     try:
         basis = build()
     except MixedScaleGenerator as err:
         return err.indices
-    return ([w.samples.tobytes() for w in basis.vecs],
-            [sorted(S.members) for S in basis.supports])
+    return basis.samples.shape, basis.samples.tobytes(), basis.support.tobytes()
+
+
+def _empty_basis(d, dtype=float):
+    """The basis of the zero submodule of K^d: r = 0."""
+    return OrthoBasis(GRID, np.zeros((GRID.K, 0, d), dtype=dtype),
+                      np.zeros((GRID.K, 0), dtype=bool))
 
 
 def _oracle_basis(raw, policy=POLICY):
@@ -175,9 +185,11 @@ def _oracle_basis(raw, policy=POLICY):
     for r in raw:
         w, support = idempotent_normalize_per_vector(r, GRID.values, policy)
         if support.any():
-            vecs.append(_vector(w))
-            supports.append(IndexSet.from_mask(support))
-    return OrthoBasis(vecs, supports)
+            vecs.append(w)
+            supports.append(support)
+    if not vecs:
+        return _empty_basis(raw.shape[2], raw.dtype)
+    return OrthoBasis(GRID, np.stack(vecs, axis=1), np.stack(supports, axis=1))
 
 
 @seed(20261018)
@@ -224,8 +236,7 @@ def test_batched_normalization_matches_the_per_vector_oracle(samples):
 
 def _basis(w, support):
     kept = np.flatnonzero(support.any(axis=0))
-    return OrthoBasis([_vector(w[:, j]) for j in kept],
-                      [IndexSet.from_mask(support[:, j]) for j in kept])
+    return OrthoBasis(GRID, w[:, kept], support[:, kept])
 
 
 @pytest.mark.parametrize("first,offenders", [
@@ -329,7 +340,8 @@ def test_orthogonality_and_span_reconstruction(max_power):
         basis.validate(POLICY)
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
-                ip = np.abs(inner(basis.vecs[i], basis.vecs[j]).samples)
+                ip = np.abs(inner(_vector(basis.samples[:, i]),
+                                  _vector(basis.samples[:, j])).samples)
                 assert np.all(ip <= ORTHO_TOL)
         for gen in g.gens:
             recon = project_submodule(basis, gen).samples
@@ -346,7 +358,7 @@ def test_complex_generators_orthogonalize():
         for _ in range(3))
     basis = interleaved_gram_schmidt(GeneratorSet(gens), POLICY)
     basis.validate(POLICY)
-    assert all(w.samples.dtype == np.complex128 for w in basis.vecs)
+    assert basis.samples.dtype == np.complex128
     for gen in gens:
         recon = project_submodule(basis, gen).samples
         gap = np.linalg.norm(recon - gen.samples, axis=1)
@@ -359,7 +371,7 @@ def test_projector_is_a_projection_operator():
     rng = np.random.default_rng(521)
     g = _random_generators(rng, 3, 6)
     basis = interleaved_gram_schmidt(g, POLICY)
-    P = submodule_projection_operator(basis, GRID, 6)
+    P = submodule_projection_operator(basis)
     flags = classify_operator(P, POLICY)
     assert flags["self_adjoint"] and flags["projection"]
     for _ in range(20):
@@ -373,11 +385,11 @@ def test_projectors_of_orthogonal_pieces_add():
     g = _random_generators(rng, 4, 7)
     basis = interleaved_gram_schmidt(g, POLICY)
     assert len(basis) == 4
-    first = OrthoBasis(basis.vecs[:2], basis.supports[:2])
-    second = OrthoBasis(basis.vecs[2:], basis.supports[2:])
-    whole = submodule_projection_operator(basis, GRID, 7).samples
-    parts = (submodule_projection_operator(first, GRID, 7).samples
-             + submodule_projection_operator(second, GRID, 7).samples)
+    first = OrthoBasis(GRID, basis.samples[:, :2], basis.support[:, :2])
+    second = OrthoBasis(GRID, basis.samples[:, 2:], basis.support[:, 2:])
+    whole = submodule_projection_operator(basis).samples
+    parts = (submodule_projection_operator(first).samples
+             + submodule_projection_operator(second).samples)
     assert np.max(np.abs(whole - parts)) <= ORTHO_TOL
 
 
@@ -385,11 +397,55 @@ def test_projection_matches_operator_route():
     rng = np.random.default_rng(541)
     g = _random_generators(rng, 2, 5)
     basis = interleaved_gram_schmidt(g, POLICY)
-    P = submodule_projection_operator(basis, GRID, 5)
+    P = submodule_projection_operator(basis)
     for _ in range(10):
         u = GenVector(GRID, rng.standard_normal((GRID.K, 5)))
         gap = project_submodule(basis, u).samples - apply(P, u).samples
         assert np.max(np.abs(gap)) <= ORTHO_TOL
+
+
+@st.composite
+def _stacked_bases(draw):
+    """(W, support, v, f): an orthonormal (K, r, d) basis stack, zero off a
+    random (K, r) support mask, r = 0 .. d <= 6, with a (K, d) vector v and
+    (K, r) functional values f; basis, v and f each real or complex."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 6))
+    r = draw(st.integers(0, d))
+
+    def sample(shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if draw(st.booleans()) else x
+
+    q, _ = np.linalg.qr(sample((GRID.K, d, d)))
+    support = rng.random((GRID.K, r)) < 0.7
+    W = np.swapaxes(q[:, :, :r], 1, 2) * support[:, :, None]
+    return W, support, sample((GRID.K, d)), sample((GRID.K, r))
+
+
+@seed(20261020)
+@settings(max_examples=150, deadline=None)
+@given(case=_stacked_bases())
+def test_batched_consumers_match_the_per_vector_oracles(case):
+    W, support, v, f = case
+    B = OrthoBasis(GRID, W, support)
+    assert len(B) == W.shape[1]
+    B.validate(POLICY)
+
+    def close(got, want, scale):
+        assert got.dtype == want.dtype
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    close(project_submodule(B, _vector(v)).samples, project_submodule_per_vector(W, v),
+          np.linalg.norm(v, axis=1)[:, None])
+    close(submodule_projection_operator(B).samples, projection_operator_per_vector(W), 1.0)
+    values = [GenScalar(GRID, f[:, j]) for j in range(f.shape[1])]
+    if not values:
+        with pytest.raises(InvalidBasis, match="empty basis"):
+            extend_functional(values, B)
+        return
+    close(extend_functional(values, B).samples, extend_functional_per_vector(f, W),
+          np.linalg.norm(f, axis=1)[:, None])
 
 
 # -------------------------------------------------------- classification
@@ -418,12 +474,13 @@ def test_extend_functional_agrees_on_basis_and_kills_complement():
     values = [GenScalar(GRID, np.full(GRID.K, 2.0)),
               GenScalar(GRID, GRID.values.copy())]
     F = extend_functional(values, basis)
-    for f_j, w in zip(values, basis.vecs):
-        assert np.allclose(F(w).samples, f_j.samples, rtol=0.0, atol=1e-14)
+    for j, f_j in enumerate(values):
+        assert np.allclose(F(_vector(basis.samples[:, j])).samples, f_j.samples,
+                           rtol=0.0, atol=1e-14)
     ortho = _constant([0.0, 0.0, 1.0])
     assert np.all(np.abs(F(ortho).samples) <= 1e-14)
     # acting through the projector changes nothing
-    P = submodule_projection_operator(basis, GRID, 3)
+    P = submodule_projection_operator(basis)
     u = GenVector(GRID, np.tile([0.3, -1.2, 5.0], (GRID.K, 1)))
     assert np.allclose(F(u).samples, F(apply(P, u)).samples, rtol=0.0, atol=1e-12)
 
@@ -434,44 +491,50 @@ def test_extend_functional_validates_value_count():
     with pytest.raises(InvalidBasis):
         extend_functional([one, one], basis)
     with pytest.raises(InvalidBasis):
-        extend_functional([], OrthoBasis((), ()))
+        extend_functional([], _empty_basis(2))
 
 
 # ------------------------------------------------------------ validation
 
+def _stacked(vecs, supports):
+    """An OrthoBasis of GenVectors and their (K,) support masks."""
+    support = np.stack(supports, axis=1) if supports else np.zeros((GRID.K, 0), dtype=bool)
+    return OrthoBasis(GRID, np.stack([v.samples for v in vecs], axis=1), support)
+
+
 def test_validate_flags_broken_bases():
-    full = IndexSet.full(GRID)
-    good = OrthoBasis((_constant([1.0, 0.0]),), (full,))
+    full = np.ones(GRID.K, dtype=bool)
+    good = _stacked((_constant([1.0, 0.0]),), (full,))
     good.validate(POLICY)
+    _empty_basis(2).validate(POLICY)
     with pytest.raises(InvalidBasis, match="unit length"):
-        OrthoBasis((_constant([2.0, 0.0]),), (full,)).validate(POLICY)
+        _stacked((_constant([2.0, 0.0]),), (full,)).validate(POLICY)
     with pytest.raises(InvalidBasis, match="off its support"):
-        OrthoBasis((_constant([1.0, 0.0]),),
-                   (IndexSet.from_mask(np.zeros(GRID.K, dtype=bool)),)).validate(POLICY)
+        _stacked((_constant([1.0, 0.0]),), (np.zeros(GRID.K, dtype=bool),)).validate(POLICY)
     r = 1.0 / np.sqrt(2.0)
     with pytest.raises(InvalidBasis, match="not orthogonal"):
-        OrthoBasis((_constant([1.0, 0.0]), _constant([r, r])),
-                   (full, full)).validate(POLICY)
+        _stacked((_constant([1.0, 0.0]), _constant([r, r])),
+                 (full, full)).validate(POLICY)
     with pytest.raises(InvalidBasis):
-        OrthoBasis((_constant([1.0, 0.0]),), ())
+        _stacked((_constant([1.0, 0.0]),), ())
 
 
 def test_validate_names_the_check_vectors_and_first_grid_point():
-    full = IndexSet.full(GRID)
+    full = np.ones(GRID.K, dtype=bool)
     forged = np.tile([1.0, 0.0], (GRID.K, 1))
     forged[4] *= 1.1  # sample 5
     with pytest.raises(InvalidBasis, match=r"^unit length: vector 0 .* k=5 "):
-        OrthoBasis((GenVector(GRID, forged),), (full,)).validate(POLICY)
+        _stacked((GenVector(GRID, forged),), (full,)).validate(POLICY)
     mask = np.ones(GRID.K, dtype=bool)
     mask[[2, 9]] = False
     with pytest.raises(InvalidBasis, match=r"^zero off the support: vector 0 .* k=3 "):
-        OrthoBasis((_constant([1.0, 0.0]),), (IndexSet.from_mask(mask),)).validate(POLICY)
+        _stacked((_constant([1.0, 0.0]),), (mask,)).validate(POLICY)
     tilted = np.tile([0.0, 1.0], (GRID.K, 1))
     tilted[[6, 11]] = 1.0 / np.sqrt(2.0)
     with pytest.raises(InvalidBasis, match=r"^orthogonality: vectors 1 and 2 .* k=7 "):
-        OrthoBasis((_constant([0.0, 0.0, 1.0]), _constant([1.0, 0.0, 0.0]),
-                    GenVector(GRID, np.c_[tilted, np.zeros(GRID.K)])),
-                   (full, full, full)).validate(POLICY)
+        _stacked((_constant([0.0, 0.0, 1.0]), _constant([1.0, 0.0, 0.0]),
+                  GenVector(GRID, np.c_[tilted, np.zeros(GRID.K)])),
+                 (full, full, full)).validate(POLICY)
 
 
 def test_generator_set_guards():
