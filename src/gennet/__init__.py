@@ -36,7 +36,6 @@ from .gennum import (
     CloseInfimumResult,
     EpsGrid,
     GenScalar,
-    IndexSet,
     Invertibility,
     NumericPolicy,
     close_infimum_check,

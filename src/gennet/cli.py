@@ -34,7 +34,6 @@ from .fem import CoefficientNet, Mesh1D, ProblemSpec, solve_dirichlet, solve_obs
 from .gennum import (
     EpsGrid,
     GenScalar,
-    IndexSet,
     NumericPolicy,
     _open_output,
     is_moderate,  # noqa: F401 -- unused; perfbench/spans.py wraps it here by name
@@ -161,11 +160,10 @@ def _operator_net(spec, grid: EpsGrid) -> BasicOperator:
         members = _field(spec, "members", "/operator")
         if not isinstance(members, list):
             raise ConfigInvalid("/operator/members: must be a list of grid indices")
-        S = IndexSet(frozenset(_number(m, f"/operator/members/{i}", int, 1, grid.K)
-                               for i, m in enumerate(members)), grid.K)
+        ks = [_number(m, f"/operator/members/{i}", int, 1, grid.K) for i, m in enumerate(members)]
         dim = _number(spec.get("dim", 2), "/operator/dim", int, 1)
         mats = np.zeros((grid.K, dim, dim))
-        np.einsum("kii->ki", mats)[:] = S.mask().astype(float)[:, None]
+        np.einsum("kii->ki", mats)[np.array(ks, dtype=np.intp) - 1] = 1.0
         return BasicOperator(grid, mats)
     if kind == "samples":
         mats = _array(_field(spec, "matrices", "/operator"), "/operator/matrices")

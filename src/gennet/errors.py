@@ -57,7 +57,8 @@ class EmptySet(GennetError):
 
 
 class NoConvergence(GennetError):
-    """The obstacle active-set solve failed to settle."""
+    """An iterative solve cannot settle: the obstacle active-set loop, or a
+    contraction iteration whose factor rounds to 1 at some grid point."""
 
 
 class ProbeNotInSet(GennetError):

@@ -12,6 +12,10 @@ interpreted on the tail window of the grid through a NumericPolicy:
 * nonnegative       a_k   >= -eps_k**q_neg  on the tail
 * invertible w.r.t. S: 0 < |a_k| >= eps_k**m (some m <= m_inv) on S-tail
 
+An index set S, the finite stand-in for S ⊆ (0,1], is a (K,) bool mask
+with k in S at S[k - 1]; its complement is ~S.  Every S-relative function
+refuses a mask of another dtype (TypeError) or shape (GridMismatch).
+
 Every moderateness and invertibility test in the library is one of two
 per-sample rules, ``_moderate`` and ``_invertible``.
 
@@ -44,7 +48,7 @@ from .errors import (
 
 
 # ---------------------------------------------------------------------------
-# grid / policy / index sets
+# grid / policy
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -237,47 +241,6 @@ class NumericPolicy:
             raise ValueError("tail must be >= 1")
         if self.tol_abs <= 0.0:
             raise ValueError("tol_abs must be positive")
-
-
-@dataclass(frozen=True)
-class IndexSet:
-    """A subset of grid indices {1..K}; the finite stand-in for S ⊆ (0,1]."""
-
-    members: frozenset
-    k_max: int
-
-    def __post_init__(self):
-        members = frozenset(int(k) for k in self.members)
-        if members and (min(members) < 1 or max(members) > self.k_max):
-            raise ValueError("members must lie in {1..K}")
-        object.__setattr__(self, "members", members)
-
-    @classmethod
-    def full(cls, grid: EpsGrid) -> "IndexSet":
-        return cls(frozenset(range(1, grid.K + 1)), grid.K)
-
-    @classmethod
-    def empty(cls, grid: EpsGrid) -> "IndexSet":
-        return cls(frozenset(), grid.K)
-
-    @classmethod
-    def from_mask(cls, mask: np.ndarray) -> "IndexSet":
-        mask = np.asarray(mask, dtype=bool)
-        return cls(frozenset((np.flatnonzero(mask) + 1).tolist()), mask.size)
-
-    def mask(self) -> np.ndarray:
-        m = np.zeros(self.k_max, dtype=bool)
-        m[np.fromiter(self.members, np.intp, len(self.members)) - 1] = True
-        return m
-
-    def complement(self) -> "IndexSet":
-        return IndexSet(frozenset(range(1, self.k_max + 1)) - self.members, self.k_max)
-
-    def __contains__(self, k) -> bool:
-        return int(k) in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 def _tail_positions(grid: EpsGrid, policy: NumericPolicy) -> np.ndarray:
@@ -517,25 +480,34 @@ def sqrt_nonneg(a: GenScalar, policy: NumericPolicy) -> GenScalar:
 
 
 # ---------------------------------------------------------------------------
-# idempotents and invertibility w.r.t. an index set
+# idempotents and invertibility w.r.t. an index set (a (K,) bool mask)
 # ---------------------------------------------------------------------------
 
-def idempotent(S: IndexSet, grid: EpsGrid) -> GenScalar:
+def _index_mask(S: np.ndarray, grid: EpsGrid) -> np.ndarray:
+    """The index set S as the (K,) bool mask of ``grid``, k at S[k - 1]: a mask
+    of another dtype is a TypeError, one of another shape a GridMismatch."""
+    S = np.asarray(S)
+    if S.dtype != bool:
+        raise TypeError(f"an index set is a (K,) bool mask, not an array of {S.dtype}")
+    if S.shape != (grid.K,):
+        raise GridMismatch(f"index set of shape {S.shape} on a grid of K = {grid.K}")
+    return S
+
+
+def idempotent(S: np.ndarray, grid: EpsGrid) -> GenScalar:
     """e_S: the characteristic net of S (1 on S, 0 elsewhere)."""
-    if S.k_max != grid.K:
-        raise GridMismatch("index set sized for a different grid")
-    return GenScalar(grid, S.mask().astype(float))
+    return GenScalar(grid, _index_mask(S, grid).astype(float))
 
 
 Invertibility = namedtuple("Invertibility", ["holds", "witness"])
 
 
-def _tail_members(grid: EpsGrid, S: IndexSet, policy: NumericPolicy) -> np.ndarray:
+def _tail_members(grid: EpsGrid, S: np.ndarray, policy: NumericPolicy) -> np.ndarray:
     pos = _tail_positions(grid, policy)
-    return pos[S.mask()[pos]]
+    return pos[_index_mask(S, grid)[pos]]
 
 
-def invertible_wrt(a: GenScalar, S: IndexSet, policy: NumericPolicy) -> Invertibility:
+def invertible_wrt(a: GenScalar, S: np.ndarray, policy: NumericPolicy) -> Invertibility:
     """Is |a_k| > 0 bounded below by some eps_k**m (m <= m_inv) on S's tail?
 
     Returns the verdict together with the smallest working integer
@@ -551,20 +523,20 @@ def invertible_wrt(a: GenScalar, S: IndexSet, policy: NumericPolicy) -> Invertib
     return Invertibility(working.size > 0, int(working[0]) + 1 if working.size else None)
 
 
-def zero_wrt(a: GenScalar, S: IndexSet, policy: NumericPolicy) -> bool:
+def zero_wrt(a: GenScalar, S: np.ndarray, policy: NumericPolicy) -> bool:
     """Is |a_k| <= eps_k**q_neg on S's tail (negligible relative to S)?"""
     if _tail_members(a.grid, S, policy).size == 0:
         raise EmptyTailIntersection("index set does not meet the tail window")
     return _zero_on(a, S, policy)
 
 
-def _zero_on(a: GenScalar, S: IndexSet, policy: NumericPolicy) -> bool:
+def _zero_on(a: GenScalar, S: np.ndarray, policy: NumericPolicy) -> bool:
     """zero_wrt, vacuously true when S misses the tail."""
     pos = _tail_members(a.grid, S, policy)
     return bool(np.all(np.abs(a.samples[pos]) <= a.grid.values[pos] ** policy.q_neg))
 
 
-def _excess(a: GenScalar, S: IndexSet, policy: NumericPolicy) -> float:
+def _excess(a: GenScalar, S: np.ndarray, policy: NumericPolicy) -> float:
     """The largest |a_k| / eps_k**q_neg on S's tail (0 off it), for SplitFailed:
     where eps_k**q_neg underflows to 0 it is 0 for a_k = 0 and inf otherwise,
     and a NaN a_k counts as inf."""
@@ -575,7 +547,7 @@ def _excess(a: GenScalar, S: IndexSet, policy: NumericPolicy) -> float:
     return float(np.max(ratio, initial=0.0))
 
 
-def zero_divisor_split(x: GenScalar, y: GenScalar, policy: NumericPolicy) -> IndexSet:
+def zero_divisor_split(x: GenScalar, y: GenScalar, policy: NumericPolicy) -> np.ndarray:
     """Split the grid so that x vanishes on S and y on its complement.
 
     Heuristic S = {k : |x_k| <= |y_k|} (ties go to the x-small side),
@@ -587,9 +559,9 @@ def zero_divisor_split(x: GenScalar, y: GenScalar, policy: NumericPolicy) -> Ind
         raise GridMismatch("operands live on different grids")
     if not is_negligible(x * y, policy):
         raise NotZeroProduct("x*y is not negligible")
-    S = IndexSet.from_mask(np.abs(x.samples) <= np.abs(y.samples))
-    if not (_zero_on(x, S, policy) and _zero_on(y, S.complement(), policy)):
-        raise SplitFailed(_excess(x, S, policy), _excess(y, S.complement(), policy))
+    S = np.abs(x.samples) <= np.abs(y.samples)
+    if not (_zero_on(x, S, policy) and _zero_on(y, ~S, policy)):
+        raise SplitFailed(_excess(x, S, policy), _excess(y, ~S, policy))
     return S
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, GridMismatch, InvalidBasis, MixedScaleGenerator
-from .gennum import EpsGrid, IndexSet, NumericPolicy, _SampleNet, _invertible, _tail_positions
+from .gennum import EpsGrid, NumericPolicy, _SampleNet, _invertible, _tail_positions
 from .hilbert import GenVector
 from .operators import BasicFunctional, BasicOperator, apply
 
@@ -136,10 +136,10 @@ def idempotent_normalize(u: GenVector, policy: NumericPolicy):
     window entirely, so no invertible-or-zero split is certifiable on
     the asymptotic window (the beta pathology at finite scale).
 
-    Returns (w, S).
+    Returns (w, S), S the (K,) bool mask of the support.
     """
     w, support = _normalize(u.samples[:, None, :], u.grid, policy)
-    return GenVector(u.grid, w[:, 0]), IndexSet.from_mask(support[:, 0])
+    return GenVector(u.grid, w[:, 0]), support[:, 0]
 
 
 def _normalize(samples: np.ndarray, grid: EpsGrid, policy: NumericPolicy):
@@ -276,12 +276,11 @@ def extend_functional(values, B: OrthoBasis) -> BasicFunctional:
 
     ``values`` lists one GenScalar f(w_j) per basis vector; the
     extension's covector net is sum_j f_j,k * conj(w_j,k), so it agrees
-    with f on the submodule and kills its orthogonal complement.
+    with f on the submodule and kills its orthogonal complement.  On the
+    empty basis (r = 0) that is the zero covector net.
     """
     values = list(values)
     if len(values) != len(B):
         raise InvalidBasis(f"{len(values)} values for {len(B)} basis vectors")
-    if not values:
-        raise InvalidBasis("empty basis cannot carry a functional")
-    f = np.stack([f_j.samples for f_j in values], axis=1)
-    return BasicFunctional(B.grid, np.einsum("kr,krd->kd", f, np.conj(B.samples)))
+    f = np.array([f_j.samples for f_j in values]).reshape(len(values), B.grid.K)
+    return BasicFunctional(B.grid, np.einsum("rk,krd->kd", f, np.conj(B.samples)))

@@ -28,6 +28,7 @@ from .errors import (
     GridMismatch,
     InvalidCertificate,
     IterationBudgetExceeded,
+    NoConvergence,
     ResidualTargetMissed,
 )
 from .gennum import (
@@ -36,7 +37,7 @@ from .gennum import (
     _invertible,
     _tail_positions,
     ge_zero,  # noqa: F401 -- unused; perfbench/spans.py wraps it here by name
-    invertible_wrt,  # noqa: F401 -- unused; perfbench/spans.py wraps it here by name
+    invertible_wrt,
     write_grid_csv,
 )
 from .hilbert import GenVector
@@ -74,27 +75,25 @@ class CoercivityCertificate:
 
     @classmethod
     def from_alpha(cls, alpha: GenScalar, policy: NumericPolicy) -> "CoercivityCertificate":
-        """The certificate of the real lower-bound net ``alpha``, in one pass over the tail.
+        """The certificate of the real lower-bound net ``alpha``, read on the tail.
 
         Every tail alpha_k must be nonnegative in the order sense, alpha_k >= -eps_k**q_neg,
-        and invertible by gennum's rule, 0 < |alpha_k| >= eps_k**m_inv; the witness is the
-        least such m on the whole tail.
+        and invertible by gennum's rule, 0 < |alpha_k| >= eps_k**m_inv; the witness is
+        invertible_wrt's on the whole grid, the least such m on the whole tail.
         """
         if not alpha.is_real():
             raise ValueError("order test needs a real net")
+        witness = invertible_wrt(alpha, np.ones(alpha.grid.K, dtype=bool), policy).witness
         pos = _tail_positions(alpha.grid, policy)
         a, eps = alpha.samples[pos], alpha.grid.values[pos]
-        # row m - 1: is 0 < |alpha_k| >= eps_k**m, for m = 1..m_inv
-        bounded = _invertible(np.abs(a), eps, np.arange(1, policy.m_inv + 1)[:, None])
-        whole = bounded.all(axis=1)
         negative = ~(a >= -eps ** policy.q_neg)
         failure = None
-        bad = np.flatnonzero(negative | ~bounded[-1])
+        bad = np.flatnonzero(negative | ~_invertible(np.abs(a), eps, policy.m_inv))
         if bad.size:
             j = bad[0]
             check = "alpha_k < -eps_k^q_neg" if negative[j] else "|alpha_k| < eps_k^m_inv"
             failure = int(pos[j]) + 1, check
-        return cls(alpha, int(np.argmax(whole)) + 1 if whole.any() else None, failure)
+        return cls(alpha, witness, failure)
 
     def to_json(self) -> dict:
         return {
@@ -226,7 +225,8 @@ def vi_solve_contraction(
     two-cycle is rounding, and its points lie within the rounding error
     of two updates over (1 - k_k**2) of the solution.  The iteration
     budget per point is ceil(log tol_abs / log k_k) plus half again (at
-    least 1024); exceeding it raises IterationBudgetExceeded.
+    least 1024); exceeding it raises IterationBudgetExceeded.  A factor that
+    rounds to 1 gives no budget: NoConvergence names its point before any sweep.
 
     The sweeps run in blocks of _BLOCKS sweeps (1, 2, 4, 8, then 16
     each), on the grid points still iterating when the block starts:
@@ -263,6 +263,10 @@ def vi_solve_contraction(
     else:
         rho = alpha / M ** 2
         kfac = np.sqrt(np.maximum(0.0, 1.0 - alpha ** 2 / M ** 2))
+    if not np.all(kfac < 1.0):
+        k = int(np.argmin(kfac < 1.0))
+        raise NoConvergence(f"k={k + 1}: the contraction factor rounds to 1 at "
+                            f"alpha_k/M_k = {alpha[k] / M[k]:.3e}, so no iteration budget exists")
 
     K, d = c.samples.shape
     tol = policy.tol_abs

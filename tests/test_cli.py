@@ -290,6 +290,23 @@ def test_a_zero_alpha_fails_the_tail_rule_on_a_grid_whose_thresholds_underflow(
         "(|alpha_k| < eps_k^m_inv): alpha = 0.000e+00 at grid index k=193\n")
 
 
+@pytest.mark.parametrize("power,k,ratio", [(3, 18, "5.551e-17"), (5, 11, "2.776e-17"),
+                                           (8, 7, "1.388e-17")])
+def test_a_contraction_factor_that_rounds_to_1_is_a_verdict_failure(tmp_path, capsys, power,
+                                                                    k, ratio):
+    # alpha_k = eps_k^power is a valid certificate, but (M - alpha)/(M + alpha)
+    # rounds to 1 at k: once a ZeroDivisionError traceback, exit 1
+    cfg = _write_config(tmp_path, "flat.json", {
+        "operator": {"kind": "diag_powers", "powers": [power, 0]},
+        "rhs": [1, 1],
+        "set": {"kind": "box", "lower": [0, 0], "upper": [1, 1]},
+    })
+    assert _run(["vi-solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"verdict failure: NoConvergence: k={k}: the contraction factor rounds to 1 at "
+        f"alpha_k/M_k = {ratio}, so no iteration budget exists\n")
+
+
 @pytest.mark.parametrize("command,obstacle", [("solve-dirichlet", None),
                                               ("solve-obstacle", -1.0)])
 def test_a_nan_diffusion_fails_coercivity_at_its_grid_point(tmp_path, capsys, command,
@@ -603,6 +620,20 @@ def _in_fresh_interpreter(code, *args):
     done = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, check=True)
     return done.stdout
+
+
+def test_the_readme_quickstart_prints_what_its_comments_state():
+    # each python block of README.md runs in a fresh interpreter; the
+    # quickstart's comments state a valuation of -1.5, a certificate
+    # "True 2" and a moderate solution
+    readme = (SRC.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.S | re.M)
+    assert blocks
+    outputs = [_in_fresh_interpreter(block).splitlines() for block in blocks]
+    valuation, cert, solution = outputs[0][:3]
+    assert abs(float(valuation) + 1.5) <= 1e-12
+    assert cert == "True 2"
+    assert solution.split()[1] == "True"
 
 
 def test_no_numpy_warning_reaches_stderr(tmp_path, capsys):

@@ -20,7 +20,6 @@ from gennet import (
     GenScalar,
     GenVector,
     GridMismatch,
-    IndexSet,
     NotNonnegative,
     NumericPolicy,
     OrthoBasis,
@@ -51,6 +50,7 @@ from gennet import (
     zero_divisor_split,
     zero_wrt,
 )
+from gennet.gennum import _excess, _zero_on
 
 GRID = EpsGrid.geometric(24)
 POLICY = NumericPolicy()
@@ -411,26 +411,26 @@ def test_net_construction_decides_tag_dtype_and_shape(cls, shape):
 # ---------------------------------------------------------------------------
 
 def test_idempotent_algebra_is_exact():
-    S = IndexSet(frozenset(range(2, GRID.K + 1, 2)), GRID.K)
+    S = np.arange(1, GRID.K + 1) % 2 == 0
     e = idempotent(S, GRID)
-    ec = idempotent(S.complement(), GRID)
+    ec = idempotent(~S, GRID)
     assert np.array_equal((e * e).samples, e.samples)
     assert np.array_equal((e + ec).samples, np.ones(GRID.K))
     assert ge_zero(e, POLICY)
-    assert np.array_equal(idempotent(IndexSet.empty(GRID), GRID).samples,
+    assert np.array_equal(idempotent(np.zeros(GRID.K, dtype=bool), GRID).samples,
                           np.zeros(GRID.K))
 
 
 def test_invertible_and_zero_wrt():
-    full = IndexSet.full(GRID)
+    full = np.ones(GRID.K, dtype=bool)
     inv = invertible_wrt(make_power_net(1.0, 2.0, GRID), full, POLICY)
     assert inv.holds and inv.witness == 2
     assert not zero_wrt(make_power_net(1.0, 2.0, GRID), full, POLICY)
 
-    S = IndexSet(frozenset(range(1, GRID.K + 1, 2)), GRID.K)
+    S = np.arange(1, GRID.K + 1) % 2 == 1
     e = idempotent(S, GRID)
     assert invertible_wrt(e, S, POLICY).holds
-    assert zero_wrt(e, S.complement(), POLICY)
+    assert zero_wrt(e, ~S, POLICY)
 
 
 def test_invertibility_witness_on_block_net():
@@ -438,32 +438,55 @@ def test_invertibility_witness_on_block_net():
     ks = np.arange(1, GRID.K + 1)
     beta = np.where(ks <= 12, GRID.values**1, GRID.values**3)
     net = GenScalar(GRID, beta)
-    S3 = IndexSet(frozenset(range(13, GRID.K + 1)), GRID.K)
+    S3 = np.arange(1, GRID.K + 1) >= 13
     inv = invertible_wrt(net, S3, POLICY)
     assert inv.holds and inv.witness == 3
 
 
 def test_empty_tail_intersection_raises():
-    head_only = IndexSet(frozenset({1, 2, 3}), GRID.K)
+    head_only = np.arange(1, GRID.K + 1) <= 3
     with pytest.raises(EmptyTailIntersection):
         invertible_wrt(make_power_net(1.0, 1.0, GRID), head_only, POLICY)
     with pytest.raises(EmptyTailIntersection):
         zero_wrt(make_power_net(1.0, 1.0, GRID), head_only, POLICY)
 
 
+_MASKED = {
+    "idempotent": lambda S: idempotent(S, GRID),
+    "invertible_wrt": lambda S: invertible_wrt(make_power_net(1.0, 2.0, GRID), S, POLICY),
+    "zero_wrt": lambda S: zero_wrt(make_power_net(1.0, 2.0, GRID), S, POLICY),
+    # the split checks its S and ~S with these two
+    "split-zero_on": lambda S: _zero_on(make_power_net(1.0, 2.0, GRID), S, POLICY),
+    "split-excess": lambda S: _excess(make_power_net(1.0, 2.0, GRID), S, POLICY),
+}
+
+
+@pytest.mark.parametrize("call", list(_MASKED))
+@pytest.mark.parametrize("S,error", [
+    (np.arange(1, 31) <= 17, GridMismatch),  # sized for K = 30: once a silent verdict
+    (np.arange(1, 21) <= 17, GridMismatch),  # sized for K = 20: once an IndexError
+    (np.ones((GRID.K, 1), dtype=bool), GridMismatch),
+    (np.array([1, 3]), TypeError),  # member indices, not a mask
+    (np.ones(GRID.K, dtype=int), TypeError),
+], ids=["K30", "K20", "column", "members", "int-mask"])
+def test_a_mask_of_the_wrong_size_or_dtype_is_refused(call, S, error):
+    with pytest.raises(error):
+        _MASKED[call](S)
+
+
 def test_zero_divisor_split_disjoint_idempotents():
-    T = IndexSet(frozenset(range(1, GRID.K + 1, 2)), GRID.K)
+    T = np.arange(1, GRID.K + 1) % 2 == 1
     x = idempotent(T, GRID)
-    y = idempotent(T.complement(), GRID)
+    y = idempotent(~T, GRID)
     S = zero_divisor_split(x, y, POLICY)
     assert zero_wrt(x, S, POLICY)
-    assert zero_wrt(y, S.complement(), POLICY)
+    assert zero_wrt(y, ~S, POLICY)
 
 
 def test_zero_divisor_split_zero_factor():
     S = zero_divisor_split(GenScalar.constant(0.0, GRID),
                            make_power_net(1.0, 1.0, GRID), POLICY)
-    assert len(S) == GRID.K  # the zero side absorbs every index
+    assert S.all()  # the zero side absorbs every index
 
 
 def test_zero_divisor_split_alternating_ties():
@@ -472,7 +495,7 @@ def test_zero_divisor_split_alternating_ties():
     y = GenScalar(GRID, np.where(ks % 2 == 0, GRID.values, 0.0))
     S = zero_divisor_split(x, y, POLICY)
     # x lives on even positions (odd 1-based k is x-zero), ties go to x-small
-    assert zero_wrt(x, S, POLICY) and zero_wrt(y, S.complement(), POLICY)
+    assert zero_wrt(x, S, POLICY) and zero_wrt(y, ~S, POLICY)
 
 
 def test_zero_wrt_and_the_split_agree_where_the_thresholds_underflow():
@@ -483,8 +506,8 @@ def test_zero_wrt_and_the_split_agree_where_the_thresholds_underflow():
     x = GenScalar(GRID, (ks % 2).astype(float))
     y = GenScalar(GRID, 1.0 - (ks % 2))
     S = zero_divisor_split(x, y, policy)
-    assert S == IndexSet.from_mask(ks % 2 == 0)
-    assert zero_wrt(x, S, policy) and zero_wrt(y, S.complement(), policy)
+    assert np.array_equal(S, ks % 2 == 0)
+    assert zero_wrt(x, S, policy) and zero_wrt(y, ~S, policy)
     # a tie at k = 22 puts x_22 = 2**-600 > 0 = eps_22**q_neg on S: the
     # split fails, and its excess there is inf, never NaN
     from gennet import SplitFailed
@@ -522,8 +545,8 @@ def test_infimum_zero_not_close_for_interleaved_idempotents():
     # sharp norm on one alternating block, so nothing approaches 0 to
     # higher order even though 0 bounds the family from below.
     zero = GenScalar.constant(0.0, GRID)
-    T = IndexSet(frozenset(range(1, GRID.K + 1, 2)), GRID.K)
-    eT, ecT = idempotent(T, GRID), idempotent(T.complement(), GRID)
+    T = np.arange(1, GRID.K + 1) % 2 == 1
+    eT, ecT = idempotent(T, GRID), idempotent(~T, GRID)
     A = []
     for m in range(1, 6):
         p = make_power_net(1.0, float(m), GRID)

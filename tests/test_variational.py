@@ -18,10 +18,10 @@ from gennet import (
     GenScalar,
     GenVector,
     GridMismatch,
-    IndexSet,
     InvalidCertificate,
     IterationBudgetExceeded,
     Mesh1D,
+    NoConvergence,
     NumericPolicy,
     ProblemSpec,
     ResidualTargetMissed,
@@ -675,7 +675,7 @@ def test_the_tail_rule_decides_validity_exactly(policy):
                 alpha[rng.integers(grid.K - policy.tail, grid.K)] = rng.choice([0.0, -0.0])
             net = GenScalar(grid, alpha)
             cert = CoercivityCertificate.from_alpha(net, policy)
-            inv = invertible_wrt(net, IndexSet.full(grid), policy)
+            inv = invertible_wrt(net, np.ones(grid.K, dtype=bool), policy)
             assert cert.valid == (ge_zero(net, policy) and inv.holds)
             assert cert.witness_exponent == inv.witness
             assert cert.failure == _scalar_tail_rule(alpha, eps, policy)
@@ -688,7 +688,7 @@ def test_zero_alpha_is_not_invertible_where_the_thresholds_underflow():
     cert = CoercivityCertificate.from_alpha(GenScalar(big, np.zeros(big.K)), POLICY)
     assert (cert.valid, cert.witness_exponent) == (False, None)
     assert cert.failure == (193, "|alpha_k| < eps_k^m_inv")
-    assert invertible_wrt(GenScalar(big, np.zeros(big.K)), IndexSet.full(big), POLICY) == (
+    assert invertible_wrt(GenScalar(big, np.zeros(big.K)), np.ones(big.K, dtype=bool), POLICY) == (
         False, None)
     alpha = np.ones(GRID.K)
     alpha[21] = 0.0
@@ -723,6 +723,39 @@ def test_contraction_refuses_a_nan_alpha_at_its_grid_point():
         vi_solve_contraction(BasicOperator.identity(GRID, 2),
                              _random_vector(np.random.default_rng(5), 2), C, cert, POLICY)
     assert (err.value.k, err.value.check) == (1, "alpha_k <= 0")
+
+
+def _refused_contraction(mats):
+    """The NoConvergence of vi_solve_contraction on the matrix net ``mats``,
+    whose certificate must be valid."""
+    T = BasicOperator(GRID, mats)
+    cert = certify_coercivity(T, POLICY)
+    assert cert.valid
+    C = ConvexSetNet.box(GRID, np.zeros(2), np.ones(2))
+    with pytest.raises(NoConvergence) as err:
+        vi_solve_contraction(T, GenVector.constant(np.ones(2), GRID), C, cert, POLICY)
+    return str(err.value)
+
+
+def test_a_self_adjoint_factor_that_rounds_to_1_is_refused():
+    # diag(eps^3, 1): alpha_k = eps_k^3 certifies, but (M - alpha)/(M + alpha)
+    # rounds to 1 from k = 18 (alpha/M = 2^-54), where log k_k = 0 leaves no budget
+    mats = np.zeros((GRID.K, 2, 2))
+    mats[:, 0, 0], mats[:, 1, 1] = GRID.values ** 3, 1.0
+    assert _refused_contraction(mats) == (
+        "k=18: the contraction factor rounds to 1 at alpha_k/M_k = 5.551e-17, "
+        "so no iteration budget exists")
+
+
+def test_a_nonsymmetric_factor_that_rounds_to_1_is_refused():
+    # a rotation plus eps^2: alpha_k = eps_k^2 certifies, but sqrt(1 - alpha^2/M^2)
+    # rounds to 1 from k = 14 (alpha/M = 2^-28)
+    mats = np.zeros((GRID.K, 2, 2))
+    mats[:, 0, 0] = mats[:, 1, 1] = GRID.values ** 2
+    mats[:, 0, 1], mats[:, 1, 0] = 1.0, -1.0
+    assert _refused_contraction(mats) == (
+        "k=14: the contraction factor rounds to 1 at alpha_k/M_k = 3.725e-09, "
+        "so no iteration budget exists")
 
 
 def test_contraction_refuses_mismatched_inputs():
