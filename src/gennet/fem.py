@@ -424,11 +424,10 @@ def _assemble_all(spec: ProblemSpec):
     a_min, a_max = a.bounds()
     stiff, = a.integrals(wts)
     stiff /= h ** 2  # integral of a per element, / h^2
-    # the full-node system restricted to the interior nodes 1..n-1:
+    # the full-node system on the interior nodes 1..n-1, in the band net:
     # diag[:, i - 1] = A_ii, and off[:, i] = A_i,i+1 for every node i < n
-    diag = np.zeros((K, n - 1))
-    diag += stiff[:, 1:]
-    diag += stiff[:, :-1]
+    bands = np.empty((K, 2, n - 1))  # the net zeroes column 0 of row 1
+    diag = np.add(stiff[:, 1:], stiff[:, :-1], out=bands[:, 0])
     off = np.negative(stiff, out=stiff)
     c_min = np.zeros(K)
     if spec.potential is not None:
@@ -463,7 +462,8 @@ def _assemble_all(spec: ProblemSpec):
         b[:, e] += w_k * (1.0 - t)
         b[:, e + 1] += w_k * t
 
-    T = TridiagonalOperator.symmetric(grid, diag, off[:, 1:-1])
+    bands[:, 1, 1:] = off[:, 1:-1]
+    T = TridiagonalOperator(grid, bands, _fresh=True)
     if not (gl.any() or gr.any()):
         return T, b[:, 1:-1].copy(), np.zeros((K, n + 1)), a_min, a_max, c_min
     gl, gr = gl[:, None], gr[:, None]
@@ -669,26 +669,30 @@ def _pdas(T: TridiagonalOperator, b: np.ndarray, lower: np.ndarray):
     primal-dual active-set method (Hintermueller, Ito & Kunisch, SIAM J.
     Optim. 13(3), 2003), in lock-step from the empty active set A.
 
-    A step is one stacked ``?gtsv`` call whose rows in A read d_i w_i =
-    d_i lower_i, d the diagonal (unit rows would make ``?gtsv`` swap
-    pivots); lambda = T w - b on A, 0 off it, gives the next set
-    {lambda + d (lower - w) > 0}.  A sample is done, and keeps its bits,
-    once its set repeats.  Returns (w, steps); NoConvergence names the
-    first k (1-based) still moving after m + 1 steps.  Finite convergence
-    is proven for M-matrices only (P1 nets with c h^2 <= 6 a are ones).
+    A step eliminates A symmetrically: one stacked ``?gtsv`` call on the
+    net with 1 on the diagonal at A and 0 in every off-diagonal entry that
+    touches A, with right side lower on A and b - T (lower on A, 0 off it)
+    off A; so w = lower on A exactly.  lambda = T w - b on A, 0 off it,
+    gives the next set {lambda + d (lower - w) > 0}, d the diagonal, whose
+    last term may overflow to -inf for a far obstacle.  A sample is done,
+    and keeps its bits, once its set repeats.  Returns (w, steps);
+    NoConvergence names the first k (1-based) still moving after m + 1
+    steps.  Finite convergence is proven for M-matrices only (P1 nets
+    with c h^2 <= 6 a are ones).
     """
     K, m = b.shape
-    d = T.samples[:, 1]
+    d = T.samples[:, 0]
     active = np.zeros((K, m), dtype=bool)
     steps = np.zeros(K, dtype=np.int64)
     moving = np.ones(K, dtype=bool)
     for _ in range(m + 1):
-        bands = np.array(T.samples)
-        bands[:, 0, 1:][active[:, :-1]] = 0.0
-        bands[:, 2, :-1][active[:, 1:]] = 0.0
-        w = TridiagonalOperator(T.grid, bands).solve(np.where(active, d * lower, b))
+        touched = np.stack([active, active | np.roll(active, 1, axis=1)], axis=1)
+        step = TridiagonalOperator(T.grid, np.where(touched, [[1.0], [0.0]], T.samples),
+                                   _fresh=True)
+        w = step.solve(np.where(active, lower, b - T.matvec(np.where(active, lower, 0.0))))
         steps[moving] += 1
-        following = np.where(active, T.matvec(w) - b, 0.0) + d * (lower - w) > 0.0
+        with np.errstate(over="ignore"):
+            following = np.where(active, T.matvec(w) - b, 0.0) + d * (lower - w) > 0.0
         moving &= np.any(following != active, axis=1)
         if not np.any(moving):
             return w, steps

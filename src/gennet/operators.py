@@ -11,9 +11,9 @@ floating-point floor, since the defects of computed nets carry rounding
 noise far above eps_k**q_neg at the small end of the grid.
 
 Two representations, one per operator kind: dense (K, d_out, d_in)
-nets for the small-matrix layer, and tridiagonal band nets (K, 3, m)
-for the 1D finite-element systems, which store O(K m) numbers and
-multiply and solve in O(K m).
+nets for the small-matrix layer, and symmetric tridiagonal band nets
+(K, 2, m) for the 1D finite-element systems, whose forms are all
+symmetric; they store O(K m) numbers and multiply and solve in O(K m).
 """
 
 from __future__ import annotations
@@ -90,36 +90,24 @@ class BasicOperator(_SampleNet):
 
 
 class TridiagonalOperator(_SampleNet):
-    """A net of general tridiagonal m x m matrices, real or complex, as bands.
+    """A net of tridiagonal m x m matrices T_k = T_k^T, real or complex, as bands.
 
-    ``samples[k]`` is the (3, m) banded form that scipy.linalg.solve_banded
-    takes for one sub- and one superdiagonal: row 0 holds the superdiagonal
-    shifted right, row 1 the diagonal, row 2 the subdiagonal.  The unused
-    corners ``[:, 0, 0]`` and ``[:, 2, -1]`` are set to zero: laid end to
-    end, the K samples then form one block-diagonal tridiagonal matrix with
-    zero couplings, which ``solve`` hands to LAPACK in a single call.
+    ``samples[k]`` is (2, m): row 0 holds the diagonal, row 1 holds
+    T[j - 1, j] = T[j, j - 1] at column j, and column 0 of row 1 is a
+    structural zero that the net sets.  Laid end to end, row 1 of the K
+    samples is then the off-diagonal of one block-diagonal tridiagonal
+    matrix with zero couplings, which ``solve`` hands to LAPACK at once.
     """
 
     ndim = 3
 
     def __post_init__(self, _fresh=False):
         super().__post_init__(_fresh)
-        if self.samples.shape[1] != 3:
-            raise ValueError("samples must have shape (K, 3, m)")
+        if self.samples.shape[1] != 2:
+            raise ValueError("samples must have shape (K, 2, m)")
         self.samples.setflags(write=True)  # a copy of its own, or a fresh array
-        self.samples[:, 0, 0] = self.samples[:, 2, -1] = 0.0
+        self.samples[:, 1, 0] = 0.0
         self.samples.setflags(write=False)
-
-    @classmethod
-    def symmetric(cls, grid: EpsGrid, diag, off) -> "TridiagonalOperator":
-        """From the (K, m) diagonal and the (K, m - 1) off-diagonal, copied
-        into a fresh band array that the net keeps without a second copy."""
-        diag = np.asarray(diag, dtype=float)
-        bands = np.zeros((diag.shape[0], 3, diag.shape[1]))
-        bands[:, 1] = diag
-        bands[:, 0, 1:] = off
-        bands[:, 2, :-1] = off
-        return cls(grid, bands, _fresh=True)
 
     @property
     def dims(self):
@@ -127,29 +115,31 @@ class TridiagonalOperator(_SampleNet):
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         """Batched product T_k u_k of a (K, m) array."""
-        out = self.samples[:, 1] * u
-        out[:, 1:] += self.samples[:, 2, :-1] * u[:, :-1]
-        out[:, :-1] += self.samples[:, 0, 1:] * u[:, 1:]
+        diag, off = self.samples[:, 0], self.samples[:, 1, 1:]
+        out = diag * u
+        out[:, 1:] += off * u[:, :-1]
+        out[:, :-1] += off * u[:, 1:]
         return out
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve T_k x_k = b_k for every sample of a (K, m) array at once.
 
         One LAPACK ``?gtsv`` call on the (K m) x (K m) block-diagonal
-        stack of the samples, whose couplings are the zeroed corners.
-        Partial pivoting never swaps a row across a zero coupling, so
-        each block gets exactly the arithmetic of its own
-        ``solve_banded((1, 1), ...)`` call.  A zero pivot raises
+        stack of the samples, with the stacked row 1 as both its sub- and
+        its superdiagonal.  Partial pivoting never swaps a row across a
+        zero coupling, so each block gets exactly the arithmetic of its
+        own ``solve_banded((1, 1), ...)`` call.  A zero pivot raises
         SingularSample naming the grid index (1-based) of its block.
         """
         lapack = _flapack()  # looked up per call, so a patched dgtsv/zgtsv is seen
         K, m = b.shape
-        sub, diag, sup = (self.samples[:, row].flatten() for row in (2, 1, 0))
+        diag, off = (self.samples[:, row].flatten() for row in (0, 1))
         if K * m > 1:  # a 1 x 1 stack keeps one dummy off-diagonal entry for f2py
-            sub, sup = sub[:-1], sup[1:]
+            off = off[1:]
         gtsv = lapack.zgtsv if np.iscomplexobj(b) or np.iscomplexobj(diag) else lapack.dgtsv
-        _, _, _, x, info = gtsv(sub, diag, sup, b.reshape(K * m, 1),
-                                overwrite_dl=True, overwrite_d=True, overwrite_du=True)
+        # ?gtsv overwrites both off-diagonals, so f2py copies the second
+        _, _, _, x, info = gtsv(off, diag, off, b.reshape(K * m, 1),
+                                overwrite_dl=True, overwrite_d=True)
         if info > 0:
             raise SingularSample((info - 1) // m + 1)
         if info < 0:

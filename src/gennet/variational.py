@@ -54,6 +54,7 @@ _REFINEMENTS = 3  # iterative-refinement steps after the direct solve
 _RATIO_SLACK = 1e-6  # allowed excess of an observed step ratio over its factor
 RESIDUAL_TARGET = 1e-10  # relative residual every Lax-Milgram solve must reach
 _BLOCKS = (1, 2, 4, 8, 16)  # sweeps per stop check; every later block has the last size
+_MAX_SWEEPS = 200_000  # cap on every grid point's iteration budget
 
 
 @dataclass(frozen=True)
@@ -151,6 +152,9 @@ def lax_milgram_solve(T: BasicOperator | TridiagonalOperator, c: GenVector,
     relative residuals of the last check.  A numerically singular sample
     raises SingularSample naming its grid index; a sample still above the
     residual target after the last round raises ResidualTargetMissed.
+    A valid certificate reads only the tail, so a sample before it may be
+    indefinite (alpha_k <= 0): a kernel for positive definite samples
+    (``?pttrf``) must leave those to the pivoting ``?gtsv`` or refuse them.
     """
     _certified_alpha(cert, positive=False)
     if not T.grid.same_as(c.grid):
@@ -225,8 +229,9 @@ def vi_solve_contraction(
     two-cycle is rounding, and its points lie within the rounding error
     of two updates over (1 - k_k**2) of the solution.  The iteration
     budget per point is ceil(log tol_abs / log k_k) plus half again (at
-    least 1024); exceeding it raises IterationBudgetExceeded.  A factor that
-    rounds to 1 gives no budget: NoConvergence names its point before any sweep.
+    least 1024), at most _MAX_SWEEPS; exceeding it raises
+    IterationBudgetExceeded.  A factor that rounds to 1 gives no budget:
+    NoConvergence names its point before any sweep.
 
     The sweeps run in blocks of _BLOCKS sweeps (1, 2, 4, 8, then 16
     each), on the grid points still iterating when the block starts:
@@ -277,7 +282,7 @@ def vi_solve_contraction(
             budgets[k] = 8
         else:
             base = math.ceil(math.log(tol) / math.log(kfac[k]))
-            budgets[k] = base + max(1024, base // 2)
+            budgets[k] = min(base + max(1024, base // 2), _MAX_SWEEPS)
 
     x = C.batched_projector()(np.zeros_like(c.samples, dtype=float) if start is None
                               else start.samples.astype(float))

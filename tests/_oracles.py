@@ -307,7 +307,7 @@ def assemble_gauss_dense(spec):
     load a constant net), is evaluated by ``CoefficientNet.eval`` at all
     3 n Gauss points of every sample, and each (K, n, 3) net is reduced by
     ``(K, n, 3) @ weights`` products.  Returns (bands, b, gtilde, a_min,
-    a_max, c_min) as ``fem._assemble_all`` does, with the (K, 3, n-1)
+    a_max, c_min) as ``fem._assemble_all`` does, with the (K, 2, n-1)
     band array in place of the operator net.
     """
     grid, mesh = spec.grid, spec.mesh
@@ -353,35 +353,50 @@ def assemble_gauss_dense(spec):
     gtilde = gl + (gr - gl) * (xs - mesh.x_left) / (mesh.x_right - mesh.x_left)
     lift = (diag[:, 1:-1] * gtilde[:, 1:-1] + off[:, :-1] * gtilde[:, :-2]
             + off[:, 1:] * gtilde[:, 2:])
-    bands = np.zeros((K, 3, n - 1))
-    bands[:, 1] = diag[:, 1:-1]
-    bands[:, 0, 1:] = off[:, 1:-1]
-    bands[:, 2, :-1] = off[:, 1:-1]
+    bands = symmetric_bands(diag[:, 1:-1], off[:, 1:-1])
     return bands, b[:, 1:-1] - lift, gtilde, a_min, a_max, c_min
 
 
+def symmetric_bands(diag, off):
+    """(K, 2, m) band samples, as ``TridiagonalOperator`` stores them, from
+    the (K, m) diagonal and the (K, m - 1) off-diagonal."""
+    return np.stack([diag, np.pad(off, ((0, 0), (1, 0)))], axis=1)
+
+
 def bands_to_dense(samples):
-    """Dense (K, m, m) matrices from (K, 3, m) solve_banded-layout bands."""
+    """Dense (K, m, m) matrices from (K, 2, m) symmetric bands: row 0 the
+    diagonal, row 1 the entry T[j - 1, j] = T[j, j - 1] at column j."""
     K, _, m = samples.shape
     out = np.zeros((K, m, m), dtype=samples.dtype)
     i = np.arange(m)
-    out[:, i, i] = samples[:, 1]
-    out[:, i[:-1], i[1:]] = samples[:, 0, 1:]
-    out[:, i[1:], i[:-1]] = samples[:, 2, :-1]
+    out[:, i, i] = samples[:, 0]
+    out[:, i[:-1], i[1:]] = samples[:, 1, 1:]
+    out[:, i[1:], i[:-1]] = samples[:, 1, 1:]
+    return out
+
+
+def banded_form(samples):
+    """The (K, 3, m) ``scipy.linalg.solve_banded((1, 1), ...)`` form of
+    (K, 2, m) symmetric bands: superdiagonal, diagonal, subdiagonal."""
+    K, _, m = samples.shape
+    out = np.zeros((K, 3, m), dtype=samples.dtype)
+    out[:, 0, 1:] = samples[:, 1, 1:]
+    out[:, 1] = samples[:, 0]
+    out[:, 2, :-1] = samples[:, 1, 1:]
     return out
 
 
 def band_eig_bounds(samples):
-    """Lowest and highest eigenvalue of each symmetric (3, m) band sample,
-    two arrays of shape (K,), by one ``eigvalsh_tridiagonal`` call per
-    sample and end of the spectrum."""
+    """Lowest and highest eigenvalue of each real symmetric (2, m) band
+    sample, two arrays of shape (K,), by one ``eigvalsh_tridiagonal`` call
+    per sample and end of the spectrum."""
     # imported here: the benchmark's workers import this module and load no scipy
     from scipy.linalg import eigvalsh_tridiagonal
 
     m = samples.shape[2]
-    bounds = np.array([[eigvalsh_tridiagonal(diag, sub[:-1], select="i",
+    bounds = np.array([[eigvalsh_tridiagonal(diag, off[1:], select="i",
                                              select_range=(i, i))[0] for i in (0, m - 1)]
-                       for _, diag, sub in samples])
+                       for diag, off in samples])
     return bounds[:, 0], bounds[:, 1]
 
 

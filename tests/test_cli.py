@@ -6,13 +6,18 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gennet.cli import main
+from _oracles import band_eig_bounds
+from gennet import EpsGrid
+from gennet.cli import _problem, main
+from gennet.fem import _assemble_all
+from gennet.variational import _MAX_SWEEPS
 
 K_DEFAULT = 24
 NAN, INF = float("nan"), float("inf")  # json.dumps writes them as NaN and Infinity
@@ -307,6 +312,26 @@ def test_a_contraction_factor_that_rounds_to_1_is_a_verdict_failure(tmp_path, ca
         f"alpha_k/M_k = {ratio}, so no iteration budget exists\n")
 
 
+def test_a_contraction_factor_just_below_1_runs_out_of_its_capped_budget(tmp_path, capsys):
+    # T_k = [[eps_k^2, 1], [-1, eps_k^2]] on 13 grid points: no factor rounds to
+    # 1, but the certified budgets reach 9.1e13 sweeps at k = 10 and 3.7e17 at
+    # k = 13, which once kept the solve running for good
+    eps = 0.5 ** np.arange(1, 14)
+    cfg = _write_config(tmp_path, "rotation.json", {
+        "grid": {"K": 13},
+        "operator": {"kind": "samples",
+                     "matrices": [[[e * e, 1.0], [-1.0, e * e]] for e in eps]},
+        "rhs": [1.0, 1.0],
+        "set": {"kind": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+    })
+    start = time.perf_counter()
+    assert _run(["vi-solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - start < 15.0
+    assert re.fullmatch(r"verdict failure: IterationBudgetExceeded: k=4: no convergence "
+                        rf"within {_MAX_SWEEPS} iterations \(last step [0-9.e+-]+\)\n",
+                        capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("command,obstacle", [("solve-dirichlet", None),
                                               ("solve-obstacle", -1.0)])
 def test_a_nan_diffusion_fails_coercivity_at_its_grid_point(tmp_path, capsys, command,
@@ -324,6 +349,24 @@ def test_a_nan_diffusion_fails_coercivity_at_its_grid_point(tmp_path, capsys, co
         "verdict failure: CoercivityFailure: diffusion is not positive at the quadrature "
         "points (grid point 1)\n")
     assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_a_valid_certificate_admits_an_indefinite_sample_before_the_tail(tmp_path):
+    # a potential of -1000 at k = 1 alone: alpha_1 = -19.80 and
+    # lambda_min(T_1) = -19.79, yet the certificate reads only the tail and
+    # is valid, and ?gtsv solves k = 1; a band kernel for positive definite
+    # samples (?pttrf) would fail there
+    problem = {"interval": [0.0, 1.0], "n_elems": 50, "diffusion": 1.0, "rhs": 1.0,
+               "potential": {"kind": "tabulated", "xs": [0.0, 1.0],
+                             "values": [[-1000.0, -1000.0]] + [[1.0, 1.0]] * 23}}
+    cfg = _write_config(tmp_path, "indefinite.json", {"problem": problem})
+    out = tmp_path / "out"
+    assert _run(["solve-dirichlet", "--config", cfg, "--out", str(out)]) == 0
+    s = _summary(out, "solve-dirichlet")
+    assert s["certificate"]["valid"] and s["certificate"]["alpha"][0] < -19.0
+    assert s["residual"][0] <= 1e-10
+    T = _assemble_all(_problem({"problem": problem}, EpsGrid.geometric(K_DEFAULT)))[0]
+    assert band_eig_bounds(T.samples)[0][0] < -19.0
 
 
 @pytest.mark.parametrize("command,obstacle", [("solve-dirichlet", None),
@@ -640,7 +683,8 @@ def test_no_numpy_warning_reaches_stderr(tmp_path, capsys):
     # At K = 200, eps_k**-N_mod overflows (from K = 52 on) and eps_k**m_inv is
     # 0 (from k = 108 on); at K = 24 so do eps_k**-60 and eps_k**50 (k >= 22).
     # The README's nets and vi configs, its fem config, two parallel
-    # generators and a small obstacle problem, with every warning an error;
+    # generators, a small obstacle problem and one whose obstacle -1e308
+    # makes the active-set update overflow, with every warning an error;
     # then configs refused as config errors: an infinite net sample, an
     # overflowed power net and an empty box.
     nets = {"nets": [{"kind": "power", "a": -3.0}, {"kind": "power", "a": 2.5, "c": 2.0},
@@ -660,6 +704,8 @@ def test_no_numpy_warning_reaches_stderr(tmp_path, capsys):
         ("solve-dirichlet", fem, 200),
         ("solve-obstacle", _PROTOCOL_CASES["solve-obstacle"], 200),
         ("gennum-check", {**nets, "policy": {"N_mod": 60, "m_inv": 50}}, 24),
+        ("solve-obstacle", {"problem": {**_PROTOCOL_CASES["solve-obstacle"]["problem"],
+                                        "obstacle": -1e308}}, 24),
     ]
     refused = [
         ("gennum-check", {"nets": [{"kind": "samples", "values": [1.0] * 23 + [INF]}]}, 24),
@@ -761,18 +807,21 @@ from gennet.operators import _flapack
 K, n = 8, 40
 grid = EpsGrid.geometric(K)
 rng = np.random.default_rng(7)
-real = TridiagonalOperator.symmetric(grid, rng.uniform(2.5, 3.5, (K, n)),
-                                     rng.uniform(-1.0, 1.0, (K, n - 1)))
-cplx = TridiagonalOperator(grid, real.samples + 1j * rng.uniform(-1.0, 1.0, (K, 3, n)))
+bands = np.stack([rng.uniform(2.5, 3.5, (K, n)), rng.uniform(-1.0, 1.0, (K, n))], axis=1)
+real = TridiagonalOperator(grid, bands)
+cplx = TridiagonalOperator(grid, bands + 1j * rng.uniform(-1.0, 1.0, (K, 2, n)))
 b = rng.standard_normal((K, n))
 nets = [(real, b, real.solve(b)), (cplx, b - 2j * b[::-1], cplx.solve(b - 2j * b[::-1]))]
 own = _flapack()
 before = {_SCIPY_MODULES}
 import scipy.linalg
 from scipy.linalg import solve_banded
+def banded(sample):  # solve_banded's (3, n) form of a symmetric (2, n) band sample
+    diag, off = sample
+    return np.stack([off, diag, np.append(off[1:], 0.0)])
 print(json.dumps({{
     "before": before,
-    "bitwise": [np.stack([solve_banded((1, 1), T.samples[k], rhs[k]) for k in range(K)])
+    "bitwise": [np.stack([solve_banded((1, 1), banded(T.samples[k]), rhs[k]) for k in range(K)])
                 .tobytes() == x.tobytes() for T, rhs, x in nets],
     "dtypes": [str(x.dtype) for _, _, x in nets],
     "shared": [scipy.linalg.lapack.dgtsv is own.dgtsv, scipy.linalg.lapack.zgtsv is own.zgtsv],

@@ -19,6 +19,7 @@ from _oracles import (
     obstacle_exact,
     point_load_exact,
     solve_box_vi,
+    symmetric_bands,
 )
 from gennet import (
     BasicOperator,
@@ -356,10 +357,11 @@ def test_assembly_matches_the_dense_gauss_assembly_bit_for_bit(case):
 
 
 def test_assembly_peak_memory_stays_under_the_dense_nets():
-    # the dirichlet-singular problem (K = 24, n = 1000) keeps 0.92 MiB of
-    # outputs: the band net, the loads and the lifting.  Dense (K, n, 3)
-    # quadrature nets and a copied band net peaked at 2.23 MiB; assembled
-    # by structure the peak measured 1.54 MiB (numpy 2.4, Python 3.11)
+    # the dirichlet-singular problem (K = 24, n = 1000) keeps 0.73 MiB of
+    # outputs: the (K, 2, n - 1) band net, the loads and the lifting.  Dense
+    # (K, n, 3) quadrature nets and a copied band net peaked at 2.23 MiB;
+    # assembled by structure the peak measured 1.54 MiB with a (K, 3, n - 1)
+    # band net and 1.36 MiB with the two-row one (numpy 2.4, Python 3.11)
     spec = _spec(Mesh1D(-1.0, 1.0, 1000), diffusion=CoefficientNet.heaviside_nu(GRID),
                  potential=CoefficientNet.mollified_measure(GRID, [(0.0, 1.0)]), rhs=1.0)
     _assemble_all(spec)
@@ -610,9 +612,9 @@ def test_active_set_solve_matches_dense_contraction_on_a_net_that_is_no_m_matrix
                  potential=CoefficientNet.tabulated(GRID, xs, c_vals))
     res = solve_obstacle(spec, POLICY)
     T, b, gtilde, *_ = _assemble_all(spec)
-    reach = np.pad(np.abs(T.samples[:, 0, 1:]), ((0, 0), (1, 1)))
-    assert np.all(np.any(T.samples[:, 0, 1:] > 0.0, axis=1))
-    assert np.all(np.any(T.samples[:, 1] < reach[:, :-1] + reach[:, 1:], axis=1))
+    reach = np.pad(np.abs(T.samples[:, 1, 1:]), ((0, 0), (1, 1)))
+    assert np.all(np.any(T.samples[:, 1, 1:] > 0.0, axis=1))
+    assert np.all(np.any(T.samples[:, 0] < reach[:, :-1] + reach[:, 1:], axis=1))
     assert res.complementarity_ok and np.all(res.contact_nodes > 0)
     lower = res.psi[:, 1:-1] - gtilde[:, 1:-1]
     dense = vi_solve_contraction(BasicOperator(GRID, bands_to_dense(T.samples)),
@@ -639,9 +641,9 @@ def _small_obstacle_problem(m, draw):
     off = rng.standard_normal((K, m - 1)) * 10.0 ** rng.uniform(-1.0, 1.0, (K, 1))
     reach = np.pad(np.abs(off), ((0, 0), (1, 1)))
     diag = reach[:, :-1] + reach[:, 1:] + rng.uniform(0.05, 1.0, (K, m))
-    lowest = band_eig_bounds(TridiagonalOperator.symmetric(SMALL_GRID, diag, off).samples)[0]
+    lowest = band_eig_bounds(symmetric_bands(diag, off))[0]
     diag -= (rng.uniform(0.0, 1.0, K) * (lowest - 1e-3))[:, None]
-    T = TridiagonalOperator.symmetric(SMALL_GRID, diag, off)
+    T = TridiagonalOperator(SMALL_GRID, symmetric_bands(diag, off))
     b = 3.0 * rng.standard_normal((K, m))
     lower = rng.uniform(-1.0, 0.5, (K, m))
     lower[rng.random((K, m)) < 0.2] = -np.inf
@@ -659,6 +661,11 @@ def test_active_set_solve_matches_active_set_enumeration(m, draw):
         ref = solve_box_vi(dense[k], b[k], lower[k], np.full(m, np.inf))
         assert np.max(np.abs(w[k] - ref)) <= 1e-10 * (1.0 + np.abs(ref).max())
     assert np.all((1 <= steps) & (steps <= m + 1))
+    # the active nodes are eliminated, so w sits on the obstacle exactly there,
+    # and every other node solves its equation
+    scale = np.abs(T.samples).max(axis=(1, 2)) * np.abs(w).max(axis=1) + np.abs(b).max(axis=1)
+    free = np.abs(T.matvec(w) - b) <= 1e-12 * scale[:, None]
+    assert np.all((w == lower) | free) and np.any(w == lower)
 
 
 def test_active_set_solve_names_the_sample_still_moving_after_its_budget():
@@ -670,7 +677,7 @@ def test_active_set_solve_names_the_sample_still_moving_after_its_budget():
     b[2] = -3.0
     lower = np.full((SMALL_GRID.K, 2), -1.0)
     lower[2] = [-3.0, 2.0]
-    T = TridiagonalOperator.symmetric(SMALL_GRID, diag, off)
+    T = TridiagonalOperator(SMALL_GRID, symmetric_bands(diag, off))
     with pytest.raises(NoConvergence, match=r"after 3 steps at grid index k=3$"):
         _pdas(T, b, lower)
 

@@ -6,7 +6,13 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
-from _oracles import bands_to_dense, solve_box_vi, vi_contraction_masked
+from _oracles import (
+    banded_form,
+    bands_to_dense,
+    solve_box_vi,
+    symmetric_bands,
+    vi_contraction_masked,
+)
 from gennet import (
     BasicOperator,
     CoefficientNet,
@@ -55,6 +61,12 @@ def _spd_operator(rng, d, lo=1.0, hi=4.0):
     Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     lam = rng.uniform(lo, hi, d)
     return BasicOperator.constant(Q @ np.diag(lam) @ Q.T, GRID)
+
+
+def _band_operator(rng, m):
+    """Band net with diagonals in [2.5, 3.5] and off-diagonals in [-1, 1]."""
+    return TridiagonalOperator(GRID, symmetric_bands(rng.uniform(2.5, 3.5, (GRID.K, m)),
+                                                     rng.uniform(-1.0, 1.0, (GRID.K, m - 1))))
 
 
 def _nonsym_operator(rng, d, shift=1.0):
@@ -133,9 +145,7 @@ def test_lax_milgram_matches_direct_inverse():
 def test_lax_milgram_returns_the_residual_of_its_last_check(kind):
     rng = np.random.default_rng(823)
     m = 5 if kind == "dense" else 60
-    T = (_spd_operator(rng, m) if kind == "dense" else
-         TridiagonalOperator.symmetric(GRID, rng.uniform(2.5, 3.5, (GRID.K, m)),
-                                       rng.uniform(-1.0, 1.0, (GRID.K, m - 1))))
+    T = _spd_operator(rng, m) if kind == "dense" else _band_operator(rng, m)
     c = _random_vector(rng, m)
     sol = lax_milgram_solve(T, c, certify_coercivity(BasicOperator.identity(GRID, 1), POLICY))
     explicit = (np.linalg.norm(T.matvec(sol.u.samples) - c.samples, axis=1)
@@ -782,22 +792,21 @@ def test_contraction_refuses_mismatched_inputs():
 def test_tridiagonal_matvec_agrees_with_dense():
     rng = np.random.default_rng(677)
     n = 6
-    T = TridiagonalOperator.symmetric(GRID, rng.uniform(2.0, 3.0, (GRID.K, n)),
-                                      rng.standard_normal((GRID.K, n - 1)))
+    T = TridiagonalOperator(GRID, symmetric_bands(rng.uniform(2.0, 3.0, (GRID.K, n)),
+                                                  rng.standard_normal((GRID.K, n - 1))))
     mats = bands_to_dense(T.samples)
     u = rng.standard_normal((GRID.K, n))
     dense = np.einsum("kij,kj->ki", mats, u)
     assert np.allclose(T.matvec(u), dense, rtol=1e-14, atol=0.0)
-    # general bands: unequal off-diagonals, real and complex
-    for dtype in (np.float64, np.complex128):
-        bands = rng.standard_normal((GRID.K, 3, n))
-        if dtype == np.complex128:
-            bands = bands + 1j * rng.standard_normal((GRID.K, 3, n))
-        T = TridiagonalOperator(GRID, bands)
-        mats = bands_to_dense(T.samples)
-        assert T.samples.dtype == dtype and np.any(mats != np.swapaxes(mats, 1, 2))
-        assert np.allclose(T.matvec(u), np.einsum("kij,kj->ki", mats, u), rtol=1e-14, atol=0.0)
-        assert np.allclose(T.solve(u), np.linalg.solve(mats, u[..., None])[..., 0],
+    # complex-symmetric bands, T = T^T but not Hermitian, on real and complex vectors
+    T = TridiagonalOperator(GRID, rng.standard_normal((GRID.K, 2, n))
+                            + 1j * rng.standard_normal((GRID.K, 2, n)))
+    mats = bands_to_dense(T.samples)
+    assert T.samples.dtype == np.complex128 and np.all(mats == np.swapaxes(mats, 1, 2))
+    assert np.any(mats != np.conj(np.swapaxes(mats, 1, 2)))
+    for v in (u, u + 1j * rng.standard_normal(u.shape)):
+        assert np.allclose(T.matvec(v), np.einsum("kij,kj->ki", mats, v), rtol=1e-14, atol=0.0)
+        assert np.allclose(T.solve(v), np.linalg.solve(mats, v[..., None])[..., 0],
                            rtol=1e-10, atol=1e-12)
 
 
@@ -879,8 +888,7 @@ def gtsv_calls(monkeypatch):
 def test_band_lax_milgram_makes_one_lapack_call_per_round(gtsv_calls):
     rng = np.random.default_rng(683)
     m = 200
-    T = TridiagonalOperator.symmetric(GRID, rng.uniform(2.5, 3.5, (GRID.K, m)),
-                                      rng.uniform(-1.0, 1.0, (GRID.K, m - 1)))
+    T = _band_operator(rng, m)
     c = _random_vector(rng, m)
     cert = certify_coercivity(BasicOperator.identity(GRID, 1), POLICY)
     lax_milgram_solve(T, c, cert)
@@ -898,16 +906,15 @@ def test_band_lax_milgram_makes_one_lapack_call_per_round(gtsv_calls):
     assert len(gtsv_calls) == 4
     # the counter sees per-sample solve_banded calls too
     gtsv_calls.clear()
-    for k in range(GRID.K):
-        solve_banded((1, 1), T.samples[k], c.samples[k])
+    for ab, rhs in zip(banded_form(T.samples), c.samples):
+        solve_banded((1, 1), ab, rhs)
     assert len(gtsv_calls) == GRID.K
 
 
 def test_band_nets_are_refused_by_the_dense_layer():
     rng = np.random.default_rng(680)
     n = 3  # (3, 3) band samples have the shape of square dense ones
-    T = TridiagonalOperator.symmetric(GRID, rng.uniform(2.5, 3.5, (GRID.K, n)),
-                                      rng.uniform(-1.0, 1.0, (GRID.K, n - 1)))
+    T = _band_operator(rng, n)
     cert = certify_coercivity(BasicOperator(GRID, bands_to_dense(T.samples)), POLICY)
     C = ConvexSetNet.obstacle(GRID, np.full(n, -0.1))
     c = _random_vector(rng, n)
@@ -926,8 +933,7 @@ def test_band_contraction_matches_dense_contraction():
     # and its Lax-Milgram solve agree with the dense net's
     rng = np.random.default_rng(679)
     n = 8
-    T = TridiagonalOperator.symmetric(GRID, rng.uniform(2.5, 3.5, (GRID.K, n)),
-                                      rng.uniform(-1.0, 1.0, (GRID.K, n - 1)))
+    T = _band_operator(rng, n)
     dense = BasicOperator(GRID, bands_to_dense(T.samples))
     c = _random_vector(rng, n)
     lower = np.full((GRID.K, n), -0.1)
