@@ -491,21 +491,22 @@ def _generators(cfg: dict, grid: EpsGrid, seed: int) -> list:
         if not isinstance(s, dict):
             raise ConfigInvalid(f"{ptr}: must be an object")
         kind = s.get("kind")
+        d = gens[0].dim if gens else None  # every generator has the first one's length
         if kind == "constant":
-            gens.append(GenVector.constant(_array(_field(s, "vector", ptr), f"{ptr}/vector"),
+            gens.append(GenVector.constant(_array(_field(s, "vector", ptr), f"{ptr}/vector", d),
                                            grid))
         elif kind == "power_scaled":
-            v = _array(_field(s, "vector", ptr), f"{ptr}/vector")
+            v = _array(_field(s, "vector", ptr), f"{ptr}/vector", d)
             p = _number(s.get("power", 0.0), f"{ptr}/power")
             gens.append(GenVector(grid, grid.values[:, None] ** p * v[None, :]))
         elif kind == "power_tower":
             # sample norm eps_k^k: scales drift without bound across the grid
-            v = _array(_field(s, "vector", ptr), f"{ptr}/vector")
+            v = _array(_field(s, "vector", ptr), f"{ptr}/vector", d)
             v = v / np.linalg.norm(v)
             ks = np.arange(1, grid.K + 1, dtype=float)
             gens.append(GenVector(grid, (grid.values ** ks)[:, None] * v[None, :]))
         elif kind == "samples":
-            vals = _array(_field(s, "values", ptr), f"{ptr}/values")
+            vals = _array(_field(s, "values", ptr), f"{ptr}/values", d)
             if vals.ndim != 2 or vals.shape[0] != grid.K:
                 raise ConfigInvalid(f"{ptr}/values: must be (K, d)")
             gens.append(GenVector(grid, vals))
@@ -520,6 +521,9 @@ def vi_solve(cfg, grid, policy, out):
     """Projected contraction iteration for a small variational inequality."""
     t0 = time.perf_counter()
     T = _operator_net(cfg.get("operator"), grid)
+    if T.dims[0] != T.dims[1]:  # only the kinds given by matrices can be rectangular
+        ptr = "matrix" if cfg["operator"]["kind"] == "constant" else "matrices"
+        raise ConfigInvalid(f"/operator/{ptr}: must be square")
     rhs = cfg.get("rhs")
     if not isinstance(rhs, list) or any(isinstance(v, list) for v in rhs):
         raise ConfigInvalid("/rhs: must be a vector (list of numbers)")

@@ -34,9 +34,8 @@ class ConvexSetNet:
       box              {"lower": (K,d), "upper": (K,d)}
                        (an obstacle set is a box whose upper bound is a
                        read-only +inf view)
-      affine_subspace  {"basis": (K,r,d), "offset": (K,d),
-                        "onb": (K,d,min(r,d))}   (onb cached at build,
-                                                  dropped columns zero)
+      affine_subspace  {"offset": (K,d), "onb": (K,d,min(r,d))}
+                       (onb of the spanning rows, dropped columns zero)
     """
 
     grid: EpsGrid
@@ -97,8 +96,7 @@ class ConvexSetNet:
         u, sv, _ = np.linalg.svd(np.swapaxes(basis, 1, 2), full_matrices=False)
         keep = sv > 1e-12 * np.maximum(1.0, sv[:, :1])
         onb = u * keep[:, None, :]
-        return cls(grid, d, "affine_subspace",
-                   {"basis": basis, "offset": offset, "onb": onb})
+        return cls(grid, d, "affine_subspace", {"offset": offset, "onb": onb})
 
     def batched_projector(self):
         """A callable projecting a (K, d) array of samples onto the set.

@@ -5,15 +5,17 @@ the diffusion a, potential c, and load f are nets over the eps grid:
 a Heaviside jump whose lower level is a power of eps, a point mass
 mollified at width eps, tabulated values or plain constants (a load
 given as a number becomes a constant net).  Discretization is P1
-finite elements with three-point Gauss quadrature per element.  Each
-coefficient kind has one evaluation rule, which describes its values
-at ascending points by structure (``GaussValues``): a level per sample
-left and right of a split point, plus the rows that differ from it,
-such as a jump's element or a point mass's eps-support.  The assembly
-reads it at the Gauss points, and pointwise evaluation at the sorted
-points, one per row.  Element integrals are formed once per level
-and once per listed row, and all K per-sample systems are assembled at
-once as a tridiagonal band net, so assembly, solve, obstacle solve and
+finite elements with three-point Gauss quadrature per element; the
+unknowns are the interior nodal values, and the Dirichlet data enter
+the two rows next to the boundary.  Each coefficient kind has one
+evaluation rule, which describes its values at ascending points by
+structure (``GaussValues``): a level per sample left and right of a
+split point, plus the rows that differ from it, such as a jump's
+element or a point mass's eps-support.  The assembly reads it at the
+Gauss points, and pointwise evaluation at the sorted points, one per
+row.  Element integrals are formed once per level and once per listed
+row, and all K per-sample systems are assembled at once as a
+tridiagonal band net, so assembly, solve, obstacle solve and
 certificate cost O(K n) per step, with coercivity certified through the
 discrete Poincare constant and the potential's lower bound.
 
@@ -50,7 +52,7 @@ from .gennum import (
 from .hilbert import GenVector
 from .operators import TridiagonalOperator
 from .variational import RESIDUAL_TARGET, CoercivityCertificate, lax_milgram_solve
-from .variational import _certified_alpha
+from .variational import _certified_alpha, _check_scale, _norms
 
 # reference 3-point Gauss rule on [-1, 1]
 _GAUSS_T = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
@@ -400,15 +402,16 @@ def _first_non_finite(*nets) -> int | None:
 def _assemble_all(spec: ProblemSpec):
     """Assemble every per-sample system at once as a band net.
 
-    Returns (T, b, gtilde, a_min, a_max, c_min): the interior stiffness
-    net, the interior loads (K, n-1) after lifting the boundary data, the
-    nodal lifting functions (K, n+1), and per sample the diffusion range
-    and the potential's minimum (0 without a potential) seen at the
-    quadrature points.  Each coefficient comes as ``GaussValues``, whose
-    element integrals are (K, n) arrays and whose min and max come from
-    its levels and listed rows; no (K, n, 3) array of quadrature-point
-    values is formed unless a coefficient lists every row.  Zero boundary
-    data is not lifted: the lifting is 0 and b - 0 is b.
+    Returns (T, b, g, a_min, a_max, c_min): the interior stiffness net,
+    the interior loads (K, n-1), the boundary values (K, 2), and per
+    sample the diffusion range and the potential's minimum (0 without a
+    potential) seen at the quadrature points.  The unknowns are the
+    interior nodal values, so the known end values enter the right side
+    of the two rows next to them: b_I - A_{I,0} g_l - A_{I,n} g_r.  Each
+    coefficient comes as ``GaussValues``, whose element integrals are
+    (K, n) arrays and whose min and max come from its levels and listed
+    rows; no (K, n, 3) array of quadrature-point values is formed unless
+    a coefficient lists every row.
     A potential that is not finite at a quadrature point raises
     CoercivityFailure naming the first such grid point (1-based): a +inf
     would hide behind a finite minimum.  A load, point-load weight or
@@ -464,14 +467,11 @@ def _assemble_all(spec: ProblemSpec):
 
     bands[:, 1, 1:] = off[:, 1:-1]
     T = TridiagonalOperator(grid, bands, _fresh=True)
-    if not (gl.any() or gr.any()):
-        return T, b[:, 1:-1].copy(), np.zeros((K, n + 1)), a_min, a_max, c_min
-    gl, gr = gl[:, None], gr[:, None]
-    gtilde = gl + (gr - gl) * (xs - mesh.x_left) / (mesh.x_right - mesh.x_left)
-    # interior rows of the full-node system applied to the lifting
-    lift = (diag * gtilde[:, 1:-1] + off[:, :-1] * gtilde[:, :-2]
-            + off[:, 1:] * gtilde[:, 2:])
-    return T, b[:, 1:-1] - lift, gtilde, a_min, a_max, c_min
+    # 0 times an infinite stiffness is NaN there, on a diffusion _certificate refuses
+    with np.errstate(invalid="ignore"):
+        b[:, 1] -= off[:, 0] * gl
+        b[:, -2] -= off[:, -1] * gr
+    return T, b[:, 1:-1].copy(), np.stack([gl, gr], axis=1), a_min, a_max, c_min
 
 
 def poincare_constant(mesh: Mesh1D) -> float:
@@ -489,13 +489,16 @@ def h1_norm_net(mesh: Mesh1D, grid: EpsGrid, u_nodal: np.ndarray) -> GenScalar:
     """Discrete H1 norm sqrt(u^T (K+M) u) of full nodal values, per grid point.
 
     K and M are the unit-coefficient P1 stiffness and mass matrices,
-    summed element by element: (u_r - u_l)^2 / h + h (u_l^2 + u_l u_r + u_r^2) / 3.
+    summed element by element: (u_r - u_l)^2 / h + h (u_l^2 + u_l u_r + u_r^2) / 3,
+    without overflow for finite values (``_norms``).
     """
     h = mesh.h
-    left, right = u_nodal[:, :-1], u_nodal[:, 1:]
-    sq = (np.sum((right - left) ** 2, axis=1) / h
-          + h / 3.0 * np.sum(left * left + left * right + right * right, axis=1))
-    return GenScalar(grid, np.sqrt(sq))
+
+    def norm(u):
+        left, right = u[:, :-1], u[:, 1:]
+        return np.sqrt(np.sum((right - left) ** 2, axis=1) / h
+                       + h / 3.0 * np.sum(left * left + left * right + right * right, axis=1))
+    return GenScalar(grid, _norms(u_nodal, norm))
 
 
 def _certificate(spec: ProblemSpec, a_min, a_max, c_min,
@@ -630,17 +633,17 @@ def _write_nodal_csv(path, mesh: Mesh1D, u: GenVector):
 
 
 def _assemble_certified(spec: ProblemSpec, policy: NumericPolicy):
-    """The band net, interior loads and lifting of ``_assemble_all``, with
-    the coercivity certificate of the net."""
+    """The band net, interior loads and boundary values of ``_assemble_all``,
+    with the coercivity certificate of the net."""
     _validate_boundary(spec, policy)
-    T, b_net, gtilde, a_min, a_max, c_min = _assemble_all(spec)
-    return T, b_net, gtilde, _certificate(spec, a_min, a_max, c_min, policy)
+    T, b_net, g, a_min, a_max, c_min = _assemble_all(spec)
+    return T, b_net, g, _certificate(spec, a_min, a_max, c_min, policy)
 
 
-def _nodal_fields(spec: ProblemSpec, policy: NumericPolicy, cert, gtilde, w) -> dict:
-    """The NodalResult fields of the interior solution net ``w`` (K, n-1)."""
-    u_full = gtilde.copy()
-    u_full[:, 1:-1] += w
+def _nodal_fields(spec: ProblemSpec, policy: NumericPolicy, cert, g, w) -> dict:
+    """The NodalResult fields of the interior solution net ``w`` (K, n-1)
+    between the boundary values ``g`` (K, 2)."""
+    u_full = np.concatenate([g[:, :1], w, g[:, 1:]], axis=1)
     hn = h1_norm_net(spec.mesh, spec.grid, u_full)
     return {"u": GenVector(spec.grid, u_full), "cert": cert, "h1_norm": hn,
             "valuation": float(valuation_estimate(hn, policy)),
@@ -657,9 +660,9 @@ def solve_dirichlet(spec: ProblemSpec, policy: NumericPolicy) -> DirichletResult
     """
     if spec.obstacle is not None:
         raise InvalidSpec("this problem has an obstacle; use solve_obstacle")
-    T, b_net, gtilde, cert = _assemble_certified(spec, policy)
+    T, b_net, g, cert = _assemble_certified(spec, policy)
     sol = lax_milgram_solve(T, GenVector(spec.grid, b_net), cert)
-    nodal = _nodal_fields(spec, policy, cert, gtilde, sol.u.samples)
+    nodal = _nodal_fields(spec, policy, cert, g, sol.u.samples)
     return DirichletResult(**nodal, residual=sol.residual,
                            moderate=bool(is_moderate(nodal["h1_norm"], policy)))
 
@@ -702,46 +705,45 @@ def _pdas(T: TridiagonalOperator, b: np.ndarray, lower: np.ndarray):
 
 
 def _error_bound(T: TridiagonalOperator, b, lower, w, alpha):
-    """(w, contact, r, bound): w raised to max(w, lower) and pinned to lower
-    within 4 ulp of it (contact), r = T w - b, and |delta| / alpha_k >= |w - w*|.
+    """(w, contact, r, bound): w raised to max(w, lower), in contact where
+    that equals lower, r = T w - b, and |delta| / alpha_k >= |w - w*|.
 
     delta is r on free nodes and min(r, 0) on contact nodes: w solves the
     problem with data b + delta exactly, so Stampacchia's stability
     (Kinderlehrer & Stampacchia 1980, ch. II) gives the bound."""
     w = np.maximum(w, lower)
-    contact = w - lower <= 4.0 * np.spacing(np.abs(lower))
-    w = np.where(contact, lower, w)
+    contact = w == lower
     r = T.matvec(w) - b
     delta = np.where(contact, np.minimum(r, 0.0), r)
-    return w, contact, r, np.linalg.norm(delta, axis=1) / alpha
+    return w, contact, r, _norms(delta) / alpha
 
 
 def solve_obstacle(spec: ProblemSpec, policy: NumericPolicy) -> ObstacleResult:
     """Solve the obstacle-constrained problem by ``_pdas`` and bound the
     answer's error by ``_error_bound``; alpha_k must be positive.
 
-    The obstacle, refused where it is NaN or +inf, is imposed at the
-    interior nodes (shifted by the boundary lifting); then the discrete
-    complementarity system is checked: residual >= 0, u >= psi, and at
-    every node one of the two is active, all within COMPLEMENTARITY_TOL at
-    the data's scale.  The feasibility term is scaled by the largest
-    finite |psi - lifting|, so -inf obstacle nodes never constrain or make NaN."""
+    The obstacle, refused where it is NaN or +inf, bounds the interior
+    nodal values as it is; then the discrete complementarity system is
+    checked: residual >= 0, u >= psi, and at every node one of the two is
+    active, all within COMPLEMENTARITY_TOL at the data's scale
+    (``_check_scale``).  The feasibility term is scaled by the largest
+    finite |psi|, so -inf obstacle nodes never constrain or make NaN."""
     if spec.obstacle is None:
         raise InvalidSpec("this problem has no obstacle; use solve_dirichlet")
-    T, b_net, gtilde, cert = _assemble_certified(spec, policy)
+    T, b_net, g, cert = _assemble_certified(spec, policy)
 
     psi = spec.obstacle_nodal()
-    above = psi[:, [0, -1]] > gtilde[:, [0, -1]]
+    above = psi[:, [0, -1]] > g
     if np.any(above):
         k, end = np.argwhere(above)[0]
         raise InvalidSpec(f"obstacle exceeds the boundary data at the {('left', 'right')[end]} "
                           f"endpoint at grid index k={k + 1}")
-    lower = ConvexSetNet.obstacle(spec.grid, psi[:, 1:-1] - gtilde[:, 1:-1]).data["lower"]
+    lower = ConvexSetNet.obstacle(spec.grid, psi[:, 1:-1]).data["lower"]
     alpha = _certified_alpha(cert, positive=True)
     w, steps = _pdas(T, b_net, lower)
     w, contact, r, bound = _error_bound(T, b_net, lower, w, alpha)
 
-    scale = (1.0 + np.linalg.norm(b_net, axis=1))[:, None]
+    scale = _check_scale(b_net)[:, None]
     slack = w - lower
     lower_max = np.abs(lower).max(axis=1, initial=0.0, where=np.isfinite(lower))
     viol = np.maximum.reduce([
@@ -751,7 +753,7 @@ def solve_obstacle(spec: ProblemSpec, policy: NumericPolicy) -> ObstacleResult:
     ])
     comp_max = float(np.max(viol))
     return ObstacleResult(
-        **_nodal_fields(spec, policy, cert, gtilde, w),
+        **_nodal_fields(spec, policy, cert, g, w),
         psi=psi,
         steps=steps,
         contact_nodes=contact.sum(axis=1),

@@ -148,10 +148,11 @@ def lax_milgram_solve(T: BasicOperator | TridiagonalOperator, c: GenVector,
     relative residual |T_k u_k - c_k| / (1 + |c_k|) drops below
     RESIDUAL_TARGET.  The residual is checked after every round; a round
     is one batched solve of the residuals, applied only to the samples
-    still short of the target.  Returns the solution net with the
-    relative residuals of the last check.  A numerically singular sample
-    raises SingularSample naming its grid index; a sample still above the
-    residual target after the last round raises ResidualTargetMissed.
+    still short of the target (norms by ``_norms``, scale by ``_check_scale``).
+    Returns the solution net with the relative residuals of the last check.
+    A numerically singular sample raises SingularSample naming its grid
+    index; a sample still above the residual target after the last round
+    raises ResidualTargetMissed.
     A valid certificate reads only the tail, so a sample before it may be
     indefinite (alpha_k <= 0): a kernel for positive definite samples
     (``?pttrf``) must leave those to the pivoting ``?gtsv`` or refuse them.
@@ -163,11 +164,11 @@ def lax_milgram_solve(T: BasicOperator | TridiagonalOperator, c: GenVector,
         raise DimMismatch(f"operator takes dim {T.dims[1]}, rhs has dim {c.dim}")
     b = c.samples
     out = T.solve(b)
-    scale = 1.0 + np.linalg.norm(b, axis=1)
+    scale = _check_scale(b)
     limit = RESIDUAL_TARGET * scale
     for step in range(_REFINEMENTS + 1):
         r = T.matvec(out) - b
-        r_norm = np.linalg.norm(r, axis=1)
+        r_norm = _norms(r)
         short = np.nonzero(~(r_norm <= limit))[0]
         if short.size == 0:
             break
@@ -365,3 +366,22 @@ def vi_solve_contraction(
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """np.linalg.norm(x, axis=-1), bit for bit, without its argument handling."""
     return np.sqrt(np.add.reduce((x.conj() * x).real if np.iscomplexobj(x) else x * x, axis=-1))
+
+
+def _norms(x: np.ndarray, norm=_row_norms) -> np.ndarray:
+    """``norm`` of each row of x: the plain value, bits and all, where it is
+    finite; a finite row whose squares overflow is divided by its largest
+    |x| first, so its norm is finite unless it exceeds the float range."""
+    with np.errstate(over="ignore"):
+        out = norm(x)
+        big = np.flatnonzero(np.isinf(out))
+        big = big[np.isfinite(x[big]).all(axis=1)]
+        m = np.abs(x[big]).max(axis=1, initial=0.0)
+        out[big] = m * norm(x[big] / m[:, None])
+    return out
+
+
+def _check_scale(b: np.ndarray) -> np.ndarray:
+    """1 + |b_k| per row, NaN where that overflows: no check against it may pass."""
+    scale = 1.0 + _norms(b)
+    return np.where(scale < np.inf, scale, np.nan)

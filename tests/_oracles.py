@@ -253,10 +253,11 @@ def assemble_p1_dense(spec, k):
     """Dense P1 system of grid point k (0-based) for a 1D ProblemSpec.
 
     Element by element with np.add.at and a three-point Gauss rule on
-    every element, boundary data lifted linearly.  Reads only the spec's
-    fields and evaluates the coefficients through ``coefficient_per_k``.
-    Returns (A, b, gtilde): the interior stiffness matrix, the interior
-    load after lifting, and the full nodal lifting function.
+    every element; the boundary columns are eliminated, so the interior
+    load is b_I - A[I, 0] g_l - A[I, n] g_r.  Reads only the spec's fields
+    and evaluates the coefficients through ``coefficient_per_k``.  Returns
+    (A, b, g): the interior stiffness matrix, the interior load and the
+    boundary values (g_l, g_r).
     """
     def per_k(v):
         samples = getattr(v, "samples", None)
@@ -293,9 +294,8 @@ def assemble_p1_dense(spec, k):
         b[e + 1] += per_k(weight) * s
 
     gl, gr = per_k(spec.boundary[0]), per_k(spec.boundary[1])
-    gtilde = gl + (gr - gl) * (xs - mesh.x_left) / (mesh.x_right - mesh.x_left)
-    b = b - A @ gtilde
-    return A[1:-1, 1:-1], b[1:-1], gtilde
+    b = b - A[:, 0] * gl - A[:, n] * gr
+    return A[1:-1, 1:-1], b[1:-1], np.array([gl, gr])
 
 
 def assemble_gauss_dense(spec):
@@ -306,9 +306,10 @@ def assemble_gauss_dense(spec):
     Every coefficient, the load included (``ProblemSpec`` makes a number
     load a constant net), is evaluated by ``CoefficientNet.eval`` at all
     3 n Gauss points of every sample, and each (K, n, 3) net is reduced by
-    ``(K, n, 3) @ weights`` products.  Returns (bands, b, gtilde, a_min,
-    a_max, c_min) as ``fem._assemble_all`` does, with the (K, 2, n-1)
-    band array in place of the operator net.
+    ``(K, n, 3) @ weights`` products.  Returns (bands, b, g, a_min, a_max,
+    c_min) as ``fem._assemble_all`` does, with the (K, 2, n-1) band array
+    in place of the operator net: the boundary values g (K, 2) enter the
+    loads of the two rows next to the boundary.
     """
     grid, mesh = spec.grid, spec.mesh
     K, n = grid.K, mesh.n_elems
@@ -349,12 +350,11 @@ def assemble_gauss_dense(spec):
         b[:, e] += per_k(w) * (1.0 - t)
         b[:, e + 1] += per_k(w) * t
 
-    gl, gr = (per_k(g)[:, None] for g in spec.boundary)
-    gtilde = gl + (gr - gl) * (xs - mesh.x_left) / (mesh.x_right - mesh.x_left)
-    lift = (diag[:, 1:-1] * gtilde[:, 1:-1] + off[:, :-1] * gtilde[:, :-2]
-            + off[:, 1:] * gtilde[:, 2:])
+    gl, gr = (per_k(g) for g in spec.boundary)
+    b[:, 1] -= off[:, 0] * gl
+    b[:, -2] -= off[:, -1] * gr
     bands = symmetric_bands(diag[:, 1:-1], off[:, 1:-1])
-    return bands, b[:, 1:-1] - lift, gtilde, a_min, a_max, c_min
+    return bands, b[:, 1:-1], np.stack([gl, gr], axis=1), a_min, a_max, c_min
 
 
 def symmetric_bands(diag, off):

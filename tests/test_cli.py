@@ -17,7 +17,7 @@ from _oracles import band_eig_bounds
 from gennet import EpsGrid
 from gennet.cli import _problem, main
 from gennet.fem import _assemble_all
-from gennet.variational import _MAX_SWEEPS
+from gennet.variational import _MAX_SWEEPS, RESIDUAL_TARGET
 
 K_DEFAULT = 24
 NAN, INF = float("nan"), float("inf")  # json.dumps writes them as NaN and Infinity
@@ -519,6 +519,11 @@ _VI_2D = {"operator": {"kind": "constant", "matrix": [[2.0, 0.0], [0.0, 2.0]]},
     ({**_VI_2D, "rhs": [[1.0, 2.0], [1.0, 2.0]]}, ["vi-solve"], "/rhs: must be a vector"),
     ({**_VI_2D, "set": {"kind": "box", "lower": [0.0] * 3, "upper": [1.0] * 3}}, ["vi-solve"],
      "/set/lower: must have length 2"),
+    ({"generators": [{"kind": "constant", "vector": [1, 2]},
+                     {"kind": "constant", "vector": [1, 2, 3]}]}, ["gram-schmidt"],
+     "/generators/1/vector: must have length 2"),
+    ({**_VI_2D, "operator": {"kind": "constant", "matrix": [[1, 0, 0], [0, 1, 0]]}},
+     ["vi-solve"], "/operator/matrix: must be square"),
 ], ids=lambda v: v if isinstance(v, str) else "")
 def test_config_errors_point_into_the_document(tmp_path, capsys, cfg, args, needle):
     path = _write_config(tmp_path, "bad.json", cfg)
@@ -683,8 +688,9 @@ def test_no_numpy_warning_reaches_stderr(tmp_path, capsys):
     # At K = 200, eps_k**-N_mod overflows (from K = 52 on) and eps_k**m_inv is
     # 0 (from k = 108 on); at K = 24 so do eps_k**-60 and eps_k**50 (k >= 22).
     # The README's nets and vi configs, its fem config, two parallel
-    # generators, a small obstacle problem and one whose obstacle -1e308
-    # makes the active-set update overflow, with every warning an error;
+    # generators, a small obstacle problem, one whose obstacle -1e308
+    # makes the active-set update overflow and one at -DBL_MAX, whose
+    # np.spacing overflowed, with every warning an error;
     # then configs refused as config errors: an infinite net sample, an
     # overflowed power net and an empty box.
     nets = {"nets": [{"kind": "power", "a": -3.0}, {"kind": "power", "a": 2.5, "c": 2.0},
@@ -706,6 +712,8 @@ def test_no_numpy_warning_reaches_stderr(tmp_path, capsys):
         ("gennum-check", {**nets, "policy": {"N_mod": 60, "m_inv": 50}}, 24),
         ("solve-obstacle", {"problem": {**_PROTOCOL_CASES["solve-obstacle"]["problem"],
                                         "obstacle": -1e308}}, 24),
+        ("solve-obstacle", {"problem": {**_PROTOCOL_CASES["solve-obstacle"]["problem"],
+                                        "obstacle": -1.7976931348623157e308}}, 24),
     ]
     refused = [
         ("gennum-check", {"nets": [{"kind": "samples", "values": [1.0] * 23 + [INF]}]}, 24),
@@ -725,6 +733,29 @@ def test_no_numpy_warning_reaches_stderr(tmp_path, capsys):
         else:
             assert (command, rc, err.startswith("config error: "), err.count("\n")) == \
                 (command, 1, True, 1)
+
+
+def test_loads_near_the_float64_limit_keep_their_checks_finite(tmp_path, capsys):
+    # the squares of b ~ 1e299 overflowed: the residual came out NaN, and the
+    # obstacle's complementarity check was scaled by 1 + |b| = inf
+    problem = {"interval": [0.0, 1.0], "n_elems": 8, "diffusion": 1.0, "rhs": -1e300}
+    for command, extra in (("solve-dirichlet", {}), ("solve-obstacle", {"obstacle": -0.75})):
+        cfg = _write_config(tmp_path, f"{command}.json", {"problem": {**problem, **extra}})
+        out = tmp_path / command
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = _run([command, "--config", cfg, "--out", str(out)])
+        assert "Warning" not in capsys.readouterr().err
+        summary = json.loads((out / f"{command}_summary.json").read_text())
+        if command == "solve-dirichlet":
+            # |u| ~ 1e299 is not moderate, the one verdict that fails
+            assert rc == 2 and summary["verdicts"] == {
+                "coercive": True, "residual_ok": True, "moderate": False}
+            assert np.all(np.array(summary["residual"]) <= RESIDUAL_TARGET)
+            assert np.all(np.isfinite(summary["h1_norm"]))
+        else:
+            assert rc == 0 and summary["complementarity_ok"]
+            assert np.isfinite(summary["complementarity_max"])
 
 
 def test_infinite_box_bounds_are_numbers(tmp_path):

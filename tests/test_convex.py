@@ -54,8 +54,8 @@ def _feasible_point(rng, C, kind, d):
     if kind == "obstacle":
         lo = C.data["lower"][0]
         return GenVector.constant(lo + rng.uniform(0.0, 2.0, d), GRID)
-    t = rng.standard_normal(C.data["basis"].shape[1])
-    pts = C.data["offset"] + np.einsum("krd,r->kd", C.data["basis"], t)
+    t = rng.standard_normal(C.data["onb"].shape[2])
+    pts = C.data["offset"] + np.einsum("kdr,r->kd", C.data["onb"], t)
     return GenVector(GRID, pts)
 
 

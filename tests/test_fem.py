@@ -300,15 +300,15 @@ def _assembly_case(case):
 @pytest.mark.parametrize("case", ["singular", "point-loads", "boundary", "density"])
 def test_band_assembly_matches_dense_oracle(case):
     spec = _assembly_case(case)
-    T, b, gtilde, *_ = _assemble_all(spec)
+    T, b, g, *_ = _assemble_all(spec)
     dense = bands_to_dense(T.samples)
     for k in range(GRID.K):
         A_ref, b_ref, g_ref = assemble_p1_dense(spec, k)
         scale = np.abs(A_ref).max()
         assert np.max(np.abs(dense[k] - A_ref)) <= 1e-12 * scale
-        lifted = max(1.0, np.abs(b_ref).max(), scale * np.abs(g_ref).max())
-        assert np.max(np.abs(b[k] - b_ref)) <= 1e-12 * lifted
-        assert np.max(np.abs(gtilde[k] - g_ref)) <= 1e-12 * max(1.0, np.abs(g_ref).max())
+        size = max(1.0, np.abs(b_ref).max(), scale * np.abs(g_ref).max())
+        assert np.max(np.abs(b[k] - b_ref)) <= 1e-12 * size
+        assert np.array_equal(g[k], g_ref)
 
 
 def _bitwise_case(case):
@@ -357,11 +357,12 @@ def test_assembly_matches_the_dense_gauss_assembly_bit_for_bit(case):
 
 
 def test_assembly_peak_memory_stays_under_the_dense_nets():
-    # the dirichlet-singular problem (K = 24, n = 1000) keeps 0.73 MiB of
-    # outputs: the (K, 2, n - 1) band net, the loads and the lifting.  Dense
-    # (K, n, 3) quadrature nets and a copied band net peaked at 2.23 MiB;
-    # assembled by structure the peak measured 1.54 MiB with a (K, 3, n - 1)
-    # band net and 1.36 MiB with the two-row one (numpy 2.4, Python 3.11)
+    # the dirichlet-singular problem (K = 24, n = 1000) keeps 0.55 MiB of
+    # outputs: the (K, 2, n - 1) band net, the loads and the boundary values.
+    # Dense (K, n, 3) quadrature nets and a copied band net peaked at
+    # 2.23 MiB; assembled by structure the peak measured 1.54 MiB with a
+    # (K, 3, n - 1) band net and 1.36 MiB with the two-row one (numpy 2.4,
+    # Python 3.11), with or without the (K, n + 1) lifting
     spec = _spec(Mesh1D(-1.0, 1.0, 1000), diffusion=CoefficientNet.heaviside_nu(GRID),
                  potential=CoefficientNet.mollified_measure(GRID, [(0.0, 1.0)]), rhs=1.0)
     _assemble_all(spec)
@@ -547,9 +548,9 @@ def test_obstacle_benchmark_against_closed_form():
     assert np.max(np.abs(res.u.samples - res.u.samples[0][None, :])) <= 1e-10
 
     # the constrained solution minimizes the energy over the feasible set
-    T, b, gtilde, *_ = _assemble_all(spec)
-    w = res.u.samples[:, 1:-1] - gtilde[:, 1:-1]
-    lower = res.psi[:, 1:-1] - gtilde[:, 1:-1]
+    T, b, *_ = _assemble_all(spec)
+    w = res.u.samples[:, 1:-1]
+    lower = res.psi[:, 1:-1]
 
     def energy(v):
         return np.einsum("ki,ki->k", v, T.matvec(v) - 2.0 * b)
@@ -569,6 +570,36 @@ def test_inactive_obstacle_matches_the_unconstrained_solve():
     blob = pinned.to_json()
     assert blob["complementarity_ok"]
     assert len(blob["steps"]) == GRID.K
+
+
+def test_boundary_data_move_the_obstacle_problem_by_the_linear_interpolant():
+    # with constant diffusion and no potential, the P1 net sends the linear
+    # interpolant ell of (g_l, g_r) to 0 in every interior row, so the solve
+    # with boundary (g_l, g_r) under psi + ell is the zero-boundary solve
+    # under psi, plus ell: within both certified error bounds, with the same
+    # active-set steps and contact nodes
+    mesh = Mesh1D(0.0, 1.0, 200)
+    gl, gr = GenScalar(GRID, 0.5 + GRID.values), -0.25
+    ell = gl.samples[:, None] + (gr - gl.samples[:, None]) * mesh.nodes
+    base = solve_obstacle(_spec(mesh, rhs=-8.0, obstacle=-0.75), POLICY)
+    moved = solve_obstacle(_spec(mesh, rhs=-8.0, boundary=(gl, gr), obstacle=CoefficientNet
+                                 .tabulated(GRID, mesh.nodes, -0.75 + ell)), POLICY)
+    gap = np.max(np.abs(moved.u.samples - (base.u.samples + ell)), axis=1)
+    rounding = 4.0 * np.finfo(float).eps * np.abs(ell).max(axis=1)
+    assert np.all(gap <= base.error_bound.samples + moved.error_bound.samples + rounding)
+    assert np.array_equal(moved.steps, base.steps)
+    assert np.array_equal(moved.contact_nodes, base.contact_nodes)
+    assert np.all(base.contact_nodes > 0) and moved.complementarity_ok
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_obstacle_at_minus_dbl_max_is_never_touched():
+    # its np.spacing overflowed and pinned every node to -1.8e308
+    mesh = Mesh1D(0.0, 1.0, 8)
+    free = solve_dirichlet(_spec(mesh, rhs=-8.0), POLICY)
+    res = solve_obstacle(_spec(mesh, rhs=-8.0, obstacle=-np.finfo(float).max), POLICY)
+    assert np.max(np.abs(res.u.samples - free.u.samples)) <= 1e-12
+    assert np.all(res.contact_nodes == 0) and res.complementarity_ok
 
 
 @pytest.mark.filterwarnings("error")
@@ -611,16 +642,16 @@ def test_active_set_solve_matches_dense_contraction_on_a_net_that_is_no_m_matrix
     spec = _spec(Mesh1D(0.0, 1.0, 24), rhs=-8.0, obstacle=-0.03,
                  potential=CoefficientNet.tabulated(GRID, xs, c_vals))
     res = solve_obstacle(spec, POLICY)
-    T, b, gtilde, *_ = _assemble_all(spec)
+    T, b, *_ = _assemble_all(spec)
     reach = np.pad(np.abs(T.samples[:, 1, 1:]), ((0, 0), (1, 1)))
     assert np.all(np.any(T.samples[:, 1, 1:] > 0.0, axis=1))
     assert np.all(np.any(T.samples[:, 0] < reach[:, :-1] + reach[:, 1:], axis=1))
     assert res.complementarity_ok and np.all(res.contact_nodes > 0)
-    lower = res.psi[:, 1:-1] - gtilde[:, 1:-1]
+    lower = res.psi[:, 1:-1]
     dense = vi_solve_contraction(BasicOperator(GRID, bands_to_dense(T.samples)),
                                  GenVector(GRID, b), ConvexSetNet.obstacle(GRID, lower),
                                  res.cert, POLICY)
-    w = res.u.samples[:, 1:-1] - gtilde[:, 1:-1]
+    w = res.u.samples[:, 1:-1]
     assert np.max(np.abs(w - dense.u.samples)) <= 1e-10
     assert np.all(res.error_bound.samples <= 1e-10)
 

@@ -449,34 +449,34 @@ def test_running_rows_raise_the_masked_loops_bound_violation():
 
 def _dense_heaviside_obstacle(n_elems):
     """Diffusion eps^0.5 left of 0.4 under a tent obstacle, the P1 problem
-    of test_cli's vanishing-diffusion case: (spec, dense net, rhs, set,
-    lifting).  alpha_k / M_k falls from 2e-3 to 4e-6 at n = 32, so
-    tol_abs (1 - k_k) / k_k lies below rounding."""
+    of test_cli's vanishing-diffusion case: (spec, dense net, rhs, set).
+    alpha_k / M_k falls from 2e-3 to 4e-6 at n = 32, so tol_abs (1 - k_k)
+    / k_k lies below rounding."""
     spec = ProblemSpec(
         grid=GRID, mesh=Mesh1D(0.0, 1.0, n_elems),
         diffusion=CoefficientNet.heaviside_nu(GRID, nu_exponent=0.5, jump_at=0.4, high=1.0),
         rhs=-8.0,
         obstacle=CoefficientNet.tabulated(GRID, [0.0, 0.5, 1.0], [-1.0, -0.6, -1.0]))
-    T, b, gtilde, *_ = _assemble_all(spec)
+    T, b, *_ = _assemble_all(spec)
     dense = BasicOperator(GRID, bands_to_dense(T.samples))
-    C = ConvexSetNet.obstacle(GRID, spec.obstacle_nodal()[:, 1:-1] - gtilde[:, 1:-1])
-    return spec, dense, GenVector(GRID, b), C, gtilde
+    C = ConvexSetNet.obstacle(GRID, spec.obstacle_nodal()[:, 1:-1])
+    return spec, dense, GenVector(GRID, b), C
 
 
 @pytest.mark.parametrize("n_elems", [32, 64])
 def test_contraction_reaches_the_active_set_answer_on_a_dense_heaviside_net(n_elems):
     # the steps settle in a two-cycle at rounding level, which must end the
     # iteration there, within the active-set answer's certified error
-    spec, dense, c, C, gtilde = _dense_heaviside_obstacle(n_elems)
+    spec, dense, c, C = _dense_heaviside_obstacle(n_elems)
     sol = vi_solve_contraction(dense, c, C, certify_coercivity(dense, POLICY), POLICY)
     ref = solve_obstacle(spec, POLICY)
-    gap = np.linalg.norm(sol.u.samples - (ref.u.samples - gtilde)[:, 1:-1], axis=1)
+    gap = np.linalg.norm(sol.u.samples - ref.u.samples[:, 1:-1], axis=1)
     assert np.all(gap <= ref.error_bound.samples)
 
 
 def test_running_rows_match_the_masked_loop_on_two_cycles():
     # grid points end by a two-cycle after 2,040 to 4,206 sweeps
-    _, dense, c, C, _ = _dense_heaviside_obstacle(32)
+    _, dense, c, C = _dense_heaviside_obstacle(32)
     cert = certify_coercivity(dense, POLICY)
     got = _contraction_outcome(lambda: _running_rows(dense, c, C, cert))
     assert got == _contraction_outcome(lambda: vi_contraction_masked(dense, c, C, cert, POLICY))
@@ -528,7 +528,7 @@ def test_a_two_cycle_against_the_previous_block_keeps_its_bits():
     # every grid point of the dense heaviside net ends in a two-cycle; from
     # these starts it closes on the first sweep of a block, against the
     # iterate two sweeps back, which the block before computed
-    _, dense, c, C, _ = _dense_heaviside_obstacle(32)
+    _, dense, c, C = _dense_heaviside_obstacle(32)
     cert = certify_coercivity(dense, POLICY)
     lead = np.resize([4, 8, 16, 32, 48], GRID.K)
     cold, start = _warm_from_the_stop(dense, c, C, cert, lead)
@@ -840,6 +840,19 @@ def test_lax_milgram_checks_the_residual_after_the_last_refinement():
     with pytest.raises(ResidualTargetMissed) as err:
         lax_milgram_solve(T, c, cert)
     assert err.value.k == 1 and CoarseIdentity.calls == 4
+
+
+@pytest.mark.filterwarnings("error")
+def test_residual_norms_are_taken_without_overflow():
+    # the squares of 1e300 overflow; rescaled, the exact identity solve has
+    # residual 0 at scale 1 + 2e300.  At 1.5e308 the norm 2.1e308 itself
+    # overflows, and a check against an infinite scale must never pass
+    cert = certify_coercivity(BasicOperator.identity(GRID, 2), POLICY)
+    T = BasicOperator.identity(GRID, 2)
+    sol = lax_milgram_solve(T, GenVector(GRID, np.full((GRID.K, 2), -1e300)), cert)
+    assert np.all(sol.residual.samples == 0.0)
+    with pytest.raises(ResidualTargetMissed, match=r"^k=1: relative residual nan "):
+        lax_milgram_solve(T, GenVector(GRID, np.full((GRID.K, 2), 1.5e308)), cert)
 
 
 def test_refinement_touches_only_the_samples_short_of_the_target():
