@@ -20,17 +20,13 @@ from .errors import (
     InvalidCertificate,
     InvalidSpec,
     IterationBudgetExceeded,
-    LengthMismatch,
     MalformedSummary,
     MixedScaleGenerator,
     NoConvergence,
-    NotNonnegative,
-    NotZeroProduct,
     OutputUnwritable,
     ProbeNotInSet,
     ResidualTargetMissed,
     SingularSample,
-    SplitFailed,
 )
 from .gennum import (
     CloseInfimumResult,
@@ -39,7 +35,6 @@ from .gennum import (
     Invertibility,
     NumericPolicy,
     close_infimum_check,
-    eq,
     format_cells,
     ge,
     ge_zero,
@@ -51,17 +46,13 @@ from .gennum import (
     make_power_net,
     net_verdicts,
     sharp_norm,
-    sqrt_nonneg,
     valuation_estimate,
     write_grid_csv,
-    zero_divisor_split,
-    zero_wrt,
 )
-from .hilbert import GenVector, inner, lincomb, normalize, rnorm, upn
+from .hilbert import GenVector, inner, rnorm
 from .convex import (
     ConvexSetNet,
     characterization_residual,
-    midpoint_closure_check,
     project_point,
 )
 from .operators import (
@@ -80,8 +71,6 @@ from .submodules import (
     OrthoBasis,
     SubmoduleClassification,
     classify_submodule,
-    extend_functional,
-    idempotent_normalize,
     interleaved_gram_schmidt,
     project_submodule,
     submodule_projection_operator,
@@ -102,7 +91,6 @@ from .fem import (
     ProblemSpec,
     classical_consistency_check,
     h1_norm_net,
-    mollifier_eval,
     poincare_constant,
     solve_dirichlet,
     solve_obstacle,

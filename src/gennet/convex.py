@@ -198,17 +198,3 @@ def characterization_residual(C: ConvexSetNet, u: GenVector, v: GenVector,
         res = np.zeros(C.grid.K)
     return GenScalar(C.grid, res)
 
-
-def midpoint_closure_check(C: ConvexSetNet, pairs, policy: NumericPolicy) -> bool:
-    """Do all midpoints (c1+c2)/2 lie in C per epsilon (membership to tol)?
-
-    Pair elements are taken at face value (membership of the endpoints is
-    not enforced), so handing in points of a nonconvex union exposes the
-    failure of C + C <= 2C for whatever C's data actually describes.
-    """
-    for c1, c2 in pairs:
-        _check_compat(C, c1)
-        _check_compat(C, c2)
-        if np.any(_outside(C, 0.5 * (c1.samples + c2.samples), policy)):
-            return False
-    return True

@@ -21,35 +21,8 @@ class DimMismatch(GennetError):
     """Vector/matrix dimensions are incompatible."""
 
 
-class LengthMismatch(GennetError):
-    """Parallel lists (coefficients vs vectors) differ in length."""
-
-
-class NotNonnegative(GennetError):
-    """sqrt_nonneg called on a net that fails the order test."""
-
-
 class EmptyTailIntersection(GennetError):
     """An index set misses the asymptotic tail window entirely."""
-
-
-class NotZeroProduct(GennetError):
-    """zero_divisor_split called on nets whose product is not negligible."""
-
-
-class SplitFailed(GennetError):
-    """The zero-divisor split heuristic could not be certified.
-
-    Carries both residuals so the caller can see how far each side is
-    from being zero with respect to its index set.
-    """
-
-    def __init__(self, residual_x, residual_y):
-        self.residual_x = residual_x
-        self.residual_y = residual_y
-        super().__init__(
-            f"split not certified (residuals {residual_x:.3e} / {residual_y:.3e})"
-        )
 
 
 class EmptySet(GennetError):
@@ -81,7 +54,7 @@ class MixedScaleGenerator(GennetError):
 
 
 class InvalidBasis(GennetError):
-    """An OrthoBasis fails its orthogonality/idempotent-norm invariants."""
+    """An OrthoBasis is given a support mask that is not one (K,) support per vector."""
 
 
 class InvalidCertificate(GennetError):

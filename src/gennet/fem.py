@@ -67,25 +67,15 @@ COMPLEMENTARITY_TOL = 1e-8  # largest scaled violation an obstacle solve may lea
 
 
 def _bump(t):
+    """exp(-1 / (1 - t^2)) for |t| < 1, else 0: the standard bump.  The mollifier
+    phi_eps(x) = _MOLLIFIER_NORM * _bump(x / eps) / eps has unit mass and support
+    |x| < eps."""
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     inside = np.abs(t) < 1.0
     with np.errstate(divide="ignore", over="ignore"):
         out[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
     return out
-
-
-def mollifier_eval(x, eps: float, center: float = 0.0):
-    """The standard bump mollifier phi_eps(x - center), unit mass, support width eps.
-
-    phi_eps(x) = _MOLLIFIER_NORM * exp(-1 / (1 - (x/eps)^2)) / eps inside
-    |x| < eps, where _MOLLIFIER_NORM = 1 / integral_{-1}^{1} exp(-1/(1 - s^2)) ds
-    = 2.2522836210435813.
-    """
-    if eps <= 0.0:
-        raise InvalidSpec("mollifier width must be positive")
-    t = (np.asarray(x, dtype=float) - center) / eps
-    return _MOLLIFIER_NORM * _bump(t) / eps
 
 
 @dataclass(frozen=True)
@@ -710,7 +700,13 @@ def _error_bound(T: TridiagonalOperator, b, lower, w, alpha):
 
     delta is r on free nodes and min(r, 0) on contact nodes: w solves the
     problem with data b + delta exactly, so Stampacchia's stability
-    (Kinderlehrer & Stampacchia 1980, ch. II) gives the bound."""
+    (Kinderlehrer & Stampacchia 1980, ch. II) gives the bound.
+
+    Contact is exact equality, w == lower, and nothing else.  A node that
+    ``_pdas`` leaves free where its exact multiplier is 0 can end a few ulps
+    above lower; it is free, not contact, and its delta is r.  On criterion
+    8 at n = 8 two nodes per sample are contact and x = 3/8 is free at
+    -0.7499999999999999, 1 ulp above psi = -0.75."""
     w = np.maximum(w, lower)
     contact = w == lower
     r = T.matvec(w) - b

@@ -37,14 +37,7 @@ from typing import ClassVar
 import numpy as np
 import orjson
 
-from .errors import (
-    EmptyTailIntersection,
-    GridMismatch,
-    NotNonnegative,
-    NotZeroProduct,
-    OutputUnwritable,
-    SplitFailed,
-)
+from .errors import EmptyTailIntersection, GridMismatch, OutputUnwritable
 
 
 # ---------------------------------------------------------------------------
@@ -463,22 +456,6 @@ def le(a: GenScalar, b: GenScalar, policy: NumericPolicy) -> bool:
     return ge_zero(b - a, policy)
 
 
-def eq(a: GenScalar, b: GenScalar, policy: NumericPolicy) -> bool:
-    return is_negligible(a - b, policy)
-
-
-def sqrt_nonneg(a: GenScalar, policy: NumericPolicy) -> GenScalar:
-    """Componentwise square root of a nonnegative net.
-
-    Negative samples (allowed below the -eps**q_neg order slack) are
-    clipped to zero before the root, so the square of the result equals
-    the input up to negligibility.
-    """
-    if not ge_zero(a, policy):
-        raise NotNonnegative("net fails the nonnegativity order test")
-    return GenScalar(a.grid, np.sqrt(np.maximum(a.samples.real, 0.0)))
-
-
 # ---------------------------------------------------------------------------
 # idempotents and invertibility w.r.t. an index set (a (K,) bool mask)
 # ---------------------------------------------------------------------------
@@ -521,48 +498,6 @@ def invertible_wrt(a: GenScalar, S: np.ndarray, policy: NumericPolicy) -> Invert
     working = np.flatnonzero(_invertible(np.abs(a.samples[pos]), a.grid.values[pos],
                                          np.arange(1, policy.m_inv + 1)[:, None]).all(axis=1))
     return Invertibility(working.size > 0, int(working[0]) + 1 if working.size else None)
-
-
-def zero_wrt(a: GenScalar, S: np.ndarray, policy: NumericPolicy) -> bool:
-    """Is |a_k| <= eps_k**q_neg on S's tail (negligible relative to S)?"""
-    if _tail_members(a.grid, S, policy).size == 0:
-        raise EmptyTailIntersection("index set does not meet the tail window")
-    return _zero_on(a, S, policy)
-
-
-def _zero_on(a: GenScalar, S: np.ndarray, policy: NumericPolicy) -> bool:
-    """zero_wrt, vacuously true when S misses the tail."""
-    pos = _tail_members(a.grid, S, policy)
-    return bool(np.all(np.abs(a.samples[pos]) <= a.grid.values[pos] ** policy.q_neg))
-
-
-def _excess(a: GenScalar, S: np.ndarray, policy: NumericPolicy) -> float:
-    """The largest |a_k| / eps_k**q_neg on S's tail (0 off it), for SplitFailed:
-    where eps_k**q_neg underflows to 0 it is 0 for a_k = 0 and inf otherwise,
-    and a NaN a_k counts as inf."""
-    pos = _tail_members(a.grid, S, policy)
-    mags, thr = np.abs(a.samples[pos]), a.grid.values[pos] ** policy.q_neg
-    ratio = np.divide(mags, thr, out=np.where(mags == 0.0, 0.0, np.inf),
-                      where=(thr > 0.0) & np.isfinite(mags))
-    return float(np.max(ratio, initial=0.0))
-
-
-def zero_divisor_split(x: GenScalar, y: GenScalar, policy: NumericPolicy) -> np.ndarray:
-    """Split the grid so that x vanishes on S and y on its complement.
-
-    Heuristic S = {k : |x_k| <= |y_k|} (ties go to the x-small side),
-    verified before returning: x must be zero w.r.t. S and y zero
-    w.r.t. the complement, otherwise SplitFailed reports both excess
-    ratios.  Preconditions: x*y negligible (NotZeroProduct otherwise).
-    """
-    if not x.grid.same_as(y.grid):
-        raise GridMismatch("operands live on different grids")
-    if not is_negligible(x * y, policy):
-        raise NotZeroProduct("x*y is not negligible")
-    S = np.abs(x.samples) <= np.abs(y.samples)
-    if not (_zero_on(x, S, policy) and _zero_on(y, ~S, policy)):
-        raise SplitFailed(_excess(x, S, policy), _excess(y, ~S, policy))
-    return S
 
 
 # ---------------------------------------------------------------------------

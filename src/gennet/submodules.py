@@ -9,8 +9,8 @@ remaining generators off the dominant one there, recurses, and sums the
 per-block outputs.  Each output is then normalized to have idempotent
 norm: unit length on its support set, zero off it.  The kept outputs are
 one (K, r, d) net with a (K, r) support mask, ``OrthoBasis(grid, samples,
-support)``; the projector net ``submodule_projection_operator(B)``, the
-projection and the functional extension are each one contraction over r.
+support)``; the projector net ``submodule_projection_operator(B)`` and
+the projection are each one contraction over r.
 
 The recursion runs on one (K, m, d) array as at most m sweeps over the
 whole grid: each sweep takes the dominant generator at every grid point
@@ -38,7 +38,7 @@ import numpy as np
 from .errors import DimMismatch, GridMismatch, InvalidBasis, MixedScaleGenerator
 from .gennum import EpsGrid, NumericPolicy, _SampleNet, _invertible, _tail_positions
 from .hilbert import GenVector
-from .operators import BasicFunctional, BasicOperator, apply
+from .operators import BasicOperator, apply
 
 # residuals this far below the pre-projection sample norm are treated as
 # exact zeros (they are rounding noise, not a smaller-scale component)
@@ -91,64 +91,26 @@ class OrthoBasis(_SampleNet):
     def __len__(self) -> int:
         return self.samples.shape[1]
 
-    def validate(self, policy: NumericPolicy):
-        """Check the idempotent-norm and orthogonality invariants.
-
-        One (K, r, r) Gram net holds every inner product.  A failure
-        raises InvalidBasis naming the check, the vector indices and the
-        first failing grid point (1-based).
-        """
-        gram = self.samples @ np.conj(np.swapaxes(self.samples, 1, 2))
-        norms = np.sqrt(np.real(np.diagonal(gram, axis1=1, axis2=2)))
-        tol = 100 * policy.tol_abs
-        checks = (
-            ("unit length", "is not unit length on its support",
-             self.support & (np.abs(norms - 1.0) > tol)),
-            ("zero off the support", "is nonzero off its support",
-             ~self.support & (norms > tol)),
-        )
-        for check, what, bad in checks:
-            if np.any(bad):
-                j, k = np.argwhere(bad.T)[0]
-                raise InvalidBasis(f"{check}: vector {j} {what} at grid point "
-                                   f"k={k + 1} (norm {norms[k, j]:.3e})")
-        upper = np.triu(np.ones(len(self), dtype=bool), 1)
-        bad = upper & (np.abs(gram) > tol)
-        if np.any(bad):
-            j, i, k = np.argwhere(bad.transpose(2, 1, 0))[0]
-            raise InvalidBasis(f"orthogonality: vectors {i} and {j} are not orthogonal at "
-                               f"grid point k={k + 1} "
-                               f"(|<w_{i}, w_{j}>| = {abs(gram[k, i, j]):.3e})")
-
-
-def idempotent_normalize(u: GenVector, policy: NumericPolicy):
-    """Rescale u to unit sample norm on its support set.
-
-    The support is the tail-extended pointwise set
-    S = {k : 0 < ||u_k|| >= eps_k**m_inv} (gennum's ``_invertible``: a zero
-    u_k is outside S even where eps_k**m_inv is 0); on S the result has unit
-    sample norm, off S it is zero, and u = rnorm(u) * w up to negligibility.
-
-    Raises MixedScaleGenerator when the norm net has no uniform scale:
-    either a tail sample falls in the open gap between the
-    invertibility and negligibility thresholds (possible only when
-    q_neg > m_inv), or the support is nonempty yet misses the tail
-    window entirely, so no invertible-or-zero split is certifiable on
-    the asymptotic window (the beta pathology at finite scale).
-
-    Returns (w, S), S the (K,) bool mask of the support.
-    """
-    w, support = _normalize(u.samples[:, None, :], u.grid, policy)
-    return GenVector(u.grid, w[:, 0]), support[:, 0]
-
 
 def _normalize(samples: np.ndarray, grid: EpsGrid, policy: NumericPolicy):
-    """idempotent_normalize of the m vectors of a (K, m, d) stack at once.
+    """Rescale each of the m vectors of a (K, m, d) stack to unit sample
+    norm on its support set.
+
+    Vector j's support is the tail-extended pointwise set
+    S_j = {k : 0 < ||u_jk|| >= eps_k**m_inv} (gennum's ``_invertible``: a
+    zero u_jk is outside S_j even where eps_k**m_inv is 0); on S_j the
+    result has unit sample norm, off S_j it is zero, and u_j = rnorm(u_j) * w_j
+    up to negligibility.  The norms are rnorm's, bit for bit.
+
+    The first vector j whose norm net has no uniform scale raises
+    MixedScaleGenerator: either a tail sample falls in the open gap between
+    the invertibility and negligibility thresholds (possible only when
+    q_neg > m_inv), naming those tail indices, or the support is nonempty
+    yet misses the tail window entirely, naming the support, so no
+    invertible-or-zero split is certifiable on the asymptotic window (the
+    beta pathology at finite scale).
 
     Returns the (K, m, d) normalized stack and the (K, m) support masks.
-    The norms are rnorm's, bit for bit.  The first vector j without a
-    uniform scale raises MixedScaleGenerator, naming the indices and
-    reason idempotent_normalize gives for it alone.
     """
     norms = np.linalg.norm(samples, axis=2)
     eps = grid.values[:, None]
@@ -185,7 +147,7 @@ def _orthogonalize(samples: np.ndarray, eps: np.ndarray, m_inv: int) -> np.ndarr
     running, so at most m sweeps are made.
 
     The norms are those ``rnorm`` takes, so a generator kept here lies in
-    the support of idempotent_normalize at that point.
+    the support of ``_normalize`` at that point.
     """
     V = samples.copy()
     rows = np.arange(V.shape[0])
@@ -224,7 +186,7 @@ def interleaved_gram_schmidt(g: GeneratorSet, policy: NumericPolicy) -> OrthoBas
     reconstructs from the output basis sample by sample.
 
     Raises MixedScaleGenerator for the first assembled output with no
-    uniform scale (see idempotent_normalize).
+    uniform scale (see ``_normalize``).
     """
     grid = g.grid
     raw = _orthogonalize(np.stack([v.samples for v in g.gens], axis=1),
@@ -270,17 +232,3 @@ def classify_submodule(g: GeneratorSet, policy: NumericPolicy) -> SubmoduleClass
         )
     return SubmoduleClassification(closed_edged=True, basis=basis, diagnostics={})
 
-
-def extend_functional(values, B: OrthoBasis) -> BasicFunctional:
-    """Extend f, given by its values on the basis, to u -> f(P_M(u)).
-
-    ``values`` lists one GenScalar f(w_j) per basis vector; the
-    extension's covector net is sum_j f_j,k * conj(w_j,k), so it agrees
-    with f on the submodule and kills its orthogonal complement.  On the
-    empty basis (r = 0) that is the zero covector net.
-    """
-    values = list(values)
-    if len(values) != len(B):
-        raise InvalidBasis(f"{len(values)} values for {len(B)} basis vectors")
-    f = np.array([f_j.samples for f_j in values]).reshape(len(values), B.grid.K)
-    return BasicFunctional(B.grid, np.einsum("rk,krd->kd", f, np.conj(B.samples)))

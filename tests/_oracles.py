@@ -467,10 +467,25 @@ def projection_operator_per_vector(W):
     return P
 
 
-def extend_functional_per_vector(f, W):
-    """The (K, d) covector net sum_j f_j,k conj(w_j,k) of a functional
-    given by its (K, r) values f on the basis, one basis vector at a time."""
-    rows = np.zeros((W.shape[0], W.shape[2]), dtype=np.result_type(f, W))
-    for j in range(W.shape[1]):
-        rows = rows + f[:, j, None] * np.conj(W[:, j])
-    return rows
+
+def orthonormality_failures(W, support, tol):
+    """Where the (K, r, d) stack W, vector j at W[:, j], is no orthonormal
+    basis with idempotent norms on its (K, r) support mask, one grid point
+    and one pair of vectors at a time in plain Python complex arithmetic.
+
+    Returns a (check, k, i, j) row, k 1-based, for every failure beyond
+    ``tol``: "norm" (i = j) where ||w_i,k|| is not 1 on the support or not
+    0 off it, and "orthogonality" (i < j) where |<w_i,k, w_j,k>| is not 0.
+    """
+    failures = []
+    K, r, _ = W.shape
+    for k in range(K):
+        vecs = [[complex(z) for z in W[k, j]] for j in range(r)]
+        for i, u in enumerate(vecs):
+            norm = math.sqrt(sum(abs(z) ** 2 for z in u))
+            if not abs(norm - (1.0 if support[k, i] else 0.0)) <= tol:
+                failures.append(("norm", k + 1, i, i))
+            for j in range(i + 1, r):
+                if not abs(sum(a * b.conjugate() for a, b in zip(u, vecs[j]))) <= tol:
+                    failures.append(("orthogonality", k + 1, i, j))
+    return failures

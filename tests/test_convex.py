@@ -17,7 +17,6 @@ from gennet import (
     NumericPolicy,
     ProbeNotInSet,
     characterization_residual,
-    midpoint_closure_check,
     project_point,
 )
 
@@ -217,33 +216,6 @@ class TestProjectionProperties:
                           (1.0 + np.linalg.norm(u.samples, axis=1)))
 
 
-class TestMidpointClosure:
-    def test_convex_kinds_pass(self):
-        rng = np.random.default_rng(59)
-        for _ in range(10):
-            d = int(rng.integers(1, 5))
-            C, kind = _random_set(rng, d)
-            pairs = [(_feasible_point(rng, C, kind, d),
-                      _feasible_point(rng, C, kind, d)) for _ in range(5)]
-            assert midpoint_closure_check(C, pairs, POLICY)
-        # an infinite bound constrains nothing on its side, so a point at
-        # +inf (-inf) lies in a set whose upper (lower) bound is +inf (-inf)
-        top = GenVector.constant(np.array([np.inf]), GRID)
-        for C, p in [(ConvexSetNet.obstacle(GRID, [0.0]), top),
-                     (ConvexSetNet.box(GRID, [0.0], [np.inf]), top),
-                     (ConvexSetNet.box(GRID, [-np.inf], [0.0]), -top)]:
-            assert np.all(C.violation(p.samples) == 0.0)
-            assert midpoint_closure_check(C, [(p, p)], POLICY)
-
-    def test_two_disjoint_boxes_fail(self):
-        # one point of [0, 1] and one of [2, 3]: their midpoint 1.5 is
-        # outside [0, 1]
-        C = ConvexSetNet.box(GRID, [0.0], [1.0])
-        a = GenVector.constant(np.array([0.5]), GRID)
-        b = GenVector.constant(np.array([2.5]), GRID)
-        assert not midpoint_closure_check(C, [(a, b)], POLICY)
-
-
 class TestValidation:
     def test_empty_box_raises(self):
         with pytest.raises(EmptySet):
@@ -252,6 +224,14 @@ class TestValidation:
     def test_infinite_obstacle_bound_raises(self):
         with pytest.raises(EmptySet):
             ConvexSetNet.obstacle(GRID, np.array([np.inf]))
+
+    def test_an_infinite_bound_constrains_nothing_on_its_side(self):
+        # a point at +inf (-inf) lies in a set whose upper (lower) bound is +inf (-inf)
+        top = GenVector.constant(np.array([np.inf]), GRID)
+        for C, p in [(ConvexSetNet.obstacle(GRID, [0.0]), top),
+                     (ConvexSetNet.box(GRID, [0.0], [np.inf]), top),
+                     (ConvexSetNet.box(GRID, [-np.inf], [0.0]), -top)]:
+            assert np.all(C.violation(p.samples) == 0.0)
 
     @pytest.mark.parametrize("build,error,message", [
         (lambda nan, inf, one: ConvexSetNet.box(GRID, nan, one), InvalidSpec,

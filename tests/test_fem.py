@@ -39,7 +39,6 @@ from gennet import (
     TridiagonalOperator,
     classical_consistency_check,
     h1_norm_net,
-    mollifier_eval,
     poincare_constant,
     solve_dirichlet,
     solve_obstacle,
@@ -77,9 +76,17 @@ def test_oracle_bump_constant_is_the_bump_integral():
     assert abs(BUMP_UNIT_MASS - 1.0 / val) <= 2.0 * np.spacing(1.0 / val)
 
 
+def _mollifier(eps, center=0.0):
+    """phi_eps(x - center) as a unit point mass at ``center`` evaluates it: row 0
+    of a mollified_measure net on a grid whose first width is ``eps``."""
+    net = CoefficientNet.mollified_measure(EpsGrid(eps * 0.5 ** np.arange(8)), [(center, 1.0)])
+    return lambda x: net.eval(x)[0]
+
+
 @pytest.mark.parametrize("eps", [0.1, 0.01])
 def test_mollifier_has_unit_mass(eps):
-    mass, _ = quad(lambda x: float(mollifier_eval(x, eps)), -eps, eps,
+    phi = _mollifier(eps)
+    mass, _ = quad(lambda x: float(phi(x)[0]), -eps, eps,
                    epsabs=1e-13, epsrel=1e-13, limit=200)
     assert abs(mass - 1.0) <= MASS_TOL
 
@@ -87,15 +94,13 @@ def test_mollifier_has_unit_mass(eps):
 def test_mollifier_support_and_shape():
     eps = 0.05
     xs = np.array([-2 * eps, -eps, 0.0, eps / 2, eps, 3 * eps])
-    vals = mollifier_eval(xs, eps, center=0.0)
+    vals = _mollifier(eps)(xs)
     assert vals[0] == 0.0 and vals[1] == 0.0 and vals[4] == 0.0 and vals[5] == 0.0
     assert vals[2] > vals[3] > 0.0
     # even in t, so reflection about the center is exact
-    assert np.array_equal(vals, mollifier_eval(-xs, eps, center=0.0))
-    shifted = mollifier_eval(xs + 0.3, eps, center=0.3)
+    assert np.array_equal(vals, _mollifier(eps)(-xs))
+    shifted = _mollifier(eps, center=0.3)(xs + 0.3)
     assert np.allclose(vals, shifted, rtol=1e-12, atol=0.0)
-    with pytest.raises(InvalidSpec):
-        mollifier_eval(0.0, 0.0)
 
 
 def test_mollified_point_mass_carries_its_weight():
@@ -590,6 +595,18 @@ def test_boundary_data_move_the_obstacle_problem_by_the_linear_interpolant():
     assert np.array_equal(moved.steps, base.steps)
     assert np.array_equal(moved.contact_nodes, base.contact_nodes)
     assert np.all(base.contact_nodes > 0) and moved.complementarity_ok
+
+
+def test_contact_is_exact_equality_with_the_obstacle():
+    # criterion 8 at n = 8: the exact discrete solution touches psi at
+    # x = 3/8, 1/2 and 5/8, with multiplier 0 at x = 3/8; PDAS leaves that
+    # node free, a rounding error above psi, and it is not counted
+    psi = -0.75
+    res = solve_obstacle(_spec(Mesh1D(0.0, 1.0, 8), rhs=-8.0, obstacle=psi), POLICY)
+    assert np.all(res.contact_nodes == 2)
+    gap = res.u.samples - res.psi
+    assert np.all(gap[:, [4, 5]] == 0.0)
+    assert np.all((gap[:, 3] > 0.0) & (gap[:, 3] <= 4 * 2.0 ** -53 * abs(psi)))
 
 
 @pytest.mark.filterwarnings("error")

@@ -11,15 +11,11 @@ from gennet import (
     GenScalar,
     GenVector,
     GridMismatch,
-    LengthMismatch,
     NumericPolicy,
     inner,
-    lincomb,
     make_power_net,
-    normalize,
     rnorm,
     sharp_norm,
-    upn,
 )
 
 GRID = EpsGrid.geometric(24)
@@ -30,6 +26,11 @@ PARALLELOGRAM_TOL = 1e-12  # relative
 POLARIZATION_TOL = 1e-10   # relative, complex case
 UPN_SLACK = 1e-6
 N_PAIRS = 200
+
+
+def upn(u, policy):
+    """The ultra-pseudo-norm: the sharp norm of the R~-norm net."""
+    return sharp_norm(rnorm(u), policy)
 
 
 def _random_vector(rng, d=6, complex_=False):
@@ -125,42 +126,6 @@ def test_upn_strong_triangle():
         u = GenVector(GRID, GRID.values[:, None] ** a * direction[None, :])
         v = GenVector(GRID, GRID.values[:, None] ** b * direction[None, :])
         assert upn(u + v, POLICY) <= max(upn(u, POLICY), upn(v, POLICY)) * (1 + 1e-9) + UPN_SLACK
-
-
-def test_normalize_reassembles_original():
-    rng = np.random.default_rng(131)
-    u = _random_vector(rng)
-    v = normalize(u)
-    back = v * rnorm(u)
-    assert np.allclose(back.samples, u.samples, atol=1e-13)
-    norms = np.linalg.norm(v.samples, axis=1)
-    assert np.allclose(norms, 1.0, atol=1e-12)
-
-
-def test_normalize_zero_samples_stay_zero():
-    samples = np.zeros((GRID.K, 2))
-    samples[::2, 0] = GRID.values[::2]
-    u = GenVector(GRID, samples)
-    v = normalize(u)
-    assert np.all(v.samples[1::2] == 0.0)
-    assert np.allclose(np.linalg.norm(v.samples[::2], axis=1), 1.0)
-
-
-def test_lincomb_matches_manual_sum():
-    e1 = GenVector.constant(np.array([1.0, 0.0]), GRID)
-    e2 = GenVector.constant(np.array([0.0, 1.0]), GRID)
-    eps = make_power_net(1.0, 1.0, GRID)
-    out = lincomb([eps, GenScalar.constant(1.0, GRID)], [e1, e2])
-    assert np.allclose(out.samples[:, 0], GRID.values)
-    assert np.allclose(out.samples[:, 1], 1.0)
-
-
-def test_lincomb_length_mismatch():
-    e1 = GenVector.constant(np.array([1.0, 0.0]), GRID)
-    with pytest.raises(LengthMismatch):
-        lincomb([1.0, 2.0], [e1])
-    with pytest.raises(LengthMismatch):
-        lincomb([], [])
 
 
 def test_dimension_and_grid_guards():

@@ -10,19 +10,33 @@ marker outlives no row.  A private name imported under a public alias
 (``from .x import _private as public``) hides which function runs, and is
 refused.  The package's ``__init__.py`` imports to re-export and is not
 checked.
+
+Nor does the package export what only unit tests reach (vulture's check):
+every name in ``gennet.__all__`` that is no module is referenced in a
+library module other than ``__init__.py``, outside its own definition, or
+in the acceptance tests, their oracles or the benchmark.
 """
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gennet"
-SPANS = SRC.parent.parent / "perfbench" / "spans.py"
+import gennet
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gennet"
+SPANS = ROOT / "perfbench" / "spans.py"
 _NOQA = re.compile(r"#\s*noqa:\s*F401\b\s*\S")  # the marker, then a reason
 _SPAN_NOQA = re.compile(r"#\s*noqa:\s*F401\b.*\bspans\.py\b")
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# beyond the library, what keeps an export: the acceptance criteria, the
+# oracles they check against, and the benchmark
+REACHING = [ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "_oracles.py",
+            *sorted((ROOT / "perfbench").glob("*.py"))]
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _imports(source: str):
@@ -68,6 +82,51 @@ def _wraps() -> set:
         if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["WRAPS"]:
             return {(module, attr) for module, attr, _ in ast.literal_eval(node.value)}
     raise AssertionError("perfbench/spans.py has no WRAPS table")
+
+
+def references(source: str, strings: bool = False) -> set:
+    """The names ``source`` references outside their own definitions.
+
+    A reference is an ``ast.Name`` id that is read or an ``ast.Attribute``
+    attr, and with
+    ``strings`` also each dotted part of a string constant that is no
+    docstring (the span table names its targets so).  One inside the def or
+    class of the same name belongs to that definition and is left out.
+    Comments are not in the AST, and imports are no references."""
+    tree = ast.parse(source)
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, *_DEFS)) and node.body
+                  and isinstance(node.body[0], ast.Expr)
+                  and isinstance(node.body[0].value, ast.Constant)}
+    found = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, _DEFS):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif (strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            names = node.value.split(".")
+        else:
+            names = []
+        found.update(name for name in names if name not in enclosing)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return found
+
+
+def unreached_exports() -> list:
+    """The names of ``gennet.__all__``, modules aside, that no library module
+    but ``__init__.py`` and no file of REACHING references."""
+    reached = set().union(*(references(p.read_text()) for p in MODULES),
+                          *(references(p.read_text(), strings=True) for p in REACHING))
+    return sorted(name for name in gennet.__all__
+                  if not inspect.ismodule(getattr(gennet, name)) and name not in reached)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -117,3 +176,25 @@ def test_the_guards_see_span_markers_and_private_aliases():
     ])
     assert span_only_imports(source) == [(2, "ge_zero")]
     assert private_aliases(source) == [(6, "_lax_milgram as lax_milgram_solve")]
+
+
+def test_every_export_is_reached_beyond_unit_tests():
+    assert unreached_exports() == []
+
+
+def test_the_reach_guard_counts_code_only():
+    source = "\n".join([
+        '"""Mentions lincomb."""',
+        "from .hilbert import upn  # an import is no reference",
+        "def normalize(u):",
+        '    """Calls eq."""',
+        "    return normalize(u.zero)  # calls midpoint_closure_check",
+        "class Basis:",
+        "    def validate(self):",
+        "        return Basis, extend_functional",
+        'WRAPS = [("gennet.fem", "mollifier_eval")]',
+    ])
+    # Basis is read inside its own class only, WRAPS only assigned
+    assert references(source) == {"u", "zero", "extend_functional"}
+    assert references(source, strings=True) - references(source) == {
+        "gennet", "fem", "mollifier_eval"}

@@ -6,16 +6,15 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from _oracles import (
-    extend_functional_per_vector,
     gram_schmidt_per_point,
     idempotent_normalize_per_vector,
+    orthonormality_failures,
     project_submodule_per_vector,
     projection_operator_per_vector,
 )
 from gennet import (
     DimMismatch,
     EpsGrid,
-    GenScalar,
     GenVector,
     GeneratorSet,
     GridMismatch,
@@ -26,8 +25,6 @@ from gennet import (
     apply,
     classify_operator,
     classify_submodule,
-    extend_functional,
-    idempotent_normalize,
     inner,
     interleaved_gram_schmidt,
     project_submodule,
@@ -41,6 +38,7 @@ POLICY = NumericPolicy()
 UNDERFLOW_POLICY = NumericPolicy(m_inv=50)  # eps_k**m_inv is 0 from k = 22 on
 
 ORTHO_TOL = 1e-10
+BASIS_TOL = 100 * POLICY.tol_abs  # orthonormality of a basis on its supports
 SPAN_TOL = 1e-10   # relative, per sample
 N_SETS = 25
 
@@ -210,7 +208,7 @@ def test_batched_gram_schmidt_matches_the_per_point_oracle(samples):
 @settings(max_examples=100, deadline=None)
 @given(samples=_generator_samples(["power", "duplicate", "vanish", "near_parallel", "tower"]))
 def test_drop_decision_agrees_with_the_normalization_support(samples):
-    # a generator is kept at (j, k) exactly when idempotent_normalize's
+    # a generator is kept at (j, k) exactly when _normalize's
     # support test ||w_k|| >= eps_k**m_inv puts k in its support
     raw = _orthogonalize(np.stack(samples, axis=1), GRID.values, POLICY.m_inv)
     threshold = GRID.values ** POLICY.m_inv
@@ -289,11 +287,17 @@ def test_power_tower_knife_edge_follows_the_support_test(vec, in_support):
 
 # -------------------------------------------------- idempotent normalize
 
+def _normalize_one(samples, policy):
+    """``_normalize`` of one (K, d) vector: (w, S), S its (K,) support mask."""
+    w, support = _normalize(samples[:, None, :], GRID, policy)
+    return GenVector(GRID, w[:, 0]), support[:, 0]
+
+
 def test_normalize_on_partial_support():
     mask = np.zeros(GRID.K, dtype=bool)
     mask[-POLICY.tail:] = True
     samples = np.where(mask[:, None], 1.0, 0.0) * np.array([3.0, 4.0])
-    w, S = idempotent_normalize(GenVector(GRID, samples), POLICY)
+    w, S = _normalize_one(samples, POLICY)
     assert np.array_equal(S, mask)
     norms = rnorm(w).samples
     assert np.allclose(norms[mask], 1.0, atol=1e-14)
@@ -304,7 +308,7 @@ def test_normalize_leaves_out_a_zero_sample_where_the_threshold_underflows():
     # eps_22**50 is 0, so 0 >= eps_22**m_inv holds, but 0 < ||u_22|| fails
     samples = np.ones((GRID.K, 2))
     samples[21] = 0.0
-    w, S = idempotent_normalize(GenVector(GRID, samples), UNDERFLOW_POLICY)
+    w, S = _normalize_one(samples, UNDERFLOW_POLICY)
     assert np.array_equal(S, np.arange(1, GRID.K + 1) != 22)
     assert not np.isnan(w.samples).any()
     assert np.allclose(rnorm(w).samples, S, atol=1e-14)
@@ -314,7 +318,7 @@ def test_normalize_factorization():
     # u reassembles as rnorm(u) * w on the support
     rng = np.random.default_rng(31)
     u = GenVector(GRID, GRID.values[:, None] ** 2.0 * rng.standard_normal((GRID.K, 3)))
-    w, S = idempotent_normalize(u, POLICY)
+    w, S = _normalize_one(u.samples, POLICY)
     assert S.all()
     back = rnorm(u).samples[:, None] * w.samples
     assert np.allclose(back, u.samples, rtol=1e-13, atol=0.0)
@@ -324,7 +328,7 @@ def test_normalize_rejects_support_that_misses_the_tail():
     samples = np.zeros((GRID.K, 2))
     samples[0, 0] = 1.0  # visible at the head only
     with pytest.raises(MixedScaleGenerator):
-        idempotent_normalize(GenVector(GRID, samples), POLICY)
+        _normalize_one(samples, POLICY)
 
 
 # ----------------------------------------------------- random invariants
@@ -337,7 +341,7 @@ def test_orthogonality_and_span_reconstruction(max_power):
         m = int(rng.integers(1, d + 1))
         g = _random_generators(rng, m, d, max_power=max_power)
         basis = interleaved_gram_schmidt(g, POLICY)
-        basis.validate(POLICY)
+        assert orthonormality_failures(basis.samples, basis.support, BASIS_TOL) == []
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
                 ip = np.abs(inner(_vector(basis.samples[:, i]),
@@ -357,7 +361,7 @@ def test_complex_generators_orthogonalize():
                   + 1j * rng.standard_normal((GRID.K, 4)))
         for _ in range(3))
     basis = interleaved_gram_schmidt(GeneratorSet(gens), POLICY)
-    basis.validate(POLICY)
+    assert orthonormality_failures(basis.samples, basis.support, BASIS_TOL) == []
     assert basis.samples.dtype == np.complex128
     for gen in gens:
         recon = project_submodule(basis, gen).samples
@@ -406,9 +410,9 @@ def test_projection_matches_operator_route():
 
 @st.composite
 def _stacked_bases(draw):
-    """(W, support, v, f): an orthonormal (K, r, d) basis stack, zero off a
-    random (K, r) support mask, r = 0 .. d <= 6, with a (K, d) vector v and
-    (K, r) functional values f; basis, v and f each real or complex."""
+    """(W, support, v): an orthonormal (K, r, d) basis stack, zero off a
+    random (K, r) support mask, r = 0 .. d <= 6, with a (K, d) vector v;
+    basis and v each real or complex."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = draw(st.integers(1, 6))
     r = draw(st.integers(0, d))
@@ -420,17 +424,17 @@ def _stacked_bases(draw):
     q, _ = np.linalg.qr(sample((GRID.K, d, d)))
     support = rng.random((GRID.K, r)) < 0.7
     W = np.swapaxes(q[:, :, :r], 1, 2) * support[:, :, None]
-    return W, support, sample((GRID.K, d)), sample((GRID.K, r))
+    return W, support, sample((GRID.K, d))
 
 
 @seed(20261020)
 @settings(max_examples=150, deadline=None)
 @given(case=_stacked_bases())
 def test_batched_consumers_match_the_per_vector_oracles(case):
-    W, support, v, f = case
+    W, support, v = case
     B = OrthoBasis(GRID, W, support)
     assert len(B) == W.shape[1]
-    B.validate(POLICY)
+    assert orthonormality_failures(B.samples, B.support, BASIS_TOL) == []
 
     def close(got, want, scale):
         assert got.dtype == want.dtype
@@ -439,13 +443,6 @@ def test_batched_consumers_match_the_per_vector_oracles(case):
     close(project_submodule(B, _vector(v)).samples, project_submodule_per_vector(W, v),
           np.linalg.norm(v, axis=1)[:, None])
     close(submodule_projection_operator(B).samples, projection_operator_per_vector(W), 1.0)
-    values = [GenScalar(GRID, f[:, j]) for j in range(f.shape[1])]
-    covectors = extend_functional(values, B).samples
-    if not values:  # the zero submodule's one functional extends to zero
-        assert covectors.dtype == B.samples.dtype
-        assert np.array_equal(covectors, np.zeros((GRID.K, W.shape[2])))
-        return
-    close(covectors, extend_functional_per_vector(f, W), np.linalg.norm(f, axis=1)[:, None])
 
 
 # -------------------------------------------------------- classification
@@ -466,75 +463,31 @@ def test_classify_beta_type_reports_offenders_instead_of_raising():
     assert "tail window" in verdict.diagnostics["reason"]
 
 
-# -------------------------------------------------- functional extension
-
-def test_extend_functional_agrees_on_basis_and_kills_complement():
-    g = GeneratorSet((_constant([1.0, 0.0, 0.0]), _constant([0.0, 1.0, 0.0])))
-    basis = interleaved_gram_schmidt(g, POLICY)
-    values = [GenScalar(GRID, np.full(GRID.K, 2.0)),
-              GenScalar(GRID, GRID.values.copy())]
-    F = extend_functional(values, basis)
-    for j, f_j in enumerate(values):
-        assert np.allclose(F(_vector(basis.samples[:, j])).samples, f_j.samples,
-                           rtol=0.0, atol=1e-14)
-    ortho = _constant([0.0, 0.0, 1.0])
-    assert np.all(np.abs(F(ortho).samples) <= 1e-14)
-    # acting through the projector changes nothing
-    P = submodule_projection_operator(basis)
-    u = GenVector(GRID, np.tile([0.3, -1.2, 5.0], (GRID.K, 1)))
-    assert np.allclose(F(u).samples, F(apply(P, u)).samples, rtol=0.0, atol=1e-12)
-
-
-def test_extend_functional_validates_value_count():
-    basis = interleaved_gram_schmidt(GeneratorSet((_constant([1.0, 0.0]),)), POLICY)
-    one = GenScalar(GRID, np.ones(GRID.K))
-    with pytest.raises(InvalidBasis):
-        extend_functional([one, one], basis)
-    with pytest.raises(InvalidBasis):
-        extend_functional([one], _empty_basis(2))
-
-
 # ------------------------------------------------------------ validation
 
-def _stacked(vecs, supports):
-    """An OrthoBasis of GenVectors and their (K,) support masks."""
-    support = np.stack(supports, axis=1) if supports else np.zeros((GRID.K, 0), dtype=bool)
-    return OrthoBasis(GRID, np.stack([v.samples for v in vecs], axis=1), support)
+def test_a_basis_needs_one_support_per_vector():
+    samples = np.tile([1.0, 0.0], (GRID.K, 1, 1))
+    OrthoBasis(GRID, samples, np.ones((GRID.K, 1), dtype=bool))
+    with pytest.raises(InvalidBasis, match="one support per basis vector"):
+        OrthoBasis(GRID, samples, np.zeros((GRID.K, 0), dtype=bool))
 
 
-def test_validate_flags_broken_bases():
-    full = np.ones(GRID.K, dtype=bool)
-    good = _stacked((_constant([1.0, 0.0]),), (full,))
-    good.validate(POLICY)
-    _empty_basis(2).validate(POLICY)
-    with pytest.raises(InvalidBasis, match="unit length"):
-        _stacked((_constant([2.0, 0.0]),), (full,)).validate(POLICY)
-    with pytest.raises(InvalidBasis, match="off its support"):
-        _stacked((_constant([1.0, 0.0]),), (np.zeros(GRID.K, dtype=bool),)).validate(POLICY)
-    r = 1.0 / np.sqrt(2.0)
-    with pytest.raises(InvalidBasis, match="not orthogonal"):
-        _stacked((_constant([1.0, 0.0]), _constant([r, r])),
-                 (full, full)).validate(POLICY)
-    with pytest.raises(InvalidBasis):
-        _stacked((_constant([1.0, 0.0]),), ())
-
-
-def test_validate_names_the_check_vectors_and_first_grid_point():
-    full = np.ones(GRID.K, dtype=bool)
-    forged = np.tile([1.0, 0.0], (GRID.K, 1))
-    forged[4] *= 1.1  # sample 5
-    with pytest.raises(InvalidBasis, match=r"^unit length: vector 0 .* k=5 "):
-        _stacked((GenVector(GRID, forged),), (full,)).validate(POLICY)
-    mask = np.ones(GRID.K, dtype=bool)
-    mask[[2, 9]] = False
-    with pytest.raises(InvalidBasis, match=r"^zero off the support: vector 0 .* k=3 "):
-        _stacked((_constant([1.0, 0.0]),), (mask,)).validate(POLICY)
-    tilted = np.tile([0.0, 1.0], (GRID.K, 1))
-    tilted[[6, 11]] = 1.0 / np.sqrt(2.0)
-    with pytest.raises(InvalidBasis, match=r"^orthogonality: vectors 1 and 2 .* k=7 "):
-        _stacked((_constant([0.0, 0.0, 1.0]), _constant([1.0, 0.0, 0.0]),
-                  GenVector(GRID, np.c_[tilted, np.zeros(GRID.K)])),
-                 (full, full, full)).validate(POLICY)
+def test_the_orthonormality_oracle_names_each_failure():
+    full = np.ones((GRID.K, 1), dtype=bool)
+    assert orthonormality_failures(np.tile([1.0, 0.0], (GRID.K, 1, 1)), full, BASIS_TOL) == []
+    assert orthonormality_failures(np.zeros((GRID.K, 0, 2)), full[:, :0], BASIS_TOL) == []
+    forged = np.tile([1.0, 0.0], (GRID.K, 1, 1))
+    forged[4] *= 1.1  # unit length fails at k = 5
+    assert orthonormality_failures(forged, full, BASIS_TOL) == [("norm", 5, 0, 0)]
+    off = full.copy()
+    off[[2, 9]] = False  # nonzero off the support at k = 3 and 10
+    assert orthonormality_failures(np.tile([1.0, 0.0], (GRID.K, 1, 1)), off, BASIS_TOL) == [
+        ("norm", 3, 0, 0), ("norm", 10, 0, 0)]
+    tilted = np.tile(np.eye(3)[[2, 0, 1]], (GRID.K, 1, 1))
+    tilted[[6, 11], 2] = [1.0 / np.sqrt(2.0), 0.0, 1.0 / np.sqrt(2.0)]  # leans on w_0 and w_1
+    assert orthonormality_failures(tilted, np.ones((GRID.K, 3), dtype=bool), BASIS_TOL) == [
+        ("orthogonality", 7, 0, 2), ("orthogonality", 7, 1, 2),
+        ("orthogonality", 12, 0, 2), ("orthogonality", 12, 1, 2)]
 
 
 def test_generator_set_guards():
