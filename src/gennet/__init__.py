@@ -16,8 +16,8 @@ from .errors import (
     EmptyTailIntersection,
     GennetError,
     GridMismatch,
+    GridPointFailure,
     InvalidBasis,
-    InvalidCertificate,
     InvalidSpec,
     IterationBudgetExceeded,
     MalformedSummary,

@@ -35,6 +35,7 @@ from .gennum import (
     EpsGrid,
     GenScalar,
     NumericPolicy,
+    _first_k,
     _open_output,
     is_moderate,  # noqa: F401 -- unused; perfbench/spans.py wraps it here by name
     is_negligible,  # noqa: F401 -- unused; perfbench/spans.py wraps it here by name
@@ -175,9 +176,8 @@ def _operator_net(spec, grid: EpsGrid) -> BasicOperator:
 
 def _finite(net, ptr: str):
     """``net``, or ConfigInvalid naming ``ptr`` and its first grid index with ±inf or NaN."""
-    bad = np.argwhere(~np.isfinite(net.samples))
-    if bad.size:
-        raise ConfigInvalid(f"{ptr}: not finite: ±inf or NaN at grid index k={bad[0, 0] + 1}")
+    if k := _first_k(~np.isfinite(net.samples)):
+        raise ConfigInvalid(f"{ptr}: not finite: ±inf or NaN at grid index k={k}")
     return net
 
 

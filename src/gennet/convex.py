@@ -22,7 +22,7 @@ from .errors import (
     InvalidSpec,
     ProbeNotInSet,
 )
-from .gennum import EpsGrid, GenScalar, NumericPolicy
+from .gennum import EpsGrid, GenScalar, NumericPolicy, _first_k
 from .hilbert import GenVector
 
 
@@ -63,15 +63,14 @@ class ConvexSetNet:
         raises InvalidSpec, an empty set (lower > upper, lower = +inf or
         upper = -inf) EmptySet, each naming the first such grid index k;
         ``lower_name`` names the lower bound in the messages."""
-        _refuse_nan(lower, lower_name)
-        _refuse_nan(upper, "upper")
+        for bound, name in ((lower, lower_name), (upper, "upper")):
+            if k := _first_k(np.isnan(bound)):
+                raise InvalidSpec(f"{name} bound is NaN at grid index k={k}")
         empty = np.stack([np.any(lower > upper, axis=1), np.any(lower == np.inf, axis=1),
-                          np.any(upper == -np.inf, axis=1)])
-        if empty.any():
-            k = int(np.flatnonzero(empty.any(axis=0))[0])
-            what = ("box has lower > upper", f"{lower_name} bound is +inf",
-                    "upper bound is -inf")[int(np.argmax(empty[:, k]))]
-            raise EmptySet(f"{what} at grid index k={k + 1}")
+                          np.any(upper == -np.inf, axis=1)], axis=1)
+        if k := _first_k(empty):
+            raise EmptySet(k, ("box has lower > upper", f"{lower_name} bound is +inf",
+                               "upper bound is -inf")[int(np.argmax(empty[k - 1]))])
         return cls(grid, lower.shape[1], "box", {"lower": lower, "upper": upper})
 
     @classmethod
@@ -144,16 +143,6 @@ def _per_eps(arr, grid: EpsGrid) -> np.ndarray:
     return arr
 
 
-def _first_k(mask: np.ndarray) -> int:
-    """The first grid index (1-based) of a (K, d) mask with a True entry."""
-    return int(np.flatnonzero(mask.any(axis=1))[0]) + 1
-
-
-def _refuse_nan(bound: np.ndarray, name: str):
-    if np.isnan(bound).any():
-        raise InvalidSpec(f"{name} bound is NaN at grid index k={_first_k(np.isnan(bound))}")
-
-
 def _check_compat(C: ConvexSetNet, u: GenVector):
     if not C.grid.same_as(u.grid):
         raise GridMismatch("set and vector on different grids")
@@ -187,9 +176,8 @@ def characterization_residual(C: ConvexSetNet, u: GenVector, v: GenVector,
     probes = list(probes)
     for w in probes:
         _check_compat(C, w)
-        outside = np.nonzero(_outside(C, w.samples, policy))[0]
-        if outside.size:
-            raise ProbeNotInSet(f"probe outside set at grid index k={outside[0] + 1}")
+        if k := _first_k(_outside(C, w.samples, policy)):
+            raise ProbeNotInSet(k, "probe outside set")
     res = np.full(C.grid.K, -np.inf)
     for w in probes:
         vals = np.sum((u.samples - v.samples) * np.conj(w.samples - v.samples), axis=1).real

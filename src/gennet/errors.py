@@ -6,6 +6,9 @@ common base.  The CLI exits 1 on ``ConfigInvalid``, ``MalformedSummary``,
 ``InvalidSpec`` and ``InvalidBasis`` (bad input) and on ``OutputUnwritable``,
 and 2 on every other ``GennetError`` (a computation ran but a mathematical
 verdict failed).
+
+A verdict holds on the tail of the eps grid, so its failure is one check
+failing at one grid point: a ``GridPointFailure`` names the two.
 """
 
 
@@ -23,19 +26,6 @@ class DimMismatch(GennetError):
 
 class EmptyTailIntersection(GennetError):
     """An index set misses the asymptotic tail window entirely."""
-
-
-class EmptySet(GennetError):
-    """A per-epsilon convex set is empty."""
-
-
-class NoConvergence(GennetError):
-    """An iterative solve cannot settle: the obstacle active-set loop, or a
-    contraction iteration whose factor rounds to 1 at some grid point."""
-
-
-class ProbeNotInSet(GennetError):
-    """A probe point handed to characterization_residual is outside C."""
 
 
 class MixedScaleGenerator(GennetError):
@@ -57,78 +47,58 @@ class InvalidBasis(GennetError):
     """An OrthoBasis is given a support mask that is not one (K,) support per vector."""
 
 
-class InvalidCertificate(GennetError):
-    """A solver was handed an invalid certificate, or an alpha_k <= 0 it cannot use.
+class GridPointFailure(GennetError):
+    """``check`` fails at grid index ``k`` (1-based).  ``k``, ``check`` and each
+    keyword value are attributes; the message is ``<check>[: name = value, ...]
+    at grid index k=<k>``, floats in ``.6g``.  The subclasses add no code."""
 
-    ``check``, a certificate's tail check or "alpha_k <= 0" (NaN included), fails
-    at grid index ``k`` (1-based), where alpha_k is ``alpha``."""
-
-    def __init__(self, k, check, alpha):
-        self.k, self.check, self.alpha = k, check, alpha
-        head = ("the solver needs alpha_k > 0" if check == "alpha_k <= 0"
-                else f"coercivity certificate is not valid ({check})")
-        super().__init__(f"{head}: alpha = {alpha:.3e} at grid index k={k}")
-
-
-class SingularSample(GennetError):
-    """A per-epsilon linear solve hit a singular matrix."""
-
-    def __init__(self, k):
-        self.k = k
-        super().__init__(f"singular sample at grid index k={k}")
+    def __init__(self, k, check, **values):
+        vars(self).update(k=k, check=check, **values)
+        shown = [f"{name} = {v:.6g}" if isinstance(v, float) else f"{name} = {v}"
+                 for name, v in values.items()]
+        super().__init__(f"{check}{': ' if shown else ''}{', '.join(shown)} at grid index k={k}")
 
 
-class ResidualTargetMissed(GennetError):
-    """A per-epsilon solve missed its residual target after every refinement."""
-
-    def __init__(self, k, residual, target):
-        self.k, self.residual, self.target = k, residual, target
-        super().__init__(f"k={k}: relative residual {residual:.3e} misses the target "
-                         f"{target:.3e} after iterative refinement")
+class SingularSample(GridPointFailure):
+    """A per-epsilon linear solve hit a singular matrix: ``T_k singular``."""
 
 
-class IterationBudgetExceeded(GennetError):
-    """The contraction iteration ran out of its certified budget."""
-
-    def __init__(self, k, budget, step_norm):
-        self.k = k
-        self.budget = budget
-        self.step_norm = step_norm
-        super().__init__(
-            f"k={k}: no convergence within {budget} iterations "
-            f"(last step {step_norm:.3e})"
-        )
+class ResidualTargetMissed(GridPointFailure):
+    """A per-epsilon solve misses its residual target after every refinement:
+    ``residual_k > target after refinement`` (NaN included); ``residual``, ``target``."""
 
 
-class ContractionBoundViolated(GennetError):
-    """An observed step ratio exceeds the certified contraction factor."""
-
-    def __init__(self, k, ratio, factor):
-        self.k, self.ratio, self.factor = k, ratio, factor
-        super().__init__(f"k={k}: observed step ratio {ratio:.6g} exceeds the certified "
-                         f"contraction factor {factor:.6g}")
+class IterationBudgetExceeded(GridPointFailure):
+    """The contraction iteration ran out of its certified budget:
+    ``iterations_k > budget_k``; ``budget`` and the last ``step_norm``."""
 
 
-class CoercivityFailure(GennetError):
-    """A discretized problem could not be certified coercive at grid index ``k``.
+class ContractionBoundViolated(GridPointFailure):
+    """An observed step ratio exceeds the certified contraction factor:
+    ``max_step_ratio_k > contraction_k``; ``ratio``, ``factor``."""
 
-    ``check``, one of the coefficient checks below or a certificate's tail
-    check on the coercivity bound ``alpha`` = alpha_k, fails there."""
 
-    _COEFFICIENT = {
-        "diffusion_k <= 0": "diffusion is not positive at the quadrature points (grid point {k})",
-        "potential_k not finite":
-            "potential_k not finite: ±inf or NaN at a quadrature point (grid point {k})",
-        "diffusion_k outside eps_k^±N_mod":
-            "diffusion leaves the moderate window eps^±N_mod at grid point {k}",
-    }
+class NoConvergence(GridPointFailure):
+    """An iterative solve cannot settle: ``active set still changes`` after ``steps``
+    (the obstacle solve), or ``contraction_k rounds to 1`` at ``alpha_over_M`` =
+    alpha_k / M_k (the contraction iteration, which then has no budget)."""
 
-    def __init__(self, k, check, alpha=None):
-        self.k, self.check, self.alpha = k, check, alpha
-        template = self._COEFFICIENT.get(
-            check, "coercivity bound alpha = {alpha:.6g} is not "
-                   "invertible-nonnegative ({check}) at grid point {k}")
-        super().__init__(template.format(k=k, check=check, alpha=alpha))
+
+class EmptySet(GridPointFailure):
+    """A per-epsilon convex set is empty: ``box has lower > upper``, ``lower bound
+    is +inf`` (``obstacle bound ...`` for an obstacle set) or ``upper bound is -inf``."""
+
+
+class ProbeNotInSet(GridPointFailure):
+    """A probe handed to characterization_residual is outside C: ``probe outside set``."""
+
+
+class CoercivityFailure(GridPointFailure):
+    """A problem is not certified coercive, or its alpha_k is not usable: a FEM
+    coefficient check (``diffusion_k <= 0``, NaN included; ``diffusion_k outside
+    eps_k^±N_mod``; ``potential_k not finite``), a certificate's tail check
+    (``alpha_k < -eps_k^q_neg``, ``|alpha_k| < eps_k^m_inv``) or a solver's
+    ``alpha_k <= 0`` (NaN included); the last three carry ``alpha`` = alpha_k."""
 
 
 class InvalidSpec(GennetError):

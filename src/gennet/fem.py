@@ -39,6 +39,7 @@ from .gennum import (
     EpsGrid,
     GenScalar,
     NumericPolicy,
+    _first_k,
     _invertible,
     _moderate,
     _open_output,
@@ -383,12 +384,6 @@ def _validate_boundary(spec: ProblemSpec, policy: NumericPolicy):
             float(side)
 
 
-def _first_non_finite(*nets) -> int | None:
-    """The first grid point (1-based) where one of the (K,) nets is ±inf or NaN."""
-    finite = np.logical_and.reduce([np.isfinite(v) for v in nets])
-    return None if finite.all() else int(np.argmin(finite)) + 1
-
-
 def _assemble_all(spec: ProblemSpec):
     """Assemble every per-sample system at once as a band net.
 
@@ -426,8 +421,7 @@ def _assemble_all(spec: ProblemSpec):
     if spec.potential is not None:
         c = spec.potential.gauss_values(pts)
         c_min, c_max = c.bounds()
-        k = _first_non_finite(c_min, c_max)
-        if k:
+        if k := _first_k(~(np.isfinite(c_min) & np.isfinite(c_max))):
             raise CoercivityFailure(k, "potential_k not finite")
         mass_a, mass_b, mass_ab = c.integrals(wts * _N1 * _N1, wts * _N2 * _N2, wts * _N1 * _N2)
         diag += mass_a[:, 1:]
@@ -441,8 +435,7 @@ def _assemble_all(spec: ProblemSpec):
     for check, nets in (("rhs_k not finite", f.bounds()),
                         ("point_load_k not finite", [w_k for _, w_k in loads]),
                         ("boundary_k not finite", (gl, gr))):
-        k = _first_non_finite(*nets)
-        if k:
+        if k := _first_k(~np.isfinite(np.transpose(nets))):  # (K, len(nets))
             raise InvalidSpec(f"{check}: ±inf or NaN at grid index k={k}")
     b = np.zeros((K, n + 1))
     load_a, load_b = f.integrals(wts * _N1, wts * _N2)
@@ -501,22 +494,16 @@ def _certificate(spec: ProblemSpec, a_min, a_max, c_min,
     |v|^2, and Gershgorin gives lambda_max(M) <= h.  Raises
     CoercivityFailure naming the first grid point (1-based) where the
     diffusion range [a_min, a_max] is not positive (NaN included) or
-    leaves the moderate window eps^±N_mod, and otherwise the certificate's
-    failure: the first tail grid point where the bound is not
-    invertible-nonnegative.
+    leaves the moderate window eps^±N_mod.  The certificate may be invalid:
+    the solvers' gate (``_certified_alpha``) raises its failure.
     """
     eps = spec.grid.values
-    if not np.all(a_min > 0.0):
-        raise CoercivityFailure(int(np.argmin(a_min > 0.0)) + 1, "diffusion_k <= 0")
-    bad = ~(_invertible(a_min, eps, policy.N_mod) & _moderate(a_max, eps, policy))
-    if np.any(bad):
-        raise CoercivityFailure(int(np.argmax(bad)) + 1, "diffusion_k outside eps_k^±N_mod")
+    if k := _first_k(~(a_min > 0.0)):
+        raise CoercivityFailure(k, "diffusion_k <= 0")
+    if k := _first_k(~(_invertible(a_min, eps, policy.N_mod) & _moderate(a_max, eps, policy))):
+        raise CoercivityFailure(k, "diffusion_k outside eps_k^±N_mod")
     a = a_min * poincare_constant(spec.mesh) + np.minimum(c_min, 0.0) * spec.mesh.h
-    cert = CoercivityCertificate.from_alpha(GenScalar(spec.grid, a), policy)
-    if cert.failure:
-        k, check = cert.failure
-        raise CoercivityFailure(k, check, float(a[k - 1]))
-    return cert
+    return CoercivityCertificate.from_alpha(GenScalar(spec.grid, a), policy)
 
 
 def under_resolved_indices(spec: ProblemSpec) -> list[int]:
@@ -690,8 +677,7 @@ def _pdas(T: TridiagonalOperator, b: np.ndarray, lower: np.ndarray):
         if not np.any(moving):
             return w, steps
         active[moving] = following[moving]
-    raise NoConvergence(f"active set still changes after {m + 1} steps "
-                        f"at grid index k={int(np.argmax(moving)) + 1}")
+    raise NoConvergence(_first_k(moving), "active set still changes", steps=m + 1)
 
 
 def _error_bound(T: TridiagonalOperator, b, lower, w, alpha):
@@ -727,13 +713,14 @@ def solve_obstacle(spec: ProblemSpec, policy: NumericPolicy) -> ObstacleResult:
     if spec.obstacle is None:
         raise InvalidSpec("this problem has no obstacle; use solve_dirichlet")
     T, b_net, g, cert = _assemble_certified(spec, policy)
+    _certified_alpha(cert, positive=False)  # an invalid certificate fails before the obstacle
 
     psi = spec.obstacle_nodal()
     above = psi[:, [0, -1]] > g
-    if np.any(above):
-        k, end = np.argwhere(above)[0]
-        raise InvalidSpec(f"obstacle exceeds the boundary data at the {('left', 'right')[end]} "
-                          f"endpoint at grid index k={k + 1}")
+    if k := _first_k(above):
+        end = ("left", "right")[int(np.argmax(above[k - 1]))]
+        raise InvalidSpec(f"obstacle exceeds the boundary data at the {end} endpoint "
+                          f"at grid index k={k}")
     lower = ConvexSetNet.obstacle(spec.grid, psi[:, 1:-1]).data["lower"]
     alpha = _certified_alpha(cert, positive=True)
     w, steps = _pdas(T, b_net, lower)

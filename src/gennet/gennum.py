@@ -80,6 +80,13 @@ class EpsGrid:
         )
 
 
+def _first_k(mask: np.ndarray) -> int | None:
+    """The grid index k (1-based) of the first row of a (K, ...) bool mask
+    with a True entry, or None if there is none."""
+    hit = mask.any(axis=tuple(range(1, mask.ndim))) if mask.ndim > 1 else mask
+    return int(hit.argmax()) + 1 if hit.any() else None
+
+
 @functools.cache
 def max_geometric_K(base: float) -> int:
     """The largest K with base**k, k = 1..K, positive and strictly decreasing, as

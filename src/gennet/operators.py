@@ -48,10 +48,6 @@ class BasicOperator(_SampleNet):
     def constant(cls, matrix, grid: EpsGrid) -> "BasicOperator":
         return cls(grid, np.tile(np.asarray(matrix), (grid.K, 1, 1)))
 
-    @classmethod
-    def identity(cls, grid: EpsGrid, dim: int) -> "BasicOperator":
-        return cls.constant(np.eye(dim), grid)
-
     def matvec(self, u: np.ndarray) -> np.ndarray:
         """Batched product T_k u_k of a (K, d_in) array."""
         return np.einsum("kij,kj->ki", self.samples, u)
@@ -70,7 +66,7 @@ class BasicOperator(_SampleNet):
                 try:
                     np.linalg.solve(self.samples[k], b[k])
                 except np.linalg.LinAlgError as exc:
-                    raise SingularSample(k + 1) from exc
+                    raise SingularSample(k + 1, "T_k singular") from exc
             raise
 
     def compose(self, other: "BasicOperator") -> "BasicOperator":
@@ -141,7 +137,7 @@ class TridiagonalOperator(_SampleNet):
         _, _, _, x, info = gtsv(off, diag, off, b.reshape(K * m, 1),
                                 overwrite_dl=True, overwrite_d=True)
         if info > 0:
-            raise SingularSample((info - 1) // m + 1)
+            raise SingularSample((info - 1) // m + 1, "T_k singular")
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of ?gtsv")
         return x.reshape(K, m)
@@ -219,7 +215,7 @@ def op_norm_net(T: BasicOperator) -> GenScalar:
     """Per-sample spectral norm (largest singular value)."""
     _require_dense(T, "op_norm_net")
     svals = np.linalg.svd(T.samples, compute_uv=False)
-    return GenScalar(T.grid, svals[:, 0] if svals.ndim == 2 else svals)
+    return GenScalar(T.grid, svals[:, 0])
 
 
 def riesz_representer(f: BasicFunctional) -> GenVector:

@@ -23,10 +23,10 @@ import numpy as np
 
 from .convex import ConvexSetNet
 from .errors import (
+    CoercivityFailure,
     ContractionBoundViolated,
     DimMismatch,
     GridMismatch,
-    InvalidCertificate,
     IterationBudgetExceeded,
     NoConvergence,
     ResidualTargetMissed,
@@ -34,6 +34,7 @@ from .errors import (
 from .gennum import (
     GenScalar,
     NumericPolicy,
+    _first_k,
     _invertible,
     _tail_positions,
     ge_zero,  # noqa: F401 -- unused; perfbench/spans.py wraps it here by name
@@ -89,11 +90,9 @@ class CoercivityCertificate:
         a, eps = alpha.samples[pos], alpha.grid.values[pos]
         negative = ~(a >= -eps ** policy.q_neg)
         failure = None
-        bad = np.flatnonzero(negative | ~_invertible(np.abs(a), eps, policy.m_inv))
-        if bad.size:
-            j = bad[0]
-            check = "alpha_k < -eps_k^q_neg" if negative[j] else "|alpha_k| < eps_k^m_inv"
-            failure = int(pos[j]) + 1, check
+        if j := _first_k(negative | ~_invertible(np.abs(a), eps, policy.m_inv)):  # on the tail
+            check = "alpha_k < -eps_k^q_neg" if negative[j - 1] else "|alpha_k| < eps_k^m_inv"
+            failure = int(pos[j - 1]) + 1, check
         return cls(alpha, witness, failure)
 
     def to_json(self) -> dict:
@@ -117,15 +116,12 @@ def certify_coercivity(T: BasicOperator, policy: NumericPolicy) -> CoercivityCer
 
 
 def _certified_alpha(cert: CoercivityCertificate, positive: bool) -> np.ndarray:
-    """cert.alpha's float samples past the solvers' gate: InvalidCertificate at
+    """cert.alpha's float samples past the solvers' gate: CoercivityFailure at
     ``cert.failure`` and, with ``positive``, at the first alpha_k that is not > 0."""
     alpha = cert.alpha.samples.astype(float)
-    if cert.failure:
-        k, check = cert.failure
-        raise InvalidCertificate(k, check, float(alpha[k - 1]))
-    if positive and not np.all(alpha > 0.0):
-        k = int(np.argmin(alpha > 0.0)) + 1
-        raise InvalidCertificate(k, "alpha_k <= 0", float(alpha[k - 1]))
+    k, check = cert.failure or (_first_k(~(alpha > 0.0)) if positive else None, "alpha_k <= 0")
+    if k:
+        raise CoercivityFailure(k, check, alpha=float(alpha[k - 1]))
     return alpha
 
 
@@ -169,12 +165,14 @@ def lax_milgram_solve(T: BasicOperator | TridiagonalOperator, c: GenVector,
     for step in range(_REFINEMENTS + 1):
         r = T.matvec(out) - b
         r_norm = _norms(r)
-        short = np.nonzero(~(r_norm <= limit))[0]
-        if short.size == 0:
+        short = ~(r_norm <= limit)
+        if not short.any():
             break
         if step == _REFINEMENTS:
-            k = int(short[0])
-            raise ResidualTargetMissed(k + 1, float(r_norm[k] / scale[k]), RESIDUAL_TARGET)
+            k = _first_k(short)
+            raise ResidualTargetMissed(k, "residual_k > target after refinement",
+                                       residual=float(r_norm[k - 1] / scale[k - 1]),
+                                       target=RESIDUAL_TARGET)
         out[short] -= T.solve(r)[short]
     return LaxMilgramSolution(GenVector(c.grid, out), GenScalar(c.grid, r_norm / scale))
 
@@ -269,10 +267,9 @@ def vi_solve_contraction(
     else:
         rho = alpha / M ** 2
         kfac = np.sqrt(np.maximum(0.0, 1.0 - alpha ** 2 / M ** 2))
-    if not np.all(kfac < 1.0):
-        k = int(np.argmin(kfac < 1.0))
-        raise NoConvergence(f"k={k + 1}: the contraction factor rounds to 1 at "
-                            f"alpha_k/M_k = {alpha[k] / M[k]:.3e}, so no iteration budget exists")
+    if k := _first_k(~(kfac < 1.0)):  # then the iteration has no budget
+        raise NoConvergence(k, "contraction_k rounds to 1",
+                            alpha_over_M=float(alpha[k - 1] / M[k - 1]))
 
     K, d = c.samples.shape
     tol = policy.tol_abs
@@ -327,7 +324,8 @@ def vi_solve_contraction(
             over = running & (bud <= it + np.arange(1, size + 1)[:, None])
             if over.any():
                 t, j = divmod(int(np.argmax(over)), rows.size)
-                raise IterationBudgetExceeded(int(rows[j]) + 1, int(bud[j]), float(step[t, j]))
+                raise IterationBudgetExceeded(int(rows[j]) + 1, "iterations_k > budget_k",
+                                              budget=int(bud[j]), step_norm=float(step[t, j]))
         x_prev, x, last, ratio = X[-2], X[-1], step[-1], ratios[-1]
         going = running[-1]
         if not going.all():
@@ -343,10 +341,9 @@ def vi_solve_contraction(
             project = C.row_projector(rows)
         it += size
 
-    violated = np.nonzero(max_ratio > kfac + _RATIO_SLACK)[0]
-    if violated.size:
-        k = int(violated[0])
-        raise ContractionBoundViolated(k + 1, float(max_ratio[k]), float(kfac[k]))
+    if k := _first_k(max_ratio > kfac + _RATIO_SLACK):
+        raise ContractionBoundViolated(k, "max_step_ratio_k > contraction_k",
+                                       ratio=float(max_ratio[k - 1]), factor=float(kfac[k - 1]))
 
     grid = c.grid
     return VISolution(

@@ -132,7 +132,8 @@ def vi_contraction_masked(T, c, C, cert, policy, start=None):
         over = active & ~done_now & (iterations + 1 >= budgets)
         if np.any(over):
             k = int(np.nonzero(over)[0][0])
-            raise IterationBudgetExceeded(k + 1, int(budgets[k]), float(step[k]))
+            raise IterationBudgetExceeded(k + 1, "iterations_k > budget_k",
+                                          budget=int(budgets[k]), step_norm=float(step[k]))
         iterations[active] += 1
         last_step[active] = step[active]
         u_prev, u = u, u_next
@@ -140,7 +141,8 @@ def vi_contraction_masked(T, c, C, cert, policy, start=None):
     violated = np.nonzero(max_ratio > kfac + 1e-6)[0]
     if violated.size:
         k = int(violated[0])
-        raise ContractionBoundViolated(k + 1, float(max_ratio[k]), float(kfac[k]))
+        raise ContractionBoundViolated(k + 1, "max_step_ratio_k > contraction_k",
+                                       ratio=float(max_ratio[k]), factor=float(kfac[k]))
     return u, iterations, last_step, max_ratio
 
 

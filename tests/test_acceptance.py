@@ -30,7 +30,6 @@ from gennet import (
     characterization_residual,
     classical_consistency_check,
     classify_operator,
-    classify_submodule,
     close_infimum_check,
     idempotent,
     inner,

@@ -262,7 +262,7 @@ def test_noncoercive_operator_exits_2(tmp_path, capsys):
         "set": {"kind": "obstacle", "lower": [0.0, 0.0]},
     })
     assert _run(["vi-solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "InvalidCertificate" in capsys.readouterr().err
+    assert "CoercivityFailure" in capsys.readouterr().err
 
 
 def test_noncoercive_vi_solve_names_its_grid_point_and_writes_no_summary(tmp_path, capsys):
@@ -274,8 +274,8 @@ def test_noncoercive_vi_solve_names_its_grid_point_and_writes_no_summary(tmp_pat
     out = tmp_path / "o"
     assert _run(["vi-solve", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "verdict failure: InvalidCertificate: coercivity certificate is not valid "
-        "(alpha_k < -eps_k^q_neg): alpha = -1.000e+00 at grid index k=17\n")
+        "verdict failure: CoercivityFailure: alpha_k < -eps_k^q_neg: alpha = -1 "
+        "at grid index k=17\n")
     assert list(out.iterdir()) == []
 
 
@@ -291,12 +291,12 @@ def test_a_zero_alpha_fails_the_tail_rule_on_a_grid_whose_thresholds_underflow(
     assert _run(["vi-solve", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--grid-K", "200"]) == 2
     assert capsys.readouterr().err == (
-        "verdict failure: InvalidCertificate: coercivity certificate is not valid "
-        "(|alpha_k| < eps_k^m_inv): alpha = 0.000e+00 at grid index k=193\n")
+        "verdict failure: CoercivityFailure: |alpha_k| < eps_k^m_inv: alpha = 0 "
+        "at grid index k=193\n")
 
 
-@pytest.mark.parametrize("power,k,ratio", [(3, 18, "5.551e-17"), (5, 11, "2.776e-17"),
-                                           (8, 7, "1.388e-17")])
+@pytest.mark.parametrize("power,k,ratio", [(3, 18, "5.55112e-17"), (5, 11, "2.77556e-17"),
+                                           (8, 7, "1.38778e-17")])
 def test_a_contraction_factor_that_rounds_to_1_is_a_verdict_failure(tmp_path, capsys, power,
                                                                     k, ratio):
     # alpha_k = eps_k^power is a valid certificate, but (M - alpha)/(M + alpha)
@@ -308,8 +308,8 @@ def test_a_contraction_factor_that_rounds_to_1_is_a_verdict_failure(tmp_path, ca
     })
     assert _run(["vi-solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == (
-        f"verdict failure: NoConvergence: k={k}: the contraction factor rounds to 1 at "
-        f"alpha_k/M_k = {ratio}, so no iteration budget exists\n")
+        f"verdict failure: NoConvergence: contraction_k rounds to 1: alpha_over_M = {ratio} "
+        f"at grid index k={k}\n")
 
 
 def test_a_contraction_factor_just_below_1_runs_out_of_its_capped_budget(tmp_path, capsys):
@@ -327,8 +327,8 @@ def test_a_contraction_factor_just_below_1_runs_out_of_its_capped_budget(tmp_pat
     start = time.perf_counter()
     assert _run(["vi-solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert time.perf_counter() - start < 15.0
-    assert re.fullmatch(r"verdict failure: IterationBudgetExceeded: k=4: no convergence "
-                        rf"within {_MAX_SWEEPS} iterations \(last step [0-9.e+-]+\)\n",
+    assert re.fullmatch(r"verdict failure: IterationBudgetExceeded: iterations_k > budget_k: "
+                        rf"budget = {_MAX_SWEEPS}, step_norm = [0-9.e+-]+ at grid index k=4\n",
                         capsys.readouterr().err)
 
 
@@ -346,8 +346,7 @@ def test_a_nan_diffusion_fails_coercivity_at_its_grid_point(tmp_path, capsys, co
     out = tmp_path / "o"
     assert _run([command, "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "verdict failure: CoercivityFailure: diffusion is not positive at the quadrature "
-        "points (grid point 1)\n")
+        "verdict failure: CoercivityFailure: diffusion_k <= 0 at grid index k=1\n")
     assert not out.exists() or list(out.iterdir()) == []
 
 

@@ -1,9 +1,11 @@
-"""No module of the library imports a name it never uses, or renames one.
+"""No module of the library or its tests imports a name it never uses, and no
+library module renames one.
 
 No linter runs on the tree, so this test stands in for one check of it
-(pyflakes' F401): a module-level import in ``src/gennet/*.py`` whose name
-the module never references is dead code left behind by an edit.  An
-import kept on purpose carries ``# noqa: F401`` with a reason on its line.
+(pyflakes' F401): a module-level import in ``src/gennet/*.py`` or
+``tests/*.py`` whose name the module never references is dead code left
+behind by an edit.  An import kept on purpose carries ``# noqa: F401``
+with a reason on its line.
 An import kept only for ``perfbench/spans.py`` to wrap (its reason names
 that file) must match a (module, attribute) row of the span table, so a
 marker outlives no row.  A private name imported under a public alias
@@ -12,14 +14,16 @@ refused.  The package's ``__init__.py`` imports to re-export and is not
 checked.
 
 Nor does the package export what only unit tests reach (vulture's check):
-every name in ``gennet.__all__`` that is no module is referenced in a
-library module other than ``__init__.py``, outside its own definition, or
-in the acceptance tests, their oracles or the benchmark.
+every name in ``gennet.__all__`` that is no module, and every public method
+of an exported class, is referenced in a library module other than
+``__init__.py``, outside its own definition, or in the acceptance tests,
+their oracles or the benchmark.
 """
 
 import ast
 import inspect
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -32,6 +36,7 @@ SPANS = ROOT / "perfbench" / "spans.py"
 _NOQA = re.compile(r"#\s*noqa:\s*F401\b\s*\S")  # the marker, then a reason
 _SPAN_NOQA = re.compile(r"#\s*noqa:\s*F401\b.*\bspans\.py\b")
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 # beyond the library, what keeps an export: the acceptance criteria, the
 # oracles they check against, and the benchmark
 REACHING = [ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "_oracles.py",
@@ -121,15 +126,27 @@ def references(source: str, strings: bool = False) -> set:
 
 
 def unreached_exports() -> list:
-    """The names of ``gennet.__all__``, modules aside, that no library module
-    but ``__init__.py`` and no file of REACHING references."""
+    """The names of ``gennet.__all__``, modules aside, and the ``Class.method``
+    of each public method, classmethod or staticmethod an exported class
+    defines itself, dunders aside, that no library module but ``__init__.py``
+    and no file of REACHING references.
+
+    The check is by name, as ``references`` gives names: a method is reached
+    where any attribute of its name is read, so a name that several classes
+    define, such as ``solve`` or ``matvec``, counts as reached for all of them
+    once one is called."""
     reached = set().union(*(references(p.read_text()) for p in MODULES),
                           *(references(p.read_text(), strings=True) for p in REACHING))
-    return sorted(name for name in gennet.__all__
-                  if not inspect.ismodule(getattr(gennet, name)) and name not in reached)
+    exports = [(name, getattr(gennet, name)) for name in gennet.__all__]
+    named = [(name, name) for name, obj in exports if not inspect.ismodule(obj)]
+    named += [(f"{name}.{attr}", attr) for name, obj in exports if inspect.isclass(obj)
+              for attr, member in vars(obj).items()
+              if not attr.startswith("_")
+              and isinstance(member, (types.FunctionType, classmethod, staticmethod))]
+    return sorted(label for label, name in named if name not in reached)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text()) == []
 

@@ -16,7 +16,6 @@ from gennet import (
     BasicOperator,
     DimMismatch,
     EpsGrid,
-    GenScalar,
     GenVector,
     GeneratorSet,
     GridMismatch,
@@ -75,7 +74,7 @@ def _random_vector(rng, d, complex_=False):
 # ---------------------------------------------------------------- flags
 
 def test_identity_has_every_flag():
-    flags = classify_operator(BasicOperator.identity(GRID, 3), POLICY)
+    flags = classify_operator(BasicOperator.constant(np.eye(3), GRID), POLICY)
     assert flags == {"isometric": True, "unitary": True,
                      "self_adjoint": True, "projection": True}
 
@@ -405,7 +404,7 @@ def test_shape_and_grid_guards():
         apply(T, _random_vector(rng, 3))
     with pytest.raises(DimMismatch):
         T.compose(T)
-    other = BasicOperator.identity(EpsGrid.geometric(12), 2)
+    other = BasicOperator.constant(np.eye(2), EpsGrid.geometric(12))
     with pytest.raises(GridMismatch):
         T.compose(other)
     with pytest.raises(ValueError):
