@@ -19,6 +19,7 @@ import sys
 import time
 
 import numpy as np
+import orjson
 
 from .convex import ConvexSetNet
 from .errors import (
@@ -59,6 +60,21 @@ def _make_out_dir(out: str) -> None:
     except OSError as exc:
         raise OutputUnwritable(
             f"cannot make output directory {out}: {exc.strerror or exc}") from exc
+
+
+def _write_json(path: str, obj) -> None:
+    """Write ``obj`` to ``path``, a new file (``_open_output``), as RFC 8259
+    JSON in UTF-8: keys sorted, two-space indents, one final newline.
+
+    orjson encodes it, the one JSON writer of the package.  A non-finite
+    float is written as ``null``, and a float outside 1e-4 <= |v| < 1e16 in
+    orjson's layout (``0.00001``, ``1e16``), the value ``repr`` writes.
+    Elsewhere the text is the standard library encoder's with ``indent=2``
+    and ``sort_keys=True``, plus the newline.
+    """
+    with _open_output(path) as fh:
+        fh.write(orjson.dumps(obj, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS
+                              | orjson.OPT_APPEND_NEWLINE).decode())
 
 
 def _load_config(path: str) -> dict:
@@ -383,8 +399,7 @@ def _config_command(name: str, **extra_options):
             summary["command"] = name
             summary.setdefault("timings", {})["total_s"] = time.perf_counter() - t0
             path = os.path.join(args.out, f"{name}_summary.json")
-            with _open_output(path) as fh:
-                fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+            _write_json(path, summary)
             ok = all(bool(v) for v in summary["verdicts"].values())
             print(f"{name}: {'ok' if ok else 'FAILED'} ({path})")
             return 0 if ok else 2
@@ -618,9 +633,7 @@ def report(summaries, out):
             all_ok = all_ok and value
     if out is not None:
         _make_out_dir(out)
-        text = json.dumps({"reports": merged, "all_ok": all_ok}, indent=2, sort_keys=True)
-        with _open_output(os.path.join(out, "report.json")) as fh:
-            fh.write(text + "\n")
+        _write_json(os.path.join(out, "report.json"), {"reports": merged, "all_ok": all_ok})
     return 0 if all_ok else 2
 
 

@@ -42,6 +42,7 @@ from .gennum import (
     _first_k,
     _invertible,
     _moderate,
+    _norms,
     _open_output,
     format_cells,
     ge_zero,  # noqa: F401 -- unused; perfbench/spans.py wraps it here by name
@@ -53,7 +54,7 @@ from .gennum import (
 from .hilbert import GenVector
 from .operators import TridiagonalOperator
 from .variational import RESIDUAL_TARGET, CoercivityCertificate, lax_milgram_solve
-from .variational import _certified_alpha, _check_scale, _norms
+from .variational import _certified_alpha, _check_scale
 
 # reference 3-point Gauss rule on [-1, 1]
 _GAUSS_T = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])

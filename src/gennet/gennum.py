@@ -141,7 +141,7 @@ def format_cells(array) -> list[str]:
 
 
 def _open_output(path):
-    """Open ``path`` for writing text as a new file.
+    """Open ``path`` for writing UTF-8 text as a new file.
 
     An existing file at ``path`` is unlinked first, never truncated: on
     ext4 a truncate-and-rewrite makes ``close`` allocate blocks and start
@@ -156,7 +156,7 @@ def _open_output(path):
             os.unlink(path)
         except FileNotFoundError:
             pass
-        return open(path, "w", newline="")
+        return open(path, "w", newline="", encoding="utf-8")
     except OSError as exc:
         raise OutputUnwritable(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -361,6 +361,26 @@ def _invertible(mags, eps, m):
     """0 < mags >= eps**m per sample, so a zero or NaN sample never passes, even
     where eps**m underflows to 0.  A column of exponents m gives one row per m."""
     return (mags > 0.0) & (mags >= eps ** m)
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=-1), bit for bit, without its argument handling."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real if np.iscomplexobj(x) else x * x, axis=-1))
+
+
+def _norms(x: np.ndarray, norm=_row_norms) -> np.ndarray:
+    """``norm`` of each sample (last axis) of x: the plain value, bits and
+    all, where it is finite; a finite sample whose squares overflow is
+    divided by its largest |x| first, so its norm is finite unless it
+    exceeds the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):  # complex squares: inf - inf
+        out = norm(x)
+        big = np.isinf(out)
+        if big.any():
+            big[big] = np.isfinite(x[big]).all(axis=-1)
+            m = np.abs(x[big]).max(axis=-1, initial=0.0)
+            out[big] = m * norm(x[big] / m[:, None])
+    return out
 
 
 def _moderate(mags, eps, policy: NumericPolicy):

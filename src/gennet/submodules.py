@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, GridMismatch, InvalidBasis, MixedScaleGenerator
-from .gennum import EpsGrid, NumericPolicy, _SampleNet, _invertible, _tail_positions
+from .gennum import EpsGrid, NumericPolicy, _SampleNet, _invertible, _norms, _tail_positions
 from .hilbert import GenVector
 from .operators import BasicOperator, apply
 
@@ -100,7 +100,10 @@ def _normalize(samples: np.ndarray, grid: EpsGrid, policy: NumericPolicy):
     S_j = {k : 0 < ||u_jk|| >= eps_k**m_inv} (gennum's ``_invertible``: a
     zero u_jk is outside S_j even where eps_k**m_inv is 0); on S_j the
     result has unit sample norm, off S_j it is zero, and u_j = rnorm(u_j) * w_j
-    up to negligibility.  The norms are rnorm's, bit for bit.
+    up to negligibility.  The norms are rnorm's, bit for bit, where the
+    squares of the entries are finite; a sample whose squares overflow takes
+    its true norm (gennum's ``_norms``), and one whose norm exceeds the
+    float range is divided by its largest |entry| before it is normalized.
 
     The first vector j whose norm net has no uniform scale raises
     MixedScaleGenerator: either a tail sample falls in the open gap between
@@ -112,7 +115,7 @@ def _normalize(samples: np.ndarray, grid: EpsGrid, policy: NumericPolicy):
 
     Returns the (K, m, d) normalized stack and the (K, m) support masks.
     """
-    norms = np.linalg.norm(samples, axis=2)
+    norms = _norms(samples)
     eps = grid.values[:, None]
     support = _invertible(norms, eps, policy.m_inv)
     tail = _tail_positions(grid, policy)
@@ -130,9 +133,17 @@ def _normalize(samples: np.ndarray, grid: EpsGrid, policy: NumericPolicy):
             (np.flatnonzero(support[:, j]) + 1).tolist(),
             "norm support dies out before the tail window (no uniform scale)",
         )
-    return samples / np.where(support, norms, np.inf)[:, :, None], support
+    w = samples / np.where(support, norms, np.inf)[:, :, None]
+    huge = support & np.isinf(norms)
+    if huge.any():  # a norm past the float range: scale the sample down first
+        y = samples[huge] / np.abs(samples[huge]).max(axis=1, keepdims=True)
+        w[huge] = y / np.linalg.norm(y, axis=1, keepdims=True)
+    return w, support
 
 
+# a dominant sample's squares can overflow, and so can its own coefficient,
+# which is discarded, where its norm nears the float limit
+@np.errstate(over="ignore", invalid="ignore")
 def _orthogonalize(samples: np.ndarray, eps: np.ndarray, m_inv: int) -> np.ndarray:
     """The interleaved recursion at every grid point at once.
 
@@ -146,13 +157,16 @@ def _orthogonalize(samples: np.ndarray, eps: np.ndarray, m_inv: int) -> np.ndarr
     Every sweep removes at least one generator at every point still
     running, so at most m sweeps are made.
 
-    The norms are those ``rnorm`` takes, so a generator kept here lies in
-    the support of ``_normalize`` at that point.
+    The norms are those ``_normalize`` takes, so a generator kept here lies
+    in the support of ``_normalize`` at that point.  Where the squares of
+    the dominant sample overflow, it is divided by its largest |entry|
+    before the others are projected off it; every other sample projects
+    with its own bits.
     """
     V = samples.copy()
     rows = np.arange(V.shape[0])
     remaining = np.ones(V.shape[:2], dtype=bool)
-    norms = np.linalg.norm(V, axis=2)
+    norms = _norms(V)
     while remaining.any():
         running = remaining.any(axis=1)
         # argmax returns the first (lowest j) on ties
@@ -163,10 +177,16 @@ def _orthogonalize(samples: np.ndarray, eps: np.ndarray, m_inv: int) -> np.ndarr
         keep = running & ~drop
         remaining[rows[keep], best[keep]] = False
         v = V[rows, best]
-        vv = np.where(keep, np.real(np.sum(v * np.conj(v), axis=1)), 1.0)
+        vv = np.real(np.sum(v * np.conj(v), axis=1))
+        big = np.isinf(vv)
+        if big.any():
+            big &= keep
+            v[big] /= np.abs(v[big]).max(axis=1, keepdims=True)
+            vv[big] = np.real(np.sum(v[big] * np.conj(v[big]), axis=1))
+        vv = np.where(keep, vv, 1.0)
         coeff = np.sum(V * np.conj(v)[:, None, :], axis=2) / vv[:, None]
         res = V - coeff[:, :, None] * v[:, None, :]
-        res_norms = np.linalg.norm(res, axis=2)
+        res_norms = _norms(res)
         flush = res_norms <= _FLUSH_REL * norms
         update = remaining & keep[:, None]
         V = np.where(update[:, :, None], np.where(flush[:, :, None], 0.0, res), V)

@@ -36,6 +36,8 @@ from .gennum import (
     NumericPolicy,
     _first_k,
     _invertible,
+    _norms,
+    _row_norms,
     _tail_positions,
     ge_zero,  # noqa: F401 -- unused; perfbench/spans.py wraps it here by name
     invertible_wrt,
@@ -358,24 +360,6 @@ def vi_solve_contraction(
         sweeps=sweeps,
         stop_checks=checks,
     )
-
-
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(x, axis=-1), bit for bit, without its argument handling."""
-    return np.sqrt(np.add.reduce((x.conj() * x).real if np.iscomplexobj(x) else x * x, axis=-1))
-
-
-def _norms(x: np.ndarray, norm=_row_norms) -> np.ndarray:
-    """``norm`` of each row of x: the plain value, bits and all, where it is
-    finite; a finite row whose squares overflow is divided by its largest
-    |x| first, so its norm is finite unless it exceeds the float range."""
-    with np.errstate(over="ignore"):
-        out = norm(x)
-        big = np.flatnonzero(np.isinf(out))
-        big = big[np.isfinite(x[big]).all(axis=1)]
-        m = np.abs(x[big]).max(axis=1, initial=0.0)
-        out[big] = m * norm(x[big] / m[:, None])
-    return out
 
 
 def _check_scale(b: np.ndarray) -> np.ndarray:

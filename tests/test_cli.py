@@ -11,16 +11,21 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
-from _oracles import band_eig_bounds
+from _oracles import band_eig_bounds, orthonormality_failures
 from gennet import EpsGrid
-from gennet.cli import _problem, main
+from gennet.cli import _problem, _write_json, main
 from gennet.fem import _assemble_all
 from gennet.variational import _MAX_SWEEPS, RESIDUAL_TARGET
 
 K_DEFAULT = 24
-NAN, INF = float("nan"), float("inf")  # json.dumps writes them as NaN and Infinity
+# test configs are written by json.dumps, as the tokens NaN and Infinity,
+# which the config reader accepts; summaries are strict JSON
+NAN, INF = float("nan"), float("inf")
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -203,6 +208,27 @@ def test_seed_controls_random_generators(tmp_path):
     timings = s["timings"]
     assert set(timings) == {"gram_schmidt_s", "csv_s", "total_s"}
     assert 0.0 <= timings["gram_schmidt_s"] + timings["csv_s"] <= timings["total_s"]
+
+
+@pytest.mark.parametrize("generators", [
+    # eps_24**-22 = 2**528: the first generator's squares overflow at k = 24
+    [{"kind": "power_scaled", "vector": [1, 2, 0.5], "power": -22},
+     {"kind": "power_scaled", "vector": [0, 1, 1], "power": 0}],
+    # a norm past the float range at every k
+    [{"kind": "constant", "vector": [1e308, 1e308, 0]},
+     {"kind": "power_scaled", "vector": [1, 0, 1], "power": 2}],
+], ids=["squares-overflow", "norm-overflows"])
+def test_gram_schmidt_orthonormalizes_generators_whose_squares_overflow(tmp_path, generators):
+    cfg = _write_config(tmp_path, "big.json", {"generators": generators})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(["gram-schmidt", "--config", cfg, "--out", str(out)]) == 0
+    s = _summary(out, "gram-schmidt")
+    assert s["supports"] == [list(range(1, K_DEFAULT + 1))] * 2
+    rows = np.loadtxt(out / "basis.csv", delimiter=",", skiprows=1, ndmin=2)
+    W = rows[:, 2:].reshape(K_DEFAULT, 2, 3)
+    assert orthonormality_failures(W, np.ones((K_DEFAULT, 2), dtype=bool), 1e-12) == []
 
 
 # ------------------------------------------------------- command protocol
@@ -1005,18 +1031,77 @@ def test_a_symlink_at_an_output_name_is_replaced_not_followed(tmp_path, gennum_c
     assert (out / "nets.csv").read_text().startswith("k,eps,net0,net1,net2\n")
 
 
-def test_summaries_keep_infinity_and_report_reads_it_back(tmp_path):
-    # the valuation of the zero net is +inf; the summary writes it as the
-    # JSON extension Infinity, which report reads back
+def test_summaries_write_infinity_as_null_and_report_reads_it_back(tmp_path):
+    # the valuation of the zero net is +inf; RFC 8259 JSON has no infinity,
+    # so the summary writes null, which orjson and report read back
     cfg = _write_config(tmp_path, "zero.json", {"nets": [{"kind": "constant", "value": 0.0}]})
     out = tmp_path / "out"
     assert _run(["gennum-check", "--config", cfg, "--out", str(out)]) == 0
     summary = out / "gennum-check_summary.json"
-    assert '"valuation": Infinity' in summary.read_text()
+    text = summary.read_text()
+    assert '"valuation": null' in text and '"net0": null' in text
+    row = orjson.loads(text)["results"][0]
+    assert row["valuation"] is None and row["sharp_norm"] == 0.0
     assert _run(["report", str(summary), "--out", str(out)]) == 0
-    blob = json.loads((out / "report.json").read_text())
+    blob = orjson.loads((out / "report.json").read_bytes())
     assert blob["all_ok"] is True
-    assert blob["reports"][0]["valuations"] == {"net0": INF}
+    assert blob["reports"][0]["valuations"] == {"net0": None}
+
+
+def test_every_summary_and_report_is_strict_json(tmp_path):
+    # orjson.loads refuses the NaN and Infinity tokens that RFC 8259 lacks;
+    # the zero net's valuation is +inf
+    cases = {**_PROTOCOL_CASES, "gennum-check": {"nets": [{"kind": "power", "a": 1.0},
+                                                          {"kind": "constant", "value": 0.0}]}}
+    summaries = []
+    for case, cfg in sorted(cases.items()):
+        command = case.removesuffix("-tower")
+        out = tmp_path / case
+        assert _run([command, "--config", _write_config(tmp_path, f"{case}.json", cfg),
+                     "--out", str(out)]) == (2 if case == "gram-schmidt-tower" else 0)
+        summaries.append(out / f"{command}_summary.json")
+    assert _run(["report", *map(str, summaries), "--out", str(tmp_path)]) == 2
+    for path in [*summaries, tmp_path / "report.json"]:
+        assert isinstance(orjson.loads(path.read_bytes()), dict), path
+
+
+_ASCII = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=8)
+_MID_FLOATS = st.builds(lambda sign, v: sign * v, st.sampled_from([1.0, -1.0]),
+                        st.floats(1e-4, 1e16, exclude_max=True))
+_JSON_VALUES = st.recursive(
+    _ASCII | st.integers(-2**63, 2**63 - 1) | st.booleans() | st.none()
+    | st.sampled_from([0.0, -0.0]) | _MID_FLOATS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_ASCII, inner, max_size=4),
+    max_leaves=20)
+
+
+@seed(20261020)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(obj=_JSON_VALUES)
+def test_the_json_writer_matches_the_stdlib_layout(tmp_path, obj):
+    # the stdlib encoder's text, wherever no float is non-finite or spelled
+    # otherwise (|v| < 1e-4 or >= 1e16)
+    path = tmp_path / "obj.json"
+    _write_json(str(path), obj)
+    assert path.read_text() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def test_the_json_writer_writes_utf8_not_escapes(tmp_path):
+    path = tmp_path / "text.json"
+    _write_json(str(path), {"ε": "α ≥ 0", "x": float("nan")})
+    assert path.read_bytes() == '{\n  "x": null,\n  "ε": "α ≥ 0"\n}\n'.encode()
+
+
+@seed(20261021)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
+def test_the_json_writer_round_trips_every_finite_float(tmp_path, values):
+    path = tmp_path / "floats.json"
+    _write_json(str(path), {"values": values})
+    back = json.loads(path.read_text())["values"]
+    assert [v.hex() for v in back] == [v.hex() for v in values]
 
 
 def _writes_a_file(call: ast.Call) -> bool:

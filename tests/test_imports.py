@@ -18,6 +18,9 @@ every name in ``gennet.__all__`` that is no module, and every public method
 of an exported class, is referenced in a library module other than
 ``__init__.py``, outside its own definition, or in the acceptance tests,
 their oracles or the benchmark.
+
+And the library writes JSON in one place: no module calls ``json.dump``
+or ``json.dumps``.
 """
 
 import ast
@@ -193,6 +196,14 @@ def test_the_guards_see_span_markers_and_private_aliases():
     ])
     assert span_only_imports(source) == [(2, "ge_zero")]
     assert private_aliases(source) == [(6, "_lax_milgram as lax_milgram_solve")]
+
+
+def test_the_library_has_one_json_writer():
+    # cli._write_json (orjson) writes every summary and report.json; the
+    # stdlib json module only reads configs and summaries
+    assert [f"{path.name}:{i}" for path in sorted(SRC.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"\bjson\.dumps?\b", line)] == []
 
 
 def test_every_export_is_reached_beyond_unit_tests():
