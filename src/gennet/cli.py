@@ -200,7 +200,10 @@ def _finite(net, ptr: str):
 def _number(value, ptr: str, cast=float, least=-math.inf, most=math.inf):
     """``cast(value)``, or ConfigInvalid naming ``ptr`` if the value is not a
     number, is NaN, lies outside [least, most], or with ``cast=int`` is not
-    a whole number.  ±inf is a number: box bounds use it."""
+    a whole number.  ±inf is a number: box bounds use it.  JSON ``true`` and
+    ``false`` are not, though Python's bool is an int."""
+    if isinstance(value, bool):
+        raise ConfigInvalid(f"{ptr}: must be a number, got {str(value).lower()}")
     try:
         number = float(value)
     except (TypeError, ValueError) as exc:
@@ -216,8 +219,11 @@ def _number(value, ptr: str, cast=float, least=-math.inf, most=math.inf):
 
 def _array(value, ptr: str, length: int | None = None) -> np.ndarray:
     """A JSON number or (nested) list of numbers as a float array, or
-    ConfigInvalid naming ``ptr`` if an entry is not a number or is NaN, or
-    if ``length`` is given and the last axis has another length."""
+    ConfigInvalid naming ``ptr`` if an entry is not a number (a boolean
+    among them) or is NaN, or if ``length`` is given and the last axis has
+    another length."""
+    if _has_bool(value):
+        raise ConfigInvalid(f"{ptr}: must be numbers, got a boolean")
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -227,6 +233,11 @@ def _array(value, ptr: str, length: int | None = None) -> np.ndarray:
     if length is not None and arr.shape[-1:] != (length,):
         raise ConfigInvalid(f"{ptr}: must have length {length}")
     return arr
+
+
+def _has_bool(value) -> bool:
+    """Whether ``value`` is a JSON boolean or a list holding one at any depth."""
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_has_bool, value))
 
 
 def _pair(value, ptr: str) -> tuple:
@@ -465,7 +476,7 @@ def gram_schmidt(cfg, grid, policy, out, seed):
     t_csv = time.perf_counter()
     # one (r d, K) array: column j d + i is component i of basis vector j
     write_grid_csv(os.path.join(out, "basis.csv"), grid,
-                   [f"v{j}_c{i}" for j, i in np.ndindex(W.shape[1:])],
+                   [f"v{j}_c{i}" for j in range(W.shape[1]) for i in range(W.shape[2])],
                    np.real(W.reshape(grid.K, -1)).T)
     csv_s = time.perf_counter() - t_csv
     norms = np.linalg.norm(W, axis=2).T

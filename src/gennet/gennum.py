@@ -135,8 +135,9 @@ def format_cells(array) -> list[str]:
     cells = orjson.dumps(arr, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
     if arr.dtype.kind == "f":
         mag = np.abs(arr)
-        for i in np.flatnonzero(~(mag < 1e16) | ((mag < 1e-4) & (mag != 0.0))).tolist():
-            cells[i] = repr(float(arr[i]))
+        idx = np.flatnonzero(~(mag < 1e16) | ((mag < 1e-4) & (mag != 0.0)))
+        for i, value in zip(idx.tolist(), arr[idx].tolist()):
+            cells[i] = repr(value)
     return cells
 
 
@@ -165,62 +166,44 @@ def write_grid_csv(path, grid: EpsGrid, names, columns) -> None:
     """Write a per-eps table: header ``k,eps,<names>``, one row per grid point.
 
     ``columns`` is a list of length-K columns or one (len(names), K)
-    array.  Row k (1-based) holds k, eps_k and each column's k-th value.
-    Every cell equals the ``repr`` of that value as a Python int or float
-    (from ``column.tolist()``), so floats round-trip exactly and integer
-    columns stay integer; the cells come from ``format_cells`` (orjson,
-    with the ``repr`` fallback outside 1e-4 <= |v| < 1e16).  The table is
-    formatted in row order: the columns of one dtype kind form a (K, c)
-    block, eps the first column of the float block, and each block is one
-    ``format_cells`` call.  A single block is the table's cells as they
-    are; several are placed by column into one (K, 1 + len(names)) table.
-    Each row is joined from its contiguous slice of cells, by ',', and
-    ends in '\n'.  An array input is never split into per-column views.
-    The table is a new file (``_open_output``): an existing file at
-    ``path`` is replaced, not rewritten in place.  Raises ValueError when
-    the names and columns differ in number, when a column is not of length
-    K, or when a column is not real integers or floats (complex, bool and
-    object columns are refused, naming the column), and
+    array.  Row k (1-based) holds k, eps_k and each column's k-th value,
+    each cell the ``repr`` of the Python number (``format_cells``), so
+    floats round-trip exactly and integer columns stay integer.  A table
+    of float columns is one float block ``[eps | columns]``, printed by
+    one ``format_cells`` call and joined row by row from contiguous
+    slices; any other table is printed column by column and its rows come
+    from ``zip``.  The table is a new file (``_open_output``).  Raises
+    ValueError, before any file is opened, when the names and columns
+    differ in number, when a column is not of length K, or when a column
+    is not real integers or floats (naming the first such column), and
     ``OutputUnwritable`` when the file cannot be written.
     """
     K, width = grid.K, len(names) + 1
-    # per dtype kind: the table columns it fills and its (K, c) block
-    blocks = {}
     if isinstance(columns, np.ndarray) and columns.ndim == 2:
-        if columns.shape != (len(names), K):
-            raise ValueError(f"need one length-{K} column per name in {names}")
-        if len(columns):  # one dtype: the first column names a refusal
-            _check_cells(names[0], columns.dtype)
-            blocks[columns.dtype.kind] = np.arange(1, width), columns.T
+        shaped = columns.shape == (len(names), K)
+        dtypes = [columns.dtype] if len(columns) else []  # named by the first column
     else:
-        cols = [np.asarray(col) for col in columns]
-        if len(cols) != len(names) or any(col.shape != (K,) for col in cols):
-            raise ValueError(f"need one length-{K} column per name in {names}")
-        for name, col in zip(names, cols):
-            _check_cells(name, col.dtype)
-        for kind in _CELL_DTYPES:
-            idx = [j for j, col in enumerate(cols) if col.dtype.kind == kind]
-            if idx:
-                blocks[kind] = np.array(idx) + 1, np.stack([cols[j] for j in idx], axis=1)
-    pos, block = blocks.get("f", (np.arange(0), np.empty((K, 0))))
-    blocks["f"] = np.append(0, pos), np.concatenate([grid.values[:, None], block], axis=1)
-    if len(blocks) == 1:
-        cells = format_cells(blocks["f"][1].ravel())
+        columns = [np.asarray(col) for col in columns]
+        shaped = len(columns) == len(names) and all(col.shape == (K,) for col in columns)
+        dtypes = [col.dtype for col in columns]
+    if not shaped:
+        raise ValueError(f"need one length-{K} column per name in {names}")
+    for name, dtype in zip(names, dtypes):
+        if _cell_dtype(dtype) is None:
+            raise ValueError(f"column {name!r}: cells must be real integers or floats, not {dtype}")
+    if all(dtype.kind == "f" for dtype in dtypes):
+        table = np.empty((K, width))
+        table[:, 0] = grid.values
+        table[:, 1:] = np.transpose(columns)
+        cells = format_cells(table.ravel())
+        rows = [f"{k},{','.join(cells[i:i + width])}\n"
+                for k, i in enumerate(range(0, K * width, width), 1)]
     else:
-        table = np.empty((K, width), dtype=object)
-        for pos, block in blocks.values():
-            table[:, pos] = np.array(format_cells(block.ravel()), dtype=object).reshape(K, -1)
-        cells = table.ravel().tolist()
+        rows = [f"{k},{','.join(row)}\n" for k, row in
+                enumerate(zip(format_cells(grid.values), *map(format_cells, columns)), 1)]
     with _open_output(path) as fh:
         fh.write(",".join(["k", "eps", *names]) + "\n")
-        fh.write("".join([f"{k},{','.join(cells[i:i + width])}\n"
-                          for k, i in enumerate(range(0, K * width, width), 1)]))
-
-
-def _check_cells(name, dtype: np.dtype) -> None:
-    """Refuse a column whose dtype ``format_cells`` cannot print, naming it."""
-    if _cell_dtype(dtype) is None:
-        raise ValueError(f"column {name!r}: cells must be real integers or floats, not {dtype}")
+        fh.write("".join(rows))
 
 
 @dataclass(frozen=True)

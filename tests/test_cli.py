@@ -685,6 +685,34 @@ def test_malformed_numbers_are_config_errors(tmp_path, capsys, cfg, args, needle
     assert "Traceback" not in err
 
 
+_PROBLEM = {"interval": [0.0, 1.0], "n_elems": 16, "diffusion": 1.0, "rhs": 1.0}
+
+
+@pytest.mark.parametrize("cfg,args,message", [
+    ({"nets": [{"kind": "power", "a": True}]}, ["gennum-check"],
+     "/nets/0/a: must be a number, got true"),
+    ({"nets": [1.0], "grid": {"K": True}}, ["gennum-check"], "/grid/K: must be a number, got true"),
+    ({"problem": {**_PROBLEM, "interval": [False, 1.0]}}, ["solve-dirichlet"],
+     "/problem/interval/0: must be a number, got false"),
+    ({**_VI_2D, "operator": {"kind": "constant", "matrix": [[True, False], [False, True]]}},
+     ["vi-solve"], "/operator/matrix: must be numbers, got a boolean"),
+    ({**_VI_2D, "rhs": [True, 0.0]}, ["vi-solve"], "/rhs: must be numbers, got a boolean"),
+    ({**_VI_2D, "set": {"kind": "box", "lower": [False, -1.0], "upper": [True, 1.0]}},
+     ["vi-solve"], "/set/lower: must be numbers, got a boolean"),
+    ({"nets": [True]}, ["gennum-check"], "/nets/0: must be a number, got true"),
+    ({"problem": {**_PROBLEM, "diffusion": True}}, ["solve-dirichlet"],
+     "/problem/diffusion: must be a number, got true"),
+    ({"problem": {**_PROBLEM, "rhs": False}}, ["solve-dirichlet"],
+     "/problem/rhs: must be a number, got false"),
+], ids=["number", "number-int", "pair", "array-matrix", "array-rhs", "array-box",
+        "scalar-net", "coefficient", "problem-rhs"])
+def test_booleans_are_not_numbers(tmp_path, capsys, cfg, args, message):
+    # Python's bool is an int, but no config field is boolean
+    path = _write_config(tmp_path, "bool.json", cfg)
+    assert _run(args + ["--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 _SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 

@@ -566,6 +566,43 @@ def test_grid_csv_interleaves_integer_and_float_columns(tmp_path):
     assert path.read_text() == "k,eps,a,b,c,d,e,f\n" + _grid_rows(grid, columns)
 
 
+_SPECIALS = [math.inf, -math.inf, math.nan, -0.0, 2.0 ** -20, -(2.0 ** -149), 2.0 ** 60]
+_CELL_ELEMENTS = {
+    np.int64: st.integers(-2**63, 2**63 - 1),
+    np.uint8: st.integers(0, 2**8 - 1),
+    np.uint64: st.integers(0, 2**64 - 1),
+    np.float32: st.floats(width=32) | st.sampled_from(_SPECIALS),
+    np.float64: st.floats() | st.sampled_from(_SPECIALS + [-3e-300, 1e16, -2.5e300]),
+}
+
+
+@st.composite
+def _grid_columns(draw):
+    """A K in [8, 20] and 0-6 length-K columns, each of one of the cell dtypes."""
+    K = draw(st.integers(8, 20))
+    dtypes = draw(st.lists(st.sampled_from(list(_CELL_ELEMENTS)), max_size=6))
+    return K, [np.array(draw(st.lists(_CELL_ELEMENTS[dtype], min_size=K, max_size=K)),
+                        dtype=dtype) for dtype in dtypes]
+
+
+@seed(20261020)
+@settings(max_examples=200, deadline=None)
+@given(drawn=_grid_columns())
+def test_grid_csv_equals_repr_rows_for_any_columns(tmp_path_factory, drawn):
+    # all-float tables take the one-block path, the others the per-column one
+    K, columns = drawn
+    grid = EpsGrid.geometric(K)
+    names = [f"c{j}" for j in range(len(columns))]
+    path = tmp_path_factory.getbasetemp() / "drawn.csv"
+    write_grid_csv(path, grid, names, columns)
+    text = path.read_text()
+    assert text == ",".join(["k", "eps", *names]) + "\n" + _grid_rows(grid, columns)
+    if len({col.dtype for col in columns}) <= 1:
+        dtype = columns[0].dtype if columns else np.float64
+        write_grid_csv(path, grid, names, np.array(columns, dtype=dtype).reshape(-1, K))
+        assert path.read_text() == text
+
+
 def test_grid_csv_refuses_a_misshapen_or_unprintable_array(tmp_path):
     grid = EpsGrid.geometric(8)
     floats = np.linspace(0.0, 1.0, 16).reshape(2, 8)

@@ -20,7 +20,8 @@ of an exported class, is referenced in a library module other than
 their oracles or the benchmark.
 
 And the library writes JSON in one place: no module calls ``json.dump``
-or ``json.dumps``.
+or ``json.dumps``.  Nor does it build object arrays: no module holds
+``dtype=object``.
 """
 
 import ast
@@ -204,6 +205,13 @@ def test_the_library_has_one_json_writer():
     assert [f"{path.name}:{i}" for path in sorted(SRC.glob("*.py"))
             for i, line in enumerate(path.read_text().splitlines(), 1)
             if re.search(r"\bjson\.dumps?\b", line)] == []
+
+
+def test_the_library_builds_no_object_arrays():
+    # tables are printed from int and float arrays (gennum.format_cells)
+    assert [f"{path.name}:{i}" for path in sorted(SRC.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"\bdtype\s*=\s*object\b", line)] == []
 
 
 def test_every_export_is_reached_beyond_unit_tests():
