@@ -37,6 +37,7 @@ from .gennum import (
     GenScalar,
     NumericPolicy,
     _first_k,
+    _norms,
     _open_output,
     is_moderate,  # noqa: F401 -- unused; perfbench/spans.py wraps it here by name
     is_negligible,  # noqa: F401 -- unused; perfbench/spans.py wraps it here by name
@@ -254,19 +255,25 @@ def _pairs(value, ptr: str) -> list:
     return [_pair(item, f"{ptr}/{i}") for i, item in enumerate(value)]
 
 
-def _coefficient(spec, grid: EpsGrid, ptr: str = "/coefficient") -> CoefficientNet | None:
+def _built(ptr: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; the InvalidSpec it raises is a ConfigInvalid naming ``ptr``."""
+    try:
+        return build(*args, **kwargs)
+    except InvalidSpec as exc:
+        raise ConfigInvalid(f"{ptr}: {exc}") from exc
+
+
+def _coefficient(spec, grid: EpsGrid, ptr: str) -> CoefficientNet | None:
     if spec is None:
         return None
-    if isinstance(spec, (int, float)):
-        return CoefficientNet.constant(grid, _number(spec, ptr))
     if not isinstance(spec, dict):
-        raise ConfigInvalid(f"{ptr}: must be a number or an object")
+        return CoefficientNet.constant(grid, _number(spec, ptr))
     kind = spec.get("kind")
     if kind == "constant":
         return CoefficientNet.constant(grid, _number(_field(spec, "value", ptr), f"{ptr}/value"))
     if kind == "heaviside_nu":
-        return CoefficientNet.heaviside_nu(
-            grid,
+        return _built(
+            f"{ptr}/nu_exponent", CoefficientNet.heaviside_nu, grid,
             nu_exponent=_number(spec.get("nu_exponent", 1.0), f"{ptr}/nu_exponent"),
             jump_at=_number(spec.get("jump_at", 0.0), f"{ptr}/jump_at"),
             high=_number(spec.get("high", 1.0), f"{ptr}/high"),
@@ -278,8 +285,9 @@ def _coefficient(spec, grid: EpsGrid, ptr: str = "/coefficient") -> CoefficientN
             density = _number(density, f"{ptr}/density")
         return CoefficientNet.mollified_measure(grid, masses, density)
     if kind == "tabulated":
-        return CoefficientNet.tabulated(grid, _array(_field(spec, "xs", ptr), f"{ptr}/xs"),
-                                        _array(_field(spec, "values", ptr), f"{ptr}/values"))
+        return _built(f"{ptr}/values", CoefficientNet.tabulated, grid,
+                      _array(_field(spec, "xs", ptr), f"{ptr}/xs"),
+                      _array(_field(spec, "values", ptr), f"{ptr}/values"))
     raise ConfigInvalid(f"{ptr}/kind: unknown coefficient kind {kind!r}")
 
 
@@ -288,27 +296,31 @@ def _problem(cfg: dict, grid: EpsGrid) -> ProblemSpec:
     if not isinstance(p, dict):
         raise ConfigInvalid("/problem: must be an object")
     a, b = _pair(_field(p, "interval", "/problem"), "/problem/interval")
-    mesh = Mesh1D(a, b, _number(_field(p, "n_elems", "/problem"), "/problem/n_elems", int))
+    mesh = _built("/problem/interval", Mesh1D, a, b,
+                  _number(_field(p, "n_elems", "/problem"), "/problem/n_elems", int, 4))
     diffusion = _coefficient(_field(p, "diffusion", "/problem"), grid, "/problem/diffusion")
     obstacle = p.get("obstacle")
     if isinstance(obstacle, dict):
         obstacle = _coefficient(obstacle, grid, "/problem/obstacle")
     elif obstacle is not None:
         obstacle = _array(obstacle, "/problem/obstacle")
-    boundary = _pair(p.get("boundary", [0.0, 0.0]), "/problem/boundary")
-    rhs = p.get("rhs", 0.0)
-    rhs = (_coefficient(rhs, grid, "/problem/rhs") if isinstance(rhs, dict)
-           else _number(rhs, "/problem/rhs"))
-    return ProblemSpec(
+    point_loads = _pairs(p.get("point_loads", []), "/problem/point_loads")
+    for i, load in enumerate(point_loads):  # each by ProblemSpec's own check
+        _built(f"/problem/point_loads/{i}", ProblemSpec, grid, mesh, diffusion,
+               point_loads=[load])
+    spec = ProblemSpec(
         grid=grid,
         mesh=mesh,
         diffusion=diffusion,
-        rhs=rhs,
+        rhs=_coefficient(p.get("rhs", 0.0), grid, "/problem/rhs"),
         potential=_coefficient(p.get("potential"), grid, "/problem/potential"),
-        point_loads=tuple(_pairs(p.get("point_loads", []), "/problem/point_loads")),
+        point_loads=tuple(point_loads),
         obstacle=obstacle,
-        boundary=boundary,
+        boundary=_pair(p.get("boundary", [0.0, 0.0]), "/problem/boundary"),
     )
+    if isinstance(obstacle, np.ndarray):  # nodal values: their shape must fit the mesh
+        _built("/problem/obstacle", spec.obstacle_nodal)
+    return spec
 
 
 class _UsageError(Exception):
@@ -327,24 +339,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
-
-    def parse_args(self, args):
-        """argparse's ``parse_args``, except that an unrecognized option, such
-        as an abbreviated ``--conf``, is named before a missing required one."""
-        required = [a for a in self._actions if a.required and a.option_strings]
-        for action in required:
-            action.required = False
-        try:
-            namespace, extras = self.parse_known_args(args)
-        finally:
-            for action in required:
-                action.required = True
-        if extras:
-            self.error(f"unrecognized arguments: {' '.join(extras)}")
-        missing = [a.option_strings[0] for a in required if getattr(namespace, a.dest) is None]
-        if missing:
-            self.error(f"the following arguments are required: {', '.join(missing)}")
-        return namespace
 
 
 # command name -> (its parser, the body that takes the parsed arguments and
@@ -400,6 +394,8 @@ def _config_command(name: str, **extra_options):
     """
     def register(body):
         def run(args):
+            if args.config is None:  # after argparse has named an unknown option (--conf)
+                raise _UsageError("the following arguments are required: --config")
             t0 = time.perf_counter()
             cfg = _load_config(args.config)
             grid = _build_grid(cfg, args.grid_k)
@@ -416,8 +412,8 @@ def _config_command(name: str, **extra_options):
             return 0 if ok else 2
 
         parser = _command(name, body.__doc__, run)
-        parser.add_argument("--config", required=True, type=_input_file, metavar="FILE",
-                            help="JSON config file.")
+        parser.add_argument("--config", type=_input_file, metavar="FILE",
+                            help="JSON config file (required).")
         parser.add_argument("--out", default=".", type=_output_dir, metavar="DIR",
                             help="Output directory for CSV and summary files.")
         parser.add_argument("--grid-K", dest="grid_k", type=int, metavar="N",
@@ -479,7 +475,7 @@ def gram_schmidt(cfg, grid, policy, out, seed):
                    [f"v{j}_c{i}" for j in range(W.shape[1]) for i in range(W.shape[2])],
                    np.real(W.reshape(grid.K, -1)).T)
     csv_s = time.perf_counter() - t_csv
-    norms = np.linalg.norm(W, axis=2).T
+    norms = _norms(W).T
     valuations = {f"v{j}_norm": v for j, v in
                   enumerate(net_verdicts(norms, grid, policy).valuation.tolist())}
     return {
@@ -528,7 +524,7 @@ def _generators(cfg: dict, grid: EpsGrid, seed: int) -> list:
         elif kind == "power_tower":
             # sample norm eps_k^k: scales drift without bound across the grid
             v = _array(_field(s, "vector", ptr), f"{ptr}/vector", d)
-            v = v / np.linalg.norm(v)
+            v = v / _norms(v[None])[0]
             ks = np.arange(1, grid.K + 1, dtype=float)
             gens.append(GenVector(grid, (grid.values ** ks)[:, None] * v[None, :]))
         elif kind == "samples":

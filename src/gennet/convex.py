@@ -22,7 +22,7 @@ from .errors import (
     InvalidSpec,
     ProbeNotInSet,
 )
-from .gennum import EpsGrid, GenScalar, NumericPolicy, _first_k
+from .gennum import EpsGrid, GenScalar, NumericPolicy, _first_k, _norms
 from .hilbert import GenVector
 
 
@@ -130,7 +130,7 @@ class ConvexSetNet:
             np.subtract(lo, x, out=gaps[0], where=lo > -np.inf)
             np.subtract(x, up, out=gaps[1], where=up < np.inf)
             return np.max(gaps, axis=(0, 2), initial=0.0)
-        return np.linalg.norm(x - self.batched_projector()(x), axis=1)
+        return _norms(x - self.batched_projector()(x))
 
 
 def _per_eps(arr, grid: EpsGrid) -> np.ndarray:
@@ -153,7 +153,7 @@ def _check_compat(C: ConvexSetNet, u: GenVector):
 def _outside(C: ConvexSetNet, x: np.ndarray, policy: NumericPolicy) -> np.ndarray:
     """(K,) mask of the samples of x that miss C by more than the membership tolerance."""
     member_tol = 100.0 * policy.tol_abs
-    return ~(C.violation(x) <= member_tol * (1.0 + np.linalg.norm(x, axis=1)))
+    return ~(C.violation(x) <= member_tol * (1.0 + _norms(x)))
 
 
 def project_point(C: ConvexSetNet, u: GenVector) -> GenVector:

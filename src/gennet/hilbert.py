@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimMismatch, GridMismatch
-from .gennum import EpsGrid, GenScalar, _SampleNet
+from .gennum import EpsGrid, GenScalar, _SampleNet, _norms
 
 
 class GenVector(_SampleNet):
@@ -66,5 +66,5 @@ def inner(u: GenVector, v: GenVector) -> GenScalar:
 
 def rnorm(u: GenVector) -> GenScalar:
     """The R~-norm: the net of Euclidean sample norms."""
-    return GenScalar(u.grid, np.linalg.norm(u.samples, axis=1))
+    return GenScalar(u.grid, _norms(u.samples))
 

@@ -240,6 +240,7 @@ def _defect_scale(T: BasicOperator) -> float:
     return float(max(1.0, np.max(np.abs(T.samples)) ** 2))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed defect is never negligible
 def _self_adjoint(T: BasicOperator, policy: NumericPolicy) -> bool:
     """classify_operator's self_adjoint flag alone: T square and T - T* negligible."""
     return T.is_square and _defect_negligible(
@@ -248,12 +249,14 @@ def _self_adjoint(T: BasicOperator, policy: NumericPolicy) -> bool:
 
 def _defect_negligible(net: np.ndarray, grid: EpsGrid, policy: NumericPolicy,
                        scale: float) -> bool:
-    """Entrywise negligibility of a (K, ...) defect net on the tail."""
+    """Entrywise negligibility of a (K, ...) defect net on the tail; a defect
+    that is not finite is never negligible, whatever the threshold."""
     pos = _tail_positions(grid, policy)
     mags = np.abs(net[pos]).reshape(policy.tail, -1).max(axis=1)
-    return bool(np.all(mags <= defect_threshold(grid, policy, scale)))
+    return bool(np.all((mags < np.inf) & (mags <= defect_threshold(grid, policy, scale))))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed defect is never negligible
 def classify_operator(T: BasicOperator, policy: NumericPolicy) -> dict:
     """Structural flags from defining identities on defect nets.
 

@@ -100,10 +100,9 @@ def _normalize(samples: np.ndarray, grid: EpsGrid, policy: NumericPolicy):
     S_j = {k : 0 < ||u_jk|| >= eps_k**m_inv} (gennum's ``_invertible``: a
     zero u_jk is outside S_j even where eps_k**m_inv is 0); on S_j the
     result has unit sample norm, off S_j it is zero, and u_j = rnorm(u_j) * w_j
-    up to negligibility.  The norms are rnorm's, bit for bit, where the
-    squares of the entries are finite; a sample whose squares overflow takes
-    its true norm (gennum's ``_norms``), and one whose norm exceeds the
-    float range is divided by its largest |entry| before it is normalized.
+    up to negligibility.  The norms are rnorm's (gennum's ``_norms``); a
+    sample whose norm exceeds the float range is divided by its largest
+    |entry| before it is normalized.
 
     The first vector j whose norm net has no uniform scale raises
     MixedScaleGenerator: either a tail sample falls in the open gap between
@@ -137,7 +136,7 @@ def _normalize(samples: np.ndarray, grid: EpsGrid, policy: NumericPolicy):
     huge = support & np.isinf(norms)
     if huge.any():  # a norm past the float range: scale the sample down first
         y = samples[huge] / np.abs(samples[huge]).max(axis=1, keepdims=True)
-        w[huge] = y / np.linalg.norm(y, axis=1, keepdims=True)
+        w[huge] = y / _norms(y)[:, None]
     return w, support
 
 

@@ -37,7 +37,6 @@ from .gennum import (
     _first_k,
     _invertible,
     _norms,
-    _row_norms,
     _tail_positions,
     ge_zero,  # noqa: F401 -- unused; perfbench/spans.py wraps it here by name
     invertible_wrt,
@@ -312,8 +311,8 @@ def vi_solve_contraction(
             X[t + 1] = project(step_rho * (b - np.einsum("kij,kj->ki", A, X[t])) + X[t])
         sweeps += size * rows.size
         checks += 1
-        step = _row_norms(X[2:] - X[1:-1])
-        scale = 1.0 + _row_norms(X[2:])
+        step = _norms(X[2:] - X[1:-1])
+        scale = 1.0 + _norms(X[2:])
         before = np.concatenate([last[None], step[:-1]])
         measurable = before > ratio_floor * scale
         ratios = np.maximum(ratio, np.maximum.accumulate(

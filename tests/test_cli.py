@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from _oracles import band_eig_bounds, orthonormality_failures
+from _oracles import band_eig_bounds, orthonormality_failures, solve_box_vi
 from gennet import EpsGrid
 from gennet.cli import _problem, _write_json, main
 from gennet.fem import _assemble_all
@@ -125,6 +125,34 @@ def test_vi_solve_pins_the_first_coordinate(tmp_path):
     swept = sum(int(row.split(",")[6]) for row in iters[1:])
     assert swept <= s["timings"]["sweeps"] <= swept + 15 * K_DEFAULT
     assert 1 <= s["timings"]["stop_checks"] <= s["max_iterations"]
+
+
+_OPEN_BOX = {"kind": "box", "lower": [-INF, -INF], "upper": [INF, INF]}
+
+
+def test_vi_solve_takes_step_norms_past_the_squares_float_range(tmp_path):
+    # the first step's squares overflow; an overflowed step and scale would
+    # pass the floor test inf <= inf after one sweep, at u = (5e199, 0)
+    T, rhs = [[2.0, 1.0], [1.0, 2.0]], [1e200, 0.0]
+    cfg = _write_config(tmp_path, "vi.json", {
+        "operator": {"kind": "constant", "matrix": T}, "rhs": rhs, "set": _OPEN_BOX})
+    out = tmp_path / "out"
+    assert _run(["vi-solve", "--config", cfg, "--out", str(out)]) == 0
+    u = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)[:, 2:]
+    want = solve_box_vi(T, rhs, [-INF, -INF], [INF, INF])
+    assert np.max(np.abs(u - want)) <= 1e-12 * np.max(np.abs(want))
+    assert _summary(out, "vi-solve")["max_residual"] < np.inf
+
+
+def test_vi_solve_reports_the_norms_of_huge_answers(tmp_path):
+    # u = (1e200, 1e200) in one sweep: residual 0 and |u| constant, valuation 0
+    cfg = _write_config(tmp_path, "vi.json", {
+        "operator": {"kind": "constant", "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+        "rhs": [1e200, 1e200], "set": _OPEN_BOX})
+    out = tmp_path / "out"
+    assert _run(["vi-solve", "--config", cfg, "--out", str(out)]) == 0
+    s = _summary(out, "vi-solve")
+    assert s["max_residual"] == 0.0 and s["valuations"]["u_norm"] == 0.0
 
 
 def test_solve_dirichlet_cli_and_parallel_determinism(tmp_path):
@@ -279,6 +307,25 @@ def test_mixed_scale_generator_exits_2(tmp_path, capsys):
     assert s["supports"] is None
     assert s["diagnostics"]["offending_indices"] == list(range(1, 11))
     assert "FAILED" in capsys.readouterr().out
+
+
+def test_a_power_tower_of_a_huge_vector_has_no_uniform_scale(tmp_path):
+    # the vector's squares overflow; its unit vector is not 0, which would
+    # make every generator sample zero and the set closed and edged
+    cfg = _write_config(tmp_path, "beta.json", {
+        "generators": [{"kind": "power_tower", "vector": [1e200, 1e200, 1.0]}]})
+    out = tmp_path / "out"
+    assert _run(["gram-schmidt", "--config", cfg, "--out", str(out)]) == 2
+    assert not _summary(out, "gram-schmidt")["closed_edged"]
+
+
+def test_classify_op_refuses_overflowed_defects(tmp_path):
+    cfg = _write_config(tmp_path, "diag.json",
+                        {"operator": {"kind": "constant", "matrix": [[1e200, 0.0], [0.0, 1.0]]}})
+    out = tmp_path / "out"
+    assert _run(["classify-op", "--config", cfg, "--out", str(out)]) == 0
+    assert _summary(out, "classify-op")["flags"] == {
+        "isometric": False, "unitary": False, "self_adjoint": True, "projection": False}
 
 
 def test_noncoercive_operator_exits_2(tmp_path, capsys):
@@ -582,15 +629,25 @@ def test_missing_fields_are_config_errors(tmp_path, capsys, cfg, args, needle):
      "/problem/potential/masses/0"),
     ({"potential": {"kind": "constant", "value": "abc"}}, "/problem/potential/value"),
     ({"boundary": ["a", 0.0]}, "/problem/boundary/0"),
-    ({"rhs": "abc"}, "/problem/rhs"),
-], ids=["masses", "value", "boundary", "rhs"])
+    ({"rhs": "abc"}, "/problem/rhs: must be a number, got 'abc'"),
+    # refused by the problem's constructors (fem.Mesh1D, CoefficientNet, ProblemSpec)
+    ({"interval": [1.0, 0.0]}, "/problem/interval"),
+    ({"n_elems": 2}, "/problem/n_elems"),
+    ({"diffusion": {"kind": "heaviside_nu", "nu_exponent": -1.0}},
+     "/problem/diffusion/nu_exponent"),
+    ({"point_loads": [[0.5, 1.0], [2.0, 1.0]]}, "/problem/point_loads/1"),
+    ({"diffusion": {"kind": "tabulated", "xs": [0.0, 1.0], "values": [1.0, 1.0, 1.0]}},
+     "/problem/diffusion/values"),
+    ({"obstacle": [1.0, 2.0, 3.0]}, "/problem/obstacle"),
+], ids=["masses", "value", "boundary", "rhs", "interval", "n_elems", "nu_exponent",
+        "point_load", "tabulated", "obstacle"])
 def test_malformed_problem_fields_are_config_errors(tmp_path, capsys, field, needle):
     path = _write_config(tmp_path, "bad.json", {"problem": {
         "interval": [0.0, 1.0], "n_elems": 16, "diffusion": 1.0, **field}})
     rc = _run(["solve-dirichlet", "--config", path, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 1
-    assert "config error" in err and needle in err
+    assert f"config error: {needle}" in err
     assert "Traceback" not in err
 
 

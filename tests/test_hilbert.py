@@ -128,6 +128,12 @@ def test_upn_strong_triangle():
         assert upn(u + v, POLICY) <= max(upn(u, POLICY), upn(v, POLICY)) * (1 + 1e-9) + UPN_SLACK
 
 
+def test_rnorm_of_finite_samples_whose_squares_overflow_is_finite():
+    # 1e200**2 overflows; runs under the suite's error::RuntimeWarning filter
+    u = GenVector.constant(np.array([1e200, -1e200]), GRID)
+    assert np.array_equal(rnorm(u).samples, np.full(GRID.K, np.sqrt(2.0) * 1e200))
+
+
 def test_dimension_and_grid_guards():
     u = GenVector.constant(np.array([1.0, 0.0]), GRID)
     w3 = GenVector.constant(np.array([1.0, 0.0, 0.0]), GRID)

@@ -207,6 +207,14 @@ def test_the_library_has_one_json_writer():
             if re.search(r"\bjson\.dumps?\b", line)] == []
 
 
+def test_the_library_takes_sample_norms_in_one_place():
+    # gennum._norms, whose kernel _row_norms is the one plain Euclidean norm:
+    # where squares overflow, a plain norm is +inf for finite samples
+    assert [f"{path.name}:{i}" for path in sorted(SRC.glob("*.py")) if path.name != "gennum.py"
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"linalg\.norm\(|\b_row_norms\b", line)] == []
+
+
 def test_the_library_builds_no_object_arrays():
     # tables are printed from int and float arrays (gennum.format_cells)
     assert [f"{path.name}:{i}" for path in sorted(SRC.glob("*.py"))

@@ -110,6 +110,14 @@ def test_scaled_identity_is_self_adjoint_only():
                      "self_adjoint": True, "projection": False}
 
 
+def test_overflowed_defects_are_never_negligible():
+    # diag(1e200, 1): T*T - I, TT* - I and TT - T overflow to inf, and so does
+    # the defect scale; only T - T* = 0 is negligible
+    flags = classify_operator(BasicOperator.constant(np.diag([1e200, 1.0]), GRID), POLICY)
+    assert flags == {"isometric": False, "unitary": False,
+                     "self_adjoint": True, "projection": False}
+
+
 def test_rectangular_isometry_flags():
     theta = 0.3
     c, s = np.cos(theta), np.sin(theta)
