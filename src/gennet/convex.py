@@ -152,7 +152,7 @@ def _check_compat(C: ConvexSetNet, u: GenVector):
 
 def _outside(C: ConvexSetNet, x: np.ndarray, policy: NumericPolicy) -> np.ndarray:
     """(K,) mask of the samples of x that miss C by more than the membership tolerance."""
-    member_tol = 100.0 * policy.tol_abs
+    member_tol = 100.0 * policy.tol_abs  # times 1 + |x_k|: degree 1 in sample k's own size
     return ~(C.violation(x) <= member_tol * (1.0 + _norms(x)))
 
 

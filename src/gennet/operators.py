@@ -6,9 +6,10 @@ per-sample spectral norms (largest singular values); a basic functional
 is represented exactly by the conjugate of its covector net, with sample
 norms equal to the per-sample functional norms.  Structural flags
 (isometric, unitary, self-adjoint, projection) are decided by testing
-the defining matrix identity's defect net for negligibility — with a
-floating-point floor, since the defects of computed nets carry rounding
-noise far above eps_k**q_neg at the small end of the grid.
+the defining matrix identity's defect net for negligibility, with a
+floating-point floor per sample: rounding on sample k's defect scales
+with that sample's own size |T_k| (max |entry|) and the defect's degree
+in T, and lies far above eps_k**q_neg at the small end of the grid.
 
 Two representations, one per operator kind: dense (K, d_out, d_in)
 nets for the small-matrix layer, and symmetric tridiagonal band nets
@@ -223,36 +224,37 @@ def riesz_representer(f: BasicFunctional) -> GenVector:
     return GenVector(f.grid, np.conj(f.samples))
 
 
-def defect_threshold(grid: EpsGrid, policy: NumericPolicy, scale: float = 1.0) -> np.ndarray:
+def defect_threshold(grid: EpsGrid, policy: NumericPolicy,
+                     scale: np.ndarray | float = 1.0) -> np.ndarray:
     """Tail thresholds for negligibility of *computed* nets.
 
-    max(eps_k**q_neg, tol_abs * scale): the exact negligibility bound,
-    floored at the floating tolerance so that rounding noise on an
-    O(scale) computation does not defeat an identity that holds in exact
-    arithmetic.
+    max(eps_k**q_neg, tol_abs * scale_k): the exact negligibility bound,
+    floored at the floating tolerance so that rounding noise on sample k's
+    O(scale_k) computation does not defeat an identity that holds in exact
+    arithmetic.  ``scale`` is a (K,) net of per-sample scales or one float.
     """
     pos = _tail_positions(grid, policy)
+    scale = np.broadcast_to(scale, grid.K)[pos]
     return np.maximum(grid.values[pos] ** policy.q_neg, policy.tol_abs * scale)
 
 
-def _defect_scale(T: BasicOperator) -> float:
-    """The O(1) size that rounding noise on T's defect nets scales with."""
-    return float(max(1.0, np.max(np.abs(T.samples)) ** 2))
+def _sizes(net: np.ndarray) -> np.ndarray:
+    """max |entry| of each sample of a (K, ...) net: |T_k|, or a defect's size."""
+    return np.abs(net).reshape(len(net), -1).max(axis=1)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflowed defect is never negligible
-def _self_adjoint(T: BasicOperator, policy: NumericPolicy) -> bool:
-    """classify_operator's self_adjoint flag alone: T square and T - T* negligible."""
-    return T.is_square and _defect_negligible(
-        T.samples - np.conj(np.swapaxes(T.samples, 1, 2)), T.grid, policy, _defect_scale(T))
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed defect is never within rounding
+def _self_adjoint(T: BasicOperator, policy: NumericPolicy) -> np.ndarray:
+    """(K,) mask of a square net: |T_k - T_k*| within tol_abs |T_k| and finite, no floor."""
+    defect = _sizes(T.samples - np.conj(np.swapaxes(T.samples, 1, 2)))
+    return (defect < np.inf) & (defect <= policy.tol_abs * _sizes(T.samples))
 
 
 def _defect_negligible(net: np.ndarray, grid: EpsGrid, policy: NumericPolicy,
-                       scale: float) -> bool:
-    """Entrywise negligibility of a (K, ...) defect net on the tail; a defect
-    that is not finite is never negligible, whatever the threshold."""
-    pos = _tail_positions(grid, policy)
-    mags = np.abs(net[pos]).reshape(policy.tail, -1).max(axis=1)
+                       scale: np.ndarray) -> bool:
+    """Per-sample negligibility of a (K, ...) defect net on the tail at the (K,) scale;
+    a defect that is not finite is never negligible, whatever the threshold."""
+    mags = _sizes(net[_tail_positions(grid, policy)])
     return bool(np.all((mags < np.inf) & (mags <= defect_threshold(grid, policy, scale))))
 
 
@@ -265,25 +267,26 @@ def classify_operator(T: BasicOperator, policy: NumericPolicy) -> dict:
     self_adjoint T - T* negligible
     projection   self_adjoint and TT - T negligible
 
+    Rounding on a defect scales with its own sample's size |T_k| (max
+    |entry|) and the defect's degree: |T_k| for T - T*, max(1, |T_k|**2)
+    for T*T - I and TT* - I, and |T_k| + |T_k|**2 for TT - T.
     A rectangular operator may still be isometric (orthonormal columns);
     the unitary/self-adjoint/projection flags are properties only square
     matrices can have and report False for non-square dims.
     """
     _require_dense(T, "classify_operator")
-    d_out, d_in = T.dims
     Ts = adjoint(T)
-    scale = _defect_scale(T)
-    eye_in = np.eye(d_in)
+    size = _sizes(T.samples)
+    quadratic = np.maximum(1.0, size ** 2)
+    eye_in = np.eye(T.dims[1])
     tst = Ts.compose(T).samples - eye_in
-    flags = {"isometric": _defect_negligible(tst, T.grid, policy, scale)}
+    flags = {"isometric": _defect_negligible(tst, T.grid, policy, quadratic)}
     if not T.is_square:
-        for name in ("unitary", "self_adjoint", "projection"):
-            flags[name] = False
-        return flags
+        return flags | dict.fromkeys(("unitary", "self_adjoint", "projection"), False)
     tts = T.compose(Ts).samples - eye_in
-    flags["unitary"] = flags["isometric"] and _defect_negligible(tts, T.grid, policy, scale)
-    flags["self_adjoint"] = _self_adjoint(T, policy)
+    flags["unitary"] = flags["isometric"] and _defect_negligible(tts, T.grid, policy, quadratic)
+    flags["self_adjoint"] = _defect_negligible(T.samples - Ts.samples, T.grid, policy, size)
     idem = T.compose(T).samples - T.samples
     flags["projection"] = flags["self_adjoint"] and _defect_negligible(
-        idem, T.grid, policy, scale)
+        idem, T.grid, policy, size + size ** 2)
     return flags

@@ -40,8 +40,8 @@ from .gennum import EpsGrid, NumericPolicy, _SampleNet, _invertible, _norms, _ta
 from .hilbert import GenVector
 from .operators import BasicOperator, apply
 
-# residuals this far below the pre-projection sample norm are treated as
-# exact zeros (they are rounding noise, not a smaller-scale component)
+# residuals this far below the same vector's pre-projection norm in the same
+# sample (degree 1, per sample) are exact zeros: rounding, not a smaller scale
 _FLUSH_REL = 1e-12
 
 

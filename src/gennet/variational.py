@@ -10,8 +10,10 @@ explicit contraction factor per grid point.
 
 The contraction step for u' = P_C(rho (c - T u) + u) uses the general
 nonsymmetric step rho = alpha/M^2 with factor sqrt(1 - alpha^2/M^2);
-for self-adjoint T the optimal rho = 2/(alpha + M) is used instead,
-whose factor (M - alpha)/(M + alpha) is never worse.
+for a self-adjoint sample T_k the optimal rho = 2/(alpha + M) is used
+instead, whose factor (M - alpha)/(M + alpha) is never worse.  T_k is
+self-adjoint here when max |T_k - T_k*| <= tol_abs max |T_k|: rounding
+alone, no eps_k**q_neg floor, since the step is a fact about one matrix.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .operators import (
 
 _EPS_MACH = np.finfo(float).eps
 _REFINEMENTS = 3  # iterative-refinement steps after the direct solve
-_RATIO_SLACK = 1e-6  # allowed excess of an observed step ratio over its factor
+_RATIO_SLACK = 1e-6  # a step ratio's excess over its factor: scale-free, rounding ~sqrt(eps)
 RESIDUAL_TARGET = 1e-10  # relative residual every Lax-Milgram solve must reach
 _BLOCKS = (1, 2, 4, 8, 16)  # sweeps per stop check; every later block has the last size
 _MAX_SWEEPS = 200_000  # cap on every grid point's iteration budget
@@ -219,11 +221,11 @@ def vi_solve_contraction(
     """Projected contraction iteration for <T u - c, v - u> >= 0 on C.
 
     Runs u <- P_C(rho_k (c_k - T_k u_k) + u_k) from P_C(0) (or from
-    P_C(start)), with the step and contraction factor chosen per grid
-    point as described in the module docstring.  A grid point stops
-    when its step norm falls below tol_abs * (1 - k_k) / max(k_k,
-    tol_abs), or the iteration reaches an exact fixed point, or the
-    step hits the floating-point floor 4 * eps_mach * (1 + |u|), or the
+    P_C(start)); each grid point's step and contraction factor follow
+    from its own sample T_k as the module docstring says.  A grid point
+    stops when its step norm falls below tol_abs * (1 - k_k) / max(k_k,
+    tol_abs), or the iteration reaches an exact fixed point, or the step
+    hits the floor 4 * eps_mach * (1 + |u|) of its own iterate, or the
     iterate equals the one before last: in exact arithmetic the iterates
     of a contraction never repeat short of the fixed point, so such a
     two-cycle is rounding, and its points lie within the rounding error
@@ -262,12 +264,10 @@ def vi_solve_contraction(
     if T.dims != (c.dim, c.dim) or C.dim != c.dim:
         raise DimMismatch(f"operator has dims {T.dims}, rhs dim {c.dim}, set dim {C.dim}")
     M = op_norm_net(T).samples
-    if _self_adjoint(T, policy):
-        rho = 2.0 / (alpha + M)
-        kfac = (M - alpha) / (M + alpha)
-    else:
-        rho = alpha / M ** 2
-        kfac = np.sqrt(np.maximum(0.0, 1.0 - alpha ** 2 / M ** 2))
+    sa = _self_adjoint(T, policy)
+    a, m = np.where(sa, 1.0, [alpha, M])  # 1s where unused: alpha^2 / M^2 cannot overflow there
+    rho, kfac = np.where(sa, [2.0 / (alpha + M), (M - alpha) / (M + alpha)],
+                         [a / m ** 2, np.sqrt(np.maximum(0.0, 1.0 - a ** 2 / m ** 2))])
     if k := _first_k(~(kfac < 1.0)):  # then the iteration has no budget
         raise NoConvergence(k, "contraction_k rounds to 1",
                             alpha_over_M=float(alpha[k - 1] / M[k - 1]))
@@ -275,13 +275,10 @@ def vi_solve_contraction(
     K, d = c.samples.shape
     tol = policy.tol_abs
     thresholds = tol * (1.0 - kfac) / np.maximum(kfac, tol)
-    budgets = np.empty(K, dtype=np.int64)
-    for k in range(K):
-        if kfac[k] <= 0.0:
-            budgets[k] = 8
-        else:
-            base = math.ceil(math.log(tol) / math.log(kfac[k]))
-            budgets[k] = min(base + max(1024, base // 2), _MAX_SWEEPS)
+    budgets = np.full(K, 8, dtype=np.int64)
+    for k in np.flatnonzero(kfac > 0.0):
+        base = math.ceil(math.log(tol) / math.log(kfac[k]))
+        budgets[k] = min(base + max(1024, base // 2), _MAX_SWEEPS)
 
     x = C.batched_projector()(np.zeros_like(c.samples, dtype=float) if start is None
                               else start.samples.astype(float))
@@ -317,7 +314,7 @@ def vi_solve_contraction(
         measurable = before > ratio_floor * scale
         ratios = np.maximum(ratio, np.maximum.accumulate(
             np.divide(step, before, out=np.zeros_like(step), where=measurable)))
-        # (0 steps included; the last term is a two-cycle of rounding)
+        # (0 steps included; floor: a few ulps of sample k's iterate; last term: a rounding 2-cycle)
         done = ((step <= thr) | (step <= 4.0 * _EPS_MACH * scale)
                 | (X[2:] == X[:-2]).all(axis=2))
         running = ~np.logical_or.accumulate(done)

@@ -16,7 +16,6 @@ from gennet import (
     ContractionBoundViolated,
     IterationBudgetExceeded,
     MixedScaleGenerator,
-    classify_operator,
     op_norm_net,
 )
 
@@ -91,18 +90,20 @@ def vi_contraction_masked(T, c, C, cert, policy, start=None):
     points: every sweep updates all K rows, projects them with the set's
     ``batched_projector`` and keeps the rows of finished points as they
     were.  Same step rho, factor, budgets, stop tests, ratio record and
-    errors.  Returns (u, iterations, last_step, max_ratio) as arrays.
+    errors.  The step is picked sample by sample: the self-adjoint one
+    where max |T_k - T_k^H| <= tol_abs max |T_k|, the general one
+    elsewhere.  Returns (u, iterations, last_step, max_ratio) as arrays.
     """
     eps_mach = np.finfo(float).eps
     alpha = cert.alpha.samples.astype(float)
     M = op_norm_net(T).samples
-    if classify_operator(T, policy)["self_adjoint"]:
-        rho = 2.0 / (alpha + M)
-        kfac = (M - alpha) / (M + alpha)
-    else:
-        rho = alpha / M ** 2
-        kfac = np.sqrt(np.maximum(0.0, 1.0 - alpha ** 2 / M ** 2))
     K = c.samples.shape[0]
+    rho, kfac = np.empty(K), np.empty(K)
+    for k, (A, a, m) in enumerate(zip(T.samples, alpha, M)):
+        if np.abs(A - A.conj().T).max() <= policy.tol_abs * np.abs(A).max():
+            rho[k], kfac[k] = 2.0 / (a + m), (m - a) / (m + a)
+        else:
+            rho[k], kfac[k] = a / m ** 2, np.sqrt(np.maximum(0.0, 1.0 - a ** 2 / m ** 2))
     tol = policy.tol_abs
     thresholds = tol * (1.0 - kfac) / np.maximum(kfac, tol)
     budgets = np.full(K, 8)

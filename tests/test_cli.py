@@ -144,6 +144,19 @@ def test_vi_solve_takes_step_norms_past_the_squares_float_range(tmp_path):
     assert _summary(out, "vi-solve")["max_residual"] < np.inf
 
 
+def test_vi_solve_takes_the_general_step_on_a_large_nonsymmetric_operator(tmp_path):
+    # T - T* = 1e13 [[0, 1], [-1, 0]] is far above rounding on |T| = 1e13; read
+    # as self-adjoint, the step 2/(alpha + M) breaks the contraction bound
+    T, rhs = [[1e13, 5e12], [-5e12, 1e13]], [1e13, 0.0]
+    cfg = _write_config(tmp_path, "vi.json", {
+        "operator": {"kind": "constant", "matrix": T}, "rhs": rhs, "set": _OPEN_BOX})
+    out = tmp_path / "out"
+    assert _run(["vi-solve", "--config", cfg, "--out", str(out)]) == 0
+    u = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)[:, 2:]
+    want = solve_box_vi(T, rhs, [-INF, -INF], [INF, INF])
+    assert np.max(np.abs(u - want)) <= 1e-8 * np.max(np.abs(want))
+
+
 def test_vi_solve_reports_the_norms_of_huge_answers(tmp_path):
     # u = (1e200, 1e200) in one sweep: residual 0 and |u| constant, valuation 0
     cfg = _write_config(tmp_path, "vi.json", {

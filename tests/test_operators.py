@@ -111,11 +111,80 @@ def test_scaled_identity_is_self_adjoint_only():
 
 
 def test_overflowed_defects_are_never_negligible():
-    # diag(1e200, 1): T*T - I, TT* - I and TT - T overflow to inf, and so does
-    # the defect scale; only T - T* = 0 is negligible
+    # diag(1e200, 1): T*T - I, TT* - I and TT - T overflow to inf, and so do
+    # their scales max(1, |T_k|^2) and |T_k| + |T_k|^2; only T - T* = 0 is negligible
     flags = classify_operator(BasicOperator.constant(np.diag([1e200, 1.0]), GRID), POLICY)
     assert flags == {"isometric": False, "unitary": False,
                      "self_adjoint": True, "projection": False}
+
+
+R_SKEWED = np.array([[1.0, 0.5], [-0.5, 1.0]])  # no flag: R*R = 1.25 I, R - R* = [[0, 1], [-1, 0]]
+
+
+def test_a_huge_sample_before_the_tail_does_not_loosen_the_tail():
+    samples = np.tile(R_SKEWED, (GRID.K, 1, 1))
+    samples[0] *= 1e7  # k = 1 lies before the tail; its size scales its own defects only
+    flags = classify_operator(BasicOperator(GRID, samples), POLICY)
+    assert flags == {"isometric": False, "unitary": False,
+                     "self_adjoint": False, "projection": False}
+
+
+@pytest.mark.parametrize("matrix", [1e13 * R_SKEWED, [[1e100, 1e100], [0.0, 1.0]]],
+                         ids=["1e13 R", "a = 1e100"])
+def test_a_linear_defect_scales_linearly(matrix):
+    # T - T* is of degree 1 in T: its rounding is tol_abs |T_k|, not tol_abs |T_k|^2
+    flags = classify_operator(BasicOperator.constant(matrix, GRID), POLICY)
+    assert not flags["self_adjoint"] and not flags["projection"]
+
+
+def _integer_net(draw, d, symmetric):
+    """A (K, d, d) net of integers in [-8, 8]; symmetric ones are A + A^T."""
+    A = np.random.default_rng(draw).integers(-8, 9, (GRID.K, d, d)).astype(float)
+    return A + np.swapaxes(A, 1, 2) if symmetric else A
+
+
+@seed(20261021)
+@settings(max_examples=100, deadline=None)
+@given(draw=st.integers(0, 2**32 - 1), d=st.integers(1, 4), symmetric=st.booleans(),
+       j=st.integers(-160, 500))
+def test_self_adjointness_is_scale_free(draw, d, symmetric, j):
+    # 2^j T is exact.  A nonzero integer defect stays above every tail floor
+    # eps_k^q_neg <= 2^-170 down to j = -169; far below that (2^j 16 <= 2^-240)
+    # the whole net is negligible by eps_k^q_neg and True is correct there.
+    A = _integer_net(draw, d, symmetric)
+    flag = classify_operator(BasicOperator(GRID, A), POLICY)["self_adjoint"]
+    tail = A[-POLICY.tail:]
+    assert flag == np.array_equal(tail, np.swapaxes(tail, 1, 2))
+    scaled = BasicOperator(GRID, np.ldexp(A, j))
+    assert classify_operator(scaled, POLICY)["self_adjoint"] == flag
+
+
+def _structured_net(rng, kind, d):
+    """A net whose tail samples carry some of the four flags."""
+    if kind == "unitary":
+        Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        return np.tile(Q, (GRID.K, 1, 1))
+    if kind == "projection":
+        Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        r = int(rng.integers(0, d + 1))
+        return np.tile(Q[:, :r] @ Q[:, :r].T, (GRID.K, 1, 1))
+    if kind == "symmetric":
+        return _integer_net(int(rng.integers(2**32)), d, True)
+    return rng.standard_normal((GRID.K, d, d))
+
+
+@seed(20261021)
+@settings(max_examples=100, deadline=None)
+@given(draw=st.integers(0, 2**32 - 1), d=st.integers(1, 3),
+       kind=st.sampled_from(["unitary", "projection", "symmetric", "general"]),
+       exponent=st.integers(-300, 300))
+def test_samples_before_the_tail_never_change_a_flag(draw, d, kind, exponent):
+    rng = np.random.default_rng(draw)
+    samples = _structured_net(rng, kind, d)
+    want = classify_operator(BasicOperator(GRID, samples), POLICY)
+    head = GRID.K - POLICY.tail
+    samples[:head] = 10.0 ** exponent * rng.standard_normal((head, d, d))
+    assert classify_operator(BasicOperator(GRID, samples), POLICY) == want
 
 
 def test_rectangular_isometry_flags():
@@ -403,6 +472,11 @@ def test_defect_threshold_floors_at_float_tolerance():
     assert np.array_equal(defect_threshold(GRID, POLICY, scale=100.0),
                           np.maximum(tail_eps ** POLICY.q_neg,
                                      100.0 * POLICY.tol_abs))
+    # a (K,) scale is read per sample: each tail sample gets its own
+    scale = 10.0 ** np.arange(-100, 3 * GRID.K - 100, 3)
+    assert np.array_equal(defect_threshold(GRID, POLICY, scale=scale),
+                          np.maximum(tail_eps ** POLICY.q_neg,
+                                     POLICY.tol_abs * scale[-POLICY.tail:]))
 
 
 def test_shape_and_grid_guards():

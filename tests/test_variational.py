@@ -287,6 +287,48 @@ def test_step_choice_tracks_symmetry():
     assert np.allclose(sol.contraction_k.samples,
                        np.sqrt(1.0 - a ** 2 / M ** 2), atol=1e-12)
 
+    # a net mixing the two: each sample takes the step of its own symmetry
+    even = np.arange(GRID.K) % 2 == 0
+    T_mix = BasicOperator(GRID, np.where(even[:, None, None], T_sym.samples, T_gen.samples))
+    cert = certify_coercivity(T_mix, POLICY)
+    c, C = _random_vector(rng, 3), ConvexSetNet.obstacle(GRID, np.zeros(3))
+    sol = vi_solve_contraction(T_mix, c, C, cert, POLICY)
+    a = cert.alpha.samples
+    M = op_norm_net(T_mix).samples
+    assert np.allclose(sol.step_rho.samples, np.where(even, 2.0 / (a + M), a / M ** 2),
+                       atol=1e-14)
+    assert np.allclose(sol.contraction_k.samples,
+                       np.where(even, (M - a) / (M + a), np.sqrt(1.0 - a ** 2 / M ** 2)),
+                       atol=1e-12)
+    got = _contraction_outcome(lambda: _running_rows(T_mix, c, C, cert))
+    assert got == _contraction_outcome(lambda: vi_contraction_masked(T_mix, c, C, cert, POLICY))
+
+
+def test_a_nonsymmetric_sample_before_a_symmetric_tail_takes_the_general_step():
+    # T_1 = [[1, 5], [-5, 1]] (alpha_1 = 1) and T_k = I after it, in an open box:
+    # the self-adjoint step 2/(alpha + M) on T_1 would diverge
+    samples = np.tile(np.eye(2), (GRID.K, 1, 1))
+    samples[0] = [[1.0, 5.0], [-5.0, 1.0]]
+    T = BasicOperator(GRID, samples)
+    inf = np.full(2, np.inf)
+    sol = vi_solve_contraction(T, GenVector(GRID, np.ones((GRID.K, 2))),
+                               ConvexSetNet.box(GRID, -inf, inf),
+                               certify_coercivity(T, POLICY), POLICY)
+    for k in range(GRID.K):
+        want = solve_box_vi(samples[k], [1.0, 1.0], -inf, inf)
+        assert np.max(np.abs(sol.u.samples[k] - want)) <= ORACLE_TOL
+
+
+def test_the_step_not_taken_does_not_overflow():
+    # 1e200 I is self-adjoint: the general step's alpha^2 / M^2 would overflow
+    # (a RuntimeWarning, an error in this suite) if it were evaluated there
+    T = BasicOperator.constant(1e200 * np.eye(2), GRID)
+    c = GenVector(GRID, np.tile([1e200, 0.0], (GRID.K, 1)))
+    sol = vi_solve_contraction(T, c, ConvexSetNet.box(GRID, np.zeros(2), np.ones(2)),
+                               certify_coercivity(T, POLICY), POLICY)
+    assert np.array_equal(sol.u.samples, np.tile([1.0, 0.0], (GRID.K, 1)))
+    assert np.all(sol.iterations == 1)
+
 
 def test_solution_is_start_independent():
     rng = np.random.default_rng(643)
