@@ -35,7 +35,7 @@ class ConvexSetNet:
                        (an obstacle set is a box whose upper bound is a
                        read-only +inf view)
       affine_subspace  {"offset": (K,d), "onb": (K,d,min(r,d))}
-                       (onb of the spanning rows, dropped columns zero)
+                       (onb of the spanning rows, dropped columns zero; offset orthogonal to them)
     """
 
     grid: EpsGrid
@@ -79,8 +79,10 @@ class ConvexSetNet:
 
         ``basis`` is (r, d) for one spanning set shared by all grid
         points or (K, r, d) for per-point spans.  One stacked SVD gives
-        each span's orthonormal basis; directions whose singular value is
-        at most 1e-12 times max(1, the largest) are zeroed.
+        each span's orthonormal basis Q; directions whose singular value is
+        at most 1e-12 times the largest are zeroed, free of the basis's
+        scale.  The offset p is stored as p - QQ^T p, orthogonal to the
+        span, so no large part along it cancels in the projection.
         """
         basis = np.asarray(basis, dtype=float)
         if basis.ndim == 2:  # constant basis across eps
@@ -88,13 +90,10 @@ class ConvexSetNet:
         if basis.ndim != 3 or basis.shape[0] != grid.K:
             raise DimMismatch("basis must have shape (r, d) or (K, r, d)")
         d = basis.shape[2]
-        if offset is None:
-            offset = np.zeros((grid.K, d))
-        else:
-            offset = _per_eps(offset, grid)
+        offset = _per_eps(np.zeros(d) if offset is None else offset, grid)
         u, sv, _ = np.linalg.svd(np.swapaxes(basis, 1, 2), full_matrices=False)
-        keep = sv > 1e-12 * np.maximum(1.0, sv[:, :1])
-        onb = u * keep[:, None, :]
+        onb = u * (sv > 1e-12 * sv[:, :1])[:, None, :]
+        offset = offset - np.einsum("kdr,kr->kd", onb, np.einsum("kdr,kd->kr", onb, offset))
         return cls(grid, d, "affine_subspace", {"offset": offset, "onb": onb})
 
     def batched_projector(self):
@@ -119,7 +118,7 @@ class ConvexSetNet:
             lo, up = self.data["lower"][rows], self.data["upper"][rows]
             return lambda z: np.minimum(np.maximum(z, lo), up)
         q, p = self.data["onb"][rows], self.data["offset"][rows]
-        return lambda z: p + np.einsum("kdr,kr->kd", q, np.einsum("kdr,kd->kr", q, z - p))
+        return lambda z: p + np.einsum("kdr,kr->kd", q, np.einsum("kdr,kd->kr", q, z))
 
     def violation(self, x: np.ndarray) -> np.ndarray:
         """How far each sample of x (K, d) is from its set: (K,), 0 inside.

@@ -31,11 +31,11 @@ class EmptyTailIntersection(GennetError):
 class MixedScaleGenerator(GennetError):
     """A generator's norm is neither invertible nor zero on the tail.
 
-    The finite-scale signature of the beta-type pathology: the support
-    of the norm net dies out before the asymptotic window (or a tail
-    sample falls in the open gap between the invertibility and
-    negligibility thresholds).  ``indices`` lists the offending grid
-    indices (1-based).
+    The finite-scale signature of the beta-type pathology, read from the
+    norms the generator left the Gram-Schmidt sweep with: a tail sample
+    falls in the open gap between the invertibility and negligibility
+    thresholds, or the support dies out before the asymptotic window.
+    ``indices`` lists the offending grid indices (1-based).
     """
 
     def __init__(self, indices, message):

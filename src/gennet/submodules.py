@@ -6,27 +6,24 @@ dominate elsewhere.  The interleaved recursion partitions the grid into
 blocks S_j on which the j-th generator has the largest sample norm
 (earlier j wins ties, minus previously claimed blocks), projects the
 remaining generators off the dominant one there, recurses, and sums the
-per-block outputs.  Each output is then normalized to have idempotent
-norm: unit length on its support set, zero off it.  The kept outputs are
-one (K, r, d) net with a (K, r) support mask, ``OrthoBasis(grid, samples,
-support)``; the projector net ``submodule_projection_operator(B)`` and
-the projection are each one contraction over r.
+per-block outputs, each with idempotent norm: unit length on its support
+set, zero off it.  The kept outputs are one (K, r, d) net with a (K, r)
+support mask, ``OrthoBasis(grid, samples, support)``; the projector net
+``submodule_projection_operator(B)`` and the projection are each one
+contraction over r.
 
-The recursion runs on one (K, m, d) array as at most m sweeps over the
-whole grid: each sweep takes the dominant generator at every grid point
-still running (lowest index on ties), drops what fails 0 < norm >=
-eps_k**m_inv and projects the rest off it, so the cost is O(m*K*m*d) in
-O(m) numpy calls.  Its norms and rule are the ones the support test
-takes, so the drop decision and the support agree at every (j, k).
-Where a sample norm equals eps_k**m_inv up to rounding (a power tower at
-k = m_inv), which side of the threshold it falls on, and so whether k is
-among the offending_indices, follows the last bit of that norm.
+The recursion is one sweep of at most m steps over the (K, m, d) stack,
+O(m*K*m*d) in O(m) numpy calls.  Each step keeps the dominant generator
+where 0 < norm >= eps_k**m_inv, divided by that norm, and drops it
+elsewhere: the support S_j is that keep decision, made once.  Where a
+norm equals eps_k**m_inv up to rounding (a power tower at k = m_inv), its
+last bit decides whether k is among the offending_indices.  Samples whose
+outputs lost orthogonality (about u*kappa) are swept a second time.
 
-The normalization is where the finite-scale analogue of the beta-type
-pathology is caught: a norm net whose support (0 < samples >= eps**m_inv)
-is nonempty but dies out before the tail window has no certifiable
-uniform scale — neither invertible nor zero with respect to any
-tail-visible split — and raises MixedScaleGenerator.
+A generator whose norms, as it left the sweep, put a tail sample between
+eps**q_neg and eps**m_inv, or whose support is nonempty but dies out
+before the tail window, has no certifiable uniform scale (the beta-type
+pathology at finite scale) and raises MixedScaleGenerator.
 """
 
 from __future__ import annotations
@@ -39,10 +36,6 @@ from .errors import DimMismatch, GridMismatch, InvalidBasis, MixedScaleGenerator
 from .gennum import EpsGrid, NumericPolicy, _SampleNet, _invertible, _norms, _tail_positions
 from .hilbert import GenVector
 from .operators import BasicOperator, apply
-
-# residuals this far below the same vector's pre-projection norm in the same
-# sample (degree 1, per sample) are exact zeros: rounding, not a smaller scale
-_FLUSH_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -92,33 +85,104 @@ class OrthoBasis(_SampleNet):
         return self.samples.shape[1]
 
 
-def _normalize(samples: np.ndarray, grid: EpsGrid, policy: NumericPolicy):
-    """Rescale each of the m vectors of a (K, m, d) stack to unit sample
-    norm on its support set.
+# Gram-Schmidt twice: a sample whose Gram net W_k^H W_k misses diag(S_k) by
+# more than c d u (u the unit roundoff, d real coordinates, two per complex
+# one) is swept again.  An orthonormal basis rounded to working precision
+# misses it by (2d + 4) u at most: a d-term inner product (Higham, Accuracy
+# and Stability, 3.1) of unit vectors normalized with a few roundings each.
+# c = 4 covers that for d >= 2 (a real unit vector in d = 1 is +-1), and
+# one sweep's loss, about u * kappa, passes it from kappa ~ 4 d on.
+_REORTH_C = 4.0
+_TINY = np.finfo(float).tiny
+_KAHAN = 1.0 / np.sqrt(2.0)
 
-    Vector j's support is the tail-extended pointwise set
-    S_j = {k : 0 < ||u_jk|| >= eps_k**m_inv} (gennum's ``_invertible``: a
-    zero u_jk is outside S_j even where eps_k**m_inv is 0); on S_j the
-    result has unit sample norm, off S_j it is zero, and u_j = rnorm(u_j) * w_j
-    up to negligibility.  The norms are rnorm's (gennum's ``_norms``); a
-    sample whose norm exceeds the float range is divided by its largest
-    |entry| before it is normalized.
 
-    The first vector j whose norm net has no uniform scale raises
-    MixedScaleGenerator: either a tail sample falls in the open gap between
-    the invertibility and negligibility thresholds (possible only when
-    q_neg > m_inv), naming those tail indices, or the support is nonempty
-    yet misses the tail window entirely, naming the support, so no
-    invertible-or-zero split is certifiable on the asymptotic window (the
-    beta pathology at finite scale).
+# near the float limit a dominant sample's squares and its own (discarded)
+# coefficient overflow; off the support the closing division meets zero norms
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _sweep(samples: np.ndarray, eps: np.ndarray, policy: NumericPolicy):
+    """The interleaved recursion at every grid point at once.
 
-    Returns the (K, m, d) normalized stack and the (K, m) support masks.
+    Each step picks, at every grid point where some of the (K, m, d)
+    ``samples`` remain, the dominant one (largest norm, lowest index on
+    ties).  Where its norm passes 0 < norm >= eps_k**m_inv it is kept, to
+    be divided by that norm for its unit output, and the others are
+    projected off it; a residual at most tol_abs times its pre-projection
+    norm (rounding, degree 1 in the sample) is flushed to zero.  Where it
+    fails (zero, NaN or below that scale), it and every generator left at
+    that point are dropped.  A dominant sample whose squares overflow or
+    underflow is divided by its largest |entry| before the others are
+    projected off it, and where its norm is past the float range that
+    scaled copy is what is normalized.
+
+    Returns the (K, m, d) unit outputs W (zero off the support), the
+    (K, m) support (the keep decision) and the (K, m) norm each generator
+    had when it left each point: kept, dropped or zeroed with the rest.
     """
-    norms = _norms(samples)
-    eps = grid.values[:, None]
-    support = _invertible(norms, eps, policy.m_inv)
+    V = samples.copy()
+    rows = np.arange(V.shape[0])
+    remaining = np.ones(V.shape[:2], dtype=bool)
+    support = np.zeros(V.shape[:2], dtype=bool)
+    norms = _norms(V)  # a generator's entries stay as they were when it left
+    while remaining.any():
+        running = remaining.any(axis=1)
+        # argmax returns the first (lowest j) on ties
+        best = np.argmax(np.where(remaining, norms, -np.inf), axis=1)
+        n = norms[rows, best]
+        keep = running & _invertible(n, eps, policy.m_inv)
+        remaining[~keep] = False
+        picked = rows[keep], best[keep]
+        support[picked], remaining[picked] = True, False
+        v = V[rows, best]
+        vv = np.where(keep, np.real(np.sum(v * np.conj(v), axis=1)), 1.0)
+        if not _TINY <= vv.min() <= vv.max() < np.inf:
+            big = (vv < _TINY) | np.isinf(vv)
+            v[big] /= np.abs(v[big]).max(axis=1, keepdims=True)
+            vv[big] = np.real(np.sum(v[big] * np.conj(v[big]), axis=1))
+            huge = big & np.isinf(n)  # normalized from this scaled copy
+            V[rows[huge], best[huge]] = v[huge]
+        coeff = np.sum(V * np.conj(v)[:, None, :], axis=2) / vv[:, None]
+        res = V - coeff[:, :, None] * v[:, None, :]
+        res_norms = _norms(res)
+        flush = res_norms <= policy.tol_abs * norms
+        update = remaining & keep[:, None]
+        V = np.where(update[:, :, None], np.where(flush[:, :, None], 0.0, res), V)
+        norms = np.where(update, np.where(flush, 0.0, res_norms), norms)
+    W = np.where(support[:, :, None], V / norms[:, :, None], 0.0)
+    huge = support & np.isinf(norms)
+    if huge.any():
+        W[huge] = V[huge] / _norms(V[huge])[:, None]
+    return W, support, norms
+
+
+def _reorthogonalize(W: np.ndarray, support: np.ndarray, left: np.ndarray):
+    """The second sweep over the (n, m, d) unit outputs W of n samples, in
+    the order the first picked them (descending norm ``left`` on the
+    ``support``), so a direction made up by rounding never displaces an
+    earlier one.  Each output is projected off those before it and kept
+    where more than _KAHAN of it is left; one that loses more was
+    numerically in their span (Kahan's test; Parlett, The Symmetric
+    Eigenvalue Problem, 6.9) and leaves its support.  Returns W and the
+    supports."""
+    order = np.argsort(np.where(support, -left, np.inf), axis=1, kind="stable")[:, :, None]
+    Q = np.take_along_axis(W, order, axis=1)
+    for i in range(Q.shape[1]):
+        n = _norms(Q[:, i])
+        Q[:, i] /= np.where(n >= _KAHAN, n, np.inf)[:, None]
+        q = Q[:, i, None, :]
+        Q[:, i + 1:] -= np.sum(Q[:, i + 1:] * np.conj(q), axis=2)[:, :, None] * q
+    np.put_along_axis(W, order, Q, axis=1)
+    return W, np.any(W != 0.0, axis=2)
+
+
+def _uniform_scale(left, support, grid: EpsGrid, policy: NumericPolicy):
+    """Raise MixedScaleGenerator for the first generator with no uniform
+    scale, read from the norms it ``left`` the sweep with: tail samples
+    between eps**q_neg and eps**m_inv (possible only when q_neg > m_inv)
+    name those tail indices; else a nonempty support that misses the tail
+    window names the support."""
     tail = _tail_positions(grid, policy)
-    in_gap = (~support[tail]) & (norms[tail] > eps[tail] ** policy.q_neg)
+    in_gap = ~support[tail] & (left[tail] > grid.values[tail, None] ** policy.q_neg)
     dies_out = support.any(axis=0) & ~support[tail].any(axis=0)
     bad = np.flatnonzero(in_gap.any(axis=0) | dies_out)
     if bad.size:
@@ -132,87 +196,29 @@ def _normalize(samples: np.ndarray, grid: EpsGrid, policy: NumericPolicy):
             (np.flatnonzero(support[:, j]) + 1).tolist(),
             "norm support dies out before the tail window (no uniform scale)",
         )
-    w = samples / np.where(support, norms, np.inf)[:, :, None]
-    huge = support & np.isinf(norms)
-    if huge.any():  # a norm past the float range: scale the sample down first
-        y = samples[huge] / np.abs(samples[huge]).max(axis=1, keepdims=True)
-        w[huge] = y / _norms(y)[:, None]
-    return w, support
-
-
-# a dominant sample's squares can overflow, and so can its own coefficient,
-# which is discarded, where its norm nears the float limit
-@np.errstate(over="ignore", invalid="ignore")
-def _orthogonalize(samples: np.ndarray, eps: np.ndarray, m_inv: int) -> np.ndarray:
-    """The interleaved recursion at every grid point at once.
-
-    ``samples`` is the (K, m, d) stack of generator samples; returns the
-    (K, m, d) raw outputs.  Each sweep picks, at every grid point where
-    generators remain, the dominant one (largest norm, lowest index on
-    ties), keeps it as its own output, projects the others off it and
-    flushes residuals that are rounding noise.  Where the dominant norm
-    fails 0 < norm >= eps_k**m_inv (zero, NaN or below that scale), every
-    remaining generator is zeroed at point k (their supports exclude it).
-    Every sweep removes at least one generator at every point still
-    running, so at most m sweeps are made.
-
-    The norms are those ``_normalize`` takes, so a generator kept here lies
-    in the support of ``_normalize`` at that point.  Where the squares of
-    the dominant sample overflow, it is divided by its largest |entry|
-    before the others are projected off it; every other sample projects
-    with its own bits.
-    """
-    V = samples.copy()
-    rows = np.arange(V.shape[0])
-    remaining = np.ones(V.shape[:2], dtype=bool)
-    norms = _norms(V)
-    while remaining.any():
-        running = remaining.any(axis=1)
-        # argmax returns the first (lowest j) on ties
-        best = np.argmax(np.where(remaining, norms, -np.inf), axis=1)
-        drop = running & ~_invertible(norms[rows, best], eps, m_inv)
-        V[remaining & drop[:, None]] = 0.0
-        remaining[drop] = False
-        keep = running & ~drop
-        remaining[rows[keep], best[keep]] = False
-        v = V[rows, best]
-        vv = np.real(np.sum(v * np.conj(v), axis=1))
-        big = np.isinf(vv)
-        if big.any():
-            big &= keep
-            v[big] /= np.abs(v[big]).max(axis=1, keepdims=True)
-            vv[big] = np.real(np.sum(v[big] * np.conj(v[big]), axis=1))
-        vv = np.where(keep, vv, 1.0)
-        coeff = np.sum(V * np.conj(v)[:, None, :], axis=2) / vv[:, None]
-        res = V - coeff[:, :, None] * v[:, None, :]
-        res_norms = _norms(res)
-        flush = res_norms <= _FLUSH_REL * norms
-        update = remaining & keep[:, None]
-        V = np.where(update[:, :, None], np.where(flush[:, :, None], 0.0, res), V)
-        norms = np.where(update, np.where(flush, 0.0, res_norms), norms)
-    return V
 
 
 def interleaved_gram_schmidt(g: GeneratorSet, policy: NumericPolicy) -> OrthoBasis:
     """Orthogonalize a generator set blockwise across the grid.
 
-    Implements the grid-pointwise recursion described in the module
-    docstring and idempotent-normalizes the assembled outputs, all m in
-    one pass over the (K, m, d) stack.  The outputs with nonempty support,
-    with their support masks, are the basis; dropped-to-zero generators are
-    discarded, which also performs the reduction to at most dim generators.
-    The result spans the same submodule: every input generator
-    reconstructs from the output basis sample by sample.
-
-    Raises MixedScaleGenerator for the first assembled output with no
-    uniform scale (see ``_normalize``).
+    One sweep (the module docstring's recursion) decides each generator's
+    support and the verdict; samples whose outputs lost orthogonality are
+    swept once more (``_reorthogonalize``).  The generators with nonempty
+    support, with their masks, are the basis, which reduces the set to at
+    most dim generators and spans the same submodule: every generator
+    reconstructs from it sample by sample.  Raises MixedScaleGenerator
+    for the first generator with no uniform scale (``_uniform_scale``).
     """
     grid = g.grid
-    raw = _orthogonalize(np.stack([v.samples for v in g.gens], axis=1),
-                         grid.values, policy.m_inv)
-    w, support = _normalize(raw, grid, policy)
+    W, support, left = _sweep(np.stack([v.samples for v in g.gens], axis=1), grid.values, policy)
+    _uniform_scale(left, support, grid, policy)
+    gram = W @ np.conj(W).transpose(0, 2, 1) - support[:, :, None] * np.eye(len(g.gens))
+    d = W.shape[2] * (1 + np.iscomplexobj(W))
+    redo = np.abs(gram).max(axis=(1, 2)) > _REORTH_C * d * np.finfo(float).eps / 2
+    if redo.any():
+        W[redo], support[redo] = _reorthogonalize(W[redo], support[redo], left[redo])
     kept = np.flatnonzero(support.any(axis=0))
-    return OrthoBasis(grid, w[:, kept], support[:, kept])
+    return OrthoBasis(grid, W[:, kept], support[:, kept])
 
 
 def project_submodule(B: OrthoBasis, v: GenVector) -> GenVector:
@@ -234,20 +240,15 @@ class SubmoduleClassification:
 
 
 def classify_submodule(g: GeneratorSet, policy: NumericPolicy) -> SubmoduleClassification:
-    """Closed-and-edged verdict via Gram-Schmidt plus normalization.
+    """Closed-and-edged verdict via the Gram-Schmidt sweep.
 
-    The verdict is policy-relative: closed_edged is true iff every
-    orthogonalized generator normalizes to an idempotent norm; a
-    MixedScaleGenerator failure is folded into the diagnostics instead
-    of raised.
+    The verdict is policy-relative: closed_edged is true iff every generator
+    has a uniform scale; a MixedScaleGenerator failure is folded into the
+    diagnostics instead of raised.
     """
     try:
         basis = interleaved_gram_schmidt(g, policy)
     except MixedScaleGenerator as err:
-        return SubmoduleClassification(
-            closed_edged=False,
-            basis=None,
-            diagnostics={"offending_indices": err.indices, "reason": str(err)},
-        )
-    return SubmoduleClassification(closed_edged=True, basis=basis, diagnostics={})
-
+        return SubmoduleClassification(False, None, {"offending_indices": err.indices,
+                                                     "reason": str(err)})
+    return SubmoduleClassification(True, basis, {})

@@ -171,25 +171,36 @@ def net_verdicts_per_net(samples, eps, policy):
     return nu, math.exp(-nu), negligible, moderate
 
 
+def scale_offenders(norms, support, eps, policy):
+    """The 1-based offending indices of one generator's (K,) norm net on its
+    (K,) support mask, [] where it has a uniform scale.
+
+    The tail points off the support whose norm exceeds eps**q_neg (between
+    the negligibility and invertibility scales) are named first; else, when
+    the support is nonempty yet misses the tail, the support.
+    """
+    tail = range(len(eps) - policy.tail, len(eps))
+    gap = [k + 1 for k in tail if not support[k] and norms[k] > eps[k] ** policy.q_neg]
+    if not gap and support.any() and not any(support[k] for k in tail):
+        return [int(k) + 1 for k in np.flatnonzero(support)]
+    return gap
+
+
 def idempotent_normalize_per_vector(samples, eps, policy):
     """(w, support) of one (K, d) vector, normalized on its support.
 
     The support is {k : 0 < |u_k| >= eps_k**m_inv}, with the axis-wise
     norm reduce that rnorm takes, so a zero u_k is outside it even where
     eps_k**m_inv underflows to 0; w is u / |u| there.  Raises
-    MixedScaleGenerator naming the tail points between eps**m_inv and
-    eps**q_neg, else, when the support misses the tail, the support.
-    Off the support w is u / inf, a zero with the sign of u.
+    MixedScaleGenerator naming the ``scale_offenders`` of its norm net.
+    Off the support w is +0.
     """
     norms = np.sqrt(np.add.reduce((np.conj(samples) * samples).real, axis=1))
     support = (norms > 0.0) & (norms >= eps ** policy.m_inv)
-    tail = np.arange(len(eps) - policy.tail, len(eps))
-    gap = [int(k) + 1 for k in tail if not support[k] and norms[k] > eps[k] ** policy.q_neg]
-    if gap:
-        raise MixedScaleGenerator(gap, "gap")
-    if support.any() and not support[tail].any():
-        raise MixedScaleGenerator([int(k) + 1 for k in np.flatnonzero(support)], "dies out")
-    return samples / np.where(support, norms, np.inf)[:, None], support
+    if bad := scale_offenders(norms, support, eps, policy):
+        raise MixedScaleGenerator(bad, "no uniform scale")
+    w = np.where(support[:, None], samples / np.where(support, norms, 1.0)[:, None], 0.0)
+    return w, support
 
 
 # -u'' = -8 on (0,1), u(0) = u(1) = 0, u >= -3/4.  The parabola
@@ -403,49 +414,58 @@ def band_eig_bounds(samples):
     return bounds[:, 0], bounds[:, 1]
 
 
-def gram_schmidt_per_point(samples, eps, m_inv, flush_rel=1e-12):
-    """The interleaved Gram-Schmidt recursion, one grid point at a time.
+def gram_schmidt_per_point(samples, eps, policy):
+    """The interleaved Gram-Schmidt sweep, one grid point at a time.
 
     ``samples`` lists m (K, d) generator sample arrays.  At each grid
-    point: pick the dominant generator (largest 1-D norm, lowest index on
-    ties), keep it as its own output, project the others off it, flush
-    residuals below ``flush_rel`` times their pre-projection norm to
-    zero, and recurse on the rest; once the dominant norm fails
-    0 < norm >= eps_k**m_inv (a zero fails even where eps_k**m_inv
-    underflows to 0) every remaining generator is zero there.  Returns the
-    (m, K, d) raw outputs, before idempotent normalization.  Works in the
-    set's field: the generators of a set with any complex member are all
-    cast to complex first.
+    point: pick the dominant generator (largest norm, lowest index on
+    ties); where its norm passes 0 < norm >= eps_k**m_inv, divide it by
+    that norm for its unit output, project the others off it, flush
+    residuals at most ``policy.tol_abs`` times their pre-projection norm
+    to zero, and recurse on the rest; once the dominant norm fails that
+    test (a zero fails even where eps_k**m_inv underflows to 0) every
+    remaining generator is zero there.  Norms are 1-D reduces of the
+    squared moduli, the sum rnorm takes.  Works in the set's field: the
+    generators of a set with any complex member are all cast to complex
+    first.
+
+    Returns the (m, K, d) outputs, unit on each generator's support and
+    zero off it, and the (m, K) norm each generator had when it left the
+    point: kept, dropped, or zeroed with the rest.
     """
     dtype = complex if any(np.iscomplexobj(s) for s in samples) else float
     samples = [np.asarray(s, dtype=dtype) for s in samples]
     m, (K, d) = len(samples), samples[0].shape
-    raw = np.zeros((m, K, d), dtype=dtype)
+    out, left = np.zeros((m, K, d), dtype=dtype), np.zeros((m, K))
+
+    def norm(x):
+        return np.sqrt(np.add.reduce((np.conj(x) * x).real))
+
     for k in range(K):
         vecs = {j: samples[j][k] for j in range(m)}
         remaining = list(range(m))
-        threshold = eps[k] ** m_inv
+        threshold = eps[k] ** policy.m_inv
         while remaining:
-            norms = [np.linalg.norm(vecs[j]) for j in remaining]
+            norms = [norm(vecs[j]) for j in remaining]
             best = int(np.argmax(norms))
             dom = remaining[best]
             if not 0.0 < norms[best] >= threshold:
-                for j in remaining:
-                    vecs[j] = np.zeros_like(vecs[j])
+                for j, n in zip(remaining, norms):
+                    left[j, k] = n
                 break
             v = vecs[dom]
             remaining.remove(dom)
+            left[dom, k] = norms[best]
+            out[dom, k] = v / norms[best]
             vv = np.real(np.sum(v * np.conj(v)))
             for j in remaining:
                 coeff = np.sum(vecs[j] * np.conj(v)) / vv
-                before = np.linalg.norm(vecs[j])
+                before = norm(vecs[j])
                 res = vecs[j] - coeff * v
-                if np.linalg.norm(res) <= flush_rel * before:
+                if norm(res) <= policy.tol_abs * before:
                     res = np.zeros_like(res)
                 vecs[j] = res
-        for j in range(m):
-            raw[j, k] = vecs[j]
-    return raw
+    return out, left
 
 
 def project_submodule_per_vector(W, v):

@@ -322,6 +322,23 @@ def test_mixed_scale_generator_exits_2(tmp_path, capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
+def test_a_tail_sample_between_the_scales_exits_2(tmp_path):
+    # eps_k e1, but sample 23 is eps_23**11 (0.6, 0.8): under q_neg = 12 it
+    # is neither invertible (>= eps**10) nor negligible (<= eps**12); the
+    # sweep drops it there, and the norm it left with names it
+    eps = 0.5 ** np.arange(1.0, K_DEFAULT + 1)
+    values = eps[:, None] * np.array([1.0, 0.0])
+    values[22] = eps[22] ** 11 * np.array([0.6, 0.8])
+    cfg = _write_config(tmp_path, "gap.json", {
+        "policy": {"q_neg": 12},
+        "generators": [{"kind": "samples", "values": values.tolist()}]})
+    out = tmp_path / "out"
+    assert _run(["gram-schmidt", "--config", cfg, "--out", str(out)]) == 2
+    s = _summary(out, "gram-schmidt")
+    assert not s["closed_edged"]
+    assert s["diagnostics"]["offending_indices"] == [23]
+
+
 def test_a_power_tower_of_a_huge_vector_has_no_uniform_scale(tmp_path):
     # the vector's squares overflow; its unit vector is not 0, which would
     # make every generator sample zero and the set closed and edged

@@ -19,6 +19,7 @@ from gennet import (
     characterization_residual,
     project_point,
 )
+from gennet.convex import _outside
 
 GRID = EpsGrid.geometric(24)
 POLICY = NumericPolicy()
@@ -105,6 +106,26 @@ class TestClosedForms:
         u = GenVector.constant(np.array([0.3, 0.7, 0.9]), GRID)
         p = project_point(C, u)
         assert_allclose(p.samples, np.tile([0.3, 0.7, 0.0], (GRID.K, 1)), atol=1e-12)
+
+    def test_affine_keeps_an_offset_far_along_its_span(self):
+        # offset + QQ^T(x - offset) cancels 1e20 against 1e20 and loses x's
+        # 0.3; the offset's part orthogonal to the span, (0, 1), does not
+        C = ConvexSetNet.affine(GRID, [[1.0, 0.0]], [1e20, 1.0])
+        x = np.tile([0.3, 1.0], (GRID.K, 1))
+        assert np.all(C.violation(x) == 0.0)
+        assert not _outside(C, x, POLICY).any()
+        assert_allclose(C.batched_projector()(x), x, rtol=0.0, atol=1e-15)
+
+    def test_affine_rank_cut_is_free_of_the_span_scale(self):
+        # 1e-13 e1 spans the same line as e1: the cut is relative to the
+        # largest singular value alone
+        C = ConvexSetNet.affine(GRID, [[1e-13, 0.0]])
+        assert_allclose(C.batched_projector()(np.ones((GRID.K, 2))),
+                        np.tile([1.0, 0.0], (GRID.K, 1)), rtol=0.0, atol=1e-15)
+        # a zero basis spans nothing: the set is the offset alone
+        C = ConvexSetNet.affine(GRID, [[0.0, 0.0]], [2.0, 3.0])
+        assert_allclose(C.batched_projector()(np.ones((GRID.K, 2))),
+                        np.tile([2.0, 3.0], (GRID.K, 1)), rtol=0.0, atol=0.0)
 
 
 @st.composite

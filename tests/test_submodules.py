@@ -11,6 +11,7 @@ from _oracles import (
     orthonormality_failures,
     project_submodule_per_vector,
     projection_operator_per_vector,
+    scale_offenders,
 )
 from gennet import (
     DimMismatch,
@@ -31,11 +32,12 @@ from gennet import (
     rnorm,
     submodule_projection_operator,
 )
-from gennet.submodules import _normalize, _orthogonalize
+from gennet.submodules import _sweep, _uniform_scale
 
 GRID = EpsGrid.geometric(24)
 POLICY = NumericPolicy()
 UNDERFLOW_POLICY = NumericPolicy(m_inv=50)  # eps_k**m_inv is 0 from k = 22 on
+GAP_POLICY = NumericPolicy(q_neg=12)  # tail norms in (eps^12, eps^10) have no scale
 
 ORTHO_TOL = 1e-10
 BASIS_TOL = 100 * POLICY.tol_abs  # orthonormality of a basis on its supports
@@ -190,51 +192,93 @@ def _oracle_basis(raw, policy=POLICY):
     return OrthoBasis(GRID, np.stack(vecs, axis=1), np.stack(supports, axis=1))
 
 
+def _blocks(samples):
+    """Each (K, d) sample array in its own block of d coordinates of a
+    (K, m d) array: orthogonal generators, which the sweep only normalizes."""
+    m, d = len(samples), samples[0].shape[1]
+    out = []
+    for j, s in enumerate(samples):
+        b = np.zeros((GRID.K, m * d), dtype=s.dtype)
+        b[:, j * d:(j + 1) * d] = s
+        out.append(b)
+    return out
+
+
+def _oracle_offenders(want, left, policy):
+    """The scale offenders of the oracle sweep's first generator that has any, else []."""
+    support = np.any(want != 0.0, axis=2)
+    for j in range(len(want)):
+        if bad := scale_offenders(left[j], support[j], GRID.values, policy):
+            return bad
+    return []
+
+
 @seed(20261018)
 @settings(max_examples=150, deadline=None)
-@given(samples=_generator_samples(["power", "duplicate", "zero", "vanish", "near_parallel"]))
+@given(samples=_generator_samples(["power", "duplicate", "zero", "vanish", "near_parallel",
+                                   "gap"]))
 def test_batched_gram_schmidt_matches_the_per_point_oracle(samples):
+    # the first sweep bit for bit (unit outputs, supports, the norms the
+    # generators left with); then the verdict, or a basis orthonormal after
+    # the second sweep, whose supports are the first's but where an output
+    # proved numerically dependent (at most d vectors per sample)
     g = GeneratorSet(tuple(_vector(s) for s in samples))
-    for policy in (POLICY, UNDERFLOW_POLICY):
-        want = gram_schmidt_per_point(samples, GRID.values, policy.m_inv)
-        raw = _orthogonalize(np.stack(samples, axis=1), GRID.values, policy.m_inv)
-        assert raw.dtype == want.dtype
-        assert raw.transpose(1, 0, 2).tobytes() == want.tobytes()
-        assert (_outcome(lambda: interleaved_gram_schmidt(g, policy))
-                == _outcome(lambda: _oracle_basis(want, policy)))
+    for policy in (POLICY, UNDERFLOW_POLICY, GAP_POLICY):
+        want, want_left = gram_schmidt_per_point(samples, GRID.values, policy)
+        W, support, left = _sweep(np.stack(samples, axis=1), GRID.values, policy)
+        assert W.dtype == want.dtype
+        assert W.transpose(1, 0, 2).tobytes() == want.tobytes()
+        assert np.array_equal(support.T, np.any(want != 0.0, axis=2))
+        assert left.T.tobytes() == want_left.tobytes()
+        offenders = _oracle_offenders(want, want_left, policy)
+        try:
+            basis = interleaved_gram_schmidt(g, policy)
+        except MixedScaleGenerator as err:
+            assert err.indices == offenders
+            continue
+        assert offenders == []
+        first = support[:, support.any(axis=0)]
+        assert len(basis) <= first.shape[1] and basis.support.sum() <= first.sum()
+        if len(basis) == first.shape[1]:
+            assert not (basis.support & ~first).any()
+        assert np.all(basis.support.sum(axis=1) <= W.shape[2])
+        assert orthonormality_failures(basis.samples, basis.support, BASIS_TOL) == []
 
 
 @seed(20261019)
 @settings(max_examples=100, deadline=None)
 @given(samples=_generator_samples(["power", "duplicate", "vanish", "near_parallel", "tower"]))
 def test_drop_decision_agrees_with_the_normalization_support(samples):
-    # a generator is kept at (j, k) exactly when _normalize's
-    # support test ||w_k|| >= eps_k**m_inv puts k in its support
-    raw = _orthogonalize(np.stack(samples, axis=1), GRID.values, POLICY.m_inv)
-    threshold = GRID.values ** POLICY.m_inv
-    for j in range(raw.shape[1]):
-        support = rnorm(_vector(raw[:, j])).samples >= threshold
-        assert np.array_equal(np.any(raw[:, j] != 0.0, axis=1), support)
-
-
-GAP_POLICY = NumericPolicy(q_neg=12)  # tail norms in (eps^12, eps^10) have no scale
+    # the support is the keep decision, made once: generator j is kept at k
+    # exactly when the norm it left with passes 0 < norm >= eps_k**m_inv,
+    # and its output is a unit vector there and zero elsewhere
+    W, support, left = _sweep(np.stack(samples, axis=1), GRID.values, POLICY)
+    threshold = GRID.values[:, None] ** POLICY.m_inv
+    assert np.array_equal(support, (left > 0.0) & (left >= threshold))
+    assert np.array_equal(np.any(W != 0.0, axis=2), support)
+    assert np.all(np.abs(np.linalg.norm(W, axis=2)[support] - 1.0) <= 1e-15)
 
 
 @seed(20261023)
 @settings(max_examples=150, deadline=None)
 @given(samples=_generator_samples(["power", "zero", "vanish", "tower", "gap"]))
 def test_batched_normalization_matches_the_per_vector_oracle(samples):
-    # the same vectors and supports, or MixedScaleGenerator naming the
-    # indices of the same first vector (power towers and gap tails)
-    stack = np.stack(samples, axis=1)
+    # generators in blocks of their own coordinates, which the first sweep
+    # only normalizes: the same vectors and supports, or MixedScaleGenerator
+    # naming the indices of the same first vector (power towers and gap tails)
+    blocks = _blocks(samples)
     for policy in (GAP_POLICY, UNDERFLOW_POLICY):
-        assert (_outcome(lambda: _oracle_basis(stack.transpose(1, 0, 2), policy))
-                == _outcome(lambda: _basis(*_normalize(stack, GRID, policy))))
+        assert (_outcome(lambda: _oracle_basis(np.stack(blocks), policy))
+                == _outcome(lambda: _first_sweep_basis(blocks, policy)))
 
 
-def _basis(w, support):
-    kept = np.flatnonzero(support.any(axis=0))
-    return OrthoBasis(GRID, w[:, kept], support[:, kept])
+def _first_sweep_basis(samples, policy):
+    """The basis of the first sweep over (K, d) samples alone, before any
+    second sweep, or the MixedScaleGenerator its recorded norms raise."""
+    W, support, left = _sweep(np.stack(samples, axis=1), GRID.values, policy)
+    _uniform_scale(left, support, GRID, policy)
+    kept = support.any(axis=0)
+    return OrthoBasis(GRID, W[:, kept], support[:, kept])
 
 
 @pytest.mark.parametrize("first,offenders", [
@@ -255,8 +299,9 @@ def test_batched_normalization_names_the_first_failing_vector(first, offenders):
         bad[:3, 0] = 1.0
         bad[-POLICY.tail:, 1] = GRID.values[-POLICY.tail:] ** 11.0
     tower = GRID.values[:, None] ** np.arange(1.0, GRID.K + 1)[:, None] * np.array([1.0, 0.0])
+    g = GeneratorSet(tuple(_vector(b) for b in _blocks([good, bad, tower])))
     with pytest.raises(MixedScaleGenerator) as err:
-        _normalize(np.stack([good, bad, tower], axis=1), GRID, GAP_POLICY)
+        interleaved_gram_schmidt(g, GAP_POLICY)
     assert err.value.indices == offenders
     with pytest.raises(MixedScaleGenerator) as one:
         idempotent_normalize_per_vector(bad, GRID.values, GAP_POLICY)
@@ -285,12 +330,53 @@ def test_power_tower_knife_edge_follows_the_support_test(vec, in_support):
         range(1, POLICY.m_inv + (1 if in_support else 0)))
 
 
+def test_a_nan_dominant_zeroes_the_rest_and_names_their_tail_samples():
+    # a NaN sample wins the pick and fails 0 < norm, so the generators left
+    # at that point are zeroed with it; they leave with their own norms,
+    # which are no negligible scale: at a head point they only leave their
+    # supports, at a tail point that point is named
+    samples = np.tile(np.eye(2), (GRID.K, 1, 1))  # e1 and e2
+    samples[2, 0, 0] = np.nan
+    W, support, left = _sweep(samples, GRID.values, POLICY)
+    assert not support[2].any() and np.isnan(left[2, 0]) and left[2, 1] == 1.0
+    basis = interleaved_gram_schmidt(GeneratorSet((_vector(samples[:, 0]),
+                                                   _vector(samples[:, 1]))), POLICY)
+    assert np.array_equal(basis.support, np.arange(GRID.K)[:, None] != [2, 2])
+    samples[-1, 0, 0] = np.nan
+    with pytest.raises(MixedScaleGenerator) as err:
+        interleaved_gram_schmidt(GeneratorSet((_vector(samples[:, 0]),
+                                               _vector(samples[:, 1]))), POLICY)
+    assert err.value.indices == [GRID.K]
+
+
+def test_the_flush_scale_is_the_policy_tol_abs():
+    # the second generator's residual off the first is 1e-11 of its norm:
+    # a direction at the default tol_abs = 1e-12, rounding at 1e-10
+    g = GeneratorSet((_constant([1.0, 0.0]), _constant([1.0, 1e-11])))
+    assert len(interleaved_gram_schmidt(g, POLICY)) == 2
+    assert len(interleaved_gram_schmidt(g, NumericPolicy(tol_abs=1e-10))) == 1
+
+
+def test_complex_generators_whose_squares_underflow_project_without_nan():
+    # |v|^2 ~ 1e-319 is subnormal, and a complex coefficient divided by it
+    # overflows 1/|v|^2 to a NaN that zeroed the other generator; the
+    # dominant sample is scaled first, as where its squares overflow
+    a = GenVector(GRID, np.tile([1e-160 + 1e-160j, 0.0], (GRID.K, 1)))
+    b = GenVector(GRID, np.tile([0.0, 2e-160j], (GRID.K, 1)))
+    basis = interleaved_gram_schmidt(GeneratorSet((a, b)), UNDERFLOW_POLICY)
+    # eps_k**50 = 2**(-50 k) lies below both norms from k = 11 on
+    assert len(basis) == 2
+    assert np.array_equal(basis.support, np.tile(np.arange(GRID.K)[:, None] >= 10, (1, 2)))
+    assert orthonormality_failures(basis.samples, basis.support, BASIS_TOL) == []
+
+
 # -------------------------------------------------- idempotent normalize
 
 def _normalize_one(samples, policy):
-    """``_normalize`` of one (K, d) vector: (w, S), S its (K,) support mask."""
-    w, support = _normalize(samples[:, None, :], GRID, policy)
-    return GenVector(GRID, w[:, 0]), support[:, 0]
+    """The basis of one (K, d) generator, which the sweep only normalizes:
+    (w, S), S its (K,) support mask."""
+    basis = interleaved_gram_schmidt(GeneratorSet((_vector(samples),)), policy)
+    return GenVector(GRID, basis.samples[:, 0]), basis.support[:, 0]
 
 
 def test_normalize_on_partial_support():
@@ -367,6 +453,71 @@ def test_complex_generators_orthogonalize():
         recon = project_submodule(basis, gen).samples
         gap = np.linalg.norm(recon - gen.samples, axis=1)
         assert np.all(gap <= SPAN_TOL * (1.0 + rnorm(gen).samples))
+
+
+# --------------------------------------------------- Gram-Schmidt twice
+
+def _conditioned_samples(rng, delta, scale=1.0, d=6):
+    """Four generators, constant in eps: the columns of
+    scale * U diag(1, delta^(1/3), delta^(2/3), delta) V with U (d x 4)
+    orthonormal and V orthogonal, both random, so kappa = 1/delta."""
+    U, _ = np.linalg.qr(rng.standard_normal((d, 4)))
+    V, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    A = scale * (U * delta ** (np.arange(4) / 3.0)) @ V
+    return np.tile(A.T, (GRID.K, 1, 1))
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+def test_gram_schmidt_twice_is_orthonormal_at_any_conditioning(delta):
+    # one sweep loses orthogonality like u * kappa (9e-11 at kappa = 1e6,
+    # 8e-5 at 1e12); the second sweep restores it to rounding, keeps the
+    # first sweep's supports and the span, and the projector is a projection
+    rng = np.random.default_rng(1700 + int(-np.log10(delta)))
+    for _ in range(20):
+        stack = _conditioned_samples(rng, delta)
+        g = GeneratorSet(tuple(_vector(stack[:, j]) for j in range(4)))
+        first = _sweep(stack, GRID.values, POLICY)[1]
+        basis = interleaved_gram_schmidt(g, POLICY)
+        assert np.array_equal(basis.support, first)
+        assert orthonormality_failures(basis.samples, basis.support, 1e-14) == []
+        full = basis.support.all(axis=1)  # elsewhere eps_k**m_inv drops a direction
+        for gen in g.gens:
+            gap = np.linalg.norm(project_submodule(basis, gen).samples - gen.samples, axis=1)
+            assert np.all(gap[full] <= 1e-14)
+        assert classify_operator(submodule_projection_operator(basis), POLICY)["projection"]
+
+
+def test_the_second_sweep_keeps_the_supports_where_eps_is_1():
+    # at eps_1 = 1 the threshold eps_1**m_inv is 1, which a unit output
+    # left with norm 1 - ulp by the second sweep's projections would fail:
+    # that sweep tests no support against its scale again
+    grid = EpsGrid(0.5 ** np.arange(24.0))
+    stack = _conditioned_samples(np.random.default_rng(1710), 1e-10, scale=1e12)
+    W, first, _ = _sweep(stack, grid.values, POLICY)
+    assert first.all() and not _sweep(W, grid.values, POLICY)[1][0].all()
+    basis = interleaved_gram_schmidt(
+        GeneratorSet(tuple(GenVector(grid, stack[:, j]) for j in range(4))), POLICY)
+    assert basis.support.all()
+    assert orthonormality_failures(basis.samples, basis.support, 1e-14) == []
+
+
+def test_the_second_sweep_drops_an_output_in_the_span_of_the_others():
+    # four generators along one direction of K^3 apart from unit noise on a
+    # 1e12 scale: the first sweep keeps all four at some samples, one only
+    # through its lost orthogonality; the second finds that output
+    # numerically in the span of the others (Kahan's test) and drops it
+    rng = np.random.default_rng(0)
+    b = rng.standard_normal(3)
+    samples = [np.tile(1e12 * c * b, (GRID.K, 1)) + rng.standard_normal((GRID.K, 3))
+               for c in (1.0, 1.5, 2.0, 2.5)]
+    first = _sweep(np.stack(samples, axis=1), GRID.values, POLICY)[1]
+    assert (first.sum(axis=1) == 4).any()
+    basis = interleaved_gram_schmidt(GeneratorSet(tuple(map(_vector, samples))), POLICY)
+    assert np.all(basis.support.sum(axis=1) <= 3) and not (basis.support & ~first).any()
+    assert orthonormality_failures(basis.samples, basis.support, 1e-14) == []
+    for s in samples:
+        gap = np.linalg.norm(project_submodule(basis, _vector(s)).samples - s, axis=1)
+        assert np.all(gap <= SPAN_TOL * np.linalg.norm(s, axis=1))
 
 
 # ------------------------------------------------------------- projector
