@@ -18,11 +18,10 @@ import numpy as np
 from .errors import (
     DimMismatch,
     EmptySet,
-    GridMismatch,
     InvalidSpec,
     ProbeNotInSet,
 )
-from .gennum import EpsGrid, GenScalar, NumericPolicy, _first_k, _norms
+from .gennum import EpsGrid, GenScalar, NumericPolicy, _first_k, _norms, _same_grid
 from .hilbert import GenVector
 
 
@@ -143,8 +142,7 @@ def _per_eps(arr, grid: EpsGrid) -> np.ndarray:
 
 
 def _check_compat(C: ConvexSetNet, u: GenVector):
-    if not C.grid.same_as(u.grid):
-        raise GridMismatch("set and vector on different grids")
+    _same_grid(C, u)
     if C.dim != u.dim:
         raise DimMismatch(f"set dim {C.dim} != vector dim {u.dim}")
 

@@ -37,7 +37,7 @@ from typing import ClassVar
 import numpy as np
 import orjson
 
-from .errors import EmptyTailIntersection, GridMismatch, OutputUnwritable
+from .errors import DimMismatch, EmptyTailIntersection, GridMismatch, OutputUnwritable
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +237,18 @@ def _tail_positions(grid: EpsGrid, policy: NumericPolicy) -> np.ndarray:
 # sample nets
 # ---------------------------------------------------------------------------
 
+_NUMBERS = (int, float, complex, np.integer, np.floating)
+
+
+def _same_grid(*nets) -> None:
+    """GridMismatch unless every net (anything with a ``grid``) lives on the
+    grid of the first; the one grid check of the library."""
+    grid = nets[0].grid
+    for net in nets[1:]:
+        if net.grid is not grid and not grid.same_as(net.grid):
+            raise GridMismatch(f"{type(nets[0]).__name__}, {type(net).__name__}: grids differ")
+
+
 @dataclass(frozen=True)
 class _SampleNet:
     """A net of (K, ...) samples on an EpsGrid over the field R or C.
@@ -247,6 +259,10 @@ class _SampleNet:
     operand is.  ``ndim`` counts the sample axes, the grid axis included.  Samples are stored as a read-only copy; ``_fresh=True``
     marks a float64 or complex128 array built for this net alone, which
     is stored as it is.
+
+    The module arithmetic of every kind is here; a kind aliases the operators
+    it has.  An operand of another kind is NotImplemented, so mixing kinds is
+    a TypeError; another grid is a GridMismatch, another sample shape a DimMismatch.
     """
 
     grid: EpsGrid
@@ -266,8 +282,49 @@ class _SampleNet:
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
+    @classmethod
+    def constant(cls, value, grid: EpsGrid):
+        """The net whose every sample is ``value``, C-contiguous as ``np.tile`` lays it out."""
+        value = np.asarray(value)
+        return cls(grid, np.tile(value, (grid.K,) + (1,) * value.ndim))
+
     def is_real(self) -> bool:
         return self.samples.dtype == np.float64
+
+    def _operand(self, other):
+        """``other`` if it is a net of this kind on this grid with this sample
+        shape; NotImplemented for anything else, a GridMismatch or a DimMismatch."""
+        if type(other) is not type(self):
+            return NotImplemented
+        _same_grid(self, other)
+        if (shape := other.samples.shape) != self.samples.shape:
+            raise DimMismatch(f"sample shapes {self.samples.shape[1:]} != {shape[1:]}")
+        return other
+
+    def _add(self, other, op=np.add):
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return type(self)(self.grid, op(self.samples, other.samples), _fresh=True)
+
+    def _sub(self, other):
+        return self._add(other, np.subtract)
+
+    def _rsub(self, other):
+        return self._add(other, lambda x, y: y - x)
+
+    def _neg(self):
+        return type(self)(self.grid, -self.samples, _fresh=True)
+
+    def _scale(self, a):
+        """a * x per sample for a GenScalar a, broadcast over the sample's
+        trailing axes, or for a plain number a."""
+        if isinstance(a, GenScalar):
+            _same_grid(self, a)
+            a = a.samples.reshape((-1,) + (1,) * (self.ndim - 1))
+        elif not isinstance(a, _NUMBERS):
+            return NotImplemented
+        return type(self)(self.grid, self.samples * a, _fresh=True)
 
 
 # ---------------------------------------------------------------------------
@@ -275,54 +332,21 @@ class _SampleNet:
 # ---------------------------------------------------------------------------
 
 class GenScalar(_SampleNet):
-    """A net of field values on an EpsGrid; stand-in for an element of R~ or C~."""
+    """A net of field values on an EpsGrid; stand-in for an element of R~ or C~.
+    A ring, where a plain number acts as the constant net."""
 
     ndim = 1
 
-    # -- constructors ------------------------------------------------------
+    def _operand(self, other):
+        if isinstance(other, _NUMBERS):
+            return self.constant(other, self.grid)
+        return super()._operand(other)
 
-    @classmethod
-    def constant(cls, value, grid: EpsGrid) -> "GenScalar":
-        return cls(grid, np.full(grid.K, value))
-
-    # -- ring structure ----------------------------------------------------
-
-    def _coerce(self, other) -> "GenScalar":
-        if isinstance(other, GenScalar):
-            if not self.grid.same_as(other.grid):
-                raise GridMismatch("operands live on different grids")
-            return other
-        if isinstance(other, (int, float, complex, np.integer, np.floating)):
-            return GenScalar.constant(other, self.grid)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GenScalar(self.grid, self.samples + other.samples)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GenScalar(self.grid, self.samples - other.samples)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GenScalar(self.grid, self.samples * other.samples)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GenScalar(self.grid, -self.samples)
+    __add__ = __radd__ = _SampleNet._add
+    __sub__ = _SampleNet._sub
+    __rsub__ = _SampleNet._rsub
+    __mul__ = __rmul__ = _SampleNet._scale
+    __neg__ = _SampleNet._neg
 
     def conj(self) -> "GenScalar":
         return GenScalar(self.grid, np.conj(self.samples))
@@ -351,18 +375,23 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce((x.conj() * x).real if np.iscomplexobj(x) else x * x, axis=-1))
 
 
+# Below this plain norm a sample's squares may have lost bits to underflow
+_SMALL_NORM = math.sqrt(np.finfo(float).tiny / np.finfo(float).eps)  # about 1e-146
+
+
 def _norms(x: np.ndarray, norm=_row_norms) -> np.ndarray:
     """``norm`` of each sample (last axis) of x: the plain value, bits and
-    all, where it is finite; a finite sample whose squares overflow is
-    divided by its largest |x| first, so its norm is finite unless it
-    exceeds the float range."""
+    all, from ``_SMALL_NORM`` up to the overflow limit.  A finite, nonzero
+    sample outside that range, whose squares underflow or overflow, is
+    divided by its largest |x| first, so its norm is exact to rounding,
+    never 0, and finite unless it exceeds the float range."""
     with np.errstate(over="ignore", invalid="ignore"):  # complex squares: inf - inf
         out = norm(x)
-        big = np.isinf(out)
-        if big.any():
-            big[big] = np.isfinite(x[big]).all(axis=-1)
-            m = np.abs(x[big]).max(axis=-1, initial=0.0)
-            out[big] = m * norm(x[big] / m[:, None])
+        odd = np.isinf(out) | (out < _SMALL_NORM)
+        if odd.any():
+            m = np.abs(x[odd]).max(axis=-1, initial=0.0)
+            odd[odd] = scaled = (m > 0.0) & (m < np.inf)
+            out[odd] = m[scaled] * norm(x[odd] / m[scaled, None])
     return out
 
 
@@ -536,9 +565,7 @@ def close_infimum_check(delta: GenScalar, A, policy: NumericPolicy) -> CloseInfi
     All nets must be real and share delta's grid.
     """
     elems = list(A)
-    for a in elems:
-        if not a.grid.same_as(delta.grid):
-            raise GridMismatch("candidate on a different grid")
+    _same_grid(delta, *elems)
     lower = all(ge(a, delta, policy) for a in elems)
     witnesses = {}
     for m in range(1, policy.q_neg + 1):

@@ -15,6 +15,13 @@ Two representations, one per operator kind: dense (K, d_out, d_in)
 nets for the small-matrix layer, and symmetric tridiagonal band nets
 (K, 2, m) for the 1D finite-element systems, whose forms are all
 symmetric; they store O(K m) numbers and multiply and solve in O(K m).
+
+Of the module arithmetic (``_SampleNet``'s operand rule) a dense net has
+S - T alone, and a band net, a functional or a basis none: an operand of
+another kind is a TypeError, one on another grid a GridMismatch, one of
+other dims a DimMismatch.  ``apply``, ``compose`` and a functional's call
+check grids with ``_same_grid`` too and refuse dims that do not fit with
+DimMismatch.
 """
 
 from __future__ import annotations
@@ -27,8 +34,8 @@ import sys
 
 import numpy as np
 
-from .errors import DimMismatch, GridMismatch, SingularSample
-from .gennum import EpsGrid, GenScalar, NumericPolicy, _SampleNet, _tail_positions
+from .errors import DimMismatch, SingularSample
+from .gennum import EpsGrid, GenScalar, NumericPolicy, _SampleNet, _same_grid, _tail_positions
 from .hilbert import GenVector
 
 
@@ -44,10 +51,6 @@ class BasicOperator(_SampleNet):
     @property
     def is_square(self) -> bool:
         return self.samples.shape[1] == self.samples.shape[2]
-
-    @classmethod
-    def constant(cls, matrix, grid: EpsGrid) -> "BasicOperator":
-        return cls(grid, np.tile(np.asarray(matrix), (grid.K, 1, 1)))
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         """Batched product T_k u_k of a (K, d_in) array."""
@@ -72,18 +75,12 @@ class BasicOperator(_SampleNet):
 
     def compose(self, other: "BasicOperator") -> "BasicOperator":
         """Net of matrix products self_k @ other_k."""
-        if not self.grid.same_as(other.grid):
-            raise GridMismatch("operators on different grids")
+        _same_grid(self, other)
         if self.dims[1] != other.dims[0]:
             raise DimMismatch(f"cannot compose {self.dims} with {other.dims}")
         return BasicOperator(self.grid, self.samples @ other.samples)
 
-    def __sub__(self, other: "BasicOperator") -> "BasicOperator":
-        if not self.grid.same_as(other.grid):
-            raise GridMismatch("operators on different grids")
-        if self.dims != other.dims:
-            raise DimMismatch(f"dims {self.dims} != {other.dims}")
-        return BasicOperator(self.grid, self.samples - other.samples)
+    __sub__ = _SampleNet._sub
 
 
 class TridiagonalOperator(_SampleNet):
@@ -184,8 +181,7 @@ class BasicFunctional(_SampleNet):
         return int(self.samples.shape[1])
 
     def __call__(self, u: GenVector) -> GenScalar:
-        if not self.grid.same_as(u.grid):
-            raise GridMismatch("functional and vector on different grids")
+        _same_grid(self, u)
         if self.dim != u.dim:
             raise DimMismatch(f"functional dim {self.dim} != vector dim {u.dim}")
         return GenScalar(self.grid, np.sum(self.samples * u.samples, axis=1))
@@ -193,8 +189,7 @@ class BasicFunctional(_SampleNet):
 
 def apply(T: BasicOperator, u: GenVector) -> GenVector:
     """Componentwise matrix-vector product (Tu)_k = T_k u_k."""
-    if not T.grid.same_as(u.grid):
-        raise GridMismatch("operator and vector on different grids")
+    _same_grid(T, u)
     if T.dims[1] != u.dim:
         raise DimMismatch(f"operator expects dim {T.dims[1]}, got {u.dim}")
     return GenVector(u.grid, T.matvec(u.samples))

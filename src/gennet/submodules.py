@@ -32,8 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, GridMismatch, InvalidBasis, MixedScaleGenerator
-from .gennum import EpsGrid, NumericPolicy, _SampleNet, _invertible, _norms, _tail_positions
+from .errors import DimMismatch, InvalidBasis, MixedScaleGenerator
+from .gennum import (EpsGrid, NumericPolicy, _SampleNet, _invertible, _norms, _same_grid,
+                     _tail_positions)
 from .hilbert import GenVector
 from .operators import BasicOperator, apply
 
@@ -48,12 +49,9 @@ class GeneratorSet:
         gens = tuple(self.gens)
         if not gens:
             raise ValueError("need at least one generator")
-        g0 = gens[0]
-        for g in gens[1:]:
-            if not g.grid.same_as(g0.grid):
-                raise GridMismatch("generators on different grids")
-            if g.dim != g0.dim:
-                raise DimMismatch("generators of different dimensions")
+        _same_grid(*gens)
+        if len({g.dim for g in gens}) > 1:
+            raise DimMismatch("generators of different dimensions")
         object.__setattr__(self, "gens", gens)
 
     @property

@@ -28,7 +28,6 @@ from .errors import (
     CoercivityFailure,
     ContractionBoundViolated,
     DimMismatch,
-    GridMismatch,
     IterationBudgetExceeded,
     NoConvergence,
     ResidualTargetMissed,
@@ -39,6 +38,7 @@ from .gennum import (
     _first_k,
     _invertible,
     _norms,
+    _same_grid,
     _tail_positions,
     ge_zero,  # noqa: F401 -- unused; perfbench/spans.py wraps it here by name
     invertible_wrt,
@@ -157,8 +157,7 @@ def lax_milgram_solve(T: BasicOperator | TridiagonalOperator, c: GenVector,
     (``?pttrf``) must leave those to the pivoting ``?gtsv`` or refuse them.
     """
     _certified_alpha(cert, positive=False)
-    if not T.grid.same_as(c.grid):
-        raise GridMismatch("operator and right-hand side on different grids")
+    _same_grid(T, c)
     if T.dims[1] != c.dim:
         raise DimMismatch(f"operator takes dim {T.dims[1]}, rhs has dim {c.dim}")
     b = c.samples
@@ -259,8 +258,7 @@ def vi_solve_contraction(
     for the dimension d of c and C raises DimMismatch.
     """
     alpha = _certified_alpha(cert, positive=True)
-    if not (T.grid.same_as(c.grid) and C.grid.same_as(c.grid)):
-        raise GridMismatch("operator, right-hand side and set on different grids")
+    _same_grid(c, T, C)
     if T.dims != (c.dim, c.dim) or C.dim != c.dim:
         raise DimMismatch(f"operator has dims {T.dims}, rhs dim {c.dim}, set dim {C.dim}")
     M = op_norm_net(T).samples

@@ -186,16 +186,29 @@ def scale_offenders(norms, support, eps, policy):
     return gap
 
 
+def sample_norm(x):
+    """The Euclidean norm of one sample x, the reduce of squared moduli that
+    rnorm takes.  Where that plain value overflows for a finite x, or falls
+    below sqrt(tiny / eps_mach) for a nonzero one, x is divided by its
+    largest |entry| first, so an underflowing sample keeps its bits of norm."""
+    def plain(v):
+        return np.sqrt(np.add.reduce((np.conj(v) * v).real))
+    with np.errstate(over="ignore", invalid="ignore"):
+        n, m = plain(x), np.max(np.abs(x), initial=0.0)
+    small = math.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
+    return m * plain(x / m) if (n == np.inf or n < small) and 0.0 < m < np.inf else n
+
+
 def idempotent_normalize_per_vector(samples, eps, policy):
     """(w, support) of one (K, d) vector, normalized on its support.
 
-    The support is {k : 0 < |u_k| >= eps_k**m_inv}, with the axis-wise
-    norm reduce that rnorm takes, so a zero u_k is outside it even where
-    eps_k**m_inv underflows to 0; w is u / |u| there.  Raises
+    The support is {k : 0 < |u_k| >= eps_k**m_inv}, with ``sample_norm``,
+    so a zero u_k is outside it even where eps_k**m_inv underflows to 0;
+    w is u / |u| there.  Raises
     MixedScaleGenerator naming the ``scale_offenders`` of its norm net.
     Off the support w is +0.
     """
-    norms = np.sqrt(np.add.reduce((np.conj(samples) * samples).real, axis=1))
+    norms = np.array([sample_norm(u) for u in samples])
     support = (norms > 0.0) & (norms >= eps ** policy.m_inv)
     if bad := scale_offenders(norms, support, eps, policy):
         raise MixedScaleGenerator(bad, "no uniform scale")
@@ -424,10 +437,9 @@ def gram_schmidt_per_point(samples, eps, policy):
     residuals at most ``policy.tol_abs`` times their pre-projection norm
     to zero, and recurse on the rest; once the dominant norm fails that
     test (a zero fails even where eps_k**m_inv underflows to 0) every
-    remaining generator is zero there.  Norms are 1-D reduces of the
-    squared moduli, the sum rnorm takes.  Works in the set's field: the
-    generators of a set with any complex member are all cast to complex
-    first.
+    remaining generator is zero there.  Norms are ``sample_norm``'s.  Works
+    in the set's field: the generators of a set with any complex member are
+    all cast to complex first.
 
     Returns the (m, K, d) outputs, unit on each generator's support and
     zero off it, and the (m, K) norm each generator had when it left the
@@ -437,16 +449,12 @@ def gram_schmidt_per_point(samples, eps, policy):
     samples = [np.asarray(s, dtype=dtype) for s in samples]
     m, (K, d) = len(samples), samples[0].shape
     out, left = np.zeros((m, K, d), dtype=dtype), np.zeros((m, K))
-
-    def norm(x):
-        return np.sqrt(np.add.reduce((np.conj(x) * x).real))
-
     for k in range(K):
         vecs = {j: samples[j][k] for j in range(m)}
         remaining = list(range(m))
         threshold = eps[k] ** policy.m_inv
         while remaining:
-            norms = [norm(vecs[j]) for j in remaining]
+            norms = [sample_norm(vecs[j]) for j in remaining]
             best = int(np.argmax(norms))
             dom = remaining[best]
             if not 0.0 < norms[best] >= threshold:
@@ -460,9 +468,9 @@ def gram_schmidt_per_point(samples, eps, policy):
             vv = np.real(np.sum(v * np.conj(v)))
             for j in remaining:
                 coeff = np.sum(vecs[j] * np.conj(v)) / vv
-                before = norm(vecs[j])
+                before = sample_norm(vecs[j])
                 res = vecs[j] - coeff * v
-                if norm(res) <= policy.tol_abs * before:
+                if sample_norm(res) <= policy.tol_abs * before:
                     res = np.zeros_like(res)
                 vecs[j] = res
     return out, left

@@ -1,5 +1,7 @@
 """Inner products, norms, and the ultra-pseudo-norm on vector nets."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -17,6 +19,7 @@ from gennet import (
     rnorm,
     sharp_norm,
 )
+from gennet.gennum import _norms
 
 GRID = EpsGrid.geometric(24)
 POLICY = NumericPolicy()
@@ -132,6 +135,21 @@ def test_rnorm_of_finite_samples_whose_squares_overflow_is_finite():
     # 1e200**2 overflows; runs under the suite's error::RuntimeWarning filter
     u = GenVector.constant(np.array([1e200, -1e200]), GRID)
     assert np.array_equal(rnorm(u).samples, np.full(GRID.K, np.sqrt(2.0) * 1e200))
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-310, 5e-322],
+                         ids=["1e-160", "1e-200", "subnormal", "subnormal-few-bits"])
+def test_norms_of_samples_whose_squares_underflow_match_hypot(scale):
+    # below sqrt(tiny / eps_mach), about 1e-146, squares lose bits to underflow
+    # or vanish: such a sample is divided by its largest |entry| first, and its
+    # norm is hypot's to rounding, a few ulps or one step of the subnormals
+    rows = np.array([[3.0, 4.0], [-1.0, 0.0], [0.0, 2.0], [1.0, 1.0]]) * scale
+    want = np.tile([math.hypot(*row) for row in rows], GRID.K // len(rows))
+    u = GenVector(GRID, np.tile(rows, (GRID.K // len(rows), 1)))
+    for got in (_norms(u.samples), rnorm(u).samples):
+        np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps, atol=5e-324)
+    assert _norms(np.zeros((3, 2))).tolist() == [0.0] * 3
+    assert _norms(np.array([[0.0, -0.0], [0.0, 0.0j]])).tolist() == [0.0] * 2
 
 
 def test_dimension_and_grid_guards():

@@ -20,7 +20,8 @@ of an exported class, is referenced in a library module other than
 their oracles or the benchmark.
 
 And the library writes JSON in one place: no module calls ``json.dump``
-or ``json.dumps``.  Nor does it build object arrays: no module holds
+or ``json.dumps``.  It checks grids in one place: no module but ``gennum``
+calls ``same_as``.  Nor does it build object arrays: no module holds
 ``dtype=object``.
 """
 
@@ -213,6 +214,14 @@ def test_the_library_takes_sample_norms_in_one_place():
     assert [f"{path.name}:{i}" for path in sorted(SRC.glob("*.py")) if path.name != "gennum.py"
             for i, line in enumerate(path.read_text().splitlines(), 1)
             if re.search(r"linalg\.norm\(|\b_row_norms\b", line)] == []
+
+
+def test_the_library_checks_grids_in_one_place():
+    # gennum._same_grid, the one grid check: every other module calls it
+    # rather than compare two grids itself
+    assert [f"{path.name}:{i}" for path in sorted(SRC.glob("*.py")) if path.name != "gennum.py"
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"\bsame_as\(", line)] == []
 
 
 def test_the_library_builds_no_object_arrays():
