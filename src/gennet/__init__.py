@@ -62,7 +62,6 @@ from .operators import (
     adjoint,
     apply,
     classify_operator,
-    defect_threshold,
     op_norm_net,
     riesz_representer,
 )

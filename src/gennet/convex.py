@@ -21,7 +21,7 @@ from .errors import (
     InvalidSpec,
     ProbeNotInSet,
 )
-from .gennum import EpsGrid, GenScalar, NumericPolicy, _first_k, _norms, _same_grid
+from .gennum import EpsGrid, GenScalar, NumericPolicy, _check_scale, _first_k, _norms, _same_grid
 from .hilbert import GenVector
 
 
@@ -148,9 +148,10 @@ def _check_compat(C: ConvexSetNet, u: GenVector):
 
 
 def _outside(C: ConvexSetNet, x: np.ndarray, policy: NumericPolicy) -> np.ndarray:
-    """(K,) mask of the samples of x that miss C by more than the membership tolerance."""
-    member_tol = 100.0 * policy.tol_abs  # times 1 + |x_k|: degree 1 in sample k's own size
-    return ~(C.violation(x) <= member_tol * (1.0 + _norms(x)))
+    """(K,) mask of the samples of x that miss C by more than 100 tol_abs (1 + |x_k|),
+    degree 1 in their own size: ``_check_scale``, so past overflow only violation 0 is in."""
+    violation = C.violation(x)
+    return ~((violation == 0.0) | (violation <= 100.0 * policy.tol_abs * _check_scale(x)))
 
 
 def project_point(C: ConvexSetNet, u: GenVector) -> GenVector:

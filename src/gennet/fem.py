@@ -39,6 +39,7 @@ from .gennum import (
     EpsGrid,
     GenScalar,
     NumericPolicy,
+    _check_scale,
     _first_k,
     _invertible,
     _moderate,
@@ -53,8 +54,7 @@ from .gennum import (
 )
 from .hilbert import GenVector
 from .operators import TridiagonalOperator
-from .variational import RESIDUAL_TARGET, CoercivityCertificate, lax_milgram_solve
-from .variational import _certified_alpha, _check_scale
+from .variational import RESIDUAL_TARGET, CoercivityCertificate, _certified_alpha, lax_milgram_solve
 
 # reference 3-point Gauss rule on [-1, 1]
 _GAUSS_T = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
@@ -82,7 +82,8 @@ def _bump(t):
 
 @dataclass(frozen=True)
 class Mesh1D:
-    """Uniform mesh on [x_left, x_right] with at least 4 elements."""
+    """Uniform mesh on [x_left, x_right] with at least 4 elements, a finite width
+    and an element width h whose square, which the stiffness divides by, is finite and > 0."""
 
     x_left: float
     x_right: float
@@ -93,6 +94,11 @@ class Mesh1D:
             raise InvalidSpec("empty interval")
         if self.n_elems < 4:
             raise InvalidSpec("need at least 4 elements")
+        if not self.x_right - self.x_left < math.inf:
+            raise InvalidSpec(f"interval [{self.x_left!r}, {self.x_right!r}] has an infinite "
+                              "end or a width past the float range")
+        if not 0.0 < (h := self.h) * h < math.inf:  # not h ** 2, which raises on overflow
+            raise InvalidSpec(f"element width h = {h!r}: h^2 is not a positive finite float")
 
     @property
     def nodes(self) -> np.ndarray:
@@ -321,10 +327,9 @@ class CoefficientNet:
 
 
 def _per_k_values(v, K: int) -> np.ndarray:
-    """A boundary value or load weight, plain number or GenScalar, per sample."""
-    if isinstance(v, GenScalar):
-        return np.real(v.samples).astype(float)
-    return np.full(K, float(v))
+    """A boundary value or load weight, plain number or GenScalar, per sample;
+    complex for a net over C, which ``_assemble_all`` refuses unless it is real."""
+    return v.samples if isinstance(v, GenScalar) else np.full(K, float(v))
 
 
 @dataclass(frozen=True)
@@ -403,7 +408,9 @@ def _assemble_all(spec: ProblemSpec):
     would hide behind a finite minimum.  A load, point-load weight or
     boundary value that is not finite raises InvalidSpec naming the
     first such grid point and the check (``rhs_k not finite``,
-    ``point_load_k not finite``, ``boundary_k not finite``).
+    ``point_load_k not finite``, ``boundary_k not finite``), and so does
+    a point-load weight or boundary value with a nonzero imaginary part
+    (``point_load_k not real``, ``boundary_k not real``).
     """
     grid, mesh = spec.grid, spec.mesh
     K, n, h = grid.K, mesh.n_elems, mesh.h
@@ -433,11 +440,14 @@ def _assemble_all(spec: ProblemSpec):
     f = spec.rhs.gauss_values(pts)
     loads = [(float(x0), _per_k_values(w, K)) for x0, w in spec.point_loads]
     gl, gr = (_per_k_values(g, K) for g in spec.boundary)
-    for check, nets in (("rhs_k not finite", f.bounds()),
-                        ("point_load_k not finite", [w_k for _, w_k in loads]),
-                        ("boundary_k not finite", (gl, gr))):
-        if k := _first_k(~np.isfinite(np.transpose(nets))):  # (K, len(nets))
-            raise InvalidSpec(f"{check}: ±inf or NaN at grid index k={k}")
+    for check, nets in (("rhs_k", f.bounds()), ("point_load_k", [w_k for _, w_k in loads]),
+                        ("boundary_k", (gl, gr))):
+        nets = np.transpose(nets)  # (K, len(nets)), complex where a net over C is
+        for bad, why in ((nets.imag != 0.0, "not real: nonzero imaginary part"),
+                         (~np.isfinite(nets), "not finite: ±inf or NaN")):
+            if k := _first_k(bad):
+                raise InvalidSpec(f"{check} {why} at grid index k={k}")
+    loads, gl, gr = [(x0, w_k.real) for x0, w_k in loads], gl.real, gr.real
     b = np.zeros((K, n + 1))
     load_a, load_b = f.integrals(wts * _N1, wts * _N2)
     b[:, :-1] += load_a

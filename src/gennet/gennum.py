@@ -16,8 +16,10 @@ An index set S, the finite stand-in for S ⊆ (0,1], is a (K,) bool mask
 with k in S at S[k - 1]; its complement is ~S.  Every S-relative function
 refuses a mask of another dtype (TypeError) or shape (GridMismatch).
 
-Every moderateness and invertibility test in the library is one of two
-per-sample rules, ``_moderate`` and ``_invertible``.
+Every negligibility, order, moderateness and invertibility test in the
+library is one of three per-sample rules, ``_negligible`` (a_k >= 0 reads as
+a negligible max(-a_k, 0)), ``_moderate`` and ``_invertible``, and every
+sample norm and check scale one of two, ``_norms`` and ``_check_scale``.
 
 The valuation nu(a) = sup{b : |a_eps| = O(eps**b)} is estimated by the
 least-squares slope of log|a_k| against log eps_k over the tail, and the
@@ -395,6 +397,17 @@ def _norms(x: np.ndarray, norm=_row_norms) -> np.ndarray:
     return out
 
 
+def _check_scale(x: np.ndarray) -> np.ndarray:
+    """1 + |x_k| per sample of x, NaN where that overflows: no check against it passes."""
+    scale = 1.0 + _norms(x)
+    return np.where(scale < np.inf, scale, np.nan)
+
+
+def _negligible(mags, eps, policy: NumericPolicy):
+    """mags <= eps**q_neg per sample: NaN never passes, and an underflowed bound only 0."""
+    return mags <= eps ** policy.q_neg
+
+
 def _moderate(mags, eps, policy: NumericPolicy):
     """mags <= eps**-N_mod per sample; a bound past the float range is +inf,
     the bound meant, and its overflow raises no warning."""
@@ -426,7 +439,7 @@ def net_verdicts(samples: np.ndarray, grid: EpsGrid, policy: NumericPolicy) -> N
     pos = _tail_positions(grid, policy)
     mags = np.abs(np.asarray(samples)[:, pos])
     eps = grid.values[pos]
-    negligible = np.all(mags <= eps ** policy.q_neg, axis=1)
+    negligible = np.all(_negligible(mags, eps, policy), axis=1)
     moderate = np.all(_moderate(mags, eps, policy), axis=1)
     keep = mags != 0.0
     kept = np.count_nonzero(keep, axis=1)
@@ -476,7 +489,7 @@ def is_moderate(a: GenScalar, policy: NumericPolicy) -> bool:
 
 
 def ge_zero(a: GenScalar, policy: NumericPolicy) -> bool:
-    """a_k >= -eps_k**q_neg on every tail index (non-strict boundary).
+    """a_k >= -eps_k**q_neg, a negligible max(-a_k, 0), on every tail index.
 
     This is the strictest finite-scale instance of the order test
     "r_eps >= -eps**q for all small eps"; a real net is required.
@@ -484,7 +497,8 @@ def ge_zero(a: GenScalar, policy: NumericPolicy) -> bool:
     if not a.is_real():
         raise ValueError("order test needs a real net")
     pos = _tail_positions(a.grid, policy)
-    return bool(np.all(a.samples[pos] >= -(a.grid.values[pos] ** policy.q_neg)))
+    negative_part = np.maximum(-a.samples[pos], 0.0)
+    return bool(np.all(_negligible(negative_part, a.grid.values[pos], policy)))
 
 
 def ge(a: GenScalar, b: GenScalar, policy: NumericPolicy) -> bool:

@@ -35,7 +35,8 @@ import sys
 import numpy as np
 
 from .errors import DimMismatch, SingularSample
-from .gennum import EpsGrid, GenScalar, NumericPolicy, _SampleNet, _same_grid, _tail_positions
+from .gennum import (EpsGrid, GenScalar, NumericPolicy, _SampleNet, _negligible, _same_grid,
+                     _tail_positions)
 from .hilbert import GenVector
 
 
@@ -219,20 +220,6 @@ def riesz_representer(f: BasicFunctional) -> GenVector:
     return GenVector(f.grid, np.conj(f.samples))
 
 
-def defect_threshold(grid: EpsGrid, policy: NumericPolicy,
-                     scale: np.ndarray | float = 1.0) -> np.ndarray:
-    """Tail thresholds for negligibility of *computed* nets.
-
-    max(eps_k**q_neg, tol_abs * scale_k): the exact negligibility bound,
-    floored at the floating tolerance so that rounding noise on sample k's
-    O(scale_k) computation does not defeat an identity that holds in exact
-    arithmetic.  ``scale`` is a (K,) net of per-sample scales or one float.
-    """
-    pos = _tail_positions(grid, policy)
-    scale = np.broadcast_to(scale, grid.K)[pos]
-    return np.maximum(grid.values[pos] ** policy.q_neg, policy.tol_abs * scale)
-
-
 def _sizes(net: np.ndarray) -> np.ndarray:
     """max |entry| of each sample of a (K, ...) net: |T_k|, or a defect's size."""
     return np.abs(net).reshape(len(net), -1).max(axis=1)
@@ -247,10 +234,12 @@ def _self_adjoint(T: BasicOperator, policy: NumericPolicy) -> np.ndarray:
 
 def _defect_negligible(net: np.ndarray, grid: EpsGrid, policy: NumericPolicy,
                        scale: np.ndarray) -> bool:
-    """Per-sample negligibility of a (K, ...) defect net on the tail at the (K,) scale;
-    a defect that is not finite is never negligible, whatever the threshold."""
-    mags = _sizes(net[_tail_positions(grid, policy)])
-    return bool(np.all((mags < np.inf) & (mags <= defect_threshold(grid, policy, scale))))
+    """Is every tail sample of a (K, ...) defect net finite, and negligible or
+    within rounding, tol_abs times the (K,) scale?  NaN or inf never is."""
+    pos = _tail_positions(grid, policy)
+    mags = _sizes(net[pos])
+    return bool(np.all((mags < np.inf) & (_negligible(mags, grid.values[pos], policy)
+                                          | (mags <= policy.tol_abs * scale[pos]))))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowed defect is never negligible

@@ -20,10 +20,10 @@ norm equals eps_k**m_inv up to rounding (a power tower at k = m_inv), its
 last bit decides whether k is among the offending_indices.  Samples whose
 outputs lost orthogonality (about u*kappa) are swept a second time.
 
-A generator whose norms, as it left the sweep, put a tail sample between
-eps**q_neg and eps**m_inv, or whose support is nonempty but dies out
-before the tail window, has no certifiable uniform scale (the beta-type
-pathology at finite scale) and raises MixedScaleGenerator.
+A generator whose norms, as it left the sweep, put a tail sample off its
+support that is not negligible (NaN, or between eps**q_neg and eps**m_inv),
+or whose support is nonempty but dies out before the tail window, has no
+certifiable uniform scale (the beta-type pathology) and raises MixedScaleGenerator.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, InvalidBasis, MixedScaleGenerator
-from .gennum import (EpsGrid, NumericPolicy, _SampleNet, _invertible, _norms, _same_grid,
-                     _tail_positions)
+from .gennum import (EpsGrid, NumericPolicy, _SampleNet, _invertible, _negligible, _norms,
+                     _same_grid, _tail_positions)
 from .hilbert import GenVector
 from .operators import BasicOperator, apply
 
@@ -175,12 +175,12 @@ def _reorthogonalize(W: np.ndarray, support: np.ndarray, left: np.ndarray):
 
 def _uniform_scale(left, support, grid: EpsGrid, policy: NumericPolicy):
     """Raise MixedScaleGenerator for the first generator with no uniform
-    scale, read from the norms it ``left`` the sweep with: tail samples
-    between eps**q_neg and eps**m_inv (possible only when q_neg > m_inv)
-    name those tail indices; else a nonempty support that misses the tail
-    window names the support."""
+    scale, read from the norms it ``left`` the sweep with: tail samples off
+    the support that are not negligible (NaN, or between eps**q_neg and
+    eps**m_inv, possible only when q_neg > m_inv) name those tail indices;
+    else a nonempty support that misses the tail window names the support."""
     tail = _tail_positions(grid, policy)
-    in_gap = ~support[tail] & (left[tail] > grid.values[tail, None] ** policy.q_neg)
+    in_gap = ~support[tail] & ~_negligible(left[tail], grid.values[tail, None], policy)
     dies_out = support.any(axis=0) & ~support[tail].any(axis=0)
     bad = np.flatnonzero(in_gap.any(axis=0) | dies_out)
     if bad.size:

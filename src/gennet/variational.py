@@ -35,8 +35,10 @@ from .errors import (
 from .gennum import (
     GenScalar,
     NumericPolicy,
+    _check_scale,
     _first_k,
     _invertible,
+    _negligible,
     _norms,
     _same_grid,
     _tail_positions,
@@ -82,8 +84,8 @@ class CoercivityCertificate:
     def from_alpha(cls, alpha: GenScalar, policy: NumericPolicy) -> "CoercivityCertificate":
         """The certificate of the real lower-bound net ``alpha``, read on the tail.
 
-        Every tail alpha_k must be nonnegative in the order sense, alpha_k >= -eps_k**q_neg,
-        and invertible by gennum's rule, 0 < |alpha_k| >= eps_k**m_inv; the witness is
+        Every tail alpha_k must pass gennum's rules: nonnegative in the order sense,
+        alpha_k >= -eps_k**q_neg, and invertible, 0 < |alpha_k| >= eps_k**m_inv; the witness is
         invertible_wrt's on the whole grid, the least such m on the whole tail.
         """
         if not alpha.is_real():
@@ -91,7 +93,7 @@ class CoercivityCertificate:
         witness = invertible_wrt(alpha, np.ones(alpha.grid.K, dtype=bool), policy).witness
         pos = _tail_positions(alpha.grid, policy)
         a, eps = alpha.samples[pos], alpha.grid.values[pos]
-        negative = ~(a >= -eps ** policy.q_neg)
+        negative = ~_negligible(np.maximum(-a, 0.0), eps, policy)
         failure = None
         if j := _first_k(negative | ~_invertible(np.abs(a), eps, policy.m_inv)):  # on the tail
             check = "alpha_k < -eps_k^q_neg" if negative[j - 1] else "|alpha_k| < eps_k^m_inv"
@@ -209,6 +211,7 @@ class VISolution:
         )
 
 
+@np.errstate(invalid="ignore")  # infinite data give NaN iterates, which run out of budget
 def vi_solve_contraction(
     T: BasicOperator,
     c: GenVector,
@@ -224,15 +227,15 @@ def vi_solve_contraction(
     from its own sample T_k as the module docstring says.  A grid point
     stops when its step norm falls below tol_abs * (1 - k_k) / max(k_k,
     tol_abs), or the iteration reaches an exact fixed point, or the step
-    hits the floor 4 * eps_mach * (1 + |u|) of its own iterate, or the
-    iterate equals the one before last: in exact arithmetic the iterates
-    of a contraction never repeat short of the fixed point, so such a
-    two-cycle is rounding, and its points lie within the rounding error
-    of two updates over (1 - k_k**2) of the solution.  The iteration
-    budget per point is ceil(log tol_abs / log k_k) plus half again (at
-    least 1024), at most _MAX_SWEEPS; exceeding it raises
-    IterationBudgetExceeded.  A factor that rounds to 1 gives no budget:
-    NoConvergence names its point before any sweep.
+    hits the floor 4 * eps_mach * (1 + |u|) of its iterate (``_check_scale``:
+    never once that overflows), or the iterate equals the one before last:
+    in exact arithmetic the iterates of a contraction never repeat short of
+    the fixed point, so such a two-cycle is rounding, and its points lie
+    within the rounding error of two updates over (1 - k_k**2) of the
+    solution.  The iteration budget per point is ceil(log tol_abs / log
+    k_k) plus half again (at least 1024), at most _MAX_SWEEPS; exceeding
+    it raises IterationBudgetExceeded.  A factor that rounds to 1 gives no
+    budget: NoConvergence names its point before any sweep.
 
     The sweeps run in blocks of _BLOCKS sweeps (1, 2, 4, 8, then 16
     each), on the grid points still iterating when the block starts:
@@ -307,7 +310,7 @@ def vi_solve_contraction(
         sweeps += size * rows.size
         checks += 1
         step = _norms(X[2:] - X[1:-1])
-        scale = 1.0 + _norms(X[2:])
+        scale = _check_scale(X[2:])
         before = np.concatenate([last[None], step[:-1]])
         measurable = before > ratio_floor * scale
         ratios = np.maximum(ratio, np.maximum.accumulate(
@@ -354,9 +357,3 @@ def vi_solve_contraction(
         sweeps=sweeps,
         stop_checks=checks,
     )
-
-
-def _check_scale(b: np.ndarray) -> np.ndarray:
-    """1 + |b_k| per row, NaN where that overflows: no check against it may pass."""
-    scale = 1.0 + _norms(b)
-    return np.where(scale < np.inf, scale, np.nan)

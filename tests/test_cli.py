@@ -157,6 +157,32 @@ def test_vi_solve_takes_the_general_step_on_a_large_nonsymmetric_operator(tmp_pa
     assert np.max(np.abs(u - want)) <= 1e-8 * np.max(np.abs(want))
 
 
+def test_an_infinite_rhs_never_stops_at_the_step_floor(tmp_path, capsys):
+    # on {u >= 0} the first sweep gives u = (inf, 0), whose step inf passed the
+    # floor 4 eps_mach (1 + |u|) = inf: exit 0 with u = inf.  The floor never
+    # passes once 1 + |u| overflows, and the NaN iterates that follow run out
+    # of budget.  On the box [0, 1]^2, inf clips to 1 and u = (1, 0).
+    def run(name, cfg_set):
+        cfg = _write_config(tmp_path, f"{name}.json", {
+            "operator": {"kind": "constant", "matrix": [[2.0, 1.0], [1.0, 2.0]]},
+            "rhs": [INF, 0.0], "set": cfg_set})
+        rc = _run(["vi-solve", "--config", cfg, "--out", str(tmp_path / name)])
+        return rc, capsys.readouterr().err
+
+    rc, err = run("obstacle", {"kind": "obstacle", "lower": [0.0, 0.0]})
+    assert rc == 2 and re.fullmatch(r"verdict failure: IterationBudgetExceeded: iterations_k > "
+                                    r"budget_k: budget = \d+, step_norm = nan at grid index k=1\n",
+                                    err)
+    assert list((tmp_path / "obstacle").iterdir()) == []
+    assert run("box", {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]}) == (0, "")
+    eps = [repr(e) for e in (0.5 ** np.arange(1, K_DEFAULT + 1)).tolist()]
+    assert (tmp_path / "box" / "solution.csv").read_text() == "k,eps,u0,u1\n" + "".join(
+        f"{k},{e},1.0,0.0\n" for k, e in enumerate(eps, 1))
+    assert (tmp_path / "box" / "iterations.csv").read_text().splitlines()[1:] == [
+        f"{k},{e},1.0,2.9999999999999996,0.5000000000000001,0.49999999999999994,2,0.0"
+        for k, e in enumerate(eps, 1)]
+
+
 def test_vi_solve_reports_the_norms_of_huge_answers(tmp_path):
     # u = (1e200, 1e200) in one sweep: residual 0 and |u| constant, valuation 0
     cfg = _write_config(tmp_path, "vi.json", {
@@ -669,8 +695,15 @@ def test_missing_fields_are_config_errors(tmp_path, capsys, cfg, args, needle):
     ({"diffusion": {"kind": "tabulated", "xs": [0.0, 1.0], "values": [1.0, 1.0, 1.0]}},
      "/problem/diffusion/values"),
     ({"obstacle": [1.0, 2.0, 3.0]}, "/problem/obstacle"),
+    ({"interval": [0.0, INF]}, "/problem/interval: interval [0.0, inf] has an infinite end"),
+    ({"interval": [-1e308, 1e308]}, "/problem/interval: interval [-1e+308, 1e+308] has an "
+                                    "infinite end or a width past the float range"),
+    ({"interval": [0.0, 1e160]}, "/problem/interval: element width h = 6.25e+158: h^2 is not "
+                                 "a positive finite float"),
+    ({"interval": [0.0, 1e-170]}, "/problem/interval: element width h = 6.25e-172"),
 ], ids=["masses", "value", "boundary", "rhs", "interval", "n_elems", "nu_exponent",
-        "point_load", "tabulated", "obstacle"])
+        "point_load", "tabulated", "obstacle", "infinite-end", "overflowed-width",
+        "overflowed-h-squared", "underflowed-h-squared"])
 def test_malformed_problem_fields_are_config_errors(tmp_path, capsys, field, needle):
     path = _write_config(tmp_path, "bad.json", {"problem": {
         "interval": [0.0, 1.0], "n_elems": 16, "diffusion": 1.0, **field}})

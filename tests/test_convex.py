@@ -225,6 +225,18 @@ class TestProjectionProperties:
         with pytest.raises(ProbeNotInSet):
             characterization_residual(C, u, u, [bad], POLICY)
 
+    def test_a_probe_whose_size_overflows_is_inside_only_at_violation_0(self):
+        # |w| = 2.1e308 overflows, and the tolerance 100 tol_abs (1 + |w|) was
+        # +inf: w missed the box [0, 1]^2 by 1.5e308 and still counted as inside
+        far = GenVector.constant(np.array([1.5e308, 1.5e308]), GRID)
+        u = GenVector.constant(np.array([0.5, 0.5]), GRID)
+        box = ConvexSetNet.box(GRID, np.zeros(2), np.ones(2))
+        with pytest.raises(ProbeNotInSet, match=r"k=1$"):
+            characterization_residual(box, u, u, [far], POLICY)
+        obstacle = ConvexSetNet.obstacle(GRID, np.zeros(2))  # far lies in {x >= 0}
+        assert np.array_equal(characterization_residual(obstacle, u, u, [far], POLICY).samples,
+                              np.zeros(GRID.K))
+
     def test_affine_projection_residual_orthogonal_to_span(self):
         rng = np.random.default_rng(47)
         span = rng.standard_normal((3, 6))

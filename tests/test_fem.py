@@ -1,5 +1,6 @@
 """P1 elements on an eps-indexed family of 1D elliptic problems."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -248,6 +249,40 @@ def test_boundary_data_may_be_a_net():
     huge = GenScalar(GRID, GRID.values ** -25.0)
     with pytest.raises(InvalidSpec):
         solve_dirichlet(_spec(mesh, boundary=(0.0, huge)), POLICY)
+
+
+@pytest.mark.parametrize("interval,message", [
+    ((0.0, np.inf), "infinite end"), ((-np.inf, 0.0), "infinite end"),
+    ((-1e308, 1e308), "width past the float range"),
+    ((0.0, 1e160), "h = 1.25e+159: h^2 is not a positive finite float"),
+    ((0.0, 1e-170), "h = 1.25e-171: h^2 is not a positive finite float"),
+], ids=["inf-right", "inf-left", "width", "h-squared-overflows", "h-squared-underflows"])
+def test_a_mesh_refuses_an_interval_the_stiffness_cannot_divide_by(interval, message):
+    # [0, inf] and [-1e308, 1e308] failed coercivity with alpha = NaN, and
+    # h ** 2 = 1.25e159 ** 2 raised OverflowError in the assembly
+    with pytest.raises(InvalidSpec, match=re.escape(message)):
+        Mesh1D(*interval, 8)
+    assert Mesh1D(0.0, 1e150, 8).h == 1.25e149  # h^2 = 1.6e298
+
+
+@pytest.mark.parametrize("place,check", [
+    (lambda g: {"boundary": (0.0, g)}, "boundary_k"),
+    (lambda g: {"point_loads": [(0.5, g)]}, "point_load_k"),
+], ids=["boundary", "point-load"])
+def test_complex_boundary_and_point_load_data_are_refused(place, check):
+    # the imaginary part was dropped: a boundary value 1 + 1j was solved as
+    # 1, and a point load 1j as 0
+    mesh = Mesh1D(0.0, 1.0, 8)
+    samples = np.ones(GRID.K, dtype=complex)
+    samples[5:] += 1j
+    with pytest.raises(InvalidSpec, match=rf"^{check} not real: nonzero imaginary part at "
+                                          r"grid index k=6$"):
+        solve_dirichlet(_spec(mesh, **place(GenScalar(GRID, samples))), POLICY)
+    # a net over C whose samples are real solves as the real net does
+    real = solve_dirichlet(_spec(mesh, **place(GenScalar(GRID, samples.real))), POLICY)
+    as_complex = GenScalar(GRID, samples.real.astype(complex))
+    assert np.array_equal(solve_dirichlet(_spec(mesh, **place(as_complex)), POLICY).u.samples,
+                          real.u.samples)
 
 
 def test_under_resolved_follows_the_mesh_width():

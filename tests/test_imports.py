@@ -21,8 +21,9 @@ their oracles or the benchmark.
 
 And the library writes JSON in one place: no module calls ``json.dump``
 or ``json.dumps``.  It checks grids in one place: no module but ``gennum``
-calls ``same_as``.  Nor does it build object arrays: no module holds
-``dtype=object``.
+calls ``same_as``, and it forms check scales there too: no other module
+raises eps to a policy exponent or forms ``1.0 + _norms(``.  Nor does it
+build object arrays: no module holds ``dtype=object``.
 """
 
 import ast
@@ -214,6 +215,32 @@ def test_the_library_takes_sample_norms_in_one_place():
     assert [f"{path.name}:{i}" for path in sorted(SRC.glob("*.py")) if path.name != "gennum.py"
             for i, line in enumerate(path.read_text().splitlines(), 1)
             if re.search(r"linalg\.norm\(|\b_row_norms\b", line)] == []
+
+
+def check_scale_sites(source: str) -> list:
+    """The lines of ``source`` that raise eps to a policy exponent or form a
+    1 + |x| check scale from ``_norms``."""
+    return [i for i, line in enumerate(source.splitlines(), 1)
+            if re.search(r"\*\*\s*-?policy\.|1\.0 \+ _norms\(", line)]
+
+
+def test_the_library_forms_check_scales_in_one_place():
+    # gennum._negligible (eps_k**q_neg), _moderate (eps_k**-N_mod) and
+    # _check_scale (1 + |x_k|, NaN on overflow): a copy that differs from
+    # its rule on NaN or overflow lets a wrong verdict pass
+    assert [f"{path.name}:{i}" for path in sorted(SRC.glob("*.py")) if path.name != "gennum.py"
+            for i in check_scale_sites(path.read_text())] == []
+
+
+def test_the_check_scale_guard_sees_every_form():
+    source = "\n".join([
+        "neg = mags <= eps ** policy.q_neg",
+        "mod = mags <= eps ** -policy.N_mod",
+        "scale = 1.0 + _norms(x)",
+        "ok = mags <= eps ** q_neg  # a local exponent is no policy's",
+        "inv = _invertible(mags, eps, policy.m_inv)",
+    ])
+    assert check_scale_sites(source) == [1, 2, 3]
 
 
 def test_the_library_checks_grids_in_one_place():

@@ -25,7 +25,6 @@ from gennet import (
     adjoint,
     apply,
     classify_operator,
-    defect_threshold,
     inner,
     interleaved_gram_schmidt,
     is_negligible,
@@ -462,22 +461,6 @@ def test_projection_flag_agrees_with_gram_schmidt_projector():
 
 
 # -------------------------------------------------------------- plumbing
-
-def test_defect_threshold_floors_at_float_tolerance():
-    thr = defect_threshold(GRID, POLICY, scale=1.0)
-    tail_eps = GRID.values[-POLICY.tail:]
-    assert thr.shape == (POLICY.tail,)
-    assert np.array_equal(thr, np.maximum(tail_eps ** POLICY.q_neg,
-                                          POLICY.tol_abs))
-    assert np.array_equal(defect_threshold(GRID, POLICY, scale=100.0),
-                          np.maximum(tail_eps ** POLICY.q_neg,
-                                     100.0 * POLICY.tol_abs))
-    # a (K,) scale is read per sample: each tail sample gets its own
-    scale = 10.0 ** np.arange(-100, 3 * GRID.K - 100, 3)
-    assert np.array_equal(defect_threshold(GRID, POLICY, scale=scale),
-                          np.maximum(tail_eps ** POLICY.q_neg,
-                                     POLICY.tol_abs * scale[-POLICY.tail:]))
-
 
 def test_shape_and_grid_guards():
     rng = np.random.default_rng(271)

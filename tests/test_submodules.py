@@ -349,6 +349,18 @@ def test_a_nan_dominant_zeroes_the_rest_and_names_their_tail_samples():
     assert err.value.indices == [GRID.K]
 
 
+def test_a_nan_generator_has_no_uniform_scale():
+    # its norms are NaN everywhere, so it has no support and its tail samples
+    # are not negligible; NaN > eps**q_neg was False, and the set passed as
+    # closed and edged with an empty basis
+    g = GeneratorSet((GenVector(GRID, np.full((GRID.K, 2), np.nan)),))
+    verdict = classify_submodule(g, POLICY)
+    assert not verdict.closed_edged and verdict.basis is None
+    assert verdict.diagnostics["offending_indices"] == list(range(17, GRID.K + 1))
+    with pytest.raises(MixedScaleGenerator):
+        interleaved_gram_schmidt(g, POLICY)
+
+
 def test_the_flush_scale_is_the_policy_tol_abs():
     # the second generator's residual off the first is 1e-11 of its norm:
     # a direction at the default tol_abs = 1e-12, rounding at 1e-10
